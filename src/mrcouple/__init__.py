@@ -15,7 +15,6 @@ from .coupling import (
     flux_solve,
     interfacial_energy_term,
     run_simulation,
-    solve_window_direct,
     solve_window_fixed_point,
     step_restriction_ratio,
     trace_projection,

@@ -251,6 +251,13 @@ def parse_config(text: str) -> RunConfig:
                 f"window.N0: {n_init} exceeds N={window_cfg.N}; windows 1..N0-1 are "
                 "filled from a reference solve and at least one scheme window must remain"
             )
+        if n_init > 1:
+            for i in range(2):
+                if scheme_spec.k_s > window_cfg.M[i] + 1:
+                    problems.append(
+                        f"scheme.k_s: {scheme_spec.k_s} exceeds M{i + 1}+1={window_cfg.M[i] + 1}; "
+                        "side conditions may reach back at most one window of history"
+                    )
 
     solver = {"name": "direct", "tol": 1e-10, "max_iter": 200}
     sol = raw.get("solver", {})

@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import dgit
 from .fespace import FeOperators
@@ -283,12 +282,29 @@ class WindowOperator:
                     for n in range(cfg.M[i])
                 ]
             )
+        # M_gamma T_j, shared by the flux rows of the matrix and the trapezoid
+        # right-hand side; there the incoming side value of subdomain j enters
+        # with one window-invariant coefficient per flux mode.
+        self._MgT = [(ops.M_gamma @ ops.T[j]).tocsr() if dG else None for j in range(2)]
+        self._incoming_flux = []
+        if quadrature == "trapezoid" and dG:
+            for i in range(2):
+                for j in range(2):
+                    bij = ops.B[i, j]
+                    if bij == 0.0:
+                        continue
+                    edges = cfg.substep_edges(j, 1)
+                    r_cut = min(cfg.r[i], cfg.r[j])
+                    weights = _window_weights_trapezoid(edges, self._template, r_cut)
+                    dt_j = edges[1] - edges[0]
+                    self._incoming_flux.append(
+                        (self._flux_off[i], j, [bij * dt_j * 0.5 * w for w in weights[0]])
+                    )
         self.matrix = self._assemble_matrix()
         try:
-            self._lu = spla.splu(self.matrix.tocsc())
+            self._lu = dgit.factorize(self.matrix)
         except RuntimeError as err:
             raise SolverError(f"window factorization failed: {err}") from err
-        self._matrix_norm = spla.norm(self.matrix, np.inf) if self.dim else 0.0
 
     # -- unknown offsets -------------------------------------------------
     def _sub_off(self, i: int, n: int) -> int:
@@ -341,7 +357,7 @@ class WindowOperator:
                 bij = self.ops.B[i, j]
                 if bij == 0.0 or dG == 0:
                     continue
-                MgT = (self.ops.M_gamma @ self.ops.T[j]).tocsr()
+                MgT = self._MgT[j]
                 r_cut = min(r_i, cfg.r[j])  # trace of subdomain j has order r_j
                 edges = cfg.substep_edges(j, 1)
                 if self.quadrature == "trapezoid":
@@ -402,21 +418,10 @@ class WindowOperator:
             gm = _g_moments(ops, i, window, cfg.r[i], cfg.substep_edges(i, window_index), self.quadrature)
             for p in range(cfg.r[i] + 1):
                 rhs[base + p * dG : base + (p + 1) * dG] -= gm[p]
-            if self.quadrature == "trapezoid" and dG:
-                for j in range(2):
-                    bij = ops.B[i, j]
-                    if bij == 0.0:
-                        continue
-                    MgT = ops.M_gamma @ ops.T[j]
-                    r_cut = min(cfg.r[i], cfg.r[j])
-                    edges = cfg.substep_edges(j, 1)
-                    weights = _window_weights_trapezoid(edges, self._template, r_cut)
-                    dt_j = edges[1] - edges[0]
-                    v = MgT @ np.asarray(incoming[j], dtype=float)
-                    for p in range(r_cut + 1):
-                        rhs[base + p * dG : base + (p + 1) * dG] += (
-                            bij * dt_j * 0.5 * weights[0, p] * v
-                        )
+        for base, j, coefs in self._incoming_flux:
+            v = self._MgT[j] @ np.asarray(incoming[j], dtype=float)
+            for p, c in enumerate(coefs):
+                rhs[base + p * dG : base + (p + 1) * dG] += c * v
         return rhs
 
     def solve(self, incoming, histories=((), ()), window_index: int = 1) -> WindowSolution:
@@ -425,8 +430,9 @@ class WindowOperator:
         x = self._lu.solve(rhs)
         if not np.all(np.isfinite(x)):
             raise SolverError("window factorization produced non-finite values")
-        res = self.matrix @ x - rhs
-        scale = max(float(np.linalg.norm(rhs)), float(np.linalg.norm(self.matrix @ x)), 1e-300)
+        Ax = self.matrix @ x
+        res = Ax - rhs
+        scale = max(float(np.linalg.norm(rhs)), float(np.linalg.norm(Ax)), 1e-300)
         rel = float(np.linalg.norm(res)) / scale
         if rel > RESIDUAL_TOL:
             raise SolverError(f"window solve residual {rel:.3e} exceeds {RESIDUAL_TOL:.1e}")
@@ -494,12 +500,6 @@ def assemble_window(
     return WindowOperator(ops, spec, cfg, quadrature=quadrature, keep_traces=keep_traces)
 
 
-def solve_window_direct(
-    op: WindowOperator, incoming, histories=((), ()), window_index: int = 1
-) -> WindowSolution:
-    return op.solve(incoming, histories, window_index)
-
-
 def solve_window_fixed_point(
     ops: FeOperators,
     spec: SchemeSpec,
@@ -525,7 +525,7 @@ def solve_window_fixed_point(
     dG = ops.d_gamma
     q = spec.q
     window = cfg.window(window_index)
-    M_gamma_lu = spla.splu(ops.M_gamma.tocsc()) if (dG and ops.has_g) else None
+    M_gamma_lu = dgit.factorize(ops.M_gamma) if (dG and ops.has_g) else None
 
     blocks, flux_tables, TtMg = [], [], []
     for i in range(2):
@@ -821,7 +821,7 @@ def _fill_init_windows(ops, spec, cfg, u0, n_init: int):
     polys, side = dgit.integrate(
         Mc, Lc, load, np.concatenate(u0), continuous_galerkin(2), edges
     )
-    Mg_lu = spla.splu(ops.M_gamma.tocsc()) if (ops.d_gamma and ops.has_g) else None
+    Mg_lu = dgit.factorize(ops.M_gamma) if (ops.d_gamma and ops.has_g) else None
     windows = []
     slices = (s1, s2)
     for w in range(1, n_init):

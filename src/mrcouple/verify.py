@@ -15,7 +15,6 @@ import math
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 import sympy
 
 from . import dgit
@@ -198,7 +197,7 @@ class ReferenceTrajectory:
         out = ops.B[i, 0] * (ops.T[0] @ u1) + ops.B[i, 1] * (ops.T[1] @ u2)
         if ops.load_g[i] is not None:
             if self._mg_lu is None:
-                self._mg_lu = spla.splu(ops.M_gamma.tocsc())
+                self._mg_lu = dgit.factorize(ops.M_gamma)
             out = out - self._mg_lu.solve(ops.g_vec(i, t))
         return out
 

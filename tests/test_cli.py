@@ -128,6 +128,15 @@ class TestMainRun:
         assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert "config error: window.N0" in capsys.readouterr().err
 
+    def test_unreachable_history_is_config_error(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["scheme"] = {"name": "dg", "q": 1, "n_s": 0, "k_s": 3}
+        payload["window"]["M1"] = 1
+        config = write_config(tmp_path, payload)
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: scheme.k_s" in err and "M1+1=2" in err
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "none.json")]) == 2
 

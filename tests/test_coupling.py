@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import mrcouple as mc
 from mrcouple import coupling, dgit
@@ -188,6 +190,13 @@ class TestWindowAssembly:
         sol = op.solve(incoming(toy_ops))
         assert sol.residual < 1e-12
 
+    def test_residual_check_rejects_wrong_factor(self, decay_ops):
+        cfg = mc.WindowConfig(t_f=0.1, N=1, M=(2, 3), r=(1, 1))
+        op = mc.assemble_window(decay_ops, mc.crank_nicolson(), cfg, quadrature="trapezoid")
+        op._lu = dgit.factorize(op.matrix + 1e-6 * sp.identity(op.dim, format="csr"))
+        with pytest.raises(mc.SolverError, match="residual"):
+            op.solve(incoming(decay_ops))
+
     def test_keep_traces(self, toy_ops):
         cfg = mc.WindowConfig(t_f=0.1, N=1, M=(1, 2), r=(1, 1))
         op = mc.assemble_window(toy_ops, mc.crank_nicolson(), cfg, keep_traces=True)
@@ -205,6 +214,43 @@ class TestWindowAssembly:
         Z = [[0.0]]
         with pytest.raises(ValueError):
             mc.from_matrices(Z, [[1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], np.eye(2))
+
+
+class TestFactorize:
+    @pytest.fixture(scope="class")
+    def free_ops16(self):
+        m1, m2 = mc.build_mesh(1, 16, 16), mc.build_mesh(2, 16, 16)
+        spec = mc.ProblemSpec(
+            nu=(1.0, 0.5),
+            u0=(
+                lambda x, y: np.sin(np.pi * x) * (1.0 - y),
+                lambda x, y: 0.5 * np.sin(np.pi * x) * (1.0 + y),
+            ),
+        )
+        return mc.assemble(m1, m2, mc.match_interfaces(m1, m2), spec)
+
+    CFG = mc.WindowConfig(t_f=0.05, N=5, M=(2, 3), r=(1, 1))
+
+    def test_less_fill_than_colamd(self, free_ops16):
+        op = mc.assemble_window(free_ops16, mc.crank_nicolson(), self.CFG, quadrature="trapezoid")
+        ours = dgit.factorize(op.matrix)
+        colamd = spla.splu(op.matrix.tocsc())
+        assert ours.L.nnz + ours.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+    def test_direct_run_matches_colamd(self, free_ops16, monkeypatch):
+        def run():
+            return mc.run_simulation(
+                free_ops16, mc.crank_nicolson(), self.CFG, quadrature="trapezoid"
+            )
+
+        ours = run()
+        monkeypatch.setattr(dgit, "factorize", lambda A: spla.splu(A.tocsc()))
+        colamd = run()
+        for sol, ref in zip(ours.windows, colamd.windows):
+            for i in range(2):
+                scale = np.max(np.abs(ref.U[i]))
+                assert np.max(np.abs(sol.U[i] - ref.U[i])) <= 1e-12 * scale
+                assert np.max(np.abs(sol.F[i].coeffs - ref.F[i].coeffs)) <= 1e-12 * scale
 
 
 class TestSingleRateDegeneration:
@@ -450,6 +496,42 @@ class TestRunSimulation:
         tol = 1e-9 if solver == "direct" else fp_tol
         assert traj.windows[-1].U[0][-1][0] == pytest.approx(1.4, abs=tol)
         assert traj.windows[-1].U[1][-1][0] == pytest.approx(0.5, abs=tol)
+
+    # The left node takes the mean of the new side value and the one two
+    # steps back: exact for the linear toy, and it reads the history.
+    MEAN_TWO_BACK = SchemeSpec(
+        q=1, n_s=2, k_s=2, thetas=(0.0, 1.0),
+        D=[[0.5, 0.0, 0.5], [1.0, 0.0, 0.0]], name="mean-two-back",
+    )
+
+    @pytest.mark.parametrize("solver", ["direct", "fixed-point"])
+    @pytest.mark.parametrize("N0", [None, 3])
+    def test_two_step_scheme_reads_handed_over_history(self, toy_linear_ops, solver, N0):
+        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1), N0=N0)
+        fp_tol = 1e-10
+        traj = mc.run_simulation(
+            toy_linear_ops, self.MEAN_TWO_BACK, cfg, quadrature="exact", solver=solver,
+            fp_tol=fp_tol,
+        )
+        n_init = cfg.n_init(self.MEAN_TWO_BACK)
+        flags = [sol.initialized_from_reference for sol in traj.windows]
+        assert flags == [w < n_init for w in range(1, cfg.N + 1)]
+        tol = 1e-9 if solver == "direct" else fp_tol
+        assert traj.windows[-1].U[0][-1][0] == pytest.approx(1.4, abs=tol)
+        assert traj.windows[-1].U[1][-1][0] == pytest.approx(0.5, abs=tol)
+
+    def test_two_step_window_depends_on_history(self, toy_linear_ops):
+        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1))
+        traj = mc.run_simulation(toy_linear_ops, self.MEAN_TWO_BACK, cfg, quadrature="exact")
+        op = mc.assemble_window(toy_linear_ops, self.MEAN_TWO_BACK, cfg)
+        prev = traj.windows[0]
+        inc = tuple(prev.U[i][-1] for i in range(2))
+        hist = tuple([prev.U[i][-2]] for i in range(2))
+        bent = tuple([h[0] + 0.01] for h in hist)
+        same = op.solve(inc, hist, 2)
+        moved = op.solve(inc, bent, 2)
+        assert np.array_equal(same.U[0], traj.windows[1].U[0])
+        assert np.max(np.abs(moved.U[0][-1] - same.U[0][-1])) > 1e-4
 
     def test_unknown_solver_rejected(self, toy_ops):
         cfg = mc.WindowConfig(t_f=0.1, N=1)
