@@ -432,14 +432,7 @@ def _level_worker(args):
     traj = coupling.run_simulation(
         ops, cfg.scheme, lvl_cfg, quadrature=cfg.quadrature, solver=cfg.solver["name"], u0=u0
     )
-    rep = verify.error_norms(ops, traj, oracle)
-    errs = {
-        "l2": rep.l2_total,
-        "nodal": rep.nodal_max,
-        "sync": rep.sync_max,
-        "flux": rep.flux_total,
-    }
-    return level, lvl_cfg.dt, (lvl_cfg.dt_sub(0), lvl_cfg.dt_sub(1)), rep.l2, rep.sync_max, errs
+    return lvl_cfg, verify.error_norms(ops, traj, oracle)
 
 
 def _cmd_convergence(cfg: RunConfig, text: str, outdir: Path, levels: int, jobs: int) -> int:
@@ -447,28 +440,7 @@ def _cmd_convergence(cfg: RunConfig, text: str, outdir: Path, levels: int, jobs:
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_level_worker, [(text, lvl) for lvl in range(levels)]))
-        results.sort(key=lambda r: r[0])
-        target = cfg.experiment["target"]
-        rows, prev = [], None
-        for level, dt, dts, l2, sync_max, errs in results:
-            err = errs[target]
-            running = float("nan") if prev is None or err <= 0 else float(np.log2(prev / err))
-            rows.append(
-                verify.RateRow(
-                    level=level,
-                    dt=dt,
-                    dt_sub=dts,
-                    err_l2=l2,
-                    err_sync=sync_max,
-                    err_target=err,
-                    rate_running=running,
-                    excluded=err < verify.ROUNDOFF_FLOOR,
-                )
-            )
-            prev = err
-        usable = [(np.log(r.dt), np.log(r.err_target)) for r in rows if not r.excluded and r.err_target > 0]
-        slope = float(np.polyfit([p[0] for p in usable], [p[1] for p in usable], 1)[0]) if len(usable) >= 2 else float("nan")
-        table = verify.RateTable(target=target, rows=rows, observed_rate=slope, notes=[])
+        table = verify.rate_table(cfg.experiment["target"], results)
     else:
         ops, _ = build_operators(cfg)
         table = verify.convergence_study(

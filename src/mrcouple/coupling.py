@@ -9,12 +9,15 @@ algebraically at assembly, so the monolithic unknowns are the substep
 coefficients, the side values, and the flux modes (ordered last, so an
 interface-reduced solver could be added without relayout).
 
-Two solvers are provided: a sparse direct factorization of the window
-system, reused across windows since the matrix does not change, and a
-lagged fixed-point iteration that freezes the spatial operator and the
-flux at the previous iterate.  The fixed point contracts only under a
-time-step restriction; violations raise ContractionError with the
-advisory restriction ratio dt * (1/h^2 + 1/h) attached.
+Two solvers work on that one matrix A.  The direct solver factorizes it
+once and reuses the factor for every window.  The fixed-point solver
+splits it as A = P + N, with N the spatial operator term of every
+substep and the flux columns of the substep rows: each sweep solves
+x <- P^{-1}(b - N x), a block Gauss-Seidel (Robin-transmission waveform
+relaxation) iteration whose fixed point is the direct solution.  It
+contracts only under a time-step restriction; violations raise
+ContractionError with the advisory restriction ratio dt * (1/h^2 + 1/h)
+attached.
 """
 
 from __future__ import annotations
@@ -236,6 +239,11 @@ class WindowOperator:
     Unknown layout: substep groups of both subdomains (each substep holds
     its modal coefficients then its side value), then the flux modes of
     subdomain 1, then subdomain 2.
+
+    solver="direct" factorizes the matrix.  solver="fixed-point" splits it
+    as matrix = P + N (see _lagged_part), factorizes P and sweeps each
+    window until the update norm drops to fp_tol, in at most fp_max_iter
+    sweeps.
     """
 
     def __init__(
@@ -246,12 +254,19 @@ class WindowOperator:
         *,
         quadrature: str = "exact",
         keep_traces: bool = False,
+        solver: str = "direct",
+        fp_tol: float = 1e-10,
+        fp_max_iter: int = 200,
     ):
         if quadrature not in ("exact", "trapezoid"):
             raise ValueError(f"unknown quadrature {quadrature!r}")
+        if solver not in ("direct", "fixed-point"):
+            raise ValueError(f"unknown solver {solver!r}")
         self.ops, self.spec, self.cfg = ops, spec, cfg
         self.quadrature = quadrature
         self.keep_traces = keep_traces
+        self.solver = solver
+        self.fp_tol, self.fp_max_iter = fp_tol, fp_max_iter
         q = spec.q
         d = ops.d_omega
         dG = ops.d_gamma
@@ -301,8 +316,16 @@ class WindowOperator:
                         (self._flux_off[i], j, [bij * dt_j * 0.5 * w for w in weights[0]])
                     )
         self.matrix = self._assemble_matrix()
+        # solve applies one factor: of the matrix, or of P for the fixed point
+        if solver == "fixed-point":
+            self._lagged = self._lagged_part()
+            self._update_weight = self._update_norm_weight()
+            factored = (self.matrix - self._lagged).tocsc()
+            factored.eliminate_zeros()
+        else:
+            factored = self.matrix
         try:
-            self._lu = dgit.factorize(self.matrix)
+            self._lu = dgit.factorize(factored)
         except RuntimeError as err:
             raise SolverError(f"window factorization failed: {err}") from err
 
@@ -387,6 +410,47 @@ class WindowOperator:
         )
         return mat.tocsr()
 
+    def _lagged_part(self) -> sp.csr_matrix:
+        """N of the splitting matrix = P + N: the part a fixed-point sweep lags.
+
+        N holds the operator term of every substep's variational rows and
+        the flux-mode columns of the substep rows.  What is left, P, is
+        block lower triangular: the substeps of each subdomain in order with
+        their backward side-value couplings, then the flux rows.
+        """
+        parts = []
+        for i in range(2):
+            for blk in self.blocks[i]:
+                K = dgit.operator_weights(self.spec, blk.interval.length)
+                # at the variational rows and modal columns of the substep
+                K = np.pad(K, ((self.spec.n_s, 0), (0, 1)))
+                parts.append(sp.kron(K, self.ops.L[i]))
+        lagged = sp.block_diag(parts, format="coo")
+        lagged.resize((self.dim, self.dim))
+        A = self.matrix.tocoo()
+        n_sub = self._flux_off[0]
+        keep = (A.row < n_sub) & (A.col >= n_sub)
+        flux_cols = sp.coo_matrix((A.data[keep], (A.row[keep], A.col[keep])), shape=A.shape)
+        return (lagged + flux_cols).tocsr()
+
+    def _update_norm_weight(self) -> sp.csr_matrix:
+        """W with sqrt(dx^T W dx) the composite update norm of the fixed point.
+
+        Per substep: the L2-in-time mass norm of the state polynomial, whose
+        Legendre mode a weighs dt_i / (2a + 1), and dt_i times the mass norm
+        of the side value.  Flux modes do not enter.
+        """
+        q = self.spec.q
+        parts = []
+        for i in range(2):
+            dt = self.cfg.dt_sub(i)
+            w = np.append(dt / (2 * np.arange(q + 1) + 1), dt)
+            sub = sp.kron(sp.diags(w), self.ops.M[i])
+            parts.append(sp.kron(sp.identity(self.cfg.M[i]), sub))
+        weight = sp.block_diag(parts, format="csr")
+        weight.resize((self.dim, self.dim))
+        return weight
+
     def _rhs(self, incoming, histories, window_index: int) -> np.ndarray:
         ops, spec, cfg = self.ops, self.spec, self.cfg
         d = ops.d_omega
@@ -424,9 +488,19 @@ class WindowOperator:
                 rhs[base + p * dG : base + (p + 1) * dG] += c * v
         return rhs
 
-    def solve(self, incoming, histories=((), ()), window_index: int = 1) -> WindowSolution:
-        """Direct monolithic solve of one window."""
+    def solve(
+        self, incoming, histories=((), ()), window_index: int = 1, flux_guess=None
+    ) -> WindowSolution:
+        """Solve one window with the operator's solver.
+
+        flux_guess (per subdomain a flux TimePoly, e.g. the previous
+        window's F) starts the fixed-point iteration; the direct solve
+        ignores it.
+        """
         rhs = self._rhs(incoming, histories, window_index)
+        if self.solver == "fixed-point":
+            x, update, sweeps = self._fixed_point(rhs, incoming, flux_guess)
+            return self._extract(x, incoming, window_index, residual=update, iterations=sweeps)
         x = self._lu.solve(rhs)
         if not np.all(np.isfinite(x)):
             raise SolverError("window factorization produced non-finite values")
@@ -437,6 +511,54 @@ class WindowOperator:
         if rel > RESIDUAL_TOL:
             raise SolverError(f"window solve residual {rel:.3e} exceeds {RESIDUAL_TOL:.1e}")
         return self._extract(x, incoming, window_index, residual=rel)
+
+    def _fixed_point(self, rhs, incoming, flux_guess):
+        """Sweeps x <- P^{-1}(rhs - N x); returns (x, last update norm, sweeps).
+
+        Starts from constant states and side values at the incoming state
+        and the guessed flux (zero without one).  Stops when the update norm
+        drops to fp_tol; sustained growth, or fp_max_iter sweeps without
+        convergence, raise ContractionError with the advisory restriction
+        ratio.
+        """
+        cfg, dG = self.cfg, self.ops.d_gamma
+        x = np.zeros(self.dim)
+        for i in range(2):
+            d_i = self.ops.d_omega[i]
+            for n in range(1, cfg.M[i] + 1):
+                for off in (self._sub_off(i, n), self._U_off(i, n)):
+                    x[off : off + d_i] = incoming[i]
+            if flux_guess is not None and dG:
+                off = self._flux_off[i]
+                x[off : off + (cfg.r[i] + 1) * dG] = np.ravel(flux_guess[i].coeffs)
+        deltas = []
+        for it in range(1, self.fp_max_iter + 1):
+            x_new = self._lu.solve(rhs - self._lagged @ x)
+            dx = x_new - x
+            x = x_new
+            deltas.append(math.sqrt(float(dx @ (self._update_weight @ dx))))
+            if deltas[-1] <= self.fp_tol:
+                return x, deltas[-1], it
+            growing = len(deltas) >= 4 and deltas[-1] > deltas[-2] > deltas[-3]
+            if growing and deltas[-1] > 10 * deltas[0]:
+                factor = deltas[-1] / deltas[-2]
+                raise ContractionError(
+                    f"window iteration diverging "
+                    f"(update growth factor {factor:.3f} after {it} sweeps)",
+                    iterations=it,
+                    factor=factor,
+                    restriction_ratio=step_restriction_ratio(cfg, self.ops.h),
+                )
+        factor = (
+            deltas[-1] / deltas[-2] if len(deltas) >= 2 and deltas[-2] > 0 else float("nan")
+        )
+        raise ContractionError(
+            f"window iteration did not reach tol={self.fp_tol:g} in {self.fp_max_iter} sweeps "
+            f"(last update {deltas[-1]:.3e})",
+            iterations=self.fp_max_iter,
+            factor=factor,
+            restriction_ratio=step_restriction_ratio(cfg, self.ops.h),
+        )
 
     def _extract(self, x, incoming, window_index, residual, iterations=0) -> WindowSolution:
         ops, spec, cfg = self.ops, self.spec, self.cfg
@@ -467,10 +589,10 @@ class WindowOperator:
         if self.keep_traces and dG:
             traces = tuple(
                 trace_projection(
-                    [TimePoly(p.interval, (ops.T[i] @ p.coeffs.T).T) for p in u[i]],
+                    self._trace_pieces(ops.T[i], u[i], U[i]),
                     window,
                     cfg.r[i],
-                    mode="exact" if self.quadrature == "exact" else "trapezoid",
+                    mode=self.quadrature,
                 )
                 for i in range(2)
             )
@@ -486,6 +608,20 @@ class WindowOperator:
             residual=residual,
             iterations=iterations,
         )
+
+    def _trace_pieces(self, T, polys, side) -> list:
+        """Interface traces of one subdomain's substeps, as the flux rows read them.
+
+        Exact quadrature reads the state polynomials.  The trapezoid flux
+        rows read substep n only through its side values U_{n-1}, U_n, which
+        are the polynomial's end values only for schemes pinned at both
+        ends; the trace piece is then the line through their traces.
+        """
+        if self.quadrature == "exact":
+            return [TimePoly(p.interval, (T @ p.coeffs.T).T) for p in polys]
+        ends = (T @ side.T).T
+        mid, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
+        return [TimePoly(p.interval, np.stack([mid[n], half[n]])) for n, p in enumerate(polys)]
 
 
 def assemble_window(
@@ -515,148 +651,23 @@ def solve_window_fixed_point(
 ) -> WindowSolution:
     """Lagged window iteration: frozen operator and flux on the right side.
 
-    Each pass sweeps the substeps of both subdomains with only the
-    time-derivative structure on the left, then refreshes the traces and
-    fluxes from the new states.  Terminates when the composite update norm
-    sum_i sum_n (|||du|||^2 + dt_i |dU|^2) drops below tol^2; sustained
-    growth raises ContractionError carrying the advisory restriction ratio.
+    Each sweep solves the substeps of both subdomains with the operator
+    term and the flux at the previous iterate, then the flux rows from the
+    new states (WindowOperator's splitting).  Terminates when the composite
+    update norm sum_i sum_n (|||du|||^2 + dt_i |dU|^2) drops below tol^2;
+    sustained growth raises ContractionError carrying the advisory
+    restriction ratio.
     """
-    d = ops.d_omega
-    dG = ops.d_gamma
-    q = spec.q
-    window = cfg.window(window_index)
-    M_gamma_lu = dgit.factorize(ops.M_gamma) if (dG and ops.has_g) else None
-
-    blocks, flux_tables, TtMg = [], [], []
-    for i in range(2):
-        edges = cfg.substep_edges(i, window_index)
-        blocks.append(
-            [
-                dgit.assemble_substep(
-                    ops,
-                    i,
-                    spec,
-                    Interval(edges[n], edges[n + 1]),
-                    cfg.r[i],
-                    window,
-                    quadrature=quadrature,
-                    lag_operator=True,
-                )
-                for n in range(cfg.M[i])
-            ]
-        )
-        # one factorization serves every substep of the subdomain
-        shared = blocks[i][0].lu()
-        for blk in blocks[i][1:]:
-            blk._lu = shared
-        TtMg.append((ops.T[i].T @ ops.M_gamma).tocsr() if dG else None)
-        flux_tables.append(None)
-
-    # initial guesses: constant states at the incoming values, given flux
-    u_prev = [
-        [
-            TimePoly(
-                Interval(e[n], e[n + 1]),
-                np.vstack([np.asarray(incoming[i], dtype=float)] + [np.zeros(d[i])] * q),
-            )
-            for n in range(cfg.M[i])
-        ]
-        for i, e in ((0, cfg.substep_edges(0, window_index)), (1, cfg.substep_edges(1, window_index)))
-    ]
-    if flux_guess is not None:
-        F_prev = [TimePoly(window, np.asarray(fg.coeffs, dtype=float)) for fg in flux_guess]
-    else:
-        F_prev = [TimePoly(window, np.zeros((cfg.r[i] + 1, max(dG, 1)))) for i in range(2)]
-        if dG == 0:
-            F_prev = [TimePoly(window, np.zeros((cfg.r[i] + 1, 1))) for i in range(2)]
-
-    U_prev = [np.tile(np.asarray(incoming[i], dtype=float), (cfg.M[i] + 1, 1)) for i in range(2)]
-    deltas = []
-    for it in range(1, max_iter + 1):
-        u_new, U_new = [], []
-        delta_sq = 0.0
-        for i in range(2):
-            hist_tail = list(histories[i])
-            polys = []
-            side = np.empty((cfg.M[i] + 1, d[i]))
-            side[0] = incoming[i]
-            load = (lambda t, i=i: ops.f_vec(i, t)) if ops.load_f[i] is not None else None
-            for n in range(1, cfg.M[i] + 1):
-                blk = blocks[i][n - 1]
-                extra = blk.lagged_operator_rhs(u_prev[i][n - 1].coeffs)
-                history = [side[k] for k in range(n - 1, -1, -1)] + hist_tail
-                fmodes = F_prev[i].coeffs if dG else None
-                poly, Un = dgit.solve_substep(
-                    blk, history, flux_modes=fmodes, load_fn=load, extra_rhs=extra
-                )
-                polys.append(poly)
-                side[n] = Un
-                diff = poly - u_prev[i][n - 1]
-                delta_sq += diff.l2_norm_sq(ops.M[i])
-                dU = Un - U_prev[i][n]
-                delta_sq += cfg.dt_sub(i) * float(dU @ (ops.M[i] @ dU))
-            u_new.append(polys)
-            U_new.append(side)
-
-        if dG:
-            mode = "exact" if quadrature == "exact" else "trapezoid"
-            traces = [
-                trace_projection(
-                    [TimePoly(p.interval, (ops.T[i] @ p.coeffs.T).T) for p in u_new[i]],
-                    window,
-                    cfg.r[i],
-                    mode=mode,
-                )
-                for i in range(2)
-            ]
-            g_repr = [None, None]
-            if ops.has_g:
-                for i in range(2):
-                    gm = _g_moments(
-                        ops, i, window, cfg.r[i], cfg.substep_edges(i, window_index), quadrature
-                    )
-                    coeffs = np.stack(
-                        [
-                            (2 * p + 1) / window.length * M_gamma_lu.solve(gm[p])
-                            for p in range(cfg.r[i] + 1)
-                        ]
-                    )
-                    g_repr[i] = TimePoly(window, coeffs)
-            F_new = list(flux_solve(traces[0], traces[1], ops.B, cfg.r, tuple(g_repr)))
-        else:
-            F_new = F_prev
-
-        u_prev, U_prev, F_prev = u_new, U_new, F_new
-        deltas.append(math.sqrt(delta_sq))
-        if deltas[-1] <= tol:
-            Fs = tuple(F_new[i] if dG else None for i in range(2))
-            for side in U_new:
-                side.flags.writeable = False
-            return WindowSolution(
-                index=window_index,
-                window=window,
-                u=tuple(tuple(p for p in u_new[i]) for i in range(2)),
-                U=tuple(U_new),
-                F=Fs,
-                residual=deltas[-1],
-                iterations=it,
-            )
-        if len(deltas) >= 4 and deltas[-1] > deltas[-2] > deltas[-3] and deltas[-1] > 10 * deltas[0]:
-            factor = deltas[-1] / deltas[-2]
-            raise ContractionError(
-                f"window iteration diverging (update growth factor {factor:.3f} after {it} sweeps)",
-                iterations=it,
-                factor=factor,
-                restriction_ratio=step_restriction_ratio(cfg, ops.h),
-            )
-    factor = deltas[-1] / deltas[-2] if len(deltas) >= 2 and deltas[-2] > 0 else float("nan")
-    raise ContractionError(
-        f"window iteration did not reach tol={tol:g} in {max_iter} sweeps "
-        f"(last update {deltas[-1]:.3e})",
-        iterations=max_iter,
-        factor=factor,
-        restriction_ratio=step_restriction_ratio(cfg, ops.h),
+    op = WindowOperator(
+        ops,
+        spec,
+        cfg,
+        quadrature=quadrature,
+        solver="fixed-point",
+        fp_tol=tol,
+        fp_max_iter=max_iter,
     )
+    return op.solve(incoming, histories, window_index, flux_guess=flux_guess)
 
 
 # ---------------------------------------------------------------------------
@@ -909,10 +920,15 @@ def run_simulation(
         )
 
     windows = list(_fill_init_windows(ops, spec, cfg, u0, n_init)) if n_init > 1 else []
-    op = (
-        WindowOperator(ops, spec, cfg, quadrature=quadrature, keep_traces=keep_traces)
-        if solver == "direct"
-        else None
+    op = WindowOperator(
+        ops,
+        spec,
+        cfg,
+        quadrature=quadrature,
+        keep_traces=keep_traces,
+        solver=solver,
+        fp_tol=fp_tol,
+        fp_max_iter=fp_max_iter,
     )
 
     histories = ([], [])
@@ -928,21 +944,7 @@ def run_simulation(
 
     for n in range(n_init, cfg.N + 1):
         try:
-            if solver == "direct":
-                sol = op.solve(incoming, histories, n)
-            else:
-                sol = solve_window_fixed_point(
-                    ops,
-                    spec,
-                    cfg,
-                    incoming,
-                    histories,
-                    n,
-                    quadrature=quadrature,
-                    tol=fp_tol,
-                    max_iter=fp_max_iter,
-                    flux_guess=flux_guess,
-                )
+            sol = op.solve(incoming, histories, n, flux_guess=flux_guess)
         except ContractionError as err:
             raise ContractionError(
                 f"window {n}: {err}",

@@ -132,9 +132,6 @@ class SubstepBlock:
     matrix: sp.csr_matrix
     prev: list
     flux: Optional[sp.csr_matrix]
-    lag_operator: bool = False
-    _L: Optional[sp.csr_matrix] = None
-    _K_L: Optional[np.ndarray] = None
     _lu: object = dataclasses.field(default=None, repr=False)
 
     @property
@@ -147,25 +144,21 @@ class SubstepBlock:
             self.spec, self.interval, load_fn, self.d, quadrature=self.quadrature, npts=npts
         )
 
-    def lagged_operator_rhs(self, coeffs: np.ndarray) -> np.ndarray:
-        """-integral of L(u_prev, v) dt for a frozen previous iterate.
-
-        Only meaningful for blocks built with lag_operator=True; coeffs is
-        the previous iterate's (q+1, d) modal array.
-        """
-        if not self.lag_operator:
-            raise ValueError("block was not built with a lagged operator")
-        q, t_o, d = self.spec.q, self.spec.test_order, self.d
-        rhs = np.zeros((q + 2) * d)
-        base = self.n_side_rows
-        for m in range(min(q, t_o) + 1):
-            rhs[base + m * d : base + (m + 1) * d] = -self._K_L[m, m] * (self._L @ coeffs[m])
-        return rhs
-
     def lu(self):
         if self._lu is None:
             self._lu = factorize(self.matrix)
         return self._lu
+
+
+def operator_weights(spec: SchemeSpec, dt: float) -> np.ndarray:
+    """K[m, a] = integral over a step of length dt of P_a(t) P_m(t), (test_order+1, q+1).
+
+    The operator term of a substep's variational rows is kron(K, L).
+    """
+    K = np.zeros((spec.test_order + 1, spec.q + 1))
+    for m in range(min(spec.q, spec.test_order) + 1):
+        K[m, m] = dt / (2 * m + 1)
+    return K
 
 
 def build_substep_block(
@@ -178,14 +171,14 @@ def build_substep_block(
     r: Optional[int] = None,
     TtMg: Optional[sp.spmatrix] = None,
     quadrature: str = "exact",
-    lag_operator: bool = False,
 ) -> SubstepBlock:
     """Assemble the rows of one substep for a system with mass M and operator L.
 
     TtMg is the premultiplied trace coupling T^t M_gamma; when given together
     with a flux order r, the block carries columns for the (r+1) window-scale
-    flux modes.  With lag_operator=True the L term is left off the matrix and
-    applied through lagged_operator_rhs instead.
+    flux modes.  The operator term enters the variational rows with the
+    weights of operator_weights, which is how a window solver can split it
+    off the assembled matrix.
     """
     if quadrature not in ("exact", "trapezoid"):
         raise ValueError(f"unknown quadrature {quadrature!r}")
@@ -210,12 +203,9 @@ def build_substep_block(
     # Variational rows: mass/derivative structure, operator term, U coupling.
     G = derivative_overlap(q, t_o)  # (q+1, t_o+1)
     K_M = -G.T  # (t_o+1, q+1)
-    K_L = np.zeros((t_o + 1, q + 1))
-    for m in range(min(q, t_o) + 1):
-        K_L[m, m] = dt / (2 * m + 1)
     var_c = sp.kron(K_M, M)
-    if L is not None and not lag_operator:
-        var_c = var_c + sp.kron(K_L, L)
+    if L is not None:
+        var_c = var_c + sp.kron(operator_weights(spec, dt), L)
     var_U = sp.kron(np.ones((t_o + 1, 1)), M)
 
     matrix = sp.bmat([[side_c, side_U], [var_c, var_U]], format="csr")
@@ -258,9 +248,6 @@ def build_substep_block(
         matrix=matrix,
         prev=prev,
         flux=flux,
-        lag_operator=lag_operator,
-        _L=L.tocsr() if (lag_operator and L is not None) else None,
-        _K_L=K_L if lag_operator else None,
     )
 
 
@@ -273,7 +260,6 @@ def assemble_substep(
     window: Interval,
     *,
     quadrature: str = "exact",
-    lag_operator: bool = False,
 ) -> SubstepBlock:
     """Substep block for subdomain i of an assembled operator set."""
     TtMg = (ops.T[i].T @ ops.M_gamma).tocsr() if ops.d_gamma else None
@@ -286,7 +272,6 @@ def assemble_substep(
         r=r_i,
         TtMg=TtMg,
         quadrature=quadrature,
-        lag_operator=lag_operator,
     )
 
 
@@ -305,7 +290,6 @@ def solve_substep(
     flux_modes: Optional[np.ndarray] = None,
     load_fn: Optional[Callable] = None,
     *,
-    extra_rhs: Optional[np.ndarray] = None,
     load_npts: int = LOAD_QUAD_PTS,
 ):
     """Solve one substep given its trailing side values (newest first).
@@ -314,8 +298,6 @@ def solve_substep(
     known data.  Returns the state polynomial and the new side value.
     """
     rhs = block.load_moments(load_fn, npts=load_npts)
-    if extra_rhs is not None:
-        rhs = rhs + extra_rhs
     for j, blockj in enumerate(block.prev):
         if j < len(history):
             rhs -= blockj @ history[j]

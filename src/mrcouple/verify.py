@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import sympy
@@ -389,14 +389,26 @@ def convergence_study(
         oracle = reference_solve(
             ops, base_cfg.t_f, oracle_steps, scheme=oracle_scheme, u0=u0
         )
-    rows, notes = [], []
-    prev = None
+    results = []
     for lvl in range(levels):
         cfg = dataclasses.replace(base_cfg, N=base_cfg.N * 2**lvl)
         traj = run_simulation(
             ops, spec, cfg, quadrature=quadrature, solver=solver, u0=u0
         )
-        rep = error_norms(ops, traj, oracle)
+        results.append((cfg, error_norms(ops, traj, oracle)))
+    return rate_table(target, results)
+
+
+def rate_table(target: str, results: Sequence[tuple]) -> RateTable:
+    """Rows, running rates and the fitted rate of a refinement study.
+
+    results holds (level config, ErrorReport) pairs, coarsest first.  Levels
+    whose error sits at the roundoff floor are excluded from the fit and
+    noted.
+    """
+    rows, notes = [], []
+    prev = None
+    for lvl, (cfg, rep) in enumerate(results):
         err = {
             "l2": rep.l2_total,
             "nodal": rep.nodal_max,

@@ -163,23 +163,30 @@ class TestMainConvergence:
         config = write_config(tmp_path, MINIMAL)
         assert cli.main(["convergence", "--config", str(config), "--levels", "2"]) == 2
 
-    def test_parallel_levels_match_sequential(self, tmp_path):
+    def test_parallel_levels_match_sequential(self, tmp_path, capsys):
         payload = json.loads(json.dumps(MINIMAL))
         payload["window"] = {"t_f": 0.5, "N": 2, "M1": 1, "M2": 2, "r1": 1, "r2": 1}
         payload["problem"]["forcing"] = "mms:smooth"
         payload["experiment"] = {
             "kind": "convergence", "levels": 3, "oracle_steps": 256, "spin_up": 0.1,
         }
-        config = write_config(tmp_path, payload)
-        outputs = []
-        for jobs, name in ((1, "seq"), (2, "par")):
-            out = tmp_path / name
-            rc = cli.main(
-                ["convergence", "--config", str(config), "--out", str(out), "--jobs", str(jobs)]
-            )
-            assert rc == 0
-            outputs.append((out / "rates.csv").read_bytes())
-        assert outputs[0] == outputs[1]
+        # no data at all: every level sits at the roundoff floor and is noted
+        still = json.loads(json.dumps(payload))
+        still["problem"].update(forcing="zero", initial="zero")
+        del still["experiment"]["spin_up"]
+        for case, case_payload in (("mms", payload), ("still", still)):
+            config = write_config(tmp_path, case_payload, name=f"{case}.json")
+            outputs = []
+            for jobs in (1, 2):
+                out = tmp_path / f"{case}-{jobs}"
+                rc = cli.main(
+                    ["convergence", "--config", str(config), "--out", str(out), "--jobs", str(jobs)]
+                )
+                assert rc == 0
+                stdout = capsys.readouterr().out.replace(str(out), "<out>")
+                outputs.append(((out / "rates.csv").read_bytes(), stdout))
+            assert outputs[0] == outputs[1]
+        assert "note:" in outputs[0][1]
 
 
 class TestMainCheck:

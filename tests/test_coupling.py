@@ -209,6 +209,19 @@ class TestWindowAssembly:
         direct = mc.trace_projection(traces, sol.window, 1)
         assert np.allclose(direct.coeffs, sol.traces[0].coeffs, atol=1e-12)
 
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    @pytest.mark.parametrize("scheme_name", sorted(mc.shipped_schemes()))
+    def test_kept_traces_reproduce_flux(self, toy_ops, scheme_name, quadrature):
+        # the traces are the ones the flux rows combine, also in trapezoid
+        # mode, where they average side values rather than polynomial ends
+        cfg = mc.WindowConfig(t_f=0.05, N=1, M=(2, 3), r=(1, 1))
+        scheme = mc.shipped_schemes()[scheme_name]
+        op = mc.assemble_window(toy_ops, scheme, cfg, quadrature=quadrature, keep_traces=True)
+        sol = op.solve(incoming(toy_ops))
+        F = mc.flux_solve(sol.traces[0], sol.traces[1], toy_ops.B, cfg.r)
+        for i in range(2):
+            assert np.max(np.abs(F[i].coeffs - sol.F[i].coeffs)) <= 1e-12
+
     def test_singular_window_rejected(self):
         # zero mass on one side makes the window system singular
         Z = [[0.0]]
@@ -326,6 +339,38 @@ class TestFixedPoint:
             assert np.allclose(
                 fp.windows[-1].U[i][-1], direct.windows[-1].U[i][-1], atol=1e-8
             )
+
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    @pytest.mark.parametrize("scheme_name", sorted(mc.shipped_schemes()))
+    def test_agrees_with_direct_for_every_scheme(self, toy_ops, scheme_name, quadrature):
+        # both solvers solve the one window matrix, whether or not the
+        # scheme's polynomial is pinned at the step ends
+        scheme = mc.shipped_schemes()[scheme_name]
+        cfg = mc.WindowConfig(t_f=0.05, N=1, M=(2, 3), r=(1, 1))
+        tol = 1e-12
+        op = mc.assemble_window(toy_ops, scheme, cfg, quadrature=quadrature)
+        direct = op.solve(incoming(toy_ops))
+        fp = mc.solve_window_fixed_point(
+            toy_ops, scheme, cfg, incoming(toy_ops), quadrature=quadrature, tol=tol
+        )
+        for i in range(2):
+            assert np.max(np.abs(fp.U[i][-1] - direct.U[i][-1])) <= 10 * tol
+            assert np.max(np.abs(fp.F[i].coeffs - direct.F[i].coeffs)) <= 10 * tol
+
+    def test_run_assembles_and_factorizes_once(self, toy_ops, monkeypatch):
+        calls = {"assemble_substep": 0, "factorize": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _orig=getattr(dgit, name), **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(dgit, name, counted)
+        cfg = mc.WindowConfig(t_f=0.2, N=4, M=(2, 3), r=(1, 1))
+        mc.run_simulation(
+            toy_ops, mc.crank_nicolson(), cfg, quadrature="trapezoid", solver="fixed-point"
+        )
+        assert calls == {"assemble_substep": 2 + 3, "factorize": 1}
 
 
 @pytest.fixture(scope="module")
