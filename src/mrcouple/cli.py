@@ -2,9 +2,10 @@
 
 Subcommands: `run` (single simulation, trajectory CSV + JSON summary),
 `convergence` (rate table CSV), `check` (property suites with exit codes
-usable from CI: 0 pass, 1 fail, 2 configuration error).  Configs are
-strict JSON: unknown keys are rejected and all validation errors are
-reported together.
+usable from CI: 0 pass, 1 fail, 2 configuration error).  A window
+solver failure (SolverError, ContractionError) exits with 1 in every
+subcommand.  Configs are strict JSON: unknown keys are rejected and all
+validation errors are reported together.
 """
 
 from __future__ import annotations
@@ -430,7 +431,14 @@ def _level_worker(args):
         u0=u0,
     )
     traj = coupling.run_simulation(
-        ops, cfg.scheme, lvl_cfg, quadrature=cfg.quadrature, solver=cfg.solver["name"], u0=u0
+        ops,
+        cfg.scheme,
+        lvl_cfg,
+        quadrature=cfg.quadrature,
+        solver=cfg.solver["name"],
+        u0=u0,
+        fp_tol=cfg.solver["tol"],
+        fp_max_iter=cfg.solver["max_iter"],
     )
     return lvl_cfg, verify.error_norms(ops, traj, oracle)
 
@@ -454,6 +462,8 @@ def _cmd_convergence(cfg: RunConfig, text: str, outdir: Path, levels: int, jobs:
             oracle_scheme=cfg.experiment["oracle_scheme"],
             oracle_steps=cfg.experiment["oracle_steps"],
             spin_up=cfg.experiment["spin_up"],
+            fp_tol=cfg.solver["tol"],
+            fp_max_iter=cfg.solver["max_iter"],
         )
     with open(outdir / "rates.csv", "w") as fh:
         table.write_csv(fh)
@@ -539,15 +549,19 @@ def main(argv=None) -> int:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.command == "run":
-        return _cmd_run(cfg, Path(args.out))
-    if args.command == "convergence":
+    if args.command == "check":
+        return _cmd_check(cfg, args.suite)
+    try:
+        if args.command == "run":
+            return _cmd_run(cfg, Path(args.out))
         levels = args.levels if args.levels is not None else cfg.experiment["levels"]
         if levels < 3:
             print("config error: convergence needs at least 3 levels", file=sys.stderr)
             return EXIT_CONFIG
         return _cmd_convergence(cfg, text, Path(args.out), levels, args.jobs)
-    return _cmd_check(cfg, args.suite)
+    except (coupling.SolverError, coupling.ContractionError) as err:
+        print(f"solver failure: {err}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 def console() -> None:

@@ -212,14 +212,17 @@ def _g_moments(
     quadrature: str,
     npts: int = dgit.LOAD_QUAD_PTS,
 ) -> np.ndarray:
-    """Moments of the interface data against the window test modes, (r_i+1, d_gamma)."""
+    """Moments of the interface data against the window test modes, (r_i+1, d_gamma).
+
+    The interface load is evaluated once, at all quadrature times.
+    """
     d_gamma = ops.d_gamma
     out = np.zeros((r_i + 1, d_gamma))
     if ops.load_g[i] is None:
         return out
     if quadrature == "trapezoid":
         weights = _window_weights_trapezoid(edges, window, r_i)
-        gvals = np.stack([ops.g_vec(i, t) for t in edges])
+        gvals = ops.g_vec(i, edges)
         avg = 0.5 * (gvals[:-1] + gvals[1:])
         dt_i = edges[1] - edges[0]
         for p in range(r_i + 1):
@@ -227,7 +230,7 @@ def _g_moments(
         return out
     t, w = gauss_on(window, npts)
     tab = legendre_table(r_i, window.to_reference(t))
-    gvals = np.stack([ops.g_vec(i, ti) for ti in t])
+    gvals = ops.g_vec(i, t)
     for p in range(r_i + 1):
         out[p] = (w * tab[p]) @ gvals
     return out
@@ -460,14 +463,15 @@ class WindowOperator:
         for i in range(2):
             edges = cfg.substep_edges(i, window_index)
             hist = [np.asarray(incoming[i], dtype=float)] + list(histories[i])
-            load = (lambda t, i=i: ops.f_vec(i, t)) if ops.load_f[i] is not None else None
+            if ops.load_f[i] is not None:
+                # one load call covers every substep of the window
+                lo = self._dom_off[i]
+                rhs[lo : lo + cfg.M[i] * self._sub_size[i]] = dgit._chunk_moments(
+                    spec, edges, ops.load_f[i], d[i], self.quadrature, dgit.LOAD_QUAD_PTS
+                ).ravel()
             for n in range(1, cfg.M[i] + 1):
                 blk = self.blocks[i][n - 1]
                 r0 = self._sub_off(i, n)
-                iv = Interval(edges[n - 1], edges[n])
-                rhs[r0 : r0 + self._sub_size[i]] += dgit.load_moments(
-                    spec, iv, load, d[i], quadrature=self.quadrature
-                )
                 for j, prevj in enumerate(blk.prev):
                     target = n - 1 - j
                     if target >= 1 or not prevj.nnz:
@@ -770,7 +774,8 @@ def interfacial_energy_term(sol: WindowSolution, ops: FeOperators, mode: str = "
 def coupled_system(ops: FeOperators):
     """Fold the interface condition into one block system M u' = -L u + b(t).
 
-    Returns (M, L, load, slices); load is None when the problem has no data.
+    Returns (M, L, load, slices); load is None when the problem has no data
+    and, like the operators' own loads, takes a time or an array of times.
     Useful for reference solves and for single-rate comparisons.
     """
     d1, d2 = ops.d_omega
@@ -787,14 +792,15 @@ def coupled_system(ops: FeOperators):
     if ops.has_f or ops.has_g:
         Tt = tuple(ops.T[i].T.tocsr() for i in range(2))
 
-        def load(t: float) -> np.ndarray:
+        @dgit.batched
+        def load(t) -> np.ndarray:
             parts = []
             for i in range(2):
                 v = ops.f_vec(i, t)
                 if ops.load_g[i] is not None:
-                    v = v + Tt[i] @ ops.g_vec(i, t)
+                    v = v + (Tt[i] @ ops.g_vec(i, t).T).T
                 parts.append(v)
-            return np.concatenate(parts)
+            return np.concatenate(parts, axis=-1)
 
     return M, Lc, load, (slice(0, d1), slice(d1, d1 + d2))
 

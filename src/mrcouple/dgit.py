@@ -9,7 +9,9 @@ solved standalone (sequentially) for single-system integration.
 
 Quadrature of the data terms is switchable between exact Gauss rules
 and endpoint-trapezoid evaluation; the latter turns the pinned-endpoint
-q=1 scheme into classical Crank-Nicolson.
+q=1 scheme into classical Crank-Nicolson.  A load marked with batched()
+is evaluated at all quadrature times of many substeps in one call; any
+other load callable is called once per time.
 """
 
 from __future__ import annotations
@@ -27,11 +29,15 @@ from .timepoly import (
     TimePoly,
     derivative_overlap,
     gauss_on,
+    gauss_rule,
     legendre_table,
     points_for_degree,
 )
 
 LOAD_QUAD_PTS = 8
+#: Load values per batched evaluation: integrate evaluates the data terms of
+#: max(1, LOAD_BATCH_VALUES // (npts * d)) steps in one load call.
+LOAD_BATCH_VALUES = 2**14
 
 
 def _empty(rows: int, cols: int) -> sp.csr_matrix:
@@ -76,6 +82,58 @@ def cross_gram_trapezoid(
     return 0.5 * sub.length * (tab_s @ tab_w.T)
 
 
+def batched(load_fn: Callable) -> Callable:
+    """Declare that load_fn also takes a 1-D array of times, returning (nt, d).
+
+    A scalar time must still give the (d,) vector.  Returns load_fn itself.
+    """
+    load_fn.batched = True
+    return load_fn
+
+
+def _load_values(load_fn: Callable, ts: np.ndarray) -> np.ndarray:
+    """Values of a load at the 1-D array of times ts, shape (len(ts), d).
+
+    One call for a batched load, one call per time otherwise (where a
+    scalar value stands for a load vector of length 1).
+    """
+    if getattr(load_fn, "batched", False) is True:
+        return np.asarray(load_fn(ts), dtype=float)
+    return np.stack([np.asarray(load_fn(t), dtype=float) for t in ts]).reshape(len(ts), -1)
+
+
+def _chunk_moments(
+    spec: SchemeSpec,
+    edges: np.ndarray,
+    load_fn: Optional[Callable],
+    d: int,
+    quadrature: str,
+    npts: int,
+) -> np.ndarray:
+    """Data terms of the contiguous steps between edges, one row per step.
+
+    Each row is laid out like load_moments.  The load is evaluated once for
+    the whole run of steps: at every step's Gauss points (exact), or at the
+    edges, so that neighbouring steps share their endpoint value (trapezoid).
+    """
+    a, b = edges[:-1], edges[1:]
+    half = 0.5 * (b - a)[:, None, None]
+    out = np.zeros((len(a), spec.q + 2, d))
+    if load_fn is None:
+        return out.reshape(len(a), -1)
+    t_o, base = spec.test_order, spec.n_s
+    if quadrature == "trapezoid":
+        vals = _load_values(load_fn, edges)
+        sign = (-1.0) ** np.arange(t_o + 1)
+        out[:, base:] = half * (sign[None, :, None] * vals[:-1, None, :] + vals[1:, None, :])
+    else:
+        x, w = gauss_rule(npts)
+        ts = a[:, None] + (x + 1.0) * half[:, :, 0]  # (steps, npts)
+        vals = _load_values(load_fn, ts.ravel()).reshape(len(a), npts, d)
+        out[:, base:] = half * np.einsum("mj,kjd->kmd", legendre_table(t_o, x) * w, vals)
+    return out.reshape(len(a), -1)
+
+
 def load_moments(
     spec: SchemeSpec,
     interval: Interval,
@@ -88,28 +146,14 @@ def load_moments(
     """Data term of one substep: integral of load(t) against each test mode.
 
     Laid out like the substep rows (side rows zero, then one d-slab per
-    test mode).  Trapezoid quadrature uses endpoint values only, which is
-    the classical treatment of forcing data for the pinned-endpoint q=1
-    scheme.
+    test mode).  load_fn maps a time to the (d,) load vector; a load marked
+    with batched() is called once with all quadrature times, any other
+    callable once per time.  Trapezoid quadrature uses endpoint values
+    only, which is the classical treatment of forcing data for the
+    pinned-endpoint q=1 scheme.
     """
-    q, t_o = spec.q, spec.test_order
-    rhs = np.zeros((q + 2) * d)
-    if load_fn is None:
-        return rhs
-    base = spec.n_s * d
-    if quadrature == "trapezoid":
-        fa = np.asarray(load_fn(interval.a), dtype=float)
-        fb = np.asarray(load_fn(interval.b), dtype=float)
-        for m in range(t_o + 1):
-            sign = -1.0 if m % 2 else 1.0
-            rhs[base + m * d : base + (m + 1) * d] = 0.5 * interval.length * (sign * fa + fb)
-        return rhs
-    t, w = gauss_on(interval, npts)
-    tab = legendre_table(t_o, interval.to_reference(t))
-    vals = np.stack([np.asarray(load_fn(ti), dtype=float) for ti in t])
-    for m in range(t_o + 1):
-        rhs[base + m * d : base + (m + 1) * d] = (w * tab[m]) @ vals
-    return rhs
+    edges = np.array([interval.a, interval.b])
+    return _chunk_moments(spec, edges, load_fn, d, quadrature, npts)[0]
 
 
 @dataclasses.dataclass
@@ -298,6 +342,11 @@ def solve_substep(
     known data.  Returns the state polynomial and the new side value.
     """
     rhs = block.load_moments(load_fn, npts=load_npts)
+    return _solve_with_rhs(block, history, rhs, flux_modes)
+
+
+def _solve_with_rhs(block: SubstepBlock, history, rhs: np.ndarray, flux_modes=None):
+    """solve_substep with the data term given; rhs is overwritten."""
     for j, blockj in enumerate(block.prev):
         if j < len(history):
             rhs -= blockj @ history[j]
@@ -342,11 +391,15 @@ def integrate(
     """March a single linear system M u' = -L u + load through time steps.
 
     boundaries are the step edges; a uniform grid reuses one factorization.
+    The data terms are computed for a chunk of steps at a time, with one
+    load call per chunk when the load is batched.
     Returns (polys, side_values) with side_values[n] the state at
     boundaries[n] (side_values[0] = u0).
     """
     boundaries = np.asarray(boundaries, dtype=float)
     n_steps = len(boundaries) - 1
+    d = M.shape[0]
+    chunk = max(1, LOAD_BATCH_VALUES // max(1, load_npts * d))
     history = list(history0 or [])
     history.insert(0, np.asarray(u0, dtype=float))
     polys = []
@@ -354,6 +407,10 @@ def integrate(
     block = None
     block_dt = None
     for n in range(n_steps):
+        if n % chunk == 0:
+            moments = _chunk_moments(
+                spec, boundaries[n : n + chunk + 1], load_fn, d, quadrature, load_npts
+            )
         iv = Interval(boundaries[n], boundaries[n + 1])
         if block is None or abs(iv.length - block_dt) > 1e-12 * max(1.0, iv.length):
             block = build_substep_block(M, L, spec, iv, quadrature=quadrature)
@@ -362,7 +419,7 @@ def integrate(
             block = dataclasses.replace(
                 block, interval=iv, window=iv, _lu=block._lu
             )
-        poly, U = solve_substep(block, history, load_fn=load_fn, load_npts=load_npts)
+        poly, U = _solve_with_rhs(block, history, moments[n % chunk])
         polys.append(poly)
         side_values.append(U)
         history.insert(0, U)

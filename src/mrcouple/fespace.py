@@ -10,9 +10,11 @@ definite.
 
 Matrix terms use a 2x2 Gauss rule per element, which is exact for
 bilinear elements and for the shipped advection presets (they are
-polynomial by construction); load vectors use a 4x4 rule.  A backdoor
-constructor accepts raw matrices so that small ODE systems can drive
-the time integrators directly.
+polynomial by construction); load vectors use a 4x4 rule, applied to
+the pointwise data by one precomputed sparse quadrature-to-dof matrix so
+that a load evaluates many times in one call.  A backdoor constructor
+accepts raw matrices so that small ODE systems can drive the time
+integrators directly.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
+from .dgit import _load_values, batched
 from .mesh import InterfaceMap, Mesh
+from .timepoly import gauss_rule
 
 log = logging.getLogger(__name__)
 
@@ -34,13 +38,9 @@ N_GP_LOAD = 4
 _SYM_TOL = 1e-12
 
 
-def _gauss1d(n):
-    return np.polynomial.legendre.leggauss(n)
-
-
 def _shape_table(n_gp: int):
     """Bilinear shape values/derivatives at tensor Gauss points of [-1,1]^2."""
-    x, w = _gauss1d(n_gp)
+    x, w = gauss_rule(n_gp)
     XI, ETA = np.meshgrid(x, x, indexing="ij")
     xi, eta = XI.ravel(), ETA.ravel()
     W = np.outer(w, w).ravel()
@@ -134,6 +134,10 @@ class FeOperators:
 
     load_f[i] maps t to the body-force vector (f_i, phi_j); load_g[i] maps
     t to the interface data vector (g_i, mu_j); None means identically zero.
+    Every load takes a scalar time, giving a (d,) vector, or a 1-D array of
+    nt times, giving (nt, d), and is marked with dgit.batched; assemble
+    builds such loads and from_matrices adapts per-time callables to them.
+    f_vec and g_vec follow the same convention.
     """
 
     M: tuple
@@ -183,19 +187,39 @@ class FeOperators:
     def has_g(self) -> bool:
         return any(fn is not None for fn in self.load_g)
 
-    def f_vec(self, i: int, t: float) -> np.ndarray:
-        fn = self.load_f[i]
-        return np.zeros(self.d_omega[i]) if fn is None else np.asarray(fn(t), dtype=float)
+    def f_vec(self, i: int, t) -> np.ndarray:
+        """Body-force vector at a time, (d,), or at a 1-D array of times, (nt, d)."""
+        return _load_or_zero(self.load_f[i], t, self.d_omega[i])
 
-    def g_vec(self, i: int, t: float) -> np.ndarray:
-        fn = self.load_g[i]
-        return np.zeros(self.d_gamma) if fn is None else np.asarray(fn(t), dtype=float)
+    def g_vec(self, i: int, t) -> np.ndarray:
+        """Interface data vector at a time, (d_gamma,), or at times, (nt, d_gamma)."""
+        return _load_or_zero(self.load_g[i], t, self.d_gamma)
 
     def mass_norm(self, i: int, v: np.ndarray) -> float:
         return float(np.sqrt(max(0.0, v @ (self.M[i] @ v))))
 
     def energy(self, U1: np.ndarray, U2: np.ndarray) -> float:
         return 0.5 * float(U1 @ (self.M[0] @ U1)) + 0.5 * float(U2 @ (self.M[1] @ U2))
+
+
+def _load_or_zero(fn, t, d: int) -> np.ndarray:
+    if fn is None:
+        return np.zeros(np.shape(t) + (d,))
+    return np.asarray(fn(t), dtype=float)
+
+
+def _per_time(fn):
+    """Batched adapter of a per-time load callable: one call per time."""
+    if fn is None:
+        return None
+
+    @batched
+    def load(t):
+        if np.ndim(t) == 0:
+            return np.asarray(fn(t), dtype=float)
+        return _load_values(fn, t)
+
+    return load
 
 
 def local_mass(hx: float, hy: float) -> np.ndarray:
@@ -285,53 +309,55 @@ def _interface_mass(mesh: Mesh, imap: InterfaceMap) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(d_gamma, d_gamma)).tocsr()
 
 
-def _volume_load(mesh: Mesh, f: Callable) -> Callable:
-    """t -> vector of (f(., t), phi_j) over the free dofs."""
-    xi, eta, W, N, _, _ = _shape_table(N_GP_LOAD)
-    hx, hy = mesh.hx, mesh.hy
-    detj = hx * hy / 4.0
-    origins = mesh.nodes[mesh.quads[:, 0]]
-    XG = origins[:, :1] + hx * (1 + xi)[None, :] / 2.0  # (nel, ngp)
-    YG = origins[:, 1:] + hy * (1 + eta)[None, :] / 2.0
-    dofs = mesh.free_dof[mesh.quads].ravel()  # (nel*4,)
-    valid = dofs >= 0
-    idx = dofs[valid]
-    NW = N * W  # (4, ngp)
-    n_free = mesh.n_free
+def _quadrature_load(fn: Callable, points: tuple, dofs: np.ndarray, local: np.ndarray, n_rows: int):
+    """Batched t -> Q @ fn(*points, t), the load vector of pointwise data fn.
 
-    def load(t: float) -> np.ndarray:
-        fvals = np.asarray(f(XG, YG, t), dtype=float)
-        contrib = detj * fvals @ NW.T  # (nel, 4)
-        out = np.zeros(n_free)
-        np.add.at(out, idx, contrib.ravel()[valid])
-        return out
+    points are the (ncell, ngp) coordinate arrays of the quadrature points;
+    dofs (ncell, nloc) holds the row of each local shape function (negative
+    for none) and local (nloc, ngp) its values times the quadrature weights,
+    so Q[dofs[c, a], c * ngp + g] = local[a, g].  fn must broadcast an array
+    t of shape (nt, 1, 1) against the points.
+    """
+    shape = points[0].shape
+    vals = np.broadcast_to(local[None], dofs.shape + shape[1:])
+    cols = np.broadcast_to(np.arange(points[0].size).reshape(shape)[:, None, :], vals.shape)
+    rows = np.broadcast_to(dofs[:, :, None], vals.shape)
+    valid = rows >= 0
+    Q = sp.csr_matrix((vals[valid], (rows[valid], cols[valid])), shape=(n_rows, points[0].size))
+
+    @batched
+    def load(t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        pointwise = np.broadcast_to(fn(*points, t[..., None, None]), t.shape + shape)
+        flat = np.asarray(pointwise, dtype=float).reshape(-1, Q.shape[1])
+        return (Q @ flat.T).T.reshape(t.shape + (n_rows,))
 
     return load
 
 
+def _volume_load(mesh: Mesh, f: Callable) -> Callable:
+    """t -> vector of (f(., t), phi_j) over the free dofs; batched in t."""
+    xi, eta, W, N, _, _ = _shape_table(N_GP_LOAD)
+    hx, hy = mesh.hx, mesh.hy
+    origins = mesh.nodes[mesh.quads[:, 0]]
+    XG = origins[:, :1] + hx * (1 + xi)[None, :] / 2.0  # (nel, ngp)
+    YG = origins[:, 1:] + hy * (1 + eta)[None, :] / 2.0
+    local = (hx * hy / 4.0) * N * W  # (4, ngp)
+    return _quadrature_load(f, (XG, YG), mesh.free_dof[mesh.quads], local, mesh.n_free)
+
+
 def _interface_load(mesh: Mesh, imap: InterfaceMap, g: Callable) -> Callable:
-    """t -> vector of (g(., t), mu_j) over the interface unknowns."""
-    x1, w1 = _gauss1d(N_GP_LOAD)
+    """t -> vector of (g(., t), mu_j) over the interface unknowns; batched in t."""
+    x1, w1 = gauss_rule(N_GP_LOAD)
     hx = mesh.hx
     iy = 0 if mesh.subdomain == 1 else mesh.ny
     left = iy * (mesh.nx + 1) + np.arange(mesh.nx)
     slot = np.full(len(mesh.nodes), -1, dtype=int)
     slot[mesh.interface_nodes] = np.arange(imap.d_gamma)
-    seg_slots = np.stack([slot[left], slot[left + 1]])  # (2, nseg)
-    valid = seg_slots >= 0
-    idx = seg_slots[valid]
+    seg_slots = np.stack([slot[left], slot[left + 1]], axis=1)  # (nseg, 2)
     XG = np.arange(mesh.nx)[:, None] * hx + hx * (1 + x1)[None, :] / 2.0  # (nseg, ngp)
-    SW = np.stack([(1 - x1) / 2.0, (1 + x1) / 2.0]) * w1  # (2, ngp)
-    d_gamma = imap.d_gamma
-
-    def load(t: float) -> np.ndarray:
-        gvals = np.asarray(g(XG, t), dtype=float)
-        contrib = (hx / 2.0) * gvals @ SW.T  # (nseg, 2)
-        out = np.zeros(d_gamma)
-        np.add.at(out, idx, contrib.T[valid])
-        return out
-
-    return load
+    local = (hx / 2.0) * np.stack([(1 - x1) / 2.0, (1 + x1) / 2.0]) * w1  # (2, ngp)
+    return _quadrature_load(g, (XG,), seg_slots, local, imap.d_gamma)
 
 
 def assemble(mesh1: Mesh, mesh2: Mesh, imap: InterfaceMap, spec: ProblemSpec) -> FeOperators:
@@ -428,8 +454,10 @@ def from_matrices(
 
     Mass matrices (volume and interface) must be symmetric positive
     definite.  load_f / load_g supply already-assembled load vectors as
-    functions of time.  Conservation compatibility is judged from B and,
-    when interface loads are present, from samples of their sum.
+    per-time functions t -> (d,); the operators wrap each one so that it
+    also takes an array of times (calling it once per time).  Conservation
+    compatibility is judged from B and, when interface loads are present,
+    from samples of their sum.
     """
     mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in (M1, L1, T1, M2, L2, T2, M_gamma)]
     M1, L1, T1, M2, L2, T2, M_gamma = mats
@@ -453,8 +481,8 @@ def from_matrices(
         T=(sp.csr_matrix(T1), sp.csr_matrix(T2)),
         M_gamma=sp.csr_matrix(M_gamma),
         B=B,
-        load_f=tuple(load_f),
-        load_g=tuple(load_g),
+        load_f=tuple(_per_time(fn) for fn in load_f),
+        load_g=tuple(_per_time(fn) for fn in load_g),
         u0=u0,
         h=h,
         conservation_compatible=compat,

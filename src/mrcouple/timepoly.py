@@ -10,6 +10,7 @@ Vandermonde-like evaluation table.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Sequence
 
@@ -112,11 +113,18 @@ def legendre_table(order: int, x) -> np.ndarray:
     return out
 
 
+@functools.cache
 def gauss_rule(n: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], exact to degree 2n-1."""
+    """Gauss-Legendre nodes and weights on [-1, 1], exact to degree 2n-1.
+
+    Cached per point count; the arrays are read-only and shared by callers.
+    """
     if n < 1:
         raise ValueError("quadrature rule needs at least one point")
-    return np.polynomial.legendre.leggauss(n)
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def gauss_on(interval: Interval, n: int):

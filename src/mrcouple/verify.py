@@ -369,12 +369,15 @@ def convergence_study(
     oracle_steps: Optional[int] = None,
     u0=None,
     spin_up: float = 0.0,
+    fp_tol: float = 1e-10,
+    fp_max_iter: int = 200,
 ) -> RateTable:
     """Halve the window size `levels - 1` times and fit the error decay rate.
 
     Substep counts and flux orders stay fixed, so the substep sizes halve
     with the window.  A positive spin_up replaces the initial data with the
-    burn-in state of prepare_initial_state.  Levels whose error sits at the
+    burn-in state of prepare_initial_state.  fp_tol and fp_max_iter go to
+    run_simulation's fixed-point solver.  Levels whose error sits at the
     roundoff floor are excluded from the fit and noted.
     """
     if levels < 3:
@@ -393,7 +396,14 @@ def convergence_study(
     for lvl in range(levels):
         cfg = dataclasses.replace(base_cfg, N=base_cfg.N * 2**lvl)
         traj = run_simulation(
-            ops, spec, cfg, quadrature=quadrature, solver=solver, u0=u0
+            ops,
+            spec,
+            cfg,
+            quadrature=quadrature,
+            solver=solver,
+            u0=u0,
+            fp_tol=fp_tol,
+            fp_max_iter=fp_max_iter,
         )
         results.append((cfg, error_norms(ops, traj, oracle)))
     return rate_table(target, results)

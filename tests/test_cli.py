@@ -189,6 +189,51 @@ class TestMainConvergence:
         assert "note:" in outputs[0][1]
 
 
+    def test_fixed_point_settings_reach_every_level(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["problem"]["forcing"] = "mms:smooth"
+        payload["scheme"] = {"name": "dg1"}
+        payload["window"] = {"t_f": 0.5, "N": 50, "M1": 1, "M2": 2, "r1": 1, "r2": 1}
+        payload["experiment"] = {"kind": "convergence", "levels": 3}
+        rates = {}
+        for tol, jobs in ((1e-3, 1), (1e-10, 1), (1e-3, 2)):
+            payload["solver"] = {"name": "fixed-point", "tol": tol, "max_iter": 200}
+            config = write_config(tmp_path, payload, name=f"fp-{tol}-{jobs}.json")
+            out = tmp_path / f"fp-{tol}-{jobs}"
+            argv = ["convergence", "--config", str(config), "--out", str(out), "--jobs", str(jobs)]
+            assert cli.main(argv) == 0
+            rates[tol, jobs] = (out / "rates.csv").read_bytes()
+        capsys.readouterr()
+        assert rates[1e-3, 1] != rates[1e-10, 1]
+        assert rates[1e-3, 1] == rates[1e-3, 2]
+
+
+class TestSolverFailure:
+    DIVERGING = {
+        **MINIMAL,
+        "problem": {**MINIMAL["problem"], "forcing": "mms:smooth"},
+        "window": {"t_f": 0.5, "N": 2, "M1": 2, "M2": 3, "r1": 1, "r2": 1},
+        "solver": {"name": "fixed-point"},
+    }
+
+    def test_run_reports_contraction_failure(self, tmp_path, capsys):
+        config = write_config(tmp_path, self.DIVERGING)
+        rc = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("solver failure: window 1: window iteration")
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    def test_convergence_reports_contraction_failure(self, tmp_path, capsys):
+        payload = {**self.DIVERGING, "experiment": {"kind": "convergence", "levels": 3}}
+        config = write_config(tmp_path, payload)
+        rc = cli.main(["convergence", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("solver failure: window 1: window iteration")
+        assert "Traceback" not in err
+
+
 class TestMainCheck:
     def test_conservation_passes(self, tmp_path):
         config = write_config(tmp_path, MINIMAL)

@@ -229,6 +229,33 @@ class TestWindowAssembly:
             mc.from_matrices(Z, [[1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], np.eye(2))
 
 
+class TestBatchedWindowLoads:
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    def test_one_load_call_per_subdomain_per_window(self, smooth_ops, quadrature, monkeypatch):
+        cfg = mc.WindowConfig(t_f=0.2, N=2, M=(2, 3), r=(1, 1))
+        op = coupling.WindowOperator(smooth_ops, mc.crank_nicolson(), cfg, quadrature=quadrature)
+        expected = op._rhs(incoming(smooth_ops), ((), ()), 2)
+        calls = {"f": [0, 0], "g": [0, 0]}
+
+        def wrap(kind, i, fn):
+            @dgit.batched
+            def load(t):
+                calls[kind][i] += 1
+                return fn(t)
+
+            return load
+
+        for kind in ("f", "g"):
+            loads = getattr(smooth_ops, f"load_{kind}")
+            monkeypatch.setattr(
+                smooth_ops, f"load_{kind}", tuple(wrap(kind, i, fn) for i, fn in enumerate(loads))
+            )
+        sol = op.solve(incoming(smooth_ops), window_index=2)
+        assert calls == {"f": [1, 1], "g": [1, 1]}
+        assert np.array_equal(op._rhs(incoming(smooth_ops), ((), ()), 2), expected)
+        assert sol.residual < coupling.RESIDUAL_TOL
+
+
 class TestFactorize:
     @pytest.fixture(scope="class")
     def free_ops16(self):

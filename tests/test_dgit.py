@@ -196,3 +196,44 @@ class TestIntegrate:
         _, dg2 = dgit.integrate(M, L, None, np.array([1.0]), mc.dg(2), grid)
         ref = np.exp(-1.0)
         assert abs(dg2[-1][0] - ref) < abs(cn[-1][0] - ref) / 50
+
+
+class TestBatchedIntegrate:
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    @pytest.mark.parametrize("scheme", ["crank-nicolson", "cg2"])
+    def test_batched_load_matches_per_time(self, smooth_ops, scheme, quadrature):
+        Mc, Lc, load, _ = mc.coupled_system(smooth_ops)
+        u0 = np.concatenate(smooth_ops.u0)
+        # more than two chunks, the last one partial
+        chunk = max(1, dgit.LOAD_BATCH_VALUES // (dgit.LOAD_QUAD_PTS * Mc.shape[0]))
+        edges = np.linspace(0.0, 0.5, 2 * chunk + 4)
+        spec = mc.shipped_schemes()[scheme]
+        batched = dgit.integrate(Mc, Lc, load, u0, spec, edges, quadrature=quadrature)
+        per_time = dgit.integrate(
+            Mc, Lc, lambda t: load(t), u0, spec, edges, quadrature=quadrature
+        )
+        scale = float(np.max(np.abs(per_time[1])))
+        assert np.max(np.abs(batched[1] - per_time[1])) <= 1e-12 * scale
+        worst = max(
+            float(np.max(np.abs(a.coeffs - b.coeffs))) for a, b in zip(batched[0], per_time[0])
+        )
+        assert worst <= 1e-12 * scale
+
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    def test_scalar_valued_per_time_load(self, quadrature):
+        iv = Interval(0.0, 0.1)
+        got = dgit.load_moments(mc.crank_nicolson(), iv, np.sin, 1, quadrature=quadrature)
+        want = dgit.load_moments(
+            mc.crank_nicolson(), iv, lambda t: np.array([np.sin(t)]), 1, quadrature=quadrature
+        )
+        assert np.array_equal(got, want) and got[-1] > 0
+
+    def test_load_moments_batched_and_per_time_agree(self, smooth_ops):
+        _, _, load, _ = mc.coupled_system(smooth_ops)
+        d = sum(smooth_ops.d_omega)
+        iv = Interval(0.2, 0.3)
+        for quadrature in ("exact", "trapezoid"):
+            a = dgit.load_moments(mc.dg(2), iv, load, d, quadrature=quadrature)
+            b = dgit.load_moments(mc.dg(2), iv, lambda t: load(t), d, quadrature=quadrature)
+            assert a.shape == ((2 + 2) * d,)
+            assert np.max(np.abs(a - b)) <= 1e-13 * float(np.max(np.abs(b)))

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 import mrcouple as mc
+from mrcouple.cli import _pulse_forcing
 from mrcouple.fespace import AdvectionSpec, local_mass, local_stiffness, _shape_table
 
 
@@ -191,6 +192,41 @@ class TestAssembly:
                     oracle[dof] += detj * float(W @ (f(xg, yg, 0.3) * N[a]))
         assert np.allclose(vec, oracle, atol=1e-12)
         assert np.allclose(ops.f_vec(1, 0.3), 0.0)
+
+
+@pytest.fixture(scope="module")
+def pulse_ops(meshes):
+    m1, m2, imap = meshes
+    return mc.assemble(m1, m2, imap, mc.ProblemSpec(f=_pulse_forcing()))
+
+
+class TestBatchedLoads:
+    TIMES = np.array([0.0, 0.013, 0.25, 0.5, 0.77, 1.0])
+
+    @pytest.mark.parametrize("name", ["smooth_ops", "pulse_ops"])
+    def test_batched_equals_per_time(self, name, request):
+        ops = request.getfixturevalue(name)
+        checked = 0
+        for vec, i in ((ops.f_vec, 0), (ops.f_vec, 1), (ops.g_vec, 0), (ops.g_vec, 1)):
+            batched = vec(i, self.TIMES)
+            stacked = np.stack([vec(i, t) for t in self.TIMES])
+            assert batched.shape == stacked.shape == (len(self.TIMES), stacked.shape[1])
+            scale = max(float(np.max(np.abs(stacked))), 1e-300)
+            assert np.max(np.abs(batched - stacked)) <= 1e-13 * scale
+            checked += float(np.max(np.abs(stacked))) > 0
+        assert checked == (4 if name == "smooth_ops" else 2)
+
+    def test_scalar_time_gives_vector(self, smooth_ops, pulse_ops):
+        assert smooth_ops.f_vec(0, 0.3).shape == (smooth_ops.d_omega[0],)
+        assert smooth_ops.g_vec(1, 0.3).shape == (smooth_ops.d_gamma,)
+        assert pulse_ops.g_vec(0, 0.3).shape == (pulse_ops.d_gamma,)
+        assert pulse_ops.g_vec(0, self.TIMES).shape == (len(self.TIMES), pulse_ops.d_gamma)
+
+    def test_from_matrices_adapts_per_time_loads(self, toy_linear_ops):
+        vals = toy_linear_ops.f_vec(0, self.TIMES)
+        assert vals.shape == (len(self.TIMES), 1)
+        assert np.allclose(vals[:, 0], 4.3 + self.TIMES, rtol=0, atol=1e-15)
+        assert toy_linear_ops.f_vec(1, 0.5).shape == (1,)
 
 
 class TestFromMatrices:

@@ -100,6 +100,16 @@ class TestGauss:
         with pytest.raises(ValueError):
             mc.gauss_rule(0)
 
+    def test_rule_is_cached_and_read_only(self):
+        x, w = mc.gauss_rule(7)
+        x2, w2 = mc.gauss_rule(7)
+        assert x is x2 and w is w2
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        t, wt = gauss_on(Interval(1.0, 3.0), 7)
+        assert np.allclose(t, 2.0 + x) and np.allclose(wt, w)
+
 
 class TestInterval:
     def test_degenerate_rejected(self):

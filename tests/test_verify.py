@@ -1,11 +1,12 @@
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
 
 import mrcouple as mc
-from mrcouple import verify
+from mrcouple import dgit, verify
 
 
 class TestManufactured:
@@ -105,6 +106,33 @@ def run_and_oracle(toy_linear_ops):
     traj = mc.run_simulation(toy_linear_ops, mc.crank_nicolson(), cfg, quadrature="exact")
     oracle = mc.reference_solve(toy_linear_ops, 0.5, n_steps=512)
     return traj, oracle
+
+
+def counting_loads(ops, monkeypatch):
+    """Replace ops.load_f by batched wrappers that count their calls."""
+    calls = [0, 0]
+
+    def wrap(i, fn):
+        @dgit.batched
+        def load(t):
+            calls[i] += 1
+            return fn(t)
+
+        return load
+
+    monkeypatch.setattr(ops, "load_f", tuple(wrap(i, fn) for i, fn in enumerate(ops.load_f)))
+    return calls
+
+
+class TestBatchedLoadCalls:
+    def test_reference_solve_calls_load_once_per_chunk(self, smooth_ops, monkeypatch):
+        calls = counting_loads(smooth_ops, monkeypatch)
+        n_steps = 256
+        chunk = max(1, dgit.LOAD_BATCH_VALUES // (4 * sum(smooth_ops.d_omega)))
+        verify.reference_solve(smooth_ops, 0.25, n_steps)
+        assert chunk < n_steps
+        assert 1 <= max(calls) <= math.ceil(n_steps / chunk) + 1
+        assert calls[0] == calls[1]
 
 
 class TestErrorNorms:
