@@ -20,7 +20,15 @@ from .coupling import (
     trace_projection,
 )
 from .dgit import SubstepBlock, assemble_substep, cn_substep, integrate, solve_substep
-from .fespace import AdvectionSpec, FeOperators, ProblemSpec, assemble, coercivity_probe, from_matrices
+from .fespace import (
+    AdvectionSpec,
+    FeOperators,
+    ProblemSpec,
+    Separable,
+    assemble,
+    coercivity_probe,
+    from_matrices,
+)
 from .mesh import InterfaceMap, MatchError, Mesh, build_mesh, match_interfaces
 from .timepoly import (
     DtildeReport,

@@ -324,13 +324,15 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _pulse_forcing():
-    def f1(x, y, t):
-        return np.sin(np.pi * x) * (1.0 - y) * np.cos(2.0 * t) * np.ones_like(x * y)
+    """sin(pi x)(1 - y) cos 2t and 1/2 sin(pi x)(1 + y) cos 2t, as space-time products."""
 
-    def f2(x, y, t):
-        return 0.5 * np.sin(np.pi * x) * (1.0 + y) * np.cos(2.0 * t) * np.ones_like(x * y)
+    def cos2t(t):
+        return np.cos(2.0 * np.asarray(t, dtype=float))
 
-    return f1, f2
+    return (
+        fespace.Separable(((lambda x, y: np.sin(np.pi * x) * (1.0 - y), cos2t),)),
+        fespace.Separable(((lambda x, y: 0.5 * np.sin(np.pi * x) * (1.0 + y), cos2t),)),
+    )
 
 
 def _bump_initial():

@@ -11,10 +11,14 @@ definite.
 Matrix terms use a 2x2 Gauss rule per element, which is exact for
 bilinear elements and for the shipped advection presets (they are
 polynomial by construction); load vectors use a 4x4 rule, applied to
-the pointwise data by one precomputed sparse quadrature-to-dof matrix so
-that a load evaluates many times in one call.  A backdoor constructor
-accepts raw matrices so that small ODE systems can drive the time
-integrators directly.
+the pointwise data by one precomputed sparse quadrature-to-dof matrix Q
+so that a load evaluates many times in one call.  Data given as a
+Separable sum of space-time products sum_k a_k(x) b_k(t) is integrated
+in space once, at assembly: its load at times t is the (nt, K) matrix of
+the time factors times the K assembled vectors Q a_k.  Any other
+callable is evaluated at every quadrature point and time of a call.  A
+backdoor constructor accepts raw matrices so that small ODE systems can
+drive the time integrators directly.
 """
 
 from __future__ import annotations
@@ -50,6 +54,34 @@ def _shape_table(n_gp: int):
     dNxi = 0.25 * np.stack([-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)])
     dNeta = 0.25 * np.stack([-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)])
     return xi, eta, W, N, dNxi, dNeta
+
+
+@dataclasses.dataclass(frozen=True)
+class Separable:
+    """Pointwise data sum_k a_k(*points) * b_k(t): a short sum of space-time products.
+
+    terms holds the (a_k, b_k) pairs.  a_k takes the point coordinates,
+    (x, y) for a body force or x for interface data; b_k takes a scalar
+    time or an array of times.  Called like any load callable,
+    (*points, t) -> values, it gives the sum, so every pointwise consumer
+    works unchanged; assemble integrates each a_k once instead.
+    """
+
+    terms: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
+        if not self.terms:
+            raise ValueError("a separable forcing needs at least one term")
+
+    def __call__(self, *args):
+        *points, t = args
+        return sum(a(*points) * b(t) for a, b in self.terms)
+
+    def time_factors(self, t) -> np.ndarray:
+        """b_1(t), ..., b_K(t) along a last axis: (K,) for a scalar t, (nt, K) for times."""
+        shape = np.shape(t)
+        return np.stack([np.broadcast_to(b(t), shape) for _, b in self.terms], axis=-1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -282,31 +314,29 @@ def _assemble_domain(mesh: Mesh, nu: float, adv: AdvectionSpec):
     return M, A, B_adv
 
 
+def _interface_segments(mesh: Mesh, imap: InterfaceMap) -> np.ndarray:
+    """(nx, 2) interface slots of the end nodes of each interface segment, -1 for none."""
+    iy = 0 if mesh.subdomain == 1 else mesh.ny
+    left = iy * (mesh.nx + 1) + np.arange(mesh.nx)
+    slot = np.full(len(mesh.nodes), -1, dtype=int)
+    slot[mesh.interface_nodes] = np.arange(imap.d_gamma)
+    return np.stack([slot[left], slot[left + 1]], axis=1)
+
+
 def _interface_mass(mesh: Mesh, imap: InterfaceMap) -> sp.csr_matrix:
     """1D mass matrix of the interface trace space (zero at the endpoints)."""
     d_gamma = imap.d_gamma
     if d_gamma == 0:
         return sp.csr_matrix((0, 0))
-    hx = mesh.hx
-    slot = {int(n): k for k, n in enumerate(mesh.interface_nodes)}
-    loc = (hx / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
-    rows, cols, vals = [], [], []
-    iy = 0 if mesh.subdomain == 1 else mesh.ny
-    for ix in range(mesh.nx):
-        na = iy * (mesh.nx + 1) + ix
-        nb = na + 1
-        for a_, nid in enumerate((na, nb)):
-            ka = slot.get(int(nid), -1)
-            if ka < 0:
-                continue
-            for b_, njd in enumerate((na, nb)):
-                kb = slot.get(int(njd), -1)
-                if kb < 0:
-                    continue
-                rows.append(ka)
-                cols.append(kb)
-                vals.append(loc[a_, b_])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(d_gamma, d_gamma)).tocsr()
+    seg = _interface_segments(mesh, imap)
+    loc = (mesh.hx / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+    rows = np.broadcast_to(seg[:, :, None], (len(seg), 2, 2))
+    cols = np.broadcast_to(seg[:, None, :], rows.shape)
+    vals = np.broadcast_to(loc, rows.shape)
+    valid = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix(
+        (vals[valid], (rows[valid], cols[valid])), shape=(d_gamma, d_gamma)
+    ).tocsr()
 
 
 def _quadrature_load(fn: Callable, points: tuple, dofs: np.ndarray, local: np.ndarray, n_rows: int):
@@ -315,8 +345,10 @@ def _quadrature_load(fn: Callable, points: tuple, dofs: np.ndarray, local: np.nd
     points are the (ncell, ngp) coordinate arrays of the quadrature points;
     dofs (ncell, nloc) holds the row of each local shape function (negative
     for none) and local (nloc, ngp) its values times the quadrature weights,
-    so Q[dofs[c, a], c * ngp + g] = local[a, g].  fn must broadcast an array
-    t of shape (nt, 1, 1) against the points.
+    so Q[dofs[c, a], c * ngp + g] = local[a, g].  A Separable fn is
+    integrated in space here, once: the load is then b(t) @ F with
+    F[k] = Q @ a_k(*points).  Any other fn must broadcast an array t of
+    shape (nt, 1, 1) against the points.
     """
     shape = points[0].shape
     vals = np.broadcast_to(local[None], dofs.shape + shape[1:])
@@ -324,6 +356,16 @@ def _quadrature_load(fn: Callable, points: tuple, dofs: np.ndarray, local: np.nd
     rows = np.broadcast_to(dofs[:, :, None], vals.shape)
     valid = rows >= 0
     Q = sp.csr_matrix((vals[valid], (rows[valid], cols[valid])), shape=(n_rows, points[0].size))
+
+    if isinstance(fn, Separable):
+        spatial = [np.broadcast_to(np.asarray(a(*points), dtype=float), shape) for a, _ in fn.terms]
+        F = np.stack([Q @ values.ravel() for values in spatial])  # (K, n_rows)
+
+        @batched
+        def separable_load(t) -> np.ndarray:
+            return fn.time_factors(np.asarray(t, dtype=float)) @ F
+
+        return separable_load
 
     @batched
     def load(t) -> np.ndarray:
@@ -350,14 +392,9 @@ def _interface_load(mesh: Mesh, imap: InterfaceMap, g: Callable) -> Callable:
     """t -> vector of (g(., t), mu_j) over the interface unknowns; batched in t."""
     x1, w1 = gauss_rule(N_GP_LOAD)
     hx = mesh.hx
-    iy = 0 if mesh.subdomain == 1 else mesh.ny
-    left = iy * (mesh.nx + 1) + np.arange(mesh.nx)
-    slot = np.full(len(mesh.nodes), -1, dtype=int)
-    slot[mesh.interface_nodes] = np.arange(imap.d_gamma)
-    seg_slots = np.stack([slot[left], slot[left + 1]], axis=1)  # (nseg, 2)
     XG = np.arange(mesh.nx)[:, None] * hx + hx * (1 + x1)[None, :] / 2.0  # (nseg, ngp)
     local = (hx / 2.0) * np.stack([(1 - x1) / 2.0, (1 + x1) / 2.0]) * w1  # (2, ngp)
-    return _quadrature_load(g, (XG,), seg_slots, local, imap.d_gamma)
+    return _quadrature_load(g, (XG,), _interface_segments(mesh, imap), local, imap.d_gamma)
 
 
 def assemble(mesh1: Mesh, mesh2: Mesh, imap: InterfaceMap, spec: ProblemSpec) -> FeOperators:

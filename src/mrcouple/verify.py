@@ -19,28 +19,20 @@ import sympy
 
 from . import dgit
 from .coupling import Trajectory, WindowConfig, coupled_system, run_simulation
-from .fespace import AdvectionSpec, FeOperators, ProblemSpec
-from .timepoly import SchemeSpec, crank_nicolson, dg, gauss_on
+from .fespace import AdvectionSpec, FeOperators, ProblemSpec, Separable
+from .timepoly import SchemeSpec, crank_nicolson, dg, gauss_on, legendre_table
 
 ROUNDOFF_FLOOR = 1e-12
 
 
-def _wrap_xy_t(fn) -> Callable:
-    def call(x, y, t):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        shape = np.broadcast(x, y, np.asarray(t, dtype=float)).shape
-        out = np.asarray(fn(x, y, t), dtype=float)
-        return np.broadcast_to(out, shape).copy() if out.shape != shape else out
+def _lambdify(symbols: tuple, expr) -> Callable:
+    """Numpy function of expr whose values take the broadcast shape of its arguments."""
+    fn = sympy.lambdify(symbols, expr, "numpy")
 
-    return call
-
-
-def _wrap_x_t(fn) -> Callable:
-    def call(x, t):
-        x = np.asarray(x, dtype=float)
-        shape = np.broadcast(x, np.asarray(t, dtype=float)).shape
-        out = np.asarray(fn(x, t), dtype=float)
+    def call(*args):
+        args = [np.asarray(a, dtype=float) for a in args]
+        shape = np.broadcast_shapes(*(a.shape for a in args))
+        out = np.asarray(fn(*args), dtype=float)
         return np.broadcast_to(out, shape).copy() if out.shape != shape else out
 
     return call
@@ -58,18 +50,21 @@ class ManufacturedCase:
 
 
 _MMS_FORMS = {
-    # (expression for u1, expression for u2) as strings over x, y, t
+    # (a_1, a_2, b) as strings over x, y and t: the exact pair is u_i = a_i(x, y) * b(t)
     "smooth": (
-        "sin(pi*x)*(1 - y)*(1 + y/2)*exp(-t)",
-        "sin(pi*x)*(1 + y)*(1 - y/2)*exp(-t)",
+        "sin(pi*x)*(1 - y)*(1 + y/2)",
+        "sin(pi*x)*(1 + y)*(1 - y/2)",
+        "exp(-t)",
     ),
     "antisym": (
-        "sin(pi*x)*(1 - y)*(y + 1/2)*exp(-t)",
-        "-sin(pi*x)*(1 + y)*(1/2 - y)*exp(-t)",
+        "sin(pi*x)*(1 - y)*(y + 1/2)",
+        "-sin(pi*x)*(1 + y)*(1/2 - y)",
+        "exp(-t)",
     ),
     "polyt": (
-        "sin(pi*x)*(1 - y)*(1 + y/2)*(1 + t/2)",
-        "sin(pi*x)*(1 + y)*(1 - y/2)*(1 + t/2)",
+        "sin(pi*x)*(1 - y)*(1 + y/2)",
+        "sin(pi*x)*(1 + y)*(1 - y/2)",
+        "1 + t/2",
     ),
 }
 
@@ -83,8 +78,10 @@ def mms_case(
 ) -> ManufacturedCase:
     """Build a manufactured case: body and interface forcings derived symbolically.
 
-    The interface data follows from the flux condition rearranged for g_i,
-    using the outward normal of each subdomain at the interface.
+    With u_i = a_i(x, y) b(t) and a steady advection field, both forcings
+    are Separable: f_i = a_i b' + (-div(nu_i grad a_i - s_i a_i)) b, and
+    g_i is the flux condition rearranged for g_i, using the outward normal
+    of each subdomain at the interface, applied to the a_i, times b.
     """
     if name not in _MMS_FORMS:
         raise ValueError(f"unknown manufactured preset {name!r}; have {sorted(_MMS_FORMS)}")
@@ -92,7 +89,10 @@ def mms_case(
         B = np.array([[1.0, -1.0], [-1.0, 1.0]])
     B = np.asarray(B, dtype=float).reshape(2, 2)
     x, y, t = sympy.symbols("x y t", real=True)
-    u_sym = [sympy.sympify(s, locals={"x": x, "y": y, "t": t}) for s in _MMS_FORMS[name]]
+    *a_sym, b_sym = (sympy.sympify(s, locals={"x": x, "y": y, "t": t}) for s in _MMS_FORMS[name])
+    u_sym = [a * b_sym for a in a_sym]
+    b_fn = _lambdify((t,), b_sym)
+    db_fn = _lambdify((t,), sympy.diff(b_sym, t))
 
     s_sym = []
     for i in range(2):
@@ -109,25 +109,29 @@ def mms_case(
     f_fns, g_fns, u0_fns, u_fns, res_fns = [], [], [], [], []
     normals = (-1, 1)  # outward y-component at the interface, per subdomain
     for i in range(2):
-        u = u_sym[i]
         sx, sy = s_sym[i]
-        flux_div = sympy.diff(nu[i] * sympy.diff(u, x) - sx * u, x) + sympy.diff(
-            nu[i] * sympy.diff(u, y) - sy * u, y
+
+        def flux_div(w):
+            return sympy.diff(nu[i] * sympy.diff(w, x) - sx * w, x) + sympy.diff(
+                nu[i] * sympy.diff(w, y) - sy * w, y
+            )
+
+        a = a_sym[i]
+        f_fns.append(
+            Separable(((_lambdify((x, y), a), db_fn), (_lambdify((x, y), -flux_div(a)), b_fn)))
         )
-        f = sympy.diff(u, t) - flux_div
-        g = (
-            B[i, 0] * u_sym[0] + B[i, 1] * u_sym[1] + nu[i] * normals[i] * sympy.diff(u, y)
+        g_space = (
+            B[i, 0] * a_sym[0] + B[i, 1] * a_sym[1] + nu[i] * normals[i] * sympy.diff(a, y)
         ).subs(y, 0)
-        u_fns.append(_wrap_xy_t(sympy.lambdify((x, y, t), u, "numpy")))
-        f_fns.append(_wrap_xy_t(sympy.lambdify((x, y, t), f, "numpy")))
-        g_fns.append(_wrap_x_t(sympy.lambdify((x, t), sympy.simplify(g), "numpy")))
-        u0_expr = u.subs(t, 0)
+        g_fns.append(Separable(((_lambdify((x,), g_space), b_fn),)))
+        u = u_sym[i]
+        u_fns.append(_lambdify((x, y, t), u))
         u0_fns.append(
             (lambda fn: (lambda xx, yy: fn(xx, yy, 0.0)))(u_fns[-1])
         )
         # residual evaluated from independently lambdified pieces
-        ut = _wrap_xy_t(sympy.lambdify((x, y, t), sympy.diff(u, t), "numpy"))
-        fd = _wrap_xy_t(sympy.lambdify((x, y, t), flux_div, "numpy"))
+        ut = _lambdify((x, y, t), sympy.diff(u, t))
+        fd = _lambdify((x, y, t), flux_div(u))
         ff = f_fns[-1]
         res_fns.append(
             (lambda ut, fd, ff: (lambda xx, yy, tt: ut(xx, yy, tt) - fd(xx, yy, tt) - ff(xx, yy, tt)))(
@@ -173,7 +177,10 @@ def residual_check(case: ManufacturedCase, n: int = 20, seed: int = 7) -> float:
 
 @dataclasses.dataclass
 class ReferenceTrajectory:
-    """Dense single-rate solve of the exactly-coupled system, queryable in time."""
+    """Dense single-rate solve of the exactly-coupled system, queryable in time.
+
+    polys[n] is the coupled state on the step (boundaries[n], boundaries[n + 1]).
+    """
 
     boundaries: np.ndarray
     polys: list
@@ -182,24 +189,39 @@ class ReferenceTrajectory:
     scheme_name: str
     _mg_lu: object = dataclasses.field(default=None, repr=False)
 
-    def _index(self, t: float) -> int:
-        idx = int(np.searchsorted(self.boundaries, t, side="right")) - 1
-        return min(max(idx, 0), len(self.polys) - 1)
+    def states(self, ts) -> np.ndarray:
+        """Coupled state at each of the 1-D array of times ts, (nt, d1 + d2)."""
+        ts = np.asarray(ts, dtype=float)
+        idx = np.searchsorted(self.boundaries, ts, side="right") - 1
+        idx = np.clip(idx, 0, len(self.polys) - 1)
+        a, b = self.boundaries[idx], self.boundaries[idx + 1]
+        coeffs = np.stack([self.polys[k].coeffs for k in idx])  # (nt, order + 1, d1 + d2)
+        tab = legendre_table(coeffs.shape[1] - 1, 2.0 * (ts - a) / (b - a) - 1.0)
+        return np.einsum("ak,kad->kd", tab, coeffs)
 
     def state(self, t: float) -> tuple:
-        v = self.polys[self._index(t)](t)
+        v = self.states([t])[0]
         return v[self.slices[0]], v[self.slices[1]]
 
-    def flux(self, i: int, t: float) -> np.ndarray:
-        """Pointwise interface flux of the reference solution."""
-        u1, u2 = self.state(t)
+    def fluxes(self, i: int, ts, states: Optional[np.ndarray] = None) -> np.ndarray:
+        """Pointwise interface flux at each of the times ts, (nt, d_gamma).
+
+        states, if given, holds the coupled state at ts (as from states(ts)).
+        """
+        ts = np.asarray(ts, dtype=float)
+        X = self.states(ts) if states is None else states
         ops = self.ops
-        out = ops.B[i, 0] * (ops.T[0] @ u1) + ops.B[i, 1] * (ops.T[1] @ u2)
+        u1, u2 = X[:, self.slices[0]], X[:, self.slices[1]]
+        out = (ops.B[i, 0] * (ops.T[0] @ u1.T) + ops.B[i, 1] * (ops.T[1] @ u2.T)).T
         if ops.load_g[i] is not None:
             if self._mg_lu is None:
                 self._mg_lu = dgit.factorize(ops.M_gamma)
-            out = out - self._mg_lu.solve(ops.g_vec(i, t))
+            out = out - self._mg_lu.solve(ops.g_vec(i, ts).T).T
         return out
+
+    def flux(self, i: int, t: float) -> np.ndarray:
+        """Pointwise interface flux of the reference solution."""
+        return self.fluxes(i, [t])[0]
 
 
 def prepare_initial_state(
@@ -286,35 +308,49 @@ class ErrorReport:
         return math.sqrt(self.flux_l2[0] ** 2 + self.flux_l2[1] ** 2)
 
 
+def _mass_sq(M, diffs: np.ndarray, w: np.ndarray) -> float:
+    """Sum over k of w[k] * diffs[k]^T M diffs[k]."""
+    return float(np.einsum("k,kd,kd->", w, diffs, (M @ diffs.T).T))
+
+
 def error_norms(ops: FeOperators, traj: Trajectory, oracle: ReferenceTrajectory) -> ErrorReport:
-    """All error norms of a trajectory, skipping reference-filled windows."""
+    """All error norms of a trajectory, skipping reference-filled windows.
+
+    The oracle is queried once per substep piece (its Gauss times and its
+    end) and once per window (the flux Gauss times of both sides and the
+    window end).
+    """
     q = traj.spec.q
     l2_sq = [0.0, 0.0]
     nodal = [[], []]
     sync = []
     flux_sq = [0.0, 0.0]
+    no_rule = (np.empty(0), np.empty(0))
     for sol in traj.windows:
         if sol.initialized_from_reference:
             continue
         for i in range(2):
             for n, piece in enumerate(sol.u[i]):
                 t, w = gauss_on(piece.interval, q + 4)
-                for tk, wk in zip(t, w):
-                    diff = piece(tk) - oracle.state(tk)[i]
-                    l2_sq[i] += wk * float(diff @ (ops.M[i] @ diff))
-                dU = sol.U[i][n + 1] - oracle.state(piece.interval.b)[i]
-                nodal[i].append(ops.mass_norm(i, dU))
+                ref = oracle.states(np.append(t, piece.interval.b))[:, oracle.slices[i]]
+                l2_sq[i] += _mass_sq(ops.M[i], piece(t) - ref[:-1], w)
+                nodal[i].append(ops.mass_norm(i, sol.U[i][n + 1] - ref[-1]))
+        rules = [
+            gauss_on(sol.window, F.order + 4) if F is not None else no_rule for F in sol.F
+        ]
+        ref = oracle.states(np.concatenate([rules[0][0], rules[1][0], [sol.window.b]]))
+        k = len(rules[0][0])
+        rows = (slice(0, k), slice(k, -1))
+        for i in range(2):
             if sol.F[i] is not None:
-                F = sol.F[i]
-                t, w = gauss_on(sol.window, F.order + 4)
-                for tk, wk in zip(t, w):
-                    diff = F(tk) - oracle.flux(i, tk)
-                    flux_sq[i] += wk * float(diff @ (ops.M_gamma @ diff))
-        end = sol.window.b
+                t, w = rules[i]
+                diff = sol.F[i](t) - oracle.fluxes(i, t, ref[rows[i]])
+                flux_sq[i] += _mass_sq(ops.M_gamma, diff, w)
         sync.append(
             math.sqrt(
                 sum(
-                    ops.mass_norm(i, sol.U[i][-1] - oracle.state(end)[i]) ** 2 for i in range(2)
+                    ops.mass_norm(i, sol.U[i][-1] - ref[-1][oracle.slices[i]]) ** 2
+                    for i in range(2)
                 )
             )
         )

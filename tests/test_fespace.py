@@ -1,10 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import mrcouple as mc
 from mrcouple.cli import _pulse_forcing
-from mrcouple.fespace import AdvectionSpec, local_mass, local_stiffness, _shape_table
+from mrcouple.fespace import (
+    AdvectionSpec,
+    Separable,
+    _interface_mass,
+    _shape_table,
+    local_mass,
+    local_stiffness,
+)
 
 
 def dense_bilinear_load(mesh, w_nodal, nu, n_gp=6):
@@ -298,3 +307,104 @@ class TestCoercivityProbe:
         a = mc.coercivity_probe(plain, seed=5)
         b = mc.coercivity_probe(with_adv, seed=5)
         assert a == pytest.approx(b, abs=1e-8)
+
+
+class TestInterfaceMass:
+    @pytest.mark.parametrize("nx", [1, 4, 33])
+    def test_matches_dense_p1_mass(self, nx):
+        m1, m2 = mc.build_mesh(1, nx, 2), mc.build_mesh(2, nx, 3)
+        imap = mc.match_interfaces(m1, m2)
+        n = nx - 1  # interior interface nodes
+        dense = (m1.hx / 6.0) * (4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1))
+        got = _interface_mass(m1, imap)
+        assert got.shape == (n, n) == (imap.d_gamma, imap.d_gamma)
+        assert np.max(np.abs(got.toarray() - dense), initial=0.0) <= 1e-15
+
+
+def plain(fn):
+    """The same pointwise data as a plain callable, with no separable split."""
+    return lambda *args: fn(*args)
+
+
+class TestSeparableLoads:
+    TIMES = np.array([0.0, 0.013, 0.25, 0.5, 0.77, 1.0])
+
+    def assert_loads_equal(self, sep_ops, plain_ops, kinds=("f", "g")):
+        for kind in kinds:
+            for i in range(2):
+                vec_s, vec_p = getattr(sep_ops, f"{kind}_vec"), getattr(plain_ops, f"{kind}_vec")
+                for t in (0.37, self.TIMES):
+                    a, b = vec_s(i, t), vec_p(i, t)
+                    assert a.shape == b.shape
+                    scale = float(np.max(np.abs(b)))
+                    assert scale > 0
+                    assert np.max(np.abs(a - b)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("name", ["smooth", "antisym", "polyt"])
+    @pytest.mark.parametrize(
+        "adv",
+        [AdvectionSpec(), AdvectionSpec("constant", sx=0.7), AdvectionSpec("vortex", amplitude=0.8)],
+        ids=["zero", "constant", "vortex"],
+    )
+    def test_mms_equals_pointwise_quadrature(self, meshes, name, adv):
+        m1, m2, imap = meshes
+        spec = mc.mms_case(name, advection=(adv, adv)).problem
+        assert all(isinstance(fn, Separable) for fn in (*spec.f, *spec.g))
+        plain_spec = dataclasses.replace(
+            spec, f=tuple(map(plain, spec.f)), g=tuple(map(plain, spec.g))
+        )
+        self.assert_loads_equal(
+            mc.assemble(m1, m2, imap, spec), mc.assemble(m1, m2, imap, plain_spec)
+        )
+
+    def test_pulse_equals_pointwise_quadrature(self, meshes, pulse_ops):
+        m1, m2, imap = meshes
+        f = _pulse_forcing()
+        assert all(isinstance(fn, Separable) for fn in f)
+        plain_ops = mc.assemble(m1, m2, imap, mc.ProblemSpec(f=tuple(map(plain, f))))
+        self.assert_loads_equal(pulse_ops, plain_ops, kinds=("f",))
+
+    def test_pointwise_call_sums_the_terms(self):
+        sep = Separable(((lambda x, y: x * y, lambda t: 1.0 + t), (lambda x, y: x, np.cos)))
+        x, y, t = np.array([0.1, 0.4]), np.array([0.3, 0.9]), np.array([0.2, 0.7])
+        assert np.allclose(sep(x, y, t), x * y * (1.0 + t) + x * np.cos(t), rtol=0, atol=1e-16)
+        assert sep.time_factors(0.5).shape == (2,)
+        assert sep.time_factors(t).shape == (2, 2)
+
+    def test_constant_factors_broadcast(self, meshes):
+        m1, m2, imap = meshes
+        sep = Separable(((lambda x, y: 2.0, lambda t: 3.0),))
+        ops = mc.assemble(m1, m2, imap, mc.ProblemSpec(f=(sep, None)))
+        const = mc.assemble(m1, m2, imap, mc.ProblemSpec(f=(lambda x, y, t: 6.0 + 0 * x, None)))
+        assert ops.f_vec(0, self.TIMES).shape == (len(self.TIMES), m1.n_free)
+        assert np.allclose(ops.f_vec(0, self.TIMES), const.f_vec(0, self.TIMES), rtol=1e-14)
+        assert np.allclose(ops.f_vec(0, 0.4), const.f_vec(0, 0.4), rtol=1e-14)
+
+    def test_empty_split_rejected(self):
+        with pytest.raises(ValueError, match="at least one term"):
+            Separable(())
+
+    def test_plain_callable_keeps_batched_quadrature(self, meshes):
+        m1, m2, imap = meshes
+        calls = []
+
+        def f(x, y, t):
+            calls.append(np.shape(t))
+            return (1.0 + t) * x**3 * (1.0 + y)
+
+        ops = mc.assemble(m1, m2, imap, mc.ProblemSpec(f=(f, None)))
+        assert calls == []
+        vals = ops.f_vec(0, self.TIMES)
+        assert calls == [(len(self.TIMES), 1, 1)]
+        xi, eta, W, N, _, _ = _shape_table(8)
+        detj = m1.hx * m1.hy / 4.0
+        for k, t in enumerate(self.TIMES):
+            oracle = np.zeros(m1.n_free)
+            for quad in m1.quads:
+                x0, y0 = m1.nodes[quad[0]]
+                fx = f(x0 + m1.hx * (1 + xi) / 2, y0 + m1.hy * (1 + eta) / 2, t)
+                for a in range(4):
+                    dof = m1.free_dof[quad[a]]
+                    if dof >= 0:
+                        oracle[dof] += detj * float(W @ (fx * N[a]))
+            assert np.allclose(vals[k], oracle, rtol=0, atol=1e-13)

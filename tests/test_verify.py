@@ -1,12 +1,21 @@
+import collections
 import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import mrcouple as mc
-from mrcouple import dgit, verify
+from mrcouple import coupling, dgit, verify
+from mrcouple.timepoly import Interval, gauss_on
+
+ADVECTIONS = {
+    "zero": mc.AdvectionSpec(),
+    "constant": mc.AdvectionSpec("constant", sx=0.6),
+    "vortex": mc.AdvectionSpec("vortex", amplitude=0.8),
+}
 
 
 class TestManufactured:
@@ -35,6 +44,24 @@ class TestManufactured:
             - smooth_case.problem.g[0](x, t)
         )
         assert lhs == pytest.approx(-rhs, abs=1e-6)
+
+    @pytest.mark.parametrize("name", ["smooth", "antisym", "polyt"])
+    @pytest.mark.parametrize("kind", sorted(ADVECTIONS))
+    def test_separable_forcings_solve_the_model(self, name, kind):
+        adv = ADVECTIONS[kind]
+        case = mc.mms_case(name, nu=(0.7, 1.3), advection=(adv, adv))
+        assert all(isinstance(fn, mc.Separable) for fn in (*case.problem.f, *case.problem.g))
+        assert mc.residual_check(case) < 1e-10
+
+    @pytest.mark.parametrize("name", ["smooth", "antisym", "polyt"])
+    def test_interface_data_satisfies_flux_condition(self, name):
+        case = mc.mms_case(name, nu=(0.7, 1.3))
+        B, nu, u = case.problem.B, (0.7, 1.3), case.exact
+        x, t, eps = np.array([0.13, 0.37, 0.81]), 0.41, 1e-6
+        for i, normal in enumerate((-1.0, 1.0)):
+            dudy = (u[i](x, eps, t) - u[i](x, -eps, t)) / (2 * eps)
+            expected = B[i, 0] * u[0](x, 0.0, t) + B[i, 1] * u[1](x, 0.0, t) + nu[i] * normal * dudy
+            assert np.allclose(case.problem.g[i](x, t), expected, rtol=0, atol=1e-8)
 
     def test_polyt_metadata(self):
         case = mc.mms_case("polyt")
@@ -135,7 +162,126 @@ class TestBatchedLoadCalls:
         assert calls[0] == calls[1]
 
 
+def counting_factors(spec, counts):
+    """spec with each Separable factor wrapped to count its calls in counts.
+
+    Keys are (space|time, f|g, subdomain, term).
+    """
+
+    def count(key, fn):
+        def call(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return call
+
+    def wrap(kind, i, sep):
+        return mc.Separable(
+            tuple(
+                (count(("space", kind, i, k), a), count(("time", kind, i, k), b))
+                for k, (a, b) in enumerate(sep.terms)
+            )
+        )
+
+    return dataclasses.replace(
+        spec,
+        f=tuple(wrap("f", i, fn) for i, fn in enumerate(spec.f)),
+        g=tuple(wrap("g", i, fn) for i, fn in enumerate(spec.g)),
+    )
+
+
+class TestSeparableFastPath:
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    def test_spatial_factors_evaluated_only_at_assembly(self, mesh_pair, smooth_case, quadrature):
+        counts = collections.Counter()
+        spec = counting_factors(smooth_case.problem, counts)
+        counts.clear()  # ProblemSpec samples g pointwise
+        ops = mc.assemble(*mesh_pair, spec)
+        space = sorted(k for k in counts if k[0] == "space")
+        assert len(space) == 6 and all(counts[k] == 1 for k in space)
+        time_keys = [("time",) + k[1:] for k in space]
+        assert not any(counts[k] for k in time_keys)
+
+        counts.clear()
+        cfg = mc.WindowConfig(t_f=0.2, N=2, M=(2, 3), r=(1, 1))
+        op = coupling.WindowOperator(ops, mc.crank_nicolson(), cfg, quadrature=quadrature)
+        sol = op.solve(tuple(ops.u0), window_index=2)
+        assert sol.residual < coupling.RESIDUAL_TOL
+        assert dict(counts) == dict.fromkeys(time_keys, 1)
+
+        counts.clear()
+        verify.reference_solve(ops, 0.25, 256)
+        assert set(counts) == set(time_keys)
+        assert len(set(counts.values())) == 1
+
+
+class TestReferenceQueries:
+    TIMES = np.array([-0.01, 0.0, 0.003, 1 / 64, 0.1, 0.17, 0.25, 0.3])
+
+    @pytest.fixture(scope="class")
+    def oracle(self, smooth_ops):
+        return mc.reference_solve(smooth_ops, 0.25, n_steps=64)
+
+    def test_states_match_piecewise_polynomials(self, oracle):
+        b = oracle.boundaries
+        got = oracle.states(self.TIMES)
+        for k, t in enumerate(self.TIMES):
+            n = min(max(int(np.searchsorted(b, t, side="right")) - 1, 0), len(b) - 2)
+            want = oracle.polys[n](t)
+            assert oracle.polys[n].interval.close_to(Interval(b[n], b[n + 1]))
+            assert np.array_equal(got[k], np.concatenate(oracle.state(t)))
+            assert np.allclose(got[k], want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+    def test_fluxes_match_pointwise_formula(self, oracle, smooth_ops):
+        ops = smooth_ops
+        for i in range(2):
+            got = oracle.fluxes(i, self.TIMES)
+            assert got.shape == (len(self.TIMES), ops.d_gamma)
+            for k, t in enumerate(self.TIMES):
+                u1, u2 = oracle.state(t)
+                g = spla.spsolve(ops.M_gamma.tocsc(), ops.g_vec(i, t))
+                want = ops.B[i, 0] * (ops.T[0] @ u1) + ops.B[i, 1] * (ops.T[1] @ u2) - g
+                assert np.allclose(got[k], want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+                assert np.allclose(oracle.flux(i, t), got[k], rtol=0, atol=1e-15 * np.max(np.abs(want)))
+
+
+def pointwise_error_norms(ops, traj, oracle):
+    """error_norms written with one scalar oracle query per quadrature point."""
+    q = traj.spec.q
+    l2_sq, flux_sq, nodal, sync = [0.0, 0.0], [0.0, 0.0], [[], []], []
+    for sol in traj.windows:
+        if sol.initialized_from_reference:
+            continue
+        for i in range(2):
+            for n, piece in enumerate(sol.u[i]):
+                for tk, wk in zip(*gauss_on(piece.interval, q + 4)):
+                    diff = piece(tk) - oracle.state(tk)[i]
+                    l2_sq[i] += wk * float(diff @ (ops.M[i] @ diff))
+                nodal[i].append(ops.mass_norm(i, sol.U[i][n + 1] - oracle.state(piece.interval.b)[i]))
+            if sol.F[i] is not None:
+                for tk, wk in zip(*gauss_on(sol.window, sol.F[i].order + 4)):
+                    diff = sol.F[i](tk) - oracle.flux(i, tk)
+                    flux_sq[i] += wk * float(diff @ (ops.M_gamma @ diff))
+        end = oracle.state(sol.window.b)
+        sync.append(math.sqrt(sum(ops.mass_norm(i, sol.U[i][-1] - end[i]) ** 2 for i in range(2))))
+    return np.sqrt(l2_sq), np.sqrt(flux_sq), nodal, sync
+
+
 class TestErrorNorms:
+    @pytest.mark.parametrize("r", [(1, 1), (0, 2)])
+    def test_batched_equals_pointwise(self, smooth_ops, r):
+        cfg = mc.WindowConfig(t_f=0.2, N=4, M=(2, 3), r=r)
+        traj = mc.run_simulation(smooth_ops, mc.crank_nicolson(), cfg)
+        oracle = mc.reference_solve(smooth_ops, 0.2, n_steps=128)
+        rep = mc.error_norms(smooth_ops, traj, oracle)
+        l2, flux, nodal, sync = pointwise_error_norms(smooth_ops, traj, oracle)
+        assert np.allclose(rep.l2, l2, rtol=1e-12, atol=0)
+        assert np.allclose(rep.flux_l2, flux, rtol=1e-12, atol=0)
+        assert min(rep.flux_l2) > 0
+        for i in range(2):
+            assert np.allclose(rep.nodal[i], nodal[i], rtol=1e-12, atol=0)
+        assert np.allclose(rep.sync, sync, rtol=1e-12, atol=0)
+
 
     def test_linear_solution_errors_at_floor(self, toy_linear_ops, run_and_oracle):
         traj, oracle = run_and_oracle
