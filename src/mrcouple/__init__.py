@@ -8,7 +8,6 @@ from .coupling import (
     WindowConfig,
     WindowOperator,
     WindowSolution,
-    assemble_window,
     check_flux_conservation,
     coupled_system,
     export_trajectory_csv,
@@ -19,7 +18,7 @@ from .coupling import (
     step_restriction_ratio,
     trace_projection,
 )
-from .dgit import SubstepBlock, assemble_substep, cn_substep, integrate, solve_substep
+from .dgit import SubstepBlock, assemble_substep, integrate, solve_substep
 from .fespace import (
     AdvectionSpec,
     FeOperators,

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -399,10 +400,7 @@ def _cmd_run(cfg: RunConfig, outdir: Path) -> int:
         "scheme": cfg.scheme.name,
         "quadrature": cfg.quadrature,
         "solver": cfg.solver["name"],
-        "final_energy": [
-            0.5 * float(traj.windows[-1].U[i][-1] @ (ops.M[i] @ traj.windows[-1].U[i][-1]))
-            for i in range(2)
-        ],
+        "final_energy": traj.side_energies[-1].tolist(),
         "d_omega": list(ops.d_omega),
         "d_gamma": ops.d_gamma,
         "step_restriction_ratio": coupling.step_restriction_ratio(cfg.window, ops.h),
@@ -414,59 +412,57 @@ def _cmd_run(cfg: RunConfig, outdir: Path) -> int:
     return EXIT_OK
 
 
-def _level_worker(args):
-    text, level = args
-    cfg = parse_config(text)
+_level_fn = None  # the study's level function, in a forked worker
+
+
+def _init_level_worker(fn) -> None:
+    global _level_fn
+    _level_fn = fn
+
+
+def _run_level(cfg: coupling.WindowConfig):
+    return _level_fn(cfg)
+
+
+def _forked_map(jobs: int):
+    """A map for convergence_study that runs the levels in `jobs` forked processes.
+
+    The level function holds the operators, the oracle and the initial
+    state, whose loads are closures; the workers inherit it by fork, so
+    only level configs and their (config, ErrorReport) results are pickled.
+    """
+
+    def pool_map(fn, configs):
+        configs = list(configs)
+        with ProcessPoolExecutor(
+            min(jobs, len(configs)),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_level_worker,
+            initargs=(fn,),
+        ) as pool:
+            return list(pool.map(_run_level, configs))
+
+    return pool_map
+
+
+def _cmd_convergence(cfg: RunConfig, outdir: Path, levels: int, jobs: int) -> int:
+    outdir.mkdir(parents=True, exist_ok=True)
     ops, _ = build_operators(cfg)
-    base = cfg.window
-    lvl_cfg = dataclasses.replace(base, N=base.N * 2**level)
-    u0 = (
-        verify.prepare_initial_state(ops, cfg.experiment["spin_up"])
-        if cfg.experiment["spin_up"] > 0
-        else None
-    )
-    oracle = verify.reference_solve(
-        ops,
-        base.t_f,
-        cfg.experiment["oracle_steps"],
-        scheme=cfg.experiment["oracle_scheme"],
-        u0=u0,
-    )
-    traj = coupling.run_simulation(
+    table = verify.convergence_study(
         ops,
         cfg.scheme,
-        lvl_cfg,
+        cfg.window,
+        levels,
+        target=cfg.experiment["target"],
         quadrature=cfg.quadrature,
         solver=cfg.solver["name"],
-        u0=u0,
+        oracle_scheme=cfg.experiment["oracle_scheme"],
+        oracle_steps=cfg.experiment["oracle_steps"],
+        spin_up=cfg.experiment["spin_up"],
         fp_tol=cfg.solver["tol"],
         fp_max_iter=cfg.solver["max_iter"],
+        map=_forked_map(jobs) if jobs > 1 else map,
     )
-    return lvl_cfg, verify.error_norms(ops, traj, oracle)
-
-
-def _cmd_convergence(cfg: RunConfig, text: str, outdir: Path, levels: int, jobs: int) -> int:
-    outdir.mkdir(parents=True, exist_ok=True)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_level_worker, [(text, lvl) for lvl in range(levels)]))
-        table = verify.rate_table(cfg.experiment["target"], results)
-    else:
-        ops, _ = build_operators(cfg)
-        table = verify.convergence_study(
-            ops,
-            cfg.scheme,
-            cfg.window,
-            levels,
-            target=cfg.experiment["target"],
-            quadrature=cfg.quadrature,
-            solver=cfg.solver["name"],
-            oracle_scheme=cfg.experiment["oracle_scheme"],
-            oracle_steps=cfg.experiment["oracle_steps"],
-            spin_up=cfg.experiment["spin_up"],
-            fp_tol=cfg.solver["tol"],
-            fp_max_iter=cfg.solver["max_iter"],
-        )
     with open(outdir / "rates.csv", "w") as fh:
         table.write_csv(fh)
     for note in table.notes:
@@ -560,7 +556,10 @@ def main(argv=None) -> int:
         if levels < 3:
             print("config error: convergence needs at least 3 levels", file=sys.stderr)
             return EXIT_CONFIG
-        return _cmd_convergence(cfg, text, Path(args.out), levels, args.jobs)
+        if args.jobs < 1:
+            print(f"config error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+            return EXIT_CONFIG
+        return _cmd_convergence(cfg, Path(args.out), levels, args.jobs)
     except (coupling.SolverError, coupling.ContractionError) as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_FAIL

@@ -628,18 +628,6 @@ class WindowOperator:
         return [TimePoly(p.interval, np.stack([mid[n], half[n]])) for n, p in enumerate(polys)]
 
 
-def assemble_window(
-    ops: FeOperators,
-    spec: SchemeSpec,
-    cfg: WindowConfig,
-    *,
-    quadrature: str = "exact",
-    keep_traces: bool = False,
-) -> WindowOperator:
-    """Build the monolithic window system (matrix shared by all windows)."""
-    return WindowOperator(ops, spec, cfg, quadrature=quadrature, keep_traces=keep_traces)
-
-
 def solve_window_fixed_point(
     ops: FeOperators,
     spec: SchemeSpec,
@@ -811,16 +799,15 @@ class Trajectory:
 
     windows: list
     sync_times: np.ndarray
-    energies: np.ndarray
+    side_energies: np.ndarray  # (N + 1, 2): 1/2 U_i^T M_i U_i at each synchronization time
     spec: SchemeSpec
     cfg: WindowConfig
     quadrature: str
     solver: str
 
     @property
-    def final_state(self):
-        last = self.windows[-1]
-        return tuple(last.U[i][-1] for i in range(2))
+    def energies(self) -> np.ndarray:
+        return self.side_energies[:, 0] + self.side_energies[:, 1]
 
 
 def _fill_init_windows(ops, spec, cfg, u0, n_init: int):
@@ -972,12 +959,11 @@ def run_simulation(
         if sol.F[0] is not None:
             flux_guess = sol.F
 
-    sync = cfg.sync_times()
-    energies = np.empty(cfg.N + 1)
-    energies[0] = ops.energy(u0[0], u0[1])
-    for n, sol in enumerate(windows, start=1):
-        energies[n] = ops.energy(sol.U[0][-1], sol.U[1][-1])
-    return Trajectory(windows, sync, energies, spec, cfg, quadrature, solver)
+    states = [u0] + [tuple(sol.U[i][-1] for i in range(2)) for sol in windows]
+    side_energies = np.array(
+        [[0.5 * float(v @ (ops.M[i] @ v)) for i, v in enumerate(state)] for state in states]
+    )
+    return Trajectory(windows, cfg.sync_times(), side_energies, spec, cfg, quadrature, solver)
 
 
 def export_trajectory_csv(traj: Trajectory, ops: FeOperators, stream) -> None:
@@ -991,12 +977,10 @@ def export_trajectory_csv(traj: Trajectory, ops: FeOperators, stream) -> None:
         return f"{x:.17g}"
 
     stream.write("window,t_sync,energy_1,energy_2,flux_conservation_residual,interfacial_energy_term\n")
-    e1_0 = 0.5 * float(traj.windows[0].U[0][0] @ (ops.M[0] @ traj.windows[0].U[0][0]))
-    e2_0 = 0.5 * float(traj.windows[0].U[1][0] @ (ops.M[1] @ traj.windows[0].U[1][0]))
-    stream.write(f"0,{fmt(traj.sync_times[0])},{fmt(e1_0)},{fmt(e2_0)},nan,nan\n")
+    e1, e2 = traj.side_energies[0]
+    stream.write(f"0,{fmt(traj.sync_times[0])},{fmt(e1)},{fmt(e2)},nan,nan\n")
     for n, sol in enumerate(traj.windows, start=1):
-        e1 = 0.5 * float(sol.U[0][-1] @ (ops.M[0] @ sol.U[0][-1]))
-        e2 = 0.5 * float(sol.U[1][-1] @ (ops.M[1] @ sol.U[1][-1]))
+        e1, e2 = traj.side_energies[n]
         cons = (
             fmt(check_flux_conservation(sol, ops, cons_mode).relative) if can_cons else "nan"
         )

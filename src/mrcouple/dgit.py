@@ -178,10 +178,6 @@ class SubstepBlock:
     flux: Optional[sp.csr_matrix]
     _lu: object = dataclasses.field(default=None, repr=False)
 
-    @property
-    def n_side_rows(self) -> int:
-        return self.spec.n_s * self.d
-
     def load_moments(self, load_fn: Optional[Callable], npts: int = LOAD_QUAD_PTS) -> np.ndarray:
         """RHS vector of the data term, integrated against each test mode."""
         return load_moments(
@@ -316,15 +312,6 @@ def assemble_substep(
         r=r_i,
         TtMg=TtMg,
         quadrature=quadrature,
-    )
-
-
-def cn_substep(ops, i: int, interval: Interval, window: Interval, r_i: int) -> SubstepBlock:
-    """Classical Crank-Nicolson step: pinned endpoints, endpoint-trapezoid data."""
-    from .timepoly import crank_nicolson
-
-    return assemble_substep(
-        ops, i, crank_nicolson(), interval, r_i, window, quadrature="trapezoid"
     )
 
 

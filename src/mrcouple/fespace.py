@@ -230,9 +230,6 @@ class FeOperators:
     def mass_norm(self, i: int, v: np.ndarray) -> float:
         return float(np.sqrt(max(0.0, v @ (self.M[i] @ v))))
 
-    def energy(self, U1: np.ndarray, U2: np.ndarray) -> float:
-        return 0.5 * float(U1 @ (self.M[0] @ U1)) + 0.5 * float(U2 @ (self.M[1] @ U2))
-
 
 def _load_or_zero(fn, t, d: int) -> np.ndarray:
     if fn is None:

@@ -249,17 +249,6 @@ class TimePoly:
         return TimePoly(self.interval, 2.0 / self.interval.length * c)
 
 
-def _as_sample_matrix(vals, ncols: int) -> np.ndarray:
-    v = np.asarray(vals, dtype=float)
-    if v.ndim == 0:
-        v = v.reshape(1)
-    if v.ndim == 1:
-        if ncols == 1 and v.shape[0] != 1:
-            return v.reshape(-1, 1)
-        return v.reshape(1, -1) if v.shape[0] == ncols else v.reshape(-1, 1)
-    return v
-
-
 def project_l2(f, interval: Interval, k: int, *, npts: int | None = None) -> TimePoly:
     """L2-orthogonal projection of f onto polynomials of order k.
 

@@ -11,6 +11,7 @@ measured ones.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Optional, Sequence
 
@@ -407,6 +408,7 @@ def convergence_study(
     spin_up: float = 0.0,
     fp_tol: float = 1e-10,
     fp_max_iter: int = 200,
+    map: Callable = map,
 ) -> RateTable:
     """Halve the window size `levels - 1` times and fit the error decay rate.
 
@@ -415,6 +417,11 @@ def convergence_study(
     burn-in state of prepare_initial_state.  fp_tol and fp_max_iter go to
     run_simulation's fixed-point solver.  Levels whose error sits at the
     roundoff floor are excluded from the fit and noted.
+
+    Spin-up and the oracle are computed once, here; `map(fn, configs)`
+    then applies the level function (one run_simulation and its
+    error_norms) to each level's WindowConfig, coarsest first, and must
+    yield fn's (config, ErrorReport) results in that order.
     """
     if levels < 3:
         raise ValueError("a rate needs at least 3 refinement levels")
@@ -428,21 +435,25 @@ def convergence_study(
         oracle = reference_solve(
             ops, base_cfg.t_f, oracle_steps, scheme=oracle_scheme, u0=u0
         )
-    results = []
-    for lvl in range(levels):
-        cfg = dataclasses.replace(base_cfg, N=base_cfg.N * 2**lvl)
-        traj = run_simulation(
-            ops,
-            spec,
-            cfg,
-            quadrature=quadrature,
-            solver=solver,
-            u0=u0,
-            fp_tol=fp_tol,
-            fp_max_iter=fp_max_iter,
-        )
-        results.append((cfg, error_norms(ops, traj, oracle)))
-    return rate_table(target, results)
+    level = functools.partial(
+        _level_errors,
+        ops,
+        spec,
+        oracle,
+        quadrature=quadrature,
+        solver=solver,
+        u0=u0,
+        fp_tol=fp_tol,
+        fp_max_iter=fp_max_iter,
+    )
+    configs = [dataclasses.replace(base_cfg, N=base_cfg.N * 2**lvl) for lvl in range(levels)]
+    return rate_table(target, list(map(level, configs)))
+
+
+def _level_errors(ops, spec, oracle, cfg: WindowConfig, **run_kwargs) -> tuple:
+    """One study level: (cfg, error_norms of run_simulation on cfg)."""
+    traj = run_simulation(ops, spec, cfg, **run_kwargs)
+    return cfg, error_norms(ops, traj, oracle)
 
 
 def rate_table(target: str, results: Sequence[tuple]) -> RateTable:

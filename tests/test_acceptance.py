@@ -195,7 +195,7 @@ def test_07_fixed_point_direct_equivalence():
     )
     tol = 1e-10
     ok_cfg = mc.WindowConfig(t_f=0.01, N=1, M=(1, 2), r=(1, 1))
-    op = mc.assemble_window(stiff, mc.crank_nicolson(), ok_cfg, quadrature="trapezoid")
+    op = mc.WindowOperator(stiff, mc.crank_nicolson(), ok_cfg, quadrature="trapezoid")
     direct = op.solve(tuple(stiff.u0))
     fp = mc.solve_window_fixed_point(
         stiff, mc.crank_nicolson(), ok_cfg, tuple(stiff.u0), quadrature="trapezoid", tol=tol

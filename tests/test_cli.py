@@ -163,6 +163,16 @@ class TestMainConvergence:
         config = write_config(tmp_path, MINIMAL)
         assert cli.main(["convergence", "--config", str(config), "--levels", "2"]) == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_config_error(self, tmp_path, capsys, jobs):
+        config = write_config(tmp_path, MINIMAL)
+        out = tmp_path / "conv"
+        argv = ["convergence", "--config", str(config), "--out", str(out), "--jobs", jobs]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"config error: --jobs must be at least 1, got {jobs}"]
+        assert not out.exists()
+
     def test_parallel_levels_match_sequential(self, tmp_path, capsys):
         payload = json.loads(json.dumps(MINIMAL))
         payload["window"] = {"t_f": 0.5, "N": 2, "M1": 1, "M2": 2, "r1": 1, "r2": 1}

@@ -141,7 +141,7 @@ class TestFluxSolve:
 class TestWindowAssembly:
     def test_toy_dimension_count(self, toy_ops):
         cfg = mc.WindowConfig(t_f=0.1, N=1, M=(1, 2), r=(1, 1))
-        op = mc.assemble_window(toy_ops, mc.crank_nicolson(), cfg)
+        op = mc.WindowOperator(toy_ops, mc.crank_nicolson(), cfg)
         # substeps: (q+2) unknowns each, then (r_i+1) flux modes per side
         assert op.dim == 3 * 1 + 3 * 2 + 2 + 2 == 13
 
@@ -186,20 +186,20 @@ class TestWindowAssembly:
 
     def test_direct_residual_recorded(self, toy_ops):
         cfg = mc.WindowConfig(t_f=0.1, N=1, M=(2, 3), r=(1, 1))
-        op = mc.assemble_window(toy_ops, mc.crank_nicolson(), cfg)
+        op = mc.WindowOperator(toy_ops, mc.crank_nicolson(), cfg)
         sol = op.solve(incoming(toy_ops))
         assert sol.residual < 1e-12
 
     def test_residual_check_rejects_wrong_factor(self, decay_ops):
         cfg = mc.WindowConfig(t_f=0.1, N=1, M=(2, 3), r=(1, 1))
-        op = mc.assemble_window(decay_ops, mc.crank_nicolson(), cfg, quadrature="trapezoid")
+        op = mc.WindowOperator(decay_ops, mc.crank_nicolson(), cfg, quadrature="trapezoid")
         op._lu = dgit.factorize(op.matrix + 1e-6 * sp.identity(op.dim, format="csr"))
         with pytest.raises(mc.SolverError, match="residual"):
             op.solve(incoming(decay_ops))
 
     def test_keep_traces(self, toy_ops):
         cfg = mc.WindowConfig(t_f=0.1, N=1, M=(1, 2), r=(1, 1))
-        op = mc.assemble_window(toy_ops, mc.crank_nicolson(), cfg, keep_traces=True)
+        op = mc.WindowOperator(toy_ops, mc.crank_nicolson(), cfg, keep_traces=True)
         sol = op.solve(incoming(toy_ops))
         assert sol.traces is not None
         # the stored trace satisfies its defining projection identity
@@ -216,7 +216,7 @@ class TestWindowAssembly:
         # mode, where they average side values rather than polynomial ends
         cfg = mc.WindowConfig(t_f=0.05, N=1, M=(2, 3), r=(1, 1))
         scheme = mc.shipped_schemes()[scheme_name]
-        op = mc.assemble_window(toy_ops, scheme, cfg, quadrature=quadrature, keep_traces=True)
+        op = mc.WindowOperator(toy_ops, scheme, cfg, quadrature=quadrature, keep_traces=True)
         sol = op.solve(incoming(toy_ops))
         F = mc.flux_solve(sol.traces[0], sol.traces[1], toy_ops.B, cfg.r)
         for i in range(2):
@@ -272,7 +272,7 @@ class TestFactorize:
     CFG = mc.WindowConfig(t_f=0.05, N=5, M=(2, 3), r=(1, 1))
 
     def test_less_fill_than_colamd(self, free_ops16):
-        op = mc.assemble_window(free_ops16, mc.crank_nicolson(), self.CFG, quadrature="trapezoid")
+        op = mc.WindowOperator(free_ops16, mc.crank_nicolson(), self.CFG, quadrature="trapezoid")
         ours = dgit.factorize(op.matrix)
         colamd = spla.splu(op.matrix.tocsc())
         assert ours.L.nnz + ours.U.nnz < colamd.L.nnz + colamd.U.nnz
@@ -328,7 +328,7 @@ class TestFixedPoint:
     def test_matches_direct_within_tolerance(self, toy_ops):
         cfg = mc.WindowConfig(t_f=0.05, N=1, M=(2, 3), r=(1, 1))
         tol = 1e-10
-        op = mc.assemble_window(toy_ops, mc.crank_nicolson(), cfg, quadrature="trapezoid")
+        op = mc.WindowOperator(toy_ops, mc.crank_nicolson(), cfg, quadrature="trapezoid")
         direct = op.solve(incoming(toy_ops))
         fp = mc.solve_window_fixed_point(
             toy_ops, mc.crank_nicolson(), cfg, incoming(toy_ops),
@@ -375,7 +375,7 @@ class TestFixedPoint:
         scheme = mc.shipped_schemes()[scheme_name]
         cfg = mc.WindowConfig(t_f=0.05, N=1, M=(2, 3), r=(1, 1))
         tol = 1e-12
-        op = mc.assemble_window(toy_ops, scheme, cfg, quadrature=quadrature)
+        op = mc.WindowOperator(toy_ops, scheme, cfg, quadrature=quadrature)
         direct = op.solve(incoming(toy_ops))
         fp = mc.solve_window_fixed_point(
             toy_ops, scheme, cfg, incoming(toy_ops), quadrature=quadrature, tol=tol
@@ -595,7 +595,7 @@ class TestRunSimulation:
     def test_two_step_window_depends_on_history(self, toy_linear_ops):
         cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1))
         traj = mc.run_simulation(toy_linear_ops, self.MEAN_TWO_BACK, cfg, quadrature="exact")
-        op = mc.assemble_window(toy_linear_ops, self.MEAN_TWO_BACK, cfg)
+        op = mc.WindowOperator(toy_linear_ops, self.MEAN_TWO_BACK, cfg)
         prev = traj.windows[0]
         inc = tuple(prev.U[i][-1] for i in range(2))
         hist = tuple([prev.U[i][-2]] for i in range(2))

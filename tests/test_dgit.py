@@ -101,7 +101,9 @@ class TestTrapezoidAgreement:
         rng = np.random.default_rng(4)
         fmodes = rng.standard_normal((2, 1))
         exact = dgit.assemble_substep(toy_ops, 0, mc.crank_nicolson(), iv, 1, window)
-        trap = dgit.cn_substep(toy_ops, 0, iv, window, 1)
+        trap = dgit.assemble_substep(
+            toy_ops, 0, mc.crank_nicolson(), iv, 1, window, quadrature="trapezoid"
+        )
         U0 = rng.standard_normal(1)
         p1, U1 = dgit.solve_substep(exact, [U0], flux_modes=fmodes)
         p2, U2 = dgit.solve_substep(trap, [U0], flux_modes=fmodes)

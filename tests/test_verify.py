@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import mrcouple as mc
-from mrcouple import coupling, dgit, verify
+from mrcouple import cli, coupling, dgit, verify
 from mrcouple.timepoly import Interval, gauss_on
 
 ADVECTIONS = {
@@ -367,6 +367,47 @@ class TestConvergenceStudy:
                 toy_linear_ops, mc.crank_nicolson(), base, 3,
                 u0=(np.array([1.0]), np.array([1.0])), spin_up=0.1,
             )
+
+    def test_spin_up_and_oracle_run_once_whatever_the_map(self, toy_linear_ops, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            verify, "prepare_initial_state", counted("spin-up", verify.prepare_initial_state)
+        )
+        monkeypatch.setattr(verify, "reference_solve", counted("oracle", verify.reference_solve))
+        seen = []
+
+        def recording_map(fn, configs):
+            configs = list(configs)
+            seen.extend(configs)
+            return map(fn, configs)
+
+        base = mc.WindowConfig(t_f=0.5, N=2, M=(1, 2), r=(1, 1))
+        levels = 4
+
+        def study(executor):
+            calls.clear()
+            table = verify.convergence_study(
+                toy_linear_ops, mc.crank_nicolson(), base, levels,
+                quadrature="trapezoid", oracle_steps=256, spin_up=0.1, map=executor,
+            )
+            assert calls == {"spin-up": 1, "oracle": 1}
+            return table
+
+        recorded = study(recording_map)
+        assert [cfg.N for cfg in seen] == [base.N * 2**lvl for lvl in range(levels)]
+        assert not all(row.excluded for row in recorded.rows)
+        # the loads are closures: the forked workers inherit the level function
+        forked = study(cli._forked_map(2))
+        assert repr(forked.rows) == repr(recorded.rows)
+        assert forked.notes == recorded.notes
 
 
 class TestOracleIndependence:
