@@ -120,6 +120,11 @@ def parse_config(text: str) -> RunConfig:
                 geometry[key] = tuple(val)
             else:
                 problems.append(f"geometry.{key}: expected a positive int or pair")
+        if geometry["nx"][0] != geometry["nx"][1]:
+            problems.append(
+                "geometry.nx: the subdomains share one interface grid, so the two nx "
+                f"must be equal, got {list(geometry['nx'])}"
+            )
 
     problem = {
         "nu": (1.0, 1.0),
@@ -270,7 +275,11 @@ def parse_config(text: str) -> RunConfig:
         else:
             solver["name"] = name
         solver["tol"] = _get(problems, sol, "tol", "solver", float, 1e-10)
+        if solver["tol"] <= 0:
+            problems.append(f"solver.tol: must be positive, got {solver['tol']}")
         solver["max_iter"] = _get(problems, sol, "max_iter", "solver", int, 200)
+        if solver["max_iter"] < 1:
+            problems.append(f"solver.max_iter: must be at least 1, got {solver['max_iter']}")
 
     experiment = {
         "kind": "run",
@@ -296,7 +305,13 @@ def parse_config(text: str) -> RunConfig:
         experiment["oracle_scheme"] = _get(
             problems, exp, "oracle_scheme", "experiment", str, "cn"
         )
-        experiment["oracle_steps"] = _get(problems, exp, "oracle_steps", "experiment", int, None)
+        if experiment["oracle_scheme"] not in ("cn", "dg2"):
+            problems.append("experiment.oracle_scheme: expected cn|dg2")
+        steps = experiment["oracle_steps"] = _get(
+            problems, exp, "oracle_steps", "experiment", int, None
+        )
+        if steps is not None and steps < 1:
+            problems.append(f"experiment.oracle_steps: must be at least 1, got {steps}")
         spin_up = _get(problems, exp, "spin_up", "experiment", float, 0.0)
         if spin_up is not None:
             if spin_up < 0:
@@ -430,6 +445,8 @@ def _forked_map(jobs: int):
     The level function holds the operators, the oracle and the initial
     state, whose loads are closures; the workers inherit it by fork, so
     only level configs and their (config, ErrorReport) results are pickled.
+    The level with the most windows is the slowest, so levels are submitted
+    finest first; results come back in the order of the configs.
     """
 
     def pool_map(fn, configs):
@@ -440,7 +457,9 @@ def _forked_map(jobs: int):
             initializer=_init_level_worker,
             initargs=(fn,),
         ) as pool:
-            return list(pool.map(_run_level, configs))
+            finest_first = sorted(range(len(configs)), key=lambda k: configs[k].N, reverse=True)
+            futures = {k: pool.submit(_run_level, configs[k]) for k in finest_first}
+            return [futures[k].result() for k in range(len(configs))]
 
     return pool_map
 

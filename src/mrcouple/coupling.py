@@ -265,6 +265,11 @@ class WindowOperator:
             raise ValueError(f"unknown quadrature {quadrature!r}")
         if solver not in ("direct", "fixed-point"):
             raise ValueError(f"unknown solver {solver!r}")
+        if fp_max_iter < 1 or fp_tol <= 0:
+            raise ValueError(
+                f"fixed-point settings need fp_max_iter >= 1 and fp_tol > 0, "
+                f"got {fp_max_iter} and {fp_tol}"
+            )
         self.ops, self.spec, self.cfg = ops, spec, cfg
         self.quadrature = quadrature
         self.keep_traces = keep_traces
@@ -351,9 +356,9 @@ class WindowOperator:
             if block is None:
                 return
             b = sp.coo_matrix(block)
-            rows.extend(b.row + r0)
-            cols.extend(b.col + c0)
-            data.extend(b.data)
+            rows.append(b.row + r0)
+            cols.append(b.col + c0)
+            data.append(b.data)
 
         for i in range(2):
             for n in range(1, cfg.M[i] + 1):
@@ -409,7 +414,8 @@ class WindowOperator:
                                     c0 + a * d[j],
                                 )
         mat = sp.coo_matrix(
-            (data, (np.asarray(rows), np.asarray(cols))), shape=(self.dim, self.dim)
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.dim, self.dim),
         )
         return mat.tocsr()
 

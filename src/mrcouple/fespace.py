@@ -272,43 +272,28 @@ def _assemble_domain(mesh: Mesh, nu: float, adv: AdvectionSpec):
     hx, hy = mesh.hx, mesh.hy
     detj = hx * hy / 4.0
     gx, gy = (2.0 / hx) * dNxi, (2.0 / hy) * dNeta
-    m_loc = local_mass(hx, hy)
-    a_loc = local_stiffness(hx, hy, nu)
-    velocity = adv.velocity(mesh.subdomain)
+    dofs = mesh.free_dof[mesh.quads]  # (nel, 4)
+    rows = np.broadcast_to(dofs[:, :, None], dofs.shape + (4,))
+    cols = np.broadcast_to(dofs[:, None, :], rows.shape)
+    valid = (rows >= 0) & (cols >= 0)
+    if adv.is_zero:
+        b_loc = np.zeros(rows.shape)
+    else:
+        origins = mesh.nodes[mesh.quads[:, 0]]
+        sx, sy = adv.velocity(mesh.subdomain)(
+            origins[:, :1] + hx * (1 + xi) / 2.0, origins[:, 1:] + hy * (1 + eta) / 2.0
+        )  # (nel, ngp)
+        # divergence form: rows test, cols trial; all presets have div s = 0
+        conv = sx[:, None, :] * gx + sy[:, None, :] * gy
+        b_loc = (detj * (N * W))[None] @ conv.transpose(0, 2, 1)
 
-    n_free = mesh.n_free
-    rows, cols, m_vals, a_vals, b_vals = [], [], [], [], []
-    for quad in mesh.quads:
-        dofs = mesh.free_dof[quad]
-        x0, y0 = mesh.nodes[quad[0]]
-        if adv.is_zero:
-            b_loc = np.zeros((4, 4))
-        else:
-            xg = x0 + hx * (1 + xi) / 2.0
-            yg = y0 + hy * (1 + eta) / 2.0
-            sx, sy = velocity(xg, yg)
-            # divergence form: rows test, cols trial; all presets have div s = 0
-            conv = sx * gx + sy * gy
-            b_loc = detj * (N * W) @ conv.T
-        for a_ in range(4):
-            ia = dofs[a_]
-            if ia < 0:
-                continue
-            for b_ in range(4):
-                ib = dofs[b_]
-                if ib < 0:
-                    continue
-                rows.append(ia)
-                cols.append(ib)
-                m_vals.append(m_loc[a_, b_])
-                a_vals.append(a_loc[a_, b_])
-                b_vals.append(b_loc[a_, b_])
+    def build(local):
+        vals = np.broadcast_to(local, rows.shape)[valid]
+        return sp.coo_matrix(
+            (vals, (rows[valid], cols[valid])), shape=(mesh.n_free, mesh.n_free)
+        ).tocsr()
 
-    shape = (n_free, n_free)
-    M = sp.coo_matrix((m_vals, (rows, cols)), shape=shape).tocsr()
-    A = sp.coo_matrix((a_vals, (rows, cols)), shape=shape).tocsr()
-    B_adv = sp.coo_matrix((b_vals, (rows, cols)), shape=shape).tocsr()
-    return M, A, B_adv
+    return build(local_mass(hx, hy)), build(local_stiffness(hx, hy, nu)), build(b_loc)
 
 
 def _interface_segments(mesh: Mesh, imap: InterfaceMap) -> np.ndarray:

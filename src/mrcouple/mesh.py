@@ -60,37 +60,21 @@ def build_mesh(subdomain: int, nx: int, ny: int) -> Mesh:
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])  # row-major: id = iy*(nx+1)+ix
 
-    def nid(ix, iy):
-        return iy * (nx + 1) + ix
-
-    quads = np.array(
-        [
-            [nid(ix, iy), nid(ix + 1, iy), nid(ix + 1, iy + 1), nid(ix, iy + 1)]
-            for iy in range(ny)
-            for ix in range(nx)
-        ],
-        dtype=int,
-    )
+    corner = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()  # lower left
+    quads = np.stack([corner, corner + 1, corner + nx + 2, corner + nx + 1], axis=1)
 
     iy_interface = 0 if subdomain == 1 else ny
+    IX, IY = (g.ravel() for g in np.meshgrid(np.arange(nx + 1), np.arange(ny + 1)))
+    on_side = (IX == 0) | (IX == nx)
     kind = np.full(len(nodes), INTERIOR, dtype=np.int8)
-    for iy in range(ny + 1):
-        for ix in range(nx + 1):
-            on_side = ix == 0 or ix == nx
-            on_far = iy == (ny if subdomain == 1 else 0)
-            on_interface_row = iy == iy_interface
-            if on_interface_row and not on_side:
-                kind[nid(ix, iy)] = INTERFACE
-            elif on_side or on_far:
-                kind[nid(ix, iy)] = DIRICHLET
+    kind[on_side | (IY == ny - iy_interface)] = DIRICHLET  # sides and far row
+    kind[(IY == iy_interface) & ~on_side] = INTERFACE
 
     free_dof = np.full(len(nodes), -1, dtype=int)
     free = np.flatnonzero(kind != DIRICHLET)
     free_dof[free] = np.arange(len(free))
 
-    interface_nodes = np.array(
-        [nid(ix, iy_interface) for ix in range(1, nx)], dtype=int
-    )
+    interface_nodes = iy_interface * (nx + 1) + np.arange(1, nx)
     h = float(np.hypot(1.0 / nx, 1.0 / ny))
     for arr in (nodes, quads, kind, free_dof, interface_nodes):
         arr.flags.writeable = False

@@ -1,8 +1,9 @@
+import concurrent.futures
 import json
 
 import pytest
 
-from mrcouple import cli
+from mrcouple import cli, coupling
 
 
 MINIMAL = {
@@ -25,6 +26,12 @@ class TestParseConfig:
         assert cfg.scheme.name == "crank-nicolson"
         assert cfg.quadrature == "trapezoid"
         assert cfg.window.M == (2, 3)
+
+    def test_unequal_ny_accepted(self):
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["geometry"] = {"nx": 4, "ny": [4, 6]}
+        ops, _ = cli.build_operators(cli.parse_config(json.dumps(payload)))
+        assert ops.d_gamma == 3 and ops.d_omega == (3 * 4, 3 * 6)
 
     def test_zero_substeps_names_field(self):
         payload = json.loads(json.dumps(MINIMAL))
@@ -172,6 +179,51 @@ class TestMainConvergence:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"config error: --jobs must be at least 1, got {jobs}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("solver", "max_iter", 0),
+            ("solver", "tol", -1.0),
+            ("experiment", "oracle_scheme", "rk4"),
+            ("experiment", "oracle_steps", 0),
+            ("geometry", "nx", [4, 8]),
+        ],
+    )
+    def test_bad_setting_is_config_error(self, tmp_path, capsys, section, key, value):
+        payload = json.loads(json.dumps(MINIMAL))
+        payload.setdefault(section, {})[key] = value
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "conv"
+        assert cli.main(["convergence", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {section}.{key}:")
+        assert not out.exists()
+
+    def test_forked_map_submits_finest_level_first(self, monkeypatch):
+        submitted = []
+
+        class InlinePool:
+            def __init__(self, workers, mp_context, initializer, initargs):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, cfg):
+                submitted.append(cfg.N)
+                future = concurrent.futures.Future()
+                future.set_result(fn(cfg))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "_level_fn", None)
+        configs = [coupling.WindowConfig(t_f=1.0, N=n) for n in (4, 8, 16)]
+        assert cli._forked_map(2)(lambda cfg: cfg.N, configs) == [4, 8, 16]
+        assert submitted == [16, 8, 4]
 
     def test_parallel_levels_match_sequential(self, tmp_path, capsys):
         payload = json.loads(json.dumps(MINIMAL))

@@ -325,6 +325,12 @@ class TestFixedPoint:
         assert sol.iterations <= 2
         assert sol.U[0][-1][0] == pytest.approx(0.6, abs=1e-12)
 
+    @pytest.mark.parametrize("settings", [{"fp_max_iter": 0}, {"fp_tol": 0.0}, {"fp_tol": -1.0}])
+    def test_bad_settings_rejected(self, toy_ops, settings):
+        cfg = mc.WindowConfig(t_f=0.05, N=1, M=(1, 1))
+        with pytest.raises(ValueError, match="fixed-point settings"):
+            mc.WindowOperator(toy_ops, mc.crank_nicolson(), cfg, solver="fixed-point", **settings)
+
     def test_matches_direct_within_tolerance(self, toy_ops):
         cfg = mc.WindowConfig(t_f=0.05, N=1, M=(2, 3), r=(1, 1))
         tol = 1e-10

@@ -7,8 +7,10 @@ import scipy.sparse as sp
 import mrcouple as mc
 from mrcouple.cli import _pulse_forcing
 from mrcouple.fespace import (
+    N_GP_MATRIX,
     AdvectionSpec,
     Separable,
+    _assemble_domain,
     _interface_mass,
     _shape_table,
     local_mass,
@@ -32,6 +34,37 @@ def dense_bilinear_load(mesh, w_nodal, nu, n_gp=6):
             if dof >= 0:
                 out[dof] += nu * detj * float(W @ (dwx * gx[a] + dwy * gy[a]))
     return out
+
+
+def elementwise_assembly(mesh, nu, adv):
+    """Reference (M, A, B_adv): one element at a time, one entry at a time."""
+    xi, eta, W, N, dNxi, dNeta = _shape_table(N_GP_MATRIX)
+    hx, hy = mesh.hx, mesh.hy
+    detj = hx * hy / 4.0
+    gx, gy = (2.0 / hx) * dNxi, (2.0 / hy) * dNeta
+    m_loc, a_loc = local_mass(hx, hy), local_stiffness(hx, hy, nu)
+    velocity = adv.velocity(mesh.subdomain)
+    rows, cols, m_vals, a_vals, b_vals = [], [], [], [], []
+    for quad in mesh.quads:
+        dofs = mesh.free_dof[quad]
+        x0, y0 = mesh.nodes[quad[0]]
+        b_loc = np.zeros((4, 4))
+        if not adv.is_zero:
+            sx, sy = velocity(x0 + hx * (1 + xi) / 2.0, y0 + hy * (1 + eta) / 2.0)
+            b_loc = detj * (N * W) @ (sx * gx + sy * gy).T
+        for a in range(4):
+            for b in range(4):
+                if dofs[a] >= 0 and dofs[b] >= 0:
+                    rows.append(dofs[a])
+                    cols.append(dofs[b])
+                    m_vals.append(m_loc[a, b])
+                    a_vals.append(a_loc[a, b])
+                    b_vals.append(b_loc[a, b])
+    shape = (mesh.n_free, mesh.n_free)
+    return tuple(
+        sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+        for vals in (m_vals, a_vals, b_vals)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +170,28 @@ class TestAssembly:
         for B_adv in ops.B_adv:
             scale = max(abs(B_adv).max(), 1e-30)
             assert abs(B_adv + B_adv.T).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("nx", [3, 5])
+    @pytest.mark.parametrize("subdomain", [1, 2])
+    @pytest.mark.parametrize(
+        "adv",
+        [
+            AdvectionSpec(),
+            AdvectionSpec(kind="constant", sx=0.7),
+            AdvectionSpec(kind="vortex", amplitude=1.5),
+        ],
+        ids=["zero", "constant", "vortex"],
+    )
+    def test_matches_elementwise_assembly(self, nx, subdomain, adv):
+        mesh = mc.build_mesh(subdomain, nx, nx + 1)
+        reference = elementwise_assembly(mesh, 0.7, adv)
+        for got, want in zip(_assemble_domain(mesh, 0.7, adv), reference):
+            got.sort_indices()
+            want.sort_indices()
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            scale = np.max(np.abs(want.data))
+            assert np.max(np.abs(got.data - want.data)) <= 1e-15 * scale
 
     def test_vortex_boundary_tangency(self):
         adv = AdvectionSpec(kind="vortex", amplitude=2.0)
