@@ -185,7 +185,7 @@ def parse_config(text: str) -> RunConfig:
         if forcing is not None:
             if forcing in _FORCING_PRESETS or forcing.startswith("mms:"):
                 problem["forcing"] = forcing
-                if forcing.startswith("mms:") and forcing[4:] not in verify._MMS_FORMS:
+                if forcing.startswith("mms:") and forcing[4:] not in verify.MMS_PRESETS:
                     problems.append(
                         f"problem.forcing: unknown manufactured preset {forcing[4:]!r}"
                     )
@@ -574,6 +574,19 @@ def main(argv=None) -> int:
         levels = args.levels if args.levels is not None else cfg.experiment["levels"]
         if levels < 3:
             print("config error: convergence needs at least 3 levels", file=sys.stderr)
+            return EXIT_CONFIG
+        steps = verify.oracle_step_count(
+            cfg.window.t_f, cfg.experiment["oracle_steps"], cfg.experiment["oracle_scheme"]
+        )
+        # bit_length first, so a huge level count never builds a huge power of two
+        if levels - 1 > steps.bit_length() or cfg.window.N * 2 ** (levels - 1) > steps:
+            where = "--levels" if args.levels is not None else "experiment.levels"
+            print(
+                f"config error: {where}: {levels} levels give the finest level "
+                f"{cfg.window.N}*2^{levels - 1} windows, more than the {steps} steps of "
+                "the oracle; that level would only measure the oracle's own error",
+                file=sys.stderr,
+            )
             return EXIT_CONFIG
         if args.jobs < 1:
             print(f"config error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)

@@ -16,7 +16,6 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import sympy
 
 from . import dgit
 from .coupling import Trajectory, WindowConfig, coupled_system, run_simulation
@@ -26,17 +25,39 @@ from .timepoly import SchemeSpec, crank_nicolson, dg, gauss_on, legendre_table
 ROUNDOFF_FLOOR = 1e-12
 
 
-def _lambdify(symbols: tuple, expr) -> Callable:
-    """Numpy function of expr whose values take the broadcast shape of its arguments."""
-    fn = sympy.lambdify(symbols, expr, "numpy")
+@dataclasses.dataclass(frozen=True)
+class MmsPreset:
+    """A manufactured pair u_i = sin(pi x) p_i(y) b(t).
 
-    def call(*args):
-        args = [np.asarray(a, dtype=float) for a in args]
-        shape = np.broadcast_shapes(*(a.shape for a in args))
-        out = np.asarray(fn(*args), dtype=float)
-        return np.broadcast_to(out, shape).copy() if out.shape != shape else out
+    p holds the coefficients of the quadratics p_1, p_2 in ascending
+    powers of y; time names b: "exp" for exp(-t), "linear" for 1 + t/2.
+    """
 
-    return call
+    p: tuple
+    time: str
+
+
+MMS_PRESETS = {
+    # (1 - y)(1 + y/2) and (1 + y)(1 - y/2)
+    "smooth": MmsPreset(p=((1.0, -0.5, -0.5), (1.0, 0.5, -0.5)), time="exp"),
+    # (1 - y)(y + 1/2) and -(1 + y)(1/2 - y): mirror negatives across y = 0
+    "antisym": MmsPreset(p=((0.5, 0.5, -1.0), (-0.5, 0.5, 1.0)), time="exp"),
+    "polyt": MmsPreset(p=((1.0, -0.5, -0.5), (1.0, 0.5, -0.5)), time="linear"),
+}
+
+# time kind -> (b, b', degree of b in t or None)
+_TIME_FACTORS = {
+    "exp": (
+        lambda t: np.exp(-np.asarray(t, dtype=float)),
+        lambda t: -np.exp(-np.asarray(t, dtype=float)),
+        None,
+    ),
+    "linear": (
+        lambda t: 1.0 + 0.5 * np.asarray(t, dtype=float),
+        lambda t: np.full(np.shape(t), 0.5),
+        1,
+    ),
+}
 
 
 @dataclasses.dataclass
@@ -46,28 +67,33 @@ class ManufacturedCase:
     name: str
     problem: ProblemSpec
     exact: tuple  # u_i(x, y, t)
-    residual: tuple  # pointwise PDE residual per subdomain (should vanish)
     temporal_degree: Optional[int]  # None for non-polynomial time dependence
 
+    @functools.cached_property
+    def residual(self) -> tuple:
+        """Pointwise PDE residual per subdomain (should vanish), derived symbolically."""
+        return _symbolic_residual(self)
 
-_MMS_FORMS = {
-    # (a_1, a_2, b) as strings over x, y and t: the exact pair is u_i = a_i(x, y) * b(t)
-    "smooth": (
-        "sin(pi*x)*(1 - y)*(1 + y/2)",
-        "sin(pi*x)*(1 + y)*(1 - y/2)",
-        "exp(-t)",
-    ),
-    "antisym": (
-        "sin(pi*x)*(1 - y)*(y + 1/2)",
-        "-sin(pi*x)*(1 + y)*(1/2 - y)",
-        "exp(-t)",
-    ),
-    "polyt": (
-        "sin(pi*x)*(1 - y)*(1 + y/2)",
-        "sin(pi*x)*(1 + y)*(1 - y/2)",
-        "1 + t/2",
-    ),
-}
+
+def _space_factors(c: tuple, nu: float, velocity: Callable) -> tuple:
+    """a = sin(pi x) p(y) for p with coefficients c, and -nu lap a + s . grad a."""
+
+    def a(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return np.sin(np.pi * x) * (c[0] + y * (c[1] + y * c[2]))
+
+    def operator(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        sin, cos = np.sin(np.pi * x), np.cos(np.pi * x)
+        p = c[0] + y * (c[1] + y * c[2])
+        sx, sy = velocity(x, y)
+        return (
+            nu * sin * (np.pi**2 * p - 2.0 * c[2])
+            + sx * np.pi * cos * p
+            + sy * sin * (c[1] + 2.0 * c[2] * y)
+        )
+
+    return a, operator
 
 
 def mms_case(
@@ -77,72 +103,35 @@ def mms_case(
     B=None,
     advection: tuple = (AdvectionSpec(), AdvectionSpec()),
 ) -> ManufacturedCase:
-    """Build a manufactured case: body and interface forcings derived symbolically.
+    """Build a manufactured case from the closed forms of its preset.
 
-    With u_i = a_i(x, y) b(t) and a steady advection field, both forcings
-    are Separable: f_i = a_i b' + (-div(nu_i grad a_i - s_i a_i)) b, and
-    g_i is the flux condition rearranged for g_i, using the outward normal
-    of each subdomain at the interface, applied to the a_i, times b.
+    With u_i = a_i(x, y) b(t) and a steady, divergence-free advection field
+    s_i, both forcings are Separable: f_i = a_i b' + (-nu_i lap a_i +
+    s_i . grad a_i) b, and g_i is the flux condition rearranged for g_i,
+    [B_i0 a_1 + B_i1 a_2 + nu_i n_i d_y a_i]_{y=0} b, with n_i the outward
+    normal of each subdomain at the interface.  residual_check compares f
+    with a symbolic derivation.
     """
-    if name not in _MMS_FORMS:
-        raise ValueError(f"unknown manufactured preset {name!r}; have {sorted(_MMS_FORMS)}")
+    if name not in MMS_PRESETS:
+        raise ValueError(f"unknown manufactured preset {name!r}; have {sorted(MMS_PRESETS)}")
     if B is None:
         B = np.array([[1.0, -1.0], [-1.0, 1.0]])
     B = np.asarray(B, dtype=float).reshape(2, 2)
-    x, y, t = sympy.symbols("x y t", real=True)
-    *a_sym, b_sym = (sympy.sympify(s, locals={"x": x, "y": y, "t": t}) for s in _MMS_FORMS[name])
-    u_sym = [a * b_sym for a in a_sym]
-    b_fn = _lambdify((t,), b_sym)
-    db_fn = _lambdify((t,), sympy.diff(b_sym, t))
-
-    s_sym = []
-    for i in range(2):
-        adv = advection[i]
-        if adv.kind == "zero":
-            s_sym.append((sympy.Integer(0), sympy.Integer(0)))
-        elif adv.kind == "constant":
-            s_sym.append((sympy.Float(adv.sx), sympy.Integer(0)))
-        else:
-            a = sympy.Float(adv.amplitude)
-            psi = a * x * (1 - x) * y * (1 - y) if i == 0 else a * x * (1 - x) * y * (1 + y)
-            s_sym.append((sympy.diff(psi, y), -sympy.diff(psi, x)))
-
-    f_fns, g_fns, u0_fns, u_fns, res_fns = [], [], [], [], []
+    preset = MMS_PRESETS[name]
+    b, db, degree = _TIME_FACTORS[preset.time]
     normals = (-1, 1)  # outward y-component at the interface, per subdomain
-    for i in range(2):
-        sx, sy = s_sym[i]
-
-        def flux_div(w):
-            return sympy.diff(nu[i] * sympy.diff(w, x) - sx * w, x) + sympy.diff(
-                nu[i] * sympy.diff(w, y) - sy * w, y
-            )
-
-        a = a_sym[i]
-        f_fns.append(
-            Separable(((_lambdify((x, y), a), db_fn), (_lambdify((x, y), -flux_div(a)), b_fn)))
+    f_fns, g_fns, u0_fns, u_fns = [], [], [], []
+    for i, c in enumerate(preset.p):
+        a, operator = _space_factors(c, nu[i], advection[i].velocity(i + 1))
+        f_fns.append(Separable(((a, db), (operator, b))))
+        # a_j(x, 0) = p_j(0) sin(pi x) and d_y a_i(x, 0) = p_i'(0) sin(pi x)
+        k = B[i, 0] * preset.p[0][0] + B[i, 1] * preset.p[1][0] + nu[i] * normals[i] * c[1]
+        g_fns.append(
+            Separable(((lambda x, k=k: k * np.sin(np.pi * np.asarray(x, dtype=float)), b),))
         )
-        g_space = (
-            B[i, 0] * a_sym[0] + B[i, 1] * a_sym[1] + nu[i] * normals[i] * sympy.diff(a, y)
-        ).subs(y, 0)
-        g_fns.append(Separable(((_lambdify((x,), g_space), b_fn),)))
-        u = u_sym[i]
-        u_fns.append(_lambdify((x, y, t), u))
-        u0_fns.append(
-            (lambda fn: (lambda xx, yy: fn(xx, yy, 0.0)))(u_fns[-1])
-        )
-        # residual evaluated from independently lambdified pieces
-        ut = _lambdify((x, y, t), sympy.diff(u, t))
-        fd = _lambdify((x, y, t), flux_div(u))
-        ff = f_fns[-1]
-        res_fns.append(
-            (lambda ut, fd, ff: (lambda xx, yy, tt: ut(xx, yy, tt) - fd(xx, yy, tt) - ff(xx, yy, tt)))(
-                ut, fd, ff
-            )
-        )
+        u_fns.append(lambda x, y, t, a=a: a(x, y) * b(t))
+        u0_fns.append(lambda x, y, a=a: a(x, y) * b(0.0))
 
-    deg = None
-    if all(u.is_polynomial(t) for u in u_sym):
-        deg = max(int(sympy.degree(u, t)) for u in u_sym)
     problem = ProblemSpec(
         nu=tuple(nu),
         advection=tuple(advection),
@@ -152,16 +141,50 @@ def mms_case(
         u0=tuple(u0_fns),
     )
     return ManufacturedCase(
-        name=name,
-        problem=problem,
-        exact=tuple(u_fns),
-        residual=tuple(res_fns),
-        temporal_degree=deg,
+        name=name, problem=problem, exact=tuple(u_fns), temporal_degree=degree
     )
 
 
+def _symbolic_residual(case: ManufacturedCase) -> tuple:
+    """u_t - div(nu grad u - s u) - f per subdomain, with u and s derived in sympy.
+
+    u comes from the preset table and s from the streamfunction of each
+    advection preset; f is the closed-form forcing of the case, evaluated
+    as built, so the two derivations share nothing but the table.
+    """
+    try:
+        import sympy
+    except ImportError as err:
+        raise ImportError(
+            "the manufactured residual check needs sympy; install the 'test' extra "
+            "(pip install 'mrcouple[test]')"
+        ) from err
+    preset = MMS_PRESETS[case.name]
+    x, y, t = sympy.symbols("x y t", real=True)
+    b = {"exp": sympy.exp(-t), "linear": 1 + t / 2}[preset.time]
+    residuals = []
+    for i, c in enumerate(preset.p):
+        u = sympy.sin(sympy.pi * x) * sum(sympy.Rational(ck) * y**k for k, ck in enumerate(c)) * b
+        adv, nu = case.problem.advection[i], case.problem.nu[i]
+        if adv.kind == "vortex":
+            psi = sympy.Float(adv.amplitude) * x * (1 - x) * y * ((1 - y) if i == 0 else (1 + y))
+            sx, sy = sympy.diff(psi, y), -sympy.diff(psi, x)
+        else:
+            sx, sy = (sympy.Float(adv.sx) if adv.kind == "constant" else 0), 0
+        flux_div = sympy.diff(nu * sympy.diff(u, x) - sx * u, x) + sympy.diff(
+            nu * sympy.diff(u, y) - sy * u, y
+        )
+        strong = sympy.lambdify((x, y, t), sympy.diff(u, t) - flux_div, "numpy")
+        f = case.problem.f[i]
+        residuals.append(lambda xx, yy, tt, strong=strong, f=f: strong(xx, yy, tt) - f(xx, yy, tt))
+    return tuple(residuals)
+
+
 def residual_check(case: ManufacturedCase, n: int = 20, seed: int = 7) -> float:
-    """Max pointwise model residual of the manufactured pair at random points."""
+    """Max pointwise model residual of the manufactured pair at random points.
+
+    Needs sympy (the 'test' extra): the residual is derived symbolically.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(2):
@@ -247,6 +270,20 @@ def prepare_initial_state(
     return side[-1][s1], side[-1][s2]
 
 
+_ORACLE_STEPS_PER_UNIT_TIME = {"cn": 2**12, "dg2": 2**9}
+
+
+def oracle_step_count(t_f: float, n_steps: Optional[int] = None, scheme: str = "cn") -> int:
+    """Steps of reference_solve on (0, t_f): n_steps if given, else the
+    scheme's default rate (2^12 steps per unit time for "cn", 2^9 for
+    "dg2"), at least 64."""
+    if scheme not in _ORACLE_STEPS_PER_UNIT_TIME:
+        raise ValueError(f"unknown reference scheme {scheme!r}")
+    if n_steps is not None:
+        return n_steps
+    return max(64, int(round(_ORACLE_STEPS_PER_UNIT_TIME[scheme] * t_f)))
+
+
 def reference_solve(
     ops: FeOperators,
     t_f: float,
@@ -257,19 +294,11 @@ def reference_solve(
 ) -> ReferenceTrajectory:
     """Single-rate overkill solve of the coupled system on (0, t_f).
 
-    scheme "cn" uses the pinned-endpoint q=1 method with 2^12 steps per
-    unit time by default; "dg2" the purely variational q=2 method with 2^9.
+    scheme "cn" uses the pinned-endpoint q=1 method, "dg2" the purely
+    variational q=2 method; oracle_step_count gives the step count.
     """
-    if scheme == "cn":
-        sp_scheme = crank_nicolson()
-        default = 2**12
-    elif scheme == "dg2":
-        sp_scheme = dg(2)
-        default = 2**9
-    else:
-        raise ValueError(f"unknown reference scheme {scheme!r}")
-    if n_steps is None:
-        n_steps = max(64, int(round(default * t_f)))
+    n_steps = oracle_step_count(t_f, n_steps, scheme)
+    sp_scheme = crank_nicolson() if scheme == "cn" else dg(2)
     Mc, Lc, load, slices = coupled_system(ops)
     start = np.concatenate([np.asarray(v, dtype=float) for v in (u0 if u0 is not None else ops.u0)])
     boundaries = np.linspace(0.0, t_f, n_steps + 1)

@@ -1,5 +1,9 @@
 import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +174,34 @@ class TestMainConvergence:
         config = write_config(tmp_path, MINIMAL)
         assert cli.main(["convergence", "--config", str(config), "--levels", "2"]) == 2
 
+    @pytest.mark.parametrize(
+        "experiment, flag, where",
+        [
+            ({"levels": 40}, [], "experiment.levels"),
+            ({"levels": 4, "oracle_steps": 8}, [], "experiment.levels"),
+            ({}, ["--levels", "10"], "--levels"),  # 2*2^9 windows, 819 oracle steps
+            ({}, ["--levels", "1000000000"], "--levels"),
+        ],
+    )
+    def test_levels_finer_than_the_oracle_are_config_error(
+        self, tmp_path, capsys, experiment, flag, where
+    ):
+        payload = {**MINIMAL, "experiment": {"kind": "convergence", **experiment}}
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "conv"
+        assert cli.main(["convergence", "--config", str(config), "--out", str(out), *flag]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {where}:")
+        assert "oracle" in err[0]
+        assert not out.exists()
+
+    def test_levels_up_to_the_oracle_step_count_run(self, tmp_path):
+        payload = {**MINIMAL, "experiment": {"kind": "convergence", "levels": 3, "oracle_steps": 8}}
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "conv"
+        assert cli.main(["convergence", "--config", str(config), "--out", str(out)]) == 0
+        assert len((out / "rates.csv").read_text().strip().splitlines()) == 4
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_config_error(self, tmp_path, capsys, jobs):
         config = write_config(tmp_path, MINIMAL)
@@ -316,3 +348,33 @@ class TestMainCheck:
         payload["problem"]["forcing"] = "pulse"
         config = write_config(tmp_path, payload)
         assert cli.main(["check", "--config", str(config), "--suite", "energy"]) == 2
+
+
+def test_commands_never_import_sympy(tmp_path):
+    payload = {
+        **MINIMAL,
+        "problem": {**MINIMAL["problem"], "forcing": "mms:smooth"},
+        "experiment": {"kind": "convergence", "levels": 3, "oracle_steps": 64},
+    }
+    config = str(write_config(tmp_path, payload))
+    out = str(tmp_path / "out")
+    script = f"""
+import sys
+import mrcouple
+from mrcouple import cli
+codes = [
+    cli.main(["run", "--config", {config!r}, "--out", {out!r}]),
+    cli.main(["convergence", "--config", {config!r}, "--out", {out!r}]),
+    cli.main(["check", "--config", {config!r}, "--suite", "conservation"]),
+]
+print(codes, "sympy" in sys.modules)
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    # check builds and runs the case, then finds the interface data not conservative
+    assert done.stdout.strip().splitlines()[-1] == "[0, 0, 2] False"

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,42 @@ ADVECTIONS = {
     "constant": mc.AdvectionSpec("constant", sx=0.6),
     "vortex": mc.AdvectionSpec("vortex", amplitude=0.8),
 }
+
+
+# The presets as symbolic factors a_1, a_2 and b (u_i = a_i b), written out
+# independently of verify.MMS_PRESETS.
+SYMBOLIC_FORMS = {
+    "smooth": ("sin(pi*x)*(1 - y)*(1 + y/2)", "sin(pi*x)*(1 + y)*(1 - y/2)", "exp(-t)"),
+    "antisym": ("sin(pi*x)*(1 - y)*(y + 1/2)", "-sin(pi*x)*(1 + y)*(1/2 - y)", "exp(-t)"),
+    "polyt": ("sin(pi*x)*(1 - y)*(1 + y/2)", "sin(pi*x)*(1 + y)*(1 - y/2)", "1 + t/2"),
+}
+
+
+def symbolic_pieces(name, nu, B, adv, i):
+    """Every factor of subdomain i's forcings, and u_i, derived with sympy."""
+    sympy = pytest.importorskip("sympy")
+    x, y, t = sympy.symbols("x y t", real=True)
+    *a, b = (sympy.sympify(s, locals={"x": x, "y": y, "t": t}) for s in SYMBOLIC_FORMS[name])
+    if adv.kind == "vortex":  # curl of the streamfunction
+        psi = adv.amplitude * x * (1 - x) * y * ((1 - y) if i == 0 else (1 + y))
+        s = (sympy.diff(psi, y), -sympy.diff(psi, x))
+    else:
+        s = (adv.sx if adv.kind == "constant" else 0, 0)
+    flux_div = sum(
+        sympy.diff(nu[i] * sympy.diff(a[i], v) - s_v * a[i], v) for v, s_v in zip((x, y), s)
+    )
+    normal = (-1, 1)[i]
+    g = (B[i, 0] * a[0] + B[i, 1] * a[1] + nu[i] * normal * sympy.diff(a[i], y)).subs(y, 0)
+    u = a[i] * b
+    return {
+        "a": sympy.lambdify((x, y), a[i]),
+        "op": sympy.lambdify((x, y), -flux_div),
+        "g": sympy.lambdify((x,), g),
+        "b": sympy.lambdify((t,), b),
+        "db": sympy.lambdify((t,), sympy.diff(b, t)),
+        "u": sympy.lambdify((x, y, t), u),
+        "degree": int(sympy.degree(u, t)) if u.is_polynomial(t) else None,
+    }
 
 
 class TestManufactured:
@@ -62,6 +99,39 @@ class TestManufactured:
             dudy = (u[i](x, eps, t) - u[i](x, -eps, t)) / (2 * eps)
             expected = B[i, 0] * u[0](x, 0.0, t) + B[i, 1] * u[1](x, 0.0, t) + nu[i] * normal * dudy
             assert np.allclose(case.problem.g[i](x, t), expected, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("name", sorted(SYMBOLIC_FORMS))
+    @pytest.mark.parametrize("kind", sorted(ADVECTIONS))
+    def test_closed_forms_match_symbolic_derivation(self, name, kind):
+        nu, B, adv = (0.7, 1.3), np.array([[1.3, -0.7], [-0.2, 0.9]]), ADVECTIONS[kind]
+        case = mc.mms_case(name, nu=nu, B=B, advection=(adv, adv))
+        rng = np.random.default_rng(3)
+        x, t = rng.uniform(0.0, 1.0, 40), rng.uniform(0.0, 2.0, 40)
+        for i in range(2):
+            y = rng.uniform(0.0, 1.0, 40) * (1.0 if i == 0 else -1.0)
+            sym = symbolic_pieces(name, nu, B, adv, i)
+            (a, db), (op, b) = case.problem.f[i].terms
+            ((g_space, g_time),) = case.problem.g[i].terms
+            pairs = [
+                (a(x, y), sym["a"](x, y)),
+                (db(t), sym["db"](t)),
+                (op(x, y), sym["op"](x, y)),
+                (b(t), sym["b"](t)),
+                (g_space(x), sym["g"](x)),
+                (g_time(t), sym["b"](t)),
+                (case.exact[i](x, y, t), sym["u"](x, y, t)),
+                (case.problem.u0[i](x, y), sym["u"](x, y, 0.0)),
+            ]
+            for actual, expected in pairs:
+                assert np.shape(actual) == (40,)
+                np.testing.assert_allclose(actual, np.broadcast_to(expected, (40,)), rtol=1e-13)
+            assert case.temporal_degree == sym["degree"]
+
+    def test_residual_check_without_sympy_names_the_extra(self, monkeypatch):
+        case = mc.mms_case("smooth")
+        monkeypatch.setitem(sys.modules, "sympy", None)
+        with pytest.raises(ImportError, match=r"mrcouple\[test\]"):
+            mc.residual_check(case)
 
     def test_polyt_metadata(self):
         case = mc.mms_case("polyt")
@@ -114,6 +184,16 @@ class TestReferenceSolve:
             a, b = coarse.state(t), fine.state(t)
             drift = max(drift, np.max(np.abs(a[0] - b[0])), np.max(np.abs(a[1] - b[1])))
         assert drift < 1e-7
+
+    def test_step_count(self, toy_linear_ops):
+        assert verify.oracle_step_count(0.25) == 1024
+        assert verify.oracle_step_count(0.25, scheme="dg2") == 128
+        assert verify.oracle_step_count(0.001) == 64
+        assert verify.oracle_step_count(0.25, 10, "dg2") == 10
+        with pytest.raises(ValueError, match="unknown reference scheme"):
+            verify.oracle_step_count(1.0, scheme="rk4")
+        assert len(mc.reference_solve(toy_linear_ops, 0.25).polys) == 1024
+        assert len(mc.reference_solve(toy_linear_ops, 0.25, scheme="dg2").polys) == 128
 
     def test_unknown_scheme(self, smooth_ops):
         with pytest.raises(ValueError):
