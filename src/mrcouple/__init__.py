@@ -17,6 +17,7 @@ from .coupling import (
     solve_window_fixed_point,
     step_restriction_ratio,
     trace_projection,
+    window_traces,
 )
 from .dgit import SubstepBlock, assemble_substep, integrate, solve_substep
 from .fespace import (

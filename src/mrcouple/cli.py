@@ -390,9 +390,8 @@ def build_operators(cfg: RunConfig):
     return fespace.assemble(m1, m2, imap, spec), spec
 
 
-def _simulate(cfg: RunConfig):
-    ops, _ = build_operators(cfg)
-    traj = coupling.run_simulation(
+def _simulate(cfg: RunConfig, ops):
+    return coupling.run_simulation(
         ops,
         cfg.scheme,
         cfg.window,
@@ -401,11 +400,11 @@ def _simulate(cfg: RunConfig):
         fp_tol=cfg.solver["tol"],
         fp_max_iter=cfg.solver["max_iter"],
     )
-    return ops, traj
 
 
 def _cmd_run(cfg: RunConfig, outdir: Path) -> int:
-    ops, traj = _simulate(cfg)
+    ops, _ = build_operators(cfg)
+    traj = _simulate(cfg, ops)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "trajectory.csv", "w") as fh:
         coupling.export_trajectory_csv(traj, ops, fh)
@@ -492,16 +491,22 @@ def _cmd_convergence(cfg: RunConfig, outdir: Path, levels: int, jobs: int) -> in
 
 
 def _cmd_check(cfg: RunConfig, suite: str) -> int:
+    # the preconditions need only the operators: reject before simulating
+    ops, _ = build_operators(cfg)
+    if suite == "conservation" and not ops.conservation_compatible:
+        print("check conservation: config error: coupling matrix/interface data "
+              "are not conservation compatible")
+        return EXIT_CONFIG
+    if suite == "energy" and (ops.has_f or ops.has_g or not ops.b_psd):
+        print("check energy: config error: requires zero forcing and "
+              "positive semidefinite coupling")
+        return EXIT_CONFIG
     try:
-        ops, traj = _simulate(cfg)
+        traj = _simulate(cfg, ops)
     except (coupling.SolverError, coupling.ContractionError) as err:
         print(f"check {suite}: solver failure: {err}")
         return EXIT_FAIL
     if suite == "conservation":
-        if not ops.conservation_compatible:
-            print("check conservation: config error: coupling matrix/interface data "
-                  "are not conservation compatible")
-            return EXIT_CONFIG
         mode = "strong" if cfg.window.r[0] == cfg.window.r[1] else "weak"
         worst = 0.0
         for sol in traj.windows:
@@ -511,21 +516,14 @@ def _cmd_check(cfg: RunConfig, suite: str) -> int:
         print(f"check conservation ({mode}): max relative residual {worst:.3e} -> "
               f"{'PASS' if ok else 'FAIL'}")
         return EXIT_OK if ok else EXIT_FAIL
-    if suite == "energy":
-        if ops.has_f or ops.has_g or not ops.b_psd:
-            print("check energy: config error: requires zero forcing and "
-                  "positive semidefinite coupling")
-            return EXIT_CONFIG
-        rep = verify.energy_report(traj, ops)
-        worst_term = float(np.nanmax(rep.interfacial)) if len(rep.interfacial) else 0.0
-        ok = rep.monotone and worst_term <= 1e-12 * max(rep.energies[0], 1e-300)
-        print(
-            f"check energy: monotone={rep.monotone}, max interfacial term "
-            f"{worst_term:.3e} -> {'PASS' if ok else 'FAIL'}"
-        )
-        return EXIT_OK if ok else EXIT_FAIL
-    print(f"unknown suite {suite!r}")
-    return EXIT_CONFIG
+    rep = verify.energy_report(traj, ops)
+    worst_term = float(np.nanmax(rep.interfacial)) if len(rep.interfacial) else 0.0
+    ok = rep.monotone and worst_term <= 1e-12 * max(rep.energies[0], 1e-300)
+    print(
+        f"check energy: monotone={rep.monotone}, max interfacial term "
+        f"{worst_term:.3e} -> {'PASS' if ok else 'FAIL'}"
+    )
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def main(argv=None) -> int:

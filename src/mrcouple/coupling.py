@@ -117,7 +117,6 @@ class WindowSolution:
     u: tuple  # per subdomain: list of M_i substep TimePolys
     U: tuple  # per subdomain: (M_i + 1, d_i) side values, row 0 incoming
     F: tuple  # per subdomain: window flux TimePoly (d_gamma columns)
-    traces: Optional[tuple] = None
     residual: float = float("nan")
     iterations: int = 0
     initialized_from_reference: bool = False
@@ -203,37 +202,26 @@ def flux_solve(
     return tuple(out)
 
 
-def _g_moments(
-    ops: FeOperators,
-    i: int,
-    window: Interval,
-    r_i: int,
-    edges: np.ndarray,
-    quadrature: str,
-    npts: int = dgit.LOAD_QUAD_PTS,
-) -> np.ndarray:
-    """Moments of the interface data against the window test modes, (r_i+1, d_gamma).
+def window_traces(sol: WindowSolution, ops: FeOperators, quadrature: str = "exact") -> tuple:
+    """Projected interface traces of a solved window, as its flux rows combine them.
 
-    The interface load is evaluated once, at all quadrature times.
+    Exact quadrature projects the traces of the state polynomials.  The
+    trapezoid flux rows read substep n only through its side values
+    U_{n-1}, U_n, which are the polynomial's end values only for schemes
+    pinned at both ends; each trace piece is then the line through their
+    traces.  flux_solve on the result reproduces the window's fluxes.
     """
-    d_gamma = ops.d_gamma
-    out = np.zeros((r_i + 1, d_gamma))
-    if ops.load_g[i] is None:
-        return out
-    if quadrature == "trapezoid":
-        weights = _window_weights_trapezoid(edges, window, r_i)
-        gvals = ops.g_vec(i, edges)
-        avg = 0.5 * (gvals[:-1] + gvals[1:])
-        dt_i = edges[1] - edges[0]
-        for p in range(r_i + 1):
-            out[p] = dt_i * (weights[:, p] @ avg)
-        return out
-    t, w = gauss_on(window, npts)
-    tab = legendre_table(r_i, window.to_reference(t))
-    gvals = ops.g_vec(i, t)
-    for p in range(r_i + 1):
-        out[p] = (w * tab[p]) @ gvals
-    return out
+    out = []
+    for i in range(2):
+        T, polys = ops.T[i], sol.u[i]
+        if quadrature == "exact":
+            pieces = [TimePoly(p.interval, (T @ p.coeffs.T).T) for p in polys]
+        else:
+            ends = (T @ sol.U[i].T).T
+            mid, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
+            pieces = [TimePoly(p.interval, np.stack([mid[n], half[n]])) for n, p in enumerate(polys)]
+        out.append(trace_projection(pieces, sol.window, sol.F[i].order, mode=quadrature))
+    return tuple(out)
 
 
 class WindowOperator:
@@ -241,7 +229,11 @@ class WindowOperator:
 
     Unknown layout: substep groups of both subdomains (each substep holds
     its modal coefficients then its side value), then the flux modes of
-    subdomain 1, then subdomain 2.
+    subdomain 1, then subdomain 2.  What a window reads from before its
+    start enters through one assembled map, past: its columns hold per
+    subdomain the incoming side value, then the max(k_s, 1) - 1 side values
+    before it, newest first, and a window solves
+    matrix @ x = data terms - past @ (those side values).
 
     solver="direct" factorizes the matrix.  solver="fixed-point" splits it
     as matrix = P + N (see _lagged_part), factorizes P and sweeps each
@@ -256,7 +248,6 @@ class WindowOperator:
         cfg: WindowConfig,
         *,
         quadrature: str = "exact",
-        keep_traces: bool = False,
         solver: str = "direct",
         fp_tol: float = 1e-10,
         fp_max_iter: int = 200,
@@ -272,7 +263,6 @@ class WindowOperator:
             )
         self.ops, self.spec, self.cfg = ops, spec, cfg
         self.quadrature = quadrature
-        self.keep_traces = keep_traces
         self.solver = solver
         self.fp_tol, self.fp_max_iter = fp_tol, fp_max_iter
         q = spec.q
@@ -285,6 +275,8 @@ class WindowOperator:
             self._dom_off[1] + cfg.M[1] * self._sub_size[1] + (cfg.r[0] + 1) * dG,
         )
         self.dim = self._flux_off[1] + (cfg.r[1] + 1) * dG
+        self._n_past = max(spec.k_s, 1)
+        self._past_off = (0, self._n_past * d[0])
 
         # Template window: geometry is shared by every window.
         self._template = cfg.window(1)
@@ -305,25 +297,37 @@ class WindowOperator:
                     for n in range(cfg.M[i])
                 ]
             )
-        # M_gamma T_j, shared by the flux rows of the matrix and the trapezoid
-        # right-hand side; there the incoming side value of subdomain j enters
-        # with one window-invariant coefficient per flux mode.
-        self._MgT = [(ops.M_gamma @ ops.T[j]).tocsr() if dG else None for j in range(2)]
-        self._incoming_flux = []
-        if quadrature == "trapezoid" and dG:
-            for i in range(2):
-                for j in range(2):
-                    bij = ops.B[i, j]
-                    if bij == 0.0:
-                        continue
-                    edges = cfg.substep_edges(j, 1)
-                    r_cut = min(cfg.r[i], cfg.r[j])
-                    weights = _window_weights_trapezoid(edges, self._template, r_cut)
-                    dt_j = edges[1] - edges[0]
-                    self._incoming_flux.append(
-                        (self._flux_off[i], j, [bij * dt_j * 0.5 * w for w in weights[0]])
-                    )
-        self.matrix = self._assemble_matrix()
+        # Side values before the window, the incoming one included, that the
+        # structurally nonzero blocks of each subdomain read; block j of
+        # substep n reads side value n - 1 - j.
+        self._reach = tuple(
+            max(
+                [
+                    1 - (n - 1 - j)
+                    for n, blk in enumerate(self.blocks[i], 1)
+                    for j, prevj in enumerate(blk.prev)
+                    if prevj.nnz
+                ],
+                default=1,
+            )
+            for i in range(2)
+        )
+        # Interface data moments per flux mode: weights @ g at the substep
+        # edges (trapezoid) or at the window's Gauss points (exact).
+        self._g_weights = []
+        for i in range(2):
+            if ops.load_g[i] is None:
+                self._g_weights.append(None)
+            elif quadrature == "trapezoid":
+                # substep n averages g at edges n - 1 and n
+                edges = cfg.substep_edges(i, 1)
+                w = _window_weights_trapezoid(edges, self._template, cfg.r[i]).T
+                w = 0.5 * (edges[1] - edges[0]) * w  # (r_i+1, M_i)
+                self._g_weights.append(np.pad(w, ((0, 0), (0, 1))) + np.pad(w, ((0, 0), (1, 0))))
+            else:
+                t, w = gauss_on(self._template, dgit.LOAD_QUAD_PTS)
+                self._g_weights.append(w * legendre_table(cfg.r[i], self._template.to_reference(t)))
+        self.matrix, self._past = self._assemble_matrix()
         # solve applies one factor: of the matrix, or of P for the fixed point
         if solver == "fixed-point":
             self._lagged = self._lagged_part()
@@ -345,19 +349,29 @@ class WindowOperator:
     def _U_off(self, i: int, n: int) -> int:
         return self._sub_off(i, n) + (self.spec.q + 1) * self.ops.d_omega[i]
 
-    def _assemble_matrix(self) -> sp.csr_matrix:
+    def _U_col(self, i: int, m: int) -> int:
+        """Column of side value m of subdomain i among [unknowns, past values].
+
+        m = 1..M_i are unknowns of the window; m = 0, the incoming value,
+        and m < 0, older ones, are past values, in the columns after dim.
+        """
+        if m >= 1:
+            return self._U_off(i, m)
+        return self.dim + self._past_off[i] - m * self.ops.d_omega[i]
+
+    def _assemble_matrix(self) -> tuple:
+        """(matrix, past): the window's rows over its unknowns and over the past values."""
         q = self.spec.q
-        d = self.ops.d_omega
         dG = self.ops.d_gamma
         cfg = self.cfg
-        rows, cols, data = [], [], []
+        unknowns, past = ([], [], []), ([], [], [])
 
         def put(block, r0, c0):
-            if block is None:
-                return
+            # every block lies wholly among the unknowns or the past values
+            rows, cols, data = unknowns if c0 < self.dim else past
             b = sp.coo_matrix(block)
             rows.append(b.row + r0)
-            cols.append(b.col + c0)
+            cols.append(b.col + (c0 if c0 < self.dim else c0 - self.dim))
             data.append(b.data)
 
         for i in range(2):
@@ -366,58 +380,44 @@ class WindowOperator:
                 r0 = self._sub_off(i, n)
                 put(blk.matrix, r0, r0)
                 for j, prevj in enumerate(blk.prev):
-                    target = n - 1 - j
-                    if target >= 1:
-                        put(prevj, r0, self._U_off(i, target))
+                    put(prevj, r0, self._U_col(i, n - 1 - j))
                 if blk.flux is not None:
                     put(blk.flux, r0, self._flux_off[i])
 
         # Flux definition rows: window mass times flux modes minus the
         # projected trace combination of both subdomains.
         window = self._template
+        MgT = [(self.ops.M_gamma @ self.ops.T[j]).tocsr() for j in range(2)]
         for i in range(2):
             r_i = cfg.r[i]
             base = self._flux_off[i]
-            for p in range(r_i + 1):
-                put(
-                    (window.length / (2 * p + 1)) * self.ops.M_gamma,
-                    base + p * dG,
-                    base + p * dG,
-                )
+            mass = window.length / (2 * np.arange(r_i + 1) + 1)
+            put(sp.kron(np.diag(mass), self.ops.M_gamma, format="coo"), base, base)
             for j in range(2):
                 bij = self.ops.B[i, j]
                 if bij == 0.0 or dG == 0:
                     continue
-                MgT = self._MgT[j]
                 r_cut = min(r_i, cfg.r[j])  # trace of subdomain j has order r_j
                 edges = cfg.substep_edges(j, 1)
                 if self.quadrature == "trapezoid":
                     weights = _window_weights_trapezoid(edges, window, r_cut)
-                    dt_j = edges[1] - edges[0]
+                    coef = -bij * (edges[1] - edges[0]) * 0.5 * weights
                     for n in range(1, cfg.M[j] + 1):
-                        for p in range(r_cut + 1):
-                            wcoef = -bij * dt_j * 0.5 * weights[n - 1, p]
-                            put(wcoef * MgT, base + p * dG, self._U_off(j, n))
-                            if n >= 2:
-                                put(wcoef * MgT, base + p * dG, self._U_off(j, n - 1))
-                            # the n=1 backward value is the incoming state (rhs)
+                        # substep n reads its side values U_{n-1} and U_n alike
+                        block = sp.kron(coef[n - 1][:, None], MgT[j], format="coo")
+                        put(block, base, self._U_col(j, n))
+                        put(block, base, self._U_col(j, n - 1))
                 else:
                     for n in range(1, cfg.M[j] + 1):
-                        sub = Interval(edges[n - 1], edges[n])
-                        X = dgit.cross_gram(sub, window, q, r_cut)  # (q+1, r_cut+1)
-                        c0 = self._sub_off(j, n)
-                        for p in range(r_cut + 1):
-                            for a in range(q + 1):
-                                put(
-                                    -bij * X[a, p] * MgT,
-                                    base + p * dG,
-                                    c0 + a * d[j],
-                                )
-        mat = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.dim, self.dim),
-        )
-        return mat.tocsr()
+                        X = dgit.cross_gram(Interval(edges[n - 1], edges[n]), window, q, r_cut)
+                        put(sp.kron(-bij * X.T, MgT[j], format="coo"), base, self._sub_off(j, n))
+
+        def assembled(parts, ncols):
+            rows, cols, data = (np.concatenate(p) for p in parts)
+            return sp.coo_matrix((data, (rows, cols)), shape=(self.dim, ncols)).tocsr()
+
+        n_past = self._past_off[1] + self._n_past * self.ops.d_omega[1]
+        return assembled(unknowns, self.dim), assembled(past, n_past)
 
     def _lagged_part(self) -> sp.csr_matrix:
         """N of the splitting matrix = P + N: the part a fixed-point sweep lags.
@@ -461,41 +461,35 @@ class WindowOperator:
         return weight
 
     def _rhs(self, incoming, histories, window_index: int) -> np.ndarray:
+        """Data terms of the window minus past @ (incoming side values, histories)."""
         ops, spec, cfg = self.ops, self.spec, self.cfg
         d = ops.d_omega
-        dG = ops.d_gamma
         rhs = np.zeros(self.dim)
-        window = cfg.window(window_index)
+        before = []
         for i in range(2):
             edges = cfg.substep_edges(i, window_index)
-            hist = [np.asarray(incoming[i], dtype=float)] + list(histories[i])
             if ops.load_f[i] is not None:
                 # one load call covers every substep of the window
                 lo = self._dom_off[i]
                 rhs[lo : lo + cfg.M[i] * self._sub_size[i]] = dgit._chunk_moments(
                     spec, edges, ops.load_f[i], d[i], self.quadrature, dgit.LOAD_QUAD_PTS
                 ).ravel()
-            for n in range(1, cfg.M[i] + 1):
-                blk = self.blocks[i][n - 1]
-                r0 = self._sub_off(i, n)
-                for j, prevj in enumerate(blk.prev):
-                    target = n - 1 - j
-                    if target >= 1 or not prevj.nnz:
-                        continue
-                    if -target >= len(hist):
-                        raise ValueError(
-                            f"window needs {-target + 1} historic side values, have {len(hist)}"
-                        )
-                    rhs[r0 : r0 + self._sub_size[i]] -= prevj @ hist[-target]
-        for i in range(2):
-            base = self._flux_off[i]
-            gm = _g_moments(ops, i, window, cfg.r[i], cfg.substep_edges(i, window_index), self.quadrature)
-            for p in range(cfg.r[i] + 1):
-                rhs[base + p * dG : base + (p + 1) * dG] -= gm[p]
-        for base, j, coefs in self._incoming_flux:
-            v = self._MgT[j] @ np.asarray(incoming[j], dtype=float)
-            for p, c in enumerate(coefs):
-                rhs[base + p * dG : base + (p + 1) * dG] += c * v
+            if self._g_weights[i] is not None:
+                if self.quadrature == "trapezoid":
+                    t = edges
+                else:
+                    t = gauss_on(cfg.window(window_index), dgit.LOAD_QUAD_PTS)[0]
+                lo = self._flux_off[i]
+                rhs[lo : lo + (cfg.r[i] + 1) * ops.d_gamma] = -(
+                    self._g_weights[i] @ ops.g_vec(i, t)
+                ).ravel()
+            values = [incoming[i], *histories[i]][: self._n_past]
+            if len(values) < self._reach[i]:
+                raise ValueError(
+                    f"window needs {self._reach[i]} historic side values, have {len(values)}"
+                )
+            before += values + [np.zeros(d[i])] * (self._n_past - len(values))
+        rhs -= self._past @ np.concatenate(before)
         return rhs
 
     def solve(
@@ -595,17 +589,6 @@ class WindowOperator:
                 F.append(TimePoly(window, fc))
             else:
                 F.append(None)
-        traces = None
-        if self.keep_traces and dG:
-            traces = tuple(
-                trace_projection(
-                    self._trace_pieces(ops.T[i], u[i], U[i]),
-                    window,
-                    cfg.r[i],
-                    mode=self.quadrature,
-                )
-                for i in range(2)
-            )
         for side in U:
             side.flags.writeable = False
         return WindowSolution(
@@ -614,24 +597,9 @@ class WindowOperator:
             u=tuple(u),
             U=tuple(U),
             F=tuple(F),
-            traces=traces,
             residual=residual,
             iterations=iterations,
         )
-
-    def _trace_pieces(self, T, polys, side) -> list:
-        """Interface traces of one subdomain's substeps, as the flux rows read them.
-
-        Exact quadrature reads the state polynomials.  The trapezoid flux
-        rows read substep n only through its side values U_{n-1}, U_n, which
-        are the polynomial's end values only for schemes pinned at both
-        ends; the trace piece is then the line through their traces.
-        """
-        if self.quadrature == "exact":
-            return [TimePoly(p.interval, (T @ p.coeffs.T).T) for p in polys]
-        ends = (T @ side.T).T
-        mid, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
-        return [TimePoly(p.interval, np.stack([mid[n], half[n]])) for n, p in enumerate(polys)]
 
 
 def solve_window_fixed_point(
@@ -895,7 +863,6 @@ def run_simulation(
     quadrature: str = "exact",
     solver: str = "direct",
     u0=None,
-    keep_traces: bool = False,
     fp_tol: float = 1e-10,
     fp_max_iter: int = 200,
 ) -> Trajectory:
@@ -924,44 +891,31 @@ def run_simulation(
         spec,
         cfg,
         quadrature=quadrature,
-        keep_traces=keep_traces,
         solver=solver,
         fp_tol=fp_tol,
         fp_max_iter=fp_max_iter,
     )
 
-    histories = ([], [])
-    incoming = u0
-    if windows:
-        last = windows[-1]
-        incoming = tuple(last.U[i][-1] for i in range(2))
-        histories = tuple(
-            [last.U[i][n] for n in range(last.substeps(i) - 1, -1, -1)][: max(spec.k_s - 1, 1)]
-            for i in range(2)
-        )
-    flux_guess = windows[-1].F if windows and windows[-1].F[0] is not None else None
-
-    for n in range(n_init, cfg.N + 1):
-        try:
-            sol = op.solve(incoming, histories, n, flux_guess=flux_guess)
-        except ContractionError as err:
-            raise ContractionError(
-                f"window {n}: {err}",
-                iterations=err.iterations,
-                factor=err.factor,
-                restriction_ratio=err.restriction_ratio,
-            ) from err
-        except SolverError as err:
-            raise SolverError(f"window {n}: {err}") from err
-        windows.append(sol)
+    # Each window, reference-filled or solved, hands the next one its last
+    # side values and the ones before them, newest first.
+    incoming, histories, flux_guess = u0, ((), ()), None
+    depth = max(spec.k_s - 1, 1)
+    for n in range(1, cfg.N + 1):
+        if n >= n_init:
+            try:
+                windows.append(op.solve(incoming, histories, n, flux_guess=flux_guess))
+            except ContractionError as err:
+                raise ContractionError(
+                    f"window {n}: {err}",
+                    iterations=err.iterations,
+                    factor=err.factor,
+                    restriction_ratio=err.restriction_ratio,
+                ) from err
+            except SolverError as err:
+                raise SolverError(f"window {n}: {err}") from err
+        sol = windows[n - 1]
         incoming = tuple(sol.U[i][-1] for i in range(2))
-        histories = tuple(
-            (
-                [sol.U[i][k] for k in range(sol.substeps(i) - 1, -1, -1)]
-                + list(histories[i])
-            )[: max(spec.k_s - 1, 1)]
-            for i in range(2)
-        )
+        histories = tuple(([*sol.U[i][-2::-1]] + list(histories[i]))[:depth] for i in range(2))
         if sol.F[0] is not None:
             flux_guess = sol.F
 

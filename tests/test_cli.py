@@ -349,6 +349,17 @@ class TestMainCheck:
         config = write_config(tmp_path, payload)
         assert cli.main(["check", "--config", str(config), "--suite", "energy"]) == 2
 
+    @pytest.mark.parametrize("forcing, suite", [("mms:smooth", "conservation"), ("pulse", "energy")])
+    def test_rejects_before_simulating(self, tmp_path, monkeypatch, forcing, suite):
+        def simulate(*args, **kwargs):
+            raise AssertionError("check simulated a config it cannot check")
+
+        monkeypatch.setattr(coupling, "run_simulation", simulate)
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["problem"]["forcing"] = forcing
+        config = write_config(tmp_path, payload)
+        assert cli.main(["check", "--config", str(config), "--suite", suite]) == 2
+
 
 def test_commands_never_import_sympy(tmp_path):
     payload = {
@@ -376,5 +387,5 @@ print(codes, "sympy" in sys.modules)
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    # check builds and runs the case, then finds the interface data not conservative
+    # check builds the case and finds its interface data not conservative
     assert done.stdout.strip().splitlines()[-1] == "[0, 0, 2] False"

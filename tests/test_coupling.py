@@ -199,15 +199,15 @@ class TestWindowAssembly:
 
     def test_keep_traces(self, toy_ops):
         cfg = mc.WindowConfig(t_f=0.1, N=1, M=(1, 2), r=(1, 1))
-        op = mc.WindowOperator(toy_ops, mc.crank_nicolson(), cfg, keep_traces=True)
+        op = mc.WindowOperator(toy_ops, mc.crank_nicolson(), cfg)
         sol = op.solve(incoming(toy_ops))
-        assert sol.traces is not None
+        kept = mc.window_traces(sol, toy_ops)
         # the stored trace satisfies its defining projection identity
         traces = [
             TimePoly(p.interval, (toy_ops.T[0] @ p.coeffs.T).T) for p in sol.u[0]
         ]
         direct = mc.trace_projection(traces, sol.window, 1)
-        assert np.allclose(direct.coeffs, sol.traces[0].coeffs, atol=1e-12)
+        assert np.allclose(direct.coeffs, kept[0].coeffs, atol=1e-12)
 
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
     @pytest.mark.parametrize("scheme_name", sorted(mc.shipped_schemes()))
@@ -216,9 +216,9 @@ class TestWindowAssembly:
         # mode, where they average side values rather than polynomial ends
         cfg = mc.WindowConfig(t_f=0.05, N=1, M=(2, 3), r=(1, 1))
         scheme = mc.shipped_schemes()[scheme_name]
-        op = mc.WindowOperator(toy_ops, scheme, cfg, quadrature=quadrature, keep_traces=True)
+        op = mc.WindowOperator(toy_ops, scheme, cfg, quadrature=quadrature)
         sol = op.solve(incoming(toy_ops))
-        F = mc.flux_solve(sol.traces[0], sol.traces[1], toy_ops.B, cfg.r)
+        F = mc.flux_solve(*mc.window_traces(sol, toy_ops, quadrature), toy_ops.B, cfg.r)
         for i in range(2):
             assert np.max(np.abs(F[i].coeffs - sol.F[i].coeffs)) <= 1e-12
 
@@ -597,6 +597,12 @@ class TestRunSimulation:
         tol = 1e-9 if solver == "direct" else fp_tol
         assert traj.windows[-1].U[0][-1][0] == pytest.approx(1.4, abs=tol)
         assert traj.windows[-1].U[1][-1][0] == pytest.approx(0.5, abs=tol)
+
+    def test_short_history_rejected(self, toy_linear_ops):
+        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1))
+        op = mc.WindowOperator(toy_linear_ops, self.MEAN_TWO_BACK, cfg)
+        with pytest.raises(ValueError, match="needs 2 historic side values, have 1"):
+            op.solve(incoming(toy_linear_ops), ((), ()), 2)
 
     def test_two_step_window_depends_on_history(self, toy_linear_ops):
         cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1))
