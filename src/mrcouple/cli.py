@@ -265,6 +265,14 @@ def parse_config(text: str) -> RunConfig:
                         f"scheme.k_s: {scheme_spec.k_s} exceeds M{i + 1}+1={window_cfg.M[i] + 1}; "
                         "side conditions may reach back at most one window of history"
                     )
+        elif np.any(scheme_spec.D[:, 2:]):
+            # column l of D weighs the side value l steps back
+            reach = 2 + int(np.flatnonzero(np.any(scheme_spec.D[:, 2:], axis=0))[-1])
+            problems.append(
+                f"window.N0: 1 leaves window 1 only the initial state, but the side "
+                f"conditions reach back {reach} side values (scheme.D column {reach}); "
+                "use N0 >= 2 to fill the history from a reference solve"
+            )
 
     solver = {"name": "direct", "tol": 1e-10, "max_iter": 200}
     sol = raw.get("solver", {})

@@ -132,12 +132,6 @@ def step_restriction_ratio(cfg: WindowConfig, h: float) -> float:
     return cfg.dt * (h**-2 + h**-1)
 
 
-def _window_weights_trapezoid(edges: np.ndarray, window: Interval, r: int) -> np.ndarray:
-    """w[n, p] = average of window mode p at the endpoints of substep n."""
-    tab = legendre_table(r, window.to_reference(edges))  # (r+1, M+1)
-    return 0.5 * (tab[:, :-1] + tab[:, 1:]).T  # (M, r+1)
-
-
 def trace_projection(
     substeps: Sequence[TimePoly],
     window: Interval,
@@ -158,17 +152,11 @@ def trace_projection(
             raise ValueError("substeps do not tile the window")
         return out
     edges = np.array([p.interval.a for p in substeps] + [substeps[-1].interval.b])
-    weights = _window_weights_trapezoid(edges, window, r)  # (M, r+1)
-    ncols = substeps[0].ncols
-    coeffs = np.zeros((r + 1, ncols))
-    for n, piece in enumerate(substeps):
-        avg = 0.5 * (piece.left() + piece.right())
-        dt_i = piece.interval.length
-        for p in range(r + 1):
-            coeffs[p] += dt_i * weights[n, p] * avg
-    for p in range(r + 1):
-        coeffs[p] *= (2 * p + 1) / window.length
-    return TimePoly(window, coeffs)
+    # dt_i times the average of mode p at the ends of substep n, (M, r+1)
+    weights = dgit.cross_moments(edges, window, 0, r, "trapezoid")[:, 0]
+    avg = np.stack([0.5 * (p.left() + p.right()) for p in substeps])
+    scale = (2 * np.arange(r + 1) + 1) / window.length
+    return TimePoly(window, scale[:, None] * (weights.T @ avg))
 
 
 def flux_solve(
@@ -235,6 +223,13 @@ class WindowOperator:
     before it, newest first, and a window solves
     matrix @ x = data terms - past @ (those side values).
 
+    Each subdomain's substeps form a chain of one substep block, since all
+    substeps of a side have one length: the block's matrix repeats on the
+    diagonal, its prev[j] couples each substep to the side value j+1
+    substeps back (for the first j+1 substeps a column of past), and the
+    flux columns of all substeps are stacked from one table of
+    substep-versus-window Legendre moments (dgit.cross_moments).
+
     solver="direct" factorizes the matrix.  solver="fixed-point" splits it
     as matrix = P + N (see _lagged_part), factorizes P and sweeps each
     window until the update norm drops to fp_tol, in at most fp_max_iter
@@ -278,39 +273,28 @@ class WindowOperator:
         self._n_past = max(spec.k_s, 1)
         self._past_off = (0, self._n_past * d[0])
 
-        # Template window: geometry is shared by every window.
+        # Template window: geometry is shared by every window, and one block,
+        # of the first substep, stands for every substep of a side.
         self._template = cfg.window(1)
-        self.blocks = []
-        for i in range(2):
-            edges = cfg.substep_edges(i, 1)
-            self.blocks.append(
-                [
-                    dgit.assemble_substep(
-                        ops,
-                        i,
-                        spec,
-                        Interval(edges[n], edges[n + 1]),
-                        cfg.r[i],
-                        self._template,
-                        quadrature=quadrature,
-                    )
-                    for n in range(cfg.M[i])
-                ]
-            )
-        # Side values before the window, the incoming one included, that the
-        # structurally nonzero blocks of each subdomain read; block j of
-        # substep n reads side value n - 1 - j.
-        self._reach = tuple(
-            max(
-                [
-                    1 - (n - 1 - j)
-                    for n, blk in enumerate(self.blocks[i], 1)
-                    for j, prevj in enumerate(blk.prev)
-                    if prevj.nnz
-                ],
-                default=1,
+        self._edges = tuple(cfg.substep_edges(i, 1) for i in range(2))
+        self.blocks = tuple(
+            dgit.assemble_substep(
+                ops,
+                i,
+                spec,
+                Interval(self._edges[i][0], self._edges[i][1]),
+                cfg.r[i],
+                self._template,
+                quadrature=quadrature,
             )
             for i in range(2)
+        )
+        # Side values before the window, the incoming one included, that the
+        # structurally nonzero blocks of each subdomain read; prev[j] of the
+        # first substep reaches furthest, j + 1 side values back.
+        self._reach = tuple(
+            max((j + 1 for j, prevj in enumerate(blk.prev) if prevj.nnz), default=1)
+            for blk in self.blocks
         )
         # Interface data moments per flux mode: weights @ g at the substep
         # edges (trapezoid) or at the window's Gauss points (exact).
@@ -320,9 +304,8 @@ class WindowOperator:
                 self._g_weights.append(None)
             elif quadrature == "trapezoid":
                 # substep n averages g at edges n - 1 and n
-                edges = cfg.substep_edges(i, 1)
-                w = _window_weights_trapezoid(edges, self._template, cfg.r[i]).T
-                w = 0.5 * (edges[1] - edges[0]) * w  # (r_i+1, M_i)
+                X = dgit.cross_moments(self._edges[i], self._template, 0, cfg.r[i], "trapezoid")
+                w = 0.5 * X[:, 0].T  # (r_i+1, M_i)
                 self._g_weights.append(np.pad(w, ((0, 0), (0, 1))) + np.pad(w, ((0, 0), (1, 0))))
             else:
                 t, w = gauss_on(self._template, dgit.LOAD_QUAD_PTS)
@@ -349,74 +332,82 @@ class WindowOperator:
     def _U_off(self, i: int, n: int) -> int:
         return self._sub_off(i, n) + (self.spec.q + 1) * self.ops.d_omega[i]
 
-    def _U_col(self, i: int, m: int) -> int:
-        """Column of side value m of subdomain i among [unknowns, past values].
-
-        m = 1..M_i are unknowns of the window; m = 0, the incoming value,
-        and m < 0, older ones, are past values, in the columns after dim.
-        """
-        if m >= 1:
-            return self._U_off(i, m)
-        return self.dim + self._past_off[i] - m * self.ops.d_omega[i]
-
     def _assemble_matrix(self) -> tuple:
-        """(matrix, past): the window's rows over its unknowns and over the past values."""
-        q = self.spec.q
-        dG = self.ops.d_gamma
-        cfg = self.cfg
+        """(matrix, past): the window's rows over its unknowns and over the past values.
+
+        Every block is kron(W, B) of a small table W of time coefficients
+        and a spatial matrix B.  Within a side, W addresses the substep
+        rows and columns in slots of d_i: q + 2 per substep, its side value
+        last.
+        """
+        ops, cfg = self.ops, self.cfg
+        q, dG = self.spec.q, ops.d_gamma
         unknowns, past = ([], [], []), ([], [], [])
 
-        def put(block, r0, c0):
-            # every block lies wholly among the unknowns or the past values
+        def put(W, B, r0, c0):
+            # kron(W, B) at (r0, c0); it lies wholly among the unknowns, or
+            # wholly among the past values in the columns from dim on
             rows, cols, data = unknowns if c0 < self.dim else past
-            b = sp.coo_matrix(block)
-            rows.append(b.row + r0)
-            cols.append(b.col + (c0 if c0 < self.dim else c0 - self.dim))
-            data.append(b.data)
+            a, c = np.nonzero(W)
+            b = B.tocoo()
+            rows.append((r0 + a[:, None] * B.shape[0] + b.row).ravel())
+            c0 = c0 if c0 < self.dim else c0 - self.dim
+            cols.append((c0 + c[:, None] * B.shape[1] + b.col).ravel())
+            data.append((W[a, c][:, None] * b.data).ravel())
 
-        for i in range(2):
-            for n in range(1, cfg.M[i] + 1):
-                blk = self.blocks[i][n - 1]
-                r0 = self._sub_off(i, n)
-                put(blk.matrix, r0, r0)
-                for j, prevj in enumerate(blk.prev):
-                    put(prevj, r0, self._U_col(i, n - 1 - j))
-                if blk.flux is not None:
-                    put(blk.flux, r0, self._flux_off[i])
+        side_value = np.eye(1, q + 2, q + 1)  # the last slot of a substep
+        incoming = [self.dim + off for off in self._past_off]  # past column of U_0
+        TtMg = [(ops.T[i].T @ ops.M_gamma).tocsr() for i in range(2)]
+        for i, blk in enumerate(self.blocks):
+            M_i, r0 = cfg.M[i], self._dom_off[i]
+            put(np.eye(M_i), blk.matrix, r0, r0)
+            # prev[j] of substep n reads side value n - 1 - j: that of substep
+            # n - 1 - j, or for n <= j + 1 past value j + 1 - n (0 is the
+            # incoming one)
+            for j, prevj in enumerate(blk.prev):
+                put(np.kron(np.eye(M_i, k=-(j + 1)), side_value), prevj, r0, r0)
+                put(np.eye(M_i, j + 1)[:, ::-1], prevj, r0, incoming[i])
+            if dG:
+                X = dgit.cross_moments(
+                    self._edges[i], self._template, self.spec.test_order, cfg.r[i], self.quadrature
+                )
+                # no flux in the side-condition rows of a substep
+                X = np.pad(X, ((0, 0), (self.spec.n_s, 0), (0, 0))).reshape(-1, cfg.r[i] + 1)
+                put(X, TtMg[i], r0, self._flux_off[i])
 
         # Flux definition rows: window mass times flux modes minus the
         # projected trace combination of both subdomains.
         window = self._template
-        MgT = [(self.ops.M_gamma @ self.ops.T[j]).tocsr() for j in range(2)]
         for i in range(2):
             r_i = cfg.r[i]
             base = self._flux_off[i]
-            mass = window.length / (2 * np.arange(r_i + 1) + 1)
-            put(sp.kron(np.diag(mass), self.ops.M_gamma, format="coo"), base, base)
+            put(np.diag(window.length / (2 * np.arange(r_i + 1) + 1)), ops.M_gamma, base, base)
             for j in range(2):
-                bij = self.ops.B[i, j]
+                bij = ops.B[i, j]
                 if bij == 0.0 or dG == 0:
                     continue
                 r_cut = min(r_i, cfg.r[j])  # trace of subdomain j has order r_j
-                edges = cfg.substep_edges(j, 1)
+                MgT = TtMg[j].T
                 if self.quadrature == "trapezoid":
-                    weights = _window_weights_trapezoid(edges, window, r_cut)
-                    coef = -bij * (edges[1] - edges[0]) * 0.5 * weights
-                    for n in range(1, cfg.M[j] + 1):
-                        # substep n reads its side values U_{n-1} and U_n alike
-                        block = sp.kron(coef[n - 1][:, None], MgT[j], format="coo")
-                        put(block, base, self._U_col(j, n))
-                        put(block, base, self._U_col(j, n - 1))
+                    # substep n reads its side values U_{n-1} and U_n alike:
+                    # as U_n at its own side value, as U_{n-1} at the one of
+                    # substep n - 1, or for n = 1 at the incoming value
+                    X = dgit.cross_moments(self._edges[j], window, 0, r_cut, "trapezoid")
+                    W = np.kron(-0.5 * bij * X[:, 0].T, side_value)
+                    put(W, MgT, base, self._dom_off[j])
+                    put(W[:, q + 2 :], MgT, base, self._dom_off[j])
+                    put(W[:, q + 1 : q + 2], MgT, base, incoming[j])
                 else:
-                    for n in range(1, cfg.M[j] + 1):
-                        X = dgit.cross_gram(Interval(edges[n - 1], edges[n]), window, q, r_cut)
-                        put(sp.kron(-bij * X.T, MgT[j], format="coo"), base, self._sub_off(j, n))
+                    X = dgit.cross_moments(self._edges[j], window, q, r_cut)
+                    # no trace term at the side value of a substep
+                    W = np.pad(-bij * X, ((0, 0), (0, 1), (0, 0))).reshape(-1, r_cut + 1).T
+                    put(W, MgT, base, self._dom_off[j])
 
         def assembled(parts, ncols):
             rows, cols, data = (np.concatenate(p) for p in parts)
             return sp.coo_matrix((data, (rows, cols)), shape=(self.dim, ncols)).tocsr()
 
-        n_past = self._past_off[1] + self._n_past * self.ops.d_omega[1]
+        n_past = self._past_off[1] + self._n_past * ops.d_omega[1]
         return assembled(unknowns, self.dim), assembled(past, n_past)
 
     def _lagged_part(self) -> sp.csr_matrix:
@@ -425,15 +416,16 @@ class WindowOperator:
         N holds the operator term of every substep's variational rows and
         the flux-mode columns of the substep rows.  What is left, P, is
         block lower triangular: the substeps of each subdomain in order with
-        their backward side-value couplings, then the flux rows.
+        their backward side-value couplings, then the flux rows.  The
+        operator weights are the block's own, so that P holds no remainder
+        of the operator term.
         """
         parts = []
-        for i in range(2):
-            for blk in self.blocks[i]:
-                K = dgit.operator_weights(self.spec, blk.interval.length)
-                # at the variational rows and modal columns of the substep
-                K = np.pad(K, ((self.spec.n_s, 0), (0, 1)))
-                parts.append(sp.kron(K, self.ops.L[i]))
+        for i, blk in enumerate(self.blocks):
+            K = dgit.operator_weights(self.spec, blk.interval.length)
+            # at the variational rows and modal columns of every substep
+            K = np.pad(K, ((self.spec.n_s, 0), (0, 1)))
+            parts.append(sp.kron(np.kron(np.eye(self.cfg.M[i]), K), self.ops.L[i]))
         lagged = sp.block_diag(parts, format="coo")
         lagged.resize((self.dim, self.dim))
         A = self.matrix.tocoo()

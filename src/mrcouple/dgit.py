@@ -4,8 +4,12 @@ A substep holds one polynomial state of order q plus one end-of-step
 side value, constrained by n_s pointwise side conditions and by
 variational rows tested against polynomials of order q + 1 - n_s; row
 and unknown counts both equal (q + 2) * d.  Blocks are plain sparse
-matrices so a coupling-window assembler can stack them, and they can be
-solved standalone (sequentially) for single-system integration.
+matrices.  A coupling window chains one block per subdomain: the block's
+matrix on the diagonal of every substep, each prev[j] shifted onto the
+side value j+1 substeps back, and flux columns stacked from the
+cross_moments table over the substep edges, the only part that depends
+on a substep's place in the window.  Blocks can also be solved
+standalone (sequentially) for single-system integration.
 
 Quadrature of the data terms is switchable between exact Gauss rules
 and endpoint-trapezoid evaluation; the latter turns the pinned-endpoint
@@ -28,7 +32,6 @@ from .timepoly import (
     SchemeSpec,
     TimePoly,
     derivative_overlap,
-    gauss_on,
     gauss_rule,
     legendre_table,
     points_for_degree,
@@ -55,31 +58,28 @@ def factorize(A: sp.spmatrix):
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
-def cross_gram(sub: Interval, window: Interval, order_sub: int, order_win: int) -> np.ndarray:
-    """X[a, b] = integral over the substep of P_a(substep) * P_b(window) dt.
-
-    Couples window-scale flux modes to substep-scale test and trial modes;
-    the Gauss rule is exact for the polynomial integrand.
-    """
-    t, w = gauss_on(sub, points_for_degree(order_sub + order_win))
-    tab_s = legendre_table(order_sub, sub.to_reference(t))
-    tab_w = legendre_table(order_win, window.to_reference(t))
-    return (tab_s * w) @ tab_w.T
-
-
-def cross_gram_trapezoid(
-    sub: Interval, window: Interval, order_sub: int, order_win: int
+def cross_moments(
+    edges: np.ndarray, window: Interval, order_sub: int, order_win: int, quadrature: str = "exact"
 ) -> np.ndarray:
-    """Endpoint-average variant of cross_gram.
+    """X[n, a, b] = integral over substep n of P_a(substep) * P_b(window) dt.
 
-    Replaces the substep integral by dt/2 * [value(a) + value(b)]; equal to
-    the exact table whenever the integrand has degree <= 1, in particular
-    for constant test modes against window modes of order <= 1.
+    Substep n runs from edges[n] to edges[n + 1]; the table couples
+    window-scale flux modes to substep-scale test and trial modes.  The
+    exact rule is a Gauss rule exact for the polynomial integrand; the
+    trapezoid rule replaces each substep integral by dt/2 * [value(a) +
+    value(b)], equal to the exact table whenever the integrand has degree
+    <= 1.  Shape (M, order_sub + 1, order_win + 1).
     """
-    ends = np.array([sub.a, sub.b])
-    tab_s = legendre_table(order_sub, sub.to_reference(ends))
-    tab_w = legendre_table(order_win, window.to_reference(ends))
-    return 0.5 * sub.length * (tab_s @ tab_w.T)
+    a, b = edges[:-1, None], edges[1:, None]
+    length = b - a
+    if quadrature == "trapezoid":
+        t, w = np.hstack([a, b]), 0.5 * length * np.ones(2)
+    else:
+        x, w = gauss_rule(points_for_degree(order_sub + order_win))
+        t, w = a + 0.5 * (x + 1.0) * length, 0.5 * length * w
+    tab_s = legendre_table(order_sub, 2.0 * (t - a) / length - 1.0)  # (order_sub+1, M, pts)
+    tab_w = legendre_table(order_win, window.to_reference(t))
+    return np.matmul(tab_s.transpose(1, 0, 2) * w[:, None, :], tab_w.transpose(1, 2, 0))
 
 
 def batched(load_fn: Callable) -> Callable:
@@ -168,10 +168,7 @@ class SubstepBlock:
 
     spec: SchemeSpec
     interval: Interval
-    window: Interval
     d: int
-    d_gamma: int
-    r: Optional[int]
     quadrature: str
     matrix: sp.csr_matrix
     prev: list
@@ -227,7 +224,6 @@ def build_substep_block(
     q, n_s, t_o = spec.q, spec.n_s, spec.test_order
     d = M.shape[0]
     dt = interval.length
-    window = window or interval
     I_d = sp.identity(d, format="csr")
 
     # Side rows: values of the modal expansion at the side nodes vs side values.
@@ -265,25 +261,18 @@ def build_substep_block(
         prev.append(sp.vstack([side_part, var_part], format="csr"))
 
     flux = None
-    d_gamma = 0
     if TtMg is not None and r is not None and TtMg.shape[1] > 0:
-        d_gamma = TtMg.shape[1]
-        if quadrature == "trapezoid":
-            Xf = cross_gram_trapezoid(interval, window, t_o, r)
-        else:
-            Xf = cross_gram(interval, window, t_o, r)
+        ends = np.array([interval.a, interval.b])
+        Xf = cross_moments(ends, window or interval, t_o, r, quadrature)[0]
         # flux modes enter the variational rows on the left side
         flux = sp.vstack(
-            [_empty(n_s * d, (r + 1) * d_gamma), sp.kron(Xf, TtMg)], format="csr"
+            [_empty(n_s * d, (r + 1) * TtMg.shape[1]), sp.kron(Xf, TtMg)], format="csr"
         )
 
     return SubstepBlock(
         spec=spec,
         interval=interval,
-        window=window,
         d=d,
-        d_gamma=d_gamma,
-        r=r,
         quadrature=quadrature,
         matrix=matrix,
         prev=prev,
@@ -403,9 +392,7 @@ def integrate(
             block = build_substep_block(M, L, spec, iv, quadrature=quadrature)
             block_dt = iv.length
         else:
-            block = dataclasses.replace(
-                block, interval=iv, window=iv, _lu=block._lu
-            )
+            block = dataclasses.replace(block, interval=iv, _lu=block._lu)
         poly, U = _solve_with_rhs(block, history, moments[n % chunk])
         polys.append(poly)
         side_values.append(U)

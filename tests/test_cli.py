@@ -148,6 +148,34 @@ class TestMainRun:
         err = capsys.readouterr().err
         assert "config error: scheme.k_s" in err and "M1+1=2" in err
 
+    REACH_BACK = {
+        "geometry": {"nx": 2, "ny": 2},
+        "scheme": {
+            "name": "dg", "q": 1, "n_s": 2, "k_s": 2, "thetas": [0.0, 1.0],
+            "D": [[0, 2, -1], [1, 0, 0]],
+        },
+        "window": {"t_f": 0.1, "N": 4, "M1": 1, "M2": 1, "N0": 1},
+    }
+
+    @pytest.mark.parametrize(
+        "command", [["run"], ["check", "--suite", "conservation"], ["convergence"]]
+    )
+    def test_history_without_reference_window_is_config_error(self, tmp_path, capsys, command):
+        # N0 = 1 leaves window 1 only the initial state, but column 2 of D
+        # reads the side value two steps back
+        config = write_config(tmp_path, self.REACH_BACK)
+        argv = [command[0], "--config", str(config), *command[1:]]
+        if command[0] != "check":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error: window.N0" in err and "reach back 2 side values" in err
+        # the default N0 fills window 1 from the reference solve
+        payload = json.loads(json.dumps(self.REACH_BACK))
+        del payload["window"]["N0"]
+        cfg = cli.parse_config(json.dumps(payload))
+        assert cfg.window.n_init(cfg.scheme) == 2
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "none.json")]) == 2
 

@@ -145,6 +145,22 @@ class TestWindowAssembly:
         # substeps: (q+2) unknowns each, then (r_i+1) flux modes per side
         assert op.dim == 3 * 1 + 3 * 2 + 2 + 2 == 13
 
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    @pytest.mark.parametrize("scheme_name", ["cg2", "dg1"])
+    def test_substeps_of_a_side_share_one_block(self, smooth_ops, scheme_name, quadrature):
+        # all substeps of a side have one length: the window repeats one block
+        cfg = mc.WindowConfig(t_f=0.3, N=3, M=(3, 5), r=(1, 2))
+        scheme = mc.shipped_schemes()[scheme_name]
+        op = mc.WindowOperator(smooth_ops, scheme, cfg, quadrature=quadrature)
+        for i in range(2):
+            size = op._sub_size[i]
+            diagonal = [
+                op.matrix[o : o + size, o : o + size].toarray()
+                for o in (op._sub_off(i, n) for n in range(1, cfg.M[i] + 1))
+            ]
+            assert np.array_equal(diagonal[0], op.blocks[i].matrix.toarray())
+            assert all(np.array_equal(block, diagonal[0]) for block in diagonal[1:])
+
     def test_decoupled_equals_independent_runs(self):
         Z = np.zeros((2, 2))
         ops = mc.from_matrices(
@@ -403,7 +419,7 @@ class TestFixedPoint:
         mc.run_simulation(
             toy_ops, mc.crank_nicolson(), cfg, quadrature="trapezoid", solver="fixed-point"
         )
-        assert calls == {"assemble_substep": 2 + 3, "factorize": 1}
+        assert calls == {"assemble_substep": 2, "factorize": 1}  # one block per side
 
 
 @pytest.fixture(scope="module")

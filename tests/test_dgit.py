@@ -52,6 +52,38 @@ class TestBlockStructure:
             )
 
 
+class TestCrossMoments:
+    # substeps that do not line up with the window, nor with each other
+    EDGES = np.array([0.13, 0.21, 0.34, 0.5])
+    WINDOW = Interval(0.1, 0.6)
+
+    @staticmethod
+    def _values(order, interval, t):
+        ref = 2.0 * (t - interval.a) / interval.length - 1.0
+        return np.array([np.polynomial.legendre.Legendre.basis(k)(ref) for k in range(order + 1)])
+
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    @pytest.mark.parametrize("order_sub", range(4))
+    @pytest.mark.parametrize("order_win", range(4))
+    def test_matches_independent_integration(self, order_sub, order_win, quadrature):
+        got = dgit.cross_moments(self.EDGES, self.WINDOW, order_sub, order_win, quadrature)
+        assert got.shape == (len(self.EDGES) - 1, order_sub + 1, order_win + 1)
+        for n, (a, b) in enumerate(zip(self.EDGES[:-1], self.EDGES[1:])):
+            sub = Interval(a, b)
+            if quadrature == "exact":
+                x, w = np.polynomial.legendre.leggauss(10)
+                t, w = a + 0.5 * (x + 1.0) * (b - a), 0.5 * (b - a) * w
+            else:
+                t, w = np.array([a, b]), np.array([0.5, 0.5]) * (b - a)
+            want = (self._values(order_sub, sub, t) * w) @ self._values(order_win, self.WINDOW, t).T
+            assert np.max(np.abs(got[n] - want)) <= 1e-15
+
+    def test_rules_agree_on_linear_integrands(self):
+        exact = dgit.cross_moments(self.EDGES, self.WINDOW, 0, 1)
+        trap = dgit.cross_moments(self.EDGES, self.WINDOW, 0, 1, "trapezoid")
+        assert np.max(np.abs(exact - trap)) <= 1e-15
+
+
 class TestScalarSolves:
     def test_steady_state_preserved_without_side_conditions(self):
         spec = mc.dg(0)
@@ -138,11 +170,11 @@ class TestPolynomialExactness:
         assert np.max(np.abs(U - exact.right())) < 1e-10 * scale
         assert np.max(np.abs(poly.coeffs - exact.coeffs)) < 1e-10 * scale
 
-    @pytest.mark.parametrize("name", sorted(mc.shipped_schemes()))
+    @pytest.mark.parametrize(
+        "name", sorted(name for name, s in mc.shipped_schemes().items() if s.n_s > 0)
+    )
     def test_side_conditions_satisfied(self, name):
         spec = mc.shipped_schemes()[name]
-        if spec.n_s == 0:
-            pytest.skip("no side conditions")
         d = 2
         M = random_spd(d, 8)
         L = random_spd(d, 9)
