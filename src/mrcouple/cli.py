@@ -89,6 +89,28 @@ def _get(problems, obj, key, where, kind, default=None, required=False):
     return default
 
 
+def _numbers(problems, obj, key, where, max_ndim):
+    """obj[key] (default empty) as a float array of at most max_ndim dimensions.
+
+    Strings, booleans, nulls, ragged tables and non-finite values are
+    problems, reported by name; the result is then None.
+    """
+    try:
+        arr = np.asarray(obj.get(key, []))
+    except ValueError:  # a ragged table
+        arr = None
+    if (
+        arr is None
+        or arr.ndim > max_ndim
+        or (arr.size and arr.dtype.kind not in "iuf")
+        or not np.all(np.isfinite(arr))
+    ):
+        kind = "list" if max_ndim == 1 else "table"
+        problems.append(f"{where}.{key}: expected a {kind} of finite numbers")
+        return None
+    return arr.astype(float)
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a JSON config; raises ConfigError listing
     every problem found, not just the first."""
@@ -217,17 +239,16 @@ def parse_config(text: str) -> RunConfig:
             if q is not None:
                 n_s = _get(problems, sch, "n_s", "scheme", int, 0)
                 k_s = _get(problems, sch, "k_s", "scheme", int, 0)
-                thetas = sch.get("thetas", [])
-                D = sch.get("D", [])
-                try:
-                    scheme_spec = timepoly.SchemeSpec(
-                        q=q, n_s=n_s, k_s=k_s, thetas=tuple(thetas), D=np.asarray(D, dtype=float)
-                        if len(np.atleast_1d(D))
-                        else np.zeros((0, k_s + 1)),
-                        name="dg",
-                    )
-                except timepoly.SchemeError as err:
-                    problems.append(f"scheme: {err}")
+                thetas = _numbers(problems, sch, "thetas", "scheme", 1)
+                D = _numbers(problems, sch, "D", "scheme", 2)
+                if thetas is not None and D is not None:
+                    try:
+                        scheme_spec = timepoly.SchemeSpec(
+                            q=q, n_s=n_s, k_s=k_s, thetas=tuple(np.atleast_1d(thetas)), D=D,
+                            name="dg",
+                        )
+                    except timepoly.SchemeError as err:
+                        problems.append(f"scheme: {err}")
             quadrature = quadrature or "exact"
         elif name in timepoly.shipped_schemes():
             scheme_spec = timepoly.shipped_schemes()[name]

@@ -74,14 +74,20 @@ class WindowConfig:
     N0: Optional[int] = None
 
     def __post_init__(self):
-        if self.t_f <= 0:
-            raise ValueError("final time must be positive")
+        if not (math.isfinite(self.t_f) and self.t_f > 0):
+            raise ValueError(f"final time must be positive and finite, got {self.t_f}")
         if self.N < 1 or self.M[0] < 1 or self.M[1] < 1:
             raise ValueError("window and substep counts must be at least 1")
         if self.r[0] < 0 or self.r[1] < 0:
             raise ValueError("flux orders must be nonnegative")
         if self.N0 is not None and self.N0 < 1:
             raise ValueError("initialization window count must be at least 1")
+        for i in range(2):
+            # the last substep, furthest from 0, is the first to be degenerate
+            try:
+                Interval(self.t_f - self.dt_sub(i), self.t_f)
+            except ValueError as err:
+                raise ValueError(f"substeps of subdomain {i + 1} are too short: {err}") from None
 
     @property
     def dt(self) -> float:
@@ -279,13 +285,7 @@ class WindowOperator:
         self._edges = tuple(cfg.substep_edges(i, 1) for i in range(2))
         self.blocks = tuple(
             dgit.assemble_substep(
-                ops,
-                i,
-                spec,
-                Interval(self._edges[i][0], self._edges[i][1]),
-                cfg.r[i],
-                self._template,
-                quadrature=quadrature,
+                ops, i, spec, Interval(self._edges[i][0], self._edges[i][1]), quadrature=quadrature
             )
             for i in range(2)
         )
@@ -439,12 +439,13 @@ class WindowOperator:
 
         Per substep: the L2-in-time mass norm of the state polynomial, whose
         Legendre mode a weighs dt_i / (2a + 1), and dt_i times the mass norm
-        of the side value.  Flux modes do not enter.
+        of the side value, with dt_i the length of side i's block, as in
+        _lagged_part.  Flux modes do not enter.
         """
         q = self.spec.q
         parts = []
-        for i in range(2):
-            dt = self.cfg.dt_sub(i)
+        for i, blk in enumerate(self.blocks):
+            dt = blk.interval.length
             w = np.append(dt / (2 * np.arange(q + 1) + 1), dt)
             sub = sp.kron(sp.diags(w), self.ops.M[i])
             parts.append(sp.kron(sp.identity(self.cfg.M[i]), sub))
@@ -780,60 +781,65 @@ def _fill_init_windows(ops, spec, cfg, u0, n_init: int):
     """Solve the leading windows with a fine single-rate reference integrator.
 
     Supplies starting data for schemes whose side conditions reach further
-    back than the available history; the substep states are exact broken
-    projections of the reference solution.
+    back than the available history.  The substep states and the fluxes
+    are exact L2 projections of the fine piecewise solution and of its
+    trace combinations, integrated piece by piece with the cross_moments
+    table of the fine steps.
     """
-    Mc, Lc, load, (s1, s2) = coupled_system(ops)
+    Mc, Lc, load, slices = coupled_system(ops)
     n_fine_per_sub = 32
     fine_per_window = n_fine_per_sub * cfg.M[0] * cfg.M[1]
-    t_end = cfg.window(n_init - 1).b if n_init > 1 else 0.0
-    edges = np.linspace(0.0, t_end, (n_init - 1) * fine_per_window + 1)
-    polys, side = dgit.integrate(
-        Mc, Lc, load, np.concatenate(u0), continuous_galerkin(2), edges
-    )
+    edges = np.linspace(0.0, cfg.window(n_init - 1).b, (n_init - 1) * fine_per_window + 1)
+    fine_spec = continuous_galerkin(2)
+    coeffs, side = dgit.integrate(Mc, Lc, load, np.concatenate(u0), fine_spec, edges)
+
+    def project(lo: int, pieces: np.ndarray, target: Interval, k: int) -> TimePoly:
+        # order-k projection onto target of the fine pieces lo, lo + 1, ...
+        X = dgit.cross_moments(edges[lo : lo + len(pieces) + 1], target, fine_spec.q, k)
+        scale = (2 * np.arange(k + 1) + 1)[:, None] / target.length
+        return TimePoly(target, scale * np.einsum("nac,nab->bc", pieces, X))
+
     Mg_lu = dgit.factorize(ops.M_gamma) if (ops.d_gamma and ops.has_g) else None
     windows = []
-    slices = (s1, s2)
     for w in range(1, n_init):
         window = cfg.window(w)
+        lo = (w - 1) * fine_per_window
+        fine = coeffs[lo : lo + fine_per_window]
         u, U, F = [], [], []
         for i in range(2):
             sub_edges = cfg.substep_edges(i, w)
             per_sub = fine_per_window // cfg.M[i]
-            polys_i, side_i = [], np.empty((cfg.M[i] + 1, ops.d_omega[i]))
-            side_i[0] = side[(w - 1) * fine_per_window][slices[i]]
-            for n in range(cfg.M[i]):
-                lo = (w - 1) * fine_per_window + n * per_sub
-                pieces = [
-                    TimePoly(polys[k].interval, polys[k].coeffs[:, slices[i]])
-                    for k in range(lo, lo + per_sub)
+            u.append(
+                [
+                    project(
+                        lo + n * per_sub,
+                        fine[n * per_sub : (n + 1) * per_sub, :, slices[i]],
+                        Interval(sub_edges[n], sub_edges[n + 1]),
+                        spec.q,
+                    )
+                    for n in range(cfg.M[i])
                 ]
-                proj = project_l2_broken(pieces, spec.q)
-                polys_i.append(TimePoly(Interval(sub_edges[n], sub_edges[n + 1]), proj.coeffs))
-                side_i[n + 1] = side[lo + per_sub][slices[i]]
-            u.append(polys_i)
+            )
+            side_i = side[lo : lo + fine_per_window + 1 : per_sub, slices[i]].copy()
+            side_i.flags.writeable = False
             U.append(side_i)
+        if ops.d_gamma:
+            traces = [
+                (ops.T[j] @ fine[:, :, slices[j]].reshape(-1, ops.d_omega[j]).T).T.reshape(
+                    fine_per_window, fine_spec.q + 1, ops.d_gamma
+                )
+                for j in range(2)
+            ]
         for i in range(2):
-            if ops.d_gamma:
-                lo = (w - 1) * fine_per_window
-                combo = []
-                for k in range(lo, lo + fine_per_window):
-                    c1 = (ops.T[0] @ polys[k].coeffs[:, s1].T).T
-                    c2 = (ops.T[1] @ polys[k].coeffs[:, s2].T).T
-                    combo.append(
-                        TimePoly(polys[k].interval, ops.B[i, 0] * c1 + ops.B[i, 1] * c2)
-                    )
-                Fi = project_l2_broken(combo, cfg.r[i])
-                if ops.has_g:
-                    gtilde = project_l2(
-                        lambda t, i=i: Mg_lu.solve(ops.g_vec(i, t)), window, cfg.r[i], npts=16
-                    )
-                    Fi = Fi - gtilde
-                F.append(TimePoly(window, Fi.coeffs))
-            else:
+            if not ops.d_gamma:
                 F.append(None)
-        for arr in U:
-            arr.flags.writeable = False
+                continue
+            Fi = project(lo, ops.B[i, 0] * traces[0] + ops.B[i, 1] * traces[1], window, cfg.r[i])
+            if ops.has_g:
+                Fi = Fi - project_l2(
+                    lambda t, i=i: Mg_lu.solve(ops.g_vec(i, t)), window, cfg.r[i], npts=16
+                )
+            F.append(Fi)
         windows.append(
             WindowSolution(
                 index=w,

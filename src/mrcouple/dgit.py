@@ -4,12 +4,15 @@ A substep holds one polynomial state of order q plus one end-of-step
 side value, constrained by n_s pointwise side conditions and by
 variational rows tested against polynomials of order q + 1 - n_s; row
 and unknown counts both equal (q + 2) * d.  Blocks are plain sparse
-matrices.  A coupling window chains one block per subdomain: the block's
-matrix on the diagonal of every substep, each prev[j] shifted onto the
-side value j+1 substeps back, and flux columns stacked from the
-cross_moments table over the substep edges, the only part that depends
-on a substep's place in the window.  Blocks can also be solved
-standalone (sequentially) for single-system integration.
+matrices over a substep's own unknowns and its earlier side values; they
+carry no flux columns.  A coupling window chains one block per
+subdomain: the block's matrix on the diagonal of every substep, each
+prev[j] shifted onto the side value j+1 substeps back, and flux columns
+that the window stacks from the cross_moments table over the substep
+edges, the only part that depends on a substep's place in the window.
+Blocks can also be solved standalone: solve_substep solves one, and
+integrate marches one block of a uniform grid through every step,
+returning plain coefficient and side-value arrays.
 
 Quadrature of the data terms is switchable between exact Gauss rules
 and endpoint-trapezoid evaluation; the latter turns the pinned-endpoint
@@ -161,9 +164,9 @@ class SubstepBlock:
     """Linear rows of one substep, keyed to the unknowns [c_0..c_q, U].
 
     matrix couples the substep's own unknowns; prev[j] the side value
-    j+1 steps back; flux the window-scale flux modes (empty if there is
-    no interface).  Rows are ordered side conditions first, variational
-    rows after, (q + 2) * d in total.
+    j+1 steps back.  Rows are ordered side conditions first, variational
+    rows after, (q + 2) * d in total.  quadrature is the rule of the data
+    terms that solve_substep integrates.
     """
 
     spec: SchemeSpec
@@ -172,14 +175,7 @@ class SubstepBlock:
     quadrature: str
     matrix: sp.csr_matrix
     prev: list
-    flux: Optional[sp.csr_matrix]
     _lu: object = dataclasses.field(default=None, repr=False)
-
-    def load_moments(self, load_fn: Optional[Callable], npts: int = LOAD_QUAD_PTS) -> np.ndarray:
-        """RHS vector of the data term, integrated against each test mode."""
-        return load_moments(
-            self.spec, self.interval, load_fn, self.d, quadrature=self.quadrature, npts=npts
-        )
 
     def lu(self):
         if self._lu is None:
@@ -204,23 +200,16 @@ def build_substep_block(
     spec: SchemeSpec,
     interval: Interval,
     *,
-    window: Optional[Interval] = None,
-    r: Optional[int] = None,
-    TtMg: Optional[sp.spmatrix] = None,
     quadrature: str = "exact",
 ) -> SubstepBlock:
     """Assemble the rows of one substep for a system with mass M and operator L.
 
-    TtMg is the premultiplied trace coupling T^t M_gamma; when given together
-    with a flux order r, the block carries columns for the (r+1) window-scale
-    flux modes.  The operator term enters the variational rows with the
-    weights of operator_weights, which is how a window solver can split it
-    off the assembled matrix.
+    The operator term enters the variational rows with the weights of
+    operator_weights, which is how a window solver can split it off the
+    assembled matrix.
     """
     if quadrature not in ("exact", "trapezoid"):
         raise ValueError(f"unknown quadrature {quadrature!r}")
-    if r is not None and r < 0:
-        raise ValueError("flux order must be nonnegative")
     q, n_s, t_o = spec.q, spec.n_s, spec.test_order
     d = M.shape[0]
     dt = interval.length
@@ -260,81 +249,45 @@ def build_substep_block(
         var_part = sp.kron(alt, M) if j == 0 else _empty((t_o + 1) * d, d)
         prev.append(sp.vstack([side_part, var_part], format="csr"))
 
-    flux = None
-    if TtMg is not None and r is not None and TtMg.shape[1] > 0:
-        ends = np.array([interval.a, interval.b])
-        Xf = cross_moments(ends, window or interval, t_o, r, quadrature)[0]
-        # flux modes enter the variational rows on the left side
-        flux = sp.vstack(
-            [_empty(n_s * d, (r + 1) * TtMg.shape[1]), sp.kron(Xf, TtMg)], format="csr"
-        )
-
     return SubstepBlock(
-        spec=spec,
-        interval=interval,
-        d=d,
-        quadrature=quadrature,
-        matrix=matrix,
-        prev=prev,
-        flux=flux,
+        spec=spec, interval=interval, d=d, quadrature=quadrature, matrix=matrix, prev=prev
     )
 
 
 def assemble_substep(
-    ops,
-    i: int,
-    spec: SchemeSpec,
-    interval: Interval,
-    r_i: int,
-    window: Interval,
-    *,
-    quadrature: str = "exact",
+    ops, i: int, spec: SchemeSpec, interval: Interval, *, quadrature: str = "exact"
 ) -> SubstepBlock:
     """Substep block for subdomain i of an assembled operator set."""
-    TtMg = (ops.T[i].T @ ops.M_gamma).tocsr() if ops.d_gamma else None
-    return build_substep_block(
-        ops.M[i],
-        ops.L[i],
-        spec,
-        interval,
-        window=window,
-        r=r_i,
-        TtMg=TtMg,
-        quadrature=quadrature,
-    )
+    return build_substep_block(ops.M[i], ops.L[i], spec, interval, quadrature=quadrature)
+
+
+def _subtract_history(block: SubstepBlock, history: Sequence[np.ndarray], rhs: np.ndarray) -> None:
+    """rhs -= prev[j] @ history[j] for each earlier side value the block reads."""
+    for j, prevj in enumerate(block.prev):
+        if j < len(history):
+            rhs -= prevj @ history[j]
+        elif prevj.nnz:
+            raise ValueError(f"substep reaches back {j + 1} side values, history has {len(history)}")
 
 
 def solve_substep(
     block: SubstepBlock,
     history: Sequence[np.ndarray],
-    flux_modes: Optional[np.ndarray] = None,
     load_fn: Optional[Callable] = None,
     *,
     load_npts: int = LOAD_QUAD_PTS,
 ):
     """Solve one substep given its trailing side values (newest first).
 
-    flux_modes, when present, has shape (r+1, d_gamma) and is treated as
-    known data.  Returns the state polynomial and the new side value.
+    Returns the state polynomial and the new side value.
     """
-    rhs = block.load_moments(load_fn, npts=load_npts)
-    return _solve_with_rhs(block, history, rhs, flux_modes)
-
-
-def _solve_with_rhs(block: SubstepBlock, history, rhs: np.ndarray, flux_modes=None):
-    """solve_substep with the data term given; rhs is overwritten."""
-    for j, blockj in enumerate(block.prev):
-        if j < len(history):
-            rhs -= blockj @ history[j]
-        elif blockj.nnz:
-            raise ValueError(f"substep reaches back {j + 1} side values, history has {len(history)}")
-    if block.flux is not None and flux_modes is not None:
-        rhs -= block.flux @ np.asarray(flux_modes, dtype=float).ravel()
+    rhs = load_moments(
+        block.spec, block.interval, load_fn, block.d, quadrature=block.quadrature, npts=load_npts
+    )
+    _subtract_history(block, history, rhs)
     x = block.lu().solve(rhs)
     q, d = block.spec.q, block.d
-    coeffs = x[: (q + 1) * d].reshape(q + 1, d)
-    U = x[(q + 1) * d :]
-    return TimePoly(block.interval, coeffs), U
+    return TimePoly(block.interval, x[: (q + 1) * d].reshape(q + 1, d)), x[(q + 1) * d :]
 
 
 def side_condition_residual(
@@ -364,38 +317,44 @@ def integrate(
     history0: Optional[Sequence[np.ndarray]] = None,
     load_npts: int = LOAD_QUAD_PTS,
 ):
-    """March a single linear system M u' = -L u + load through time steps.
+    """March a single linear system M u' = -L u + load through uniform time steps.
 
-    boundaries are the step edges; a uniform grid reuses one factorization.
-    The data terms are computed for a chunk of steps at a time, with one
-    load call per chunk when the load is batched.
-    Returns (polys, side_values) with side_values[n] the state at
-    boundaries[n] (side_values[0] = u0).
+    boundaries are the step edges, at least two; every step has the first
+    step's length to within 1e-12 relative, so one block and one
+    factorization serve them all.  The data terms are computed for a chunk
+    of steps at a time, with one load call per chunk when the load is
+    batched.  Returns (coeffs, side_values): coeffs[n], shape (q+1, d), the
+    Legendre coefficients of the state on (boundaries[n], boundaries[n+1]),
+    and side_values[n] the state at boundaries[n] (side_values[0] = u0).
     """
     boundaries = np.asarray(boundaries, dtype=float)
     n_steps = len(boundaries) - 1
-    d = M.shape[0]
+    if n_steps < 1:
+        raise ValueError("integrate needs at least one step")
+    block = build_substep_block(
+        M, L, spec, Interval(boundaries[0], boundaries[1]), quadrature=quadrature
+    )
+    lengths = np.diff(boundaries)
+    dt = block.interval.length
+    if not np.all(np.abs(lengths - dt) <= 1e-12 * np.maximum(1.0, lengths)):
+        raise ValueError("integrate needs uniform steps: a step length differs from the first")
+    lu = block.lu()
+    q, d = spec.q, M.shape[0]
     chunk = max(1, LOAD_BATCH_VALUES // max(1, load_npts * d))
-    history = list(history0 or [])
-    history.insert(0, np.asarray(u0, dtype=float))
-    polys = []
-    side_values = [history[0]]
-    block = None
-    block_dt = None
+    coeffs = np.empty((n_steps, q + 1, d))
+    side_values = np.empty((n_steps + 1, d))
+    side_values[0] = u0
+    history = [side_values[0], *(history0 or [])]
     for n in range(n_steps):
         if n % chunk == 0:
             moments = _chunk_moments(
                 spec, boundaries[n : n + chunk + 1], load_fn, d, quadrature, load_npts
             )
-        iv = Interval(boundaries[n], boundaries[n + 1])
-        if block is None or abs(iv.length - block_dt) > 1e-12 * max(1.0, iv.length):
-            block = build_substep_block(M, L, spec, iv, quadrature=quadrature)
-            block_dt = iv.length
-        else:
-            block = dataclasses.replace(block, interval=iv, _lu=block._lu)
-        poly, U = _solve_with_rhs(block, history, moments[n % chunk])
-        polys.append(poly)
-        side_values.append(U)
-        history.insert(0, U)
+        rhs = moments[n % chunk]
+        _subtract_history(block, history, rhs)
+        x = lu.solve(rhs)
+        coeffs[n] = x[: (q + 1) * d].reshape(q + 1, d)
+        side_values[n + 1] = x[(q + 1) * d :]
+        history.insert(0, side_values[n + 1])
         del history[max(spec.k_s, 1) + 1 :]
-    return polys, np.stack(side_values)
+    return coeffs, side_values

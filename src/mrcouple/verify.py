@@ -203,11 +203,14 @@ def residual_check(case: ManufacturedCase, n: int = 20, seed: int = 7) -> float:
 class ReferenceTrajectory:
     """Dense single-rate solve of the exactly-coupled system, queryable in time.
 
-    polys[n] is the coupled state on the step (boundaries[n], boundaries[n + 1]).
+    coeffs[n], shape (order + 1, d1 + d2), holds the Legendre coefficients of
+    the coupled state on the step (boundaries[n], boundaries[n + 1]), as
+    dgit.integrate returns them; a query outside (boundaries[0],
+    boundaries[-1]) reads the first or last step's polynomial.
     """
 
     boundaries: np.ndarray
-    polys: list
+    coeffs: np.ndarray
     slices: tuple
     ops: FeOperators
     scheme_name: str
@@ -217,11 +220,10 @@ class ReferenceTrajectory:
         """Coupled state at each of the 1-D array of times ts, (nt, d1 + d2)."""
         ts = np.asarray(ts, dtype=float)
         idx = np.searchsorted(self.boundaries, ts, side="right") - 1
-        idx = np.clip(idx, 0, len(self.polys) - 1)
+        idx = np.clip(idx, 0, len(self.coeffs) - 1)
         a, b = self.boundaries[idx], self.boundaries[idx + 1]
-        coeffs = np.stack([self.polys[k].coeffs for k in idx])  # (nt, order + 1, d1 + d2)
-        tab = legendre_table(coeffs.shape[1] - 1, 2.0 * (ts - a) / (b - a) - 1.0)
-        return np.einsum("ak,kad->kd", tab, coeffs)
+        tab = legendre_table(self.coeffs.shape[1] - 1, 2.0 * (ts - a) / (b - a) - 1.0)
+        return np.einsum("ak,kad->kd", tab, self.coeffs[idx])
 
     def state(self, t: float) -> tuple:
         v = self.states([t])[0]
@@ -302,8 +304,8 @@ def reference_solve(
     Mc, Lc, load, slices = coupled_system(ops)
     start = np.concatenate([np.asarray(v, dtype=float) for v in (u0 if u0 is not None else ops.u0)])
     boundaries = np.linspace(0.0, t_f, n_steps + 1)
-    polys, _ = dgit.integrate(Mc, Lc, load, start, sp_scheme, boundaries, load_npts=4)
-    return ReferenceTrajectory(boundaries, polys, slices, ops, scheme)
+    coeffs, _ = dgit.integrate(Mc, Lc, load, start, sp_scheme, boundaries, load_npts=4)
+    return ReferenceTrajectory(boundaries, coeffs, slices, ops, scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -235,11 +235,12 @@ def test_08_exactness_and_side_conditions():
         du = exact.derivative()
         load = lambda t: M @ du(t)
         history0 = [exact(boundaries[0] - k * (boundaries[1] - boundaries[0])) for k in range(1, spec.k_s + 1)]
-        polys, side = dgit.integrate(
+        states, side = dgit.integrate(
             M, None, load, exact(boundaries[0]), spec, boundaries, history0=history0
         )
         scale = max(1.0, float(np.max(np.abs(coeffs))))
-        for n, poly in enumerate(polys, start=1):
+        for n, state in enumerate(states, start=1):
+            poly = TimePoly(Interval(boundaries[n - 1], boundaries[n]), state)
             worst_state = max(
                 worst_state,
                 float(np.max(np.abs(poly.coeffs - mc.project_l2(exact, poly.interval, spec.q).coeffs))) / scale,

@@ -176,6 +176,40 @@ class TestMainRun:
         cfg = cli.parse_config(json.dumps(payload))
         assert cfg.window.n_init(cfg.scheme) == 2
 
+    # each config once crashed every command with a bare ValueError
+    MALFORMED = {
+        "thetas": (
+            {"scheme": {"name": "dg", "q": 1, "n_s": 1, "k_s": 0, "thetas": "a", "D": [[1.0]]}},
+            "config error: scheme.thetas: expected a list of finite numbers",
+        ),
+        "D": (
+            {"scheme": {"name": "dg", "q": 1, "n_s": 1, "k_s": 0, "thetas": [1.0], "D": "x"}},
+            "config error: scheme.D: expected a table of finite numbers",
+        ),
+        "infinite-t_f": (
+            {"window": {"t_f": float("inf"), "N": 2}},
+            "config error: window: final time must be positive and finite",
+        ),
+        "vanishing-t_f": (
+            {"window": {"t_f": 1e-300, "N": 2}},
+            "config error: window: substeps of subdomain 1 are too short",
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "command", [["run"], ["check", "--suite", "conservation"], ["convergence"]]
+    )
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_numbers_are_config_errors(self, tmp_path, capsys, case, command):
+        update, message = self.MALFORMED[case]
+        payload = {"geometry": {"nx": 2, "ny": 2}, "window": {"t_f": 0.1, "N": 2}, **update}
+        config = write_config(tmp_path, payload)
+        argv = [command[0], "--config", str(config), *command[1:]]
+        if command[0] != "check":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "none.json")]) == 2
 

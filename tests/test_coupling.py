@@ -38,6 +38,11 @@ class TestWindowConfig:
             mc.WindowConfig(t_f=1.0, N=1, r=(-1, 0))
         with pytest.raises(ValueError):
             mc.WindowConfig(t_f=-1.0, N=1)
+        for t_f in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                mc.WindowConfig(t_f=t_f, N=1)
+        with pytest.raises(ValueError, match="subdomain 2 are too short"):
+            mc.WindowConfig(t_f=1e-13, N=1, M=(1, 100))
 
 
 class TestStepRestriction:
@@ -316,7 +321,7 @@ class TestSingleRateDegeneration:
         cfg = mc.WindowConfig(t_f=0.2, N=4, M=(1, 1), r=(scheme.q, scheme.q))
         traj = mc.run_simulation(decay_ops, scheme, cfg, quadrature="exact")
         Mc, Lc, load, (s1, s2) = coupling.coupled_system(decay_ops)
-        polys, side = dgit.integrate(
+        _, side = dgit.integrate(
             Mc, Lc, load, np.concatenate(decay_ops.u0), scheme, cfg.sync_times()
         )
         for n, sol in enumerate(traj.windows, start=1):
@@ -645,6 +650,44 @@ class TestRunSimulation:
         flags = [sol.initialized_from_reference for sol in traj.windows]
         assert flags == [True, True, False, False]
         assert traj.windows[-1].U[0][-1][0] == pytest.approx(1.4, abs=1e-9)
+
+    @pytest.mark.parametrize("M,r", [((1, 2), (1, 1)), ((2, 3), (2, 0))])
+    def test_reference_windows_project_the_fine_solution(self, smooth_ops, M, r):
+        ops = smooth_ops
+        cfg = mc.WindowConfig(t_f=0.4, N=4, M=M, r=r, N0=3)
+        traj = mc.run_simulation(ops, mc.dg(1), cfg, quadrature="exact")
+        # the fine solve behind the filled windows: 32 steps per substep of each side
+        Mc, Lc, load, slices = coupling.coupled_system(ops)
+        per_window = 32 * M[0] * M[1]
+        edges = np.linspace(0.0, cfg.window(2).b, 2 * per_window + 1)
+        coeffs, side = dgit.integrate(
+            Mc, Lc, load, np.concatenate(ops.u0), mc.continuous_galerkin(2), edges
+        )
+        ivs = [Interval(a, b) for a, b in zip(edges[:-1], edges[1:])]
+        traces = [[TimePoly(iv, (ops.T[j] @ c[:, slices[j]].T).T) for iv, c in zip(ivs, coeffs)]
+                  for j in range(2)]
+        Mg = ops.M_gamma.tocsc()
+
+        def close(got, want):
+            return np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+        for sol in traj.windows[:2]:
+            assert sol.initialized_from_reference
+            lo = (sol.index - 1) * per_window
+            for i in range(2):
+                per_sub = per_window // M[i]
+                for n, got in enumerate(sol.u[i]):
+                    k = lo + n * per_sub
+                    pieces = [TimePoly(iv, c[:, slices[i]])
+                              for iv, c in zip(ivs[k : k + per_sub], coeffs[k : k + per_sub])]
+                    assert close(got.coeffs, mc.project_l2_broken(pieces, 1).coeffs)
+                assert np.array_equal(sol.U[i], side[lo : lo + per_window + 1 : per_sub, slices[i]])
+                combo = [a.scaled(ops.B[i, 0]) + b.scaled(ops.B[i, 1])
+                         for a, b in zip(*(t[lo : lo + per_window] for t in traces))]
+                g = mc.project_l2(
+                    lambda t: spla.spsolve(Mg, ops.g_vec(i, t)), sol.window, r[i], npts=16
+                )
+                assert close(sol.F[i].coeffs, mc.project_l2_broken(combo, r[i]).coeffs - g.coeffs)
 
     def test_initialization_cannot_swallow_all_windows(self, toy_ops):
         cfg = mc.WindowConfig(t_f=0.2, N=2, N0=3)

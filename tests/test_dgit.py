@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -38,18 +40,6 @@ class TestBlockStructure:
         spec = mc.downwind(2)  # q = 2, one side condition
         blk = dgit.build_substep_block(random_spd(3, 0), None, spec, Interval(0.0, 1.0))
         assert blk.matrix.shape[0] == 12
-
-    def test_flux_column_count(self, toy_ops):
-        blk = dgit.assemble_substep(
-            toy_ops, 0, mc.crank_nicolson(), Interval(0.0, 0.1), 2, Interval(0.0, 0.2)
-        )
-        assert blk.flux.shape == (3 * 1, 3 * 1)
-
-    def test_negative_flux_order_rejected(self, toy_ops):
-        with pytest.raises(ValueError):
-            dgit.assemble_substep(
-                toy_ops, 0, mc.crank_nicolson(), Interval(0.0, 0.1), -1, Interval(0.0, 0.2)
-            )
 
 
 class TestCrossMoments:
@@ -127,21 +117,6 @@ class TestScalarSolves:
 
 
 class TestTrapezoidAgreement:
-    def test_cn_substep_equals_exact_on_linear_flux(self, toy_ops):
-        # for flux orders <= 1 both quadratures produce the same flux table
-        iv, window = Interval(0.0, 0.05), Interval(0.0, 0.1)
-        rng = np.random.default_rng(4)
-        fmodes = rng.standard_normal((2, 1))
-        exact = dgit.assemble_substep(toy_ops, 0, mc.crank_nicolson(), iv, 1, window)
-        trap = dgit.assemble_substep(
-            toy_ops, 0, mc.crank_nicolson(), iv, 1, window, quadrature="trapezoid"
-        )
-        U0 = rng.standard_normal(1)
-        p1, U1 = dgit.solve_substep(exact, [U0], flux_modes=fmodes)
-        p2, U2 = dgit.solve_substep(trap, [U0], flux_modes=fmodes)
-        assert np.allclose(U1, U2, rtol=1e-11)
-        assert np.allclose(p1.coeffs, p2.coeffs, rtol=1e-11)
-
     def test_trapezoid_load_is_endpoint_average(self):
         spec = mc.crank_nicolson()
         iv = Interval(0.2, 0.4)
@@ -198,7 +173,10 @@ class TestIntegrate:
     def test_exponential_decay(self):
         M = sp.csr_matrix(np.eye(1))
         L = sp.csr_matrix([[1.0]])
-        polys, side = dgit.integrate(M, L, None, np.array([1.0]), mc.crank_nicolson(), np.linspace(0, 1, 257))
+        coeffs, side = dgit.integrate(
+            M, L, None, np.array([1.0]), mc.crank_nicolson(), np.linspace(0, 1, 257)
+        )
+        assert coeffs.shape == (256, 2, 1) and side.shape == (257, 1)
         assert side[-1][0] == pytest.approx(np.exp(-1.0), abs=1e-5)
 
     def test_history_requirement_enforced(self):
@@ -231,6 +209,50 @@ class TestIntegrate:
         ref = np.exp(-1.0)
         assert abs(dg2[-1][0] - ref) < abs(cn[-1][0] - ref) / 50
 
+    # k_s = 2: the left node is the mean of the new side value and the one
+    # two steps back, so the first step reads history0
+    MEAN_TWO_BACK = SchemeSpec(
+        q=1, n_s=2, k_s=2, thetas=(0.0, 1.0),
+        D=[[0.5, 0.0, 0.5], [1.0, 0.0, 0.0]], name="mean-two-back",
+    )
+
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    @pytest.mark.parametrize("scheme", ["crank-nicolson", "dg2", "mean-two-back"])
+    def test_equals_step_by_step_march(self, scheme, quadrature):
+        spec = self.MEAN_TWO_BACK if scheme == "mean-two-back" else mc.shipped_schemes()[scheme]
+        d = 3
+        M, L = random_spd(d, 11), random_spd(d, 12)
+        load = lambda t: np.array([np.sin(t), np.cos(2 * t), 1.0 + t])
+        rng = np.random.default_rng(13)
+        u0 = rng.standard_normal(d)
+        history0 = [rng.standard_normal(d) for _ in range(spec.k_s - 1)]
+        edges = np.linspace(0.0, 0.6, 13)
+        coeffs, side = dgit.integrate(
+            M, L, load, u0, spec, edges, quadrature=quadrature, history0=history0
+        )
+        # the march reuses the first step's block, as integrate does
+        first = dgit.build_substep_block(
+            M, L, spec, Interval(edges[0], edges[1]), quadrature=quadrature
+        )
+        history = [u0, *history0]
+        for n in range(len(edges) - 1):
+            blk = dataclasses.replace(first, interval=Interval(edges[n], edges[n + 1]))
+            poly, U = dgit.solve_substep(blk, history, load_fn=load)
+            assert np.array_equal(coeffs[n], poly.coeffs)
+            assert np.array_equal(side[n + 1], U)
+            history = [U, *history][: max(spec.k_s, 1) + 1]
+        assert np.array_equal(side[0], u0)
+
+    def test_rejects_non_uniform_grid(self):
+        M = sp.csr_matrix(np.eye(1))
+        edges = np.array([0.0, 0.1, 0.2, 0.35])
+        with pytest.raises(ValueError, match="uniform"):
+            dgit.integrate(M, M, None, np.array([1.0]), mc.crank_nicolson(), edges)
+        # a last-bit difference, as linspace makes, is uniform
+        edges = np.linspace(0.0, 0.3, 4)
+        edges[2] += 1e-17
+        dgit.integrate(M, M, None, np.array([1.0]), mc.crank_nicolson(), edges)
+
 
 class TestBatchedIntegrate:
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
@@ -248,10 +270,7 @@ class TestBatchedIntegrate:
         )
         scale = float(np.max(np.abs(per_time[1])))
         assert np.max(np.abs(batched[1] - per_time[1])) <= 1e-12 * scale
-        worst = max(
-            float(np.max(np.abs(a.coeffs - b.coeffs))) for a, b in zip(batched[0], per_time[0])
-        )
-        assert worst <= 1e-12 * scale
+        assert np.max(np.abs(batched[0] - per_time[0])) <= 1e-12 * scale
 
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
     def test_scalar_valued_per_time_load(self, quadrature):
