@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import multiprocessing
 import os
 import sys
@@ -89,22 +90,31 @@ def _get(problems, obj, key, where, kind, default=None, required=False):
     return default
 
 
+def _non_finite(obj, where=""):
+    """Keys, as dotted paths, of the non-finite numbers in a parsed JSON value.
+
+    Python's json reads NaN, Infinity and overflowing literals such as 1e400.
+    """
+    if isinstance(obj, float):
+        return [] if math.isfinite(obj) else [where]
+    if isinstance(obj, dict):
+        return [p for k, v in obj.items() for p in _non_finite(v, f"{where}.{k}" if where else k)]
+    if isinstance(obj, list):
+        return [p for k, v in enumerate(obj) for p in _non_finite(v, f"{where}[{k}]")]
+    return []
+
+
 def _numbers(problems, obj, key, where, max_ndim):
     """obj[key] (default empty) as a float array of at most max_ndim dimensions.
 
-    Strings, booleans, nulls, ragged tables and non-finite values are
-    problems, reported by name; the result is then None.
+    Strings, booleans, nulls and ragged tables are problems, reported by
+    name; the result is then None.
     """
     try:
         arr = np.asarray(obj.get(key, []))
     except ValueError:  # a ragged table
         arr = None
-    if (
-        arr is None
-        or arr.ndim > max_ndim
-        or (arr.size and arr.dtype.kind not in "iuf")
-        or not np.all(np.isfinite(arr))
-    ):
+    if arr is None or arr.ndim > max_ndim or (arr.size and arr.dtype.kind not in "iuf"):
         kind = "list" if max_ndim == 1 else "table"
         problems.append(f"{where}.{key}: expected a {kind} of finite numbers")
         return None
@@ -121,6 +131,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError([f"invalid JSON: {err}"]) from err
     if not isinstance(raw, dict):
         raise ConfigError(["top level: expected an object"])
+    problems += [f"{path}: expected a finite number" for path in _non_finite(raw)]
     for key in raw:
         if key not in _TOP_KEYS:
             problems.append(f"{key}: unknown key")

@@ -11,19 +11,19 @@ interface-reduced solver could be added without relayout).
 
 Two solvers work on that one matrix A.  The direct solver factorizes it
 once and reuses the factor for every window.  The fixed-point solver
-splits it as A = P + N, with N the spatial operator term of every
-substep and the flux columns of the substep rows: each sweep solves
-x <- P^{-1}(b - N x), a block Gauss-Seidel (Robin-transmission waveform
-relaxation) iteration whose fixed point is the direct solution.  It
-contracts only under a time-step restriction; violations raise
-ContractionError with the advisory restriction ratio dt * (1/h^2 + 1/h)
-attached.
+splits it as A = P + N, with N the block of A at the substep rows and the
+flux columns, read off the assembled matrix: each sweep solves every
+substep implicitly for the flux of the previous sweep, then the flux from
+the new states, x <- P^{-1}(b - N x).  Its fixed point is the direct
+solution, and both solvers check the same relative residual.  The sweeps
+contract while the coupling is weak against each subdomain's implicit
+response over a substep; strong coupling on long substeps makes them
+diverge, which raises ContractionError.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import logging
 import math
 from typing import Optional, Sequence
 
@@ -44,8 +44,6 @@ from .timepoly import (
     project_l2_broken,
 )
 
-log = logging.getLogger(__name__)
-
 RESIDUAL_TOL = 1e-10
 
 
@@ -56,11 +54,10 @@ class SolverError(RuntimeError):
 class ContractionError(RuntimeError):
     """The lagged window iteration failed to contract."""
 
-    def __init__(self, message, *, iterations=0, factor=float("nan"), restriction_ratio=float("nan")):
+    def __init__(self, message, *, iterations=0, factor=float("nan")):
         super().__init__(message)
         self.iterations = iterations
         self.factor = factor
-        self.restriction_ratio = restriction_ratio
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,8 +128,18 @@ class WindowSolution:
         return len(self.u[i])
 
 
+def _residual(rhs: np.ndarray, Ax: np.ndarray) -> tuple:
+    """(|rhs - Ax|, |rhs - Ax| / max(|rhs|, |Ax|)); both window solvers check the latter."""
+    norm = float(np.linalg.norm(Ax - rhs))
+    return norm, norm / max(float(np.linalg.norm(rhs)), float(np.linalg.norm(Ax)), 1e-300)
+
+
 def step_restriction_ratio(cfg: WindowConfig, h: float) -> float:
-    """Advisory solvability ratio dt * (h^-2 + h^-1) of the window iteration."""
+    """The mesh-and-step ratio dt * (h^-2 + h^-1) that summary.json reports.
+
+    It does not decide whether the fixed-point sweeps contract: that
+    depends on the coupling against each subdomain's implicit response.
+    """
     if h <= 0:
         raise ValueError("mesh parameter must be positive")
     return cfg.dt * (h**-2 + h**-1)
@@ -236,10 +243,10 @@ class WindowOperator:
     flux columns of all substeps are stacked from one table of
     substep-versus-window Legendre moments (dgit.cross_moments).
 
-    solver="direct" factorizes the matrix.  solver="fixed-point" splits it
-    as matrix = P + N (see _lagged_part), factorizes P and sweeps each
-    window until the update norm drops to fp_tol, in at most fp_max_iter
-    sweeps.
+    solver="direct" factorizes the matrix.  solver="fixed-point" factorizes
+    P = matrix - N, with N the block of the matrix at the substep rows and
+    the flux columns, and sweeps each window until the relative residual
+    drops to fp_tol, in at most fp_max_iter sweeps.
     """
 
     def __init__(
@@ -257,9 +264,9 @@ class WindowOperator:
             raise ValueError(f"unknown quadrature {quadrature!r}")
         if solver not in ("direct", "fixed-point"):
             raise ValueError(f"unknown solver {solver!r}")
-        if fp_max_iter < 1 or fp_tol <= 0:
+        if fp_max_iter < 1 or not (math.isfinite(fp_tol) and fp_tol > 0):
             raise ValueError(
-                f"fixed-point settings need fp_max_iter >= 1 and fp_tol > 0, "
+                f"fixed-point settings need fp_max_iter >= 1 and a finite fp_tol > 0, "
                 f"got {fp_max_iter} and {fp_tol}"
             )
         self.ops, self.spec, self.cfg = ops, spec, cfg
@@ -312,13 +319,12 @@ class WindowOperator:
                 self._g_weights.append(w * legendre_table(cfg.r[i], self._template.to_reference(t)))
         self.matrix, self._past = self._assemble_matrix()
         # solve applies one factor: of the matrix, or of P for the fixed point
+        factored = self.matrix
         if solver == "fixed-point":
-            self._lagged = self._lagged_part()
-            self._update_weight = self._update_norm_weight()
-            factored = (self.matrix - self._lagged).tocsc()
-            factored.eliminate_zeros()
-        else:
-            factored = self.matrix
+            n = self._flux_off[0]
+            A = self.matrix
+            self._lagged = A[:n, n:]
+            factored = sp.bmat([[A[:n, :n], None], [A[n:, :n], A[n:, n:]]])
         try:
             self._lu = dgit.factorize(factored)
         except RuntimeError as err:
@@ -410,49 +416,6 @@ class WindowOperator:
         n_past = self._past_off[1] + self._n_past * ops.d_omega[1]
         return assembled(unknowns, self.dim), assembled(past, n_past)
 
-    def _lagged_part(self) -> sp.csr_matrix:
-        """N of the splitting matrix = P + N: the part a fixed-point sweep lags.
-
-        N holds the operator term of every substep's variational rows and
-        the flux-mode columns of the substep rows.  What is left, P, is
-        block lower triangular: the substeps of each subdomain in order with
-        their backward side-value couplings, then the flux rows.  The
-        operator weights are the block's own, so that P holds no remainder
-        of the operator term.
-        """
-        parts = []
-        for i, blk in enumerate(self.blocks):
-            K = dgit.operator_weights(self.spec, blk.interval.length)
-            # at the variational rows and modal columns of every substep
-            K = np.pad(K, ((self.spec.n_s, 0), (0, 1)))
-            parts.append(sp.kron(np.kron(np.eye(self.cfg.M[i]), K), self.ops.L[i]))
-        lagged = sp.block_diag(parts, format="coo")
-        lagged.resize((self.dim, self.dim))
-        A = self.matrix.tocoo()
-        n_sub = self._flux_off[0]
-        keep = (A.row < n_sub) & (A.col >= n_sub)
-        flux_cols = sp.coo_matrix((A.data[keep], (A.row[keep], A.col[keep])), shape=A.shape)
-        return (lagged + flux_cols).tocsr()
-
-    def _update_norm_weight(self) -> sp.csr_matrix:
-        """W with sqrt(dx^T W dx) the composite update norm of the fixed point.
-
-        Per substep: the L2-in-time mass norm of the state polynomial, whose
-        Legendre mode a weighs dt_i / (2a + 1), and dt_i times the mass norm
-        of the side value, with dt_i the length of side i's block, as in
-        _lagged_part.  Flux modes do not enter.
-        """
-        q = self.spec.q
-        parts = []
-        for i, blk in enumerate(self.blocks):
-            dt = blk.interval.length
-            w = np.append(dt / (2 * np.arange(q + 1) + 1), dt)
-            sub = sp.kron(sp.diags(w), self.ops.M[i])
-            parts.append(sp.kron(sp.identity(self.cfg.M[i]), sub))
-        weight = sp.block_diag(parts, format="csr")
-        weight.resize((self.dim, self.dim))
-        return weight
-
     def _rhs(self, incoming, histories, window_index: int) -> np.ndarray:
         """Data terms of the window minus past @ (incoming side values, histories)."""
         ops, spec, cfg = self.ops, self.spec, self.cfg
@@ -496,65 +459,60 @@ class WindowOperator:
         """
         rhs = self._rhs(incoming, histories, window_index)
         if self.solver == "fixed-point":
-            x, update, sweeps = self._fixed_point(rhs, incoming, flux_guess)
-            return self._extract(x, incoming, window_index, residual=update, iterations=sweeps)
+            x, rel, sweeps = self._fixed_point(rhs, flux_guess)
+            return self._extract(x, incoming, window_index, residual=rel, iterations=sweeps)
         x = self._lu.solve(rhs)
         if not np.all(np.isfinite(x)):
             raise SolverError("window factorization produced non-finite values")
-        Ax = self.matrix @ x
-        res = Ax - rhs
-        scale = max(float(np.linalg.norm(rhs)), float(np.linalg.norm(Ax)), 1e-300)
-        rel = float(np.linalg.norm(res)) / scale
+        rel = _residual(rhs, self.matrix @ x)[1]
         if rel > RESIDUAL_TOL:
             raise SolverError(f"window solve residual {rel:.3e} exceeds {RESIDUAL_TOL:.1e}")
         return self._extract(x, incoming, window_index, residual=rel)
 
-    def _fixed_point(self, rhs, incoming, flux_guess):
-        """Sweeps x <- P^{-1}(rhs - N x); returns (x, last update norm, sweeps).
+    def _fixed_point(self, rhs, flux_guess):
+        """Sweeps x <- P^{-1}(rhs - N x); returns (x, relative residual, sweeps).
 
-        Starts from constant states and side values at the incoming state
-        and the guessed flux (zero without one).  Stops when the update norm
-        drops to fp_tol; sustained growth, or fp_max_iter sweeps without
-        convergence, raise ContractionError with the advisory restriction
-        ratio.
+        Starts from the guessed flux (zero without one): N reads nothing
+        else.  After a sweep from x_prev the residual rhs - matrix @ x is
+        N (x_prev - x), so the stop test costs no product with the matrix.
+        Stops when the residual, relative as in the direct solve, drops to
+        fp_tol; sustained growth of its norm, or fp_max_iter sweeps without
+        convergence, raise ContractionError.
         """
-        cfg, dG = self.cfg, self.ops.d_gamma
-        x = np.zeros(self.dim)
-        for i in range(2):
-            d_i = self.ops.d_omega[i]
-            for n in range(1, cfg.M[i] + 1):
-                for off in (self._sub_off(i, n), self._U_off(i, n)):
-                    x[off : off + d_i] = incoming[i]
-            if flux_guess is not None and dG:
-                off = self._flux_off[i]
-                x[off : off + (cfg.r[i] + 1) * dG] = np.ravel(flux_guess[i].coeffs)
-        deltas = []
+        n = self._flux_off[0]
+        lagged = np.zeros(n)
+        if flux_guess is not None and self.ops.d_gamma:
+            lagged = self._lagged @ np.concatenate([np.ravel(F.coeffs) for F in flux_guess])
+        b = rhs.copy()
+        residuals = []
         for it in range(1, self.fp_max_iter + 1):
-            x_new = self._lu.solve(rhs - self._lagged @ x)
-            dx = x_new - x
-            x = x_new
-            deltas.append(math.sqrt(float(dx @ (self._update_weight @ dx))))
-            if deltas[-1] <= self.fp_tol:
-                return x, deltas[-1], it
-            growing = len(deltas) >= 4 and deltas[-1] > deltas[-2] > deltas[-3]
-            if growing and deltas[-1] > 10 * deltas[0]:
-                factor = deltas[-1] / deltas[-2]
+            b[:n] = rhs[:n] - lagged
+            x = self._lu.solve(b)
+            lagged = self._lagged @ x[n:]
+            b[:n] += lagged  # now matrix @ x
+            norm, rel = _residual(rhs, b)
+            residuals.append(norm)
+            if rel <= self.fp_tol:
+                return x, rel, it
+            growing = len(residuals) >= 4 and residuals[-1] > residuals[-2] > residuals[-3]
+            if growing and residuals[-1] > 10 * residuals[0]:
+                factor = residuals[-1] / residuals[-2]
                 raise ContractionError(
                     f"window iteration diverging "
-                    f"(update growth factor {factor:.3f} after {it} sweeps)",
+                    f"(residual growth factor {factor:.3f} after {it} sweeps)",
                     iterations=it,
                     factor=factor,
-                    restriction_ratio=step_restriction_ratio(cfg, self.ops.h),
                 )
         factor = (
-            deltas[-1] / deltas[-2] if len(deltas) >= 2 and deltas[-2] > 0 else float("nan")
+            residuals[-1] / residuals[-2]
+            if len(residuals) >= 2 and residuals[-2] > 0
+            else float("nan")
         )
         raise ContractionError(
             f"window iteration did not reach tol={self.fp_tol:g} in {self.fp_max_iter} sweeps "
-            f"(last update {deltas[-1]:.3e})",
+            f"(last relative residual {rel:.3e})",
             iterations=self.fp_max_iter,
             factor=factor,
-            restriction_ratio=step_restriction_ratio(cfg, self.ops.h),
         )
 
     def _extract(self, x, incoming, window_index, residual, iterations=0) -> WindowSolution:
@@ -608,14 +566,12 @@ def solve_window_fixed_point(
     max_iter: int = 200,
     flux_guess=None,
 ) -> WindowSolution:
-    """Lagged window iteration: frozen operator and flux on the right side.
+    """Lagged window iteration: the flux of the previous sweep on the right side.
 
-    Each sweep solves the substeps of both subdomains with the operator
-    term and the flux at the previous iterate, then the flux rows from the
-    new states (WindowOperator's splitting).  Terminates when the composite
-    update norm sum_i sum_n (|||du|||^2 + dt_i |dU|^2) drops below tol^2;
-    sustained growth raises ContractionError carrying the advisory
-    restriction ratio.
+    Each sweep solves the substeps of both subdomains implicitly with the
+    flux at the previous iterate, then the flux rows from the new states
+    (WindowOperator's splitting).  Terminates when the relative window
+    residual drops to tol; sustained growth raises ContractionError.
     """
     op = WindowOperator(
         ops,
@@ -877,12 +833,6 @@ def run_simulation(
         for i in range(2):
             if spec.k_s > cfg.M[i] + 1:
                 raise ValueError("side conditions reach back beyond one window of history")
-    if solver == "fixed-point":
-        log.info(
-            "fixed-point solver selected; step restriction ratio dt*(1/h^2+1/h) = %.3e",
-            step_restriction_ratio(cfg, ops.h),
-        )
-
     windows = list(_fill_init_windows(ops, spec, cfg, u0, n_init)) if n_init > 1 else []
     op = WindowOperator(
         ops,
@@ -907,7 +857,6 @@ def run_simulation(
                     f"window {n}: {err}",
                     iterations=err.iterations,
                     factor=err.factor,
-                    restriction_ratio=err.restriction_ratio,
                 ) from err
             except SolverError as err:
                 raise SolverError(f"window {n}: {err}") from err

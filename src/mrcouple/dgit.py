@@ -183,17 +183,6 @@ class SubstepBlock:
         return self._lu
 
 
-def operator_weights(spec: SchemeSpec, dt: float) -> np.ndarray:
-    """K[m, a] = integral over a step of length dt of P_a(t) P_m(t), (test_order+1, q+1).
-
-    The operator term of a substep's variational rows is kron(K, L).
-    """
-    K = np.zeros((spec.test_order + 1, spec.q + 1))
-    for m in range(min(spec.q, spec.test_order) + 1):
-        K[m, m] = dt / (2 * m + 1)
-    return K
-
-
 def build_substep_block(
     M: sp.spmatrix,
     L: Optional[sp.spmatrix],
@@ -202,12 +191,7 @@ def build_substep_block(
     *,
     quadrature: str = "exact",
 ) -> SubstepBlock:
-    """Assemble the rows of one substep for a system with mass M and operator L.
-
-    The operator term enters the variational rows with the weights of
-    operator_weights, which is how a window solver can split it off the
-    assembled matrix.
-    """
+    """Assemble the rows of one substep for a system with mass M and operator L."""
     if quadrature not in ("exact", "trapezoid"):
         raise ValueError(f"unknown quadrature {quadrature!r}")
     q, n_s, t_o = spec.q, spec.n_s, spec.test_order
@@ -230,7 +214,11 @@ def build_substep_block(
     K_M = -G.T  # (t_o+1, q+1)
     var_c = sp.kron(K_M, M)
     if L is not None:
-        var_c = var_c + sp.kron(operator_weights(spec, dt), L)
+        # integral over the step of P_a P_m: dt / (2m + 1) on the diagonal
+        K = np.zeros((t_o + 1, q + 1))
+        for m in range(min(q, t_o) + 1):
+            K[m, m] = dt / (2 * m + 1)
+        var_c = var_c + sp.kron(K, L)
     var_U = sp.kron(np.ones((t_o + 1, 1)), M)
 
     matrix = sp.bmat([[side_c, side_U], [var_c, var_U]], format="csr")

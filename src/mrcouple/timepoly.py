@@ -344,8 +344,9 @@ class SchemeSpec:
     values the conditions reach back, and D the n_s x (k_s+1) coefficient
     matrix: value at node k equals sum_l D[k, l] * U^{n+1-l}.
 
-    Construction rejects schemes whose side-condition table is singular
-    unless unsafe_diagnostic is set (then reconstruction will fail instead).
+    Construction rejects schemes with non-finite nodes or D, or whose
+    side-condition table is singular, unless unsafe_diagnostic is set
+    (then reconstruction will fail instead).
     """
 
     q: int
@@ -380,7 +381,10 @@ class SchemeSpec:
             problems.append("side-condition nodes must not exceed 1")
         if D.shape != (self.n_s, self.k_s + 1):
             problems.append(f"D has shape {D.shape}, expected ({self.n_s}, {self.k_s + 1})")
-        consistent = len(thetas) == self.n_s and 0 <= self.n_s <= self.q + 1
+        finite = all(math.isfinite(t) for t in thetas)
+        if not (finite and np.all(np.isfinite(D))):
+            problems.append("side-condition nodes and D must be finite")
+        consistent = finite and len(thetas) == self.n_s and 0 <= self.n_s <= self.q + 1
         report = _dtilde_report(self.q, thetas) if consistent else _dtilde_report(0, ())
         object.__setattr__(self, "dtilde", report)
         if not report.nonsingular:

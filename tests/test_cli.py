@@ -176,7 +176,8 @@ class TestMainRun:
         cfg = cli.parse_config(json.dumps(payload))
         assert cfg.window.n_init(cfg.scheme) == 2
 
-    # each config once crashed every command with a bare ValueError
+    # each config up to vanishing-t_f once crashed every command with a
+    # bare ValueError
     MALFORMED = {
         "thetas": (
             {"scheme": {"name": "dg", "q": 1, "n_s": 1, "k_s": 0, "thetas": "a", "D": [[1.0]]}},
@@ -193,6 +194,40 @@ class TestMainRun:
         "vanishing-t_f": (
             {"window": {"t_f": 1e-300, "N": 2}},
             "config error: window: substeps of subdomain 1 are too short",
+        ),
+        # Python's json reads NaN and Infinity; each of these once ran with
+        # a wrong result, or failed as a solver failure or a traceback
+        "solver.tol-Infinity": (
+            {"solver": {"name": "fixed-point", "tol": float("inf")}},
+            "config error: solver.tol: expected a finite number",
+        ),
+        "solver.tol-NaN": (
+            {"solver": {"name": "fixed-point", "tol": float("nan")}},
+            "config error: solver.tol: expected a finite number",
+        ),
+        "spin_up-Infinity": (
+            {"experiment": {"spin_up": float("inf")}},
+            "config error: experiment.spin_up: expected a finite number",
+        ),
+        "spin_up-NaN": (
+            {"experiment": {"spin_up": float("nan")}},
+            "config error: experiment.spin_up: expected a finite number",
+        ),
+        "nu-NaN": (
+            {"problem": {"nu": [float("nan"), 1.0]}},
+            "config error: problem.nu[0]: expected a finite number",
+        ),
+        "B-Infinity": (
+            {"problem": {"B": [[1.0, -1.0], [-1.0, float("inf")]]}},
+            "config error: problem.B[1][1]: expected a finite number",
+        ),
+        "sx-NaN": (
+            {"problem": {"advection": {"preset": "constant", "sx": float("nan")}}},
+            "config error: problem.advection.sx: expected a finite number",
+        ),
+        "amplitude-Infinity": (
+            {"problem": {"advection": {"preset": "vortex", "amplitude": float("inf")}}},
+            "config error: problem.advection.amplitude: expected a finite number",
         ),
     }
 
@@ -365,12 +400,32 @@ class TestMainConvergence:
 
 
 class TestSolverFailure:
+    # strong coupling against the subdomains' implicit response
     DIVERGING = {
         **MINIMAL,
-        "problem": {**MINIMAL["problem"], "forcing": "mms:smooth"},
+        "problem": {
+            **MINIMAL["problem"],
+            "forcing": "mms:smooth",
+            "B": [[10.0, -10.0], [-10.0, 10.0]],
+        },
         "window": {"t_f": 0.5, "N": 2, "M1": 2, "M2": 3, "r1": 1, "r2": 1},
         "solver": {"name": "fixed-point"},
     }
+
+    def test_unit_coupling_converges_and_agrees_with_direct(self, tmp_path):
+        # with B of unit size the same config diverged when the sweeps also
+        # lagged the subdomain operators
+        problem = {**self.DIVERGING["problem"], "B": MINIMAL["problem"]["B"]}
+        payload = {**self.DIVERGING, "problem": problem}
+        energies = {}
+        for name in ("fixed-point", "direct"):
+            config = write_config(tmp_path, {**payload, "solver": {"name": name}}, f"{name}.json")
+            out = tmp_path / name
+            assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+            rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+            energies[name] = [float(v) for row in rows for v in row.split(",")[2:4]]
+        for fp, direct in zip(energies["fixed-point"], energies["direct"]):
+            assert abs(fp - direct) <= 1e-8 * abs(direct)
 
     def test_run_reports_contraction_failure(self, tmp_path, capsys):
         config = write_config(tmp_path, self.DIVERGING)

@@ -314,6 +314,15 @@ class TestSchemeValidation:
         with pytest.raises(SchemeError):
             SchemeSpec(q=0, n_s=2, k_s=1, thetas=(0.0, 1.0), D=[[0.0, 1.0], [1.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "thetas, D",
+        [((1.0,), [[float("nan")]]), ((1.0,), [[float("inf")]]), ((float("nan"),), [[1.0]])],
+    )
+    def test_non_finite_nodes_or_table_rejected(self, thetas, D):
+        # a NaN in D once constructed and failed only at the first solve
+        with pytest.raises(SchemeError, match="must be finite"):
+            SchemeSpec(q=1, n_s=1, k_s=0, thetas=thetas, D=D)
+
 
 class TestJMapping:
     @pytest.mark.parametrize("name", sorted(mc.shipped_schemes()))
