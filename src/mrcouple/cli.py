@@ -20,12 +20,11 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import coupling, fespace, mesh, timepoly, verify
-
-log = logging.getLogger(__name__)
 
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
 
@@ -36,17 +35,70 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-_TOP_KEYS = {"geometry", "problem", "scheme", "window", "solver", "experiment", "output"}
-_GEOMETRY_KEYS = {"nx", "ny"}
-_PROBLEM_KEYS = {"nu", "advection", "B", "forcing", "initial"}
-_ADVECTION_KEYS = {"preset", "sx", "amplitude"}
-_SCHEME_KEYS = {"name", "q", "n_s", "k_s", "thetas", "D", "quadrature"}
-_WINDOW_KEYS = {"t_f", "N", "M1", "M2", "r1", "r2", "N0"}
-_SOLVER_KEYS = {"name", "tol", "max_iter"}
-_EXPERIMENT_KEYS = {"kind", "levels", "target", "oracle_scheme", "oracle_steps", "spin_up"}
+class Key(NamedTuple):
+    """A config key: its JSON type, its default, and the values it may take.
 
-_FORCING_PRESETS = ("zero", "pulse")
-_INITIAL_PRESETS = ("zero", "bump")
+    type object leaves the value to the key's own parsing code.  allowed,
+    when given, is the fixed set of values; least is the smallest one.
+    """
+
+    type: type
+    default: object = None
+    allowed: tuple | None = None
+    least: float | None = None
+
+
+REQUIRED = object()  # the default of a key a config must give
+
+CONFIG_KEYS = {
+    name: Key(dict, {})
+    for name in ("geometry", "problem", "scheme", "window", "solver", "experiment")
+}
+GEOMETRY_KEYS = {"nx": Key(object, 8), "ny": Key(object, 8)}
+PROBLEM_KEYS = {
+    "nu": Key(object, [1.0, 1.0]),
+    "advection": Key(object, {"preset": "zero"}),
+    "B": Key(object, [[1.0, -1.0], [-1.0, 1.0]]),
+    "forcing": Key(str, "zero", ("zero", "pulse", *(f"mms:{k}" for k in verify.MMS_PRESETS))),
+    "initial": Key(str, "bump", ("zero", "bump")),
+}
+ADVECTION_KEYS = {
+    "preset": Key(str, REQUIRED, ("zero", "constant", "vortex")),
+    "sx": Key(float, 0.0),
+    "amplitude": Key(float, 1.0),
+}
+_SHIPPED = timepoly.shipped_schemes()  # frozen specs, shared by every config
+SCHEME_KEYS = {
+    "name": Key(str, "crank-nicolson", ("dg", *_SHIPPED)),
+    "q": Key(int),  # dg only, and there required
+    "n_s": Key(int, 0),
+    "k_s": Key(int, 0),
+    "thetas": Key(object, []),
+    "D": Key(object, []),
+    "quadrature": Key(str, None, ("exact", "trapezoid")),
+}
+WINDOW_KEYS = {
+    "t_f": Key(float, 1.0),
+    "N": Key(int, 8),
+    **{key: Key(int, 1) for key in ("M1", "M2", "r1", "r2")},
+    "N0": Key(int, None),
+}
+SOLVER_KEYS = {
+    "name": Key(str, "direct", ("direct", "fixed-point")),
+    "tol": Key(float, 1e-10),
+    "max_iter": Key(int, 200, least=1),
+}
+EXPERIMENT_KEYS = {
+    # the subcommand picks the experiment; kind is accepted and not read
+    "kind": Key(str, "run", ("run", "convergence", "conservation", "energy")),
+    "levels": Key(int, 4),
+    "target": Key(str, "l2", ("l2", "nodal", "sync", "flux")),
+    "oracle_scheme": Key(str, "cn", ("cn", "dg2")),
+    "oracle_steps": Key(int, None, least=1),
+    "spin_up": Key(float, 0.0, least=0.0),
+}
+
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", dict: "an object"}
 
 
 @dataclasses.dataclass
@@ -58,36 +110,48 @@ class RunConfig:
     window: coupling.WindowConfig
     solver: dict
     experiment: dict
-    output: str | None
-    raw: dict
 
 
-def _check_keys(problems, obj, allowed, where):
+def _as(kind, val):
+    """val as a value of JSON type kind, or None; an integer is a number, a boolean neither."""
+    if isinstance(val, bool) and kind in (int, float):
+        return None
+    if kind is float and isinstance(val, int):
+        return float(val)
+    return val if isinstance(val, kind) else None
+
+
+def _read(problems, obj, keys, where):
+    """The values of obj's keys, typed by the table keys, defaults filled in.
+
+    Unknown keys, missing required ones, wrong types (null included) and
+    values outside a key's allowed set or below its least are problems
+    named by dotted key; such a key gets its default (None if required).
+    None if obj is not an object.
+    """
     if not isinstance(obj, dict):
         problems.append(f"{where}: expected an object")
-        return False
-    for key in obj:
-        if key not in allowed:
-            problems.append(f"{where}.{key}: unknown key")
-    return True
-
-
-def _get(problems, obj, key, where, kind, default=None, required=False):
-    if key not in obj:
-        if required:
-            problems.append(f"{where}.{key}: missing")
-        return default
-    val = obj[key]
-    if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-        return float(val)
-    if kind is int and isinstance(val, int) and not isinstance(val, bool):
-        return val
-    if kind is str and isinstance(val, str):
-        return val
-    if kind is list and isinstance(val, list):
-        return val
-    problems.append(f"{where}.{key}: expected {kind.__name__}")
-    return default
+        return None
+    name = (lambda key: f"{where}.{key}") if where else str
+    problems += [f"{name(key)}: unknown key" for key in obj if key not in keys]
+    out = {}
+    for key, spec in keys.items():
+        default = None if spec.default is REQUIRED else spec.default
+        out[key] = default
+        if key not in obj:
+            if spec.default is REQUIRED:
+                problems.append(f"{name(key)}: missing")
+            continue
+        val = _as(spec.type, obj[key])
+        if val is None and spec.type is not object:
+            problems.append(f"{name(key)}: expected {_TYPE_NAMES[spec.type]}")
+        elif spec.allowed is not None and val not in spec.allowed:
+            problems.append(f"{name(key)}: expected one of {'|'.join(spec.allowed)}")
+        elif spec.least is not None and val < spec.least:
+            problems.append(f"{name(key)}: must be at least {spec.least}, got {val}")
+        else:
+            out[key] = val
+    return out
 
 
 def _non_finite(obj, where=""):
@@ -104,21 +168,89 @@ def _non_finite(obj, where=""):
     return []
 
 
-def _numbers(problems, obj, key, where, max_ndim):
-    """obj[key] (default empty) as a float array of at most max_ndim dimensions.
+def _numbers(problems, val, where, max_ndim):
+    """val as a float array of at most max_ndim dimensions.
 
     Strings, booleans, nulls and ragged tables are problems, reported by
     name; the result is then None.
     """
     try:
-        arr = np.asarray(obj.get(key, []))
+        arr = np.asarray(val)
     except ValueError:  # a ragged table
         arr = None
     if arr is None or arr.ndim > max_ndim or (arr.size and arr.dtype.kind not in "iuf"):
         kind = "list" if max_ndim == 1 else "table"
-        problems.append(f"{where}.{key}: expected a {kind} of finite numbers")
+        problems.append(f"{where}: expected a {kind} of finite numbers")
         return None
     return arr.astype(float)
+
+
+def _geometry(problems, geo):
+    geometry = {}
+    for key, least in (("nx", 2), ("ny", 1)):
+        val = geo[key]
+        pair = [val, val] if _as(int, val) is not None else val
+        if isinstance(pair, list) and len(pair) == 2 and all(
+            _as(int, v) is not None and v >= least for v in pair
+        ):
+            geometry[key] = tuple(pair)
+        else:
+            problems.append(f"geometry.{key}: expected an integer of at least {least} or a pair")
+    nx = geometry.get("nx")
+    if nx and nx[0] != nx[1]:
+        problems.append(
+            "geometry.nx: the subdomains share one interface grid, so the two nx "
+            f"must be equal, got {list(nx)}"
+        )
+    return geometry
+
+
+def _problem(problems, prob):
+    nu = prob["nu"]
+    nu = [_as(float, v) for v in nu] if isinstance(nu, list) else []
+    if len(nu) == 2 and all(v is not None and v > 0 for v in nu):
+        prob["nu"] = tuple(nu)
+    else:
+        problems.append("problem.nu: expected a pair of positive numbers")
+    adv = prob["advection"]
+    if isinstance(adv, dict):
+        entries = {"problem.advection": adv}
+    elif isinstance(adv, list) and len(adv) == 2:
+        entries = {f"problem.advection[{k}]": one for k, one in enumerate(adv)}
+    else:
+        entries = {}
+        problems.append("problem.advection: expected an object or a pair of objects")
+    before = len(problems)
+    specs = [_read(problems, one, ADVECTION_KEYS, where) for where, one in entries.items()]
+    if entries and len(problems) == before:
+        prob["advection"] = tuple(
+            fespace.AdvectionSpec(kind=s["preset"], sx=s["sx"], amplitude=s["amplitude"])
+            for s in specs * (2 // len(specs))
+        )
+    B = np.asarray(prob["B"], dtype=object)
+    if B.shape == (2, 2) and all(_as(float, v) is not None for v in B.ravel()):
+        prob["B"] = B.astype(float)
+    else:
+        problems.append("problem.B: expected a 2x2 numeric matrix")
+    return prob
+
+
+def _scheme(problems, sch):
+    """The configured scheme, or None where the config has a problem."""
+    if sch["name"] != "dg":
+        return _SHIPPED[sch["name"]]
+    thetas = _numbers(problems, sch["thetas"], "scheme.thetas", 1)
+    D = _numbers(problems, sch["D"], "scheme.D", 2)
+    if sch["q"] is None or thetas is None or D is None:  # q: missing or not an integer
+        return None
+    try:
+        return timepoly.SchemeSpec(
+            q=sch["q"], n_s=sch["n_s"], k_s=sch["k_s"], thetas=tuple(np.atleast_1d(thetas)),
+            D=D, name="dg",
+        )
+    except timepoly.SchemeError as err:
+        problems.append(f"scheme: {err}")
+        return None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -132,251 +264,41 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["top level: expected an object"])
     problems += [f"{path}: expected a finite number" for path in _non_finite(raw)]
-    for key in raw:
-        if key not in _TOP_KEYS:
-            problems.append(f"{key}: unknown key")
+    top = _read(problems, raw, CONFIG_KEYS, "")
 
-    geometry = {"nx": (8, 8), "ny": (8, 8)}
-    geo = raw.get("geometry", {})
-    if _check_keys(problems, geo, _GEOMETRY_KEYS, "geometry"):
-        for key in ("nx", "ny"):
-            val = geo.get(key)
-            if val is None:
-                continue
-            if isinstance(val, int) and not isinstance(val, bool):
-                val = [val, val]
-            if (
-                isinstance(val, list)
-                and len(val) == 2
-                and all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in val)
-            ):
-                geometry[key] = tuple(val)
-            else:
-                problems.append(f"geometry.{key}: expected a positive int or pair")
-        if geometry["nx"][0] != geometry["nx"][1]:
-            problems.append(
-                "geometry.nx: the subdomains share one interface grid, so the two nx "
-                f"must be equal, got {list(geometry['nx'])}"
-            )
+    def section(name, keys):
+        return _read(problems, top[name], keys, name)
 
-    problem = {
-        "nu": (1.0, 1.0),
-        "advection": (fespace.AdvectionSpec(), fespace.AdvectionSpec()),
-        "B": np.array([[1.0, -1.0], [-1.0, 1.0]]),
-        "forcing": "zero",
-        "initial": "bump",
-    }
-    prob = raw.get("problem", {})
-    if _check_keys(problems, prob, _PROBLEM_KEYS, "problem"):
-        nu = prob.get("nu")
-        if nu is not None:
-            if (
-                isinstance(nu, list)
-                and len(nu) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in nu)
-                and all(v > 0 for v in nu)
-            ):
-                problem["nu"] = (float(nu[0]), float(nu[1]))
-            else:
-                problems.append("problem.nu: expected a pair of positive numbers")
-        adv = prob.get("advection")
-        if adv is not None:
-            if isinstance(adv, dict):
-                adv = [adv, adv]
-            if isinstance(adv, list) and len(adv) == 2:
-                specs = []
-                for k, one in enumerate(adv):
-                    where = f"problem.advection[{k}]"
-                    if not _check_keys(problems, one, _ADVECTION_KEYS, where):
-                        continue
-                    preset = _get(problems, one, "preset", where, str, "zero", required=True)
-                    try:
-                        specs.append(
-                            fespace.AdvectionSpec(
-                                kind=preset or "zero",
-                                sx=float(one.get("sx", 0.0)),
-                                amplitude=float(one.get("amplitude", 1.0)),
-                            )
-                        )
-                    except ValueError as err:
-                        problems.append(f"{where}: {err}")
-                if len(specs) == 2:
-                    problem["advection"] = tuple(specs)
-            else:
-                problems.append("problem.advection: expected an object or a pair of objects")
-        Braw = prob.get("B")
-        if Braw is not None:
-            arr = np.asarray(Braw, dtype=object)
-            ok = arr.shape == (2, 2) and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in arr.ravel()
-            )
-            if ok:
-                problem["B"] = np.asarray(Braw, dtype=float)
-            else:
-                problems.append("problem.B: expected a 2x2 numeric matrix")
-        forcing = _get(problems, prob, "forcing", "problem", str, "zero")
-        if forcing is not None:
-            if forcing in _FORCING_PRESETS or forcing.startswith("mms:"):
-                problem["forcing"] = forcing
-                if forcing.startswith("mms:") and forcing[4:] not in verify.MMS_PRESETS:
-                    problems.append(
-                        f"problem.forcing: unknown manufactured preset {forcing[4:]!r}"
-                    )
-            else:
-                problems.append(
-                    f"problem.forcing: expected one of {_FORCING_PRESETS} or 'mms:<name>'"
-                )
-        initial = _get(problems, prob, "initial", "problem", str, "bump")
-        if initial is not None:
-            if initial in _INITIAL_PRESETS:
-                problem["initial"] = initial
-            else:
-                problems.append(f"problem.initial: expected one of {_INITIAL_PRESETS}")
-
-    scheme_spec = None
-    quadrature = None
-    sch = raw.get("scheme", {"name": "crank-nicolson"})
-    if _check_keys(problems, sch, _SCHEME_KEYS, "scheme"):
-        name = _get(problems, sch, "name", "scheme", str, "crank-nicolson")
-        quadrature = _get(problems, sch, "quadrature", "scheme", str)
-        if quadrature is not None and quadrature not in ("exact", "trapezoid"):
-            problems.append("scheme.quadrature: expected 'exact' or 'trapezoid'")
-            quadrature = None
-        if name == "crank-nicolson":
-            scheme_spec = timepoly.crank_nicolson()
-            quadrature = quadrature or "trapezoid"
-        elif name == "dg":
-            q = _get(problems, sch, "q", "scheme", int, None, required=True)
-            if q is not None:
-                n_s = _get(problems, sch, "n_s", "scheme", int, 0)
-                k_s = _get(problems, sch, "k_s", "scheme", int, 0)
-                thetas = _numbers(problems, sch, "thetas", "scheme", 1)
-                D = _numbers(problems, sch, "D", "scheme", 2)
-                if thetas is not None and D is not None:
-                    try:
-                        scheme_spec = timepoly.SchemeSpec(
-                            q=q, n_s=n_s, k_s=k_s, thetas=tuple(np.atleast_1d(thetas)), D=D,
-                            name="dg",
-                        )
-                    except timepoly.SchemeError as err:
-                        problems.append(f"scheme: {err}")
-            quadrature = quadrature or "exact"
-        elif name in timepoly.shipped_schemes():
-            scheme_spec = timepoly.shipped_schemes()[name]
-            quadrature = quadrature or "exact"
-        else:
-            problems.append(f"scheme.name: unknown scheme {name!r}")
+    geometry = _geometry(problems, section("geometry", GEOMETRY_KEYS))
+    problem = _problem(problems, section("problem", PROBLEM_KEYS))
+    sch = section("scheme", SCHEME_KEYS)
+    if sch["name"] == "dg" and "q" not in top["scheme"]:
+        problems.append("scheme.q: missing")
+    scheme_spec = _scheme(problems, sch)
+    quadrature = sch["quadrature"] or ("trapezoid" if sch["name"] == "crank-nicolson" else "exact")
 
     window_cfg = None
-    win = raw.get("window", {})
-    if _check_keys(problems, win, _WINDOW_KEYS, "window"):
-        t_f = _get(problems, win, "t_f", "window", float, 1.0)
-        N = _get(problems, win, "N", "window", int, 8)
-        M1 = _get(problems, win, "M1", "window", int, 1)
-        M2 = _get(problems, win, "M2", "window", int, 1)
-        r1 = _get(problems, win, "r1", "window", int, 1)
-        r2 = _get(problems, win, "r2", "window", int, 1)
-        N0 = _get(problems, win, "N0", "window", int, None)
+    before = len(problems)
+    win = section("window", WINDOW_KEYS)
+    if len(problems) == before:
         try:
             window_cfg = coupling.WindowConfig(
-                t_f=t_f, N=N, M=(M1, M2), r=(r1, r2), N0=N0
+                t_f=win["t_f"], N=win["N"], M=(win["M1"], win["M2"]), r=(win["r1"], win["r2"]),
+                N0=win["N0"],
             )
-        except (ValueError, TypeError) as err:
+        except ValueError as err:
             problems.append(f"window: {err}")
     if window_cfg is not None and scheme_spec is not None:
-        n_init = window_cfg.n_init(scheme_spec)
-        if n_init > window_cfg.N:
-            problems.append(
-                f"window.N0: {n_init} exceeds N={window_cfg.N}; windows 1..N0-1 are "
-                "filled from a reference solve and at least one scheme window must remain"
-            )
-        if n_init > 1:
-            for i in range(2):
-                if scheme_spec.k_s > window_cfg.M[i] + 1:
-                    problems.append(
-                        f"scheme.k_s: {scheme_spec.k_s} exceeds M{i + 1}+1={window_cfg.M[i] + 1}; "
-                        "side conditions may reach back at most one window of history"
-                    )
-        elif np.any(scheme_spec.D[:, 2:]):
-            # column l of D weighs the side value l steps back
-            reach = 2 + int(np.flatnonzero(np.any(scheme_spec.D[:, 2:], axis=0))[-1])
-            problems.append(
-                f"window.N0: 1 leaves window 1 only the initial state, but the side "
-                f"conditions reach back {reach} side values (scheme.D column {reach}); "
-                "use N0 >= 2 to fill the history from a reference solve"
-            )
+        problems += window_cfg.history_problems(scheme_spec)
 
-    solver = {"name": "direct", "tol": 1e-10, "max_iter": 200}
-    sol = raw.get("solver", {})
-    if _check_keys(problems, sol, _SOLVER_KEYS, "solver"):
-        name = _get(problems, sol, "name", "solver", str, "direct")
-        if name not in ("direct", "fixed-point"):
-            problems.append("solver.name: expected 'direct' or 'fixed-point'")
-        else:
-            solver["name"] = name
-        solver["tol"] = _get(problems, sol, "tol", "solver", float, 1e-10)
-        if solver["tol"] <= 0:
-            problems.append(f"solver.tol: must be positive, got {solver['tol']}")
-        solver["max_iter"] = _get(problems, sol, "max_iter", "solver", int, 200)
-        if solver["max_iter"] < 1:
-            problems.append(f"solver.max_iter: must be at least 1, got {solver['max_iter']}")
-
-    experiment = {
-        "kind": "run",
-        "levels": 4,
-        "target": "l2",
-        "oracle_scheme": "cn",
-        "oracle_steps": None,
-        "spin_up": 0.0,
-    }
-    exp = raw.get("experiment", {})
-    if _check_keys(problems, exp, _EXPERIMENT_KEYS, "experiment"):
-        kind = _get(problems, exp, "kind", "experiment", str, "run")
-        if kind not in ("run", "convergence", "conservation", "energy"):
-            problems.append("experiment.kind: expected run|convergence|conservation|energy")
-        else:
-            experiment["kind"] = kind
-        experiment["levels"] = _get(problems, exp, "levels", "experiment", int, 4)
-        target = _get(problems, exp, "target", "experiment", str, "l2")
-        if target not in ("l2", "nodal", "sync", "flux"):
-            problems.append("experiment.target: expected l2|nodal|sync|flux")
-        else:
-            experiment["target"] = target
-        experiment["oracle_scheme"] = _get(
-            problems, exp, "oracle_scheme", "experiment", str, "cn"
-        )
-        if experiment["oracle_scheme"] not in ("cn", "dg2"):
-            problems.append("experiment.oracle_scheme: expected cn|dg2")
-        steps = experiment["oracle_steps"] = _get(
-            problems, exp, "oracle_steps", "experiment", int, None
-        )
-        if steps is not None and steps < 1:
-            problems.append(f"experiment.oracle_steps: must be at least 1, got {steps}")
-        spin_up = _get(problems, exp, "spin_up", "experiment", float, 0.0)
-        if spin_up is not None:
-            if spin_up < 0:
-                problems.append("experiment.spin_up: must be nonnegative")
-            else:
-                experiment["spin_up"] = spin_up
-
-    output = raw.get("output")
-    if output is not None and not isinstance(output, str):
-        problems.append("output: expected a path string")
-        output = None
+    solver = section("solver", SOLVER_KEYS)
+    if solver["tol"] <= 0:
+        problems.append(f"solver.tol: must be positive, got {solver['tol']}")
+    experiment = section("experiment", EXPERIMENT_KEYS)
 
     if problems:
         raise ConfigError(problems)
-    return RunConfig(
-        geometry=geometry,
-        problem=problem,
-        scheme=scheme_spec,
-        quadrature=quadrature,
-        window=window_cfg,
-        solver=solver,
-        experiment=experiment,
-        output=output,
-        raw=raw,
-    )
+    return RunConfig(geometry, problem, scheme_spec, quadrature, window_cfg, solver, experiment)
 
 
 def _pulse_forcing():
@@ -408,37 +330,26 @@ def build_operators(cfg: RunConfig):
     m2 = mesh.build_mesh(2, nx[1], ny[1])
     imap = mesh.match_interfaces(m1, m2)
     forcing = cfg.problem["forcing"]
+    model = {key: cfg.problem[key] for key in ("nu", "advection", "B")}
     if forcing.startswith("mms:"):
-        case = verify.mms_case(
-            forcing[4:],
-            nu=cfg.problem["nu"],
-            B=cfg.problem["B"],
-            advection=cfg.problem["advection"],
-        )
-        spec = case.problem
+        spec = verify.mms_case(forcing[4:], **model).problem
     else:
         f = _pulse_forcing() if forcing == "pulse" else (None, None)
         u0 = _bump_initial() if cfg.problem["initial"] == "bump" else (None, None)
-        spec = fespace.ProblemSpec(
-            nu=cfg.problem["nu"],
-            advection=cfg.problem["advection"],
-            B=cfg.problem["B"],
-            f=f,
-            g=(None, None),
-            u0=u0,
-        )
+        spec = fespace.ProblemSpec(**model, f=f, g=(None, None), u0=u0)
     return fespace.assemble(m1, m2, imap, spec), spec
 
 
 def _simulate(cfg: RunConfig, ops):
-    return coupling.run_simulation(
-        ops,
-        cfg.scheme,
-        cfg.window,
-        quadrature=cfg.quadrature,
-        solver=cfg.solver["name"],
-        fp_tol=cfg.solver["tol"],
-        fp_max_iter=cfg.solver["max_iter"],
+    return coupling.run_simulation(ops, cfg.scheme, cfg.window, **_solver_args(cfg))
+
+
+def _solver_args(cfg: RunConfig) -> dict:
+    """The configured window solve, as run_simulation and convergence_study take it."""
+    solver = cfg.solver
+    return dict(
+        quadrature=cfg.quadrature, solver=solver["name"], fp_tol=solver["tol"],
+        fp_max_iter=solver["max_iter"],
     )
 
 
@@ -512,13 +423,10 @@ def _cmd_convergence(cfg: RunConfig, outdir: Path, levels: int, jobs: int) -> in
         cfg.window,
         levels,
         target=cfg.experiment["target"],
-        quadrature=cfg.quadrature,
-        solver=cfg.solver["name"],
         oracle_scheme=cfg.experiment["oracle_scheme"],
         oracle_steps=cfg.experiment["oracle_steps"],
         spin_up=cfg.experiment["spin_up"],
-        fp_tol=cfg.solver["tol"],
-        fp_max_iter=cfg.solver["max_iter"],
+        **_solver_args(cfg),
         map=_forked_map(jobs) if jobs > 1 else map,
     )
     with open(outdir / "rates.csv", "w") as fh:
@@ -528,6 +436,11 @@ def _cmd_convergence(cfg: RunConfig, outdir: Path, levels: int, jobs: int) -> in
     print(f"observed {table.target} rate: {table.observed_rate:.3f}")
     print(f"wrote {outdir / 'rates.csv'}")
     return EXIT_OK
+
+
+def _worst(values: np.ndarray) -> float:
+    """The largest of the per-window values that are defined (not nan); 0 if none is."""
+    return float(max(values[~np.isnan(values)], default=0.0))
 
 
 def _cmd_check(cfg: RunConfig, suite: str) -> int:
@@ -547,17 +460,14 @@ def _cmd_check(cfg: RunConfig, suite: str) -> int:
         print(f"check {suite}: solver failure: {err}")
         return EXIT_FAIL
     if suite == "conservation":
-        mode = "strong" if cfg.window.r[0] == cfg.window.r[1] else "weak"
-        worst = 0.0
-        for sol in traj.windows:
-            rep = coupling.check_flux_conservation(sol, ops, mode)
-            worst = max(worst, rep.relative)
+        diag = coupling.window_diagnostics(traj, ops)
+        worst = _worst(diag.conservation)
         ok = worst <= 1e-11
-        print(f"check conservation ({mode}): max relative residual {worst:.3e} -> "
-              f"{'PASS' if ok else 'FAIL'}")
+        print(f"check conservation ({diag.conservation_mode}): max relative residual "
+              f"{worst:.3e} -> {'PASS' if ok else 'FAIL'}")
         return EXIT_OK if ok else EXIT_FAIL
     rep = verify.energy_report(traj, ops)
-    worst_term = float(np.nanmax(rep.interfacial)) if len(rep.interfacial) else 0.0
+    worst_term = _worst(rep.interfacial)
     ok = rep.monotone and worst_term <= 1e-12 * max(rep.energies[0], 1e-300)
     print(
         f"check energy: monotone={rep.monotone}, max interfacial term "

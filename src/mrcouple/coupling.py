@@ -110,6 +110,37 @@ class WindowConfig:
             return self.N0
         return 1 if spec.k_s <= 1 else 2
 
+    def history_problems(self, spec: SchemeSpec) -> list:
+        """Why the scheme's side conditions cannot read their history, by config key.
+
+        Windows 1..N0-1 are filled from a reference solve; a scheme window
+        reads back at most one window, and window 1, if N0 = 1, only the
+        initial state.
+        """
+        n_init = self.n_init(spec)
+        problems = []
+        if n_init > self.N:
+            problems.append(
+                f"window.N0: {n_init} exceeds N={self.N}; windows 1..N0-1 are filled from "
+                "a reference solve, which leaves no scheme window"
+            )
+        if n_init > 1:
+            problems += [
+                f"scheme.k_s: {spec.k_s} exceeds M{i + 1}+1={self.M[i] + 1}; "
+                "side conditions may reach back at most one window of history"
+                for i in range(2)
+                if spec.k_s > self.M[i] + 1
+            ]
+        elif np.any(spec.D[:, 2:]):
+            # column l of D weighs the side value l steps back
+            reach = 2 + int(np.flatnonzero(np.any(spec.D[:, 2:], axis=0))[-1])
+            problems.append(
+                f"window.N0: 1 leaves window 1 only the initial state, but the side "
+                f"conditions reach back {reach} side values (scheme.D column {reach}); "
+                "use N0 >= 2 to fill the history from a reference solve"
+            )
+        return problems
+
 
 @dataclasses.dataclass
 class WindowSolution:
@@ -123,9 +154,6 @@ class WindowSolution:
     residual: float = float("nan")
     iterations: int = 0
     initialized_from_reference: bool = False
-
-    def substeps(self, i: int) -> int:
-        return len(self.u[i])
 
 
 def _residual(rhs: np.ndarray, Ax: np.ndarray) -> tuple:
@@ -821,27 +849,14 @@ def run_simulation(
     fp_max_iter: int = 200,
 ) -> Trajectory:
     """March the coupled problem through all windows sequentially."""
-    if solver not in ("direct", "fixed-point"):
-        raise ValueError(f"unknown solver {solver!r}")
     u0 = tuple(np.asarray(v, dtype=float) for v in (u0 if u0 is not None else ops.u0))
+    problems = cfg.history_problems(spec)
+    if problems:
+        raise ValueError("; ".join(problems))
     n_init = cfg.n_init(spec)
-    if n_init > cfg.N:
-        raise ValueError(
-            f"{n_init - 1} initialization windows leave no scheme window (N={cfg.N})"
-        )
-    if n_init > 1:
-        for i in range(2):
-            if spec.k_s > cfg.M[i] + 1:
-                raise ValueError("side conditions reach back beyond one window of history")
     windows = list(_fill_init_windows(ops, spec, cfg, u0, n_init)) if n_init > 1 else []
     op = WindowOperator(
-        ops,
-        spec,
-        cfg,
-        quadrature=quadrature,
-        solver=solver,
-        fp_tol=fp_tol,
-        fp_max_iter=fp_max_iter,
+        ops, spec, cfg, quadrature=quadrature, solver=solver, fp_tol=fp_tol, fp_max_iter=fp_max_iter
     )
 
     # Each window, reference-filled or solved, hands the next one its last
@@ -873,12 +888,40 @@ def run_simulation(
     return Trajectory(windows, cfg.sync_times(), side_energies, spec, cfg, quadrature, solver)
 
 
-def export_trajectory_csv(traj: Trajectory, ops: FeOperators, stream) -> None:
-    """Per-window energy and interface diagnostics, 17 significant digits."""
+@dataclasses.dataclass(frozen=True)
+class WindowDiagnostics:
+    conservation_mode: str  # strong for equal flux orders, weak otherwise
+    energy_mode: str  # cn for the trapezoid variant, exact otherwise
+    conservation: np.ndarray  # per window, the relative residual
+    work: np.ndarray  # per window, the interface work term
+
+
+def window_diagnostics(traj: Trajectory, ops: FeOperators) -> WindowDiagnostics:
+    """Flux conservation residual and interface work term of every window.
+
+    Each is nan where the problem lacks the check's preconditions: an
+    interface, and for conservation antisymmetric coupling and opposite
+    interface data, for the work term zero interface data and positive
+    semidefinite coupling.
+    """
     cons_mode = "strong" if traj.cfg.r[0] == traj.cfg.r[1] else "weak"
     energy_mode = "cn" if traj.quadrature == "trapezoid" else "exact"
     can_cons = ops.conservation_compatible and ops.d_gamma > 0
-    can_energy = (not ops.has_g) and ops.b_psd and ops.d_gamma > 0
+    can_work = (not ops.has_g) and ops.b_psd and ops.d_gamma > 0
+    cons = [
+        check_flux_conservation(sol, ops, cons_mode).relative if can_cons else math.nan
+        for sol in traj.windows
+    ]
+    work = [
+        interfacial_energy_term(sol, ops, energy_mode) if can_work else math.nan
+        for sol in traj.windows
+    ]
+    return WindowDiagnostics(cons_mode, energy_mode, np.array(cons), np.array(work))
+
+
+def export_trajectory_csv(traj: Trajectory, ops: FeOperators, stream) -> None:
+    """Per-window energy and interface diagnostics, 17 significant digits."""
+    diag = window_diagnostics(traj, ops)
 
     def fmt(x: float) -> str:
         return f"{x:.17g}"
@@ -886,10 +929,8 @@ def export_trajectory_csv(traj: Trajectory, ops: FeOperators, stream) -> None:
     stream.write("window,t_sync,energy_1,energy_2,flux_conservation_residual,interfacial_energy_term\n")
     e1, e2 = traj.side_energies[0]
     stream.write(f"0,{fmt(traj.sync_times[0])},{fmt(e1)},{fmt(e2)},nan,nan\n")
-    for n, sol in enumerate(traj.windows, start=1):
+    for n, (cons, work) in enumerate(zip(diag.conservation, diag.work), start=1):
         e1, e2 = traj.side_energies[n]
-        cons = (
-            fmt(check_flux_conservation(sol, ops, cons_mode).relative) if can_cons else "nan"
+        stream.write(
+            f"{n},{fmt(traj.sync_times[n])},{fmt(e1)},{fmt(e2)},{fmt(cons)},{fmt(work)}\n"
         )
-        energy = fmt(interfacial_energy_term(sol, ops, energy_mode)) if can_energy else "nan"
-        stream.write(f"{n},{fmt(traj.sync_times[n])},{fmt(e1)},{fmt(e2)},{cons},{energy}\n")

@@ -185,7 +185,6 @@ class FeOperators:
     h: float = 1.0
     conservation_compatible: bool = True
     b_psd: bool = True
-    meta: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
         self_d = tuple(m.shape[0] for m in self.M)
@@ -427,7 +426,6 @@ def assemble(mesh1: Mesh, mesh2: Mesh, imap: InterfaceMap, spec: ProblemSpec) ->
         h=max(mesh1.h, mesh2.h),
         conservation_compatible=spec.conservation_compatible,
         b_psd=spec.b_psd,
-        meta={"nx": (mesh1.nx, mesh2.nx), "ny": (mesh1.ny, mesh2.ny)},
     )
 
 
@@ -506,7 +504,6 @@ def from_matrices(
         h=h,
         conservation_compatible=compat,
         b_psd=psd,
-        meta={"source": "matrices"},
     )
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mrcouple import cli, coupling
@@ -58,10 +59,12 @@ class TestParseConfig:
         payload = json.loads(json.dumps(MINIMAL))
         payload["window"]["dt"] = 0.1
         payload["extra"] = 1
+        payload["output"] = "out"  # outputs go to --out
         with pytest.raises(cli.ConfigError) as err:
             cli.parse_config(json.dumps(payload))
         problems = "\n".join(err.value.problems)
         assert "window.dt" in problems and "extra" in problems
+        assert "output: unknown key" in problems
 
     def test_all_errors_reported_together(self):
         payload = {
@@ -101,6 +104,14 @@ class TestParseConfig:
         payload["problem"]["advection"] = {"preset": "vortex", "amplitude": 0.5}
         cfg = cli.parse_config(json.dumps(payload))
         assert cfg.problem["advection"][0].kind == "vortex"
+
+
+def test_readme_example_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split("Example configuration", 1)[1]
+    example = after.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = cli.parse_config(example)
+    assert cfg.window.M == (2, 3) and cfg.geometry["nx"] == (8, 8)
 
 
 class TestMainRun:
@@ -229,6 +240,46 @@ class TestMainRun:
             {"problem": {"advection": {"preset": "vortex", "amplitude": float("inf")}}},
             "config error: problem.advection.amplitude: expected a finite number",
         ),
+        # a one-element-wide subdomain has no interface unknowns; it crashed
+        # in the window assembly
+        "nx-1": (
+            {"geometry": {"nx": 1}},
+            "config error: geometry.nx: expected an integer of at least 2",
+        ),
+        "nx-null": (
+            {"geometry": {"nx": None}},
+            "config error: geometry.nx: expected an integer of at least 2",
+        ),
+        "nx-pair-1": (
+            {"geometry": {"nx": [1, 1], "ny": 2}},
+            "config error: geometry.nx: expected an integer of at least 2",
+        ),
+        # advection numbers of the wrong type crashed with a TypeError or were
+        # read as numbers
+        "sx-list": (
+            {"problem": {"advection": {"preset": "constant", "sx": [1]}}},
+            "config error: problem.advection.sx: expected a number",
+        ),
+        "sx-object": (
+            {"problem": {"advection": {"preset": "constant", "sx": {"a": 1}}}},
+            "config error: problem.advection.sx: expected a number",
+        ),
+        "sx-string": (
+            {"problem": {"advection": {"preset": "constant", "sx": "2.5"}}},
+            "config error: problem.advection.sx: expected a number",
+        ),
+        "sx-bool": (
+            {"problem": {"advection": {"preset": "constant", "sx": True}}},
+            "config error: problem.advection.sx: expected a number",
+        ),
+        "amplitude-null": (
+            {"problem": {"advection": {"preset": "vortex", "amplitude": None}}},
+            "config error: problem.advection.amplitude: expected a number",
+        ),
+        "amplitude-pair-entry": (
+            {"problem": {"advection": [{"preset": "zero"}, {"preset": "vortex", "amplitude": "1"}]}},
+            "config error: problem.advection[1].amplitude: expected a number",
+        ),
     }
 
     @pytest.mark.parametrize(
@@ -291,6 +342,21 @@ class TestMainConvergence:
         assert len(err) == 1 and err[0].startswith(f"config error: {where}:")
         assert "oracle" in err[0]
         assert not out.exists()
+
+    def test_study_skips_reference_windows(self, tmp_path):
+        # window 1 of every level is filled from the reference solve, and the
+        # error norms leave it out
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["problem"]["forcing"] = "mms:smooth"
+        payload["window"] = {"t_f": 0.5, "N": 2, "M1": 1, "M2": 2, "r1": 1, "r2": 1, "N0": 2}
+        payload["experiment"] = {"kind": "convergence", "levels": 3, "oracle_steps": 512}
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "conv"
+        assert cli.main(["convergence", "--config", str(config), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "rates.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 3
+        errors = np.array([row[4:7] for row in rows], dtype=float)
+        assert np.all(np.isfinite(errors)) and np.all(errors > 0)
 
     def test_levels_up_to_the_oracle_step_count_run(self, tmp_path):
         payload = {**MINIMAL, "experiment": {"kind": "convergence", "levels": 3, "oracle_steps": 8}}
@@ -443,6 +509,31 @@ class TestSolverFailure:
         assert rc == 1
         assert err.startswith("solver failure: window 1: window iteration")
         assert "Traceback" not in err
+
+    # the sweeps contract, but too slowly for three of them to reach tol
+    EXHAUSTED = {
+        **MINIMAL,
+        "problem": {**MINIMAL["problem"], "forcing": "zero"},
+        "window": {"t_f": 0.5, "N": 2, "M1": 2, "M2": 3, "r1": 1, "r2": 1},
+        "solver": {"name": "fixed-point", "max_iter": 3},
+    }
+    EXHAUSTED_MESSAGE = (
+        "solver failure: window 1: window iteration did not reach tol=1e-10 in 3 sweeps "
+        "(last relative residual 1.078e-03)"
+    )
+
+    def test_run_reports_exhausted_sweeps(self, tmp_path, capsys):
+        config = write_config(tmp_path, self.EXHAUSTED)
+        rc = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.strip().splitlines() == [self.EXHAUSTED_MESSAGE]
+
+    @pytest.mark.parametrize("suite", ["energy", "conservation"])
+    def test_check_reports_solver_failure(self, tmp_path, capsys, suite):
+        config = write_config(tmp_path, self.EXHAUSTED)
+        assert cli.main(["check", "--config", str(config), "--suite", suite]) == 1
+        out = capsys.readouterr().out.strip().splitlines()
+        assert out == [f"check {suite}: {self.EXHAUSTED_MESSAGE}"]
 
 
 class TestMainCheck:

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -765,3 +766,51 @@ class TestExportCsv:
         assert len(lines) == 1 + 1 + cfg.N
         last = lines[-1].split(",")
         assert float(last[4]) <= 1e-12  # conservation residual column
+
+
+class TestWindowDiagnostics:
+    def test_csv_columns_are_the_diagnostics(self, decay_ops):
+        # mixed flux orders: weak conservation; exact quadrature: exact work term
+        cfg = mc.WindowConfig(t_f=0.2, N=3, M=(1, 2), r=(1, 0))
+        traj = mc.run_simulation(decay_ops, mc.dg(1), cfg, quadrature="exact")
+        diag = coupling.window_diagnostics(traj, decay_ops)
+        assert (diag.conservation_mode, diag.energy_mode) == ("weak", "exact")
+        buf = io.StringIO()
+        mc.export_trajectory_csv(traj, decay_ops, buf)
+        rows = [line.split(",") for line in buf.getvalue().splitlines()[2:]]
+        assert [row[4] for row in rows] == [f"{v:.17g}" for v in diag.conservation]
+        assert [row[5] for row in rows] == [f"{v:.17g}" for v in diag.work]
+        assert np.all(diag.work <= 1e-12 * traj.energies[0])
+
+    def test_nan_where_a_precondition_fails(self, toy_ops):
+        signed = mc.from_matrices(
+            [[1.0]], [[0.2]], [[1.0]], [[1.0]], [[0.2]], [[1.0]], [[1.0]], -np.eye(2),
+            u0=(np.array([1.0]), np.array([1.0])),
+        )
+        cfg = mc.WindowConfig(t_f=0.2, N=2, M=(1, 2), r=(1, 1))
+        for ops in (toy_ops, signed):
+            traj = mc.run_simulation(ops, mc.crank_nicolson(), cfg, quadrature="trapezoid")
+            diag = coupling.window_diagnostics(traj, ops)
+            assert (diag.conservation_mode, diag.energy_mode) == ("strong", "cn")
+            assert np.all(np.isfinite(diag.conservation)) == ops.conservation_compatible
+            assert np.all(np.isfinite(diag.work)) == ops.b_psd
+            assert len(diag.conservation) == len(diag.work) == cfg.N
+
+
+class TestHistoryProblems:
+    def test_keyed_problems_match_run_simulation(self, toy_linear_ops):
+        reach_two = SchemeSpec(
+            q=1, n_s=2, k_s=2, thetas=(0.0, 1.0), D=[[0, 2, -1], [1, 0, 0]], name="reach-two"
+        )
+        k_s_three = SchemeSpec(q=1, n_s=0, k_s=3, thetas=(), D=np.zeros((0, 4)), name="k3")
+        cases = [
+            (mc.WindowConfig(t_f=0.4, N=2, N0=3), mc.crank_nicolson(), "window.N0: 3 exceeds N=2"),
+            (mc.WindowConfig(t_f=0.4, N=4, M=(1, 2)), k_s_three, "scheme.k_s: 3 exceeds M1+1=2"),
+            (mc.WindowConfig(t_f=0.4, N=4, N0=1), reach_two, "reach back 2 side values"),
+        ]
+        for cfg, spec, message in cases:
+            problems = cfg.history_problems(spec)
+            assert len(problems) == 1 and message in problems[0]
+            with pytest.raises(ValueError, match=re.escape(message)):
+                mc.run_simulation(toy_linear_ops, spec, cfg)
+        assert mc.WindowConfig(t_f=0.4, N=4).history_problems(reach_two) == []
