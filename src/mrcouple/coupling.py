@@ -38,6 +38,7 @@ from .timepoly import (
     TimePoly,
     continuous_galerkin,
     gauss_on,
+    gauss_rule,
     legendre_table,
     points_for_degree,
     project_l2,
@@ -148,12 +149,27 @@ class WindowSolution:
 
     index: int
     window: Interval
-    u: tuple  # per subdomain: list of M_i substep TimePolys
+    u: tuple  # per subdomain: (M_i, q + 1, d_i) Legendre coefficients of its substeps
     U: tuple  # per subdomain: (M_i + 1, d_i) side values, row 0 incoming
     F: tuple  # per subdomain: window flux TimePoly (d_gamma columns)
     residual: float = float("nan")
     iterations: int = 0
     initialized_from_reference: bool = False
+
+    def edges(self, i: int) -> np.ndarray:
+        """Substep edges of subdomain i: substep n runs from edges[n] to edges[n + 1]."""
+        return np.linspace(self.window.a, self.window.b, len(self.u[i]) + 1)
+
+    def at_gauss(self, i: int, npts: int) -> tuple:
+        """(t, w, values) of subdomain i on an npts-point Gauss rule of each substep.
+
+        t and w, the times and weights, are (M_i, npts); values, (M_i, npts, d_i).
+        """
+        x, w = gauss_rule(npts)
+        edges = self.edges(i)
+        dt = np.diff(edges)[:, None]
+        values = np.einsum("ap,nad->npd", legendre_table(self.u[i].shape[1] - 1, x), self.u[i])
+        return edges[:-1, None] + 0.5 * (x + 1.0) * dt, 0.5 * dt * w, values
 
 
 def _residual(rhs: np.ndarray, Ax: np.ndarray) -> tuple:
@@ -242,13 +258,14 @@ def window_traces(sol: WindowSolution, ops: FeOperators, quadrature: str = "exac
     """
     out = []
     for i in range(2):
-        T, polys = ops.T[i], sol.u[i]
+        T, edges = ops.T[i], sol.edges(i)
         if quadrature == "exact":
-            pieces = [TimePoly(p.interval, (T @ p.coeffs.T).T) for p in polys]
+            M_i, k, d = sol.u[i].shape
+            coeffs = (T @ sol.u[i].reshape(-1, d).T).T.reshape(M_i, k, -1)
         else:
             ends = (T @ sol.U[i].T).T
-            mid, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])
-            pieces = [TimePoly(p.interval, np.stack([mid[n], half[n]])) for n, p in enumerate(polys)]
+            coeffs = np.stack([0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])], axis=1)
+        pieces = [TimePoly(Interval(a, b), c) for a, b, c in zip(edges[:-1], edges[1:], coeffs)]
         out.append(trace_projection(pieces, sol.window, sol.F[i].order, mode=quadrature))
     return tuple(out)
 
@@ -296,6 +313,11 @@ class WindowOperator:
             raise ValueError(
                 f"fixed-point settings need fp_max_iter >= 1 and a finite fp_tol > 0, "
                 f"got {fp_max_iter} and {fp_tol}"
+            )
+        if 0 in ops.d_omega:
+            raise ValueError(
+                f"subdomain {ops.d_omega.index(0) + 1} has no unknowns (d_omega = {ops.d_omega}); "
+                "a mesh one cell wide (nx = 1) has no free nodes"
             )
         self.ops, self.spec, self.cfg = ops, spec, cfg
         self.quadrature = quadrature
@@ -357,14 +379,6 @@ class WindowOperator:
             self._lu = dgit.factorize(factored)
         except RuntimeError as err:
             raise SolverError(f"window factorization failed: {err}") from err
-
-    # -- unknown offsets -------------------------------------------------
-    def _sub_off(self, i: int, n: int) -> int:
-        """Column of substep n (1-based) of subdomain i."""
-        return self._dom_off[i] + (n - 1) * self._sub_size[i]
-
-    def _U_off(self, i: int, n: int) -> int:
-        return self._sub_off(i, n) + (self.spec.q + 1) * self.ops.d_omega[i]
 
     def _assemble_matrix(self) -> tuple:
         """(matrix, past): the window's rows over its unknowns and over the past values.
@@ -544,40 +558,27 @@ class WindowOperator:
         )
 
     def _extract(self, x, incoming, window_index, residual, iterations=0) -> WindowSolution:
-        ops, spec, cfg = self.ops, self.spec, self.cfg
-        q = spec.q
-        d = ops.d_omega
-        dG = ops.d_gamma
+        """The window's states, cut from the solve vector x.
+
+        The substeps of a side are one (M_i, q + 2, d_i) block of x: the
+        coefficients first, the side value last.  u is a copy, so that a
+        kept window does not keep all of x.
+        """
+        q, d, dG, cfg = self.spec.q, self.ops.d_omega, self.ops.d_gamma, self.cfg
         window = cfg.window(window_index)
         u, U, F = [], [], []
         for i in range(2):
-            edges = cfg.substep_edges(i, window_index)
-            polys = []
-            side = np.empty((cfg.M[i] + 1, d[i]))
-            side[0] = incoming[i]
-            for n in range(1, cfg.M[i] + 1):
-                off = self._sub_off(i, n)
-                coeffs = x[off : off + (q + 1) * d[i]].reshape(q + 1, d[i])
-                polys.append(TimePoly(Interval(edges[n - 1], edges[n]), coeffs))
-                side[n] = x[self._U_off(i, n) : self._U_off(i, n) + d[i]]
-            u.append(polys)
-            U.append(side)
-            if dG:
-                off = self._flux_off[i]
-                fc = x[off : off + (cfg.r[i] + 1) * dG].reshape(cfg.r[i] + 1, dG)
-                F.append(TimePoly(window, fc))
-            else:
-                F.append(None)
-        for side in U:
-            side.flags.writeable = False
+            lo = self._dom_off[i]
+            subs = x[lo : lo + cfg.M[i] * self._sub_size[i]].reshape(cfg.M[i], q + 2, d[i])
+            u.append(subs[:, : q + 1].copy())
+            U.append(np.vstack([incoming[i], subs[:, q + 1]]))
+            lo = self._flux_off[i]
+            fc = x[lo : lo + (cfg.r[i] + 1) * dG].reshape(cfg.r[i] + 1, dG)
+            F.append(TimePoly(window, fc) if dG else None)
+        for a in u + U:
+            a.flags.writeable = False
         return WindowSolution(
-            index=window_index,
-            window=window,
-            u=tuple(u),
-            U=tuple(U),
-            F=tuple(F),
-            residual=residual,
-            iterations=iterations,
+            window_index, window, tuple(u), tuple(U), tuple(F), residual, iterations
         )
 
 
@@ -665,9 +666,9 @@ def check_flux_conservation(sol: WindowSolution, ops: FeOperators, mode: str = "
         total = np.zeros(ops.d_gamma)
         ref = 0.0
         for i, F in enumerate((F1, F2)):
-            vals = np.stack([F(p.interval.a) for p in sol.u[i]] + [F(sol.u[i][-1].interval.b)])
-            avg = 0.5 * (vals[:-1] + vals[1:])
-            part = (sol.u[i][0].interval.length) * avg.sum(axis=0)
+            edges = sol.edges(i)
+            vals = F(edges)
+            part = (edges[1] - edges[0]) * (0.5 * (vals[:-1] + vals[1:])).sum(axis=0)
             total += ops.M_gamma @ part
             ref = max(ref, float(np.max(np.abs(ops.M_gamma @ part))))
         return ConservationReport(mode, float(np.max(np.abs(total))), ref)
@@ -690,19 +691,16 @@ def interfacial_energy_term(sol: WindowSolution, ops: FeOperators, mode: str = "
     for i in range(2):
         F = sol.F[i]
         if mode == "cn":
-            for n, piece in enumerate(sol.u[i]):
-                dt_i = piece.interval.length
-                u_avg = 0.5 * (sol.U[i][n] + sol.U[i][n + 1])
-                f_avg = 0.5 * (F(piece.interval.a) + F(piece.interval.b))
-                total -= dt_i * float((ops.T[i] @ u_avg) @ (ops.M_gamma @ f_avg))
+            # per substep, dt_i times the product of endpoint averages
+            edges = sol.edges(i)
+            f = F(edges)
+            u, f, w = 0.5 * (sol.U[i][1:] + sol.U[i][:-1]), 0.5 * (f[1:] + f[:-1]), np.diff(edges)
         elif mode == "exact":
-            for piece in sol.u[i]:
-                npts = points_for_degree(piece.order + F.order)
-                t, w = gauss_on(piece.interval, npts)
-                for tk, wk in zip(t, w):
-                    total -= wk * float((ops.T[i] @ piece(tk)) @ (ops.M_gamma @ F(tk)))
+            t, w, u = sol.at_gauss(i, points_for_degree(sol.u[i].shape[1] - 1 + F.order))
+            u, f, w = u.reshape(-1, u.shape[-1]), F(t.ravel()), w.ravel()
         else:
             raise ValueError(f"unknown energy mode {mode!r}")
+        total -= float(np.sum((ops.T[i] @ u.T) * (ops.M_gamma @ f.T) * w))
     return total
 
 
@@ -754,7 +752,6 @@ class Trajectory:
     spec: SchemeSpec
     cfg: WindowConfig
     quadrature: str
-    solver: str
 
     @property
     def energies(self) -> np.ndarray:
@@ -777,11 +774,11 @@ def _fill_init_windows(ops, spec, cfg, u0, n_init: int):
     fine_spec = continuous_galerkin(2)
     coeffs, side = dgit.integrate(Mc, Lc, load, np.concatenate(u0), fine_spec, edges)
 
-    def project(lo: int, pieces: np.ndarray, target: Interval, k: int) -> TimePoly:
-        # order-k projection onto target of the fine pieces lo, lo + 1, ...
+    def project(lo: int, pieces: np.ndarray, target: Interval, k: int) -> np.ndarray:
+        # order-k Legendre coefficients on target of the fine pieces lo, lo + 1, ...
         X = dgit.cross_moments(edges[lo : lo + len(pieces) + 1], target, fine_spec.q, k)
         scale = (2 * np.arange(k + 1) + 1)[:, None] / target.length
-        return TimePoly(target, scale * np.einsum("nac,nab->bc", pieces, X))
+        return scale * np.einsum("nac,nab->bc", pieces, X)
 
     Mg_lu = dgit.factorize(ops.M_gamma) if (ops.d_gamma and ops.has_g) else None
     windows = []
@@ -793,20 +790,18 @@ def _fill_init_windows(ops, spec, cfg, u0, n_init: int):
         for i in range(2):
             sub_edges = cfg.substep_edges(i, w)
             per_sub = fine_per_window // cfg.M[i]
-            u.append(
-                [
-                    project(
-                        lo + n * per_sub,
-                        fine[n * per_sub : (n + 1) * per_sub, :, slices[i]],
-                        Interval(sub_edges[n], sub_edges[n + 1]),
-                        spec.q,
-                    )
-                    for n in range(cfg.M[i])
-                ]
-            )
-            side_i = side[lo : lo + fine_per_window + 1 : per_sub, slices[i]].copy()
-            side_i.flags.writeable = False
-            U.append(side_i)
+            u.append(np.stack([
+                project(
+                    lo + n * per_sub,
+                    fine[n * per_sub : (n + 1) * per_sub, :, slices[i]],
+                    Interval(sub_edges[n], sub_edges[n + 1]),
+                    spec.q,
+                )
+                for n in range(cfg.M[i])
+            ]))
+            U.append(side[lo : lo + fine_per_window + 1 : per_sub, slices[i]].copy())
+        for a in u + U:
+            a.flags.writeable = False
         if ops.d_gamma:
             traces = [
                 (ops.T[j] @ fine[:, :, slices[j]].reshape(-1, ops.d_omega[j]).T).T.reshape(
@@ -818,7 +813,8 @@ def _fill_init_windows(ops, spec, cfg, u0, n_init: int):
             if not ops.d_gamma:
                 F.append(None)
                 continue
-            Fi = project(lo, ops.B[i, 0] * traces[0] + ops.B[i, 1] * traces[1], window, cfg.r[i])
+            combo = ops.B[i, 0] * traces[0] + ops.B[i, 1] * traces[1]
+            Fi = TimePoly(window, project(lo, combo, window, cfg.r[i]))
             if ops.has_g:
                 Fi = Fi - project_l2(
                     lambda t, i=i: Mg_lu.solve(ops.g_vec(i, t)), window, cfg.r[i], npts=16
@@ -853,11 +849,11 @@ def run_simulation(
     problems = cfg.history_problems(spec)
     if problems:
         raise ValueError("; ".join(problems))
-    n_init = cfg.n_init(spec)
-    windows = list(_fill_init_windows(ops, spec, cfg, u0, n_init)) if n_init > 1 else []
     op = WindowOperator(
         ops, spec, cfg, quadrature=quadrature, solver=solver, fp_tol=fp_tol, fp_max_iter=fp_max_iter
     )
+    n_init = cfg.n_init(spec)
+    windows = list(_fill_init_windows(ops, spec, cfg, u0, n_init)) if n_init > 1 else []
 
     # Each window, reference-filled or solved, hands the next one its last
     # side values and the ones before them, newest first.
@@ -885,7 +881,7 @@ def run_simulation(
     side_energies = np.array(
         [[0.5 * float(v @ (ops.M[i] @ v)) for i, v in enumerate(state)] for state in states]
     )
-    return Trajectory(windows, cfg.sync_times(), side_energies, spec, cfg, quadrature, solver)
+    return Trajectory(windows, cfg.sync_times(), side_energies, spec, cfg, quadrature)
 
 
 @dataclasses.dataclass(frozen=True)

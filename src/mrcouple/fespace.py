@@ -117,6 +117,16 @@ class AdvectionSpec:
         return self.kind == "zero" or (self.kind == "constant" and self.sx == 0.0)
 
 
+def _opposite(g, times) -> bool:
+    """Whether interface data g = (g1, g2), callables of t or None for zero, cancel at times."""
+    worst = ref = 0.0
+    for t in times:
+        v1, v2 = (np.asarray(0.0 if gi is None else gi(t), dtype=float) for gi in g)
+        worst = max(worst, float(np.max(np.abs(v1 + v2))))
+        ref = max(ref, float(np.max(np.abs(v1))), 1.0)
+    return worst <= 1e-10 * ref
+
+
 def _b_flags(B: np.ndarray) -> tuple[bool, bool]:
     """(row-wise antisymmetry of B, positive semidefiniteness) flags."""
     scale = max(1.0, float(np.max(np.abs(B))))
@@ -146,16 +156,10 @@ class ProblemSpec:
         if self.nu[0] <= 0 or self.nu[1] <= 0:
             raise ValueError("diffusivities must be positive")
         compat, psd = _b_flags(B)
-        if compat and (self.g[0] is not None or self.g[1] is not None):
-            g1 = self.g[0] or (lambda x, t: 0.0 * np.asarray(x, dtype=float))
-            g2 = self.g[1] or (lambda x, t: 0.0 * np.asarray(x, dtype=float))
+        if compat:
             xs = np.linspace(0.05, 0.95, 7)
-            worst = ref = 0.0
-            for t in (0.0, 0.31, 0.77):
-                v1, v2 = np.asarray(g1(xs, t), dtype=float), np.asarray(g2(xs, t), dtype=float)
-                worst = max(worst, float(np.max(np.abs(v1 + v2))))
-                ref = max(ref, float(np.max(np.abs(v1))), 1.0)
-            compat = worst <= 1e-10 * ref
+            g = [None if gi is None else (lambda t, gi=gi: gi(xs, t)) for gi in self.g]
+            compat = _opposite(g, (0.0, 0.31, 0.77))
         object.__setattr__(self, "conservation_compatible", compat)
         object.__setattr__(self, "b_psd", psd)
 
@@ -483,15 +487,7 @@ def from_matrices(
     _check_spd("M_gamma", M_gamma)
     B = np.asarray(B, dtype=float).reshape(2, 2)
     compat, psd = _b_flags(B)
-    if compat and not (load_g[0] is None and load_g[1] is None):
-        z1 = load_g[0] or (lambda t: np.zeros(M_gamma.shape[0]))
-        z2 = load_g[1] or (lambda t: np.zeros(M_gamma.shape[0]))
-        worst = ref = 0.0
-        for t in (0.0, 0.37, 1.0):
-            v1, v2 = np.asarray(z1(t), dtype=float), np.asarray(z2(t), dtype=float)
-            worst = max(worst, float(np.max(np.abs(v1 + v2))))
-            ref = max(ref, float(np.max(np.abs(v1))), 1.0)
-        compat = worst <= 1e-10 * ref
+    compat = compat and _opposite(load_g, (0.0, 0.37, 1.0))
     return FeOperators(
         M=(sp.csr_matrix(M1), sp.csr_matrix(M2)),
         L=(sp.csr_matrix(L1), sp.csr_matrix(L2)),

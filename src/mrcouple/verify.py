@@ -214,7 +214,6 @@ class ReferenceTrajectory:
     coeffs: np.ndarray
     slices: tuple
     ops: FeOperators
-    scheme_name: str
     _mg_lu: object = dataclasses.field(default=None, repr=False)
 
     def states(self, ts) -> np.ndarray:
@@ -306,7 +305,7 @@ def reference_solve(
     start = np.concatenate([np.asarray(v, dtype=float) for v in (u0 if u0 is not None else ops.u0)])
     boundaries = np.linspace(0.0, t_f, n_steps + 1)
     coeffs, _ = dgit.integrate(Mc, Lc, load, start, sp_scheme, boundaries, load_npts=4)
-    return ReferenceTrajectory(boundaries, coeffs, slices, ops, scheme)
+    return ReferenceTrajectory(boundaries, coeffs, slices, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +348,8 @@ def _mass_sq(M, diffs: np.ndarray, w: np.ndarray) -> float:
 def error_norms(ops: FeOperators, traj: Trajectory, oracle: ReferenceTrajectory) -> ErrorReport:
     """All error norms of a trajectory, skipping reference-filled windows.
 
-    The oracle is queried once per substep piece (its Gauss times and its
-    end) and once per window (the flux Gauss times of both sides and the
-    window end).
+    The oracle is queried once per window, per side at the substep Gauss
+    times, the substep ends and the flux Gauss times.
     """
     q = traj.spec.q
     l2_sq = [0.0, 0.0]
@@ -362,31 +360,26 @@ def error_norms(ops: FeOperators, traj: Trajectory, oracle: ReferenceTrajectory)
     for sol in traj.windows:
         if sol.initialized_from_reference:
             continue
+        subs = [sol.at_gauss(i, q + 4) for i in range(2)]
+        rules = [gauss_on(sol.window, F.order + 4) if F is not None else no_rule for F in sol.F]
+        times = []
         for i in range(2):
-            for n, piece in enumerate(sol.u[i]):
-                t, w = gauss_on(piece.interval, q + 4)
-                ref = oracle.states(np.append(t, piece.interval.b))[:, oracle.slices[i]]
-                l2_sq[i] += _mass_sq(ops.M[i], piece(t) - ref[:-1], w)
-                nodal[i].append(ops.mass_norm(i, sol.U[i][n + 1] - ref[-1]))
-        rules = [
-            gauss_on(sol.window, F.order + 4) if F is not None else no_rule for F in sol.F
-        ]
-        ref = oracle.states(np.concatenate([rules[0][0], rules[1][0], [sol.window.b]]))
-        k = len(rules[0][0])
-        rows = (slice(0, k), slice(k, -1))
+            times += [subs[i][0].ravel(), sol.edges(i)[1:], rules[i][0]]
+        cuts = np.cumsum([len(t) for t in times])[:-1]
+        ref = np.split(oracle.states(np.concatenate(times)), cuts)
         for i in range(2):
+            side, (_, w, vals) = oracle.slices[i], subs[i]
+            at_gauss, at_ends, at_flux = ref[3 * i : 3 * i + 3]
+            diff = vals.reshape(len(at_gauss), -1) - at_gauss[:, side]
+            l2_sq[i] += _mass_sq(ops.M[i], diff, w.ravel())
+            nodal[i] += [ops.mass_norm(i, e) for e in sol.U[i][1:] - at_ends[:, side]]
             if sol.F[i] is not None:
                 t, w = rules[i]
-                diff = sol.F[i](t) - oracle.fluxes(i, t, ref[rows[i]])
-                flux_sq[i] += _mass_sq(ops.M_gamma, diff, w)
-        sync.append(
-            math.sqrt(
-                sum(
-                    ops.mass_norm(i, sol.U[i][-1] - ref[-1][oracle.slices[i]]) ** 2
-                    for i in range(2)
-                )
-            )
-        )
+                flux_sq[i] += _mass_sq(ops.M_gamma, sol.F[i](t) - oracle.fluxes(i, t, at_flux), w)
+        end = ref[1][-1]  # the last substep end of a side is the window end
+        sync.append(math.sqrt(sum(
+            ops.mass_norm(i, sol.U[i][-1] - end[oracle.slices[i]]) ** 2 for i in range(2)
+        )))
     return ErrorReport(
         l2=tuple(math.sqrt(v) for v in l2_sq),
         nodal=tuple(np.asarray(v) for v in nodal),

@@ -8,7 +8,14 @@ import scipy.sparse.linalg as spla
 
 import mrcouple as mc
 from mrcouple import coupling, dgit
-from mrcouple.timepoly import Interval, SchemeSpec, TimePoly, legendre_table
+from mrcouple.timepoly import (
+    Interval,
+    SchemeSpec,
+    TimePoly,
+    gauss_on,
+    legendre_table,
+    points_for_degree,
+)
 
 
 def incoming(ops):
@@ -162,7 +169,7 @@ class TestWindowAssembly:
             size = op._sub_size[i]
             diagonal = [
                 op.matrix[o : o + size, o : o + size].toarray()
-                for o in (op._sub_off(i, n) for n in range(1, cfg.M[i] + 1))
+                for o in op._dom_off[i] + size * np.arange(cfg.M[i])
             ]
             assert np.array_equal(diagonal[0], op.blocks[i].matrix.toarray())
             assert all(np.array_equal(block, diagonal[0]) for block in diagonal[1:])
@@ -225,8 +232,10 @@ class TestWindowAssembly:
         sol = op.solve(incoming(toy_ops))
         kept = mc.window_traces(sol, toy_ops)
         # the stored trace satisfies its defining projection identity
+        edges = cfg.substep_edges(0, 1)
         traces = [
-            TimePoly(p.interval, (toy_ops.T[0] @ p.coeffs.T).T) for p in sol.u[0]
+            TimePoly(Interval(a, b), (toy_ops.T[0] @ c.T).T)
+            for a, b, c in zip(edges[:-1], edges[1:], sol.u[0])
         ]
         direct = mc.trace_projection(traces, sol.window, 1)
         assert np.allclose(direct.coeffs, kept[0].coeffs, atol=1e-12)
@@ -243,6 +252,14 @@ class TestWindowAssembly:
         F = mc.flux_solve(*mc.window_traces(sol, toy_ops, quadrature), toy_ops.B, cfg.r)
         for i in range(2):
             assert np.max(np.abs(F[i].coeffs - sol.F[i].coeffs)) <= 1e-12
+
+    def test_empty_subdomain_rejected(self):
+        # one cell across leaves no free nodes, interface nodes included
+        m1, m2 = mc.build_mesh(1, 1, 2), mc.build_mesh(2, 1, 2)
+        ops = mc.assemble(m1, m2, mc.match_interfaces(m1, m2), mc.ProblemSpec())
+        assert ops.d_omega == (0, 0)
+        with pytest.raises(ValueError, match=r"subdomain 1 has no unknowns .*nx = 1"):
+            mc.run_simulation(ops, mc.crank_nicolson(), mc.WindowConfig(t_f=0.1, N=1))
 
     def test_singular_window_rejected(self):
         # zero mass on one side makes the window system singular
@@ -522,7 +539,37 @@ class TestConservation:
             assert rep.relative <= 1e-12
 
 
+def pointwise_interfacial_energy(sol, ops, cfg, mode):
+    """interfacial_energy_term written as a loop over substeps and quadrature points."""
+    total = 0.0
+    for i in range(2):
+        F, edges = sol.F[i], cfg.substep_edges(i, sol.index)
+        for n, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            if mode == "cn":
+                u_avg = 0.5 * (sol.U[i][n] + sol.U[i][n + 1])
+                f_avg = 0.5 * (F(a) + F(b))
+                total -= (b - a) * float((ops.T[i] @ u_avg) @ (ops.M_gamma @ f_avg))
+                continue
+            piece = TimePoly(Interval(a, b), sol.u[i][n])
+            t, w = gauss_on(piece.interval, points_for_degree(piece.order + F.order))
+            for tk, wk in zip(t, w):
+                total -= wk * float((ops.T[i] @ piece(tk)) @ (ops.M_gamma @ F(tk)))
+    return total
+
+
 class TestInterfacialEnergy:
+    @pytest.mark.parametrize("quadrature,mode", [("trapezoid", "cn"), ("exact", "exact")])
+    @pytest.mark.parametrize("scheme_name", ["crank-nicolson", "cg2"])
+    def test_equals_pointwise_loop(self, decay_ops, scheme_name, quadrature, mode):
+        cfg = mc.WindowConfig(t_f=0.2, N=2, M=(2, 3), r=(1, 2))
+        scheme = mc.shipped_schemes()[scheme_name]
+        traj = mc.run_simulation(decay_ops, scheme, cfg, quadrature=quadrature)
+        for sol in traj.windows:
+            want = pointwise_interfacial_energy(sol, decay_ops, cfg, mode)
+            assert want < 0
+            got = mc.interfacial_energy_term(sol, decay_ops, mode)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize(
         "B",
         [np.eye(2), np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([[2.0, -1.0], [-1.0, 1.0]])],
@@ -580,7 +627,7 @@ class TestRunSimulation:
         prev = incoming(decay_ops)
         for sol in traj.windows:
             for i in range(2):
-                first = sol.u[i][0]
+                first = TimePoly(Interval(*cfg.substep_edges(i, sol.index)[:2]), sol.u[i][0])
                 scale = max(1.0, np.max(np.abs(sol.U[i])))
                 assert np.max(np.abs(first(sol.window.a) - prev[i])) < 1e-11 * scale
             prev = tuple(sol.U[i][-1] for i in range(2))
@@ -591,7 +638,8 @@ class TestRunSimulation:
         jumps = []
         prev = incoming(decay_ops)
         for sol in traj.windows:
-            jumps.append(np.max(np.abs(sol.u[0][0](sol.window.a) - prev[0])))
+            first = TimePoly(Interval(*cfg.substep_edges(0, sol.index)[:2]), sol.u[0][0])
+            jumps.append(np.max(np.abs(first(sol.window.a) - prev[0])))
             prev = tuple(sol.U[i][-1] for i in range(2))
         assert all(np.isfinite(j) for j in jumps)
         assert max(jumps) > 0.0  # jumps exist but stay finite
@@ -712,7 +760,7 @@ class TestRunSimulation:
                     k = lo + n * per_sub
                     pieces = [TimePoly(iv, c[:, slices[i]])
                               for iv, c in zip(ivs[k : k + per_sub], coeffs[k : k + per_sub])]
-                    assert close(got.coeffs, mc.project_l2_broken(pieces, 1).coeffs)
+                    assert close(got, mc.project_l2_broken(pieces, 1).coeffs)
                 assert np.array_equal(sol.U[i], side[lo : lo + per_window + 1 : per_sub, slices[i]])
                 combo = [a.scaled(ops.B[i, 0]) + b.scaled(ops.B[i, 1])
                          for a, b in zip(*(t[lo : lo + per_window] for t in traces))]
@@ -726,13 +774,25 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="no scheme window"):
             mc.run_simulation(toy_ops, mc.crank_nicolson(), cfg)
 
-    def test_solved_windows_are_immutable(self, toy_ops):
-        cfg = mc.WindowConfig(t_f=0.1, N=1, M=(1, 2), r=(1, 1))
-        traj = mc.run_simulation(toy_ops, mc.crank_nicolson(), cfg)
-        with pytest.raises(ValueError):
-            traj.windows[0].U[0][0] = 9.9
-        with pytest.raises(ValueError):
-            traj.windows[0].u[0][0].coeffs[0, 0] = 9.9
+    def test_window_states_are_read_only_arrays(self, toy_linear_ops):
+        # a reference-filled and a solved window carry their states alike
+        spec = SchemeSpec(
+            q=1, n_s=2, k_s=2, thetas=(0.0, 1.0),
+            D=[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], name="cn-clone",
+        )
+        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1))
+        traj = mc.run_simulation(toy_linear_ops, spec, cfg, quadrature="exact")
+        filled, solved = traj.windows[:2]
+        assert filled.initialized_from_reference and not solved.initialized_from_reference
+        for sol in (filled, solved):
+            for i in range(2):
+                shape = (cfg.M[i], spec.q + 1, toy_linear_ops.d_omega[i])
+                assert isinstance(sol.u[i], np.ndarray) and sol.u[i].shape == shape
+                assert np.array_equal(sol.edges(i), cfg.substep_edges(i, sol.index))
+                with pytest.raises(ValueError):
+                    sol.U[i][0] = 9.9
+                with pytest.raises(ValueError):
+                    sol.u[i][0, 0, 0] = 9.9
 
     def test_interface_free_operator_pair(self):
         # a zero-row trace matrix decouples the systems entirely

@@ -332,7 +332,11 @@ def pointwise_error_norms(ops, traj, oracle):
         if sol.initialized_from_reference:
             continue
         for i in range(2):
-            for n, piece in enumerate(sol.u[i]):
+            edges = traj.cfg.substep_edges(i, sol.index)
+            pieces = [
+                TimePoly(Interval(a, b), c) for a, b, c in zip(edges[:-1], edges[1:], sol.u[i])
+            ]
+            for n, piece in enumerate(pieces):
                 for tk, wk in zip(*gauss_on(piece.interval, q + 4)):
                     diff = piece(tk) - oracle.state(tk)[i]
                     l2_sq[i] += wk * float(diff @ (ops.M[i] @ diff))
