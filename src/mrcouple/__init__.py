@@ -37,7 +37,6 @@ from .timepoly import (
     SchemeSpec,
     TimePoly,
     backward_euler,
-    build_dtilde,
     continuous_galerkin,
     crank_nicolson,
     dg,

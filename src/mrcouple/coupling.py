@@ -5,8 +5,8 @@ the window-scale flux polynomials form one square linear system.  The
 interface traces of the substep states are projected onto the window
 polynomial space of order r_i; the fluxes are the coupling-matrix
 combination of those projections.  The trace variables are eliminated
-algebraically at assembly, so the monolithic unknowns are the substep
-coefficients, the side values, and the flux modes (ordered last, so an
+algebraically at assembly, so the monolithic unknowns are the substeps'
+free modes and side values, and the flux modes (ordered last, so an
 interface-reduced solver could be added without relayout).
 
 Two solvers work on that one matrix A.  The direct solver factorizes it
@@ -132,13 +132,12 @@ class WindowConfig:
                 for i in range(2)
                 if spec.k_s > self.M[i] + 1
             ]
-        elif np.any(spec.D[:, 2:]):
+        elif spec.reach > 1:
             # column l of D weighs the side value l steps back
-            reach = 2 + int(np.flatnonzero(np.any(spec.D[:, 2:], axis=0))[-1])
             problems.append(
                 f"window.N0: 1 leaves window 1 only the initial state, but the side "
-                f"conditions reach back {reach} side values (scheme.D column {reach}); "
-                "use N0 >= 2 to fill the history from a reference solve"
+                f"conditions reach back {spec.reach} side values (scheme.D column "
+                f"{spec.reach}); use N0 >= 2 to fill the history from a reference solve"
             )
         return problems
 
@@ -170,6 +169,12 @@ class WindowSolution:
         dt = np.diff(edges)[:, None]
         values = np.einsum("ap,nad->npd", legendre_table(self.u[i].shape[1] - 1, x), self.u[i])
         return edges[:-1, None] + 0.5 * (x + 1.0) * dt, 0.5 * dt * w, values
+
+
+def require_finite(phase: str, *arrays) -> None:
+    """Raise SolverError naming the phase if an array holds a non-finite value."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise SolverError(f"{phase} produced non-finite values")
 
 
 def _residual(rhs: np.ndarray, Ax: np.ndarray) -> tuple:
@@ -274,11 +279,11 @@ class WindowOperator:
     """Monolithic window system; assembled once, factorized once, reused per window.
 
     Unknown layout: substep groups of both subdomains (each substep holds
-    its modal coefficients then its side value), then the flux modes of
-    subdomain 1, then subdomain 2.  What a window reads from before its
-    start enters through one assembled map, past: its columns hold per
-    subdomain the incoming side value, then the max(k_s, 1) - 1 side values
-    before it, newest first, and a window solves
+    its free modes, then its side value; the side conditions have no rows,
+    see dgit), then the flux modes of subdomain 1, then subdomain 2.  What
+    a window reads from before its start enters through one assembled map,
+    past: its columns hold per subdomain the incoming side value, then the
+    spec.reach - 1 side values before it, newest first, and a window solves
     matrix @ x = data terms - past @ (those side values).
 
     Each subdomain's substeps form a chain of one substep block, since all
@@ -323,18 +328,16 @@ class WindowOperator:
         self.quadrature = quadrature
         self.solver = solver
         self.fp_tol, self.fp_max_iter = fp_tol, fp_max_iter
-        q = spec.q
         d = ops.d_omega
         dG = ops.d_gamma
-        self._sub_size = tuple((q + 2) * d[i] for i in range(2))
+        self._sub_size = tuple((spec.test_order + 1) * d[i] for i in range(2))
         self._dom_off = (0, cfg.M[0] * self._sub_size[0])
         self._flux_off = (
             self._dom_off[1] + cfg.M[1] * self._sub_size[1],
             self._dom_off[1] + cfg.M[1] * self._sub_size[1] + (cfg.r[0] + 1) * dG,
         )
         self.dim = self._flux_off[1] + (cfg.r[1] + 1) * dG
-        self._n_past = max(spec.k_s, 1)
-        self._past_off = (0, self._n_past * d[0])
+        self._past_off = (0, spec.reach * d[0])
 
         # Template window: geometry is shared by every window, and one block,
         # of the first substep, stands for every substep of a side.
@@ -345,13 +348,6 @@ class WindowOperator:
                 ops, i, spec, Interval(self._edges[i][0], self._edges[i][1]), quadrature=quadrature
             )
             for i in range(2)
-        )
-        # Side values before the window, the incoming one included, that the
-        # structurally nonzero blocks of each subdomain read; prev[j] of the
-        # first substep reaches furthest, j + 1 side values back.
-        self._reach = tuple(
-            max((j + 1 for j, prevj in enumerate(blk.prev) if prevj.nnz), default=1)
-            for blk in self.blocks
         )
         # Interface data moments per flux mode: weights @ g at the substep
         # edges (trapezoid) or at the window's Gauss points (exact).
@@ -385,11 +381,12 @@ class WindowOperator:
 
         Every block is kron(W, B) of a small table W of time coefficients
         and a spatial matrix B.  Within a side, W addresses the substep
-        rows and columns in slots of d_i: q + 2 per substep, its side value
-        last.
+        rows and columns in slots of d_i: q + 2 - n_s per substep, its side
+        value last.
         """
-        ops, cfg = self.ops, self.cfg
-        q, dG = self.spec.q, ops.d_gamma
+        ops, cfg, spec = self.ops, self.cfg, self.spec
+        dG, reach = ops.d_gamma, spec.reach
+        own = spec.test_order + 1  # slots per substep
         unknowns, past = ([], [], []), ([], [], [])
 
         def put(W, B, r0, c0):
@@ -403,28 +400,38 @@ class WindowOperator:
             cols.append((c0 + c[:, None] * B.shape[1] + b.col).ravel())
             data.append((W[a, c][:, None] * b.data).ravel())
 
-        side_value = np.eye(1, q + 2, q + 1)  # the last slot of a substep
-        incoming = [self.dim + off for off in self._past_off]  # past column of U_0
+        def put_back(W, B, r0, i, l):
+            # kron(W, B) with column n of W on the side value l substeps before
+            # substep n's own, in a table over all side values in time order:
+            # the reach past values (newest first in past), then the substeps'
+            M_i = W.shape[1]
+            sides = np.zeros((len(W), reach + M_i))
+            sides[:, reach - l : reach - l + M_i] = W
+            slots = np.zeros((len(W), M_i, own))
+            slots[:, :, -1] = sides[:, reach:]
+            put(slots.reshape(len(W), -1), B, r0, self._dom_off[i])
+            put(sides[:, reach - 1 :: -1], B, r0, self.dim + self._past_off[i])
+
         TtMg = [(ops.T[i].T @ ops.M_gamma).tocsr() for i in range(2)]
         for i, blk in enumerate(self.blocks):
             M_i, r0 = cfg.M[i], self._dom_off[i]
             put(np.eye(M_i), blk.matrix, r0, r0)
-            # prev[j] of substep n reads side value n - 1 - j: that of substep
-            # n - 1 - j, or for n <= j + 1 past value j + 1 - n (0 is the
-            # incoming one)
             for j, prevj in enumerate(blk.prev):
-                put(np.kron(np.eye(M_i, k=-(j + 1)), side_value), prevj, r0, r0)
-                put(np.eye(M_i, j + 1)[:, ::-1], prevj, r0, incoming[i])
+                put_back(np.eye(M_i), prevj, r0, i, j + 1)
             if dG:
                 X = dgit.cross_moments(
-                    self._edges[i], self._template, self.spec.test_order, cfg.r[i], self.quadrature
+                    self._edges[i], self._template, spec.test_order, cfg.r[i], self.quadrature
                 )
-                # no flux in the side-condition rows of a substep
-                X = np.pad(X, ((0, 0), (self.spec.n_s, 0), (0, 0))).reshape(-1, cfg.r[i] + 1)
-                put(X, TtMg[i], r0, self._flux_off[i])
+                put(X.reshape(-1, cfg.r[i] + 1), TtMg[i], r0, self._flux_off[i])
 
         # Flux definition rows: window mass times flux modes minus the
-        # projected trace combination of both subdomains.
+        # projected trace combination of both subdomains.  Both quadratures
+        # read substep n through a table R over [own slots, U_{n-1}, ...]:
+        # exact through its state polynomial (R the state_map), trapezoid
+        # through the average of its side values U_{n-1} and U_n.
+        R = np.pad(spec.state_map, ((0, 0), (0, 1)))[:, : own + reach]
+        if self.quadrature == "trapezoid":
+            R = 0.5 * (np.eye(1, own + reach, own - 1) + np.eye(1, own + reach, own))
         window = self._template
         for i in range(2):
             r_i = cfg.r[i]
@@ -435,28 +442,27 @@ class WindowOperator:
                 if bij == 0.0 or dG == 0:
                     continue
                 r_cut = min(r_i, cfg.r[j])  # trace of subdomain j has order r_j
+                X = dgit.cross_moments(self._edges[j], window, len(R) - 1, r_cut, self.quadrature)
+                C = -bij * np.einsum("nab,ac->bnc", X, R)  # (r_cut + 1, M_j, own + reach)
                 MgT = TtMg[j].T
-                if self.quadrature == "trapezoid":
-                    # substep n reads its side values U_{n-1} and U_n alike:
-                    # as U_n at its own side value, as U_{n-1} at the one of
-                    # substep n - 1, or for n = 1 at the incoming value
-                    X = dgit.cross_moments(self._edges[j], window, 0, r_cut, "trapezoid")
-                    W = np.kron(-0.5 * bij * X[:, 0].T, side_value)
-                    put(W, MgT, base, self._dom_off[j])
-                    put(W[:, q + 2 :], MgT, base, self._dom_off[j])
-                    put(W[:, q + 1 : q + 2], MgT, base, incoming[j])
-                else:
-                    X = dgit.cross_moments(self._edges[j], window, q, r_cut)
-                    # no trace term at the side value of a substep
-                    W = np.pad(-bij * X, ((0, 0), (0, 1), (0, 0))).reshape(-1, r_cut + 1).T
-                    put(W, MgT, base, self._dom_off[j])
+                put(C[:, :, :own].reshape(r_cut + 1, -1), MgT, base, self._dom_off[j])
+                for l in range(1, reach + 1):
+                    put_back(C[:, :, own + l - 1], MgT, base, j, l)
 
         def assembled(parts, ncols):
             rows, cols, data = (np.concatenate(p) for p in parts)
             return sp.coo_matrix((data, (rows, cols)), shape=(self.dim, ncols)).tocsr()
 
-        n_past = self._past_off[1] + self._n_past * ops.d_omega[1]
+        n_past = self._past_off[1] + reach * ops.d_omega[1]
         return assembled(unknowns, self.dim), assembled(past, n_past)
+
+    def _past_values(self, i: int, incoming, histories) -> list:
+        """The spec.reach side values before the window that side i reads, newest first."""
+        reach = self.spec.reach
+        values = [incoming[i], *histories[i]][:reach]
+        if len(values) < reach:
+            raise ValueError(f"window needs {reach} historic side values, have {len(values)}")
+        return values
 
     def _rhs(self, incoming, histories, window_index: int) -> np.ndarray:
         """Data terms of the window minus past @ (incoming side values, histories)."""
@@ -481,12 +487,7 @@ class WindowOperator:
                 rhs[lo : lo + (cfg.r[i] + 1) * ops.d_gamma] = -(
                     self._g_weights[i] @ ops.g_vec(i, t)
                 ).ravel()
-            values = [incoming[i], *histories[i]][: self._n_past]
-            if len(values) < self._reach[i]:
-                raise ValueError(
-                    f"window needs {self._reach[i]} historic side values, have {len(values)}"
-                )
-            before += values + [np.zeros(d[i])] * (self._n_past - len(values))
+            before += self._past_values(i, incoming, histories)
         rhs -= self._past @ np.concatenate(before)
         return rhs
 
@@ -502,14 +503,14 @@ class WindowOperator:
         rhs = self._rhs(incoming, histories, window_index)
         if self.solver == "fixed-point":
             x, rel, sweeps = self._fixed_point(rhs, flux_guess)
-            return self._extract(x, incoming, window_index, residual=rel, iterations=sweeps)
+            return self._extract(x, incoming, histories, window_index, rel, sweeps)
         x = self._lu.solve(rhs)
         if not np.all(np.isfinite(x)):
             raise SolverError("window factorization produced non-finite values")
         rel = _residual(rhs, self.matrix @ x)[1]
         if rel > RESIDUAL_TOL:
             raise SolverError(f"window solve residual {rel:.3e} exceeds {RESIDUAL_TOL:.1e}")
-        return self._extract(x, incoming, window_index, residual=rel)
+        return self._extract(x, incoming, histories, window_index, rel)
 
     def _fixed_point(self, rhs, flux_guess):
         """Sweeps x <- P^{-1}(rhs - N x); returns (x, relative residual, sweeps).
@@ -557,21 +558,24 @@ class WindowOperator:
             factor=factor,
         )
 
-    def _extract(self, x, incoming, window_index, residual, iterations=0) -> WindowSolution:
-        """The window's states, cut from the solve vector x.
+    def _extract(self, x, incoming, histories, window_index, residual, iterations=0):
+        """The window's states, from the solve vector x.
 
-        The substeps of a side are one (M_i, q + 2, d_i) block of x: the
-        coefficients first, the side value last.  u is a copy, so that a
-        kept window does not keep all of x.
+        The substeps of a side are one (M_i, q + 2 - n_s, d_i) block of x:
+        the free modes first, the side value last.  u, a new array, applies
+        the scheme's state_map to them and to the side values before them.
         """
-        q, d, dG, cfg = self.spec.q, self.ops.d_omega, self.ops.d_gamma, self.cfg
+        spec, d, dG, cfg = self.spec, self.ops.d_omega, self.ops.d_gamma, self.cfg
         window = cfg.window(window_index)
         u, U, F = [], [], []
         for i in range(2):
             lo = self._dom_off[i]
-            subs = x[lo : lo + cfg.M[i] * self._sub_size[i]].reshape(cfg.M[i], q + 2, d[i])
-            u.append(subs[:, : q + 1].copy())
-            U.append(np.vstack([incoming[i], subs[:, q + 1]]))
+            slots = x[lo : lo + cfg.M[i] * self._sub_size[i]].reshape(cfg.M[i], -1, d[i])
+            before = self._past_values(i, incoming, histories)[::-1]
+            # side values in time order: the reach before the window, then the substeps'
+            sides = np.vstack([*before, slots[:, -1]])
+            u.append(dgit.substep_coeffs(spec, slots, sides))
+            U.append(sides[spec.reach - 1 :])
             lo = self._flux_off[i]
             fc = x[lo : lo + (cfg.r[i] + 1) * dG].reshape(cfg.r[i] + 1, dG)
             F.append(TimePoly(window, fc) if dG else None)
@@ -773,6 +777,7 @@ def _fill_init_windows(ops, spec, cfg, u0, n_init: int):
     edges = np.linspace(0.0, cfg.window(n_init - 1).b, (n_init - 1) * fine_per_window + 1)
     fine_spec = continuous_galerkin(2)
     coeffs, side = dgit.integrate(Mc, Lc, load, np.concatenate(u0), fine_spec, edges)
+    require_finite(f"reference fill of windows 1..{n_init - 1}", coeffs, side)
 
     def project(lo: int, pieces: np.ndarray, target: Interval, k: int) -> np.ndarray:
         # order-k Legendre coefficients on target of the fine pieces lo, lo + 1, ...
@@ -858,7 +863,7 @@ def run_simulation(
     # Each window, reference-filled or solved, hands the next one its last
     # side values and the ones before them, newest first.
     incoming, histories, flux_guess = u0, ((), ()), None
-    depth = max(spec.k_s - 1, 1)
+    depth = spec.reach - 1
     for n in range(1, cfg.N + 1):
         if n >= n_init:
             try:

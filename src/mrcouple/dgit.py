@@ -1,18 +1,19 @@
 """Single-substep time-Galerkin blocks and a sequential integrator.
 
-A substep holds one polynomial state of order q plus one end-of-step
-side value, constrained by n_s pointwise side conditions and by
-variational rows tested against polynomials of order q + 1 - n_s; row
-and unknown counts both equal (q + 2) * d.  Blocks are plain sparse
-matrices over a substep's own unknowns and its earlier side values; they
-carry no flux columns.  A coupling window chains one block per
-subdomain: the block's matrix on the diagonal of every substep, each
-prev[j] shifted onto the side value j+1 substeps back, and flux columns
-that the window stacks from the cross_moments table over the substep
-edges, the only part that depends on a substep's place in the window.
-Blocks can also be solved standalone: solve_substep solves one, and
-integrate marches one block of a uniform grid through every step,
-returning plain coefficient and side-value arrays.
+A substep holds its free modes (Legendre modes 0..q-n_s) and its
+end-of-step side value, (q + 2 - n_s) * d unknowns, with one row per test
+mode of order q + 1 - n_s.  The n_s side conditions are substituted, not
+solved: the scheme's state_map gives the full coefficients from the free
+modes and the side values.  Blocks are plain sparse matrices over a
+substep's own unknowns and its earlier side values; they carry no flux
+columns.  A coupling window chains one block per subdomain: the
+block's matrix on the diagonal of every substep, each prev[j] shifted onto
+the side value j+1 substeps back, and flux columns that the window stacks
+from the cross_moments table over the substep edges, the only part that
+depends on a substep's place in the window.  Blocks can also be solved
+standalone: solve_substep solves one, and integrate marches one block of a
+uniform grid through every step, returning plain coefficient and
+side-value arrays.
 
 Quadrature of the data terms is switchable between exact Gauss rules
 and endpoint-trapezoid evaluation; the latter turns the pinned-endpoint
@@ -44,10 +45,6 @@ LOAD_QUAD_PTS = 8
 #: Load values per batched evaluation: integrate evaluates the data terms of
 #: max(1, LOAD_BATCH_VALUES // (npts * d)) steps in one load call.
 LOAD_BATCH_VALUES = 2**14
-
-
-def _empty(rows: int, cols: int) -> sp.csr_matrix:
-    return sp.csr_matrix((rows, cols))
 
 
 def factorize(A: sp.spmatrix):
@@ -121,19 +118,18 @@ def _chunk_moments(
     """
     a, b = edges[:-1], edges[1:]
     half = 0.5 * (b - a)[:, None, None]
-    out = np.zeros((len(a), spec.q + 2, d))
+    t_o = spec.test_order
     if load_fn is None:
-        return out.reshape(len(a), -1)
-    t_o, base = spec.test_order, spec.n_s
+        return np.zeros((len(a), (t_o + 1) * d))
     if quadrature == "trapezoid":
         vals = _load_values(load_fn, edges)
         sign = (-1.0) ** np.arange(t_o + 1)
-        out[:, base:] = half * (sign[None, :, None] * vals[:-1, None, :] + vals[1:, None, :])
+        out = half * (sign[None, :, None] * vals[:-1, None, :] + vals[1:, None, :])
     else:
         x, w = gauss_rule(npts)
         ts = a[:, None] + (x + 1.0) * half[:, :, 0]  # (steps, npts)
         vals = _load_values(load_fn, ts.ravel()).reshape(len(a), npts, d)
-        out[:, base:] = half * np.einsum("mj,kjd->kmd", legendre_table(t_o, x) * w, vals)
+        out = half * np.einsum("mj,kjd->kmd", legendre_table(t_o, x) * w, vals)
     return out.reshape(len(a), -1)
 
 
@@ -148,10 +144,9 @@ def load_moments(
 ) -> np.ndarray:
     """Data term of one substep: integral of load(t) against each test mode.
 
-    Laid out like the substep rows (side rows zero, then one d-slab per
-    test mode).  load_fn maps a time to the (d,) load vector; a load marked
-    with batched() is called once with all quadrature times, any other
-    callable once per time.  Trapezoid quadrature uses endpoint values
+    Laid out like the substep rows, one d-slab per test mode.  load_fn
+    maps a time to the (d,) load vector; a load marked with batched() is
+    called once with all quadrature times, any other callable once per time.  Trapezoid quadrature uses endpoint values
     only, which is the classical treatment of forcing data for the
     pinned-endpoint q=1 scheme.
     """
@@ -161,12 +156,12 @@ def load_moments(
 
 @dataclasses.dataclass
 class SubstepBlock:
-    """Linear rows of one substep, keyed to the unknowns [c_0..c_q, U].
+    """Variational rows of one substep, keyed to the unknowns [c_0..c_{q-n_s}, U].
 
-    matrix couples the substep's own unknowns; prev[j] the side value
-    j+1 steps back.  Rows are ordered side conditions first, variational
-    rows after, (q + 2) * d in total.  quadrature is the rule of the data
-    terms that solve_substep integrates.
+    matrix couples the substep's own unknowns; prev[j], for j < spec.reach,
+    the side value j+1 steps back.  Rows are one d-slab per test mode,
+    (q + 2 - n_s) * d in total.  quadrature is the rule of the data terms
+    that solve_substep integrates.
     """
 
     spec: SchemeSpec
@@ -191,52 +186,30 @@ def build_substep_block(
     *,
     quadrature: str = "exact",
 ) -> SubstepBlock:
-    """Assemble the rows of one substep for a system with mass M and operator L."""
+    """Assemble the rows of one substep for a system with mass M and operator L.
+
+    Over [own unknowns, U^{n-1}, ..., U^{n-reach}] they are
+    kron(-G^T S + jumps, M) + kron(K S, L), S the scheme's state_map.
+    """
     if quadrature not in ("exact", "trapezoid"):
         raise ValueError(f"unknown quadrature {quadrature!r}")
-    q, n_s, t_o = spec.q, spec.n_s, spec.test_order
-    d = M.shape[0]
-    dt = interval.length
-    I_d = sp.identity(d, format="csr")
-
-    # Side rows: values of the modal expansion at the side nodes vs side values.
-    if n_s:
-        x = 2.0 * np.asarray(spec.thetas) - 1.0
-        Psi = legendre_table(q, x).T  # (n_s, q+1)
-        side_c = sp.kron(Psi, I_d)
-        side_U = sp.kron(-spec.D[:, :1], I_d)
-    else:
-        side_c = _empty(0, (q + 1) * d)
-        side_U = _empty(0, d)
-
-    # Variational rows: mass/derivative structure, operator term, U coupling.
-    G = derivative_overlap(q, t_o)  # (q+1, t_o+1)
-    K_M = -G.T  # (t_o+1, q+1)
-    var_c = sp.kron(K_M, M)
+    q, t_o, reach = spec.q, spec.test_order, spec.reach
+    own = t_o + 1  # free modes, then the side value
+    S = np.pad(spec.state_map, ((0, 0), (0, 1)))[:, : own + reach]  # the columns read
+    W_M = -derivative_overlap(q, t_o).T @ S
+    W_M[:, own - 1] += 1.0  # P_m(1) U^n
+    W_M[:, own] -= (-1.0) ** np.arange(t_o + 1)  # P_m(-1) U^{n-1}
+    rows = sp.kron(W_M, M)
     if L is not None:
         # integral over the step of P_a P_m: dt / (2m + 1) on the diagonal
         K = np.zeros((t_o + 1, q + 1))
-        for m in range(min(q, t_o) + 1):
-            K[m, m] = dt / (2 * m + 1)
-        var_c = var_c + sp.kron(K, L)
-    var_U = sp.kron(np.ones((t_o + 1, 1)), M)
-
-    matrix = sp.bmat([[side_c, side_U], [var_c, var_U]], format="csr")
-
-    # Couplings to earlier side values; index j reaches back j+1 steps.
-    alt = np.array([[-((-1.0) ** m)] for m in range(t_o + 1)])
-    prev = []
-    n_back = max(spec.k_s, 1)
-    for j in range(n_back):
-        l = j + 1  # column of D coupling U^{n-l}
-        side_part = (
-            sp.kron(-spec.D[:, l : l + 1], I_d)
-            if n_s and l < spec.D.shape[1]
-            else _empty(n_s * d, d)
-        )
-        var_part = sp.kron(alt, M) if j == 0 else _empty((t_o + 1) * d, d)
-        prev.append(sp.vstack([side_part, var_part], format="csr"))
-
+        m = np.arange(min(q, t_o) + 1)
+        K[m, m] = interval.length / (2 * m + 1)
+        rows = rows + sp.kron(K @ S, L)
+    rows = rows.tocsc()
+    d = M.shape[0]
+    matrix = rows[:, : own * d].tocsr()
+    prev = [rows[:, (own + j) * d : (own + j + 1) * d].tocsr() for j in range(reach)]
     return SubstepBlock(
         spec=spec, interval=interval, d=d, quadrature=quadrature, matrix=matrix, prev=prev
     )
@@ -250,12 +223,26 @@ def assemble_substep(
 
 
 def _subtract_history(block: SubstepBlock, history: Sequence[np.ndarray], rhs: np.ndarray) -> None:
-    """rhs -= prev[j] @ history[j] for each earlier side value the block reads."""
-    for j, prevj in enumerate(block.prev):
-        if j < len(history):
-            rhs -= prevj @ history[j]
-        elif prevj.nnz:
-            raise ValueError(f"substep reaches back {j + 1} side values, history has {len(history)}")
+    """rhs -= prev[j] @ history[j] for the spec.reach side values the block reads."""
+    reach = block.spec.reach
+    if len(history) < reach:
+        raise ValueError(f"substep reaches back {reach} side values, history has {len(history)}")
+    for prevj, value in zip(block.prev, history):
+        rhs -= prevj @ value
+
+
+def substep_coeffs(spec: SchemeSpec, slots: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Legendre coefficients (n, q + 1, d) of n consecutive substeps.
+
+    slots (n, q + 2 - n_s, d) holds their free modes and side values; U
+    (n + reach, d) the side values in time order, the substeps' own last.
+    Each substep is its own matrix product, so batching changes no bit.
+    """
+    S, own, reach = spec.state_map, spec.test_order + 1, spec.reach
+    out = S[:, :own] @ slots
+    for l in range(1, min(reach, S.shape[1] - own) + 1):
+        out += S[:, own + l - 1, None] * U[reach - l : reach - l + len(slots), None, :]
+    return out
 
 
 def solve_substep(
@@ -273,9 +260,9 @@ def solve_substep(
         block.spec, block.interval, load_fn, block.d, quadrature=block.quadrature, npts=load_npts
     )
     _subtract_history(block, history, rhs)
-    x = block.lu().solve(rhs)
-    q, d = block.spec.q, block.d
-    return TimePoly(block.interval, x[: (q + 1) * d].reshape(q + 1, d)), x[(q + 1) * d :]
+    slots = block.lu().solve(rhs).reshape(1, -1, block.d)
+    U = np.vstack([*history[: block.spec.reach][::-1], slots[0, -1]])
+    return TimePoly(block.interval, substep_coeffs(block.spec, slots, U)[0]), slots[0, -1]
 
 
 def side_condition_residual(
@@ -327,22 +314,27 @@ def integrate(
     if not np.all(np.abs(lengths - dt) <= 1e-12 * np.maximum(1.0, lengths)):
         raise ValueError("integrate needs uniform steps: a step length differs from the first")
     lu = block.lu()
-    q, d = spec.q, M.shape[0]
+    reach, d = spec.reach, M.shape[0]
     chunk = max(1, LOAD_BATCH_VALUES // max(1, load_npts * d))
-    coeffs = np.empty((n_steps, q + 1, d))
-    side_values = np.empty((n_steps + 1, d))
-    side_values[0] = u0
-    history = [side_values[0], *(history0 or [])]
-    for n in range(n_steps):
-        if n % chunk == 0:
-            moments = _chunk_moments(
-                spec, boundaries[n : n + chunk + 1], load_fn, d, quadrature, load_npts
-            )
-        rhs = moments[n % chunk]
-        _subtract_history(block, history, rhs)
-        x = lu.solve(rhs)
-        coeffs[n] = x[: (q + 1) * d].reshape(q + 1, d)
-        side_values[n + 1] = x[(q + 1) * d :]
-        history.insert(0, side_values[n + 1])
-        del history[max(spec.k_s, 1) + 1 :]
-    return coeffs, side_values
+    coeffs = np.empty((n_steps, spec.q + 1, d))
+    # side values in time order: k <= reach - 1 from history0, u0, one per step
+    lead = np.reshape(list(history0 or [])[: reach - 1][::-1], (-1, d))
+    k = len(lead)
+    sides = np.empty((k + n_steps + 1, d))
+    sides[:k], sides[k] = lead, u0
+    slots = np.empty((min(chunk, n_steps), spec.test_order + 1, d))
+    for n0 in range(0, n_steps, chunk):
+        n1 = min(n0 + chunk, n_steps)
+        moments = _chunk_moments(spec, boundaries[n0 : n1 + 1], load_fn, d, quadrature, load_npts)
+        # a march that blows up runs on through inf and nan without
+        # warnings; the callers check its result and name the phase
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(n0, n1):
+                rhs = moments[n - n0]
+                history = sides[max(n + k + 1 - reach, 0) : n + k + 1][::-1]
+                _subtract_history(block, history, rhs)
+                slots[n - n0] = lu.solve(rhs).reshape(-1, d)
+                sides[n + k + 1] = slots[n - n0, -1]
+            U = sides[n0 + k + 1 - reach : n1 + k + 1]  # k = reach - 1 once a step ran
+            coeffs[n0:n1] = substep_coeffs(spec, slots[: n1 - n0], U)
+    return coeffs, sides[k:]

@@ -122,8 +122,9 @@ def _opposite(g, times) -> bool:
     worst = ref = 0.0
     for t in times:
         v1, v2 = (np.asarray(0.0 if gi is None else gi(t), dtype=float) for gi in g)
-        worst = max(worst, float(np.max(np.abs(v1 + v2))))
-        ref = max(ref, float(np.max(np.abs(v1))), 1.0)
+        # initial=0.0: an interface with no unknowns has empty data
+        worst = max(worst, float(np.max(np.abs(v1 + v2), initial=0.0)))
+        ref = max(ref, float(np.max(np.abs(v1), initial=0.0)), 1.0)
     return worst <= 1e-10 * ref
 
 

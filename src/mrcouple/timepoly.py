@@ -15,6 +15,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import block_diag
 
 __all__ = [
     "SchemeError",
@@ -29,7 +30,6 @@ __all__ = [
     "derivative_overlap",
     "project_l2",
     "project_l2_broken",
-    "build_dtilde",
     "j_decompose",
     "j_reconstruct",
     "j_norm",
@@ -316,23 +316,10 @@ class DtildeReport:
     nonsingular: bool
 
 
-def _dtilde_matrix(q: int, thetas: Sequence[float]) -> np.ndarray:
-    n_s = len(thetas)
-    mat = np.empty((n_s, n_s))
-    for j, theta in enumerate(thetas):
-        x = 2.0 * theta - 1.0
-        for k in range(n_s):
-            mat[j, k] = legendre_eval(k + 1 + q - n_s, x)
-    return mat
-
-
-def _dtilde_report(q: int, thetas: Sequence[float]) -> DtildeReport:
-    if len(thetas) == 0:
-        return DtildeReport(np.zeros((0, 0)), 1.0, True)
-    mat = _dtilde_matrix(q, thetas)
-    det = float(np.linalg.det(mat))
-    scale = float(np.linalg.norm(mat))
-    return DtildeReport(mat, det, abs(det) > DTILDE_RTOL * max(scale, 1e-300))
+def _dtilde_report(table: np.ndarray) -> DtildeReport:
+    det = float(np.linalg.det(table))  # 1 for the empty table of n_s = 0
+    scale = float(np.linalg.norm(table))
+    return DtildeReport(table, det, abs(det) > DTILDE_RTOL * max(scale, 1e-300))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -347,6 +334,13 @@ class SchemeSpec:
     Construction rejects schemes with non-finite nodes or D, or whose
     side-condition table is singular, unless unsafe_diagnostic is set
     (then reconstruction will fail instead).
+
+    Computed once: node_map J maps [modes 0..q-n_s, values at the side
+    nodes] to the q+1 Legendre coefficients (it inverts j_decompose);
+    state_map S = J @ blockdiag(I, D) maps [modes 0..q-n_s, U^{n+1}, U^n,
+    ..., U^{n+1-k_s}] to them; both are None for a singular spec.  reach,
+    the last nonzero column of D and at least 1, counts the side values
+    before its own that a substep reads (the jump term reads one).
     """
 
     q: int
@@ -357,6 +351,9 @@ class SchemeSpec:
     name: str = ""
     unsafe_diagnostic: bool = False
     dtilde: DtildeReport = dataclasses.field(init=False, repr=False, compare=False)
+    node_map: np.ndarray | None = dataclasses.field(init=False, repr=False, compare=False)
+    state_map: np.ndarray | None = dataclasses.field(init=False, repr=False, compare=False)
+    reach: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         thetas = tuple(float(t) for t in self.thetas)
@@ -385,7 +382,10 @@ class SchemeSpec:
         if not (finite and np.all(np.isfinite(D))):
             problems.append("side-condition nodes and D must be finite")
         consistent = finite and len(thetas) == self.n_s and 0 <= self.n_s <= self.q + 1
-        report = _dtilde_report(self.q, thetas) if consistent else _dtilde_report(0, ())
+        low = self.q + 1 - self.n_s  # modes below the pinned ones
+        # values of the modes at the side nodes; the pinned modes' columns are Dtilde
+        psi = legendre_table(self.q, 2.0 * np.asarray(thetas) - 1.0).T if consistent else None
+        report = _dtilde_report(psi[:, low:] if consistent else np.zeros((0, 0)))
         object.__setattr__(self, "dtilde", report)
         if not report.nonsingular:
             problems.append(
@@ -394,7 +394,17 @@ class SchemeSpec:
             )
         if problems and not self.unsafe_diagnostic:
             raise SchemeError("; ".join(problems))
-        D.flags.writeable = False
+        J = S = None
+        if consistent and report.nonsingular:
+            J = np.eye(self.q + 1)
+            J[low:] = np.linalg.solve(report.matrix, np.hstack([-psi[:, :low], np.eye(self.n_s)]))
+            S = J @ block_diag(np.eye(low), D) if D.shape[0] == self.n_s else None
+        nonzero = np.flatnonzero(np.any(D != 0, axis=0))
+        object.__setattr__(self, "reach", max(1, int(nonzero[-1]) if nonzero.size else 1))
+        for name, value in (("node_map", J), ("state_map", S), ("D", D)):
+            if value is not None:
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def test_order(self) -> int:
@@ -404,11 +414,6 @@ class SchemeSpec:
     def side_times(self, interval: Interval) -> np.ndarray:
         """Physical times of the side conditions for one substep."""
         return interval.a + np.asarray(self.thetas) * interval.length
-
-
-def build_dtilde(spec: SchemeSpec) -> DtildeReport:
-    """Side-condition solvability report for a scheme (empty table if n_s=0)."""
-    return _dtilde_report(spec.q, spec.thetas)
 
 
 def j_decompose(v: TimePoly, spec: SchemeSpec):
@@ -439,18 +444,11 @@ def j_reconstruct(projection, samples, spec: SchemeSpec, interval: Interval | No
     else:
         interval = projection.interval
         ncols = projection.ncols
-    coeffs = np.zeros((spec.q + 1, ncols))
+    values = np.zeros((spec.q + 1, ncols))
     if projection is not None:
-        coeffs[: projection.order + 1] = projection.coeffs
-    if spec.n_s == 0:
-        return TimePoly(interval, coeffs)
-    x = 2.0 * np.asarray(spec.thetas) - 1.0
-    tab = legendre_table(spec.q, x)  # (q+1, n_s)
-    rhs = np.stack([np.atleast_1d(np.asarray(s, dtype=float)).reshape(ncols) for s in samples])
-    known = tab[: spec.q + 1 - spec.n_s].T @ coeffs[: spec.q + 1 - spec.n_s]
-    unknown = np.linalg.solve(spec.dtilde.matrix, rhs - known)
-    coeffs[spec.q + 1 - spec.n_s :] = unknown
-    return TimePoly(interval, coeffs)
+        values[: projection.order + 1] = projection.coeffs
+    values[spec.q + 1 - spec.n_s :] = np.reshape(np.asarray(samples, dtype=float), (-1, ncols))
+    return TimePoly(interval, spec.node_map @ values)
 
 
 def j_norm(projection, samples, dt: float, *, weighted: bool = True) -> float:

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import dgit
+from . import coupling, dgit
 from .coupling import Trajectory, WindowConfig, coupled_system, run_simulation, window_diagnostics
 from .fespace import AdvectionSpec, FeOperators, ProblemSpec, Separable
 from .timepoly import SchemeSpec, crank_nicolson, dg, gauss_on, legendre_table
@@ -269,6 +269,7 @@ def prepare_initial_state(
     _, side = dgit.integrate(
         Mc, Lc, load, np.concatenate(ops.u0), crank_nicolson(), edges, load_npts=4
     )
+    coupling.require_finite("spin-up", side)
     return side[-1][s1], side[-1][s2]
 
 
@@ -305,6 +306,7 @@ def reference_solve(
     start = np.concatenate([np.asarray(v, dtype=float) for v in (u0 if u0 is not None else ops.u0)])
     boundaries = np.linspace(0.0, t_f, n_steps + 1)
     coeffs, _ = dgit.integrate(Mc, Lc, load, start, sp_scheme, boundaries, load_npts=4)
+    coupling.require_finite("oracle solve", coeffs)
     return ReferenceTrajectory(boundaries, coeffs, slices, ops)
 
 

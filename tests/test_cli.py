@@ -519,7 +519,7 @@ class TestSolverFailure:
     }
     EXHAUSTED_MESSAGE = (
         "solver failure: window 1: window iteration did not reach tol=1e-10 in 3 sweeps "
-        "(last relative residual 1.078e-03)"
+        "(last relative residual 5.066e-02)"
     )
 
     def test_run_reports_exhausted_sweeps(self, tmp_path, capsys):
@@ -527,6 +527,26 @@ class TestSolverFailure:
         rc = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err.strip().splitlines() == [self.EXHAUSTED_MESSAGE]
+
+    # anti-dissipative coupling over a long span: the reference fill of
+    # windows 1..N0-1 overflows
+    BLOWN_UP_FILL = {
+        "geometry": {"nx": 3, "ny": 3},
+        "problem": {
+            "nu": [1e-06, 1e-06], "advection": {"preset": "vortex", "amplitude": -1.0},
+            "B": [[0.5, 3.0], [1.0, 1e-12]], "forcing": "mms:smooth", "initial": "zero",
+        },
+        "window": {"t_f": 100.0, "N": 3, "M1": 3, "M2": 2, "r1": 1, "r2": 0, "N0": 3},
+        "scheme": {"name": "downwind1", "quadrature": "exact"},
+    }
+
+    def test_run_names_a_blown_up_reference_fill(self, tmp_path, capsys):
+        config = write_config(tmp_path, self.BLOWN_UP_FILL)
+        rc = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "solver failure: reference fill of windows 1..2 produced non-finite values"
+        ]
 
     @pytest.mark.parametrize("suite", ["energy", "conservation"])
     def test_check_reports_solver_failure(self, tmp_path, capsys, suite):

@@ -155,8 +155,8 @@ class TestWindowAssembly:
     def test_toy_dimension_count(self, toy_ops):
         cfg = mc.WindowConfig(t_f=0.1, N=1, M=(1, 2), r=(1, 1))
         op = mc.WindowOperator(toy_ops, mc.crank_nicolson(), cfg)
-        # substeps: (q+2) unknowns each, then (r_i+1) flux modes per side
-        assert op.dim == 3 * 1 + 3 * 2 + 2 + 2 == 13
+        # substeps: (q+2-n_s) unknowns each, then (r_i+1) flux modes per side
+        assert op.dim == 1 * 1 + 1 * 2 + 2 + 2 == 7
 
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
     @pytest.mark.parametrize("scheme_name", ["cg2", "dg1"])
@@ -252,6 +252,33 @@ class TestWindowAssembly:
         F = mc.flux_solve(*mc.window_traces(sol, toy_ops, quadrature), toy_ops.B, cfg.r)
         for i in range(2):
             assert np.max(np.abs(F[i].coeffs - sol.F[i].coeffs)) <= 1e-12
+
+    @pytest.mark.parametrize("solver", ["direct", "fixed-point"])
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    @pytest.mark.parametrize("scheme_name", sorted(mc.shipped_schemes()))
+    def test_solved_substeps_meet_their_side_conditions(
+        self, smooth_ops, scheme_name, quadrature, solver
+    ):
+        # the window has no side-condition rows: the state map substitutes them
+        spec = mc.shipped_schemes()[scheme_name]
+        low = spec.q + 1 - spec.n_s
+        expand = np.zeros((spec.q + 1, low + spec.k_s + 1))
+        expand[:low, :low] = np.eye(low)
+        expand[low:, low:] = spec.D
+        assert np.array_equal(spec.state_map, spec.node_map @ expand)
+        cfg = mc.WindowConfig(t_f=0.2, N=2, M=(2, 3), r=(1, 1))
+        traj = mc.run_simulation(
+            smooth_ops, spec, cfg, quadrature=quadrature, solver=solver, fp_tol=1e-13
+        )
+        for sol in traj.windows:
+            for i in range(2):
+                scale = max(np.max(np.abs(sol.u[i])), np.max(np.abs(sol.U[i])))
+                edges = sol.edges(i)
+                for n, coeffs in enumerate(sol.u[i]):
+                    poly = TimePoly(Interval(edges[n], edges[n + 1]), coeffs)
+                    # U[i][n] is U_{n-1} of substep n + 1: the incoming value for n = 0
+                    resid = dgit.side_condition_residual(spec, poly, [sol.U[i][n + 1], sol.U[i][n]])
+                    assert resid <= 1e-11 * scale
 
     def test_empty_subdomain_rejected(self):
         # one cell across leaves no free nodes, interface nodes included

@@ -342,6 +342,17 @@ class TestFromMatrices:
         )
         assert not ops2.conservation_compatible
 
+    def test_interface_data_without_interface(self):
+        # an interface with no unknowns has empty data vectors
+        ops = mc.from_matrices(
+            [[1.0]], [[1.0]], np.zeros((0, 1)), [[1.0]], [[1.0]], np.zeros((0, 1)),
+            np.zeros((0, 0)), [[1.0, -1.0], [-1.0, 1.0]],
+            load_g=(lambda t: np.zeros(0), None), u0=(np.ones(1), np.ones(1)),
+        )
+        assert ops.d_gamma == 0 and ops.conservation_compatible
+        traj = mc.run_simulation(ops, mc.crank_nicolson(), mc.WindowConfig(t_f=0.2, N=2))
+        assert traj.energies[-1] < traj.energies[0]
+
 
 class TestCoercivityProbe:
     def test_pure_diffusion_positive(self, meshes):

@@ -11,7 +11,6 @@ from mrcouple.timepoly import (
     SchemeError,
     SchemeSpec,
     TimePoly,
-    build_dtilde,
     derivative_overlap,
     gauss_on,
     j_norm,
@@ -257,13 +256,13 @@ def test_projection_affine_invariance(shift, scale, coeffs):
 
 class TestDtilde:
     def test_crank_nicolson_table(self):
-        rep = build_dtilde(mc.crank_nicolson())
+        rep = mc.crank_nicolson().dtilde
         assert np.allclose(rep.matrix, [[1.0, -1.0], [1.0, 1.0]])
         assert rep.determinant == pytest.approx(2.0, abs=1e-14)
         assert rep.nonsingular
 
     def test_single_endpoint(self):
-        rep = build_dtilde(SchemeSpec(q=1, n_s=1, k_s=0, thetas=(1.0,), D=[[1.0]]))
+        rep = SchemeSpec(q=1, n_s=1, k_s=0, thetas=(1.0,), D=[[1.0]]).dtilde
         assert np.allclose(rep.matrix, [[1.0]])
         assert rep.determinant == pytest.approx(1.0)
 
@@ -272,12 +271,12 @@ class TestDtilde:
             q=2, n_s=2, k_s=1, thetas=(0.5, 0.5), D=[[0.0, 1.0], [1.0, 0.0]],
             unsafe_diagnostic=True,
         )
-        rep = build_dtilde(spec)
+        rep = spec.dtilde
         assert not rep.nonsingular
         assert rep.determinant == pytest.approx(0.0, abs=1e-14)
 
     def test_no_side_conditions_trivially_nonsingular(self):
-        rep = build_dtilde(mc.dg(2))
+        rep = mc.dg(2).dtilde
         assert rep.nonsingular and rep.matrix.shape == (0, 0)
 
     def test_singular_spec_rejected_without_diagnostic_mode(self):

@@ -558,6 +558,19 @@ class TestPreparedInitialState:
         # the prepared state is finite and of comparable magnitude
         assert np.max(np.abs(prep[0])) < 10 * max(1.0, np.max(np.abs(raw[0])))
 
+    def test_blow_up_is_named(self):
+        # u' = 1000 u overflows within a unit span of fine steps
+        grow = [[-1000.0]]
+        ops = mc.from_matrices(
+            [[1.0]], grow, [[1.0]], [[1.0]], grow, [[1.0]], [[1.0]], [[1.0, -1.0], [-1.0, 1.0]],
+            u0=(np.ones(1), np.ones(1)),
+        )
+        with pytest.raises(coupling.SolverError, match="spin-up produced non-finite values"):
+            verify.prepare_initial_state(ops, 1.0, 4096)
+        for scheme in ("cn", "dg2"):
+            with pytest.raises(coupling.SolverError, match="oracle solve produced non-finite"):
+                verify.reference_solve(ops, 1.0, 4096, scheme=scheme)
+
     def test_zero_burn_in_is_identity(self, smooth_ops):
         prep = verify.prepare_initial_state(smooth_ops, 0.0)
         assert np.allclose(prep[0], smooth_ops.u0[0])
