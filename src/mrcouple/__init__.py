@@ -44,7 +44,6 @@ from .timepoly import (
     gauss_rule,
     j_decompose,
     j_reconstruct,
-    legendre_eval,
     project_l2,
     project_l2_broken,
     shipped_schemes,
@@ -60,7 +59,6 @@ from .verify import (
     mms_case,
     prepare_initial_state,
     reference_solve,
-    residual_check,
 )
 
 __version__ = "0.1.0"

@@ -43,6 +43,7 @@ from .timepoly import (
     points_for_degree,
     project_l2,
     project_l2_broken,
+    project_pieces,
 )
 
 RESIDUAL_TOL = 1e-10
@@ -79,7 +80,7 @@ class WindowConfig:
         if self.r[0] < 0 or self.r[1] < 0:
             raise ValueError("flux orders must be nonnegative")
         if self.N0 is not None and self.N0 < 1:
-            raise ValueError("initialization window count must be at least 1")
+            raise ValueError(f"N0 = {self.N0}: the initialization window count must be at least 1")
         for i in range(2):
             # the last substep, furthest from 0, is the first to be degenerate
             try:
@@ -109,14 +110,15 @@ class WindowConfig:
         """Windows filled from reference data before the scheme takes over."""
         if self.N0 is not None:
             return self.N0
-        return 1 if spec.k_s <= 1 else 2
+        return 1 if spec.reach == 1 else 2
 
     def history_problems(self, spec: SchemeSpec) -> list:
         """Why the scheme's side conditions cannot read their history, by config key.
 
         Windows 1..N0-1 are filled from a reference solve; a scheme window
         reads back at most one window, and window 1, if N0 = 1, only the
-        initial state.
+        initial state.  How far the side conditions read is spec.reach, the
+        last nonzero column of D; it also sets the default N0.
         """
         n_init = self.n_init(spec)
         problems = []
@@ -127,10 +129,11 @@ class WindowConfig:
             )
         if n_init > 1:
             problems += [
-                f"scheme.k_s: {spec.k_s} exceeds M{i + 1}+1={self.M[i] + 1}; "
-                "side conditions may reach back at most one window of history"
+                f"scheme.D: the side conditions reach back {spec.reach} side values, more "
+                f"than M{i + 1}+1={self.M[i] + 1}; they may reach back at most one window "
+                "of history"
                 for i in range(2)
-                if spec.k_s > self.M[i] + 1
+                if spec.reach > self.M[i] + 1
             ]
         elif spec.reach > 1:
             # column l of D weighs the side value l steps back
@@ -231,7 +234,8 @@ def flux_solve(
     """Window fluxes from the projected traces: F_i = Pi_{r_i}(B-combination - g_i).
 
     g_i, when present, is the trace-space representation of the interface
-    data as a TimePoly on the same window.  Modes of a trace beyond its
+    data, M_gamma^-1 g_i: a TimePoly on the same window, or a callable of
+    time that is projected onto order r_i.  Modes of a trace beyond its
     own order contribute nothing, so with equal orders and row-wise
     antisymmetric B the two fluxes cancel identically.
     """
@@ -638,8 +642,7 @@ def check_flux_conservation(sol: WindowSolution, ops: FeOperators, mode: str = "
 
     strong compares the flux polynomials coefficientwise (requires equal
     orders); weak tests the sum against window polynomials up to the
-    smaller order; cn tests the endpoint-average sums of the classical
-    q=1 quadrature against constants.
+    smaller order.
     """
     if not ops.conservation_compatible:
         raise ValueError(
@@ -666,16 +669,6 @@ def check_flux_conservation(sol: WindowSolution, ops: FeOperators, mode: str = "
             worst = max(worst, float(np.max(np.abs(m1 + m2))))
             ref = max(ref, float(np.max(np.abs(m1))))
         return ConservationReport(mode, worst, ref)
-    if mode == "cn":
-        total = np.zeros(ops.d_gamma)
-        ref = 0.0
-        for i, F in enumerate((F1, F2)):
-            edges = sol.edges(i)
-            vals = F(edges)
-            part = (edges[1] - edges[0]) * (0.5 * (vals[:-1] + vals[1:])).sum(axis=0)
-            total += ops.M_gamma @ part
-            ref = max(ref, float(np.max(np.abs(ops.M_gamma @ part))))
-        return ConservationReport(mode, float(np.max(np.abs(total))), ref)
     raise ValueError(f"unknown conservation mode {mode!r}")
 
 
@@ -766,72 +759,51 @@ def _fill_init_windows(ops, spec, cfg, u0, n_init: int):
     """Solve the leading windows with a fine single-rate reference integrator.
 
     Supplies starting data for schemes whose side conditions reach further
-    back than the available history.  The substep states and the fluxes
-    are exact L2 projections of the fine piecewise solution and of its
-    trace combinations, integrated piece by piece with the cross_moments
-    table of the fine steps.
+    back than the available history.  The substep states and the
+    interface traces are exact L2 projections (project_pieces) of the fine
+    piecewise solution, and the fluxes are flux_solve of the traces, with
+    the interface data passed as M_gamma^-1 g.
     """
     Mc, Lc, load, slices = coupled_system(ops)
-    n_fine_per_sub = 32
-    fine_per_window = n_fine_per_sub * cfg.M[0] * cfg.M[1]
+    fine_per_window = 32 * cfg.M[0] * cfg.M[1]
     edges = np.linspace(0.0, cfg.window(n_init - 1).b, (n_init - 1) * fine_per_window + 1)
-    fine_spec = continuous_galerkin(2)
-    coeffs, side = dgit.integrate(Mc, Lc, load, np.concatenate(u0), fine_spec, edges)
+    coeffs, side = dgit.integrate(Mc, Lc, load, np.concatenate(u0), continuous_galerkin(2), edges)
     require_finite(f"reference fill of windows 1..{n_init - 1}", coeffs, side)
-
-    def project(lo: int, pieces: np.ndarray, target: Interval, k: int) -> np.ndarray:
-        # order-k Legendre coefficients on target of the fine pieces lo, lo + 1, ...
-        X = dgit.cross_moments(edges[lo : lo + len(pieces) + 1], target, fine_spec.q, k)
-        scale = (2 * np.arange(k + 1) + 1)[:, None] / target.length
-        return scale * np.einsum("nac,nab->bc", pieces, X)
-
-    Mg_lu = dgit.factorize(ops.M_gamma) if (ops.d_gamma and ops.has_g) else None
+    g = (None, None)
+    if ops.d_gamma and ops.has_g:
+        Mg_lu = dgit.factorize(ops.M_gamma)
+        g = tuple(
+            (lambda t, i=i: Mg_lu.solve(ops.g_vec(i, t))) if ops.load_g[i] is not None else None
+            for i in range(2)
+        )
     windows = []
     for w in range(1, n_init):
         window = cfg.window(w)
-        lo = (w - 1) * fine_per_window
-        fine = coeffs[lo : lo + fine_per_window]
-        u, U, F = [], [], []
+        lo, hi = (w - 1) * fine_per_window, w * fine_per_window
+        u, U, traces = [], [], []
         for i in range(2):
-            sub_edges = cfg.substep_edges(i, w)
+            fine = coeffs[lo:hi, :, slices[i]]
             per_sub = fine_per_window // cfg.M[i]
             u.append(np.stack([
-                project(
-                    lo + n * per_sub,
-                    fine[n * per_sub : (n + 1) * per_sub, :, slices[i]],
-                    Interval(sub_edges[n], sub_edges[n + 1]),
-                    spec.q,
-                )
-                for n in range(cfg.M[i])
+                project_pieces(edges[lo + k : lo + k + per_sub + 1], fine[k : k + per_sub], spec.q)
+                for k in range(0, fine_per_window, per_sub)
             ]))
-            U.append(side[lo : lo + fine_per_window + 1 : per_sub, slices[i]].copy())
+            U.append(side[lo : hi + 1 : per_sub, slices[i]].copy())
+            if ops.d_gamma:
+                trace = (ops.T[i] @ fine.reshape(-1, ops.d_omega[i]).T).T
+                trace = trace.reshape(fine_per_window, -1, ops.d_gamma)
+                trace = project_pieces(edges[lo : hi + 1], trace, max(cfg.r))
+                traces.append(TimePoly(window, trace))
         for a in u + U:
             a.flags.writeable = False
-        if ops.d_gamma:
-            traces = [
-                (ops.T[j] @ fine[:, :, slices[j]].reshape(-1, ops.d_omega[j]).T).T.reshape(
-                    fine_per_window, fine_spec.q + 1, ops.d_gamma
-                )
-                for j in range(2)
-            ]
-        for i in range(2):
-            if not ops.d_gamma:
-                F.append(None)
-                continue
-            combo = ops.B[i, 0] * traces[0] + ops.B[i, 1] * traces[1]
-            Fi = TimePoly(window, project(lo, combo, window, cfg.r[i]))
-            if ops.has_g:
-                Fi = Fi - project_l2(
-                    lambda t, i=i: Mg_lu.solve(ops.g_vec(i, t)), window, cfg.r[i], npts=16
-                )
-            F.append(Fi)
+        F = flux_solve(*traces, ops.B, cfg.r, g) if ops.d_gamma else (None, None)
         windows.append(
             WindowSolution(
                 index=w,
                 window=window,
                 u=tuple(u),
                 U=tuple(U),
-                F=tuple(F),
+                F=F,
                 initialized_from_reference=True,
             )
         )

@@ -10,9 +10,10 @@ columns.  A coupling window chains one block per subdomain: the
 block's matrix on the diagonal of every substep, each prev[j] shifted onto
 the side value j+1 substeps back, and flux columns that the window stacks
 from the cross_moments table over the substep edges, the only part that
-depends on a substep's place in the window.  Blocks can also be solved
-standalone: solve_substep solves one, and integrate marches one block of a
-uniform grid through every step, returning plain coefficient and
+depends on a substep's place in the window (the table is timepoly's, and
+the window reads it as dgit.cross_moments).  Blocks can also be solved
+standalone: solve_substep solves one, and integrate marches one block of
+a uniform grid through every step, returning plain coefficient and
 side-value arrays.
 
 Quadrature of the data terms is switchable between exact Gauss rules
@@ -35,10 +36,10 @@ from .timepoly import (
     Interval,
     SchemeSpec,
     TimePoly,
+    cross_moments,  # noqa: F401 -- the window's flux table, read as dgit.cross_moments
     derivative_overlap,
     gauss_rule,
     legendre_table,
-    points_for_degree,
 )
 
 LOAD_QUAD_PTS = 8
@@ -56,30 +57,6 @@ def factorize(A: sp.spmatrix):
     default COLAMD at nx >= 32 and ties on small matrices.
     """
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-
-
-def cross_moments(
-    edges: np.ndarray, window: Interval, order_sub: int, order_win: int, quadrature: str = "exact"
-) -> np.ndarray:
-    """X[n, a, b] = integral over substep n of P_a(substep) * P_b(window) dt.
-
-    Substep n runs from edges[n] to edges[n + 1]; the table couples
-    window-scale flux modes to substep-scale test and trial modes.  The
-    exact rule is a Gauss rule exact for the polynomial integrand; the
-    trapezoid rule replaces each substep integral by dt/2 * [value(a) +
-    value(b)], equal to the exact table whenever the integrand has degree
-    <= 1.  Shape (M, order_sub + 1, order_win + 1).
-    """
-    a, b = edges[:-1, None], edges[1:, None]
-    length = b - a
-    if quadrature == "trapezoid":
-        t, w = np.hstack([a, b]), 0.5 * length * np.ones(2)
-    else:
-        x, w = gauss_rule(points_for_degree(order_sub + order_win))
-        t, w = a + 0.5 * (x + 1.0) * length, 0.5 * length * w
-    tab_s = legendre_table(order_sub, 2.0 * (t - a) / length - 1.0)  # (order_sub+1, M, pts)
-    tab_w = legendre_table(order_win, window.to_reference(t))
-    return np.matmul(tab_s.transpose(1, 0, 2) * w[:, None, :], tab_w.transpose(1, 2, 0))
 
 
 def batched(load_fn: Callable) -> Callable:

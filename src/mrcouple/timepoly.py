@@ -4,7 +4,10 @@ Everything downstream (substep states, interface traces, window fluxes)
 is a vector-valued polynomial in time.  Representing them in shifted
 Legendre modes keeps L2 projection, truncation and orthogonality checks
 diagonal, and makes the side-condition solvability matrix a plain
-Vandermonde-like evaluation table.
+Vandermonde-like evaluation table.  One table, cross_moments, holds the
+moments of substep modes against window modes: project_pieces, the one
+exact projection of a piecewise polynomial, and the window assembly's
+flux rows and columns all read it.
 """
 
 from __future__ import annotations
@@ -23,12 +26,13 @@ __all__ = [
     "TimePoly",
     "SchemeSpec",
     "DtildeReport",
-    "legendre_eval",
     "legendre_table",
     "gauss_rule",
     "gauss_on",
     "derivative_overlap",
+    "cross_moments",
     "project_l2",
+    "project_pieces",
     "project_l2_broken",
     "j_decompose",
     "j_reconstruct",
@@ -88,19 +92,6 @@ class Interval:
         return abs(self.a - other.a) <= rtol * scale and abs(self.b - other.b) <= rtol * scale
 
 
-def legendre_eval(j: int, x):
-    """Value of the degree-j Legendre polynomial, normalized so P_j(1) = 1."""
-    if j < 0:
-        raise ValueError("mode index must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    if j == 0:
-        return np.ones_like(x) if x.ndim else 1.0
-    pm, p = np.ones_like(x), x.copy()
-    for n in range(1, j):
-        pm, p = p, ((2 * n + 1) * x * p - n * pm) / (n + 1)
-    return p if x.ndim else float(p)
-
-
 def legendre_table(order: int, x) -> np.ndarray:
     """Stack P_0(x)..P_order(x); shape (order+1,) + shape(x)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -150,6 +141,30 @@ def derivative_overlap(trial_order: int, test_order: int) -> np.ndarray:
             if (m - j) % 2 == 1:
                 G[j, m] = 2.0
     return G
+
+
+def cross_moments(
+    edges: np.ndarray, window: Interval, order_sub: int, order_win: int, quadrature: str = "exact"
+) -> np.ndarray:
+    """X[n, a, b] = integral over substep n of P_a(substep) * P_b(window) dt.
+
+    Substep n runs from edges[n] to edges[n + 1]; the table couples
+    window-scale flux modes to substep-scale test and trial modes.  The
+    exact rule is a Gauss rule exact for the polynomial integrand; the
+    trapezoid rule replaces each substep integral by dt/2 * [value(a) +
+    value(b)], equal to the exact table whenever the integrand has degree
+    <= 1.  Shape (M, order_sub + 1, order_win + 1).
+    """
+    a, b = edges[:-1, None], edges[1:, None]
+    length = b - a
+    if quadrature == "trapezoid":
+        t, w = np.hstack([a, b]), 0.5 * length * np.ones(2)
+    else:
+        x, w = gauss_rule(points_for_degree(order_sub + order_win))
+        t, w = a + 0.5 * (x + 1.0) * length, 0.5 * length * w
+    tab_s = legendre_table(order_sub, 2.0 * (t - a) / length - 1.0)  # (order_sub+1, M, pts)
+    tab_w = legendre_table(order_win, window.to_reference(t))
+    return np.matmul(tab_s.transpose(1, 0, 2) * w[:, None, :], tab_w.transpose(1, 2, 0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -276,12 +291,25 @@ def project_l2(f, interval: Interval, k: int, *, npts: int | None = None) -> Tim
     return TimePoly(interval, coeffs)
 
 
-def project_l2_broken(pieces: Sequence[TimePoly], k: int) -> TimePoly:
-    """Project a piecewise polynomial, given as contiguous tiles, onto order k.
+def project_pieces(edges, coeffs: np.ndarray, k: int) -> np.ndarray:
+    """Order-k L2 projection of a piecewise polynomial onto (edges[0], edges[-1]).
 
-    The integrals on the right side split piece by piece, where a Gauss rule
-    of matching degree is exact, so the result carries no quadrature error.
+    Piece n runs from edges[n] to edges[n + 1] with Legendre coefficients
+    coeffs[n], shape (order + 1, ncols).  The integrals on the right side
+    split piece by piece, where the cross_moments table is exact, so the
+    (k + 1, ncols) result carries no quadrature error.
     """
+    if k < 0:
+        raise ValueError("target order must be nonnegative")
+    edges = np.asarray(edges, dtype=float)
+    window = Interval(edges[0], edges[-1])
+    X = cross_moments(edges, window, coeffs.shape[1] - 1, k)
+    scale = (2 * np.arange(k + 1) + 1)[:, None] / window.length
+    return scale * np.einsum("nac,nab->bc", coeffs, X)
+
+
+def project_l2_broken(pieces: Sequence[TimePoly], k: int) -> TimePoly:
+    """project_pieces of contiguous TimePoly tiles, which may differ in order."""
     if not pieces:
         raise ValueError("no pieces given")
     ncols = pieces[0].ncols
@@ -289,17 +317,10 @@ def project_l2_broken(pieces: Sequence[TimePoly], k: int) -> TimePoly:
         scale = max(1.0, abs(p.interval.b))
         if abs(p.interval.b - q.interval.a) > 1e-12 * scale or q.ncols != ncols:
             raise ValueError("pieces do not tile the window contiguously")
-    window = Interval(pieces[0].interval.a, pieces[-1].interval.b)
-    coeffs = np.zeros((k + 1, ncols))
-    for piece in pieces:
-        t, w = gauss_on(piece.interval, points_for_degree(piece.order + k))
-        vals = piece(t)
-        tab = legendre_table(k, window.to_reference(t))
-        for j in range(k + 1):
-            coeffs[j] += (w * tab[j]) @ vals
-    for j in range(k + 1):
-        coeffs[j] *= (2 * j + 1) / window.length
-    return TimePoly(window, coeffs)
+    edges = [p.interval.a for p in pieces] + [pieces[-1].interval.b]
+    order = max(p.order for p in pieces)
+    coeffs = np.stack([p.padded(order).coeffs for p in pieces])
+    return TimePoly(Interval(edges[0], edges[-1]), project_pieces(edges, coeffs, k))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,5 +1,9 @@
 """Manufactured solutions, overkill reference solves, and rate estimation.
 
+The manufactured forcings are closed forms read off each preset's table;
+the library never imports sympy (the test suite checks the closed forms
+against a symbolic derivation).
+
 Temporal convergence is measured against the semi-discrete solution of
 the same spatial system, so spatial discretization error cancels by
 construction: the reference is a single-rate, exactly-coupled solve with
@@ -70,11 +74,6 @@ class ManufacturedCase:
     exact: tuple  # u_i(x, y, t)
     temporal_degree: Optional[int]  # None for non-polynomial time dependence
 
-    @functools.cached_property
-    def residual(self) -> tuple:
-        """Pointwise PDE residual per subdomain (should vanish), derived symbolically."""
-        return _symbolic_residual(self)
-
 
 def _space_factors(c: tuple, nu: float, velocity: Callable) -> tuple:
     """a = sin(pi x) p(y) for p with coefficients c, and -nu lap a + s . grad a."""
@@ -110,8 +109,7 @@ def mms_case(
     s_i, both forcings are Separable: f_i = a_i b' + (-nu_i lap a_i +
     s_i . grad a_i) b, and g_i is the flux condition rearranged for g_i,
     [B_i0 a_1 + B_i1 a_2 + nu_i n_i d_y a_i]_{y=0} b, with n_i the outward
-    normal of each subdomain at the interface.  residual_check compares f
-    with a symbolic derivation.
+    normal of each subdomain at the interface.
     """
     if name not in MMS_PRESETS:
         raise ValueError(f"unknown manufactured preset {name!r}; have {sorted(MMS_PRESETS)}")
@@ -144,56 +142,6 @@ def mms_case(
     return ManufacturedCase(
         name=name, problem=problem, exact=tuple(u_fns), temporal_degree=degree
     )
-
-
-def _symbolic_residual(case: ManufacturedCase) -> tuple:
-    """u_t - div(nu grad u - s u) - f per subdomain, with u and s derived in sympy.
-
-    u comes from the preset table and s from the streamfunction of each
-    advection preset; f is the closed-form forcing of the case, evaluated
-    as built, so the two derivations share nothing but the table.
-    """
-    try:
-        import sympy
-    except ImportError as err:
-        raise ImportError(
-            "the manufactured residual check needs sympy; install the 'test' extra "
-            "(pip install 'mrcouple[test]')"
-        ) from err
-    preset = MMS_PRESETS[case.name]
-    x, y, t = sympy.symbols("x y t", real=True)
-    b = {"exp": sympy.exp(-t), "linear": 1 + t / 2}[preset.time]
-    residuals = []
-    for i, c in enumerate(preset.p):
-        u = sympy.sin(sympy.pi * x) * sum(sympy.Rational(ck) * y**k for k, ck in enumerate(c)) * b
-        adv, nu = case.problem.advection[i], case.problem.nu[i]
-        if adv.kind == "vortex":
-            psi = sympy.Float(adv.amplitude) * x * (1 - x) * y * ((1 - y) if i == 0 else (1 + y))
-            sx, sy = sympy.diff(psi, y), -sympy.diff(psi, x)
-        else:
-            sx, sy = (sympy.Float(adv.sx) if adv.kind == "constant" else 0), 0
-        flux_div = sympy.diff(nu * sympy.diff(u, x) - sx * u, x) + sympy.diff(
-            nu * sympy.diff(u, y) - sy * u, y
-        )
-        strong = sympy.lambdify((x, y, t), sympy.diff(u, t) - flux_div, "numpy")
-        f = case.problem.f[i]
-        residuals.append(lambda xx, yy, tt, strong=strong, f=f: strong(xx, yy, tt) - f(xx, yy, tt))
-    return tuple(residuals)
-
-
-def residual_check(case: ManufacturedCase, n: int = 20, seed: int = 7) -> float:
-    """Max pointwise model residual of the manufactured pair at random points.
-
-    Needs sympy (the 'test' extra): the residual is derived symbolically.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for i in range(2):
-        xx = rng.uniform(0.05, 0.95, n)
-        yy = rng.uniform(0.05, 0.95, n) * (1.0 if i == 0 else -1.0)
-        tt = rng.uniform(0.0, 1.0, n)
-        worst = max(worst, float(np.max(np.abs(case.residual[i](xx, yy, tt)))))
-    return worst
 
 
 # ---------------------------------------------------------------------------

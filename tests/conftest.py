@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import mrcouple as mc
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a tier-1 run is repeatable and writes no .hypothesis/.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

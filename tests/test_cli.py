@@ -1,12 +1,18 @@
 import concurrent.futures
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrcouple import cli, coupling
 
@@ -152,12 +158,15 @@ class TestMainRun:
 
     def test_unreachable_history_is_config_error(self, tmp_path, capsys):
         payload = json.loads(json.dumps(MINIMAL))
-        payload["scheme"] = {"name": "dg", "q": 1, "n_s": 0, "k_s": 3}
+        # column 3 of D reads the side value three steps back
+        payload["scheme"] = {
+            "name": "dg", "q": 1, "n_s": 1, "k_s": 3, "thetas": [1.0], "D": [[0.5, 0, 0, 0.5]]
+        }
         payload["window"]["M1"] = 1
         config = write_config(tmp_path, payload)
         assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "config error: scheme.k_s" in err and "M1+1=2" in err
+        assert "config error: scheme.D" in err and "M1+1=2" in err
 
     REACH_BACK = {
         "geometry": {"nx": 2, "ny": 2},
@@ -279,6 +288,32 @@ class TestMainRun:
         "amplitude-pair-entry": (
             {"problem": {"advection": [{"preset": "zero"}, {"preset": "vortex", "amplitude": "1"}]}},
             "config error: problem.advection[1].amplitude: expected a number",
+        ),
+        # validation branches that no other config reaches
+        "advection-list-of-non-objects": (
+            {"problem": {"advection": [1, 2]}},
+            "config error: problem.advection[0]: expected an object",
+        ),
+        "advection-string": (
+            {"problem": {"advection": "zero"}},
+            "config error: problem.advection: expected an object or a pair of objects",
+        ),
+        "B-not-2x2": (
+            {"problem": {"B": [[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]]}},
+            "config error: problem.B: expected a 2x2 numeric matrix",
+        ),
+        "D-ragged": (
+            {"scheme": {"name": "dg", "q": 1, "n_s": 1, "k_s": 1, "thetas": [1.0],
+                        "D": [[1.0], [1.0, 0.0]]}},
+            "config error: scheme.D: expected a table of finite numbers",
+        ),
+        "q-missing": (
+            {"scheme": {"name": "dg"}},
+            "config error: scheme.q: missing",
+        ),
+        "N0-below-1": (
+            {"window": {"t_f": 0.1, "N": 2, "N0": 0}},
+            "config error: window: N0 = 0: the initialization window count must be at least 1",
         ),
     }
 
@@ -617,3 +652,103 @@ print(codes, "sympy" in sys.modules)
     assert done.returncode == 0, done.stderr
     # check builds the case and finds its interface data not conservative
     assert done.stdout.strip().splitlines()[-1] == "[0, 0, 2] False"
+
+
+# -- generated configs ------------------------------------------------------
+
+NAMED_MESSAGE = re.compile(r"^(config error|solver failure|check (conservation|energy)\b.*): ")
+
+
+def _allowed(keys, key):
+    return st.sampled_from(keys[key].allowed)
+
+
+@st.composite
+def custom_dg_scheme(draw):
+    q = draw(st.integers(0, 2))
+    n_s = draw(st.integers(0, q + 1))
+    k_s = draw(st.integers(0, 2))
+    thetas = sorted(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n_s, max_size=n_s)))
+    entries = st.sampled_from([0.0, 0.5, 1.0, -1.0, 2.0])
+    D = draw(st.lists(st.lists(entries, min_size=k_s + 1, max_size=k_s + 1),
+                      min_size=n_s, max_size=n_s))
+    return {"name": "dg", "q": q, "n_s": n_s, "k_s": k_s, "thetas": thetas, "D": D}
+
+
+@st.composite
+def small_configs(draw):
+    """Configs drawn from the cli key tables: nx <= 4, N <= 4, 3 levels."""
+    advection = st.fixed_dictionaries(
+        {"preset": _allowed(cli.ADVECTION_KEYS, "preset")},
+        optional={"sx": st.floats(-2.0, 2.0), "amplitude": st.floats(0.0, 2.0)},
+    )
+    problem = {
+        "nu": draw(st.lists(st.floats(0.05, 2.0), min_size=2, max_size=2)),
+        "advection": draw(advection | st.lists(advection, min_size=2, max_size=2)),
+        "B": draw(st.sampled_from([
+            [[1.0, -1.0], [-1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [-1.0, 0.0]],
+            [[2.0, -1.0], [-1.0, 1.0]], [[-1.0, 0.0], [0.0, -1.0]],
+        ])),
+        "forcing": draw(_allowed(cli.PROBLEM_KEYS, "forcing")),
+        "initial": draw(_allowed(cli.PROBLEM_KEYS, "initial")),
+    }
+    shipped = [name for name in cli.SCHEME_KEYS["name"].allowed if name != "dg"]
+    scheme = draw(custom_dg_scheme() | st.fixed_dictionaries({"name": st.sampled_from(shipped)}))
+    quadrature = draw(st.none() | _allowed(cli.SCHEME_KEYS, "quadrature"))
+    if quadrature is not None:
+        scheme["quadrature"] = quadrature
+    window = {
+        "t_f": draw(st.sampled_from([0.05, 0.2, 1.0])),
+        "N": draw(st.integers(1, 4)),
+        "M1": draw(st.integers(1, 3)),
+        "M2": draw(st.integers(1, 3)),
+        "r1": draw(st.integers(0, 2)),
+        "r2": draw(st.integers(0, 2)),
+    }
+    n0 = draw(st.none() | st.integers(1, 3))
+    if n0 is not None:
+        window["N0"] = n0
+    return {
+        "geometry": {"nx": draw(st.integers(2, 4)), "ny": draw(st.integers(1, 4))},
+        "problem": problem,
+        "scheme": scheme,
+        "window": window,
+        "solver": {
+            "name": draw(_allowed(cli.SOLVER_KEYS, "name")),
+            "max_iter": draw(st.integers(1, 50)),
+        },
+        "experiment": {
+            "levels": 3,
+            "target": draw(_allowed(cli.EXPERIMENT_KEYS, "target")),
+            "oracle_scheme": draw(_allowed(cli.EXPERIMENT_KEYS, "oracle_scheme")),
+            "oracle_steps": draw(st.sampled_from([16, 64, 256])),
+            "spin_up": draw(st.sampled_from([0.0, 0.05])),
+        },
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=small_configs())
+def test_generated_configs_run_or_fail_by_name(config):
+    """run, check and convergence exit 0, 1 or 2; a failure names its kind
+    in every line it prints, and no exception escapes cli.main."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        out = str(Path(tmp) / "out")
+        for argv in (
+            ["run", "--config", str(path), "--out", out],
+            ["check", "--config", str(path), "--suite", "conservation"],
+            ["check", "--config", str(path), "--suite", "energy"],
+            ["convergence", "--config", str(path), "--out", out],
+        ):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            text = stdout.getvalue() + stderr.getvalue()
+            assert code in (0, 1, 2), (argv, text)
+            assert "Traceback" not in text
+            if code != 0:
+                lines = [line for line in text.splitlines() if line]
+                assert lines, argv
+                assert all(NAMED_MESSAGE.match(line) for line in lines), (argv, text)

@@ -516,11 +516,6 @@ class TestConservation:
             rep = mc.check_flux_conservation(sol, toy_ops, "strong")
             assert rep.relative <= 1e-12
 
-    def test_cn_identity(self, toy_ops, traj_equal_orders):
-        for sol in traj_equal_orders.windows:
-            rep = mc.check_flux_conservation(sol, toy_ops, "cn")
-            assert rep.residual <= 1e-12 * max(rep.scale, 1e-300)
-
     def test_weak_with_mixed_orders(self, toy_ops):
         cfg = mc.WindowConfig(t_f=0.5, N=5, M=(2, 3), r=(1, 0))
         traj = mc.run_simulation(toy_ops, mc.crank_nicolson(), cfg, quadrature="trapezoid")
@@ -674,14 +669,14 @@ class TestRunSimulation:
     def test_reachback_scheme_initializes_from_reference(self, toy_linear_ops):
         spec = SchemeSpec(
             q=1, n_s=2, k_s=2, thetas=(0.0, 1.0),
-            D=[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], name="cn-clone",
+            D=[[0.5, 0.0, 0.5], [1.0, 0.0, 0.0]], name="mean-two-back",
         )
         cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1))
         traj = mc.run_simulation(toy_linear_ops, spec, cfg, quadrature="exact")
         assert traj.windows[0].initialized_from_reference
         assert not traj.windows[1].initialized_from_reference
-        # the zero reach-back column makes this scheme CN in disguise;
-        # the exact solution here is linear, so both are exact
+        # the left node reads the side value two steps back (reach 2); the
+        # mean of U^{n+1} and U^{n-1} is exact for the linear solution here
         assert traj.windows[-1].U[0][-1][0] == pytest.approx(1.4, abs=1e-9)
         assert traj.windows[-1].U[1][-1][0] == pytest.approx(0.5, abs=1e-9)
 
@@ -807,7 +802,7 @@ class TestRunSimulation:
             q=1, n_s=2, k_s=2, thetas=(0.0, 1.0),
             D=[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], name="cn-clone",
         )
-        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1))
+        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1), N0=2)
         traj = mc.run_simulation(toy_linear_ops, spec, cfg, quadrature="exact")
         filled, solved = traj.windows[:2]
         assert filled.initialized_from_reference and not solved.initialized_from_reference
@@ -889,10 +884,16 @@ class TestHistoryProblems:
         reach_two = SchemeSpec(
             q=1, n_s=2, k_s=2, thetas=(0.0, 1.0), D=[[0, 2, -1], [1, 0, 0]], name="reach-two"
         )
-        k_s_three = SchemeSpec(q=1, n_s=0, k_s=3, thetas=(), D=np.zeros((0, 4)), name="k3")
+        reach_three = SchemeSpec(
+            q=1, n_s=1, k_s=3, thetas=(1.0,), D=[[0.5, 0, 0, 0.5]], name="reach-three"
+        )
         cases = [
             (mc.WindowConfig(t_f=0.4, N=2, N0=3), mc.crank_nicolson(), "window.N0: 3 exceeds N=2"),
-            (mc.WindowConfig(t_f=0.4, N=4, M=(1, 2)), k_s_three, "scheme.k_s: 3 exceeds M1+1=2"),
+            (
+                mc.WindowConfig(t_f=0.4, N=4, M=(1, 2)),
+                reach_three,
+                "scheme.D: the side conditions reach back 3 side values, more than M1+1=2",
+            ),
             (mc.WindowConfig(t_f=0.4, N=4, N0=1), reach_two, "reach back 2 side values"),
         ]
         for cfg, spec, message in cases:
@@ -901,3 +902,20 @@ class TestHistoryProblems:
             with pytest.raises(ValueError, match=re.escape(message)):
                 mc.run_simulation(toy_linear_ops, spec, cfg)
         assert mc.WindowConfig(t_f=0.4, N=4).history_problems(reach_two) == []
+
+    def test_history_rule_reads_reach_not_k_s(self, toy_linear_ops):
+        # zero columns of D past the last nonzero one read no history: such
+        # a scheme runs at M1 = 1 and is solved from window 1
+        k_s_three = SchemeSpec(q=1, n_s=0, k_s=3, thetas=(), D=np.zeros((0, 4)), name="k3")
+        cn_clone = SchemeSpec(
+            q=1, n_s=2, k_s=2, thetas=(0.0, 1.0), D=[[0, 1, 0], [1, 0, 0]], name="cn-clone"
+        )
+        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1))
+        for spec in (k_s_three, cn_clone):
+            assert spec.reach == 1 and cfg.n_init(spec) == 1
+            assert cfg.history_problems(spec) == []
+            traj = mc.run_simulation(toy_linear_ops, spec, cfg, quadrature="exact")
+            assert not any(sol.initialized_from_reference for sol in traj.windows)
+        # cn-clone is Crank-Nicolson in disguise, exact for the linear toy
+        assert traj.windows[-1].U[0][-1][0] == pytest.approx(1.4, abs=1e-9)
+        assert traj.windows[-1].U[1][-1][0] == pytest.approx(0.5, abs=1e-9)

@@ -48,31 +48,18 @@ def dense_ls_projection(f, interval, k, n_total=10_000, pieces=None):
 
 
 class TestLegendre:
-    def test_mode_zero_is_one(self):
-        assert mc.legendre_eval(0, 0.3) == 1.0
-
-    def test_mode_one_is_identity(self):
-        assert mc.legendre_eval(1, -1.0) == -1.0
-
-    def test_quadratic_value(self):
-        # (3 x^2 - 1) / 2 at x = 0.5
-        assert mc.legendre_eval(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
+    def test_low_modes(self):
+        # P_0 = 1, P_1 = x and P_2 = (3 x^2 - 1) / 2 at x = 0.5
+        tab = legendre_table(2, [0.3, -1.0, 0.5])
+        assert tab[0, 0] == 1.0 and tab[1, 1] == -1.0
+        assert tab[2, 2] == pytest.approx(-0.125, abs=1e-15)
 
     def test_against_numpy_series(self):
         xs = np.linspace(-1, 1, 33)
+        tab = legendre_table(8, xs)
         for j in range(9):
             ref = np.polynomial.legendre.legval(xs, [0.0] * j + [1.0])
-            assert np.max(np.abs(mc.legendre_eval(j, xs) - ref)) < 1e-13
-
-    def test_table_matches_single_eval(self):
-        xs = np.linspace(-1, 1, 7)
-        tab = legendre_table(5, xs)
-        for j in range(6):
-            assert np.allclose(tab[j], mc.legendre_eval(j, xs))
-
-    def test_negative_mode_rejected(self):
-        with pytest.raises(ValueError):
-            mc.legendre_eval(-1, 0.0)
+            assert np.max(np.abs(tab[j] - ref)) < 1e-13
 
 
 class TestGauss:
