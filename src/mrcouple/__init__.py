@@ -16,7 +16,6 @@ from .coupling import (
     run_simulation,
     solve_window_fixed_point,
     step_restriction_ratio,
-    trace_projection,
     window_traces,
 )
 from .dgit import SubstepBlock, assemble_substep, integrate, solve_substep
@@ -45,7 +44,7 @@ from .timepoly import (
     j_decompose,
     j_reconstruct,
     project_l2,
-    project_l2_broken,
+    project_pieces,
     shipped_schemes,
 )
 from .verify import (

@@ -448,16 +448,16 @@ def _cmd_check(cfg: RunConfig, suite: str) -> int:
     ops, _ = build_operators(cfg)
     if suite == "conservation" and not ops.conservation_compatible:
         print("check conservation: config error: coupling matrix/interface data "
-              "are not conservation compatible")
+              "are not conservation compatible", file=sys.stderr)
         return EXIT_CONFIG
     if suite == "energy" and (ops.has_f or ops.has_g or not ops.b_psd):
         print("check energy: config error: requires zero forcing and "
-              "positive semidefinite coupling")
+              "positive semidefinite coupling", file=sys.stderr)
         return EXIT_CONFIG
     try:
         traj = _simulate(cfg, ops)
     except (coupling.SolverError, coupling.ContractionError) as err:
-        print(f"check {suite}: solver failure: {err}")
+        print(f"check {suite}: solver failure: {err}", file=sys.stderr)
         return EXIT_FAIL
     if suite == "conservation":
         diag = coupling.window_diagnostics(traj, ops)

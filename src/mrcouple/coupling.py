@@ -4,10 +4,13 @@ Between two synchronization times the substeps of both subdomains and
 the window-scale flux polynomials form one square linear system.  The
 interface traces of the substep states are projected onto the window
 polynomial space of order r_i; the fluxes are the coupling-matrix
-combination of those projections.  The trace variables are eliminated
-algebraically at assembly, so the monolithic unknowns are the substeps'
-free modes and side values, and the flux modes (ordered last, so an
-interface-reduced solver could be added without relayout).
+combination of those projections.  The window's flux rows state that
+rule once; window_traces reads the same projections back from a solved
+window through timepoly.project_pieces, under the window's quadrature,
+so flux_solve on them gives the window's fluxes.  The trace variables
+are eliminated algebraically at assembly, so the monolithic unknowns are
+the substeps' free modes and side values, and the flux modes (ordered
+last, so an interface-reduced solver could be added without relayout).
 
 Two solvers work on that one matrix A.  The direct solver factorizes it
 once and reuses the factor for every window.  The fixed-point solver
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,7 +45,6 @@ from .timepoly import (
     legendre_table,
     points_for_degree,
     project_l2,
-    project_l2_broken,
     project_pieces,
 )
 
@@ -197,33 +199,6 @@ def step_restriction_ratio(cfg: WindowConfig, h: float) -> float:
     return cfg.dt * (h**-2 + h**-1)
 
 
-def trace_projection(
-    substeps: Sequence[TimePoly],
-    window: Interval,
-    r: int,
-    *,
-    mode: str = "exact",
-) -> TimePoly:
-    """Project broken substep traces onto the window polynomial space.
-
-    exact mode is the L2 projection of the piecewise polynomial; the
-    endpoint-average mode replaces each substep integral on the right side
-    by dt_i * (average of values) * (average of test mode), matching the
-    quadrature with which the classical q=1 scheme is derived.
-    """
-    if mode == "exact":
-        out = project_l2_broken(list(substeps), r)
-        if not out.interval.close_to(window):
-            raise ValueError("substeps do not tile the window")
-        return out
-    edges = np.array([p.interval.a for p in substeps] + [substeps[-1].interval.b])
-    # dt_i times the average of mode p at the ends of substep n, (M, r+1)
-    weights = dgit.cross_moments(edges, window, 0, r, "trapezoid")[:, 0]
-    avg = np.stack([0.5 * (p.left() + p.right()) for p in substeps])
-    scale = (2 * np.arange(r + 1) + 1) / window.length
-    return TimePoly(window, scale[:, None] * (weights.T @ avg))
-
-
 def flux_solve(
     u_g1: TimePoly,
     u_g2: TimePoly,
@@ -259,23 +234,26 @@ def flux_solve(
 def window_traces(sol: WindowSolution, ops: FeOperators, quadrature: str = "exact") -> tuple:
     """Projected interface traces of a solved window, as its flux rows combine them.
 
-    Exact quadrature projects the traces of the state polynomials.  The
-    trapezoid flux rows read substep n only through its side values
-    U_{n-1}, U_n, which are the polynomial's end values only for schemes
-    pinned at both ends; each trace piece is then the line through their
-    traces.  flux_solve on the result reproduces the window's fluxes.
+    Both rules are project_pieces of one array of trace coefficients per
+    substep, under the window's quadrature.  Exact quadrature projects the
+    traces T_i u_n of the state polynomials.  The trapezoid flux rows read
+    substep n only through its side values U_{n-1}, U_n, which are the
+    polynomial's end values only for schemes pinned at both ends; each
+    piece is then one mode, the trace T_i (U_{n-1} + U_n) / 2 of their
+    average.  flux_solve on the result reproduces the window's fluxes
+    (interface data, if any, passed projected under the same rule).
     """
     out = []
     for i in range(2):
-        T, edges = ops.T[i], sol.edges(i)
+        T = ops.T[i]
         if quadrature == "exact":
             M_i, k, d = sol.u[i].shape
             coeffs = (T @ sol.u[i].reshape(-1, d).T).T.reshape(M_i, k, -1)
         else:
             ends = (T @ sol.U[i].T).T
-            coeffs = np.stack([0.5 * (ends[1:] + ends[:-1]), 0.5 * (ends[1:] - ends[:-1])], axis=1)
-        pieces = [TimePoly(Interval(a, b), c) for a, b, c in zip(edges[:-1], edges[1:], coeffs)]
-        out.append(trace_projection(pieces, sol.window, sol.F[i].order, mode=quadrature))
+            coeffs = 0.5 * (ends[1:] + ends[:-1])[:, None]
+        traces = project_pieces(sol.edges(i), coeffs, sol.F[i].order, quadrature)
+        out.append(TimePoly(sol.window, traces))
     return tuple(out)
 
 
@@ -762,20 +740,17 @@ def _fill_init_windows(ops, spec, cfg, u0, n_init: int):
     back than the available history.  The substep states and the
     interface traces are exact L2 projections (project_pieces) of the fine
     piecewise solution, and the fluxes are flux_solve of the traces, with
-    the interface data passed as M_gamma^-1 g.
+    the interface data passed as ops.g_trace, M_gamma^-1 g.
     """
     Mc, Lc, load, slices = coupled_system(ops)
     fine_per_window = 32 * cfg.M[0] * cfg.M[1]
     edges = np.linspace(0.0, cfg.window(n_init - 1).b, (n_init - 1) * fine_per_window + 1)
     coeffs, side = dgit.integrate(Mc, Lc, load, np.concatenate(u0), continuous_galerkin(2), edges)
     require_finite(f"reference fill of windows 1..{n_init - 1}", coeffs, side)
-    g = (None, None)
-    if ops.d_gamma and ops.has_g:
-        Mg_lu = dgit.factorize(ops.M_gamma)
-        g = tuple(
-            (lambda t, i=i: Mg_lu.solve(ops.g_vec(i, t))) if ops.load_g[i] is not None else None
-            for i in range(2)
-        )
+    g = tuple(
+        (lambda t, i=i: ops.g_trace(i, t)) if ops.load_g[i] is not None else None
+        for i in range(2)
+    )
     windows = []
     for w in range(1, n_init):
         window = cfg.window(w)

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .dgit import _load_values, batched
+from .dgit import _load_values, batched, factorize
 from .mesh import InterfaceMap, Mesh
 from .timepoly import gauss_rule
 
@@ -174,7 +174,7 @@ class FeOperators:
     Every load takes a scalar time, giving a (d,) vector, or a 1-D array of
     nt times, giving (nt, d), and is marked with dgit.batched; assemble
     builds such loads and from_matrices adapts per-time callables to them.
-    f_vec and g_vec follow the same convention.
+    f_vec, g_vec and g_trace follow the same convention.
     """
 
     M: tuple
@@ -190,6 +190,7 @@ class FeOperators:
     h: float = 1.0
     conservation_compatible: bool = True
     b_psd: bool = True
+    _mg_lu: object = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self_d = tuple(m.shape[0] for m in self.M)
@@ -230,6 +231,15 @@ class FeOperators:
     def g_vec(self, i: int, t) -> np.ndarray:
         """Interface data vector at a time, (d_gamma,), or at times, (nt, d_gamma)."""
         return _load_or_zero(self.load_g[i], t, self.d_gamma)
+
+    def g_trace(self, i: int, t) -> np.ndarray:
+        """M_gamma^-1 g_vec(i, t): the interface data as a trace, shaped as g_vec.
+
+        The interface mass is factorized once, on the first call.
+        """
+        if self._mg_lu is None:
+            self._mg_lu = factorize(self.M_gamma)
+        return self._mg_lu.solve(self.g_vec(i, t).T).T
 
     def mass_norm(self, i: int, v: np.ndarray) -> float:
         return float(np.sqrt(max(0.0, v @ (self.M[i] @ v))))

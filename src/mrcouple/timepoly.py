@@ -5,9 +5,11 @@ is a vector-valued polynomial in time.  Representing them in shifted
 Legendre modes keeps L2 projection, truncation and orthogonality checks
 diagonal, and makes the side-condition solvability matrix a plain
 Vandermonde-like evaluation table.  One table, cross_moments, holds the
-moments of substep modes against window modes: project_pieces, the one
-exact projection of a piecewise polynomial, and the window assembly's
-flux rows and columns all read it.
+moments of substep modes against window modes, under the exact or the
+trapezoid rule: project_pieces(edges, coeffs, k, quadrature), the one
+projection of a piecewise polynomial (the window traces and the
+reference fill use it), and the window assembly's flux rows and columns
+all read it.  project_l2 projects a callable, such as interface data.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -33,7 +34,6 @@ __all__ = [
     "cross_moments",
     "project_l2",
     "project_pieces",
-    "project_l2_broken",
     "j_decompose",
     "j_reconstruct",
     "j_norm",
@@ -86,10 +86,6 @@ class Interval:
 
     def from_reference(self, x):
         return self.a + 0.5 * (np.asarray(x, dtype=float) + 1.0) * self.length
-
-    def close_to(self, other: "Interval", rtol: float = 1e-12) -> bool:
-        scale = max(1.0, abs(self.a), abs(self.b))
-        return abs(self.a - other.a) <= rtol * scale and abs(self.b - other.b) <= rtol * scale
 
 
 def legendre_table(order: int, x) -> np.ndarray:
@@ -204,30 +200,6 @@ class TimePoly:
         # tensordot puts the mode contraction first: shape t.shape + (ncols,)
         return vals if t.ndim else vals.reshape(self.ncols)
 
-    def left(self) -> np.ndarray:
-        return self(self.interval.a)
-
-    def right(self) -> np.ndarray:
-        return self(self.interval.b)
-
-    def _compatible(self, other: "TimePoly"):
-        if self.ncols != other.ncols or not self.interval.close_to(other.interval):
-            raise ValueError("polynomials live on different intervals or sizes")
-
-    def __add__(self, other: "TimePoly") -> "TimePoly":
-        self._compatible(other)
-        n = max(self.order, other.order) + 1
-        c = np.zeros((n, self.ncols))
-        c[: self.order + 1] += self.coeffs
-        c[: other.order + 1] += other.coeffs
-        return TimePoly(self.interval, c)
-
-    def __sub__(self, other: "TimePoly") -> "TimePoly":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, s: float) -> "TimePoly":
-        return TimePoly(self.interval, s * self.coeffs)
-
     def truncated(self, k: int) -> "TimePoly":
         """L2 projection onto order k; in modal form a row truncation."""
         if k < 0:
@@ -235,13 +207,6 @@ class TimePoly:
         if k >= self.order:
             return self
         return TimePoly(self.interval, self.coeffs[: k + 1])
-
-    def padded(self, k: int) -> "TimePoly":
-        if k <= self.order:
-            return self
-        c = np.zeros((k + 1, self.ncols))
-        c[: self.order + 1] = self.coeffs
-        return TimePoly(self.interval, c)
 
     def l2_norm_sq(self, weight=None) -> float:
         """Integral of |p(t)|^2 dt, optionally with a spatial weight matrix."""
@@ -252,38 +217,19 @@ class TimePoly:
             total += sq * self.interval.length / (2 * j + 1)
         return total
 
-    def derivative(self) -> "TimePoly":
-        """Time derivative, exact in the modal representation."""
-        if self.order == 0:
-            return TimePoly(self.interval, np.zeros((1, self.ncols)))
-        c = np.zeros((self.order, self.ncols))
-        for j in range(self.order):
-            for m in range(j + 1, self.order + 1):
-                if (m - j) % 2 == 1:
-                    c[j] += (2 * j + 1) * self.coeffs[m]
-        return TimePoly(self.interval, 2.0 / self.interval.length * c)
 
+def project_l2(f, interval: Interval, k: int, *, npts: int = 32) -> TimePoly:
+    """L2-orthogonal projection of a callable t -> vector onto polynomials of order k.
 
-def project_l2(f, interval: Interval, k: int, *, npts: int | None = None) -> TimePoly:
-    """L2-orthogonal projection of f onto polynomials of order k.
-
-    f may be a TimePoly (projected exactly via a Gauss rule of matching
-    degree, regardless of its own interval) or a callable t -> vector.
-    For callables the default 32-point rule is exact for any polynomial
-    input of order <= 63 and accurate to roundoff for analytic f; pass
-    npts explicitly for rough integrands.
+    The default 32-point Gauss rule is exact for polynomial input whose
+    order plus k is at most 63 (a TimePoly is such a callable) and
+    accurate to roundoff for analytic f; pass npts for rough integrands.
     """
     if k < 0:
         raise ValueError("target order must be nonnegative")
-    if isinstance(f, TimePoly):
-        n = points_for_degree(f.order + k)
-        fn, ncols = f, f.ncols
-    else:
-        n = npts if npts is not None else 32
-        fn = f
-        ncols = np.atleast_1d(np.asarray(f(interval.midpoint), dtype=float)).size
-    t, w = gauss_on(interval, n)
-    vals = np.stack([np.atleast_1d(np.asarray(fn(ti), dtype=float)).reshape(ncols) for ti in t])
+    ncols = np.atleast_1d(np.asarray(f(interval.midpoint), dtype=float)).size
+    t, w = gauss_on(interval, npts)
+    vals = np.stack([np.atleast_1d(np.asarray(f(ti), dtype=float)).reshape(ncols) for ti in t])
     tab = legendre_table(k, interval.to_reference(t))
     coeffs = np.empty((k + 1, ncols))
     for j in range(k + 1):
@@ -291,36 +237,24 @@ def project_l2(f, interval: Interval, k: int, *, npts: int | None = None) -> Tim
     return TimePoly(interval, coeffs)
 
 
-def project_pieces(edges, coeffs: np.ndarray, k: int) -> np.ndarray:
+def project_pieces(edges, coeffs: np.ndarray, k: int, quadrature: str = "exact") -> np.ndarray:
     """Order-k L2 projection of a piecewise polynomial onto (edges[0], edges[-1]).
 
     Piece n runs from edges[n] to edges[n + 1] with Legendre coefficients
-    coeffs[n], shape (order + 1, ncols).  The integrals on the right side
-    split piece by piece, where the cross_moments table is exact, so the
-    (k + 1, ncols) result carries no quadrature error.
+    coeffs[n], shape (order + 1, ncols); a piece of lower order comes
+    padded with zero rows.  The integrals on the right side split piece by
+    piece under the cross_moments rule named by quadrature: the exact rule
+    leaves the (k + 1, ncols) result no quadrature error, the trapezoid
+    rule takes each piece's length times the average of the integrand at
+    its ends.
     """
     if k < 0:
         raise ValueError("target order must be nonnegative")
     edges = np.asarray(edges, dtype=float)
     window = Interval(edges[0], edges[-1])
-    X = cross_moments(edges, window, coeffs.shape[1] - 1, k)
+    X = cross_moments(edges, window, coeffs.shape[1] - 1, k, quadrature)
     scale = (2 * np.arange(k + 1) + 1)[:, None] / window.length
     return scale * np.einsum("nac,nab->bc", coeffs, X)
-
-
-def project_l2_broken(pieces: Sequence[TimePoly], k: int) -> TimePoly:
-    """project_pieces of contiguous TimePoly tiles, which may differ in order."""
-    if not pieces:
-        raise ValueError("no pieces given")
-    ncols = pieces[0].ncols
-    for p, q in zip(pieces, pieces[1:]):
-        scale = max(1.0, abs(p.interval.b))
-        if abs(p.interval.b - q.interval.a) > 1e-12 * scale or q.ncols != ncols:
-            raise ValueError("pieces do not tile the window contiguously")
-    edges = [p.interval.a for p in pieces] + [pieces[-1].interval.b]
-    order = max(p.order for p in pieces)
-    coeffs = np.stack([p.padded(order).coeffs for p in pieces])
-    return TimePoly(Interval(edges[0], edges[-1]), project_pieces(edges, coeffs, k))
 
 
 @dataclasses.dataclass(frozen=True)

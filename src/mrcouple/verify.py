@@ -162,7 +162,6 @@ class ReferenceTrajectory:
     coeffs: np.ndarray
     slices: tuple
     ops: FeOperators
-    _mg_lu: object = dataclasses.field(default=None, repr=False)
 
     def states(self, ts) -> np.ndarray:
         """Coupled state at each of the 1-D array of times ts, (nt, d1 + d2)."""
@@ -188,9 +187,7 @@ class ReferenceTrajectory:
         u1, u2 = X[:, self.slices[0]], X[:, self.slices[1]]
         out = (ops.B[i, 0] * (ops.T[0] @ u1.T) + ops.B[i, 1] * (ops.T[1] @ u2.T)).T
         if ops.load_g[i] is not None:
-            if self._mg_lu is None:
-                self._mg_lu = dgit.factorize(ops.M_gamma)
-            out = out - self._mg_lu.solve(ops.g_vec(i, ts).T).T
+            out = out - ops.g_trace(i, ts)
         return out
 
     def flux(self, i: int, t: float) -> np.ndarray:

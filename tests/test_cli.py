@@ -587,8 +587,9 @@ class TestSolverFailure:
     def test_check_reports_solver_failure(self, tmp_path, capsys, suite):
         config = write_config(tmp_path, self.EXHAUSTED)
         assert cli.main(["check", "--config", str(config), "--suite", suite]) == 1
-        out = capsys.readouterr().out.strip().splitlines()
-        assert out == [f"check {suite}: {self.EXHAUSTED_MESSAGE}"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [f"check {suite}: {self.EXHAUSTED_MESSAGE}"]
 
 
 class TestMainCheck:
@@ -596,21 +597,27 @@ class TestMainCheck:
         config = write_config(tmp_path, MINIMAL)
         assert cli.main(["check", "--config", str(config), "--suite", "conservation"]) == 0
 
-    def test_conservation_rejects_incompatible_coupling(self, tmp_path):
+    def test_conservation_rejects_incompatible_coupling(self, tmp_path, capsys):
         payload = json.loads(json.dumps(MINIMAL))
         payload["problem"]["B"] = [[1.0, 0.0], [1.0, 0.0]]
         config = write_config(tmp_path, payload)
         assert cli.main(["check", "--config", str(config), "--suite", "conservation"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("check conservation: config error:")
 
     def test_energy_passes(self, tmp_path):
         config = write_config(tmp_path, MINIMAL)
         assert cli.main(["check", "--config", str(config), "--suite", "energy"]) == 0
 
-    def test_energy_rejects_forced_runs(self, tmp_path):
+    def test_energy_rejects_forced_runs(self, tmp_path, capsys):
         payload = json.loads(json.dumps(MINIMAL))
         payload["problem"]["forcing"] = "pulse"
         config = write_config(tmp_path, payload)
         assert cli.main(["check", "--config", str(config), "--suite", "energy"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("check energy: config error:")
 
     @pytest.mark.parametrize("forcing, suite", [("mms:smooth", "conservation"), ("pulse", "energy")])
     def test_rejects_before_simulating(self, tmp_path, monkeypatch, forcing, suite):

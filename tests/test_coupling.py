@@ -70,46 +70,6 @@ class TestStepRestriction:
             mc.step_restriction_ratio(mc.WindowConfig(t_f=1.0, N=1), 0.0)
 
 
-class TestTraceProjection:
-    def test_single_substep_identity(self):
-        rng = np.random.default_rng(0)
-        piece = TimePoly(Interval(0.0, 0.5), rng.standard_normal((2, 3)))
-        out = mc.trace_projection([piece], piece.interval, 1)
-        assert np.allclose(out.coeffs, piece.coeffs, atol=1e-14)
-
-    def test_two_constants_average(self):
-        pieces = [TimePoly(Interval(0.0, 0.5), [[2.0]]), TimePoly(Interval(0.5, 1.0), [[4.0]])]
-        out = mc.trace_projection(pieces, Interval(0.0, 1.0), 0)
-        assert out.coeffs[0, 0] == pytest.approx(3.0, abs=1e-14)
-
-    def test_cn_variant_matches_midpoint_sampling(self):
-        # for linear pieces and window order <= 1 the endpoint-average rule
-        # equals sampling states and tests at the substep midpoints
-        rng = np.random.default_rng(1)
-        window = Interval(0.0, 0.4)
-        edges = np.linspace(0.0, 0.4, 5)
-        pieces = [
-            TimePoly(Interval(a, b), rng.standard_normal((2, 2)))
-            for a, b in zip(edges[:-1], edges[1:])
-        ]
-        out = mc.trace_projection(pieces, window, 1, mode="trapezoid")
-        dt_i = edges[1] - edges[0]
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        tab = legendre_table(1, window.to_reference(mids))
-        oracle = np.zeros((2, 2))
-        for n, piece in enumerate(pieces):
-            for p in range(2):
-                oracle[p] += dt_i * piece(mids[n]) * tab[p, n]
-        for p in range(2):
-            oracle[p] *= (2 * p + 1) / window.length
-        assert np.allclose(out.coeffs, oracle, atol=1e-13)
-
-    def test_exact_mode_requires_tiling(self):
-        pieces = [TimePoly(Interval(0.0, 0.5), [[1.0]])]
-        with pytest.raises(ValueError):
-            mc.trace_projection(pieces, Interval(0.0, 1.0), 0)
-
-
 class TestFluxSolve:
     def test_equal_traces_conservative_pair(self):
         window = Interval(0.0, 1.0)
@@ -231,21 +191,24 @@ class TestWindowAssembly:
         op = mc.WindowOperator(toy_ops, mc.crank_nicolson(), cfg)
         sol = op.solve(incoming(toy_ops))
         kept = mc.window_traces(sol, toy_ops)
-        # the stored trace satisfies its defining projection identity
-        edges = cfg.substep_edges(0, 1)
-        traces = [
-            TimePoly(Interval(a, b), (toy_ops.T[0] @ c.T).T)
-            for a, b, c in zip(edges[:-1], edges[1:], sol.u[0])
-        ]
-        direct = mc.trace_projection(traces, sol.window, 1)
-        assert np.allclose(direct.coeffs, kept[0].coeffs, atol=1e-12)
+        # each stored trace satisfies its defining projection identity: the
+        # substep traces minus it have no moment against a window mode <= 1
+        for i in range(2):
+            t, w, u = sol.at_gauss(i, 4)
+            trace = np.einsum("gd,npd->npg", toy_ops.T[i].toarray(), u)
+            resid = trace - kept[i](t.ravel()).reshape(trace.shape)
+            tab = legendre_table(1, sol.window.to_reference(t))
+            moments = np.einsum("qnp,np,npg->qg", tab, w, resid)
+            assert np.max(np.abs(moments)) < 1e-12
 
+    @pytest.mark.parametrize("r", [(1, 1), (2, 1), (0, 2)], ids=lambda r: f"r{r[0]}{r[1]}")
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
     @pytest.mark.parametrize("scheme_name", sorted(mc.shipped_schemes()))
-    def test_kept_traces_reproduce_flux(self, toy_ops, scheme_name, quadrature):
+    def test_kept_traces_reproduce_flux(self, toy_ops, scheme_name, quadrature, r):
         # the traces are the ones the flux rows combine, also in trapezoid
-        # mode, where they average side values rather than polynomial ends
-        cfg = mc.WindowConfig(t_f=0.05, N=1, M=(2, 3), r=(1, 1))
+        # mode, where they average side values rather than polynomial ends;
+        # for r >= 2 its endpoint rule differs from the exact one
+        cfg = mc.WindowConfig(t_f=0.05, N=1, M=(2, 3), r=r)
         scheme = mc.shipped_schemes()[scheme_name]
         op = mc.WindowOperator(toy_ops, scheme, cfg, quadrature=quadrature)
         sol = op.solve(incoming(toy_ops))
@@ -765,8 +728,7 @@ class TestRunSimulation:
         coeffs, side = dgit.integrate(
             Mc, Lc, load, np.concatenate(ops.u0), mc.continuous_galerkin(2), edges
         )
-        ivs = [Interval(a, b) for a, b in zip(edges[:-1], edges[1:])]
-        traces = [[TimePoly(iv, (ops.T[j] @ c[:, slices[j]].T).T) for iv, c in zip(ivs, coeffs)]
+        traces = [np.einsum("gd,nad->nag", ops.T[j].toarray(), coeffs[:, :, slices[j]])
                   for j in range(2)]
         Mg = ops.M_gamma.tocsc()
 
@@ -780,16 +742,16 @@ class TestRunSimulation:
                 per_sub = per_window // M[i]
                 for n, got in enumerate(sol.u[i]):
                     k = lo + n * per_sub
-                    pieces = [TimePoly(iv, c[:, slices[i]])
-                              for iv, c in zip(ivs[k : k + per_sub], coeffs[k : k + per_sub])]
-                    assert close(got, mc.project_l2_broken(pieces, 1).coeffs)
+                    pieces = coeffs[k : k + per_sub, :, slices[i]]
+                    assert close(got, mc.project_pieces(edges[k : k + per_sub + 1], pieces, 1))
                 assert np.array_equal(sol.U[i], side[lo : lo + per_window + 1 : per_sub, slices[i]])
-                combo = [a.scaled(ops.B[i, 0]) + b.scaled(ops.B[i, 1])
-                         for a, b in zip(*(t[lo : lo + per_window] for t in traces))]
+                hi = lo + per_window
+                combo = ops.B[i, 0] * traces[0][lo:hi] + ops.B[i, 1] * traces[1][lo:hi]
                 g = mc.project_l2(
                     lambda t: spla.spsolve(Mg, ops.g_vec(i, t)), sol.window, r[i], npts=16
                 )
-                assert close(sol.F[i].coeffs, mc.project_l2_broken(combo, r[i]).coeffs - g.coeffs)
+                want = mc.project_pieces(edges[lo : hi + 1], combo, r[i]) - g.coeffs
+                assert close(sol.F[i].coeffs, want)
 
     def test_initialization_cannot_swallow_all_windows(self, toy_ops):
         cfg = mc.WindowConfig(t_f=0.2, N=2, N0=3)

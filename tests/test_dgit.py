@@ -142,7 +142,7 @@ class TestPolynomialExactness:
         history = [exact(exact.interval.a - k * exact.interval.length) for k in range(0, spec.k_s + 1)]
         poly, U = dgit.solve_substep(blk, history, load_fn=load)
         scale = max(1.0, np.max(np.abs(exact.coeffs)))
-        assert np.max(np.abs(U - exact.right())) < 1e-10 * scale
+        assert np.max(np.abs(U - exact(exact.interval.b))) < 1e-10 * scale
         assert np.max(np.abs(poly.coeffs - exact.coeffs)) < 1e-10 * scale
 
     @pytest.mark.parametrize(
