@@ -13,9 +13,11 @@ from .coupling import (
     export_trajectory_csv,
     flux_solve,
     interfacial_energy_term,
+    march,
     run_simulation,
     solve_window_fixed_point,
     step_restriction_ratio,
+    window_diagnostics,
     window_traces,
 )
 from .dgit import SubstepBlock, assemble_substep, integrate, solve_substep

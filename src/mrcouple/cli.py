@@ -340,12 +340,8 @@ def build_operators(cfg: RunConfig):
     return fespace.assemble(m1, m2, imap, spec), spec
 
 
-def _simulate(cfg: RunConfig, ops):
-    return coupling.run_simulation(ops, cfg.scheme, cfg.window, **_solver_args(cfg))
-
-
 def _solver_args(cfg: RunConfig) -> dict:
-    """The configured window solve, as run_simulation and convergence_study take it."""
+    """The configured window solve, as march, run_simulation and convergence_study take it."""
     solver = cfg.solver
     return dict(
         quadrature=cfg.quadrature, solver=solver["name"], fp_tol=solver["tol"],
@@ -353,19 +349,25 @@ def _solver_args(cfg: RunConfig) -> dict:
     )
 
 
+def _diagnostics(cfg: RunConfig, ops) -> coupling.WindowDiagnostics:
+    """The configured run's window diagnostics, each window dropped once reduced."""
+    windows = coupling.march(ops, cfg.scheme, cfg.window, **_solver_args(cfg))
+    return coupling.window_diagnostics(windows, ops, cfg.window, cfg.quadrature)
+
+
 def _cmd_run(cfg: RunConfig, outdir: Path) -> int:
     ops, _ = build_operators(cfg)
-    traj = _simulate(cfg, ops)
+    diag = _diagnostics(cfg, ops)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "trajectory.csv", "w") as fh:
-        coupling.export_trajectory_csv(traj, ops, fh)
+        coupling.export_trajectory_csv(diag, fh)
     summary = {
         "windows": cfg.window.N,
         "dt": cfg.window.dt,
         "scheme": cfg.scheme.name,
         "quadrature": cfg.quadrature,
         "solver": cfg.solver["name"],
-        "final_energy": traj.side_energies[-1].tolist(),
+        "final_energy": diag.side_energies[-1].tolist(),
         "d_omega": list(ops.d_omega),
         "d_gamma": ops.d_gamma,
         "step_restriction_ratio": coupling.step_restriction_ratio(cfg.window, ops.h),
@@ -455,18 +457,17 @@ def _cmd_check(cfg: RunConfig, suite: str) -> int:
               "positive semidefinite coupling", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        traj = _simulate(cfg, ops)
+        diag = _diagnostics(cfg, ops)
     except (coupling.SolverError, coupling.ContractionError) as err:
         print(f"check {suite}: solver failure: {err}", file=sys.stderr)
         return EXIT_FAIL
     if suite == "conservation":
-        diag = coupling.window_diagnostics(traj, ops)
         worst = _worst(diag.conservation)
         ok = worst <= 1e-11
         print(f"check conservation ({diag.conservation_mode}): max relative residual "
               f"{worst:.3e} -> {'PASS' if ok else 'FAIL'}")
         return EXIT_OK if ok else EXIT_FAIL
-    rep = verify.energy_report(traj, ops)
+    rep = verify.energy_report(diag, ops)
     worst_term = _worst(rep.interfacial)
     ok = rep.monotone and worst_term <= 1e-12 * max(rep.energies[0], 1e-300)
     print(

@@ -27,6 +27,7 @@ diverge, which raises ContractionError.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 from typing import Optional
 
@@ -49,6 +50,8 @@ from .timepoly import (
 )
 
 RESIDUAL_TOL = 1e-10
+
+log = logging.getLogger(__name__)
 
 
 class SolverError(RuntimeError):
@@ -719,22 +722,16 @@ def coupled_system(ops: FeOperators):
 
 @dataclasses.dataclass
 class Trajectory:
-    """Sequentially solved windows plus the synchronized energy history."""
+    """Every window of a run, collected from march, with the run's settings."""
 
     windows: list
-    sync_times: np.ndarray
-    side_energies: np.ndarray  # (N + 1, 2): 1/2 U_i^T M_i U_i at each synchronization time
     spec: SchemeSpec
     cfg: WindowConfig
     quadrature: str
 
-    @property
-    def energies(self) -> np.ndarray:
-        return self.side_energies[:, 0] + self.side_energies[:, 1]
-
 
 def _fill_init_windows(ops, spec, cfg, u0, n_init: int):
-    """Solve the leading windows with a fine single-rate reference integrator.
+    """Yield the leading windows, solved with a fine single-rate reference integrator.
 
     Supplies starting data for schemes whose side conditions reach further
     back than the available history.  The substep states and the
@@ -751,7 +748,6 @@ def _fill_init_windows(ops, spec, cfg, u0, n_init: int):
         (lambda t, i=i: ops.g_trace(i, t)) if ops.load_g[i] is not None else None
         for i in range(2)
     )
-    windows = []
     for w in range(1, n_init):
         window = cfg.window(w)
         lo, hi = (w - 1) * fine_per_window, w * fine_per_window
@@ -772,17 +768,73 @@ def _fill_init_windows(ops, spec, cfg, u0, n_init: int):
         for a in u + U:
             a.flags.writeable = False
         F = flux_solve(*traces, ops.B, cfg.r, g) if ops.d_gamma else (None, None)
-        windows.append(
-            WindowSolution(
-                index=w,
-                window=window,
-                u=tuple(u),
-                U=tuple(U),
-                F=F,
-                initialized_from_reference=True,
-            )
+        yield WindowSolution(
+            index=w,
+            window=window,
+            u=tuple(u),
+            U=tuple(U),
+            F=F,
+            initialized_from_reference=True,
         )
-    return windows
+
+
+def march(
+    ops: FeOperators,
+    spec: SchemeSpec,
+    cfg: WindowConfig,
+    *,
+    quadrature: str = "exact",
+    solver: str = "direct",
+    u0=None,
+    fp_tol: float = 1e-10,
+    fp_max_iter: int = 200,
+):
+    """Yield the windows 1..N in order, each as soon as it is solved.
+
+    Windows 1..N0-1 come from the reference fill, the rest from one
+    WindowOperator.  Between two windows the generator keeps only what the
+    next one reads: the incoming side values, the spec.reach - 1 side
+    values before them and the last flux (the fixed-point start), so a
+    consumer that drops each window holds one at a time.
+    """
+    u0 = tuple(np.asarray(v, dtype=float) for v in (u0 if u0 is not None else ops.u0))
+    problems = cfg.history_problems(spec)
+    if problems:
+        raise ValueError("; ".join(problems))
+    op = WindowOperator(
+        ops, spec, cfg, quadrature=quadrature, solver=solver, fp_tol=fp_tol, fp_max_iter=fp_max_iter
+    )
+    n_init = cfg.n_init(spec)
+    # windows 1..N0-1; the fill's fine solution is freed once they are read
+    filled = _fill_init_windows(ops, spec, cfg, u0, n_init) if n_init > 1 else iter(())
+
+    # Each window, reference-filled or solved, hands the next one its last
+    # side values and the ones before them, newest first.
+    incoming, histories, flux_guess = u0, ((), ()), None
+    depth = spec.reach - 1
+    for n in range(1, cfg.N + 1):
+        sol = next(filled, None)
+        if sol is None:
+            try:
+                sol = op.solve(incoming, histories, n, flux_guess=flux_guess)
+            except ContractionError as err:
+                raise ContractionError(
+                    f"window {n}: {err}",
+                    iterations=err.iterations,
+                    factor=err.factor,
+                ) from err
+            except SolverError as err:
+                raise SolverError(f"window {n}: {err}") from err
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(
+                "window %d: residual %.3e, sweeps %d, reference-filled %s",
+                n, sol.residual, sol.iterations, sol.initialized_from_reference,
+            )
+        yield sol
+        incoming = tuple(sol.U[i][-1] for i in range(2))
+        histories = tuple(([*sol.U[i][-2::-1]] + list(histories[i]))[:depth] for i in range(2))
+        if sol.F[0] is not None:
+            flux_guess = sol.F
 
 
 def run_simulation(
@@ -796,44 +848,14 @@ def run_simulation(
     fp_tol: float = 1e-10,
     fp_max_iter: int = 200,
 ) -> Trajectory:
-    """March the coupled problem through all windows sequentially."""
-    u0 = tuple(np.asarray(v, dtype=float) for v in (u0 if u0 is not None else ops.u0))
-    problems = cfg.history_problems(spec)
-    if problems:
-        raise ValueError("; ".join(problems))
-    op = WindowOperator(
-        ops, spec, cfg, quadrature=quadrature, solver=solver, fp_tol=fp_tol, fp_max_iter=fp_max_iter
+    """Every window of march, collected; for callers that revisit windows."""
+    windows = list(
+        march(
+            ops, spec, cfg, quadrature=quadrature, solver=solver, u0=u0, fp_tol=fp_tol,
+            fp_max_iter=fp_max_iter,
+        )
     )
-    n_init = cfg.n_init(spec)
-    windows = list(_fill_init_windows(ops, spec, cfg, u0, n_init)) if n_init > 1 else []
-
-    # Each window, reference-filled or solved, hands the next one its last
-    # side values and the ones before them, newest first.
-    incoming, histories, flux_guess = u0, ((), ()), None
-    depth = spec.reach - 1
-    for n in range(1, cfg.N + 1):
-        if n >= n_init:
-            try:
-                windows.append(op.solve(incoming, histories, n, flux_guess=flux_guess))
-            except ContractionError as err:
-                raise ContractionError(
-                    f"window {n}: {err}",
-                    iterations=err.iterations,
-                    factor=err.factor,
-                ) from err
-            except SolverError as err:
-                raise SolverError(f"window {n}: {err}") from err
-        sol = windows[n - 1]
-        incoming = tuple(sol.U[i][-1] for i in range(2))
-        histories = tuple(([*sol.U[i][-2::-1]] + list(histories[i]))[:depth] for i in range(2))
-        if sol.F[0] is not None:
-            flux_guess = sol.F
-
-    states = [u0] + [tuple(sol.U[i][-1] for i in range(2)) for sol in windows]
-    side_energies = np.array(
-        [[0.5 * float(v @ (ops.M[i] @ v)) for i, v in enumerate(state)] for state in states]
-    )
-    return Trajectory(windows, cfg.sync_times(), side_energies, spec, cfg, quadrature)
+    return Trajectory(windows, spec, cfg, quadrature)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -842,43 +864,61 @@ class WindowDiagnostics:
     energy_mode: str  # cn for the trapezoid variant, exact otherwise
     conservation: np.ndarray  # per window, the relative residual
     work: np.ndarray  # per window, the interface work term
+    sync_times: np.ndarray  # (N + 1,): the start of window 1, then each window's end
+    side_energies: np.ndarray  # (N + 1, 2): 1/2 U_i^T M_i U_i at each synchronization time
+
+    @property
+    def energies(self) -> np.ndarray:
+        return self.side_energies[:, 0] + self.side_energies[:, 1]
 
 
-def window_diagnostics(traj: Trajectory, ops: FeOperators) -> WindowDiagnostics:
-    """Flux conservation residual and interface work term of every window.
+def window_diagnostics(
+    windows, ops: FeOperators, cfg: WindowConfig, quadrature: str
+) -> WindowDiagnostics:
+    """Per-window diagnostics of windows, any iterable of consecutive windows.
 
-    Each is nan where the problem lacks the check's preconditions: an
-    interface, and for conservation antisymmetric coupling and opposite
-    interface data, for the work term zero interface data and positive
-    semidefinite coupling.
+    Reads each window once and keeps none, so march's windows stream
+    through it.  Per window: the flux conservation residual and the
+    interface work term, each nan where the problem lacks the check's
+    preconditions (an interface, and for conservation antisymmetric
+    coupling and opposite interface data, for the work term zero interface
+    data and positive semidefinite coupling); per synchronization time,
+    from the first window's incoming side values on, the side energies.
     """
-    cons_mode = "strong" if traj.cfg.r[0] == traj.cfg.r[1] else "weak"
-    energy_mode = "cn" if traj.quadrature == "trapezoid" else "exact"
+    cons_mode = "strong" if cfg.r[0] == cfg.r[1] else "weak"
+    energy_mode = "cn" if quadrature == "trapezoid" else "exact"
     can_cons = ops.conservation_compatible and ops.d_gamma > 0
     can_work = (not ops.has_g) and ops.b_psd and ops.d_gamma > 0
-    cons = [
-        check_flux_conservation(sol, ops, cons_mode).relative if can_cons else math.nan
-        for sol in traj.windows
-    ]
-    work = [
-        interfacial_energy_term(sol, ops, energy_mode) if can_work else math.nan
-        for sol in traj.windows
-    ]
-    return WindowDiagnostics(cons_mode, energy_mode, np.array(cons), np.array(work))
+
+    def energies(sol, row):
+        return [0.5 * float(U[row] @ (ops.M[i] @ U[row])) for i, U in enumerate(sol.U)]
+
+    cons, work, times, side_energies = [], [], [], []
+    for sol in windows:
+        if not times:
+            times.append(sol.window.a)
+            side_energies.append(energies(sol, 0))
+        cons.append(check_flux_conservation(sol, ops, cons_mode).relative if can_cons else math.nan)
+        work.append(interfacial_energy_term(sol, ops, energy_mode) if can_work else math.nan)
+        times.append(sol.window.b)
+        side_energies.append(energies(sol, -1))
+    return WindowDiagnostics(
+        cons_mode, energy_mode, np.array(cons), np.array(work), np.array(times),
+        np.array(side_energies).reshape(-1, 2),
+    )
 
 
-def export_trajectory_csv(traj: Trajectory, ops: FeOperators, stream) -> None:
+def export_trajectory_csv(diag: WindowDiagnostics, stream) -> None:
     """Per-window energy and interface diagnostics, 17 significant digits."""
-    diag = window_diagnostics(traj, ops)
 
     def fmt(x: float) -> str:
         return f"{x:.17g}"
 
     stream.write("window,t_sync,energy_1,energy_2,flux_conservation_residual,interfacial_energy_term\n")
-    e1, e2 = traj.side_energies[0]
-    stream.write(f"0,{fmt(traj.sync_times[0])},{fmt(e1)},{fmt(e2)},nan,nan\n")
+    e1, e2 = diag.side_energies[0]
+    stream.write(f"0,{fmt(diag.sync_times[0])},{fmt(e1)},{fmt(e2)},nan,nan\n")
     for n, (cons, work) in enumerate(zip(diag.conservation, diag.work), start=1):
-        e1, e2 = traj.side_energies[n]
+        e1, e2 = diag.side_energies[n]
         stream.write(
-            f"{n},{fmt(traj.sync_times[n])},{fmt(e1)},{fmt(e2)},{fmt(cons)},{fmt(work)}\n"
+            f"{n},{fmt(diag.sync_times[n])},{fmt(e1)},{fmt(e2)},{fmt(cons)},{fmt(work)}\n"
         )

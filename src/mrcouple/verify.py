@@ -23,7 +23,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import coupling, dgit
-from .coupling import Trajectory, WindowConfig, coupled_system, run_simulation, window_diagnostics
+from .coupling import (
+    Trajectory,
+    WindowConfig,
+    WindowDiagnostics,
+    coupled_system,
+    run_simulation,
+)
 from .fespace import AdvectionSpec, FeOperators, ProblemSpec, Separable
 from .timepoly import SchemeSpec, crank_nicolson, dg, gauss_on, legendre_table
 
@@ -482,10 +488,14 @@ class EnergyReport:
     tolerance: float
 
 
-def energy_report(traj: Trajectory, ops: FeOperators) -> EnergyReport:
-    """Energy history across synchronization times and the monotonicity verdict."""
+def energy_report(diag: WindowDiagnostics, ops: FeOperators) -> EnergyReport:
+    """Energy history across synchronization times and the monotonicity verdict.
+
+    diag is coupling.window_diagnostics of the run's windows.
+    """
     if ops.has_f or ops.has_g:
         raise ValueError("energy verdict requires zero body and interface forcing")
-    tol = 1e-12 * max(traj.energies[0], 0.0)
-    monotone = bool(np.all(np.diff(traj.energies) <= tol))
-    return EnergyReport(traj.energies.copy(), monotone, window_diagnostics(traj, ops).work, tol)
+    energies = diag.energies
+    tol = 1e-12 * max(energies[0], 0.0)
+    monotone = bool(np.all(np.diff(energies) <= tol))
+    return EnergyReport(energies, monotone, diag.work, tol)

@@ -10,7 +10,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from mrcouple import cli
+from mrcouple import cli, coupling
 
 GATES = Path(__file__).resolve().parents[1] / "perfbench" / "gates.py"
 # mms_error bounds the spatial error too: at nx 4 it is 7.6e-3, above the
@@ -36,7 +36,8 @@ def test_fixed_point_gates_pass_on_a_small_mms_run():
     mods = {name: importlib.import_module(f"mrcouple.{name}") for name in ("coupling", "mesh")}
     cfg = cli.parse_config(json.dumps(CONFIG))
     ops, _ = cli.build_operators(cfg)
-    last = cli._simulate(cfg, ops).windows[-1]
+    traj = coupling.run_simulation(ops, cfg.scheme, cfg.window, **cli._solver_args(cfg))
+    last = traj.windows[-1]
     ok, detail = gates.fixed_point_vs_direct(mods, cfg, ops, last)
     assert ok, detail
     ok, detail = gates.mms_error(mods, cfg, tuple(u[-1] for u in last.U))

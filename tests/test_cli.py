@@ -2,11 +2,13 @@ import concurrent.futures
 import contextlib
 import io
 import json
+import logging
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +150,41 @@ class TestMainRun:
         assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
         rows = (out / "trajectory.csv").read_text().splitlines()[1:]
         assert len(rows) == payload["window"]["N"] + 1
+
+    @pytest.mark.parametrize("N0", [1, 3])
+    def test_run_holds_at_most_two_windows(self, tmp_path, monkeypatch, N0):
+        # run streams the windows: each one is dropped once the next is solved
+        refs, alive = [], []
+        init = coupling.WindowSolution.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            refs.append(weakref.ref(self))
+            alive.append(sum(ref() is not None for ref in refs))
+
+        monkeypatch.setattr(coupling.WindowSolution, "__init__", counted)
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["window"].update({"t_f": 1.0, "N": 24, "N0": N0})
+        config = write_config(tmp_path, payload)
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert len(refs) == 24
+        assert max(alive) <= 2
+
+    def test_debug_log_has_one_line_per_window(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.delenv("MRCOUPLE_LOG", raising=False)
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["window"].update({"t_f": 0.4, "N": 4, "N0": 2})
+        payload["solver"] = {"name": "fixed-point"}
+        argv = ["run", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert not [r for r in caplog.records if r.levelno <= logging.DEBUG]
+        with caplog.at_level(logging.DEBUG, logger="mrcouple.coupling"):
+            assert cli.main(argv) == 0
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(lines) == 4
+        assert lines[0] == "window 1: residual nan, sweeps 0, reference-filled True"
+        for n, line in enumerate(lines[1:], start=2):
+            assert re.fullmatch(rf"window {n}: residual \S+, sweeps [1-9]\d*, reference-filled False", line)
 
     def test_init_windows_exceeding_N_is_config_error(self, tmp_path, capsys):
         payload = json.loads(json.dumps(MINIMAL))
@@ -624,7 +661,7 @@ class TestMainCheck:
         def simulate(*args, **kwargs):
             raise AssertionError("check simulated a config it cannot check")
 
-        monkeypatch.setattr(coupling, "run_simulation", simulate)
+        monkeypatch.setattr(coupling, "march", simulate)
         payload = json.loads(json.dumps(MINIMAL))
         payload["problem"]["forcing"] = forcing
         config = write_config(tmp_path, payload)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import re
 
@@ -567,7 +568,7 @@ class TestInterfacialEnergy:
         cfg = mc.WindowConfig(t_f=0.5, N=5, M=(2, 3), r=(1, 1))
         for quad, mode in (("trapezoid", "cn"), ("exact", "exact")):
             traj = mc.run_simulation(ops, mc.crank_nicolson(), cfg, quadrature=quad)
-            e0 = traj.energies[0]
+            e0 = mc.window_diagnostics(traj.windows, ops, cfg, quad).energies[0]
             for sol in traj.windows:
                 assert mc.interfacial_energy_term(sol, ops, mode) <= 1e-12 * e0
 
@@ -602,9 +603,10 @@ class TestInterfacialEnergy:
 class TestRunSimulation:
     def test_energy_history_monotone_for_decay(self, decay_ops):
         cfg = mc.WindowConfig(t_f=1.0, N=10, M=(2, 3), r=(1, 1))
-        traj = mc.run_simulation(decay_ops, mc.crank_nicolson(), cfg, quadrature="trapezoid")
-        assert len(traj.energies) == 11
-        assert np.all(np.diff(traj.energies) <= 1e-12 * traj.energies[0])
+        windows = mc.march(decay_ops, mc.crank_nicolson(), cfg, quadrature="trapezoid")
+        energies = mc.window_diagnostics(windows, decay_ops, cfg, "trapezoid").energies
+        assert len(energies) == 11
+        assert np.all(np.diff(energies) <= 1e-12 * energies[0])
 
     def test_window_jump_vanishes_for_pinned_scheme(self, decay_ops):
         cfg = mc.WindowConfig(t_f=0.3, N=3, M=(1, 2), r=(1, 1))
@@ -798,9 +800,9 @@ class TestExportCsv:
         cfg = mc.WindowConfig(t_f=0.2, N=2, M=(2, 3), r=(1, 1))
         outputs = []
         for _ in range(2):
-            traj = mc.run_simulation(toy_ops, mc.crank_nicolson(), cfg, quadrature="trapezoid")
+            windows = mc.march(toy_ops, mc.crank_nicolson(), cfg, quadrature="trapezoid")
             buf = io.StringIO()
-            mc.export_trajectory_csv(traj, toy_ops, buf)
+            mc.export_trajectory_csv(mc.window_diagnostics(windows, toy_ops, cfg, "trapezoid"), buf)
             outputs.append(buf.getvalue())
         assert outputs[0] == outputs[1]
         lines = outputs[0].strip().splitlines()
@@ -817,14 +819,18 @@ class TestWindowDiagnostics:
         # mixed flux orders: weak conservation; exact quadrature: exact work term
         cfg = mc.WindowConfig(t_f=0.2, N=3, M=(1, 2), r=(1, 0))
         traj = mc.run_simulation(decay_ops, mc.dg(1), cfg, quadrature="exact")
-        diag = coupling.window_diagnostics(traj, decay_ops)
+        diag = coupling.window_diagnostics(traj.windows, decay_ops, cfg, "exact")
         assert (diag.conservation_mode, diag.energy_mode) == ("weak", "exact")
         buf = io.StringIO()
-        mc.export_trajectory_csv(traj, decay_ops, buf)
-        rows = [line.split(",") for line in buf.getvalue().splitlines()[2:]]
-        assert [row[4] for row in rows] == [f"{v:.17g}" for v in diag.conservation]
-        assert [row[5] for row in rows] == [f"{v:.17g}" for v in diag.work]
-        assert np.all(diag.work <= 1e-12 * traj.energies[0])
+        mc.export_trajectory_csv(diag, buf)
+        rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+        assert [float(row[1]) for row in rows] == list(cfg.sync_times())
+        assert [row[4] for row in rows[1:]] == [f"{v:.17g}" for v in diag.conservation]
+        assert [row[5] for row in rows[1:]] == [f"{v:.17g}" for v in diag.work]
+        assert np.all(diag.work <= 1e-12 * diag.energies[0])
+        for sol, row in zip(traj.windows, rows[1:]):
+            want = [0.5 * float(v @ (decay_ops.M[i] @ v)) for i, v in enumerate(u[-1] for u in sol.U)]
+            assert [float(e) for e in row[2:4]] == want
 
     def test_nan_where_a_precondition_fails(self, toy_ops):
         signed = mc.from_matrices(
@@ -833,12 +839,34 @@ class TestWindowDiagnostics:
         )
         cfg = mc.WindowConfig(t_f=0.2, N=2, M=(1, 2), r=(1, 1))
         for ops in (toy_ops, signed):
-            traj = mc.run_simulation(ops, mc.crank_nicolson(), cfg, quadrature="trapezoid")
-            diag = coupling.window_diagnostics(traj, ops)
+            windows = mc.march(ops, mc.crank_nicolson(), cfg, quadrature="trapezoid")
+            diag = mc.window_diagnostics(windows, ops, cfg, "trapezoid")
             assert (diag.conservation_mode, diag.energy_mode) == ("strong", "cn")
             assert np.all(np.isfinite(diag.conservation)) == ops.conservation_compatible
             assert np.all(np.isfinite(diag.work)) == ops.b_psd
             assert len(diag.conservation) == len(diag.work) == cfg.N
+
+
+    @pytest.mark.parametrize("N0", [1, 2])
+    @pytest.mark.parametrize("solver", ["direct", "fixed-point"])
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    @pytest.mark.parametrize("scheme_name", sorted(mc.shipped_schemes()))
+    def test_streamed_equal_collected(self, decay_ops, scheme_name, quadrature, solver, N0):
+        # N0 = 2 streams a reference-filled first window
+        scheme = mc.shipped_schemes()[scheme_name]
+        cfg = mc.WindowConfig(t_f=0.15, N=3, M=(2, 3), r=(1, 1), N0=N0)
+        run = dict(quadrature=quadrature, solver=solver)
+        streamed = mc.window_diagnostics(
+            mc.march(decay_ops, scheme, cfg, **run), decay_ops, cfg, quadrature
+        )
+        traj = mc.run_simulation(decay_ops, scheme, cfg, **run)
+        collected = mc.window_diagnostics(traj.windows, decay_ops, cfg, quadrature)
+        assert traj.windows[0].initialized_from_reference == (N0 == 2)
+        assert np.all(np.isfinite(streamed.conservation)) and np.all(np.isfinite(streamed.work))
+        for field in dataclasses.fields(coupling.WindowDiagnostics):
+            np.testing.assert_array_equal(
+                getattr(streamed, field.name), getattr(collected, field.name), strict=True
+            )
 
 
 class TestHistoryProblems:
