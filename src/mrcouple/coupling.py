@@ -278,6 +278,13 @@ class WindowOperator:
     flux columns of all substeps are stacked from one table of
     substep-versus-window Legendre moments (dgit.cross_moments).
 
+    The data terms (body-force and interface-data moments) of a window do
+    not depend on the windows before it.  The operator holds them for a
+    chunk of consecutive windows, computed with one call of each load
+    when a window misses the chunk held, and sized like integrate's
+    chunks of steps by dgit.LOAD_BATCH_VALUES, over both subdomains'
+    substeps: max(1, LOAD_BATCH_VALUES // (LOAD_QUAD_PTS * (M_1 d_1 + M_2 d_2))).
+
     solver="direct" factorizes the matrix.  solver="fixed-point" factorizes
     P = matrix - N, with N the block of the matrix at the substep rows and
     the flux columns, and sweeps each window until the relative residual
@@ -348,6 +355,12 @@ class WindowOperator:
             else:
                 t, w = gauss_on(self._template, dgit.LOAD_QUAD_PTS)
                 self._g_weights.append(w * legendre_table(cfg.r[i], self._template.to_reference(t)))
+        # Data terms of a chunk of consecutive windows, sized by integrate's
+        # rule over a window's substeps; _rhs reads its rows.
+        self._has_data = ops.has_f or ops.has_g
+        per_window = sum(cfg.M[i] * dgit.LOAD_QUAD_PTS * d[i] for i in range(2))
+        self._chunk = max(1, dgit.LOAD_BATCH_VALUES // per_window)
+        self._rows, self._rows_first = np.empty((0, self.dim)), 1
         self.matrix, self._past = self._assemble_matrix()
         # solve applies one factor: of the matrix, or of P for the fixed point
         factored = self.matrix
@@ -449,32 +462,61 @@ class WindowOperator:
             raise ValueError(f"window needs {reach} historic side values, have {len(values)}")
         return values
 
-    def _rhs(self, incoming, histories, window_index: int) -> np.ndarray:
-        """Data terms of the window minus past @ (incoming side values, histories)."""
+    def _data_rows(self, first: int, count: int) -> np.ndarray:
+        """Data terms of the windows first..first + count - 1, one row each.
+
+        Every load is called once for all of them.  The times repeat the
+        arithmetic of cfg.window, of np.linspace in cfg.substep_edges and of
+        gauss_on, so a row is bitwise the one of its window computed alone.
+        """
         ops, spec, cfg = self.ops, self.spec, self.cfg
-        d = ops.d_omega
-        rhs = np.zeros(self.dim)
-        before = []
+        sync = cfg.t_f * np.arange(first - 1, first + count) / cfg.N
+        a = sync[:-1, None]  # one window a row
+        length = sync[1:, None] - a
+        rows = np.zeros((count, self.dim))
         for i in range(2):
-            edges = cfg.substep_edges(i, window_index)
+            M_i = cfg.M[i]
+            # the substep edges of all windows; a window's last is the next one's first
+            edges = np.concatenate(((np.arange(M_i) * (length / M_i) + a).ravel(), sync[-1:]))
             if ops.load_f[i] is not None:
-                # one load call covers every substep of the window
                 lo = self._dom_off[i]
-                rhs[lo : lo + cfg.M[i] * self._sub_size[i]] = dgit._chunk_moments(
-                    spec, edges, ops.load_f[i], d[i], self.quadrature, dgit.LOAD_QUAD_PTS
-                ).ravel()
-            if self._g_weights[i] is not None:
+                rows[:, lo : lo + M_i * self._sub_size[i]] = dgit._chunk_moments(
+                    spec, edges, ops.load_f[i], ops.d_omega[i], self.quadrature, dgit.LOAD_QUAD_PTS
+                ).reshape(count, -1)
+            W = self._g_weights[i]
+            if W is not None:
                 if self.quadrature == "trapezoid":
-                    t = edges
+                    g = ops.g_vec(i, edges)
+                    g = np.concatenate((g[:-1].reshape(count, M_i, -1), g[M_i::M_i, None]), axis=1)
                 else:
-                    t = gauss_on(cfg.window(window_index), dgit.LOAD_QUAD_PTS)[0]
+                    t = a + 0.5 * (gauss_rule(dgit.LOAD_QUAD_PTS)[0] + 1.0) * length
+                    g = ops.g_vec(i, t.ravel()).reshape(count, t.shape[1], -1)
                 lo = self._flux_off[i]
-                rhs[lo : lo + (cfg.r[i] + 1) * ops.d_gamma] = -(
-                    self._g_weights[i] @ ops.g_vec(i, t)
-                ).ravel()
-            before += self._past_values(i, incoming, histories)
-        rhs -= self._past @ np.concatenate(before)
-        return rhs
+                rows[:, lo : lo + len(W) * ops.d_gamma] = -(W @ g).reshape(count, -1)
+        return rows
+
+    def _rhs(self, incoming, histories, window_index: int) -> np.ndarray:
+        """Data terms of the window minus past @ (incoming side values, histories).
+
+        The data terms are a row of the chunk of windows held, which starts
+        at the first window that misses it (_data_rows).  A chunk of one
+        window is used in place and not held; without loads there is none.
+        """
+        before = [v for i in range(2) for v in self._past_values(i, incoming, histories)]
+        past = self._past @ np.concatenate(before)
+        if not self._has_data:
+            # 0 - past, not -past: a zero of past stays +0.0, as zero data minus it
+            return np.subtract(0.0, past, out=past)
+        k = window_index - self._rows_first
+        if 0 <= k < len(self._rows):
+            return self._rows[k] - past
+        count = min(self._chunk, self.cfg.N + 1 - window_index)
+        if count <= 1:
+            rhs = self._data_rows(window_index, 1)[0]
+            rhs -= past
+            return rhs
+        self._rows, self._rows_first = self._data_rows(window_index, count), window_index
+        return self._rows[0] - past
 
     def solve(
         self, incoming, histories=((), ()), window_index: int = 1, flux_guess=None

@@ -43,8 +43,10 @@ from .timepoly import (
 )
 
 LOAD_QUAD_PTS = 8
-#: Load values per batched evaluation: integrate evaluates the data terms of
-#: max(1, LOAD_BATCH_VALUES // (npts * d)) steps in one load call.
+#: Load values per batched evaluation, counted at npts Gauss points per step:
+#: integrate evaluates the data terms of max(1, LOAD_BATCH_VALUES // (npts * d))
+#: steps in one load call, and coupling.WindowOperator those of a chunk of
+#: windows, counting every substep of both subdomains.
 LOAD_BATCH_VALUES = 2**14
 
 
@@ -123,9 +125,9 @@ def load_moments(
 
     Laid out like the substep rows, one d-slab per test mode.  load_fn
     maps a time to the (d,) load vector; a load marked with batched() is
-    called once with all quadrature times, any other callable once per time.  Trapezoid quadrature uses endpoint values
-    only, which is the classical treatment of forcing data for the
-    pinned-endpoint q=1 scheme.
+    called once with all quadrature times, any other callable once per
+    time.  Trapezoid quadrature uses endpoint values only, which is the
+    classical treatment of forcing data for the pinned-endpoint q=1 scheme.
     """
     edges = np.array([interval.a, interval.b])
     return _chunk_moments(spec, edges, load_fn, d, quadrature, npts)[0]

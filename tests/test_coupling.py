@@ -260,11 +260,32 @@ class TestWindowAssembly:
 
 
 class TestBatchedWindowLoads:
+    @staticmethod
+    def reference_rhs(op, ops, incoming, n):
+        # the window's data terms computed alone, from its own substep edges
+        # and interface data times, minus the past
+        cfg, quadrature = op.cfg, op.quadrature
+        rhs = np.zeros(op.dim)
+        for i in range(2):
+            edges = cfg.substep_edges(i, n)
+            lo = op._dom_off[i]
+            rhs[lo : lo + cfg.M[i] * op._sub_size[i]] = dgit._chunk_moments(
+                op.spec, edges, ops.load_f[i], ops.d_omega[i], quadrature, dgit.LOAD_QUAD_PTS
+            ).ravel()
+            t = edges
+            if quadrature == "exact":
+                t = gauss_on(cfg.window(n), dgit.LOAD_QUAD_PTS)[0]
+            lo = op._flux_off[i]
+            g = op._g_weights[i] @ ops.g_vec(i, t)
+            rhs[lo : lo + (cfg.r[i] + 1) * ops.d_gamma] = -g.ravel()
+        rhs -= op._past @ np.concatenate(incoming)
+        return rhs
+
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
-    def test_one_load_call_per_subdomain_per_window(self, smooth_ops, quadrature, monkeypatch):
-        cfg = mc.WindowConfig(t_f=0.2, N=2, M=(2, 3), r=(1, 1))
-        op = coupling.WindowOperator(smooth_ops, mc.crank_nicolson(), cfg, quadrature=quadrature)
-        expected = op._rhs(incoming(smooth_ops), ((), ()), 2)
+    def test_one_load_call_per_subdomain_per_chunk(self, smooth_ops, quadrature, monkeypatch):
+        cfg = mc.WindowConfig(t_f=0.2, N=5, M=(2, 3), r=(1, 1))
+        per_window = sum(cfg.M[i] * dgit.LOAD_QUAD_PTS * smooth_ops.d_omega[i] for i in range(2))
+        monkeypatch.setattr(dgit, "LOAD_BATCH_VALUES", 2 * per_window)  # chunks 1-2, 3-4, 5
         calls = {"f": [0, 0], "g": [0, 0]}
 
         def wrap(kind, i, fn):
@@ -275,15 +296,73 @@ class TestBatchedWindowLoads:
 
             return load
 
-        for kind in ("f", "g"):
-            loads = getattr(smooth_ops, f"load_{kind}")
-            monkeypatch.setattr(
-                smooth_ops, f"load_{kind}", tuple(wrap(kind, i, fn) for i, fn in enumerate(loads))
-            )
-        sol = op.solve(incoming(smooth_ops), window_index=2)
-        assert calls == {"f": [1, 1], "g": [1, 1]}
-        assert np.array_equal(op._rhs(incoming(smooth_ops), ((), ()), 2), expected)
-        assert sol.residual < coupling.RESIDUAL_TOL
+        ops = dataclasses.replace(
+            smooth_ops,
+            load_f=tuple(wrap("f", i, fn) for i, fn in enumerate(smooth_ops.load_f)),
+            load_g=tuple(wrap("g", i, fn) for i, fn in enumerate(smooth_ops.load_g)),
+        )
+        op = coupling.WindowOperator(ops, mc.crank_nicolson(), cfg, quadrature=quadrature)
+        assert op._chunk == 2
+        seen = []
+        rhs_of = op._rhs
+
+        def recorded(*args):
+            seen.append((args, rhs_of(*args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(op, "_rhs", recorded)
+        u = incoming(ops)
+        for n in range(1, cfg.N + 1):
+            sol = op.solve(u, window_index=n)
+            assert sol.residual < coupling.RESIDUAL_TOL
+            u = tuple(sol.U[i][-1] for i in range(2))
+        assert calls == {"f": [3, 3], "g": [3, 3]}
+        assert [args[2] for args, _ in seen] == list(range(1, cfg.N + 1))
+        for (u, _, n), rhs in seen:
+            assert np.array_equal(rhs, self.reference_rhs(op, smooth_ops, u, n))
+
+    @pytest.mark.parametrize("solver", ["direct", "fixed-point"])
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    @pytest.mark.parametrize("scheme_name", sorted(mc.shipped_schemes()))
+    def test_windows_out_of_order_solve_as_in_order(
+        self, smooth_ops, scheme_name, quadrature, solver
+    ):
+        # the held chunk starts at the first window that misses it: 3 holds
+        # 3-5, 1 holds 1-5, then 3 and 4 read rows 2 and 3 of it
+        spec = mc.shipped_schemes()[scheme_name]
+        cfg = mc.WindowConfig(t_f=0.2, N=5, M=(2, 3), r=(1, 1))
+        settings = dict(quadrature=quadrature, solver=solver, fp_tol=1e-13)
+        in_order = list(mc.march(smooth_ops, spec, cfg, **settings))
+        op = mc.WindowOperator(smooth_ops, spec, cfg, **settings)
+        assert op._chunk >= cfg.N
+        for n in (3, 1, 3, 4):
+            # the inputs march handed window n
+            u, guess = incoming(smooth_ops), None
+            if n > 1:
+                u, guess = tuple(in_order[n - 2].U[i][-1] for i in range(2)), in_order[n - 2].F
+            sol = op.solve(u, window_index=n, flux_guess=guess)
+            ref = in_order[n - 1]
+            for i in range(2):
+                assert np.array_equal(sol.u[i], ref.u[i])
+                assert np.array_equal(sol.U[i], ref.U[i])
+                assert np.array_equal(sol.F[i].coeffs, ref.F[i].coeffs)
+            assert sol.residual == ref.residual
+
+    def test_no_data_rows_without_loads(self, decay_ops, monkeypatch):
+        cfg = mc.WindowConfig(t_f=0.2, N=4, M=(2, 3), r=(1, 1))
+        op = mc.WindowOperator(decay_ops, mc.crank_nicolson(), cfg)
+        monkeypatch.setattr(op, "_data_rows", None)  # calling it would raise
+        rhs = op._rhs(incoming(decay_ops), ((), ()), 2)
+        assert np.array_equal(rhs, 0.0 - op._past @ np.concatenate(incoming(decay_ops)))
+
+    def test_one_window_chunks_are_not_held(self, smooth_ops, monkeypatch):
+        monkeypatch.setattr(dgit, "LOAD_BATCH_VALUES", 1)
+        cfg = mc.WindowConfig(t_f=0.2, N=4, M=(2, 3), r=(1, 1))
+        op = mc.WindowOperator(smooth_ops, mc.crank_nicolson(), cfg)
+        assert op._chunk == 1
+        first = op._rhs(incoming(smooth_ops), ((), ()), 2)
+        assert len(op._rows) == 0
+        assert np.array_equal(op._rhs(incoming(smooth_ops), ((), ()), 2), first)
 
 
 class TestFactorize:
