@@ -281,9 +281,12 @@ class WindowOperator:
     The data terms (body-force and interface-data moments) of a window do
     not depend on the windows before it.  The operator holds them for a
     chunk of consecutive windows, computed with one call of each load
-    when a window misses the chunk held, and sized like integrate's
-    chunks of steps by dgit.LOAD_BATCH_VALUES, over both subdomains'
-    substeps: max(1, LOAD_BATCH_VALUES // (LOAD_QUAD_PTS * (M_1 d_1 + M_2 d_2))).
+    when a window misses the chunk held.  The chunk is sized like
+    integrate's chunks of steps, by the body-load values over both
+    subdomains' substeps: one per substep edge under trapezoid quadrature
+    and LOAD_QUAD_PTS per substep under exact, so a chunk holds
+    dgit.chunk_size(dgit.load_times(quadrature, LOAD_QUAD_PTS) * (M_1 d_1 + M_2 d_2))
+    windows.
 
     solver="direct" factorizes the matrix.  solver="fixed-point" factorizes
     P = matrix - N, with N the block of the matrix at the substep rows and
@@ -358,8 +361,8 @@ class WindowOperator:
         # Data terms of a chunk of consecutive windows, sized by integrate's
         # rule over a window's substeps; _rhs reads its rows.
         self._has_data = ops.has_f or ops.has_g
-        per_window = sum(cfg.M[i] * dgit.LOAD_QUAD_PTS * d[i] for i in range(2))
-        self._chunk = max(1, dgit.LOAD_BATCH_VALUES // per_window)
+        times = dgit.load_times(quadrature, dgit.LOAD_QUAD_PTS)
+        self._chunk = dgit.chunk_size(times * sum(cfg.M[i] * d[i] for i in range(2)))
         self._rows, self._rows_first = np.empty((0, self.dim)), 1
         self.matrix, self._past = self._assemble_matrix()
         # solve applies one factor: of the matrix, or of P for the fixed point
@@ -737,13 +740,14 @@ def coupled_system(ops: FeOperators):
     """
     d1, d2 = ops.d_omega
     M = sp.block_diag(ops.M, format="csr")
-    grid = [[ops.L[0].tolil(), sp.lil_matrix((d1, d2))], [sp.lil_matrix((d2, d1)), ops.L[1].tolil()]]
+    grid = [[ops.L[0], None], [None, ops.L[1]]]
     if ops.d_gamma:
         for i in range(2):
             for j in range(2):
                 if ops.B[i, j] == 0.0:
                     continue
-                grid[i][j] = grid[i][j] + ops.B[i, j] * (ops.T[i].T @ ops.M_gamma @ ops.T[j])
+                term = ops.B[i, j] * (ops.T[i].T @ ops.M_gamma @ ops.T[j])
+                grid[i][j] = term if grid[i][j] is None else grid[i][j] + term
     Lc = sp.bmat(grid, format="csr")
     load = None
     if ops.has_f or ops.has_g:

@@ -43,11 +43,24 @@ from .timepoly import (
 )
 
 LOAD_QUAD_PTS = 8
-#: Load values per batched evaluation, counted at npts Gauss points per step:
-#: integrate evaluates the data terms of max(1, LOAD_BATCH_VALUES // (npts * d))
-#: steps in one load call, and coupling.WindowOperator those of a chunk of
-#: windows, counting every substep of both subdomains.
+#: Values per batched evaluation, counted as the quadrature evaluates them:
+#: one load value per step edge under trapezoid (neighbouring steps share
+#: theirs), npts per step under exact quadrature.  integrate evaluates the
+#: data terms of chunk_size(load_times(quadrature, npts) * d) steps in one
+#: load call, coupling.WindowOperator those of a chunk of windows, counting
+#: every substep of both subdomains, and verify.error_norms queries its
+#: oracle for a chunk of windows at a time.
 LOAD_BATCH_VALUES = 2**14
+
+
+def load_times(quadrature: str, npts: int) -> int:
+    """Load times a step adds to a chunk: one edge (trapezoid) or npts Gauss points."""
+    return 1 if quadrature == "trapezoid" else npts
+
+
+def chunk_size(values: int) -> int:
+    """Items per chunk when each adds this many values: LOAD_BATCH_VALUES // values, at least 1."""
+    return max(1, LOAD_BATCH_VALUES // max(1, values))
 
 
 def factorize(A: sp.spmatrix):
@@ -294,7 +307,7 @@ def integrate(
         raise ValueError("integrate needs uniform steps: a step length differs from the first")
     lu = block.lu()
     reach, d = spec.reach, M.shape[0]
-    chunk = max(1, LOAD_BATCH_VALUES // max(1, load_npts * d))
+    chunk = chunk_size(load_times(quadrature, load_npts) * d)
     coeffs = np.empty((n_steps, spec.q + 1, d))
     # side values in time order: k <= reach - 1 from history0, u0, one per step
     lead = np.reshape(list(history0 or [])[: reach - 1][::-1], (-1, d))

@@ -31,7 +31,7 @@ from .coupling import (
     run_simulation,
 )
 from .fespace import AdvectionSpec, FeOperators, ProblemSpec, Separable
-from .timepoly import SchemeSpec, crank_nicolson, dg, gauss_on, legendre_table
+from .timepoly import SchemeSpec, crank_nicolson, dg, gauss_rule, legendre_table
 
 ROUNDOFF_FLOOR = 1e-12
 
@@ -293,50 +293,91 @@ class ErrorReport:
         return math.sqrt(self.flux_l2[0] ** 2 + self.flux_l2[1] ** 2)
 
 
-def _mass_sq(M, diffs: np.ndarray, w: np.ndarray) -> float:
-    """Sum over k of w[k] * diffs[k]^T M diffs[k]."""
-    return float(np.einsum("k,kd,kd->", w, diffs, (M @ diffs.T).T))
+def _mass_sq(M, diffs: np.ndarray) -> np.ndarray:
+    """diffs[k]^T M diffs[k] for every row k, from one product with M."""
+    return np.einsum("kd,kd->k", diffs, (M @ diffs.T).T)
+
+
+def _chunk_errors(ops: FeOperators, oracle: ReferenceTrajectory, part: list, npts: int):
+    """(l2_sq, nodal, sync, flux_sq) of the solved windows in part, from one oracle query.
+
+    l2_sq and flux_sq hold per side the squared errors summed over part;
+    nodal per side the side-value errors at every substep end, window by
+    window; sync the combined error at each window's end.
+    """
+    a = np.array([sol.window.a for sol in part])
+    b = np.array([sol.window.b for sol in part])
+    length = (b - a)[:, None]
+    x, w = gauss_rule(npts)
+    times, subs, flux = [], [], []
+    for i in range(2):
+        u = np.stack([sol.u[i] for sol in part])  # (K, M_i, q + 1, d_i)
+        edges = np.linspace(a, b, u.shape[1] + 1, axis=1)  # each window's sol.edges(i)
+        dt = np.diff(edges, axis=1)[:, :, None]
+        vals = np.einsum("ap,knad->knpd", legendre_table(u.shape[2] - 1, x), u)
+        subs.append((0.5 * dt * w, vals))
+        times += [(edges[:, :-1, None] + 0.5 * (x + 1.0) * dt).ravel(), edges[:, 1:].ravel()]
+        if part[0].F[i] is None:
+            flux.append(None)
+            times.append(np.empty(0))
+            continue
+        # each window's gauss_on rule and its flux there, as TimePoly evaluates it
+        xf, wf = gauss_rule(part[0].F[i].order + 4)
+        tf = a[:, None] + 0.5 * (xf + 1.0) * length
+        coeffs = np.stack([sol.F[i].coeffs for sol in part])  # (K, r_i + 1, d_gamma)
+        tab = legendre_table(coeffs.shape[1] - 1, 2.0 * (tf - a[:, None]) / length - 1.0)
+        flux.append((tf.ravel(), 0.5 * length * wf, np.einsum("akp,kag->kpg", tab, coeffs)))
+        times.append(flux[i][0])
+    ref = np.split(oracle.states(np.concatenate(times)), np.cumsum([len(t) for t in times])[:-1])
+    l2_sq, nodal, flux_sq = [], [], []
+    for i in range(2):
+        side, (w_sub, vals) = oracle.slices[i], subs[i]
+        at_gauss, at_ends, at_flux = ref[3 * i : 3 * i + 3]
+        d = vals.shape[-1]
+        diff = vals.reshape(-1, d) - at_gauss[:, side]
+        l2_sq.append(float(w_sub.ravel() @ _mass_sq(ops.M[i], diff)))
+        ends = np.stack([sol.U[i][1:] for sol in part]).reshape(-1, d)
+        nodal.append(np.sqrt(np.maximum(0.0, _mass_sq(ops.M[i], ends - at_ends[:, side]))))
+        if flux[i] is None:
+            flux_sq.append(0.0)
+            continue
+        tf, wf, F = flux[i]
+        diff = F.reshape(len(tf), -1) - oracle.fluxes(i, tf, at_flux)
+        flux_sq.append(float(wf.ravel() @ _mass_sq(ops.M_gamma, diff)))
+    # the last substep end of a side is the window end
+    last = [nodal[i].reshape(len(part), -1)[:, -1] for i in range(2)]
+    return l2_sq, nodal, np.sqrt(last[0] ** 2 + last[1] ** 2), flux_sq
 
 
 def error_norms(ops: FeOperators, traj: Trajectory, oracle: ReferenceTrajectory) -> ErrorReport:
     """All error norms of a trajectory, skipping reference-filled windows.
 
-    The oracle is queried once per window, per side at the substep Gauss
-    times, the substep ends and the flux Gauss times.
+    The solved windows are taken a chunk at a time, sized by
+    dgit.chunk_size over the oracle values a chunk queries.  Per chunk the
+    oracle is queried once, per side at every window's substep Gauss
+    times, substep ends and flux Gauss times, and each norm makes one mass
+    product per side.
     """
-    q = traj.spec.q
-    l2_sq = [0.0, 0.0]
-    nodal = [[], []]
-    sync = []
-    flux_sq = [0.0, 0.0]
-    no_rule = (np.empty(0), np.empty(0))
-    for sol in traj.windows:
-        if sol.initialized_from_reference:
-            continue
-        subs = [sol.at_gauss(i, q + 4) for i in range(2)]
-        rules = [gauss_on(sol.window, F.order + 4) if F is not None else no_rule for F in sol.F]
-        times = []
+    windows = [sol for sol in traj.windows if not sol.initialized_from_reference]
+    cfg, npts = traj.cfg, traj.spec.q + 4
+    # oracle times of a window: per side and substep npts Gauss points and
+    # its end, and per flux the order + 4 Gauss points of the window
+    per_window = sum(cfg.M[i] * (npts + 1) + (cfg.r[i] + 4 if ops.d_gamma else 0) for i in range(2))
+    chunk = dgit.chunk_size(per_window * sum(ops.d_omega))
+    l2_sq, flux_sq, nodal, sync = np.zeros(2), np.zeros(2), ([], []), []
+    for c0 in range(0, len(windows), chunk):
+        part_l2, part_nodal, part_sync, part_flux = _chunk_errors(
+            ops, oracle, windows[c0 : c0 + chunk], npts
+        )
+        l2_sq += part_l2
+        flux_sq += part_flux
         for i in range(2):
-            times += [subs[i][0].ravel(), sol.edges(i)[1:], rules[i][0]]
-        cuts = np.cumsum([len(t) for t in times])[:-1]
-        ref = np.split(oracle.states(np.concatenate(times)), cuts)
-        for i in range(2):
-            side, (_, w, vals) = oracle.slices[i], subs[i]
-            at_gauss, at_ends, at_flux = ref[3 * i : 3 * i + 3]
-            diff = vals.reshape(len(at_gauss), -1) - at_gauss[:, side]
-            l2_sq[i] += _mass_sq(ops.M[i], diff, w.ravel())
-            nodal[i] += [ops.mass_norm(i, e) for e in sol.U[i][1:] - at_ends[:, side]]
-            if sol.F[i] is not None:
-                t, w = rules[i]
-                flux_sq[i] += _mass_sq(ops.M_gamma, sol.F[i](t) - oracle.fluxes(i, t, at_flux), w)
-        end = ref[1][-1]  # the last substep end of a side is the window end
-        sync.append(math.sqrt(sum(
-            ops.mass_norm(i, sol.U[i][-1] - end[oracle.slices[i]]) ** 2 for i in range(2)
-        )))
+            nodal[i].append(part_nodal[i])
+        sync.append(part_sync)
     return ErrorReport(
         l2=tuple(math.sqrt(v) for v in l2_sq),
-        nodal=tuple(np.asarray(v) for v in nodal),
-        sync=np.asarray(sync),
+        nodal=tuple(np.concatenate([np.empty(0), *v]) for v in nodal),
+        sync=np.concatenate([np.empty(0), *sync]),
         flux_l2=tuple(math.sqrt(v) for v in flux_sq),
     )
 

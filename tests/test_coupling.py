@@ -284,7 +284,9 @@ class TestBatchedWindowLoads:
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
     def test_one_load_call_per_subdomain_per_chunk(self, smooth_ops, quadrature, monkeypatch):
         cfg = mc.WindowConfig(t_f=0.2, N=5, M=(2, 3), r=(1, 1))
-        per_window = sum(cfg.M[i] * dgit.LOAD_QUAD_PTS * smooth_ops.d_omega[i] for i in range(2))
+        # body-load values per substep: one edge (trapezoid), LOAD_QUAD_PTS Gauss points (exact)
+        times = 1 if quadrature == "trapezoid" else dgit.LOAD_QUAD_PTS
+        per_window = sum(cfg.M[i] * times * smooth_ops.d_omega[i] for i in range(2))
         monkeypatch.setattr(dgit, "LOAD_BATCH_VALUES", 2 * per_window)  # chunks 1-2, 3-4, 5
         calls = {"f": [0, 0], "g": [0, 0]}
 
@@ -320,6 +322,20 @@ class TestBatchedWindowLoads:
         assert [args[2] for args, _ in seen] == list(range(1, cfg.N + 1))
         for (u, _, n), rhs in seen:
             assert np.array_equal(rhs, self.reference_rhs(op, smooth_ops, u, n))
+
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    def test_chunk_counts_the_load_values_the_quadrature_evaluates(
+        self, smooth_ops, quadrature, monkeypatch
+    ):
+        # a window evaluates each body load at its substeps' edges, one value
+        # per substep (trapezoid), or at LOAD_QUAD_PTS Gauss points per substep
+        cfg = mc.WindowConfig(t_f=0.2, N=5, M=(2, 3), r=(1, 1))
+        d1, d2 = smooth_ops.d_omega
+        per_window = (2 * d1 + 3 * d2) * (1 if quadrature == "trapezoid" else dgit.LOAD_QUAD_PTS)
+        for budget, chunk in [(3 * per_window, 3), (3 * per_window - 1, 2), (per_window - 1, 1)]:
+            monkeypatch.setattr(dgit, "LOAD_BATCH_VALUES", budget)
+            op = coupling.WindowOperator(smooth_ops, mc.crank_nicolson(), cfg, quadrature=quadrature)
+            assert op._chunk == chunk
 
     @pytest.mark.parametrize("solver", ["direct", "fixed-point"])
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])

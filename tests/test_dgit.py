@@ -262,7 +262,8 @@ class TestBatchedIntegrate:
         Mc, Lc, load, _ = mc.coupled_system(smooth_ops)
         u0 = np.concatenate(smooth_ops.u0)
         # more than two chunks, the last one partial
-        chunk = max(1, dgit.LOAD_BATCH_VALUES // (dgit.LOAD_QUAD_PTS * Mc.shape[0]))
+        times = 1 if quadrature == "trapezoid" else dgit.LOAD_QUAD_PTS
+        chunk = max(1, dgit.LOAD_BATCH_VALUES // (times * Mc.shape[0]))
         edges = np.linspace(0.0, 0.5, 2 * chunk + 4)
         spec = mc.shipped_schemes()[scheme]
         batched = dgit.integrate(Mc, Lc, load, u0, spec, edges, quadrature=quadrature)
@@ -272,6 +273,31 @@ class TestBatchedIntegrate:
         scale = float(np.max(np.abs(per_time[1])))
         assert np.max(np.abs(batched[1] - per_time[1])) <= 1e-12 * scale
         assert np.max(np.abs(batched[0] - per_time[0])) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    def test_chunk_counts_the_load_values_the_quadrature_evaluates(self, quadrature, monkeypatch):
+        # d = 2 values a time; a step adds one time, its end edge (trapezoid,
+        # neighbours share their edges), or its npts Gauss points (exact)
+        d, npts = 2, 3
+        per_step = d * (1 if quadrature == "trapezoid" else npts)
+        sizes = []
+
+        @dgit.batched
+        def load(t):
+            sizes.append(len(t))
+            return np.stack([np.cos(t), np.sin(3.0 * t)], axis=-1)
+
+        M = sp.identity(d, format="csr")
+        args = (M, 2.0 * M, load, np.ones(d), mc.crank_nicolson(), np.linspace(0.0, 1.0, 14))
+        default = dgit.integrate(*args, quadrature=quadrature, load_npts=npts)
+        assert sizes == [14 if quadrature == "trapezoid" else 13 * npts]  # one chunk of 13 steps
+        monkeypatch.setattr(dgit, "LOAD_BATCH_VALUES", 6 * per_step)
+        sizes.clear()
+        chunked = dgit.integrate(*args, quadrature=quadrature, load_npts=npts)
+        steps = [6, 6, 1]
+        assert sizes == [n + 1 if quadrature == "trapezoid" else n * npts for n in steps]
+        for a, b in zip(default, chunked):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
     def test_scalar_valued_per_time_load(self, quadrature):

@@ -349,6 +349,31 @@ class TestErrorNorms:
             assert np.allclose(rep.nodal[i], nodal[i], rtol=1e-12, atol=0)
         assert np.allclose(rep.sync, sync, rtol=1e-12, atol=0)
 
+    def test_chunk_size_changes_no_norm(self, smooth_ops, monkeypatch):
+        # window 1 of 6 is reference-filled and skipped; the other five are
+        # one chunk at the default budget and five chunks of one at budget 1
+        cfg = mc.WindowConfig(t_f=0.2, N=6, M=(2, 3), r=(0, 2), N0=2)
+        traj = mc.run_simulation(smooth_ops, mc.crank_nicolson(), cfg)
+        assert [sol.initialized_from_reference for sol in traj.windows] == [True] + [False] * 5
+        oracle = mc.reference_solve(smooth_ops, 0.2, n_steps=128)
+        states, calls = oracle.states, []
+
+        def counted(ts):
+            calls.append(len(ts))
+            return states(ts)
+
+        monkeypatch.setattr(oracle, "states", counted)
+        whole = mc.error_norms(smooth_ops, traj, oracle)
+        monkeypatch.setattr(dgit, "LOAD_BATCH_VALUES", 1)
+        single = mc.error_norms(smooth_ops, traj, oracle)
+        assert len(calls) == 6 and calls[0] == sum(calls[1:])
+        assert len(whole.sync) == 5 and [len(a) for a in whole.nodal] == [10, 15]
+        for field in dataclasses.fields(verify.ErrorReport):
+            got, want = (getattr(rep, field.name) for rep in (single, whole))
+            per_side = zip(got, want) if isinstance(got, tuple) else [(got, want)]
+            for a, b in per_side:
+                assert np.allclose(a, b, rtol=1e-13, atol=0), field.name
+        assert min(whole.flux_l2) > 0
 
     def test_linear_solution_errors_at_floor(self, toy_linear_ops, run_and_oracle):
         traj, oracle = run_and_oracle
