@@ -27,7 +27,6 @@ from .fespace import (
     ProblemSpec,
     Separable,
     assemble,
-    coercivity_probe,
     from_matrices,
 )
 from .mesh import InterfaceMap, MatchError, Mesh, build_mesh, match_interfaces
@@ -36,15 +35,12 @@ from .timepoly import (
     Interval,
     SchemeError,
     SchemeSpec,
-    TimePoly,
     backward_euler,
     continuous_galerkin,
     crank_nicolson,
     dg,
     downwind,
     gauss_rule,
-    j_decompose,
-    j_reconstruct,
     project_l2,
     project_pieces,
     shipped_schemes,

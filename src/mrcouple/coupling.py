@@ -11,6 +11,10 @@ so flux_solve on them gives the window's fluxes.  The trace variables
 are eliminated algebraically at assembly, so the monolithic unknowns are
 the substeps' free modes and side values, and the flux modes (ordered
 last, so an interface-reduced solver could be added without relayout).
+A solved window, WindowSolution, holds read-only arrays: per subdomain
+the Legendre coefficients of its substep states, its side values, and
+the (r_i + 1, d_gamma) Legendre coefficients of its flux on the window,
+with d_gamma = 0 for a problem without an interface.
 
 Two solvers work on that one matrix A.  The direct solver factorizes it
 once and reuses the factor for every window.  The fixed-point solver
@@ -39,7 +43,6 @@ from .fespace import FeOperators
 from .timepoly import (
     Interval,
     SchemeSpec,
-    TimePoly,
     continuous_galerkin,
     gauss_on,
     gauss_rule,
@@ -150,18 +153,38 @@ class WindowConfig:
         return problems
 
 
+class FluxModes(np.ndarray):
+    """A window flux: its (r_i + 1, d_gamma) Legendre coefficients on the window.
+
+    An ndarray in every respect; coeffs, the same values as a base ndarray,
+    is the name perfbench's fixed-point gate reads them by.
+    """
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        return self.view(np.ndarray)
+
+
 @dataclasses.dataclass
 class WindowSolution:
-    """State of one solved coupling window."""
+    """State of one solved coupling window, as read-only arrays.
+
+    F holds copies of the fluxes passed in, as FluxModes.
+    """
 
     index: int
     window: Interval
     u: tuple  # per subdomain: (M_i, q + 1, d_i) Legendre coefficients of its substeps
     U: tuple  # per subdomain: (M_i + 1, d_i) side values, row 0 incoming
-    F: tuple  # per subdomain: window flux TimePoly (d_gamma columns)
+    F: tuple  # per subdomain: (r_i + 1, d_gamma) Legendre coefficients of its flux
     residual: float = float("nan")
     iterations: int = 0
     initialized_from_reference: bool = False
+
+    def __post_init__(self):
+        self.F = tuple(np.array(f, dtype=float).view(FluxModes) for f in self.F)
+        for a in self.u + self.U + self.F:
+            a.flags.writeable = False
 
     def edges(self, i: int) -> np.ndarray:
         """Substep edges of subdomain i: substep n runs from edges[n] to edges[n + 1]."""
@@ -203,34 +226,35 @@ def step_restriction_ratio(cfg: WindowConfig, h: float) -> float:
 
 
 def flux_solve(
-    u_g1: TimePoly,
-    u_g2: TimePoly,
+    window: Interval,
+    traces: tuple,
     B: np.ndarray,
     r: tuple,
     g: tuple = (None, None),
 ) -> tuple:
     """Window fluxes from the projected traces: F_i = Pi_{r_i}(B-combination - g_i).
 
-    g_i, when present, is the trace-space representation of the interface
-    data, M_gamma^-1 g_i: a TimePoly on the same window, or a callable of
-    time that is projected onto order r_i.  Modes of a trace beyond its
-    own order contribute nothing, so with equal orders and row-wise
-    antisymmetric B the two fluxes cancel identically.
+    traces holds per subdomain the Legendre coefficients on the window of
+    its projected interface trace, (order + 1, d_gamma); the fluxes come
+    back alike, (r_i + 1, d_gamma).  g_i, when present, is the trace-space
+    representation of the interface data, M_gamma^-1 g_i: coefficients on
+    the window, or a callable of time that is projected onto order r_i.
+    Modes of a trace beyond its own order contribute nothing, so with
+    equal orders and row-wise antisymmetric B the two fluxes cancel
+    identically.
     """
-    window = u_g1.interval
-    ncols = u_g1.ncols
     B = np.asarray(B, dtype=float)
     out = []
     for i in range(2):
-        coeffs = np.zeros((r[i] + 1, ncols))
-        for j, ug in enumerate((u_g1, u_g2)):
-            upto = min(r[i], ug.order)
-            coeffs[: upto + 1] += B[i, j] * ug.coeffs[: upto + 1]
+        coeffs = np.zeros((r[i] + 1, traces[0].shape[1]))
+        for j, ug in enumerate(traces):
+            upto = min(r[i], len(ug) - 1)
+            coeffs[: upto + 1] += B[i, j] * ug[: upto + 1]
         if g[i] is not None:
-            gi = project_l2(g[i], window, r[i]) if not isinstance(g[i], TimePoly) else g[i]
-            upto = min(r[i], gi.order)
-            coeffs[: upto + 1] -= gi.coeffs[: upto + 1]
-        out.append(TimePoly(window, coeffs))
+            gi = g[i] if isinstance(g[i], np.ndarray) else project_l2(g[i], window, r[i])
+            upto = min(r[i], len(gi) - 1)
+            coeffs[: upto + 1] -= gi[: upto + 1]
+        out.append(coeffs)
     return tuple(out)
 
 
@@ -243,20 +267,20 @@ def window_traces(sol: WindowSolution, ops: FeOperators, quadrature: str = "exac
     substep n only through its side values U_{n-1}, U_n, which are the
     polynomial's end values only for schemes pinned at both ends; each
     piece is then one mode, the trace T_i (U_{n-1} + U_n) / 2 of their
-    average.  flux_solve on the result reproduces the window's fluxes
-    (interface data, if any, passed projected under the same rule).
+    average.  Each trace is (r_i + 1, d_gamma) coefficients on the window;
+    flux_solve on them reproduces the window's fluxes (interface data, if
+    any, passed projected under the same rule).
     """
     out = []
     for i in range(2):
         T = ops.T[i]
         if quadrature == "exact":
             M_i, k, d = sol.u[i].shape
-            coeffs = (T @ sol.u[i].reshape(-1, d).T).T.reshape(M_i, k, -1)
+            coeffs = (T @ sol.u[i].reshape(-1, d).T).T.reshape(M_i, k, ops.d_gamma)
         else:
             ends = (T @ sol.U[i].T).T
             coeffs = 0.5 * (ends[1:] + ends[:-1])[:, None]
-        traces = project_pieces(sol.edges(i), coeffs, sol.F[i].order, quadrature)
-        out.append(TimePoly(sol.window, traces))
+        out.append(project_pieces(sol.edges(i), coeffs, len(sol.F[i]) - 1, quadrature))
     return tuple(out)
 
 
@@ -386,7 +410,7 @@ class WindowOperator:
         value last.
         """
         ops, cfg, spec = self.ops, self.cfg, self.spec
-        dG, reach = ops.d_gamma, spec.reach
+        reach = spec.reach
         own = spec.test_order + 1  # slots per substep
         unknowns, past = ([], [], []), ([], [], [])
 
@@ -419,11 +443,10 @@ class WindowOperator:
             put(np.eye(M_i), blk.matrix, r0, r0)
             for j, prevj in enumerate(blk.prev):
                 put_back(np.eye(M_i), prevj, r0, i, j + 1)
-            if dG:
-                X = dgit.cross_moments(
-                    self._edges[i], self._template, spec.test_order, cfg.r[i], self.quadrature
-                )
-                put(X.reshape(-1, cfg.r[i] + 1), TtMg[i], r0, self._flux_off[i])
+            X = dgit.cross_moments(
+                self._edges[i], self._template, spec.test_order, cfg.r[i], self.quadrature
+            )
+            put(X.reshape(-1, cfg.r[i] + 1), TtMg[i], r0, self._flux_off[i])
 
         # Flux definition rows: window mass times flux modes minus the
         # projected trace combination of both subdomains.  Both quadratures
@@ -440,7 +463,7 @@ class WindowOperator:
             put(np.diag(window.length / (2 * np.arange(r_i + 1) + 1)), ops.M_gamma, base, base)
             for j in range(2):
                 bij = ops.B[i, j]
-                if bij == 0.0 or dG == 0:
+                if bij == 0.0:
                     continue
                 r_cut = min(r_i, cfg.r[j])  # trace of subdomain j has order r_j
                 X = dgit.cross_moments(self._edges[j], window, len(R) - 1, r_cut, self.quadrature)
@@ -526,7 +549,7 @@ class WindowOperator:
     ) -> WindowSolution:
         """Solve one window with the operator's solver.
 
-        flux_guess (per subdomain a flux TimePoly, e.g. the previous
+        flux_guess (per subdomain the flux coefficients, e.g. the previous
         window's F) starts the fixed-point iteration; the direct solve
         ignores it.
         """
@@ -554,8 +577,8 @@ class WindowOperator:
         """
         n = self._flux_off[0]
         lagged = np.zeros(n)
-        if flux_guess is not None and self.ops.d_gamma:
-            lagged = self._lagged @ np.concatenate([np.ravel(F.coeffs) for F in flux_guess])
+        if flux_guess is not None:
+            lagged = self._lagged @ np.concatenate([np.ravel(F) for F in flux_guess])
         b = rhs.copy()
         residuals = []
         for it in range(1, self.fp_max_iter + 1):
@@ -596,7 +619,6 @@ class WindowOperator:
         the scheme's state_map to them and to the side values before them.
         """
         spec, d, dG, cfg = self.spec, self.ops.d_omega, self.ops.d_gamma, self.cfg
-        window = cfg.window(window_index)
         u, U, F = [], [], []
         for i in range(2):
             lo = self._dom_off[i]
@@ -607,12 +629,10 @@ class WindowOperator:
             u.append(dgit.substep_coeffs(spec, slots, sides))
             U.append(sides[spec.reach - 1 :])
             lo = self._flux_off[i]
-            fc = x[lo : lo + (cfg.r[i] + 1) * dG].reshape(cfg.r[i] + 1, dG)
-            F.append(TimePoly(window, fc) if dG else None)
-        for a in u + U:
-            a.flags.writeable = False
+            F.append(x[lo : lo + (cfg.r[i] + 1) * dG].reshape(cfg.r[i] + 1, dG))
         return WindowSolution(
-            window_index, window, tuple(u), tuple(U), tuple(F), residual, iterations
+            window_index, cfg.window(window_index), tuple(u), tuple(U), tuple(F), residual,
+            iterations,
         )
 
 
@@ -676,24 +696,21 @@ def check_flux_conservation(sol: WindowSolution, ops: FeOperators, mode: str = "
             "(B[0,:] = -B[1,:]) and opposite interface data (g1 = -g2)"
         )
     F1, F2 = sol.F
-    if F1 is None or F2 is None:
-        return ConservationReport(mode, 0.0, 0.0)
-    scale = float(np.max(np.abs(F1.coeffs))) if F1.coeffs.size else 0.0
+    scale = float(np.max(np.abs(F1), initial=0.0))
     if mode == "strong":
-        if F1.order != F2.order:
+        if len(F1) != len(F2):
             raise ValueError("strong conservation is defined for equal flux orders")
-        residual = float(np.max(np.abs(F1.coeffs + F2.coeffs)))
+        residual = float(np.max(np.abs(F1 + F2), initial=0.0))
         return ConservationReport(mode, residual, scale)
     if mode == "weak":
-        s = min(F1.order, F2.order)
         dt = sol.window.length
         worst = 0.0
         ref = 0.0
-        for p in range(s + 1):
-            m1 = dt / (2 * p + 1) * (ops.M_gamma @ F1.coeffs[p])
-            m2 = dt / (2 * p + 1) * (ops.M_gamma @ F2.coeffs[p])
-            worst = max(worst, float(np.max(np.abs(m1 + m2))))
-            ref = max(ref, float(np.max(np.abs(m1))))
+        for p in range(min(len(F1), len(F2))):
+            m1 = dt / (2 * p + 1) * (ops.M_gamma @ F1[p])
+            m2 = dt / (2 * p + 1) * (ops.M_gamma @ F2[p])
+            worst = max(worst, float(np.max(np.abs(m1 + m2), initial=0.0)))
+            ref = max(ref, float(np.max(np.abs(m1), initial=0.0)))
         return ConservationReport(mode, worst, ref)
     raise ValueError(f"unknown conservation mode {mode!r}")
 
@@ -708,19 +725,21 @@ def interfacial_energy_term(sol: WindowSolution, ops: FeOperators, mode: str = "
         raise ValueError("interfacial energy sign requires zero interface data")
     if not ops.b_psd:
         raise ValueError("interfacial energy sign requires positive semidefinite coupling")
-    if ops.d_gamma == 0:
-        return 0.0
+
+    def flux_at(F, t):
+        return np.tensordot(legendre_table(len(F) - 1, sol.window.to_reference(t)), F, axes=(0, 0))
+
     total = 0.0
     for i in range(2):
         F = sol.F[i]
         if mode == "cn":
             # per substep, dt_i times the product of endpoint averages
             edges = sol.edges(i)
-            f = F(edges)
+            f = flux_at(F, edges)
             u, f, w = 0.5 * (sol.U[i][1:] + sol.U[i][:-1]), 0.5 * (f[1:] + f[:-1]), np.diff(edges)
         elif mode == "exact":
-            t, w, u = sol.at_gauss(i, points_for_degree(sol.u[i].shape[1] - 1 + F.order))
-            u, f, w = u.reshape(-1, u.shape[-1]), F(t.ravel()), w.ravel()
+            t, w, u = sol.at_gauss(i, points_for_degree(sol.u[i].shape[1] + len(F) - 2))
+            u, f, w = u.reshape(-1, u.shape[-1]), flux_at(F, t.ravel()), w.ravel()
         else:
             raise ValueError(f"unknown energy mode {mode!r}")
         total -= float(np.sum((ops.T[i] @ u.T) * (ops.M_gamma @ f.T) * w))
@@ -741,13 +760,12 @@ def coupled_system(ops: FeOperators):
     d1, d2 = ops.d_omega
     M = sp.block_diag(ops.M, format="csr")
     grid = [[ops.L[0], None], [None, ops.L[1]]]
-    if ops.d_gamma:
-        for i in range(2):
-            for j in range(2):
-                if ops.B[i, j] == 0.0:
-                    continue
-                term = ops.B[i, j] * (ops.T[i].T @ ops.M_gamma @ ops.T[j])
-                grid[i][j] = term if grid[i][j] is None else grid[i][j] + term
+    for i in range(2):
+        for j in range(2):
+            if ops.B[i, j] == 0.0:
+                continue
+            term = ops.B[i, j] * (ops.T[i].T @ ops.M_gamma @ ops.T[j])
+            grid[i][j] = term if grid[i][j] is None else grid[i][j] + term
     Lc = sp.bmat(grid, format="csr")
     load = None
     if ops.has_f or ops.has_g:
@@ -806,20 +824,15 @@ def _fill_init_windows(ops, spec, cfg, u0, n_init: int):
                 for k in range(0, fine_per_window, per_sub)
             ]))
             U.append(side[lo : hi + 1 : per_sub, slices[i]].copy())
-            if ops.d_gamma:
-                trace = (ops.T[i] @ fine.reshape(-1, ops.d_omega[i]).T).T
-                trace = trace.reshape(fine_per_window, -1, ops.d_gamma)
-                trace = project_pieces(edges[lo : hi + 1], trace, max(cfg.r))
-                traces.append(TimePoly(window, trace))
-        for a in u + U:
-            a.flags.writeable = False
-        F = flux_solve(*traces, ops.B, cfg.r, g) if ops.d_gamma else (None, None)
+            trace = (ops.T[i] @ fine.reshape(-1, ops.d_omega[i]).T).T
+            trace = trace.reshape(fine.shape[:2] + (ops.d_gamma,))
+            traces.append(project_pieces(edges[lo : hi + 1], trace, max(cfg.r)))
         yield WindowSolution(
             index=w,
             window=window,
             u=tuple(u),
             U=tuple(U),
-            F=F,
+            F=flux_solve(window, traces, ops.B, cfg.r, g),
             initialized_from_reference=True,
         )
 
@@ -879,8 +892,7 @@ def march(
         yield sol
         incoming = tuple(sol.U[i][-1] for i in range(2))
         histories = tuple(([*sol.U[i][-2::-1]] + list(histories[i]))[:depth] for i in range(2))
-        if sol.F[0] is not None:
-            flux_guess = sol.F
+        flux_guess = sol.F
 
 
 def run_simulation(

@@ -13,7 +13,7 @@ from the cross_moments table over the substep edges, the only part that
 depends on a substep's place in the window (the table is timepoly's, and
 the window reads it as dgit.cross_moments).  Blocks can also be solved
 standalone: solve_substep solves one, and integrate marches one block of
-a uniform grid through every step, returning plain coefficient and
+a uniform grid through every step; both return plain coefficient and
 side-value arrays.
 
 Quadrature of the data terms is switchable between exact Gauss rules
@@ -35,7 +35,6 @@ import scipy.sparse.linalg as spla
 from .timepoly import (
     Interval,
     SchemeSpec,
-    TimePoly,
     cross_moments,  # noqa: F401 -- the window's flux table, read as dgit.cross_moments
     derivative_overlap,
     gauss_rule,
@@ -246,7 +245,7 @@ def solve_substep(
 ):
     """Solve one substep given its trailing side values (newest first).
 
-    Returns the state polynomial and the new side value.
+    Returns the state's (q + 1, d) Legendre coefficients and the new side value.
     """
     rhs = load_moments(
         block.spec, block.interval, load_fn, block.d, quadrature=block.quadrature, npts=load_npts
@@ -254,21 +253,25 @@ def solve_substep(
     _subtract_history(block, history, rhs)
     slots = block.lu().solve(rhs).reshape(1, -1, block.d)
     U = np.vstack([*history[: block.spec.reach][::-1], slots[0, -1]])
-    return TimePoly(block.interval, substep_coeffs(block.spec, slots, U)[0]), slots[0, -1]
+    return substep_coeffs(block.spec, slots, U)[0], slots[0, -1]
 
 
 def side_condition_residual(
-    spec: SchemeSpec, poly: TimePoly, side_values: Sequence[np.ndarray]
+    spec: SchemeSpec, interval: Interval, coeffs: np.ndarray, side_values: Sequence[np.ndarray]
 ) -> float:
-    """Max violation of the side conditions; side_values = [U^n, U^{n-1}, ...]."""
+    """Max violation of the side conditions by the state with these coefficients on interval.
+
+    side_values = [U^n, U^{n-1}, ...].
+    """
+    tab = legendre_table(len(coeffs) - 1, interval.to_reference(spec.side_times(interval)))
+    values = np.tensordot(tab, coeffs, axes=(0, 0))  # (n_s, ncols)
     worst = 0.0
-    times = spec.side_times(poly.interval)
     for k in range(spec.n_s):
-        target = np.zeros(poly.ncols)
+        target = np.zeros(coeffs.shape[1])
         for l in range(spec.k_s + 1):
             if l < len(side_values):
                 target += spec.D[k, l] * side_values[l]
-        worst = max(worst, float(np.max(np.abs(poly(times[k]) - target))))
+        worst = max(worst, float(np.max(np.abs(values[k] - target))))
     return worst
 
 

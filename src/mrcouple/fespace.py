@@ -241,9 +241,6 @@ class FeOperators:
             self._mg_lu = factorize(self.M_gamma)
         return self._mg_lu.solve(self.g_vec(i, t).T).T
 
-    def mass_norm(self, i: int, v: np.ndarray) -> float:
-        return float(np.sqrt(max(0.0, v @ (self.M[i] @ v))))
-
 
 def _load_or_zero(fn, t, d: int) -> np.ndarray:
     if fn is None:
@@ -512,25 +509,3 @@ def from_matrices(
         conservation_compatible=compat,
         b_psd=psd,
     )
-
-
-def coercivity_probe(ops: FeOperators, n_samples: int = 50, seed: int = 0) -> float:
-    """Smallest sampled Rayleigh quotient of the symmetric part of L.
-
-    A cheap lower-bound estimate of the coercivity constant; for the
-    shipped advection presets the skew part cancels out of the quotient,
-    so diffusion alone sets the value.
-    """
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for i in range(2):
-        d = ops.d_omega[i]
-        if d == 0:
-            worst = min(worst, 0.0)
-            continue
-        Ls = ops.L[i]
-        for _ in range(n_samples):
-            v = rng.standard_normal(d)
-            lv = Ls @ v
-            worst = min(worst, float(v @ lv) / float(v @ v))
-    return worst if np.isfinite(worst) else 0.0

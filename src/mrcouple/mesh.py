@@ -111,16 +111,3 @@ def match_interfaces(m1: Mesh, m2: Mesh) -> InterfaceMap:
     for arr in (x1, dofs_1, dofs_2):
         arr.flags.writeable = False
     return InterfaceMap(x1, dofs_1, dofs_2)
-
-
-def dump_text(mesh: Mesh, stream) -> None:
-    """Plain-text mesh dump: header, then node and element lines."""
-    stream.write(
-        f"# mesh subdomain={mesh.subdomain} nx={mesh.nx} ny={mesh.ny} "
-        f"nodes={len(mesh.nodes)} elements={len(mesh.quads)} "
-        "(node lines: id x y kind; element lines: id n0 n1 n2 n3)\n"
-    )
-    for i, (x, y) in enumerate(mesh.nodes):
-        stream.write(f"{i} {x:.17g} {y:.17g} {int(mesh.kind[i])}\n")
-    for e, quad in enumerate(mesh.quads):
-        stream.write(f"{e} {quad[0]} {quad[1]} {quad[2]} {quad[3]}\n")

@@ -1,9 +1,11 @@
 """Polynomials in time over a fixed interval, in a Legendre modal basis.
 
 Everything downstream (substep states, interface traces, window fluxes)
-is a vector-valued polynomial in time.  Representing them in shifted
-Legendre modes keeps L2 projection, truncation and orthogonality checks
-diagonal, and makes the side-condition solvability matrix a plain
+is a vector-valued polynomial in time, held as a plain (order + 1, ncols)
+array of Legendre coefficients on its interval, one mode per row;
+np.tensordot(legendre_table(order, interval.to_reference(t)), coeffs,
+axes=(0, 0)) evaluates one.  Shifted Legendre modes keep L2 projection,
+truncation and orthogonality checks diagonal, and makes the side-condition solvability matrix a plain
 Vandermonde-like evaluation table.  One table, cross_moments, holds the
 moments of substep modes against window modes, under the exact or the
 trapezoid rule: project_pieces(edges, coeffs, k, quadrature), the one
@@ -24,7 +26,6 @@ from scipy.linalg import block_diag
 __all__ = [
     "SchemeError",
     "Interval",
-    "TimePoly",
     "SchemeSpec",
     "DtildeReport",
     "legendre_table",
@@ -34,9 +35,6 @@ __all__ = [
     "cross_moments",
     "project_l2",
     "project_pieces",
-    "j_decompose",
-    "j_reconstruct",
-    "j_norm",
     "crank_nicolson",
     "backward_euler",
     "dg",
@@ -75,10 +73,6 @@ class Interval:
     @property
     def length(self) -> float:
         return self.b - self.a
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.a + self.b)
 
     def to_reference(self, t):
         """Map physical time onto the reference interval [-1, 1]."""
@@ -163,78 +157,25 @@ def cross_moments(
     return np.matmul(tab_s.transpose(1, 0, 2) * w[:, None, :], tab_w.transpose(1, 2, 0))
 
 
-@dataclasses.dataclass(frozen=True)
-class TimePoly:
-    """Vector-valued polynomial on an interval, one Legendre mode per row.
-
-    coeffs has shape (order+1, ncols); column k is the time evolution of
-    spatial degree of freedom k.  Evaluation outside the interval is the
-    natural polynomial extension.
-    """
-
-    interval: Interval
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
-        if c.ndim != 2 or c.shape[0] < 1:
-            raise ValueError("coeffs must be a 2-d array with at least one mode row")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def ncols(self) -> int:
-        return self.coeffs.shape[1]
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        tab = legendre_table(self.order, self.interval.to_reference(t))
-        vals = np.tensordot(tab, self.coeffs, axes=(0, 0))
-        # tensordot puts the mode contraction first: shape t.shape + (ncols,)
-        return vals if t.ndim else vals.reshape(self.ncols)
-
-    def truncated(self, k: int) -> "TimePoly":
-        """L2 projection onto order k; in modal form a row truncation."""
-        if k < 0:
-            raise ValueError("target order must be nonnegative")
-        if k >= self.order:
-            return self
-        return TimePoly(self.interval, self.coeffs[: k + 1])
-
-    def l2_norm_sq(self, weight=None) -> float:
-        """Integral of |p(t)|^2 dt, optionally with a spatial weight matrix."""
-        total = 0.0
-        for j in range(self.order + 1):
-            cj = self.coeffs[j]
-            sq = float(cj @ (weight @ cj)) if weight is not None else float(cj @ cj)
-            total += sq * self.interval.length / (2 * j + 1)
-        return total
-
-
-def project_l2(f, interval: Interval, k: int, *, npts: int = 32) -> TimePoly:
+def project_l2(f, interval: Interval, k: int, *, npts: int = 32) -> np.ndarray:
     """L2-orthogonal projection of a callable t -> vector onto polynomials of order k.
 
-    The default 32-point Gauss rule is exact for polynomial input whose
-    order plus k is at most 63 (a TimePoly is such a callable) and
-    accurate to roundoff for analytic f; pass npts for rough integrands.
+    Returns the (k + 1, ncols) Legendre coefficients on the interval.  The
+    default 32-point Gauss rule is exact for polynomial input whose order
+    plus k is at most 63 and accurate to roundoff for analytic f; pass npts
+    for rough integrands.  Raises ValueError if the projection is not finite.
     """
     if k < 0:
         raise ValueError("target order must be nonnegative")
-    ncols = np.atleast_1d(np.asarray(f(interval.midpoint), dtype=float)).size
     t, w = gauss_on(interval, npts)
-    vals = np.stack([np.atleast_1d(np.asarray(f(ti), dtype=float)).reshape(ncols) for ti in t])
+    vals = np.stack([np.ravel(np.asarray(f(ti), dtype=float)) for ti in t])
     tab = legendre_table(k, interval.to_reference(t))
-    coeffs = np.empty((k + 1, ncols))
+    coeffs = np.empty((k + 1, vals.shape[1]))
     for j in range(k + 1):
         coeffs[j] = (2 * j + 1) / interval.length * ((w * tab[j]) @ vals)
-    return TimePoly(interval, coeffs)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"projection onto ({interval.a}, {interval.b}) is not finite")
+    return coeffs
 
 
 def project_pieces(edges, coeffs: np.ndarray, k: int, quadrature: str = "exact") -> np.ndarray:
@@ -262,8 +203,7 @@ class DtildeReport:
     """Solvability table for the side conditions of a scheme.
 
     Entry (j, k) is P_{k+1+q-n_s} evaluated at 2*theta_j - 1; the scheme's
-    decompose/reconstruct pair is a bijection exactly when this matrix is
-    nonsingular.
+    node_map exists exactly when this matrix is nonsingular.
     """
 
     matrix: np.ndarray
@@ -288,12 +228,12 @@ class SchemeSpec:
 
     Construction rejects schemes with non-finite nodes or D, or whose
     side-condition table is singular, unless unsafe_diagnostic is set
-    (then reconstruction will fail instead).
+    (then no substep can be built from it instead).
 
     Computed once: node_map J maps [modes 0..q-n_s, values at the side
-    nodes] to the q+1 Legendre coefficients (it inverts j_decompose);
-    state_map S = J @ blockdiag(I, D) maps [modes 0..q-n_s, U^{n+1}, U^n,
-    ..., U^{n+1-k_s}] to them; both are None for a singular spec.  reach,
+    nodes] to the q+1 Legendre coefficients; state_map S = J @
+    blockdiag(I, D) maps [modes 0..q-n_s, U^{n+1}, U^n, ...,
+    U^{n+1-k_s}] to them; both are None for a singular spec.  reach,
     the last nonzero column of D and at least 1, counts the side values
     before its own that a substep reads (the jump term reads one).
     """
@@ -369,51 +309,6 @@ class SchemeSpec:
     def side_times(self, interval: Interval) -> np.ndarray:
         """Physical times of the side conditions for one substep."""
         return interval.a + np.asarray(self.thetas) * interval.length
-
-
-def j_decompose(v: TimePoly, spec: SchemeSpec):
-    """Split an order-q polynomial into its low-order projection plus samples.
-
-    Returns (projection, samples): the L2 projection onto order q - n_s
-    (None when n_s = q + 1) and the values at the side-condition times.
-    """
-    if v.order != spec.q:
-        raise ValueError(f"polynomial order {v.order} does not match scheme q={spec.q}")
-    proj = None if spec.n_s == spec.q + 1 else v.truncated(spec.q - spec.n_s)
-    samples = [v(t) for t in spec.side_times(v.interval)]
-    return proj, samples
-
-
-def j_reconstruct(projection, samples, spec: SchemeSpec, interval: Interval | None = None) -> TimePoly:
-    """Invert j_decompose; requires the scheme's side-condition table nonsingular."""
-    if not spec.dtilde.nonsingular:
-        raise SchemeError("cannot reconstruct: side-condition matrix is singular")
-    if len(samples) != spec.n_s:
-        raise ValueError(f"expected {spec.n_s} samples, got {len(samples)}")
-    if projection is None:
-        if spec.n_s != spec.q + 1:
-            raise ValueError("projection may be omitted only when n_s = q + 1")
-        if interval is None:
-            raise ValueError("interval required when no projection is given")
-        ncols = np.atleast_1d(np.asarray(samples[0])).size
-    else:
-        interval = projection.interval
-        ncols = projection.ncols
-    values = np.zeros((spec.q + 1, ncols))
-    if projection is not None:
-        values[: projection.order + 1] = projection.coeffs
-    values[spec.q + 1 - spec.n_s :] = np.reshape(np.asarray(samples, dtype=float), (-1, ncols))
-    return TimePoly(interval, spec.node_map @ values)
-
-
-def j_norm(projection, samples, dt: float, *, weighted: bool = True) -> float:
-    """Norm of a decomposed pair; with weighted=True samples carry a dt factor."""
-    total = projection.l2_norm_sq() if projection is not None else 0.0
-    factor = dt if weighted else 1.0
-    for s in samples:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        total += factor * float(s @ s)
-    return math.sqrt(total)
 
 
 # ---------------------------------------------------------------------------

@@ -178,10 +178,6 @@ class ReferenceTrajectory:
         tab = legendre_table(self.coeffs.shape[1] - 1, 2.0 * (ts - a) / (b - a) - 1.0)
         return np.einsum("ak,kad->kd", tab, self.coeffs[idx])
 
-    def state(self, t: float) -> tuple:
-        v = self.states([t])[0]
-        return v[self.slices[0]], v[self.slices[1]]
-
     def fluxes(self, i: int, ts, states: Optional[np.ndarray] = None) -> np.ndarray:
         """Pointwise interface flux at each of the times ts, (nt, d_gamma).
 
@@ -195,10 +191,6 @@ class ReferenceTrajectory:
         if ops.load_g[i] is not None:
             out = out - ops.g_trace(i, ts)
         return out
-
-    def flux(self, i: int, t: float) -> np.ndarray:
-        """Pointwise interface flux of the reference solution."""
-        return self.fluxes(i, [t])[0]
 
 
 def prepare_initial_state(
@@ -317,14 +309,10 @@ def _chunk_errors(ops: FeOperators, oracle: ReferenceTrajectory, part: list, npt
         vals = np.einsum("ap,knad->knpd", legendre_table(u.shape[2] - 1, x), u)
         subs.append((0.5 * dt * w, vals))
         times += [(edges[:, :-1, None] + 0.5 * (x + 1.0) * dt).ravel(), edges[:, 1:].ravel()]
-        if part[0].F[i] is None:
-            flux.append(None)
-            times.append(np.empty(0))
-            continue
-        # each window's gauss_on rule and its flux there, as TimePoly evaluates it
-        xf, wf = gauss_rule(part[0].F[i].order + 4)
+        # each window's gauss_on rule and its flux there
+        xf, wf = gauss_rule(len(part[0].F[i]) + 3)
         tf = a[:, None] + 0.5 * (xf + 1.0) * length
-        coeffs = np.stack([sol.F[i].coeffs for sol in part])  # (K, r_i + 1, d_gamma)
+        coeffs = np.stack([sol.F[i] for sol in part])  # (K, r_i + 1, d_gamma)
         tab = legendre_table(coeffs.shape[1] - 1, 2.0 * (tf - a[:, None]) / length - 1.0)
         flux.append((tf.ravel(), 0.5 * length * wf, np.einsum("akp,kag->kpg", tab, coeffs)))
         times.append(flux[i][0])
@@ -338,11 +326,8 @@ def _chunk_errors(ops: FeOperators, oracle: ReferenceTrajectory, part: list, npt
         l2_sq.append(float(w_sub.ravel() @ _mass_sq(ops.M[i], diff)))
         ends = np.stack([sol.U[i][1:] for sol in part]).reshape(-1, d)
         nodal.append(np.sqrt(np.maximum(0.0, _mass_sq(ops.M[i], ends - at_ends[:, side]))))
-        if flux[i] is None:
-            flux_sq.append(0.0)
-            continue
         tf, wf, F = flux[i]
-        diff = F.reshape(len(tf), -1) - oracle.fluxes(i, tf, at_flux)
+        diff = F.reshape(len(tf), ops.d_gamma) - oracle.fluxes(i, tf, at_flux)
         flux_sq.append(float(wf.ravel() @ _mass_sq(ops.M_gamma, diff)))
     # the last substep end of a side is the window end
     last = [nodal[i].reshape(len(part), -1)[:, -1] for i in range(2)]
@@ -362,7 +347,7 @@ def error_norms(ops: FeOperators, traj: Trajectory, oracle: ReferenceTrajectory)
     cfg, npts = traj.cfg, traj.spec.q + 4
     # oracle times of a window: per side and substep npts Gauss points and
     # its end, and per flux the order + 4 Gauss points of the window
-    per_window = sum(cfg.M[i] * (npts + 1) + (cfg.r[i] + 4 if ops.d_gamma else 0) for i in range(2))
+    per_window = sum(cfg.M[i] * (npts + 1) + cfg.r[i] + 4 for i in range(2))
     chunk = dgit.chunk_size(per_window * sum(ops.d_omega))
     l2_sq, flux_sq, nodal, sync = np.zeros(2), np.zeros(2), ([], []), []
     for c0 in range(0, len(windows), chunk):

@@ -12,11 +12,13 @@ from mrcouple import coupling, dgit
 from mrcouple.timepoly import (
     Interval,
     SchemeSpec,
-    TimePoly,
     gauss_on,
     legendre_table,
     points_for_degree,
 )
+
+from test_timepoly import poly_values
+from test_verify import pointwise_error_norms
 
 
 def incoming(ops):
@@ -74,42 +76,52 @@ class TestStepRestriction:
 class TestFluxSolve:
     def test_equal_traces_conservative_pair(self):
         window = Interval(0.0, 1.0)
-        c = TimePoly(window, [[2.0], [0.3]])
+        c = np.array([[2.0], [0.3]])
         B = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        F1, F2 = mc.flux_solve(c, c, B, (1, 1))
-        assert np.max(np.abs(F1.coeffs)) < 1e-14
-        assert np.max(np.abs(F2.coeffs)) < 1e-14
+        F1, F2 = mc.flux_solve(window, (c, c), B, (1, 1))
+        assert F1.shape == F2.shape == (2, 1)
+        assert np.max(np.abs(F1)) < 1e-14
+        assert np.max(np.abs(F2)) < 1e-14
 
     def test_strong_cancellation_random(self):
         rng = np.random.default_rng(2)
         window = Interval(0.0, 0.2)
-        u1 = TimePoly(window, rng.standard_normal((3, 4)))
-        u2 = TimePoly(window, rng.standard_normal((3, 4)))
+        u1 = rng.standard_normal((3, 4))
+        u2 = rng.standard_normal((3, 4))
         B = np.array([[0.7, -1.3], [-0.7, 1.3]])
-        F1, F2 = mc.flux_solve(u1, u2, B, (2, 2))
-        scale = np.max(np.abs(F1.coeffs))
-        assert np.max(np.abs(F1.coeffs + F2.coeffs)) < 1e-12 * scale
+        F1, F2 = mc.flux_solve(window, (u1, u2), B, (2, 2))
+        scale = np.max(np.abs(F1))
+        assert np.max(np.abs(F1 + F2)) < 1e-12 * scale
 
     def test_weak_cancellation_mixed_orders(self):
         rng = np.random.default_rng(3)
         window = Interval(0.0, 0.2)
-        u1 = TimePoly(window, rng.standard_normal((2, 2)))
-        u2 = TimePoly(window, rng.standard_normal((1, 2)))
+        u1 = rng.standard_normal((2, 2))
+        u2 = rng.standard_normal((1, 2))
         B = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        F1, F2 = mc.flux_solve(u1, u2, B, (1, 0))
+        F1, F2 = mc.flux_solve(window, (u1, u2), B, (1, 0))
         # order-0 moments cancel; the linear mode of F1 generally survives
-        assert np.max(np.abs(F1.coeffs[0] + F2.coeffs[0])) < 1e-13
-        assert np.max(np.abs(F1.coeffs[1])) > 1e-8
+        assert np.max(np.abs(F1[0] + F2[0])) < 1e-13
+        assert np.max(np.abs(F1[1])) > 1e-8
 
     def test_polynomial_g_enters_exactly(self):
         window = Interval(0.0, 1.0)
-        u1 = TimePoly(window, [[1.0]])
-        u2 = TimePoly(window, [[0.0]])
-        g1 = TimePoly(window, [[0.5], [0.25]])
+        u1 = np.array([[1.0]])
+        u2 = np.array([[0.0]])
+        g1 = np.array([[0.5], [0.25]])
         B = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        F1, _ = mc.flux_solve(u1, u2, B, (1, 1), g=(g1, None))
-        assert F1.coeffs[0, 0] == pytest.approx(0.5, abs=1e-14)
-        assert F1.coeffs[1, 0] == pytest.approx(-0.25, abs=1e-14)
+        F1, _ = mc.flux_solve(window, (u1, u2), B, (1, 1), g=(g1, None))
+        assert F1[0, 0] == pytest.approx(0.5, abs=1e-14)
+        assert F1[1, 0] == pytest.approx(-0.25, abs=1e-14)
+
+    def test_callable_g_is_projected(self):
+        window = Interval(0.0, 1.0)
+        traces = (np.zeros((2, 1)), np.zeros((2, 1)))
+        B = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        F1, F2 = mc.flux_solve(window, traces, B, (1, 0), g=(lambda t: t, lambda t: t))
+        # t on (0, 1) is 1/2 + P_1 / 2; order 0 keeps the mean
+        assert np.allclose(F1, [[-0.5], [-0.5]], rtol=0, atol=1e-14)
+        assert np.allclose(F2, [[-0.5]], rtol=0, atol=1e-14)
 
 
 class TestWindowAssembly:
@@ -197,7 +209,7 @@ class TestWindowAssembly:
         for i in range(2):
             t, w, u = sol.at_gauss(i, 4)
             trace = np.einsum("gd,npd->npg", toy_ops.T[i].toarray(), u)
-            resid = trace - kept[i](t.ravel()).reshape(trace.shape)
+            resid = trace - poly_values(sol.window, kept[i], t.ravel()).reshape(trace.shape)
             tab = legendre_table(1, sol.window.to_reference(t))
             moments = np.einsum("qnp,np,npg->qg", tab, w, resid)
             assert np.max(np.abs(moments)) < 1e-12
@@ -213,9 +225,9 @@ class TestWindowAssembly:
         scheme = mc.shipped_schemes()[scheme_name]
         op = mc.WindowOperator(toy_ops, scheme, cfg, quadrature=quadrature)
         sol = op.solve(incoming(toy_ops))
-        F = mc.flux_solve(*mc.window_traces(sol, toy_ops, quadrature), toy_ops.B, cfg.r)
+        F = mc.flux_solve(sol.window, mc.window_traces(sol, toy_ops, quadrature), toy_ops.B, cfg.r)
         for i in range(2):
-            assert np.max(np.abs(F[i].coeffs - sol.F[i].coeffs)) <= 1e-12
+            assert np.max(np.abs(F[i] - sol.F[i])) <= 1e-12
 
     @pytest.mark.parametrize("solver", ["direct", "fixed-point"])
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
@@ -239,9 +251,11 @@ class TestWindowAssembly:
                 scale = max(np.max(np.abs(sol.u[i])), np.max(np.abs(sol.U[i])))
                 edges = sol.edges(i)
                 for n, coeffs in enumerate(sol.u[i]):
-                    poly = TimePoly(Interval(edges[n], edges[n + 1]), coeffs)
+                    step = Interval(edges[n], edges[n + 1])
                     # U[i][n] is U_{n-1} of substep n + 1: the incoming value for n = 0
-                    resid = dgit.side_condition_residual(spec, poly, [sol.U[i][n + 1], sol.U[i][n]])
+                    resid = dgit.side_condition_residual(
+                        spec, step, coeffs, [sol.U[i][n + 1], sol.U[i][n]]
+                    )
                     assert resid <= 1e-11 * scale
 
     def test_empty_subdomain_rejected(self):
@@ -361,7 +375,7 @@ class TestBatchedWindowLoads:
             for i in range(2):
                 assert np.array_equal(sol.u[i], ref.u[i])
                 assert np.array_equal(sol.U[i], ref.U[i])
-                assert np.array_equal(sol.F[i].coeffs, ref.F[i].coeffs)
+                assert np.array_equal(sol.F[i], ref.F[i])
             assert sol.residual == ref.residual
 
     def test_no_data_rows_without_loads(self, decay_ops, monkeypatch):
@@ -415,7 +429,7 @@ class TestFactorize:
             for i in range(2):
                 scale = np.max(np.abs(ref.U[i]))
                 assert np.max(np.abs(sol.U[i] - ref.U[i])) <= 1e-12 * scale
-                assert np.max(np.abs(sol.F[i].coeffs - ref.F[i].coeffs)) <= 1e-12 * scale
+                assert np.max(np.abs(sol.F[i] - ref.F[i])) <= 1e-12 * scale
 
 
 class TestSingleRateDegeneration:
@@ -477,7 +491,7 @@ class TestFixedPoint:
         assert fp.iterations <= 50
         for i in range(2):
             assert np.max(np.abs(fp.U[i][-1] - direct.U[i][-1])) <= 10 * tol
-            assert np.max(np.abs(fp.F[i].coeffs - direct.F[i].coeffs)) <= 10 * tol
+            assert np.max(np.abs(fp.F[i] - direct.F[i])) <= 10 * tol
 
     def test_violating_step_raises(self):
         # strong coupling against a weak subdomain response
@@ -516,7 +530,7 @@ class TestFixedPoint:
         assert fp.iterations > 1 and fp.residual <= tol
         for i in range(2):
             assert np.max(np.abs(fp.U[i][-1] - direct.U[i][-1])) <= 10 * tol
-            assert np.max(np.abs(fp.F[i].coeffs - direct.F[i].coeffs)) <= 10 * tol
+            assert np.max(np.abs(fp.F[i] - direct.F[i])) <= 10 * tol
 
     def test_run_simulation_fixed_point_solver(self, toy_ops):
         cfg = mc.WindowConfig(t_f=0.2, N=4, M=(1, 2), r=(1, 1))
@@ -544,7 +558,7 @@ class TestFixedPoint:
         )
         for i in range(2):
             assert np.max(np.abs(fp.U[i][-1] - direct.U[i][-1])) <= 10 * tol
-            assert np.max(np.abs(fp.F[i].coeffs - direct.F[i].coeffs)) <= 10 * tol
+            assert np.max(np.abs(fp.F[i] - direct.F[i])) <= 10 * tol
 
     def test_run_assembles_and_factorizes_once(self, toy_ops, monkeypatch):
         calls = {"assemble_substep": 0, "factorize": 0}
@@ -583,7 +597,7 @@ class TestConservation:
             rep = mc.check_flux_conservation(sol, toy_ops, "weak")
             assert rep.relative <= 1e-12
             # strong cancellation fails in the linear mode
-            if np.max(np.abs(sol.F[0].coeffs[1])) > 1e-8:
+            if np.max(np.abs(sol.F[0][1])) > 1e-8:
                 saw_strong_violation = True
         assert saw_strong_violation
 
@@ -624,17 +638,19 @@ def pointwise_interfacial_energy(sol, ops, cfg, mode):
     """interfacial_energy_term written as a loop over substeps and quadrature points."""
     total = 0.0
     for i in range(2):
-        F, edges = sol.F[i], cfg.substep_edges(i, sol.index)
+        edges = cfg.substep_edges(i, sol.index)
+        F = lambda t: poly_values(sol.window, sol.F[i], t)
         for n, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
             if mode == "cn":
                 u_avg = 0.5 * (sol.U[i][n] + sol.U[i][n + 1])
                 f_avg = 0.5 * (F(a) + F(b))
                 total -= (b - a) * float((ops.T[i] @ u_avg) @ (ops.M_gamma @ f_avg))
                 continue
-            piece = TimePoly(Interval(a, b), sol.u[i][n])
-            t, w = gauss_on(piece.interval, points_for_degree(piece.order + F.order))
-            for tk, wk in zip(t, w):
-                total -= wk * float((ops.T[i] @ piece(tk)) @ (ops.M_gamma @ F(tk)))
+            piece = Interval(a, b)
+            degree = len(sol.u[i][n]) + len(sol.F[i]) - 2
+            for tk, wk in zip(*gauss_on(piece, points_for_degree(degree))):
+                u = poly_values(piece, sol.u[i][n], tk)
+                total -= wk * float((ops.T[i] @ u) @ (ops.M_gamma @ F(tk)))
     return total
 
 
@@ -709,9 +725,10 @@ class TestRunSimulation:
         prev = incoming(decay_ops)
         for sol in traj.windows:
             for i in range(2):
-                first = TimePoly(Interval(*cfg.substep_edges(i, sol.index)[:2]), sol.u[i][0])
+                first = Interval(*cfg.substep_edges(i, sol.index)[:2])
                 scale = max(1.0, np.max(np.abs(sol.U[i])))
-                assert np.max(np.abs(first(sol.window.a) - prev[i])) < 1e-11 * scale
+                start = poly_values(first, sol.u[i][0], sol.window.a)
+                assert np.max(np.abs(start - prev[i])) < 1e-11 * scale
             prev = tuple(sol.U[i][-1] for i in range(2))
 
     def test_window_jump_recorded_for_discontinuous_scheme(self, decay_ops):
@@ -720,8 +737,8 @@ class TestRunSimulation:
         jumps = []
         prev = incoming(decay_ops)
         for sol in traj.windows:
-            first = TimePoly(Interval(*cfg.substep_edges(0, sol.index)[:2]), sol.u[0][0])
-            jumps.append(np.max(np.abs(first(sol.window.a) - prev[0])))
+            first = Interval(*cfg.substep_edges(0, sol.index)[:2])
+            jumps.append(np.max(np.abs(poly_values(first, sol.u[0][0], sol.window.a) - prev[0])))
             prev = tuple(sol.U[i][-1] for i in range(2))
         assert all(np.isfinite(j) for j in jumps)
         assert max(jumps) > 0.0  # jumps exist but stay finite
@@ -847,8 +864,8 @@ class TestRunSimulation:
                 g = mc.project_l2(
                     lambda t: spla.spsolve(Mg, ops.g_vec(i, t)), sol.window, r[i], npts=16
                 )
-                want = mc.project_pieces(edges[lo : hi + 1], combo, r[i]) - g.coeffs
-                assert close(sol.F[i].coeffs, want)
+                want = mc.project_pieces(edges[lo : hi + 1], combo, r[i]) - g
+                assert close(sol.F[i], want)
 
     def test_initialization_cannot_swallow_all_windows(self, toy_ops):
         cfg = mc.WindowConfig(t_f=0.2, N=2, N0=3)
@@ -874,20 +891,47 @@ class TestRunSimulation:
                     sol.U[i][0] = 9.9
                 with pytest.raises(ValueError):
                     sol.u[i][0, 0, 0] = 9.9
+                assert isinstance(sol.F[i], np.ndarray)
+                assert sol.F[i].shape == (cfg.r[i] + 1, toy_linear_ops.d_gamma)
+                with pytest.raises(ValueError):
+                    sol.F[i][0, 0] = 9.9
 
     def test_interface_free_operator_pair(self):
-        # a zero-row trace matrix decouples the systems entirely
-        T = np.zeros((0, 1))
+        # a zero-row trace matrix decouples the systems entirely, whatever B
+        T, B = np.zeros((0, 1)), np.array([[1.0, -1.0], [-1.0, 1.0]])
         ops = mc.from_matrices(
-            [[1.0]], [[2.0]], T, [[1.0]], [[0.5]], T, np.zeros((0, 0)), np.eye(2),
+            [[1.0]], [[2.0]], T, [[1.0]], [[0.5]], T, np.zeros((0, 0)), B,
             u0=(np.array([1.0]), np.array([2.0])),
         )
         assert ops.d_gamma == 0
         cfg = mc.WindowConfig(t_f=0.2, N=2, M=(1, 2), r=(1, 1))
         traj = mc.run_simulation(ops, mc.crank_nicolson(), cfg, quadrature="exact")
-        assert traj.windows[-1].F == (None, None)
         rho1 = (1 - 0.05 * 2.0) / (1 + 0.05 * 2.0)
         assert traj.windows[-1].U[0][-1][0] == pytest.approx(rho1**2, rel=1e-12)
+        # the same path end to end: a reference-filled window, the fixed point,
+        # the diagnostics and the error norms
+        cfg = mc.WindowConfig(t_f=0.2, N=3, M=(1, 2), r=(2, 0), N0=2)
+        for solver in ("direct", "fixed-point"):
+            traj = mc.run_simulation(ops, mc.crank_nicolson(), cfg, solver=solver)
+            assert [sol.initialized_from_reference for sol in traj.windows] == [True, False, False]
+            for sol in traj.windows:
+                for i in range(2):
+                    assert isinstance(sol.F[i], np.ndarray)
+                    assert sol.F[i].shape == (cfg.r[i] + 1, 0)
+                    assert not sol.F[i].flags.writeable
+                assert mc.check_flux_conservation(sol, ops, "weak").relative == 0.0
+                assert mc.interfacial_energy_term(sol, ops, "exact") == 0.0
+            diag = mc.window_diagnostics(traj.windows, ops, cfg, "exact")
+            assert np.all(np.isnan(diag.conservation)) and np.all(np.isnan(diag.work))
+            assert np.all(np.diff(diag.energies) < 0)
+            oracle = mc.reference_solve(ops, cfg.t_f, n_steps=256)
+            rep = mc.error_norms(ops, traj, oracle)
+            l2, _, nodal, sync = pointwise_error_norms(ops, traj, oracle)
+            assert rep.flux_l2 == (0.0, 0.0)
+            assert np.allclose(rep.l2, l2, rtol=1e-12, atol=0)
+            assert np.allclose(rep.sync, sync, rtol=1e-12, atol=0)
+            for i in range(2):
+                assert np.allclose(rep.nodal[i], nodal[i], rtol=1e-12, atol=0)
 
 
 class TestExportCsv:

@@ -355,25 +355,28 @@ class TestFromMatrices:
         assert energies[-1] < energies[0]
 
 
-class TestCoercivityProbe:
+def coercivity(ops) -> float:
+    """Smallest eigenvalue of the symmetric part of L over both subdomains."""
+    return min(float(np.linalg.eigvalsh(0.5 * (L + L.T).toarray())[0]) for L in ops.L)
+
+
+class TestCoercivity:
     def test_pure_diffusion_positive(self, meshes):
         m1, m2, imap = meshes
         ops = mc.assemble(m1, m2, imap, mc.ProblemSpec())
-        assert mc.coercivity_probe(ops) > 0.0
+        assert coercivity(ops) > 0.0
 
     def test_zero_operator(self):
         Z = [[0.0]]
         ops = mc.from_matrices([[1.0]], Z, [[1.0]], [[1.0]], Z, [[1.0]], [[1.0]], np.zeros((2, 2)))
-        assert mc.coercivity_probe(ops) == pytest.approx(0.0, abs=1e-14)
+        assert coercivity(ops) == pytest.approx(0.0, abs=1e-14)
 
-    def test_skew_advection_leaves_probe_unchanged(self, meshes):
+    def test_skew_advection_leaves_coercivity_unchanged(self, meshes):
         m1, m2, imap = meshes
         plain = mc.assemble(m1, m2, imap, mc.ProblemSpec())
         adv = AdvectionSpec(kind="vortex", amplitude=1.0)
         with_adv = mc.assemble(m1, m2, imap, mc.ProblemSpec(advection=(adv, adv)))
-        a = mc.coercivity_probe(plain, seed=5)
-        b = mc.coercivity_probe(with_adv, seed=5)
-        assert a == pytest.approx(b, abs=1e-8)
+        assert coercivity(plain) == pytest.approx(coercivity(with_adv), abs=1e-8)
 
 
 class TestInterfaceMass:

@@ -1,10 +1,9 @@
-import io
 
 import numpy as np
 import pytest
 
 import mrcouple as mc
-from mrcouple.mesh import DIRICHLET, INTERFACE, INTERIOR, dump_text
+from mrcouple.mesh import DIRICHLET, INTERFACE, INTERIOR
 
 
 class TestBuildMesh:
@@ -87,15 +86,3 @@ class TestMatchInterfaces:
             node1 = m1.interface_nodes[k]
             assert m1.free_dof[node1] == imap.dofs_1[k]
             assert m1.nodes[node1, 0] == pytest.approx(imap.x[k])
-
-
-def test_dump_text_round_trippable():
-    m = mc.build_mesh(1, 2, 1)
-    buf = io.StringIO()
-    dump_text(m, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0].startswith("# mesh subdomain=1 nx=2 ny=1")
-    assert len(lines) == 1 + len(m.nodes) + len(m.quads)
-    first_node = lines[1].split()
-    assert int(first_node[0]) == 0
-    assert float(first_node[1]) == pytest.approx(m.nodes[0, 0])

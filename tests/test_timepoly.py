@@ -11,13 +11,21 @@ from mrcouple.timepoly import (
     Interval,
     SchemeError,
     SchemeSpec,
-    TimePoly,
     derivative_overlap,
     gauss_on,
-    j_norm,
     legendre_table,
     points_for_degree,
 )
+
+
+def poly_values(interval, coeffs, t):
+    """Values at t of the polynomial with Legendre coefficients coeffs on interval.
+
+    (nt, ncols) for an array of times, (ncols,) for a scalar time.
+    """
+    t = np.asarray(t, dtype=float)
+    vals = np.tensordot(legendre_table(len(coeffs) - 1, interval.to_reference(t)), coeffs, axes=(0, 0))
+    return vals if t.ndim else vals[0]
 
 
 def dense_ls_projection(f, interval, k, n_total=10_000, pieces=None):
@@ -61,6 +69,15 @@ class TestLegendre:
         for j in range(9):
             ref = np.polynomial.legendre.legval(xs, [0.0] * j + [1.0])
             assert np.max(np.abs(tab[j] - ref)) < 1e-13
+
+    def test_derivative_overlap_table(self):
+        G = derivative_overlap(3, 3)
+        expected = np.zeros((4, 4))
+        for j in range(4):
+            for m in range(4):
+                if m > j and (m - j) % 2 == 1:
+                    expected[j, m] = 2.0
+        assert np.array_equal(G, expected)
 
 
 class TestGauss:
@@ -116,13 +133,14 @@ class TestInterval:
 class TestProjectL2:
     def test_mean_of_linear(self):
         p = mc.project_l2(lambda t: t, Interval(0.0, 1.0), 0)
-        assert p.coeffs[0, 0] == pytest.approx(0.5, abs=1e-14)
+        assert p.shape == (1, 1)
+        assert p[0, 0] == pytest.approx(0.5, abs=1e-14)
 
     def test_reproduces_quadratic(self):
         iv = Interval(0.0, 1.0)
         p = mc.project_l2(lambda t: t**2, iv, 2)
         ts = np.linspace(0, 1, 11)
-        assert np.max(np.abs(p(ts)[:, 0] - ts**2)) < 1e-13
+        assert np.max(np.abs(poly_values(iv, p, ts)[:, 0] - ts**2)) < 1e-13
 
     def test_indicator_matches_gram_solve(self):
         iv = Interval(0.0, 1.0)
@@ -135,19 +153,31 @@ class TestProjectL2:
         p = mc.project_pieces([0.0, 0.5, 1.0], np.array([[[1.0]], [[0.0]]]), 1)
         assert np.max(np.abs(p - oracle)) < 1e-12
 
-    def test_time_poly_input_is_truncated(self):
-        # a TimePoly is a callable; the 32-point rule is exact for its order
+    def test_polynomial_input_is_truncated(self):
+        # the 32-point rule is exact for a polynomial of this order
         rng = np.random.default_rng(5)
         iv = Interval(0.2, 0.9)
-        poly = TimePoly(iv, rng.standard_normal((6, 2)))
-        p = mc.project_l2(poly, iv, 3)
-        assert np.max(np.abs(p.coeffs - poly.coeffs[:4])) < 1e-13
+        coeffs = rng.standard_normal((6, 2))
+        p = mc.project_l2(lambda t: poly_values(iv, coeffs, t), iv, 3)
+        assert np.max(np.abs(p - coeffs[:4])) < 1e-13
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, bad):
+        # interface data enters the reference fill through this projection
+        f = lambda t: np.array([1.0, bad if t > 0.5 else 0.0])
+        with pytest.raises(ValueError, match="not finite"):
+            mc.project_l2(f, Interval(0.0, 1.0), 1)
+
+    def test_callable_called_once_per_gauss_point(self):
+        calls = []
+        mc.project_l2(lambda t: calls.append(t) or t, Interval(0.0, 1.0), 2, npts=5)
+        assert np.array_equal(calls, gauss_on(Interval(0.0, 1.0), 5)[0])
 
     def test_vector_valued(self):
         iv = Interval(-1.0, 3.0)
         p = mc.project_l2(lambda t: np.array([t, t**2]), iv, 2)
         ts = np.linspace(-1, 3, 7)
-        vals = p(ts)
+        vals = poly_values(iv, p, ts)
         assert np.max(np.abs(vals[:, 0] - ts)) < 1e-12
         assert np.max(np.abs(vals[:, 1] - ts**2)) < 1e-11
 
@@ -162,7 +192,7 @@ class TestProjectL2:
         p = mc.project_l2(f, iv, k)
         oracle = dense_ls_projection(f, iv, k, n_total=4000)
         scale = max(1.0, np.max(np.abs(oracle)))
-        assert np.max(np.abs(p.coeffs - oracle)) < 1e-10 * scale
+        assert np.max(np.abs(p - oracle)) < 1e-10 * scale
 
 
 class TestProjectBroken:
@@ -288,8 +318,7 @@ class TestDtilde:
             q=2, n_s=2, k_s=1, thetas=(0.5, 0.5), D=[[0.0, 1.0], [1.0, 0.0]],
             unsafe_diagnostic=True,
         )
-        with pytest.raises(SchemeError):
-            mc.j_reconstruct(None, [np.zeros(1), np.zeros(1)], spec, Interval(0, 1))
+        assert spec.node_map is None and spec.state_map is None
 
 
 class TestSchemeValidation:
@@ -326,71 +355,21 @@ class TestSchemeValidation:
 class TestJMapping:
     @pytest.mark.parametrize("name", sorted(mc.shipped_schemes()))
     def test_round_trip_identity(self, name):
+        # [low modes, values at the side times] -> node_map -> the coefficients
         spec = mc.shipped_schemes()[name]
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         iv = Interval(0.25, 0.75)
         for _ in range(100):
-            poly = TimePoly(iv, rng.standard_normal((spec.q + 1, 3)))
-            proj, samples = mc.j_decompose(poly, spec)
-            back = mc.j_reconstruct(proj, samples, spec, iv)
-            scale = max(1.0, np.max(np.abs(poly.coeffs)))
-            assert np.max(np.abs(back.coeffs - poly.coeffs)) < 1e-11 * scale
+            coeffs = rng.standard_normal((spec.q + 1, 3))
+            samples = poly_values(iv, coeffs, spec.side_times(iv))
+            back = spec.node_map @ np.vstack([coeffs[: spec.test_order], samples])
+            scale = max(1.0, np.max(np.abs(coeffs)))
+            assert np.max(np.abs(back - coeffs)) < 1e-11 * scale
 
     def test_cn_reconstruction_is_interpolant(self):
         spec = mc.crank_nicolson()
         iv = Interval(0.0, 0.2)
-        U0, U1 = np.array([2.0]), np.array([3.0])
-        poly = mc.j_reconstruct(None, [U0, U1], spec, iv)
-        assert poly(0.0)[0] == pytest.approx(2.0, abs=1e-13)
-        assert poly(0.2)[0] == pytest.approx(3.0, abs=1e-13)
-        assert poly(0.1)[0] == pytest.approx(2.5, abs=1e-13)
-
-    def test_wrong_order_rejected(self):
-        spec = mc.crank_nicolson()
-        with pytest.raises(ValueError):
-            mc.j_decompose(TimePoly(Interval(0, 1), np.zeros((3, 1))), spec)
-
-    def test_norm_equivalence(self):
-        spec = mc.downwind(2)
-        rng = np.random.default_rng(11)
-        for dt in (1.0, 0.01):
-            iv = Interval(0.0, dt)
-            ratios = []
-            for _ in range(100):
-                poly = TimePoly(iv, rng.standard_normal((spec.q + 1, 2)))
-                proj, samples = mc.j_decompose(poly, spec)
-                ratios.append(
-                    j_norm(proj, samples, dt) / math.sqrt(poly.l2_norm_sq())
-                )
-            ratios = np.asarray(ratios)
-            # bounded above and below, uniformly in the interval length
-            assert 0.3 < ratios.min() and ratios.max() < 4.0
-
-    def test_weighted_vs_unweighted_norm(self):
-        spec = mc.crank_nicolson()
-        iv = Interval(0.0, 0.5)
-        poly = TimePoly(iv, np.array([[1.0], [0.5]]))
-        proj, samples = mc.j_decompose(poly, spec)
-        w = j_norm(proj, samples, iv.length, weighted=True)
-        u = j_norm(proj, samples, iv.length, weighted=False)
-        assert u > w  # dt < 1 shrinks the sample part
-
-
-class TestTimePoly:
-    def test_evaluation_outside_interval_extends(self):
-        p = TimePoly(Interval(0.0, 1.0), [[0.5], [0.5]])  # t on (0,1)
-        assert p(2.0)[0] == pytest.approx(2.0, abs=1e-14)
-
-    def test_l2_norm_modal(self):
-        p = TimePoly(Interval(0.0, 2.0), [[3.0], [1.0]])
-        # 2 * (9/1 + 1/3)
-        assert p.l2_norm_sq() == pytest.approx(2 * (9 + 1 / 3), rel=1e-14)
-
-    def test_derivative_overlap_table(self):
-        G = derivative_overlap(3, 3)
-        expected = np.zeros((4, 4))
-        for j in range(4):
-            for m in range(4):
-                if m > j and (m - j) % 2 == 1:
-                    expected[j, m] = 2.0
-        assert np.array_equal(G, expected)
+        coeffs = spec.node_map @ np.array([[2.0], [3.0]])  # U0, U1
+        assert poly_values(iv, coeffs, 0.0)[0] == pytest.approx(2.0, abs=1e-13)
+        assert poly_values(iv, coeffs, 0.2)[0] == pytest.approx(3.0, abs=1e-13)
+        assert poly_values(iv, coeffs, 0.1)[0] == pytest.approx(2.5, abs=1e-13)

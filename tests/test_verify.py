@@ -9,7 +9,9 @@ import scipy.sparse.linalg as spla
 
 import mrcouple as mc
 from mrcouple import cli, coupling, dgit, verify
-from mrcouple.timepoly import Interval, TimePoly, gauss_on
+from mrcouple.timepoly import Interval, gauss_on
+
+from test_timepoly import poly_values
 
 ADVECTIONS = {
     "zero": mc.AdvectionSpec(),
@@ -147,9 +149,9 @@ class TestReferenceSolve:
         )
         oracle = mc.reference_solve(ops, 1.0, n_steps=128)
         for t in (0.0, 0.33, 1.0):
-            v1, v2 = oracle.state(t)
-            assert v1[0] == pytest.approx(3.0, abs=1e-12)
-            assert v2[0] == pytest.approx(0.5, abs=1e-12)
+            v1, v2 = oracle.states([t])[0]
+            assert v1 == pytest.approx(3.0, abs=1e-12)
+            assert v2 == pytest.approx(0.5, abs=1e-12)
 
     def test_exponential_decay_accuracy(self):
         ops = mc.from_matrices(
@@ -157,16 +159,14 @@ class TestReferenceSolve:
             u0=(np.array([1.0]), np.array([1.0])),
         )
         oracle = mc.reference_solve(ops, 1.0)
-        v1, _ = oracle.state(1.0)
-        assert v1[0] == pytest.approx(np.exp(-1.0), abs=1e-8)
+        v1, _ = oracle.states([1.0])[0]
+        assert v1 == pytest.approx(np.exp(-1.0), abs=1e-8)
 
     def test_self_convergence_on_halving(self, smooth_ops):
         coarse = mc.reference_solve(smooth_ops, 0.5, n_steps=1024)
         fine = mc.reference_solve(smooth_ops, 0.5, n_steps=2048)
-        drift = 0.0
-        for t in np.linspace(0.05, 0.5, 7):
-            a, b = coarse.state(t), fine.state(t)
-            drift = max(drift, np.max(np.abs(a[0] - b[0])), np.max(np.abs(a[1] - b[1])))
+        ts = np.linspace(0.05, 0.5, 7)
+        drift = np.max(np.abs(coarse.states(ts) - fine.states(ts)))
         assert drift < 1e-7
 
     def test_step_count(self, toy_linear_ops):
@@ -185,8 +185,8 @@ class TestReferenceSolve:
 
     def test_flux_query_includes_interface_data(self, smooth_ops):
         oracle = mc.reference_solve(smooth_ops, 0.25, n_steps=256)
-        F1 = oracle.flux(0, 0.1)
-        F2 = oracle.flux(1, 0.1)
+        F1 = oracle.fluxes(0, [0.1])[0]
+        F2 = oracle.fluxes(1, [0.1])[0]
         assert F1.shape == (smooth_ops.d_gamma,)
         assert np.all(np.isfinite(F1)) and np.all(np.isfinite(F2))
 
@@ -291,8 +291,8 @@ class TestReferenceQueries:
         got = oracle.states(self.TIMES)
         for k, t in enumerate(self.TIMES):
             n = min(max(int(np.searchsorted(b, t, side="right")) - 1, 0), len(b) - 2)
-            want = TimePoly(Interval(b[n], b[n + 1]), oracle.coeffs[n])(t)
-            assert np.array_equal(got[k], np.concatenate(oracle.state(t)))
+            want = poly_values(Interval(b[n], b[n + 1]), oracle.coeffs[n], t)
+            assert np.array_equal(got[k], oracle.states([t])[0])
             assert np.allclose(got[k], want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
     def test_fluxes_match_pointwise_formula(self, oracle, smooth_ops):
@@ -301,36 +301,41 @@ class TestReferenceQueries:
             got = oracle.fluxes(i, self.TIMES)
             assert got.shape == (len(self.TIMES), ops.d_gamma)
             for k, t in enumerate(self.TIMES):
-                u1, u2 = oracle.state(t)
+                u = oracle.states([t])[0]
+                u1, u2 = u[oracle.slices[0]], u[oracle.slices[1]]
                 g = spla.spsolve(ops.M_gamma.tocsc(), ops.g_vec(i, t))
                 want = ops.B[i, 0] * (ops.T[0] @ u1) + ops.B[i, 1] * (ops.T[1] @ u2) - g
                 assert np.allclose(got[k], want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
-                assert np.allclose(oracle.flux(i, t), got[k], rtol=0, atol=1e-15 * np.max(np.abs(want)))
+                single = oracle.fluxes(i, [t])[0]
+                assert np.allclose(single, got[k], rtol=0, atol=1e-15 * np.max(np.abs(want)))
 
 
 def pointwise_error_norms(ops, traj, oracle):
     """error_norms written with one scalar oracle query per quadrature point."""
     q = traj.spec.q
     l2_sq, flux_sq, nodal, sync = [0.0, 0.0], [0.0, 0.0], [[], []], []
+
+    def state(i, t):
+        return oracle.states([t])[0][oracle.slices[i]]
+
+    def mass_norm(i, v):
+        return math.sqrt(max(0.0, float(v @ (ops.M[i] @ v))))
+
     for sol in traj.windows:
         if sol.initialized_from_reference:
             continue
         for i in range(2):
             edges = traj.cfg.substep_edges(i, sol.index)
-            pieces = [
-                TimePoly(Interval(a, b), c) for a, b, c in zip(edges[:-1], edges[1:], sol.u[i])
-            ]
-            for n, piece in enumerate(pieces):
-                for tk, wk in zip(*gauss_on(piece.interval, q + 4)):
-                    diff = piece(tk) - oracle.state(tk)[i]
+            for n, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+                for tk, wk in zip(*gauss_on(Interval(a, b), q + 4)):
+                    diff = poly_values(Interval(a, b), sol.u[i][n], tk) - state(i, tk)
                     l2_sq[i] += wk * float(diff @ (ops.M[i] @ diff))
-                nodal[i].append(ops.mass_norm(i, sol.U[i][n + 1] - oracle.state(piece.interval.b)[i]))
-            if sol.F[i] is not None:
-                for tk, wk in zip(*gauss_on(sol.window, sol.F[i].order + 4)):
-                    diff = sol.F[i](tk) - oracle.flux(i, tk)
-                    flux_sq[i] += wk * float(diff @ (ops.M_gamma @ diff))
-        end = oracle.state(sol.window.b)
-        sync.append(math.sqrt(sum(ops.mass_norm(i, sol.U[i][-1] - end[i]) ** 2 for i in range(2))))
+                nodal[i].append(mass_norm(i, sol.U[i][n + 1] - state(i, b)))
+            for tk, wk in zip(*gauss_on(sol.window, len(sol.F[i]) + 3)):
+                diff = poly_values(sol.window, sol.F[i], tk) - oracle.fluxes(i, [tk])[0]
+                flux_sq[i] += wk * float(diff @ (ops.M_gamma @ diff))
+        end = sol.window.b
+        sync.append(math.sqrt(sum(mass_norm(i, sol.U[i][-1] - state(i, end)) ** 2 for i in range(2))))
     return np.sqrt(l2_sq), np.sqrt(flux_sq), nodal, sync
 
 
