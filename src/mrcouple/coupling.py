@@ -225,20 +225,14 @@ def step_restriction_ratio(cfg: WindowConfig, h: float) -> float:
     return cfg.dt * (h**-2 + h**-1)
 
 
-def flux_solve(
-    window: Interval,
-    traces: tuple,
-    B: np.ndarray,
-    r: tuple,
-    g: tuple = (None, None),
-) -> tuple:
+def flux_solve(traces: tuple, B: np.ndarray, r: tuple, g: tuple = (None, None)) -> tuple:
     """Window fluxes from the projected traces: F_i = Pi_{r_i}(B-combination - g_i).
 
     traces holds per subdomain the Legendre coefficients on the window of
     its projected interface trace, (order + 1, d_gamma); the fluxes come
-    back alike, (r_i + 1, d_gamma).  g_i, when present, is the trace-space
-    representation of the interface data, M_gamma^-1 g_i: coefficients on
-    the window, or a callable of time that is projected onto order r_i.
+    back alike, (r_i + 1, d_gamma).  g_i, when present, holds the
+    coefficients on the window of the projected trace-space representation
+    of the interface data, M_gamma^-1 g_i.
     Modes of a trace beyond its own order contribute nothing, so with
     equal orders and row-wise antisymmetric B the two fluxes cancel
     identically.
@@ -251,9 +245,8 @@ def flux_solve(
             upto = min(r[i], len(ug) - 1)
             coeffs[: upto + 1] += B[i, j] * ug[: upto + 1]
         if g[i] is not None:
-            gi = g[i] if isinstance(g[i], np.ndarray) else project_l2(g[i], window, r[i])
-            upto = min(r[i], len(gi) - 1)
-            coeffs[: upto + 1] -= gi[: upto + 1]
+            upto = min(r[i], len(g[i]) - 1)
+            coeffs[: upto + 1] -= g[i][: upto + 1]
         out.append(coeffs)
     return tuple(out)
 
@@ -289,11 +282,11 @@ class WindowOperator:
 
     Unknown layout: substep groups of both subdomains (each substep holds
     its free modes, then its side value; the side conditions have no rows,
-    see dgit), then the flux modes of subdomain 1, then subdomain 2.  What
-    a window reads from before its start enters through one assembled map,
-    past: its columns hold per subdomain the incoming side value, then the
-    spec.reach - 1 side values before it, newest first, and a window solves
-    matrix @ x = data terms - past @ (those side values).
+    see dgit), then the flux modes of subdomain 1, then subdomain 2.  A
+    window reads, per subdomain, the last spec.reach of the side values
+    before it (the previous window's U, or u0[None] for the first) through
+    one assembled map, past, whose columns hold them newest first, and
+    solves matrix @ x = data terms - past @ (those side values).
 
     Each subdomain's substeps form a chain of one substep block, since all
     substeps of a side have one length: the block's matrix repeats on the
@@ -480,13 +473,13 @@ class WindowOperator:
         n_past = self._past_off[1] + reach * ops.d_omega[1]
         return assembled(unknowns, self.dim), assembled(past, n_past)
 
-    def _past_values(self, i: int, incoming, histories) -> list:
-        """The spec.reach side values before the window that side i reads, newest first."""
+    def _past_values(self, before) -> list:
+        """Per side, the last spec.reach rows of before: the side values the window reads."""
         reach = self.spec.reach
-        values = [incoming[i], *histories[i]][:reach]
-        if len(values) < reach:
-            raise ValueError(f"window needs {reach} historic side values, have {len(values)}")
-        return values
+        for side in before:
+            if len(side) < reach:
+                raise ValueError(f"window needs {reach} historic side values, have {len(side)}")
+        return [side[-reach:] for side in before]
 
     def _data_rows(self, first: int, count: int) -> np.ndarray:
         """Data terms of the windows first..first + count - 1, one row each.
@@ -521,49 +514,43 @@ class WindowOperator:
                 rows[:, lo : lo + len(W) * ops.d_gamma] = -(W @ g).reshape(count, -1)
         return rows
 
-    def _rhs(self, incoming, histories, window_index: int) -> np.ndarray:
-        """Data terms of the window minus past @ (incoming side values, histories).
+    def _rhs(self, before, window_index: int) -> np.ndarray:
+        """Data terms of the window minus past @ (the side values before it, newest first).
 
         The data terms are a row of the chunk of windows held, which starts
-        at the first window that misses it (_data_rows).  A chunk of one
-        window is used in place and not held; without loads there is none.
+        at the first window that misses it (_data_rows); without loads there
+        is none.
         """
-        before = [v for i in range(2) for v in self._past_values(i, incoming, histories)]
-        past = self._past @ np.concatenate(before)
+        past = self._past @ np.concatenate([v[::-1].ravel() for v in self._past_values(before)])
         if not self._has_data:
             # 0 - past, not -past: a zero of past stays +0.0, as zero data minus it
             return np.subtract(0.0, past, out=past)
         k = window_index - self._rows_first
-        if 0 <= k < len(self._rows):
-            return self._rows[k] - past
-        count = min(self._chunk, self.cfg.N + 1 - window_index)
-        if count <= 1:
-            rhs = self._data_rows(window_index, 1)[0]
-            rhs -= past
-            return rhs
-        self._rows, self._rows_first = self._data_rows(window_index, count), window_index
-        return self._rows[0] - past
+        if not 0 <= k < len(self._rows):
+            count = min(self._chunk, self.cfg.N + 1 - window_index)
+            self._rows, self._rows_first, k = self._data_rows(window_index, count), window_index, 0
+        return self._rows[k] - past
 
-    def solve(
-        self, incoming, histories=((), ()), window_index: int = 1, flux_guess=None
-    ) -> WindowSolution:
+    def solve(self, before, window_index: int = 1, flux_guess=None) -> WindowSolution:
         """Solve one window with the operator's solver.
 
-        flux_guess (per subdomain the flux coefficients, e.g. the previous
-        window's F) starts the fixed-point iteration; the direct solve
-        ignores it.
+        before holds per subdomain the side values before the window in time
+        order, (k, d_i) with k >= spec.reach: the previous window's U, or
+        u0[None] for the first window.  flux_guess (per subdomain the flux
+        coefficients, e.g. the previous window's F) starts the fixed-point
+        iteration; the direct solve ignores it.
         """
-        rhs = self._rhs(incoming, histories, window_index)
+        rhs = self._rhs(before, window_index)
         if self.solver == "fixed-point":
             x, rel, sweeps = self._fixed_point(rhs, flux_guess)
-            return self._extract(x, incoming, histories, window_index, rel, sweeps)
+            return self._extract(x, before, window_index, rel, sweeps)
         x = self._lu.solve(rhs)
         if not np.all(np.isfinite(x)):
             raise SolverError("window factorization produced non-finite values")
         rel = _residual(rhs, self.matrix @ x)[1]
         if rel > RESIDUAL_TOL:
             raise SolverError(f"window solve residual {rel:.3e} exceeds {RESIDUAL_TOL:.1e}")
-        return self._extract(x, incoming, histories, window_index, rel)
+        return self._extract(x, before, window_index, rel)
 
     def _fixed_point(self, rhs, flux_guess):
         """Sweeps x <- P^{-1}(rhs - N x); returns (x, relative residual, sweeps).
@@ -611,7 +598,7 @@ class WindowOperator:
             factor=factor,
         )
 
-    def _extract(self, x, incoming, histories, window_index, residual, iterations=0):
+    def _extract(self, x, before, window_index, residual, iterations=0):
         """The window's states, from the solve vector x.
 
         The substeps of a side are one (M_i, q + 2 - n_s, d_i) block of x:
@@ -620,12 +607,11 @@ class WindowOperator:
         """
         spec, d, dG, cfg = self.spec, self.ops.d_omega, self.ops.d_gamma, self.cfg
         u, U, F = [], [], []
-        for i in range(2):
+        for i, past in enumerate(self._past_values(before)):
             lo = self._dom_off[i]
             slots = x[lo : lo + cfg.M[i] * self._sub_size[i]].reshape(cfg.M[i], -1, d[i])
-            before = self._past_values(i, incoming, histories)[::-1]
             # side values in time order: the reach before the window, then the substeps'
-            sides = np.vstack([*before, slots[:, -1]])
+            sides = np.vstack([past, slots[:, -1]])
             u.append(dgit.substep_coeffs(spec, slots, sides))
             U.append(sides[spec.reach - 1 :])
             lo = self._flux_off[i]
@@ -640,19 +626,17 @@ def solve_window_fixed_point(
     ops: FeOperators,
     spec: SchemeSpec,
     cfg: WindowConfig,
-    incoming,
-    histories=((), ()),
-    window_index: int = 1,
+    before,
     *,
     quadrature: str = "exact",
     tol: float = 1e-10,
     max_iter: int = 200,
-    flux_guess=None,
 ) -> WindowSolution:
-    """Lagged window iteration: the flux of the previous sweep on the right side.
+    """Lagged window iteration on window 1: the flux of the previous sweep on the right side.
 
-    Each sweep solves the substeps of both subdomains implicitly with the
-    flux at the previous iterate, then the flux rows from the new states
+    before is as for WindowOperator.solve.  Each sweep solves the substeps
+    of both subdomains implicitly with the flux at the previous iterate,
+    starting from zero, then the flux rows from the new states
     (WindowOperator's splitting).  Terminates when the relative window
     residual drops to tol; sustained growth raises ContractionError.
     """
@@ -665,7 +649,7 @@ def solve_window_fixed_point(
         fp_tol=tol,
         fp_max_iter=max_iter,
     )
-    return op.solve(incoming, histories, window_index, flux_guess=flux_guess)
+    return op.solve(before)
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +738,7 @@ def coupled_system(ops: FeOperators):
     """Fold the interface condition into one block system M u' = -L u + b(t).
 
     Returns (M, L, load, slices); load is None when the problem has no data
-    and, like the operators' own loads, takes a time or an array of times.
+    and, like the operators' own loads, takes a 1-D array of times.
     Useful for reference solves and for single-rate comparisons.
     """
     d1, d2 = ops.d_omega
@@ -771,7 +755,6 @@ def coupled_system(ops: FeOperators):
     if ops.has_f or ops.has_g:
         Tt = tuple(ops.T[i].T.tocsr() for i in range(2))
 
-        @dgit.batched
         def load(t) -> np.ndarray:
             parts = []
             for i in range(2):
@@ -801,17 +784,14 @@ def _fill_init_windows(ops, spec, cfg, u0, n_init: int):
     back than the available history.  The substep states and the
     interface traces are exact L2 projections (project_pieces) of the fine
     piecewise solution, and the fluxes are flux_solve of the traces, with
-    the interface data passed as ops.g_trace, M_gamma^-1 g.
+    the interface data passed as the order-r_i projection of ops.g_trace,
+    M_gamma^-1 g.
     """
     Mc, Lc, load, slices = coupled_system(ops)
     fine_per_window = 32 * cfg.M[0] * cfg.M[1]
     edges = np.linspace(0.0, cfg.window(n_init - 1).b, (n_init - 1) * fine_per_window + 1)
     coeffs, side = dgit.integrate(Mc, Lc, load, np.concatenate(u0), continuous_galerkin(2), edges)
     require_finite(f"reference fill of windows 1..{n_init - 1}", coeffs, side)
-    g = tuple(
-        (lambda t, i=i: ops.g_trace(i, t)) if ops.load_g[i] is not None else None
-        for i in range(2)
-    )
     for w in range(1, n_init):
         window = cfg.window(w)
         lo, hi = (w - 1) * fine_per_window, w * fine_per_window
@@ -827,12 +807,18 @@ def _fill_init_windows(ops, spec, cfg, u0, n_init: int):
             trace = (ops.T[i] @ fine.reshape(-1, ops.d_omega[i]).T).T
             trace = trace.reshape(fine.shape[:2] + (ops.d_gamma,))
             traces.append(project_pieces(edges[lo : hi + 1], trace, max(cfg.r)))
+        g = tuple(
+            project_l2(lambda t, i=i: ops.g_trace(i, t), window, cfg.r[i])
+            if ops.load_g[i] is not None
+            else None
+            for i in range(2)
+        )
         yield WindowSolution(
             index=w,
             window=window,
             u=tuple(u),
             U=tuple(U),
-            F=flux_solve(window, traces, ops.B, cfg.r, g),
+            F=flux_solve(traces, ops.B, cfg.r, g),
             initialized_from_reference=True,
         )
 
@@ -852,9 +838,10 @@ def march(
 
     Windows 1..N0-1 come from the reference fill, the rest from one
     WindowOperator.  Between two windows the generator keeps only what the
-    next one reads: the incoming side values, the spec.reach - 1 side
-    values before them and the last flux (the fixed-point start), so a
-    consumer that drops each window holds one at a time.
+    next one reads, the last window's side values U and its flux F (the
+    fixed-point start), so a consumer that drops each window holds one at
+    a time.  A window reads back no further than the one before it
+    (WindowConfig.history_problems).
     """
     u0 = tuple(np.asarray(v, dtype=float) for v in (u0 if u0 is not None else ops.u0))
     problems = cfg.history_problems(spec)
@@ -867,15 +854,12 @@ def march(
     # windows 1..N0-1; the fill's fine solution is freed once they are read
     filled = _fill_init_windows(ops, spec, cfg, u0, n_init) if n_init > 1 else iter(())
 
-    # Each window, reference-filled or solved, hands the next one its last
-    # side values and the ones before them, newest first.
-    incoming, histories, flux_guess = u0, ((), ()), None
-    depth = spec.reach - 1
+    before, flux_guess = tuple(v[None] for v in u0), None
     for n in range(1, cfg.N + 1):
         sol = next(filled, None)
         if sol is None:
             try:
-                sol = op.solve(incoming, histories, n, flux_guess=flux_guess)
+                sol = op.solve(before, n, flux_guess)
             except ContractionError as err:
                 raise ContractionError(
                     f"window {n}: {err}",
@@ -890,9 +874,7 @@ def march(
                 n, sol.residual, sol.iterations, sol.initialized_from_reference,
             )
         yield sol
-        incoming = tuple(sol.U[i][-1] for i in range(2))
-        histories = tuple(([*sol.U[i][-2::-1]] + list(histories[i]))[:depth] for i in range(2))
-        flux_guess = sol.F
+        before, flux_guess = sol.U, sol.F
 
 
 def run_simulation(

@@ -18,9 +18,9 @@ side-value arrays.
 
 Quadrature of the data terms is switchable between exact Gauss rules
 and endpoint-trapezoid evaluation; the latter turns the pinned-endpoint
-q=1 scheme into classical Crank-Nicolson.  A load marked with batched()
-is evaluated at all quadrature times of many substeps in one call; any
-other load callable is called once per time.
+q=1 scheme into classical Crank-Nicolson.  A load takes a 1-D array of
+times and returns their (nt, d) values, so the quadrature times of many
+substeps are evaluated in one call.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .timepoly import (
 )
 
 LOAD_QUAD_PTS = 8
-#: Values per batched evaluation, counted as the quadrature evaluates them:
+#: Values per load call, counted as the quadrature evaluates them:
 #: one load value per step edge under trapezoid (neighbouring steps share
 #: theirs), npts per step under exact quadrature.  integrate evaluates the
 #: data terms of chunk_size(load_times(quadrature, npts) * d) steps in one
@@ -73,26 +73,6 @@ def factorize(A: sp.spmatrix):
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
-def batched(load_fn: Callable) -> Callable:
-    """Declare that load_fn also takes a 1-D array of times, returning (nt, d).
-
-    A scalar time must still give the (d,) vector.  Returns load_fn itself.
-    """
-    load_fn.batched = True
-    return load_fn
-
-
-def _load_values(load_fn: Callable, ts: np.ndarray) -> np.ndarray:
-    """Values of a load at the 1-D array of times ts, shape (len(ts), d).
-
-    One call for a batched load, one call per time otherwise (where a
-    scalar value stands for a load vector of length 1).
-    """
-    if getattr(load_fn, "batched", False) is True:
-        return np.asarray(load_fn(ts), dtype=float)
-    return np.stack([np.asarray(load_fn(t), dtype=float) for t in ts]).reshape(len(ts), -1)
-
-
 def _chunk_moments(
     spec: SchemeSpec,
     edges: np.ndarray,
@@ -113,13 +93,13 @@ def _chunk_moments(
     if load_fn is None:
         return np.zeros((len(a), (t_o + 1) * d))
     if quadrature == "trapezoid":
-        vals = _load_values(load_fn, edges)
+        vals = load_fn(edges)
         sign = (-1.0) ** np.arange(t_o + 1)
         out = half * (sign[None, :, None] * vals[:-1, None, :] + vals[1:, None, :])
     else:
         x, w = gauss_rule(npts)
         ts = a[:, None] + (x + 1.0) * half[:, :, 0]  # (steps, npts)
-        vals = _load_values(load_fn, ts.ravel()).reshape(len(a), npts, d)
+        vals = load_fn(ts.ravel()).reshape(len(a), npts, d)
         out = half * np.einsum("mj,kjd->kmd", legendre_table(t_o, x) * w, vals)
     return out.reshape(len(a), -1)
 
@@ -131,18 +111,17 @@ def load_moments(
     d: int,
     *,
     quadrature: str = "exact",
-    npts: int = LOAD_QUAD_PTS,
 ) -> np.ndarray:
     """Data term of one substep: integral of load(t) against each test mode.
 
     Laid out like the substep rows, one d-slab per test mode.  load_fn
-    maps a time to the (d,) load vector; a load marked with batched() is
-    called once with all quadrature times, any other callable once per
-    time.  Trapezoid quadrature uses endpoint values only, which is the
+    maps a 1-D array of times to their (nt, d) load values and is called
+    once, with all quadrature times (LOAD_QUAD_PTS Gauss points).
+    Trapezoid quadrature uses endpoint values only, which is the
     classical treatment of forcing data for the pinned-endpoint q=1 scheme.
     """
     edges = np.array([interval.a, interval.b])
-    return _chunk_moments(spec, edges, load_fn, d, quadrature, npts)[0]
+    return _chunk_moments(spec, edges, load_fn, d, quadrature, LOAD_QUAD_PTS)[0]
 
 
 @dataclasses.dataclass
@@ -240,16 +219,12 @@ def solve_substep(
     block: SubstepBlock,
     history: Sequence[np.ndarray],
     load_fn: Optional[Callable] = None,
-    *,
-    load_npts: int = LOAD_QUAD_PTS,
 ):
     """Solve one substep given its trailing side values (newest first).
 
     Returns the state's (q + 1, d) Legendre coefficients and the new side value.
     """
-    rhs = load_moments(
-        block.spec, block.interval, load_fn, block.d, quadrature=block.quadrature, npts=load_npts
-    )
+    rhs = load_moments(block.spec, block.interval, load_fn, block.d, quadrature=block.quadrature)
     _subtract_history(block, history, rhs)
     slots = block.lu().solve(rhs).reshape(1, -1, block.d)
     U = np.vstack([*history[: block.spec.reach][::-1], slots[0, -1]])
@@ -292,10 +267,10 @@ def integrate(
     boundaries are the step edges, at least two; every step has the first
     step's length to within 1e-12 relative, so one block and one
     factorization serve them all.  The data terms are computed for a chunk
-    of steps at a time, with one load call per chunk when the load is
-    batched.  Returns (coeffs, side_values): coeffs[n], shape (q+1, d), the
-    Legendre coefficients of the state on (boundaries[n], boundaries[n+1]),
-    and side_values[n] the state at boundaries[n] (side_values[0] = u0).
+    of steps at a time, with one load call per chunk.  Returns (coeffs,
+    side_values): coeffs[n], shape (q+1, d), the Legendre coefficients of
+    the state on (boundaries[n], boundaries[n+1]), and side_values[n] the
+    state at boundaries[n] (side_values[0] = u0).
     """
     boundaries = np.asarray(boundaries, dtype=float)
     n_steps = len(boundaries) - 1

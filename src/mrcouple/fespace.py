@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .dgit import _load_values, batched, factorize
+from .dgit import factorize
 from .mesh import InterfaceMap, Mesh
 from .timepoly import gauss_rule
 
@@ -171,10 +171,10 @@ class FeOperators:
 
     load_f[i] maps t to the body-force vector (f_i, phi_j); load_g[i] maps
     t to the interface data vector (g_i, mu_j); None means identically zero.
-    Every load takes a scalar time, giving a (d,) vector, or a 1-D array of
-    nt times, giving (nt, d), and is marked with dgit.batched; assemble
-    builds such loads and from_matrices adapts per-time callables to them.
-    f_vec, g_vec and g_trace follow the same convention.
+    Every load takes a 1-D array of nt times and gives their (nt, d)
+    values; from_matrices adapts per-time callables to that form.  The
+    loads that assemble builds also take a scalar time, giving a (d,)
+    vector.  f_vec, g_vec and g_trace follow the loads' convention.
     """
 
     M: tuple
@@ -249,17 +249,10 @@ def _load_or_zero(fn, t, d: int) -> np.ndarray:
 
 
 def _per_time(fn):
-    """Batched adapter of a per-time load callable: one call per time."""
+    """Load of a per-time callable t -> (d,): one call per time of a 1-D array."""
     if fn is None:
         return None
-
-    @batched
-    def load(t):
-        if np.ndim(t) == 0:
-            return np.asarray(fn(t), dtype=float)
-        return _load_values(fn, t)
-
-    return load
+    return lambda ts: np.stack([np.asarray(fn(t), dtype=float) for t in ts]).reshape(len(ts), -1)
 
 
 def local_mass(hx: float, hy: float) -> np.ndarray:
@@ -333,7 +326,7 @@ def _interface_mass(mesh: Mesh, imap: InterfaceMap) -> sp.csr_matrix:
 
 
 def _quadrature_load(fn: Callable, points: tuple, dofs: np.ndarray, local: np.ndarray, n_rows: int):
-    """Batched t -> Q @ fn(*points, t), the load vector of pointwise data fn.
+    """Load t -> Q @ fn(*points, t) of pointwise data fn, for a time or an array of times.
 
     points are the (ncell, ngp) coordinate arrays of the quadrature points;
     dofs (ncell, nloc) holds the row of each local shape function (negative
@@ -354,13 +347,11 @@ def _quadrature_load(fn: Callable, points: tuple, dofs: np.ndarray, local: np.nd
         spatial = [np.broadcast_to(np.asarray(a(*points), dtype=float), shape) for a, _ in fn.terms]
         F = np.stack([Q @ values.ravel() for values in spatial])  # (K, n_rows)
 
-        @batched
         def separable_load(t) -> np.ndarray:
             return fn.time_factors(np.asarray(t, dtype=float)) @ F
 
         return separable_load
 
-    @batched
     def load(t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         pointwise = np.broadcast_to(fn(*points, t[..., None, None]), t.shape + shape)
@@ -371,7 +362,7 @@ def _quadrature_load(fn: Callable, points: tuple, dofs: np.ndarray, local: np.nd
 
 
 def _volume_load(mesh: Mesh, f: Callable) -> Callable:
-    """t -> vector of (f(., t), phi_j) over the free dofs; batched in t."""
+    """t -> vector of (f(., t), phi_j) over the free dofs, also for an array of times."""
     xi, eta, W, N, _, _ = _shape_table(N_GP_LOAD)
     hx, hy = mesh.hx, mesh.hy
     origins = mesh.nodes[mesh.quads[:, 0]]
@@ -382,7 +373,7 @@ def _volume_load(mesh: Mesh, f: Callable) -> Callable:
 
 
 def _interface_load(mesh: Mesh, imap: InterfaceMap, g: Callable) -> Callable:
-    """t -> vector of (g(., t), mu_j) over the interface unknowns; batched in t."""
+    """t -> vector of (g(., t), mu_j) over the interface unknowns, also for an array of times."""
     x1, w1 = gauss_rule(N_GP_LOAD)
     hx = mesh.hx
     XG = np.arange(mesh.nx)[:, None] * hx + hx * (1 + x1)[None, :] / 2.0  # (nseg, ngp)
@@ -477,14 +468,13 @@ def from_matrices(
     load_f=(None, None),
     load_g=(None, None),
     u0=None,
-    h: float = 1.0,
 ) -> FeOperators:
     """Matrix-defined backdoor for toy systems; bypasses any mesh.
 
     Mass matrices (volume and interface) must be symmetric positive
     definite.  load_f / load_g supply already-assembled load vectors as
-    per-time functions t -> (d,); the operators wrap each one so that it
-    also takes an array of times (calling it once per time).  Conservation
+    per-time functions t -> (d,); the operators wrap each one into a load
+    that takes a 1-D array of times and calls it once per time.  Conservation
     compatibility is judged from B and, when interface loads are present,
     from samples of their sum.
     """
@@ -505,7 +495,6 @@ def from_matrices(
         load_f=tuple(_per_time(fn) for fn in load_f),
         load_g=tuple(_per_time(fn) for fn in load_g),
         u0=u0,
-        h=h,
         conservation_compatible=compat,
         b_psd=psd,
     )

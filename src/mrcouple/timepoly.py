@@ -157,17 +157,18 @@ def cross_moments(
     return np.matmul(tab_s.transpose(1, 0, 2) * w[:, None, :], tab_w.transpose(1, 2, 0))
 
 
-def project_l2(f, interval: Interval, k: int, *, npts: int = 32) -> np.ndarray:
+def project_l2(f, interval: Interval, k: int) -> np.ndarray:
     """L2-orthogonal projection of a callable t -> vector onto polynomials of order k.
 
-    Returns the (k + 1, ncols) Legendre coefficients on the interval.  The
-    default 32-point Gauss rule is exact for polynomial input whose order
-    plus k is at most 63 and accurate to roundoff for analytic f; pass npts
-    for rough integrands.  Raises ValueError if the projection is not finite.
+    Returns the (k + 1, ncols) Legendre coefficients on the interval.  f is
+    called once per point of a 32-point Gauss rule, which is exact for
+    polynomial input whose order plus k is at most 63 and accurate to
+    roundoff for analytic f.  Raises ValueError if the projection is not
+    finite.
     """
     if k < 0:
         raise ValueError("target order must be nonnegative")
-    t, w = gauss_on(interval, npts)
+    t, w = gauss_on(interval, 32)
     vals = np.stack([np.ravel(np.asarray(f(ti), dtype=float)) for ti in t])
     tab = legendre_table(k, interval.to_reference(t))
     coeffs = np.empty((k + 1, vals.shape[1]))
@@ -226,14 +227,14 @@ class SchemeSpec:
     values the conditions reach back, and D the n_s x (k_s+1) coefficient
     matrix: value at node k equals sum_l D[k, l] * U^{n+1-l}.
 
-    Construction rejects schemes with non-finite nodes or D, or whose
-    side-condition table is singular, unless unsafe_diagnostic is set
-    (then no substep can be built from it instead).
+    Construction raises SchemeError for schemes with non-finite nodes or
+    D, or whose side-condition table is singular (the message gives its
+    determinant).
 
     Computed once: node_map J maps [modes 0..q-n_s, values at the side
     nodes] to the q+1 Legendre coefficients; state_map S = J @
     blockdiag(I, D) maps [modes 0..q-n_s, U^{n+1}, U^n, ...,
-    U^{n+1-k_s}] to them; both are None for a singular spec.  reach,
+    U^{n+1-k_s}] to them.  reach,
     the last nonzero column of D and at least 1, counts the side values
     before its own that a substep reads (the jump term reads one).
     """
@@ -244,10 +245,9 @@ class SchemeSpec:
     thetas: tuple
     D: np.ndarray
     name: str = ""
-    unsafe_diagnostic: bool = False
     dtilde: DtildeReport = dataclasses.field(init=False, repr=False, compare=False)
-    node_map: np.ndarray | None = dataclasses.field(init=False, repr=False, compare=False)
-    state_map: np.ndarray | None = dataclasses.field(init=False, repr=False, compare=False)
+    node_map: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    state_map: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     reach: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -287,18 +287,15 @@ class SchemeSpec:
                 "side-condition check failed: the Legendre evaluation matrix at the "
                 f"given nodes is singular (det={report.determinant:.3e})"
             )
-        if problems and not self.unsafe_diagnostic:
+        if problems:
             raise SchemeError("; ".join(problems))
-        J = S = None
-        if consistent and report.nonsingular:
-            J = np.eye(self.q + 1)
-            J[low:] = np.linalg.solve(report.matrix, np.hstack([-psi[:, :low], np.eye(self.n_s)]))
-            S = J @ block_diag(np.eye(low), D) if D.shape[0] == self.n_s else None
+        J = np.eye(self.q + 1)
+        J[low:] = np.linalg.solve(report.matrix, np.hstack([-psi[:, :low], np.eye(self.n_s)]))
+        S = J @ block_diag(np.eye(low), D)
         nonzero = np.flatnonzero(np.any(D != 0, axis=0))
         object.__setattr__(self, "reach", max(1, int(nonzero[-1]) if nonzero.size else 1))
         for name, value in (("node_map", J), ("state_map", S), ("D", D)):
-            if value is not None:
-                value.flags.writeable = False
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @property

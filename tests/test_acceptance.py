@@ -200,9 +200,10 @@ def test_07_fixed_point_direct_equivalence():
     tol = 1e-10
     ok_cfg = mc.WindowConfig(t_f=0.01, N=1, M=(1, 2), r=(1, 1))
     op = mc.WindowOperator(stiff, mc.crank_nicolson(), ok_cfg, quadrature="trapezoid")
-    direct = op.solve(tuple(stiff.u0))
+    before = tuple(v[None] for v in stiff.u0)
+    direct = op.solve(before)
     fp = mc.solve_window_fixed_point(
-        stiff, mc.crank_nicolson(), ok_cfg, tuple(stiff.u0), quadrature="trapezoid", tol=tol
+        stiff, mc.crank_nicolson(), ok_cfg, before, quadrature="trapezoid", tol=tol
     )
     diff = max(
         float(np.max(np.abs(fp.U[i][-1] - direct.U[i][-1]))) for i in range(2)
@@ -213,7 +214,7 @@ def test_07_fixed_point_direct_equivalence():
     raised, factor = False, float("nan")
     try:
         mc.solve_window_fixed_point(
-            stiff, mc.crank_nicolson(), bad_cfg, tuple(stiff.u0), quadrature="trapezoid", tol=tol
+            stiff, mc.crank_nicolson(), bad_cfg, before, quadrature="trapezoid", tol=tol
         )
     except mc.ContractionError as err:
         raised, factor = True, err.factor
@@ -239,7 +240,7 @@ def test_08_exactness_and_side_conditions():
         exact = lambda t: poly_values(whole, coeffs, t)
         # d/dt on the interval is 2 / length times d/dx on the reference [-1, 1]
         du = np.polynomial.legendre.legder(coeffs, scl=2.0 / whole.length)
-        load = lambda t: M @ poly_values(whole, du, t)
+        load = lambda t: (M @ poly_values(whole, du, t).T).T
         history0 = [exact(boundaries[0] - k * (boundaries[1] - boundaries[0])) for k in range(1, spec.k_s + 1)]
         states, side = dgit.integrate(
             M, None, load, exact(boundaries[0]), spec, boundaries, history0=history0

@@ -21,8 +21,9 @@ from test_timepoly import poly_values
 from test_verify import pointwise_error_norms
 
 
-def incoming(ops):
-    return tuple(np.asarray(v) for v in ops.u0)
+def before_first(ops):
+    """Per side, the side values before window 1: u0 as one row."""
+    return tuple(np.asarray(v)[None] for v in ops.u0)
 
 
 class TestWindowConfig:
@@ -75,50 +76,46 @@ class TestStepRestriction:
 
 class TestFluxSolve:
     def test_equal_traces_conservative_pair(self):
-        window = Interval(0.0, 1.0)
         c = np.array([[2.0], [0.3]])
         B = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        F1, F2 = mc.flux_solve(window, (c, c), B, (1, 1))
+        F1, F2 = mc.flux_solve((c, c), B, (1, 1))
         assert F1.shape == F2.shape == (2, 1)
         assert np.max(np.abs(F1)) < 1e-14
         assert np.max(np.abs(F2)) < 1e-14
 
     def test_strong_cancellation_random(self):
         rng = np.random.default_rng(2)
-        window = Interval(0.0, 0.2)
         u1 = rng.standard_normal((3, 4))
         u2 = rng.standard_normal((3, 4))
         B = np.array([[0.7, -1.3], [-0.7, 1.3]])
-        F1, F2 = mc.flux_solve(window, (u1, u2), B, (2, 2))
+        F1, F2 = mc.flux_solve((u1, u2), B, (2, 2))
         scale = np.max(np.abs(F1))
         assert np.max(np.abs(F1 + F2)) < 1e-12 * scale
 
     def test_weak_cancellation_mixed_orders(self):
         rng = np.random.default_rng(3)
-        window = Interval(0.0, 0.2)
         u1 = rng.standard_normal((2, 2))
         u2 = rng.standard_normal((1, 2))
         B = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        F1, F2 = mc.flux_solve(window, (u1, u2), B, (1, 0))
+        F1, F2 = mc.flux_solve((u1, u2), B, (1, 0))
         # order-0 moments cancel; the linear mode of F1 generally survives
         assert np.max(np.abs(F1[0] + F2[0])) < 1e-13
         assert np.max(np.abs(F1[1])) > 1e-8
 
     def test_polynomial_g_enters_exactly(self):
-        window = Interval(0.0, 1.0)
         u1 = np.array([[1.0]])
         u2 = np.array([[0.0]])
         g1 = np.array([[0.5], [0.25]])
         B = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        F1, _ = mc.flux_solve(window, (u1, u2), B, (1, 1), g=(g1, None))
+        F1, _ = mc.flux_solve((u1, u2), B, (1, 1), g=(g1, None))
         assert F1[0, 0] == pytest.approx(0.5, abs=1e-14)
         assert F1[1, 0] == pytest.approx(-0.25, abs=1e-14)
 
-    def test_callable_g_is_projected(self):
-        window = Interval(0.0, 1.0)
+    def test_projected_g_cut_to_the_flux_order(self):
         traces = (np.zeros((2, 1)), np.zeros((2, 1)))
         B = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        F1, F2 = mc.flux_solve(window, traces, B, (1, 0), g=(lambda t: t, lambda t: t))
+        g = mc.project_l2(lambda t: np.array([t]), Interval(0.0, 1.0), 1)
+        F1, F2 = mc.flux_solve(traces, B, (1, 0), g=(g, g))
         # t on (0, 1) is 1/2 + P_1 / 2; order 0 keeps the mean
         assert np.allclose(F1, [[-0.5], [-0.5]], rtol=0, atol=1e-14)
         assert np.allclose(F2, [[-0.5]], rtol=0, atol=1e-14)
@@ -189,7 +186,7 @@ class TestWindowAssembly:
     def test_direct_residual_recorded(self, toy_ops):
         cfg = mc.WindowConfig(t_f=0.1, N=1, M=(2, 3), r=(1, 1))
         op = mc.WindowOperator(toy_ops, mc.crank_nicolson(), cfg)
-        sol = op.solve(incoming(toy_ops))
+        sol = op.solve(before_first(toy_ops))
         assert sol.residual < 1e-12
 
     def test_residual_check_rejects_wrong_factor(self, decay_ops):
@@ -197,12 +194,12 @@ class TestWindowAssembly:
         op = mc.WindowOperator(decay_ops, mc.crank_nicolson(), cfg, quadrature="trapezoid")
         op._lu = dgit.factorize(op.matrix + 1e-6 * sp.identity(op.dim, format="csr"))
         with pytest.raises(mc.SolverError, match="residual"):
-            op.solve(incoming(decay_ops))
+            op.solve(before_first(decay_ops))
 
     def test_keep_traces(self, toy_ops):
         cfg = mc.WindowConfig(t_f=0.1, N=1, M=(1, 2), r=(1, 1))
         op = mc.WindowOperator(toy_ops, mc.crank_nicolson(), cfg)
-        sol = op.solve(incoming(toy_ops))
+        sol = op.solve(before_first(toy_ops))
         kept = mc.window_traces(sol, toy_ops)
         # each stored trace satisfies its defining projection identity: the
         # substep traces minus it have no moment against a window mode <= 1
@@ -224,8 +221,8 @@ class TestWindowAssembly:
         cfg = mc.WindowConfig(t_f=0.05, N=1, M=(2, 3), r=r)
         scheme = mc.shipped_schemes()[scheme_name]
         op = mc.WindowOperator(toy_ops, scheme, cfg, quadrature=quadrature)
-        sol = op.solve(incoming(toy_ops))
-        F = mc.flux_solve(sol.window, mc.window_traces(sol, toy_ops, quadrature), toy_ops.B, cfg.r)
+        sol = op.solve(before_first(toy_ops))
+        F = mc.flux_solve(mc.window_traces(sol, toy_ops, quadrature), toy_ops.B, cfg.r)
         for i in range(2):
             assert np.max(np.abs(F[i] - sol.F[i])) <= 1e-12
 
@@ -275,9 +272,9 @@ class TestWindowAssembly:
 
 class TestBatchedWindowLoads:
     @staticmethod
-    def reference_rhs(op, ops, incoming, n):
+    def reference_rhs(op, ops, before, n):
         # the window's data terms computed alone, from its own substep edges
-        # and interface data times, minus the past
+        # and interface data times, minus the past (one side value a side)
         cfg, quadrature = op.cfg, op.quadrature
         rhs = np.zeros(op.dim)
         for i in range(2):
@@ -292,7 +289,7 @@ class TestBatchedWindowLoads:
             lo = op._flux_off[i]
             g = op._g_weights[i] @ ops.g_vec(i, t)
             rhs[lo : lo + (cfg.r[i] + 1) * ops.d_gamma] = -g.ravel()
-        rhs -= op._past @ np.concatenate(incoming)
+        rhs -= op._past @ np.concatenate([side[-1] for side in before])
         return rhs
 
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
@@ -305,7 +302,6 @@ class TestBatchedWindowLoads:
         calls = {"f": [0, 0], "g": [0, 0]}
 
         def wrap(kind, i, fn):
-            @dgit.batched
             def load(t):
                 calls[kind][i] += 1
                 return fn(t)
@@ -327,14 +323,14 @@ class TestBatchedWindowLoads:
             return seen[-1][1]
 
         monkeypatch.setattr(op, "_rhs", recorded)
-        u = incoming(ops)
+        u = before_first(ops)
         for n in range(1, cfg.N + 1):
-            sol = op.solve(u, window_index=n)
+            sol = op.solve(u, n)
             assert sol.residual < coupling.RESIDUAL_TOL
-            u = tuple(sol.U[i][-1] for i in range(2))
+            u = sol.U
         assert calls == {"f": [3, 3], "g": [3, 3]}
-        assert [args[2] for args, _ in seen] == list(range(1, cfg.N + 1))
-        for (u, _, n), rhs in seen:
+        assert [args[1] for args, _ in seen] == list(range(1, cfg.N + 1))
+        for (u, n), rhs in seen:
             assert np.array_equal(rhs, self.reference_rhs(op, smooth_ops, u, n))
 
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
@@ -367,10 +363,10 @@ class TestBatchedWindowLoads:
         assert op._chunk >= cfg.N
         for n in (3, 1, 3, 4):
             # the inputs march handed window n
-            u, guess = incoming(smooth_ops), None
+            u, guess = before_first(smooth_ops), None
             if n > 1:
-                u, guess = tuple(in_order[n - 2].U[i][-1] for i in range(2)), in_order[n - 2].F
-            sol = op.solve(u, window_index=n, flux_guess=guess)
+                u, guess = in_order[n - 2].U, in_order[n - 2].F
+            sol = op.solve(u, n, guess)
             ref = in_order[n - 1]
             for i in range(2):
                 assert np.array_equal(sol.u[i], ref.u[i])
@@ -382,17 +378,8 @@ class TestBatchedWindowLoads:
         cfg = mc.WindowConfig(t_f=0.2, N=4, M=(2, 3), r=(1, 1))
         op = mc.WindowOperator(decay_ops, mc.crank_nicolson(), cfg)
         monkeypatch.setattr(op, "_data_rows", None)  # calling it would raise
-        rhs = op._rhs(incoming(decay_ops), ((), ()), 2)
-        assert np.array_equal(rhs, 0.0 - op._past @ np.concatenate(incoming(decay_ops)))
-
-    def test_one_window_chunks_are_not_held(self, smooth_ops, monkeypatch):
-        monkeypatch.setattr(dgit, "LOAD_BATCH_VALUES", 1)
-        cfg = mc.WindowConfig(t_f=0.2, N=4, M=(2, 3), r=(1, 1))
-        op = mc.WindowOperator(smooth_ops, mc.crank_nicolson(), cfg)
-        assert op._chunk == 1
-        first = op._rhs(incoming(smooth_ops), ((), ()), 2)
-        assert len(op._rows) == 0
-        assert np.array_equal(op._rhs(incoming(smooth_ops), ((), ()), 2), first)
+        rhs = op._rhs(before_first(decay_ops), 2)
+        assert np.array_equal(rhs, 0.0 - op._past @ np.concatenate(decay_ops.u0))
 
 
 class TestFactorize:
@@ -459,7 +446,7 @@ class TestFixedPoint:
         )
         cfg = mc.WindowConfig(t_f=0.1, N=1, M=(1, 2), r=(0, 0))
         sol = mc.solve_window_fixed_point(
-            ops, mc.crank_nicolson(), cfg, incoming(ops), quadrature="exact"
+            ops, mc.crank_nicolson(), cfg, before_first(ops), quadrature="exact"
         )
         assert sol.iterations <= 2
         assert sol.U[0][-1][0] == pytest.approx(0.6, abs=1e-12)
@@ -483,9 +470,9 @@ class TestFixedPoint:
         cfg = mc.WindowConfig(t_f=0.05, N=1, M=(2, 3), r=(1, 1))
         tol = 1e-10
         op = mc.WindowOperator(toy_ops, mc.crank_nicolson(), cfg, quadrature="trapezoid")
-        direct = op.solve(incoming(toy_ops))
+        direct = op.solve(before_first(toy_ops))
         fp = mc.solve_window_fixed_point(
-            toy_ops, mc.crank_nicolson(), cfg, incoming(toy_ops),
+            toy_ops, mc.crank_nicolson(), cfg, before_first(toy_ops),
             quadrature="trapezoid", tol=tol,
         )
         assert fp.iterations <= 50
@@ -501,11 +488,11 @@ class TestFixedPoint:
             u0=(np.array([1.0]), np.array([-1.0])),
         )
         ok_cfg = mc.WindowConfig(t_f=0.01, N=1, M=(1, 2), r=(1, 1))
-        sol = mc.solve_window_fixed_point(stiff, mc.crank_nicolson(), ok_cfg, incoming(stiff))
+        sol = mc.solve_window_fixed_point(stiff, mc.crank_nicolson(), ok_cfg, before_first(stiff))
         assert sol.iterations <= 50
         bad_cfg = mc.WindowConfig(t_f=1.0, N=1, M=(1, 2), r=(1, 1))
         with pytest.raises(mc.ContractionError) as err:
-            mc.solve_window_fixed_point(stiff, mc.crank_nicolson(), bad_cfg, incoming(stiff))
+            mc.solve_window_fixed_point(stiff, mc.crank_nicolson(), bad_cfg, before_first(stiff))
         assert err.value.factor >= 1.0
 
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
@@ -521,10 +508,10 @@ class TestFixedPoint:
         cfg = mc.WindowConfig(t_f=1.0, N=1, M=(1, 2), r=(1, 1))
         tol = 1e-10
         direct = mc.WindowOperator(ops, mc.crank_nicolson(), cfg, quadrature=quadrature).solve(
-            incoming(ops)
+            before_first(ops)
         )
         fp = mc.solve_window_fixed_point(
-            ops, mc.crank_nicolson(), cfg, incoming(ops),
+            ops, mc.crank_nicolson(), cfg, before_first(ops),
             quadrature=quadrature, tol=tol, max_iter=1000,
         )
         assert fp.iterations > 1 and fp.residual <= tol
@@ -552,9 +539,9 @@ class TestFixedPoint:
         cfg = mc.WindowConfig(t_f=0.05, N=1, M=(2, 3), r=(1, 1))
         tol = 1e-12
         op = mc.WindowOperator(toy_ops, scheme, cfg, quadrature=quadrature)
-        direct = op.solve(incoming(toy_ops))
+        direct = op.solve(before_first(toy_ops))
         fp = mc.solve_window_fixed_point(
-            toy_ops, scheme, cfg, incoming(toy_ops), quadrature=quadrature, tol=tol
+            toy_ops, scheme, cfg, before_first(toy_ops), quadrature=quadrature, tol=tol
         )
         for i in range(2):
             assert np.max(np.abs(fp.U[i][-1] - direct.U[i][-1])) <= 10 * tol
@@ -722,7 +709,7 @@ class TestRunSimulation:
     def test_window_jump_vanishes_for_pinned_scheme(self, decay_ops):
         cfg = mc.WindowConfig(t_f=0.3, N=3, M=(1, 2), r=(1, 1))
         traj = mc.run_simulation(decay_ops, mc.crank_nicolson(), cfg, quadrature="exact")
-        prev = incoming(decay_ops)
+        prev = decay_ops.u0
         for sol in traj.windows:
             for i in range(2):
                 first = Interval(*cfg.substep_edges(i, sol.index)[:2])
@@ -735,7 +722,7 @@ class TestRunSimulation:
         cfg = mc.WindowConfig(t_f=0.3, N=3, M=(1, 1), r=(1, 1))
         traj = mc.run_simulation(decay_ops, mc.dg(1), cfg, quadrature="exact")
         jumps = []
-        prev = incoming(decay_ops)
+        prev = decay_ops.u0
         for sol in traj.windows:
             first = Interval(*cfg.substep_edges(0, sol.index)[:2])
             jumps.append(np.max(np.abs(poly_values(first, sol.u[0][0], sol.window.a) - prev[0])))
@@ -802,20 +789,37 @@ class TestRunSimulation:
         cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1))
         op = mc.WindowOperator(toy_linear_ops, self.MEAN_TWO_BACK, cfg)
         with pytest.raises(ValueError, match="needs 2 historic side values, have 1"):
-            op.solve(incoming(toy_linear_ops), ((), ()), 2)
+            op.solve(before_first(toy_linear_ops), 2)
 
     def test_two_step_window_depends_on_history(self, toy_linear_ops):
         cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1))
         traj = mc.run_simulation(toy_linear_ops, self.MEAN_TWO_BACK, cfg, quadrature="exact")
         op = mc.WindowOperator(toy_linear_ops, self.MEAN_TWO_BACK, cfg)
-        prev = traj.windows[0]
-        inc = tuple(prev.U[i][-1] for i in range(2))
-        hist = tuple([prev.U[i][-2]] for i in range(2))
-        bent = tuple([h[0] + 0.01] for h in hist)
-        same = op.solve(inc, hist, 2)
-        moved = op.solve(inc, bent, 2)
+        prev = traj.windows[0].U
+        # the side value before the incoming one, moved
+        bent = tuple(np.vstack([U[:-2], U[-2:-1] + 0.01, U[-1:]]) for U in prev)
+        same = op.solve(prev, 2)
+        moved = op.solve(bent, 2)
         assert np.array_equal(same.U[0], traj.windows[1].U[0])
         assert np.max(np.abs(moved.U[0][-1] - same.U[0][-1])) > 1e-4
+
+    @pytest.mark.parametrize("solver", ["direct", "fixed-point"])
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    def test_rows_before_the_read_ones_change_nothing(self, toy_linear_ops, quadrature, solver):
+        # a window reads the last spec.reach rows of before and no others
+        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1))
+        settings = dict(quadrature=quadrature, solver=solver)
+        traj = mc.run_simulation(toy_linear_ops, self.MEAN_TWO_BACK, cfg, **settings)
+        op = mc.WindowOperator(toy_linear_ops, self.MEAN_TWO_BACK, cfg, **settings)
+        prev = traj.windows[0]
+        rng = np.random.default_rng(7)
+        longer = tuple(np.vstack([rng.standard_normal((3, U.shape[1])), U]) for U in prev.U)
+        want = op.solve(prev.U, 2, prev.F)
+        got = op.solve(longer, 2, prev.F)
+        for i in range(2):
+            for name in ("u", "U", "F"):
+                assert np.array_equal(getattr(got, name)[i], getattr(want, name)[i])
+        assert got.residual == want.residual and got.iterations == want.iterations
 
     def test_unknown_solver_rejected(self, toy_ops):
         cfg = mc.WindowConfig(t_f=0.1, N=1)
@@ -861,9 +865,7 @@ class TestRunSimulation:
                 assert np.array_equal(sol.U[i], side[lo : lo + per_window + 1 : per_sub, slices[i]])
                 hi = lo + per_window
                 combo = ops.B[i, 0] * traces[0][lo:hi] + ops.B[i, 1] * traces[1][lo:hi]
-                g = mc.project_l2(
-                    lambda t: spla.spsolve(Mg, ops.g_vec(i, t)), sol.window, r[i], npts=16
-                )
+                g = mc.project_l2(lambda t: spla.spsolve(Mg, ops.g_vec(i, t)), sol.window, r[i])
                 want = mc.project_pieces(edges[lo : hi + 1], combo, r[i]) - g
                 assert close(sol.F[i], want)
 

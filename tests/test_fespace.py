@@ -290,7 +290,7 @@ class TestBatchedLoads:
         vals = toy_linear_ops.f_vec(0, self.TIMES)
         assert vals.shape == (len(self.TIMES), 1)
         assert np.allclose(vals[:, 0], 4.3 + self.TIMES, rtol=0, atol=1e-15)
-        assert toy_linear_ops.f_vec(1, 0.5).shape == (1,)
+        assert np.allclose(toy_linear_ops.f_vec(1, self.TIMES)[:, 0], 0.55 + 2 * self.TIMES)
 
 
 class TestFromMatrices:

@@ -1,4 +1,5 @@
 import math
+import re
 import zlib
 
 import numpy as np
@@ -170,8 +171,8 @@ class TestProjectL2:
 
     def test_callable_called_once_per_gauss_point(self):
         calls = []
-        mc.project_l2(lambda t: calls.append(t) or t, Interval(0.0, 1.0), 2, npts=5)
-        assert np.array_equal(calls, gauss_on(Interval(0.0, 1.0), 5)[0])
+        mc.project_l2(lambda t: calls.append(t) or t, Interval(0.0, 1.0), 2)
+        assert np.array_equal(calls, gauss_on(Interval(0.0, 1.0), 32)[0])
 
     def test_vector_valued(self):
         iv = Interval(-1.0, 3.0)
@@ -297,28 +298,18 @@ class TestDtilde:
         assert rep.determinant == pytest.approx(1.0)
 
     def test_repeated_nodes_singular(self):
-        spec = SchemeSpec(
-            q=2, n_s=2, k_s=1, thetas=(0.5, 0.5), D=[[0.0, 1.0], [1.0, 0.0]],
-            unsafe_diagnostic=True,
-        )
-        rep = spec.dtilde
-        assert not rep.nonsingular
-        assert rep.determinant == pytest.approx(0.0, abs=1e-14)
+        with pytest.raises(SchemeError) as err:
+            SchemeSpec(q=2, n_s=2, k_s=1, thetas=(0.5, 0.5), D=[[0.0, 1.0], [1.0, 0.0]])
+        det = float(re.search(r"det=(\S+)\)", str(err.value)).group(1))
+        assert det == pytest.approx(0.0, abs=1e-14)
 
     def test_no_side_conditions_trivially_nonsingular(self):
         rep = mc.dg(2).dtilde
         assert rep.nonsingular and rep.matrix.shape == (0, 0)
 
-    def test_singular_spec_rejected_without_diagnostic_mode(self):
+    def test_singular_spec_rejected(self):
         with pytest.raises(SchemeError, match="side-condition"):
             SchemeSpec(q=2, n_s=2, k_s=1, thetas=(0.5, 0.5), D=[[0.0, 1.0], [1.0, 0.0]])
-
-    def test_reconstruction_refused_on_singular_spec(self):
-        spec = SchemeSpec(
-            q=2, n_s=2, k_s=1, thetas=(0.5, 0.5), D=[[0.0, 1.0], [1.0, 0.0]],
-            unsafe_diagnostic=True,
-        )
-        assert spec.node_map is None and spec.state_map is None
 
 
 class TestSchemeValidation:

@@ -200,11 +200,10 @@ def run_and_oracle(toy_linear_ops):
 
 
 def counting_loads(ops, monkeypatch):
-    """Replace ops.load_f by batched wrappers that count their calls."""
+    """Replace ops.load_f by wrappers that count their calls."""
     calls = [0, 0]
 
     def wrap(i, fn):
-        @dgit.batched
         def load(t):
             calls[i] += 1
             return fn(t)
@@ -269,7 +268,7 @@ class TestSeparableFastPath:
         counts.clear()
         cfg = mc.WindowConfig(t_f=0.2, N=2, M=(2, 3), r=(1, 1))
         op = coupling.WindowOperator(ops, mc.crank_nicolson(), cfg, quadrature=quadrature)
-        sol = op.solve(tuple(ops.u0), window_index=2)
+        sol = op.solve(tuple(v[None] for v in ops.u0), 2)
         assert sol.residual < coupling.RESIDUAL_TOL
         assert dict(counts) == dict.fromkeys(time_keys, 1)
 
