@@ -382,6 +382,25 @@ class TestBatchedWindowLoads:
         assert np.array_equal(rhs, 0.0 - op._past @ np.concatenate(decay_ops.u0))
 
 
+    def test_one_window_chunks_are_held(self, smooth_ops, monkeypatch):
+        # a chunk of one window is held like any other: its row serves the
+        # window again without a second evaluation of the loads
+        monkeypatch.setattr(dgit, "LOAD_BATCH_VALUES", 1)
+        cfg = mc.WindowConfig(t_f=0.2, N=4, M=(2, 3), r=(1, 1))
+        op = mc.WindowOperator(smooth_ops, mc.crank_nicolson(), cfg)
+        assert op._chunk == 1
+        before = before_first(smooth_ops)
+        first = op._rhs(before, 2)
+        assert len(op._rows) == 1 and op._rows_first == 2
+        assert np.array_equal(first, self.reference_rhs(op, smooth_ops, before, 2))
+        rows = op._data_rows
+        monkeypatch.setattr(op, "_data_rows", None)  # calling it would raise
+        assert np.array_equal(op._rhs(before, 2), first)
+        monkeypatch.setattr(op, "_data_rows", rows)
+        assert np.array_equal(op._rhs(before, 3), self.reference_rhs(op, smooth_ops, before, 3))
+        assert len(op._rows) == 1 and op._rows_first == 3
+
+
 class TestFactorize:
     @pytest.fixture(scope="class")
     def free_ops16(self):

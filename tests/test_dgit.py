@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 import mrcouple as mc
 from mrcouple import dgit
+from mrcouple.fespace import _per_time
 from mrcouple.timepoly import Interval, SchemeSpec
 
 from test_timepoly import poly_values
@@ -258,7 +259,27 @@ class TestIntegrate:
         dgit.integrate(M, M, None, np.array([1.0]), mc.crank_nicolson(), edges)
 
 
-class TestChunkedIntegrate:
+class TestBatchedIntegrate:
+    # a load is evaluated at all quadrature times of a chunk of steps in one
+    # call; fespace._per_time adapts a per-time callable t -> (d,) to that form
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    @pytest.mark.parametrize("scheme", ["crank-nicolson", "cg2"])
+    def test_batched_load_matches_per_time(self, smooth_ops, scheme, quadrature):
+        Mc, Lc, load, _ = mc.coupled_system(smooth_ops)
+        u0 = np.concatenate(smooth_ops.u0)
+        # more than two chunks, the last one partial
+        times = 1 if quadrature == "trapezoid" else dgit.LOAD_QUAD_PTS
+        chunk = max(1, dgit.LOAD_BATCH_VALUES // (times * Mc.shape[0]))
+        edges = np.linspace(0.0, 0.5, 2 * chunk + 4)
+        spec = mc.shipped_schemes()[scheme]
+        batched = dgit.integrate(Mc, Lc, load, u0, spec, edges, quadrature=quadrature)
+        per_time = dgit.integrate(
+            Mc, Lc, _per_time(lambda t: load(t)), u0, spec, edges, quadrature=quadrature
+        )
+        scale = float(np.max(np.abs(per_time[1])))
+        assert np.max(np.abs(batched[1] - per_time[1])) <= 1e-12 * scale
+        assert np.max(np.abs(batched[0] - per_time[0])) <= 1e-12 * scale
+
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
     def test_chunk_counts_the_load_values_the_quadrature_evaluates(self, quadrature, monkeypatch):
         # d = 2 values a time; a step adds one time, its end edge (trapezoid,
@@ -282,3 +303,25 @@ class TestChunkedIntegrate:
         assert sizes == [n + 1 if quadrature == "trapezoid" else n * npts for n in steps]
         for a, b in zip(default, chunked):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    def test_scalar_valued_per_time_load(self, quadrature):
+        iv = Interval(0.0, 0.1)
+        got = dgit.load_moments(
+            mc.crank_nicolson(), iv, _per_time(np.sin), 1, quadrature=quadrature
+        )
+        want = dgit.load_moments(
+            mc.crank_nicolson(), iv, lambda t: np.sin(t)[:, None], 1, quadrature=quadrature
+        )
+        assert np.array_equal(got, want) and got[-1] > 0
+
+    def test_load_moments_batched_and_per_time_agree(self, smooth_ops):
+        _, _, load, _ = mc.coupled_system(smooth_ops)
+        d = sum(smooth_ops.d_omega)
+        iv = Interval(0.2, 0.3)
+        for quadrature in ("exact", "trapezoid"):
+            a = dgit.load_moments(mc.dg(2), iv, load, d, quadrature=quadrature)
+            per_time = _per_time(lambda t: load(t))
+            b = dgit.load_moments(mc.dg(2), iv, per_time, d, quadrature=quadrature)
+            assert a.shape == ((2 + 2) * d,)
+            assert np.max(np.abs(a - b)) <= 1e-13 * float(np.max(np.abs(b)))
