@@ -476,7 +476,12 @@ class WindowOperator:
     def _past_values(self, before) -> list:
         """Per side, the last spec.reach rows of before: the side values the window reads."""
         reach = self.spec.reach
-        for side in before:
+        for side, d in zip(before, self.ops.d_omega):
+            if np.ndim(side) != 2 or np.shape(side)[1] != d:
+                raise ValueError(
+                    f"side values before the window must be (k, {d}) in time order: "
+                    f"the previous window's U, or u0[None]; got shape {np.shape(side)}"
+                )
             if len(side) < reach:
                 raise ValueError(f"window needs {reach} historic side values, have {len(side)}")
         return [side[-reach:] for side in before]
@@ -521,6 +526,8 @@ class WindowOperator:
         at the first window that misses it (_data_rows); without loads there
         is none.
         """
+        if not 1 <= window_index <= self.cfg.N:
+            raise ValueError(f"window index {window_index} is outside 1..{self.cfg.N}")
         past = self._past @ np.concatenate([v[::-1].ravel() for v in self._past_values(before)])
         if not self._has_data:
             # 0 - past, not -past: a zero of past stays +0.0, as zero data minus it
@@ -808,7 +815,7 @@ def _fill_init_windows(ops, spec, cfg, u0, n_init: int):
             trace = trace.reshape(fine.shape[:2] + (ops.d_gamma,))
             traces.append(project_pieces(edges[lo : hi + 1], trace, max(cfg.r)))
         g = tuple(
-            project_l2(lambda t, i=i: ops.g_trace(i, t), window, cfg.r[i])
+            project_l2(lambda t, i=i: ops.g_trace(i, np.atleast_1d(t))[0], window, cfg.r[i])
             if ops.load_g[i] is not None
             else None
             for i in range(2)

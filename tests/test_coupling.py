@@ -810,6 +810,37 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="needs 2 historic side values, have 1"):
             op.solve(before_first(toy_linear_ops), 2)
 
+    def test_side_values_must_be_rows(self, toy_linear_ops):
+        # the bare u0 vector is not the side values before the window, even with d_i == 1
+        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1))
+        op = mc.WindowOperator(toy_linear_ops, mc.crank_nicolson(), cfg)
+        with pytest.raises(ValueError, match=r"must be \(k, 1\).*u0\[None\]; got shape \(1,\)"):
+            op.solve(tuple(toy_linear_ops.u0))
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_window_index_outside_march_rejected(self, smooth_ops, n):
+        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1))
+        op = mc.WindowOperator(smooth_ops, mc.crank_nicolson(), cfg)
+        with pytest.raises(ValueError, match=f"window index {n} is outside 1..4"):
+            op.solve(before_first(smooth_ops), n)
+
+    @pytest.mark.parametrize("N0", [2, None])
+    def test_interface_data_of_per_time_loads(self, N0):
+        # B = 0 leaves each flux the negated projection of M_gamma^-1 g_i, in
+        # the reference-filled window as in the solved ones
+        g = (lambda t: np.array([1.0 + t * t]), lambda t: np.array([-3.0 * t]))
+        ops = mc.from_matrices(
+            [[1.0]], [[2.0]], [[1.0]], [[1.0]], [[0.5]], [[1.0]], [[2.0]], np.zeros((2, 2)),
+            load_g=g, u0=(np.array([1.0]), np.array([-0.3])),
+        )
+        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(2, 1), N0=N0)
+        traj = mc.run_simulation(ops, self.MEAN_TWO_BACK, cfg, quadrature="exact")
+        assert [sol.initialized_from_reference for sol in traj.windows] == [True] + [False] * 3
+        for sol in traj.windows:
+            for i in range(2):
+                expect = -mc.project_l2(lambda t: g[i](t) / 2.0, sol.window, cfg.r[i])
+                assert np.allclose(sol.F[i], expect, rtol=0.0, atol=1e-13)
+
     def test_two_step_window_depends_on_history(self, toy_linear_ops):
         cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1))
         traj = mc.run_simulation(toy_linear_ops, self.MEAN_TWO_BACK, cfg, quadrature="exact")
