@@ -477,10 +477,10 @@ class WindowOperator:
         """Per side, the last spec.reach rows of before: the side values the window reads."""
         reach = self.spec.reach
         for side, d in zip(before, self.ops.d_omega):
-            if np.ndim(side) != 2 or np.shape(side)[1] != d:
+            if np.shape(side)[1:] != (d,):
                 raise ValueError(
-                    f"side values before the window must be (k, {d}) in time order: "
-                    f"the previous window's U, or u0[None]; got shape {np.shape(side)}"
+                    f"side values before the window must be (k, {d}): the previous window's U, "
+                    f"or u0[None]; got shape {np.shape(side)}"
                 )
             if len(side) < reach:
                 raise ValueError(f"window needs {reach} historic side values, have {len(side)}")

@@ -814,7 +814,7 @@ class TestRunSimulation:
         # the bare u0 vector is not the side values before the window, even with d_i == 1
         cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1))
         op = mc.WindowOperator(toy_linear_ops, mc.crank_nicolson(), cfg)
-        with pytest.raises(ValueError, match=r"must be \(k, 1\).*u0\[None\]; got shape \(1,\)"):
+        with pytest.raises(ValueError, match=r"must be \(k, 1\): .*u0\[None\]; got shape \(1,\)"):
             op.solve(tuple(toy_linear_ops.u0))
 
     @pytest.mark.parametrize("n", [0, 5])
