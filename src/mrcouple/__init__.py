@@ -51,7 +51,6 @@ from .verify import (
     RateTable,
     ReferenceTrajectory,
     convergence_study,
-    energy_report,
     error_norms,
     mms_case,
     prepare_initial_state,

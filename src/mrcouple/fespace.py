@@ -24,6 +24,7 @@ drive the time integrators directly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 from typing import Callable
 
@@ -40,6 +41,7 @@ N_GP_MATRIX = 2
 N_GP_LOAD = 4
 
 _SYM_TOL = 1e-12
+_CHECK_TIMES = np.array([0.0, 0.31, 0.77])  # where conservation_compatible samples the data
 
 
 def _shape_table(n_gp: int):
@@ -117,26 +119,6 @@ class AdvectionSpec:
         return self.kind == "zero" or (self.kind == "constant" and self.sx == 0.0)
 
 
-def _opposite(g, times) -> bool:
-    """Whether interface data g = (g1, g2), callables of t or None for zero, cancel at times."""
-    worst = ref = 0.0
-    for t in times:
-        v1, v2 = (np.asarray(0.0 if gi is None else gi(t), dtype=float) for gi in g)
-        # initial=0.0: an interface with no unknowns has empty data
-        worst = max(worst, float(np.max(np.abs(v1 + v2), initial=0.0)))
-        ref = max(ref, float(np.max(np.abs(v1), initial=0.0)), 1.0)
-    return worst <= 1e-10 * ref
-
-
-def _b_flags(B: np.ndarray) -> tuple[bool, bool]:
-    """(row-wise antisymmetry of B, positive semidefiniteness) flags."""
-    scale = max(1.0, float(np.max(np.abs(B))))
-    compatible = abs(B[0, 0] + B[1, 0]) <= 1e-14 * scale and abs(B[0, 1] + B[1, 1]) <= 1e-14 * scale
-    sym = 0.5 * (B + B.T)
-    psd = bool(np.min(np.linalg.eigvalsh(sym)) >= -1e-12 * scale)
-    return compatible, psd
-
-
 @dataclasses.dataclass(frozen=True)
 class ProblemSpec:
     """Continuous model data for the coupled pair of advection-diffusion problems."""
@@ -147,8 +129,6 @@ class ProblemSpec:
     f: tuple = (None, None)
     g: tuple = (None, None)
     u0: tuple = (None, None)
-    conservation_compatible: bool = dataclasses.field(init=False)
-    b_psd: bool = dataclasses.field(init=False)
 
     def __post_init__(self):
         B = np.asarray(self.B, dtype=float).reshape(2, 2).copy()
@@ -156,16 +136,9 @@ class ProblemSpec:
         object.__setattr__(self, "B", B)
         if self.nu[0] <= 0 or self.nu[1] <= 0:
             raise ValueError("diffusivities must be positive")
-        compat, psd = _b_flags(B)
-        if compat:
-            xs = np.linspace(0.05, 0.95, 7)
-            g = [None if gi is None else (lambda t, gi=gi: gi(xs, t)) for gi in self.g]
-            compat = _opposite(g, (0.0, 0.31, 0.77))
-        object.__setattr__(self, "conservation_compatible", compat)
-        object.__setattr__(self, "b_psd", psd)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class FeOperators:
     """Assembled spatial operators shared by all time-integration machinery.
 
@@ -175,6 +148,11 @@ class FeOperators:
     values; from_matrices adapts per-time callables to that form.  The
     loads that assemble builds also take a scalar time, giving a (d,)
     vector.  f_vec, g_vec and g_trace follow the loads' convention.
+
+    The operators are frozen and B is kept as a read-only copy.  The check
+    flags conservation_compatible and b_psd are derived from B and the
+    interface loads on first read, so dataclasses.replace gives operators
+    that judge their own data.
     """
 
     M: tuple
@@ -182,15 +160,10 @@ class FeOperators:
     T: tuple
     M_gamma: sp.csr_matrix
     B: np.ndarray
-    A: tuple | None = None
-    B_adv: tuple | None = None
     load_f: tuple = (None, None)
     load_g: tuple = (None, None)
     u0: tuple | None = None
     h: float = 1.0
-    conservation_compatible: bool = True
-    b_psd: bool = True
-    _mg_lu: object = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self_d = tuple(m.shape[0] for m in self.M)
@@ -202,11 +175,34 @@ class FeOperators:
         if self.M_gamma.shape[0] != self.M_gamma.shape[1]:
             raise ValueError("interface mass must be square")
         if self.u0 is None:
-            self.u0 = tuple(np.zeros(d) for d in self_d)
+            object.__setattr__(self, "u0", tuple(np.zeros(d) for d in self_d))
         for i in range(2):
             if len(self.u0[i]) != self_d[i]:
                 raise ValueError(f"u0[{i}] has wrong length")
-        self.B = np.asarray(self.B, dtype=float).reshape(2, 2)
+        B = np.array(self.B, dtype=float).reshape(2, 2)
+        B.flags.writeable = False
+        object.__setattr__(self, "B", B)
+
+    @functools.cached_property
+    def conservation_compatible(self) -> bool:
+        """Row-wise antisymmetric B, and interface data vectors that cancel at _CHECK_TIMES.
+
+        The flux rows read the interface data only through g_vec, so its
+        vectors decide.  The loads are first called here, not at build.
+        """
+        scale = max(1.0, float(np.max(np.abs(self.B))))
+        if not np.all(np.abs(self.B[0] + self.B[1]) <= 1e-14 * scale):
+            return False
+        v1, v2 = self.g_vec(0, _CHECK_TIMES), self.g_vec(1, _CHECK_TIMES)
+        # initial=0.0: an interface with no unknowns has empty data
+        worst = float(np.max(np.abs(v1 + v2), initial=0.0))
+        return worst <= 1e-10 * max(float(np.max(np.abs(v1), initial=0.0)), 1.0)
+
+    @functools.cached_property
+    def b_psd(self) -> bool:
+        """Whether the symmetric part of B is positive semidefinite."""
+        scale = max(1.0, float(np.max(np.abs(self.B))))
+        return bool(np.min(np.linalg.eigvalsh(0.5 * (self.B + self.B.T))) >= -1e-12 * scale)
 
     @property
     def d_omega(self) -> tuple:
@@ -237,9 +233,11 @@ class FeOperators:
 
         The interface mass is factorized once, on the first call.
         """
-        if self._mg_lu is None:
-            self._mg_lu = factorize(self.M_gamma)
         return self._mg_lu.solve(self.g_vec(i, t).T).T
+
+    @functools.cached_property
+    def _mg_lu(self):
+        return factorize(self.M_gamma)
 
 
 def _load_or_zero(fn, t, d: int) -> np.ndarray:
@@ -384,12 +382,10 @@ def _interface_load(mesh: Mesh, imap: InterfaceMap, g: Callable) -> Callable:
 def assemble(mesh1: Mesh, mesh2: Mesh, imap: InterfaceMap, spec: ProblemSpec) -> FeOperators:
     """Assemble all spatial operators for a matched mesh pair."""
     meshes = (mesh1, mesh2)
-    M, A, B_adv, L, T, u0 = [], [], [], [], [], []
+    M, L, T, u0 = [], [], [], []
     for i, mesh in enumerate(meshes):
         Mi, Ai, Bi = _assemble_domain(mesh, spec.nu[i], spec.advection[i])
         M.append(Mi)
-        A.append(Ai)
-        B_adv.append(Bi)
         L.append((Ai + Bi).tocsr())
         dofs = imap.dofs_1 if i == 0 else imap.dofs_2
         Ti = sp.coo_matrix(
@@ -421,14 +417,10 @@ def assemble(mesh1: Mesh, mesh2: Mesh, imap: InterfaceMap, spec: ProblemSpec) ->
         T=tuple(T),
         M_gamma=M_gamma,
         B=spec.B,
-        A=tuple(A),
-        B_adv=tuple(B_adv),
         load_f=load_f,
         load_g=load_g,
         u0=tuple(u0),
         h=max(mesh1.h, mesh2.h),
-        conservation_compatible=spec.conservation_compatible,
-        b_psd=spec.b_psd,
     )
 
 
@@ -474,18 +466,15 @@ def from_matrices(
     Mass matrices (volume and interface) must be symmetric positive
     definite.  load_f / load_g supply already-assembled load vectors as
     per-time functions t -> (d,); the operators wrap each one into a load
-    that takes a 1-D array of times and calls it once per time.  Conservation
-    compatibility is judged from B and, when interface loads are present,
-    from samples of their sum.
+    that takes a 1-D array of times and calls it once per time.  The
+    operators derive their check flags from B and these loads on first
+    read.
     """
     mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in (M1, L1, T1, M2, L2, T2, M_gamma)]
     M1, L1, T1, M2, L2, T2, M_gamma = mats
     _check_spd("M1", M1)
     _check_spd("M2", M2)
     _check_spd("M_gamma", M_gamma)
-    B = np.asarray(B, dtype=float).reshape(2, 2)
-    compat, psd = _b_flags(B)
-    compat = compat and _opposite(load_g, (0.0, 0.37, 1.0))
     return FeOperators(
         M=(sp.csr_matrix(M1), sp.csr_matrix(M2)),
         L=(sp.csr_matrix(L1), sp.csr_matrix(L2)),
@@ -495,6 +484,4 @@ def from_matrices(
         load_f=tuple(_per_time(fn) for fn in load_f),
         load_g=tuple(_per_time(fn) for fn in load_g),
         u0=u0,
-        conservation_compatible=compat,
-        b_psd=psd,
     )

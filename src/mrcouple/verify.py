@@ -26,7 +26,6 @@ from . import coupling, dgit
 from .coupling import (
     Trajectory,
     WindowConfig,
-    WindowDiagnostics,
     coupled_system,
     run_simulation,
 )
@@ -56,17 +55,15 @@ MMS_PRESETS = {
     "polyt": MmsPreset(p=((1.0, -0.5, -0.5), (1.0, 0.5, -0.5)), time="linear"),
 }
 
-# time kind -> (b, b', degree of b in t or None)
+# time kind -> (b, b')
 _TIME_FACTORS = {
     "exp": (
         lambda t: np.exp(-np.asarray(t, dtype=float)),
         lambda t: -np.exp(-np.asarray(t, dtype=float)),
-        None,
     ),
     "linear": (
         lambda t: 1.0 + 0.5 * np.asarray(t, dtype=float),
         lambda t: np.full(np.shape(t), 0.5),
-        1,
     ),
 }
 
@@ -78,7 +75,6 @@ class ManufacturedCase:
     name: str
     problem: ProblemSpec
     exact: tuple  # u_i(x, y, t)
-    temporal_degree: Optional[int]  # None for non-polynomial time dependence
 
 
 def _space_factors(c: tuple, nu: float, velocity: Callable) -> tuple:
@@ -123,7 +119,7 @@ def mms_case(
         B = np.array([[1.0, -1.0], [-1.0, 1.0]])
     B = np.asarray(B, dtype=float).reshape(2, 2)
     preset = MMS_PRESETS[name]
-    b, db, degree = _TIME_FACTORS[preset.time]
+    b, db = _TIME_FACTORS[preset.time]
     normals = (-1, 1)  # outward y-component at the interface, per subdomain
     f_fns, g_fns, u0_fns, u_fns = [], [], [], []
     for i, c in enumerate(preset.p):
@@ -145,9 +141,7 @@ def mms_case(
         g=tuple(g_fns),
         u0=tuple(u0_fns),
     )
-    return ManufacturedCase(
-        name=name, problem=problem, exact=tuple(u_fns), temporal_degree=degree
-    )
+    return ManufacturedCase(name=name, problem=problem, exact=tuple(u_fns))
 
 
 # ---------------------------------------------------------------------------
@@ -504,24 +498,3 @@ def rate_table(target: str, results: Sequence[tuple]) -> RateTable:
         slope = float("nan")
         notes.append("too few usable levels for a rate fit")
     return RateTable(target=target, rows=rows, observed_rate=slope, notes=notes)
-
-
-@dataclasses.dataclass
-class EnergyReport:
-    energies: np.ndarray
-    monotone: bool
-    interfacial: np.ndarray
-    tolerance: float
-
-
-def energy_report(diag: WindowDiagnostics, ops: FeOperators) -> EnergyReport:
-    """Energy history across synchronization times and the monotonicity verdict.
-
-    diag is coupling.window_diagnostics of the run's windows.
-    """
-    if ops.has_f or ops.has_g:
-        raise ValueError("energy verdict requires zero body and interface forcing")
-    energies = diag.energies
-    tol = 1e-12 * max(energies[0], 0.0)
-    monotone = bool(np.all(np.diff(energies) <= tol))
-    return EnergyReport(energies, monotone, diag.work, tol)

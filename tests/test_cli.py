@@ -122,6 +122,17 @@ def test_readme_example_config_parses():
     assert cfg.window.M == (2, 3) and cfg.geometry["nx"] == (8, 8)
 
 
+def test_readme_quick_tour_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split("## Library quick tour", 1)[1]
+    tour = after.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(tour, "README.md", "exec"), {})
+    # one line per window: the conservation residual and the work term
+    lines = capsys.readouterr().out.splitlines()[:20]
+    for cons, work in ([float(v) for v in line.split()] for line in lines):
+        assert cons <= 1e-11 and work <= 0.0
+
+
 class TestMainRun:
     def test_run_writes_outputs(self, tmp_path):
         config = write_config(tmp_path, MINIMAL)
@@ -655,6 +666,16 @@ class TestMainCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("check energy: config error:")
+
+    def test_energy_of_a_zero_state_passes(self, tmp_path, capsys):
+        # E0 = 0: the bound 1e-12 E0 is 0, and every energy and work term is 0
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["problem"]["initial"] = "zero"
+        config = write_config(tmp_path, payload)
+        assert cli.main(["check", "--config", str(config), "--suite", "energy"]) == 0
+        assert capsys.readouterr().out == (
+            "check energy: monotone=True, max interfacial term 0.000e+00 -> PASS\n"
+        )
 
     @pytest.mark.parametrize("forcing, suite", [("mms:smooth", "conservation"), ("pulse", "energy")])
     def test_rejects_before_simulating(self, tmp_path, monkeypatch, forcing, suite):

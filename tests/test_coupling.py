@@ -592,16 +592,14 @@ class TestConservation:
 
     def test_strong(self, toy_ops, traj_equal_orders):
         for sol in traj_equal_orders.windows:
-            rep = mc.check_flux_conservation(sol, toy_ops, "strong")
-            assert rep.relative <= 1e-12
+            assert mc.check_flux_conservation(sol, toy_ops, "strong") <= 1e-12
 
     def test_weak_with_mixed_orders(self, toy_ops):
         cfg = mc.WindowConfig(t_f=0.5, N=5, M=(2, 3), r=(1, 0))
         traj = mc.run_simulation(toy_ops, mc.crank_nicolson(), cfg, quadrature="trapezoid")
         saw_strong_violation = False
         for sol in traj.windows:
-            rep = mc.check_flux_conservation(sol, toy_ops, "weak")
-            assert rep.relative <= 1e-12
+            assert mc.check_flux_conservation(sol, toy_ops, "weak") <= 1e-12
             # strong cancellation fails in the linear mode
             if np.max(np.abs(sol.F[0][1])) > 1e-8:
                 saw_strong_violation = True
@@ -636,8 +634,7 @@ class TestConservation:
         cfg = mc.WindowConfig(t_f=0.3, N=3, M=(1, 2), r=(1, 1))
         traj = mc.run_simulation(ops, mc.crank_nicolson(), cfg, quadrature="exact")
         for sol in traj.windows:
-            rep = mc.check_flux_conservation(sol, ops, "strong")
-            assert rep.relative <= 1e-12
+            assert mc.check_flux_conservation(sol, ops, "strong") <= 1e-12
 
 
 def pointwise_interfacial_energy(sol, ops, cfg, mode):
@@ -971,7 +968,7 @@ class TestRunSimulation:
                     assert isinstance(sol.F[i], np.ndarray)
                     assert sol.F[i].shape == (cfg.r[i] + 1, 0)
                     assert not sol.F[i].flags.writeable
-                assert mc.check_flux_conservation(sol, ops, "weak").relative == 0.0
+                assert mc.check_flux_conservation(sol, ops, "weak") == 0.0
                 assert mc.interfacial_energy_term(sol, ops, "exact") == 0.0
             diag = mc.window_diagnostics(traj.windows, ops, cfg, "exact")
             assert np.all(np.isnan(diag.conservation)) and np.all(np.isnan(diag.work))
@@ -1023,6 +1020,14 @@ class TestWindowDiagnostics:
             want = [0.5 * float(v @ (decay_ops.M[i] @ v)) for i, v in enumerate(u[-1] for u in sol.U)]
             assert [float(e) for e in row[2:4]] == want
 
+    def test_decay_is_monotone(self, decay_ops):
+        cfg = mc.WindowConfig(t_f=1.0, N=10, M=(2, 3), r=(1, 1))
+        windows = mc.march(decay_ops, mc.crank_nicolson(), cfg, quadrature="trapezoid")
+        diag = mc.window_diagnostics(windows, decay_ops, cfg, "trapezoid")
+        tol = 1e-12 * diag.energies[0]
+        assert np.all(np.diff(diag.energies) <= tol)
+        assert np.all(diag.work <= tol)
+
     def test_nan_where_a_precondition_fails(self, toy_ops):
         signed = mc.from_matrices(
             [[1.0]], [[0.2]], [[1.0]], [[1.0]], [[0.2]], [[1.0]], [[1.0]], -np.eye(2),
@@ -1035,6 +1040,7 @@ class TestWindowDiagnostics:
             assert (diag.conservation_mode, diag.energy_mode) == ("strong", "cn")
             assert np.all(np.isfinite(diag.conservation)) == ops.conservation_compatible
             assert np.all(np.isfinite(diag.work)) == ops.b_psd
+            assert np.all(np.isfinite(diag.energies))
             assert len(diag.conservation) == len(diag.work) == cfg.N
 
 

@@ -73,36 +73,101 @@ def meshes():
     return m1, m2, mc.match_interfaces(m1, m2)
 
 
+def scalar_pair(B, **loads) -> mc.FeOperators:
+    """One unknown per subdomain and one on the interface, all matrices 1."""
+    one = [[1.0]]
+    return mc.from_matrices(one, one, one, one, one, one, one, B, **loads)
+
+
+def minimal_mesh_pair(**spec) -> mc.FeOperators:
+    """Assembled on 2x1 grids: one free dof per subdomain, the interface midpoint."""
+    m1, m2 = mc.build_mesh(1, 2, 1), mc.build_mesh(2, 2, 1)
+    return mc.assemble(m1, m2, mc.match_interfaces(m1, m2), mc.ProblemSpec(**spec))
+
+
+CONSERVATIVE_B = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
 class TestProblemSpec:
-    def test_flags_conservative_pair(self):
-        spec = mc.ProblemSpec(B=np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        assert spec.conservation_compatible and spec.b_psd
-
-    def test_flags_identity(self):
-        spec = mc.ProblemSpec(B=np.eye(2))
-        assert not spec.conservation_compatible and spec.b_psd
-
-    def test_flags_skew(self):
-        spec = mc.ProblemSpec(B=np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        assert spec.b_psd  # symmetric part is zero
-
-    def test_flags_negative(self):
-        spec = mc.ProblemSpec(B=-np.eye(2))
-        assert not spec.b_psd
-
-    def test_opposite_g_keeps_compatibility(self):
-        g = lambda x, t: np.sin(np.pi * x) * (1 + t)
-        spec = mc.ProblemSpec(g=(g, lambda x, t: -g(x, t)))
-        assert spec.conservation_compatible
-
-    def test_unbalanced_g_breaks_compatibility(self):
-        g = lambda x, t: np.sin(np.pi * x) * (1 + t)
-        spec = mc.ProblemSpec(g=(g, None))
-        assert not spec.conservation_compatible
-
     def test_bad_nu(self):
         with pytest.raises(ValueError):
             mc.ProblemSpec(nu=(0.0, 1.0))
+
+
+class TestCheckFlags:
+    def test_flags_conservative_pair(self):
+        ops = scalar_pair(CONSERVATIVE_B)
+        assert ops.conservation_compatible and ops.b_psd
+
+    def test_flags_identity(self):
+        ops = scalar_pair(np.eye(2))
+        assert not ops.conservation_compatible and ops.b_psd
+
+    def test_flags_skew(self):
+        ops = scalar_pair(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert ops.b_psd  # symmetric part is zero
+
+    def test_flags_negative(self):
+        ops = scalar_pair(-np.eye(2))
+        assert not ops.b_psd
+
+    def test_opposite_g_keeps_compatibility(self):
+        g = lambda x, t: np.sin(np.pi * x) * (1 + t)
+        ops = minimal_mesh_pair(g=(g, lambda x, t: -g(x, t)))
+        assert ops.d_gamma == 1 and ops.conservation_compatible
+
+    def test_unbalanced_g_breaks_compatibility(self):
+        g = lambda x, t: np.sin(np.pi * x) * (1 + t)
+        ops = minimal_mesh_pair(g=(g, None))
+        assert ops.d_gamma == 1 and not ops.conservation_compatible
+
+    def test_replaced_coupling_is_judged_anew(self):
+        ops = scalar_pair(CONSERVATIVE_B)
+        assert ops.conservation_compatible and ops.b_psd
+        identity = dataclasses.replace(ops, B=np.eye(2))
+        assert not identity.conservation_compatible and identity.b_psd
+        negative = dataclasses.replace(ops, B=-np.eye(2))
+        assert not negative.b_psd
+
+    def test_replaced_interface_data_is_judged_anew(self):
+        g = lambda t: np.array([1.0 + t])
+        ops = scalar_pair(CONSERVATIVE_B, load_g=(g, lambda t: -g(t)), u0=(np.ones(1), np.ones(1)))
+        assert ops.conservation_compatible
+        same = dataclasses.replace(ops, load_g=(ops.load_g[0], ops.load_g[0]))
+        assert not same.conservation_compatible
+        # the diagnostics leave the conservation column undefined for it
+        cfg = mc.WindowConfig(t_f=0.3, N=3, M=(1, 2), r=(1, 1))
+        diag = mc.window_diagnostics(mc.march(same, mc.crank_nicolson(), cfg), same, cfg, "exact")
+        assert np.all(np.isnan(diag.conservation))
+
+    def test_direct_construction_judges_its_coupling(self):
+        one = sp.csr_matrix(np.ones((1, 1)))
+        ops = mc.FeOperators(M=(one, one), L=(one, one), T=(one, one), M_gamma=one, B=-np.eye(2))
+        assert not ops.b_psd and not ops.conservation_compatible
+
+    def test_coupling_is_a_read_only_copy(self):
+        B = CONSERVATIVE_B.copy()
+        ops = scalar_pair(B)
+        B[0, 0] = 5.0
+        assert ops.B[0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ops.B[0, 0] = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ops.B = -np.eye(2)
+        assert ops.conservation_compatible and ops.b_psd
+
+    def test_building_calls_no_load(self):
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return np.array([1.0 + t])
+
+        ops = scalar_pair(CONSERVATIVE_B, load_g=(g, lambda t: -g(t)))
+        assert calls == []
+        assert ops.conservation_compatible and calls
+        count = len(calls)
+        assert ops.conservation_compatible and len(calls) == count  # computed once
 
 
 class TestAssembly:
@@ -135,7 +200,8 @@ class TestAssembly:
     def test_matrix_symmetry(self, meshes):
         m1, m2, imap = meshes
         ops = mc.assemble(m1, m2, imap, mc.ProblemSpec(nu=(2.0, 0.3)))
-        for mat in (*ops.M, *ops.A, ops.M_gamma):
+        A = [_assemble_domain(m, nu, AdvectionSpec())[1] for m, nu in ((m1, 2.0), (m2, 0.3))]
+        for mat in (*ops.M, *A, ops.M_gamma):
             scale = abs(mat).max()
             assert abs(mat - mat.T).max() <= 1e-12 * scale
 
@@ -154,9 +220,9 @@ class TestAssembly:
         assert M.sum() == pytest.approx(0.125, rel=1e-14)
 
     def test_diffusion_psd(self, meshes):
-        m1, m2, imap = meshes
-        ops = mc.assemble(m1, m2, imap, mc.ProblemSpec())
-        for A in ops.A:
+        m1, m2, _ = meshes
+        for m in (m1, m2):
+            A = _assemble_domain(m, 1.0, AdvectionSpec())[1]
             eig = np.linalg.eigvalsh(A.toarray())
             assert eig.min() > -1e-12
 
@@ -165,9 +231,9 @@ class TestAssembly:
         [AdvectionSpec(kind="constant", sx=0.7), AdvectionSpec(kind="vortex", amplitude=1.5)],
     )
     def test_advection_skew(self, meshes, adv):
-        m1, m2, imap = meshes
-        ops = mc.assemble(m1, m2, imap, mc.ProblemSpec(advection=(adv, adv)))
-        for B_adv in ops.B_adv:
+        m1, m2, _ = meshes
+        for m in (m1, m2):
+            B_adv = _assemble_domain(m, 1.0, adv)[2]
             scale = max(abs(B_adv).max(), 1e-30)
             assert abs(B_adv + B_adv.T).max() <= 1e-10 * scale
 
@@ -219,13 +285,13 @@ class TestAssembly:
                 assert np.array_equal(picked, expected)
 
     def test_steady_diffusion_residual(self, meshes):
-        m1, m2, imap = meshes
+        m1 = meshes[0]
         nu = 1.7
-        ops = mc.assemble(m1, m2, imap, mc.ProblemSpec(nu=(nu, 1.0)))
+        A = _assemble_domain(m1, nu, AdvectionSpec())[1]
         w_nodal = m1.nodes[:, 0] * (1 - m1.nodes[:, 0]) * (1 - m1.nodes[:, 1])
         w_free = w_nodal[m1.free_dof >= 0]
         oracle = dense_bilinear_load(m1, w_nodal, nu)
-        resid = ops.A[0] @ w_free - oracle
+        resid = A @ w_free - oracle
         assert np.max(np.abs(resid)) < 1e-10
 
     def test_interface_mass_row_sums(self, meshes):

@@ -52,7 +52,6 @@ def symbolic_pieces(name, nu, B, adv, i):
         "b": sympy.lambdify((t,), b),
         "db": sympy.lambdify((t,), sympy.diff(b, t)),
         "u": sympy.lambdify((x, y, t), u),
-        "degree": int(sympy.degree(u, t)) if u.is_polynomial(t) else None,
     }
 
 
@@ -117,12 +116,6 @@ class TestManufactured:
             for actual, expected in pairs:
                 assert np.shape(actual) == (40,)
                 np.testing.assert_allclose(actual, np.broadcast_to(expected, (40,)), rtol=1e-13)
-            assert case.temporal_degree == sym["degree"]
-
-    def test_polyt_metadata(self):
-        case = mc.mms_case("polyt")
-        assert case.temporal_degree == 1
-        assert mc.mms_case("smooth").temporal_degree is None
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown manufactured"):
@@ -199,8 +192,8 @@ def run_and_oracle(toy_linear_ops):
     return traj, oracle
 
 
-def counting_loads(ops, monkeypatch):
-    """Replace ops.load_f by wrappers that count their calls."""
+def counting_loads(ops):
+    """ops with load_f replaced by wrappers that count their calls, and the counts."""
     calls = [0, 0]
 
     def wrap(i, fn):
@@ -210,16 +203,16 @@ def counting_loads(ops, monkeypatch):
 
         return load
 
-    monkeypatch.setattr(ops, "load_f", tuple(wrap(i, fn) for i, fn in enumerate(ops.load_f)))
-    return calls
+    load_f = tuple(wrap(i, fn) for i, fn in enumerate(ops.load_f))
+    return dataclasses.replace(ops, load_f=load_f), calls
 
 
 class TestBatchedLoadCalls:
-    def test_reference_solve_calls_load_once_per_chunk(self, smooth_ops, monkeypatch):
-        calls = counting_loads(smooth_ops, monkeypatch)
+    def test_reference_solve_calls_load_once_per_chunk(self, smooth_ops):
+        ops, calls = counting_loads(smooth_ops)
         n_steps = 256
-        chunk = max(1, dgit.LOAD_BATCH_VALUES // (4 * sum(smooth_ops.d_omega)))
-        verify.reference_solve(smooth_ops, 0.25, n_steps)
+        chunk = max(1, dgit.LOAD_BATCH_VALUES // (4 * sum(ops.d_omega)))
+        verify.reference_solve(ops, 0.25, n_steps)
         assert chunk < n_steps
         assert 1 <= max(calls) <= math.ceil(n_steps / chunk) + 1
         assert calls[0] == calls[1]
@@ -258,12 +251,16 @@ class TestSeparableFastPath:
     def test_spatial_factors_evaluated_only_at_assembly(self, mesh_pair, smooth_case, quadrature):
         counts = collections.Counter()
         spec = counting_factors(smooth_case.problem, counts)
-        counts.clear()  # ProblemSpec samples g pointwise
         ops = mc.assemble(*mesh_pair, spec)
+        # building the spec and the operators evaluates each spatial factor once, nothing else
         space = sorted(k for k in counts if k[0] == "space")
-        assert len(space) == 6 and all(counts[k] == 1 for k in space)
+        assert len(space) == 6 and dict(counts) == dict.fromkeys(space, 1)
         time_keys = [("time",) + k[1:] for k in space]
-        assert not any(counts[k] for k in time_keys)
+
+        # the conservation flag reads the assembled interface vectors: g's time factors, once
+        counts.clear()
+        assert not ops.conservation_compatible
+        assert dict(counts) == {k: 1 for k in time_keys if k[1] == "g"}
 
         counts.clear()
         cfg = mc.WindowConfig(t_f=0.2, N=2, M=(2, 3), r=(1, 1))
@@ -522,47 +519,6 @@ class TestOracleIndependence:
             )
             rates.append(table.observed_rate)
         assert abs(rates[0] - rates[1]) < 0.1
-
-
-def trapezoid_diagnostics(ops, cfg):
-    windows = mc.march(ops, mc.crank_nicolson(), cfg, quadrature="trapezoid")
-    return mc.window_diagnostics(windows, ops, cfg, "trapezoid")
-
-
-class TestEnergyReport:
-    def test_zero_data_all_zero(self):
-        ops = mc.from_matrices(
-            [[1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]],
-            np.array([[1.0, -1.0], [-1.0, 1.0]]),
-        )
-        cfg = mc.WindowConfig(t_f=0.3, N=3, M=(1, 2), r=(1, 1))
-        rep = verify.energy_report(trapezoid_diagnostics(ops, cfg), ops)
-        assert rep.monotone
-        assert np.allclose(rep.energies, 0.0)
-
-    def test_decay_is_monotone(self, decay_ops):
-        cfg = mc.WindowConfig(t_f=1.0, N=10, M=(2, 3), r=(1, 1))
-        rep = verify.energy_report(trapezoid_diagnostics(decay_ops, cfg), decay_ops)
-        assert rep.monotone
-        assert np.all(rep.interfacial <= rep.tolerance)
-
-    def test_sign_flipped_coupling_reported_not_asserted(self):
-        B = -np.eye(2)
-        ops = mc.from_matrices(
-            [[1.0]], [[0.2]], [[1.0]], [[1.0]], [[0.2]], [[1.0]], [[1.0]], B,
-            u0=(np.array([1.0]), np.array([1.0])),
-        )
-        cfg = mc.WindowConfig(t_f=1.0, N=5, M=(1, 2), r=(1, 1))
-        rep = verify.energy_report(trapezoid_diagnostics(ops, cfg), ops)
-        # anti-dissipative coupling: energy may grow; the verdict just records it
-        assert isinstance(rep.monotone, bool)
-        assert np.all(np.isnan(rep.interfacial))
-
-    def test_forced_run_rejected(self, toy_linear_ops):
-        cfg = mc.WindowConfig(t_f=0.2, N=2)
-        diag = trapezoid_diagnostics(toy_linear_ops, cfg)
-        with pytest.raises(ValueError, match="zero body and interface forcing"):
-            verify.energy_report(diag, toy_linear_ops)
 
 
 class TestPreparedInitialState:
