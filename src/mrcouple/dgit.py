@@ -14,7 +14,10 @@ depends on a substep's place in the window (the table is timepoly's, and
 the window reads it as dgit.cross_moments).  Blocks can also be solved
 standalone: solve_substep solves one, and integrate marches one block of
 a uniform grid through every step; both return plain coefficient and
-side-value arrays.
+side-value arrays.  integrate steps a small system with a dense
+propagator built once from the block's factor (one mat-vec per step), and
+a larger one as solve_substep does (a sparse history product and a
+sparse triangular solve per step); DENSE_PROPAGATOR_ENTRIES sets where.
 
 Quadrature of the data terms is switchable between exact Gauss rules
 and endpoint-trapezoid evaluation; the latter turns the pinned-endpoint
@@ -50,6 +53,9 @@ LOAD_QUAD_PTS = 8
 #: every substep of both subdomains, and verify.error_norms queries its
 #: oracle for a chunk of windows at a time.
 LOAD_BATCH_VALUES = 2**14
+#: integrate steps with a dense propagator when it has at most this many
+#: entries, and with the sparse block and its factor above.
+DENSE_PROPAGATOR_ENTRIES = 2**16
 
 
 def load_times(quadrature: str, npts: int) -> int:
@@ -67,8 +73,10 @@ def factorize(A: sp.spmatrix):
 
     The column ordering is minimum degree on A^T + A: window and substep
     matrices are close to structurally symmetric (mass and stiffness blocks
-    plus flux rows), where it gives less than half the fill of SuperLU's
-    default COLAMD at nx >= 32 and ties on small matrices.
+    plus flux rows), where it gives about half the fill of SuperLU's
+    default COLAMD at nx >= 32 (0.53x on the nx=32 MMS window, 393,878
+    against 745,658 entries; 0.54x on the nx=64 forcing-free window,
+    2,244,497 against 4,188,995) and ties on small matrices.
     """
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
@@ -250,6 +258,44 @@ def side_condition_residual(
     return worst
 
 
+def _sparse_steps(block: SubstepBlock, sides: np.ndarray) -> Callable:
+    """Step as solve_substep does: subtract the history, then solve with the factor."""
+    reach, d, lu = block.spec.reach, block.d, block.lu()
+
+    def advance(moments, n0, slots):
+        for i, rhs in enumerate(moments):
+            n = n0 + i  # the step reads sides[n : n + reach] and writes sides[n + reach]
+            _subtract_history(block, sides[n : n + reach][::-1], rhs)
+            slots[i] = lu.solve(rhs).reshape(-1, d)
+            sides[n + reach] = slots[i, -1]
+
+    return advance
+
+
+def _dense_steps(block: SubstepBlock, sides: np.ndarray) -> Callable:
+    """Step with the dense propagator G = A^-1 [P_reach .. P_1] and A^-1.
+
+    A step is s_n = A^-1 m_n - G [U_{n-reach}; ..; U_{n-1}]: G's columns
+    run oldest first, so the history is a contiguous slice of sides.  The
+    data terms A^-1 m_n of a chunk are one batched product of row
+    mat-vecs, so a step's are the same however the steps are chunked.
+    """
+    reach, d, lu = block.spec.reach, block.d, block.lu()
+    G = lu.solve(np.hstack([p.toarray() for p in block.prev[::-1]]))
+    inv_t = lu.solve(np.eye(block.matrix.shape[0])).T
+    flat = sides.reshape(-1)
+
+    def advance(moments, n0, slots):
+        data = np.matmul(moments[:, None, :], inv_t)[:, 0]
+        own = slots.reshape(len(slots), -1)
+        for i in range(len(moments)):
+            n = n0 + i
+            np.subtract(data[i], G @ flat[n * d : (n + reach) * d], out=own[i])
+            sides[n + reach] = slots[i, -1]
+
+    return advance
+
+
 def integrate(
     M: sp.spmatrix,
     L: Optional[sp.spmatrix],
@@ -271,6 +317,30 @@ def integrate(
     side_values): coeffs[n], shape (q+1, d), the Legendre coefficients of
     the state on (boundaries[n], boundaries[n+1]), and side_values[n] the
     state at boundaries[n] (side_values[0] = u0).
+
+    A step solves A s_n = m_n - sum_j P_j U_{n-j}, in one of two forms:
+    - sparse: subtract the history with the block's sparse prev matrices
+      and solve with its factor, as solve_substep does, bit for bit;
+    - dense, when the propagator G = A^-1 [P_reach .. P_1] has at most
+      DENSE_PROPAGATOR_ENTRIES entries (n_own * reach * d, n_own =
+      (test_order + 1) * d): G and A^-1 are built once from the factor,
+      and a step is one dense mat-vec of G on the side values, ending
+      within roundoff of the sparse form (1e-14 to 5e-14 relative after
+      1,024 steps in the runs below).
+    Measured in one session on a 2-core Intel Xeon guest with one BLAS
+    thread: microseconds per step, sparse -> dense, over 1,024 steps of the
+    MMS coupled system at nx = 8, 10, 12 and 16 with its load (4 Gauss
+    points), G's entries in parentheses; * marks the form the rule picks.
+
+        d    crank-nicolson      cg2                 dg1                 dg2
+        112  31 -> 18*  (13k)    61 -> 32*  (25k)    49 -> 35*  (38k)    77 -> 73*  (50k)
+        180  33 -> 23*  (32k)    57 -> 52*  (65k)    73* -> 119 (97k)    134* -> 279 (130k)
+        264  48* -> 42  (70k)    93* -> 125 (139k)   129* -> 385 (209k)  385* -> 628 (279k)
+        480  70* -> 124 (230k)   173* -> 570 (461k)  189* -> 1173 (691k) 472* -> 2324 (922k)
+
+    The dense form wins or ties up to 2^16 entries and loses from about
+    10^5; A^-1, (test_order + 1) / reach times G's size, is what makes dg2
+    tie at d = 112.
     """
     boundaries = np.asarray(boundaries, dtype=float)
     n_steps = len(boundaries) - 1
@@ -283,15 +353,17 @@ def integrate(
     dt = block.interval.length
     if not np.all(np.abs(lengths - dt) <= 1e-12 * np.maximum(1.0, lengths)):
         raise ValueError("integrate needs uniform steps: a step length differs from the first")
-    lu = block.lu()
     reach, d = spec.reach, M.shape[0]
+    # side values in time order: the reach - 1 before u0 from history0, u0, one per step
+    lead = list(history0 or [])[: reach - 1][::-1]
+    if len(lead) + 1 < reach:
+        raise ValueError(f"substep reaches back {reach} side values, history has {len(lead) + 1}")
+    sides = np.empty((reach + n_steps, d))
+    sides[: reach - 1], sides[reach - 1] = np.reshape(lead, (-1, d)), u0
+    dense = block.matrix.shape[0] * reach * d <= DENSE_PROPAGATOR_ENTRIES
+    advance = (_dense_steps if dense else _sparse_steps)(block, sides)
     chunk = chunk_size(load_times(quadrature, load_npts) * d)
     coeffs = np.empty((n_steps, spec.q + 1, d))
-    # side values in time order: k <= reach - 1 from history0, u0, one per step
-    lead = np.reshape(list(history0 or [])[: reach - 1][::-1], (-1, d))
-    k = len(lead)
-    sides = np.empty((k + n_steps + 1, d))
-    sides[:k], sides[k] = lead, u0
     slots = np.empty((min(chunk, n_steps), spec.test_order + 1, d))
     for n0 in range(0, n_steps, chunk):
         n1 = min(n0 + chunk, n_steps)
@@ -299,12 +371,6 @@ def integrate(
         # a march that blows up runs on through inf and nan without
         # warnings; the callers check its result and name the phase
         with np.errstate(over="ignore", invalid="ignore"):
-            for n in range(n0, n1):
-                rhs = moments[n - n0]
-                history = sides[max(n + k + 1 - reach, 0) : n + k + 1][::-1]
-                _subtract_history(block, history, rhs)
-                slots[n - n0] = lu.solve(rhs).reshape(-1, d)
-                sides[n + k + 1] = slots[n - n0, -1]
-            U = sides[n0 + k + 1 - reach : n1 + k + 1]  # k = reach - 1 once a step ran
-            coeffs[n0:n1] = substep_coeffs(spec, slots[: n1 - n0], U)
-    return coeffs, sides[k:]
+            advance(moments, n0, slots[: n1 - n0])
+            coeffs[n0:n1] = substep_coeffs(spec, slots[: n1 - n0], sides[n0 : n1 + reach])
+    return coeffs, sides[reach - 1 :]

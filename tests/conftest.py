@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 import mrcouple as mc
+from mrcouple import dgit
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a tier-1 run is repeatable and writes no .hypothesis/.
@@ -65,3 +66,11 @@ def decay_ops(mesh_pair):
         ),
     )
     return mc.assemble(m1, m2, imap, spec)
+
+
+@pytest.fixture(params=["sparse", "dense"])
+def step_form(request, monkeypatch):
+    """Force dgit.integrate's step form on every system: the sparse block or the dense propagator."""
+    entries = 0 if request.param == "sparse" else 2**62
+    monkeypatch.setattr(dgit, "DENSE_PROPAGATOR_ENTRIES", entries)
+    return request.param

@@ -223,7 +223,7 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
     @pytest.mark.parametrize("scheme", ["crank-nicolson", "dg2", "mean-two-back"])
-    def test_equals_step_by_step_march(self, scheme, quadrature):
+    def test_equals_step_by_step_march(self, scheme, quadrature, step_form):
         spec = self.MEAN_TWO_BACK if scheme == "mean-two-back" else mc.shipped_schemes()[scheme]
         d = 3
         M, L = random_spd(d, 11), random_spd(d, 12)
@@ -239,14 +239,48 @@ class TestIntegrate:
         first = dgit.build_substep_block(
             M, L, spec, Interval(edges[0], edges[1]), quadrature=quadrature
         )
-        history = [u0, *history0]
+        history, steps, sides = [u0, *history0], [], [u0]
         for n in range(len(edges) - 1):
             blk = dataclasses.replace(first, interval=Interval(edges[n], edges[n + 1]))
             step, U = dgit.solve_substep(blk, history, load_fn=load)
-            assert np.array_equal(coeffs[n], step)
-            assert np.array_equal(side[n + 1], U)
+            steps.append(step)
+            sides.append(U)
             history = [U, *history][: max(spec.k_s, 1) + 1]
+        steps, sides = np.array(steps), np.array(sides)
         assert np.array_equal(side[0], u0)
+        if step_form == "sparse":  # solve_substep's own operations, bit for bit
+            assert np.array_equal(coeffs, steps) and np.array_equal(side, sides)
+        else:  # the dense propagator, within roundoff
+            scale = float(np.max(np.abs(sides)))
+            assert np.max(np.abs(side - sides)) <= 1e-12 * scale
+            assert np.max(np.abs(coeffs - steps)) <= 1e-12 * scale
+
+    def test_start_short_of_reach_is_rejected(self, step_form):
+        # mean-two-back reads two side values; u0 alone is one, and the
+        # march must not fill the other in
+        M = sp.identity(2, format="csr")
+        with pytest.raises(ValueError, match="reaches back 2 side values, history has 1"):
+            dgit.integrate(
+                M, M, None, np.ones(2), self.MEAN_TWO_BACK, np.linspace(0.0, 1.0, 5)
+            )
+
+    def test_size_rule_picks_the_step_form(self, monkeypatch):
+        d = 4
+        M, L = random_spd(d, 21), random_spd(d, 22)
+        args = (M, L, lambda t: np.cos(t)[:, None] * np.arange(1.0, d + 1), np.ones(d))
+        spec, edges = mc.continuous_galerkin(2), np.linspace(0.0, 1.0, 9)
+        built = []
+        dense_steps = dgit._dense_steps
+        monkeypatch.setattr(dgit, "_dense_steps", lambda *a: built.append(a) or dense_steps(*a))
+        entries = 2 * d * d  # n_own * reach * d: two own slabs, one side value back
+        monkeypatch.setattr(dgit, "DENSE_PROPAGATOR_ENTRIES", entries)
+        dense = dgit.integrate(*args, spec, edges)
+        assert len(built) == 1
+        monkeypatch.setattr(dgit, "DENSE_PROPAGATOR_ENTRIES", entries - 1)
+        sparse = dgit.integrate(*args, spec, edges)
+        assert len(built) == 1
+        scale = float(np.max(np.abs(sparse[1])))
+        assert np.max(np.abs(dense[1] - sparse[1])) <= 1e-12 * scale
 
     def test_rejects_non_uniform_grid(self):
         M = sp.csr_matrix(np.eye(1))
@@ -281,7 +315,9 @@ class TestBatchedIntegrate:
         assert np.max(np.abs(batched[0] - per_time[0])) <= 1e-12 * scale
 
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
-    def test_chunk_counts_the_load_values_the_quadrature_evaluates(self, quadrature, monkeypatch):
+    def test_chunk_counts_the_load_values_the_quadrature_evaluates(
+        self, quadrature, monkeypatch, step_form
+    ):
         # d = 2 values a time; a step adds one time, its end edge (trapezoid,
         # neighbours share their edges), or its npts Gauss points (exact)
         d, npts = 2, 3
@@ -301,6 +337,19 @@ class TestBatchedIntegrate:
         chunked = dgit.integrate(*args, quadrature=quadrature, load_npts=npts)
         steps = [6, 6, 1]
         assert sizes == [n + 1 if quadrature == "trapezoid" else n * npts for n in steps]
+        for a, b in zip(default, chunked):
+            assert np.array_equal(a, b)
+
+    def test_chunking_changes_no_bit_of_a_larger_system(self, monkeypatch, step_form):
+        # from about 6 unknowns a step, a BLAS product of a chunk's rows as
+        # one matrix gives a row other bits than that row on its own
+        d = 8
+        M, L = random_spd(d, 31), random_spd(d, 32)
+        load = lambda t: np.cos(np.outer(t, np.arange(1.0, d + 1)))
+        args = (M, L, load, np.ones(d), mc.crank_nicolson(), np.linspace(0.0, 1.0, 14))
+        default = dgit.integrate(*args)
+        monkeypatch.setattr(dgit, "LOAD_BATCH_VALUES", d * dgit.LOAD_QUAD_PTS)
+        chunked = dgit.integrate(*args)  # one step a chunk
         for a, b in zip(default, chunked):
             assert np.array_equal(a, b)
 

@@ -529,7 +529,7 @@ class TestPreparedInitialState:
         # the prepared state is finite and of comparable magnitude
         assert np.max(np.abs(prep[0])) < 10 * max(1.0, np.max(np.abs(raw[0])))
 
-    def test_blow_up_is_named(self):
+    def test_blow_up_is_named(self, step_form):
         # u' = 1000 u overflows within a unit span of fine steps
         grow = [[-1000.0]]
         ops = mc.from_matrices(
