@@ -394,8 +394,8 @@ def _run_level(cfg: coupling.WindowConfig):
 def _forked_map(jobs: int):
     """A map for convergence_study that runs the levels in `jobs` forked processes.
 
-    The level function holds the operators, the oracle and the initial
-    state, whose loads are closures; the workers inherit it by fork, so
+    The level function holds the operators, with their initial state, and
+    the oracle, whose loads are closures; the workers inherit it by fork, so
     only level configs and their (config, ErrorReport) results are pickled.
     The level with the most windows is the slowest, so levels are submitted
     finest first; results come back in the order of the configs.

@@ -356,9 +356,7 @@ class WindowOperator:
         self._template = cfg.window(1)
         self._edges = tuple(cfg.substep_edges(i, 1) for i in range(2))
         self.blocks = tuple(
-            dgit.assemble_substep(
-                ops, i, spec, Interval(self._edges[i][0], self._edges[i][1]), quadrature=quadrature
-            )
+            dgit.assemble_substep(ops, i, spec, Interval(self._edges[i][0], self._edges[i][1]))
             for i in range(2)
         )
         # Interface data moments per flux mode: weights @ g at the substep
@@ -545,21 +543,26 @@ class WindowOperator:
         order, (k, d_i) with k >= spec.reach: the previous window's U, or
         u0[None] for the first window.  flux_guess (per subdomain the flux
         coefficients, e.g. the previous window's F) starts the fixed-point
-        iteration; the direct solve ignores it.
+        iteration; the direct solve ignores it.  A SolverError or
+        ContractionError names the window, "window n: ...".
         """
         rhs = self._rhs(before, window_index)
         if self.solver == "fixed-point":
-            x, rel, sweeps = self._fixed_point(rhs, flux_guess)
+            x, rel, sweeps = self._fixed_point(rhs, flux_guess, window_index)
             return self._extract(x, before, window_index, rel, sweeps)
         x = self._lu.solve(rhs)
         if not np.all(np.isfinite(x)):
-            raise SolverError("window factorization produced non-finite values")
+            raise SolverError(
+                f"window {window_index}: window factorization produced non-finite values"
+            )
         rel = _residual(rhs, self.matrix @ x)[1]
         if rel > RESIDUAL_TOL:
-            raise SolverError(f"window solve residual {rel:.3e} exceeds {RESIDUAL_TOL:.1e}")
+            raise SolverError(
+                f"window {window_index}: window solve residual {rel:.3e} exceeds {RESIDUAL_TOL:.1e}"
+            )
         return self._extract(x, before, window_index, rel)
 
-    def _fixed_point(self, rhs, flux_guess):
+    def _fixed_point(self, rhs, flux_guess, window_index):
         """Sweeps x <- P^{-1}(rhs - N x); returns (x, relative residual, sweeps).
 
         Starts from the guessed flux (zero without one): N reads nothing
@@ -588,7 +591,7 @@ class WindowOperator:
             if growing and residuals[-1] > 10 * residuals[0]:
                 factor = residuals[-1] / residuals[-2]
                 raise ContractionError(
-                    f"window iteration diverging "
+                    f"window {window_index}: window iteration diverging "
                     f"(residual growth factor {factor:.3f} after {it} sweeps)",
                     iterations=it,
                     factor=factor,
@@ -599,8 +602,8 @@ class WindowOperator:
             else float("nan")
         )
         raise ContractionError(
-            f"window iteration did not reach tol={self.fp_tol:g} in {self.fp_max_iter} sweeps "
-            f"(last relative residual {rel:.3e})",
+            f"window {window_index}: window iteration did not reach tol={self.fp_tol:g} "
+            f"in {self.fp_max_iter} sweeps (last relative residual {rel:.3e})",
             iterations=self.fp_max_iter,
             factor=factor,
         )
@@ -765,15 +768,12 @@ def coupled_system(ops: FeOperators):
 
 @dataclasses.dataclass
 class Trajectory:
-    """Every window of a run, collected from march, with the run's settings."""
+    """Every window of a run, collected from march."""
 
     windows: list
-    spec: SchemeSpec
-    cfg: WindowConfig
-    quadrature: str
 
 
-def _fill_init_windows(ops, spec, cfg, u0, n_init: int):
+def _fill_init_windows(ops, spec, cfg, n_init: int):
     """Yield the leading windows, solved with a fine single-rate reference integrator.
 
     Supplies starting data for schemes whose side conditions reach further
@@ -786,7 +786,8 @@ def _fill_init_windows(ops, spec, cfg, u0, n_init: int):
     Mc, Lc, load, slices = coupled_system(ops)
     fine_per_window = 32 * cfg.M[0] * cfg.M[1]
     edges = np.linspace(0.0, cfg.window(n_init - 1).b, (n_init - 1) * fine_per_window + 1)
-    coeffs, side = dgit.integrate(Mc, Lc, load, np.concatenate(u0), continuous_galerkin(2), edges)
+    u0 = np.concatenate(ops.u0)
+    coeffs, side = dgit.integrate(Mc, Lc, load, u0, continuous_galerkin(2), edges)
     require_finite(f"reference fill of windows 1..{n_init - 1}", coeffs, side)
     for w in range(1, n_init):
         window = cfg.window(w)
@@ -826,20 +827,18 @@ def march(
     *,
     quadrature: str = "exact",
     solver: str = "direct",
-    u0=None,
     fp_tol: float = 1e-10,
     fp_max_iter: int = 200,
 ):
     """Yield the windows 1..N in order, each as soon as it is solved.
 
-    Windows 1..N0-1 come from the reference fill, the rest from one
-    WindowOperator.  Between two windows the generator keeps only what the
-    next one reads, the last window's side values U and its flux F (the
-    fixed-point start), so a consumer that drops each window holds one at
-    a time.  A window reads back no further than the one before it
+    The run starts from ops.u0.  Windows 1..N0-1 come from the reference
+    fill, the rest from one WindowOperator.  Between two windows the
+    generator keeps only what the next one reads, the last window's side
+    values U and its flux F (the fixed-point start), so a consumer that
+    drops each window holds one at a time.  A window reads back no further than the one before it
     (WindowConfig.history_problems).
     """
-    u0 = tuple(np.asarray(v, dtype=float) for v in (u0 if u0 is not None else ops.u0))
     problems = cfg.history_problems(spec)
     if problems:
         raise ValueError("; ".join(problems))
@@ -848,22 +847,13 @@ def march(
     )
     n_init = cfg.n_init(spec)
     # windows 1..N0-1; the fill's fine solution is freed once they are read
-    filled = _fill_init_windows(ops, spec, cfg, u0, n_init) if n_init > 1 else iter(())
+    filled = _fill_init_windows(ops, spec, cfg, n_init) if n_init > 1 else iter(())
 
-    before, flux_guess = tuple(v[None] for v in u0), None
+    before, flux_guess = tuple(np.asarray(v, dtype=float)[None] for v in ops.u0), None
     for n in range(1, cfg.N + 1):
         sol = next(filled, None)
         if sol is None:
-            try:
-                sol = op.solve(before, n, flux_guess)
-            except ContractionError as err:
-                raise ContractionError(
-                    f"window {n}: {err}",
-                    iterations=err.iterations,
-                    factor=err.factor,
-                ) from err
-            except SolverError as err:
-                raise SolverError(f"window {n}: {err}") from err
+            sol = op.solve(before, n, flux_guess)
         if log.isEnabledFor(logging.DEBUG):
             log.debug(
                 "window %d: residual %.3e, sweeps %d, reference-filled %s",
@@ -880,18 +870,17 @@ def run_simulation(
     *,
     quadrature: str = "exact",
     solver: str = "direct",
-    u0=None,
     fp_tol: float = 1e-10,
     fp_max_iter: int = 200,
 ) -> Trajectory:
     """Every window of march, collected; for callers that revisit windows."""
     windows = list(
         march(
-            ops, spec, cfg, quadrature=quadrature, solver=solver, u0=u0, fp_tol=fp_tol,
+            ops, spec, cfg, quadrature=quadrature, solver=solver, fp_tol=fp_tol,
             fp_max_iter=fp_max_iter,
         )
     )
-    return Trajectory(windows, spec, cfg, quadrature)
+    return Trajectory(windows)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -19,11 +19,14 @@ propagator built once from the block's factor (one mat-vec per step), and
 a larger one as solve_substep does (a sparse history product and a
 sparse triangular solve per step); DENSE_PROPAGATOR_ENTRIES sets where.
 
-Quadrature of the data terms is switchable between exact Gauss rules
-and endpoint-trapezoid evaluation; the latter turns the pinned-endpoint
-q=1 scheme into classical Crank-Nicolson.  A load takes a 1-D array of
-times and returns their (nt, d) values, so the quadrature times of many
-substeps are evaluated in one call.
+A block's matrix does not depend on the quadrature of the data terms.
+load_moments, and the window's data rows built from _chunk_moments, take
+exact Gauss rules or endpoint-trapezoid evaluation; the latter turns the
+pinned-endpoint q=1 scheme into classical Crank-Nicolson.  solve_substep
+and integrate use exact Gauss rules, integrate with load_npts points per
+step.  A load takes a 1-D array of times and returns their (nt, d)
+values, so the quadrature times of many substeps are evaluated in one
+call.
 """
 
 from __future__ import annotations
@@ -48,10 +51,10 @@ LOAD_QUAD_PTS = 8
 #: Values per load call, counted as the quadrature evaluates them:
 #: one load value per step edge under trapezoid (neighbouring steps share
 #: theirs), npts per step under exact quadrature.  integrate evaluates the
-#: data terms of chunk_size(load_times(quadrature, npts) * d) steps in one
-#: load call, coupling.WindowOperator those of a chunk of windows, counting
-#: every substep of both subdomains, and verify.error_norms queries its
-#: oracle for a chunk of windows at a time.
+#: data terms of chunk_size(load_npts * d) steps in one load call,
+#: coupling.WindowOperator those of a chunk of windows, counting every
+#: substep of both subdomains, and verify.error_norms queries its oracle
+#: for a chunk of windows at a time.
 LOAD_BATCH_VALUES = 2**14
 #: integrate steps with a dense propagator when it has at most this many
 #: entries, and with the sparse block and its factor above.
@@ -138,14 +141,12 @@ class SubstepBlock:
 
     matrix couples the substep's own unknowns; prev[j], for j < spec.reach,
     the side value j+1 steps back.  Rows are one d-slab per test mode,
-    (q + 2 - n_s) * d in total.  quadrature is the rule of the data terms
-    that solve_substep integrates.
+    (q + 2 - n_s) * d in total.
     """
 
     spec: SchemeSpec
     interval: Interval
     d: int
-    quadrature: str
     matrix: sp.csr_matrix
     prev: list
     _lu: object = dataclasses.field(default=None, repr=False)
@@ -161,16 +162,12 @@ def build_substep_block(
     L: Optional[sp.spmatrix],
     spec: SchemeSpec,
     interval: Interval,
-    *,
-    quadrature: str = "exact",
 ) -> SubstepBlock:
     """Assemble the rows of one substep for a system with mass M and operator L.
 
     Over [own unknowns, U^{n-1}, ..., U^{n-reach}] they are
     kron(-G^T S + jumps, M) + kron(K S, L), S the scheme's state_map.
     """
-    if quadrature not in ("exact", "trapezoid"):
-        raise ValueError(f"unknown quadrature {quadrature!r}")
     q, t_o, reach = spec.q, spec.test_order, spec.reach
     own = t_o + 1  # free modes, then the side value
     S = np.pad(spec.state_map, ((0, 0), (0, 1)))[:, : own + reach]  # the columns read
@@ -188,16 +185,12 @@ def build_substep_block(
     d = M.shape[0]
     matrix = rows[:, : own * d].tocsr()
     prev = [rows[:, (own + j) * d : (own + j + 1) * d].tocsr() for j in range(reach)]
-    return SubstepBlock(
-        spec=spec, interval=interval, d=d, quadrature=quadrature, matrix=matrix, prev=prev
-    )
+    return SubstepBlock(spec=spec, interval=interval, d=d, matrix=matrix, prev=prev)
 
 
-def assemble_substep(
-    ops, i: int, spec: SchemeSpec, interval: Interval, *, quadrature: str = "exact"
-) -> SubstepBlock:
+def assemble_substep(ops, i: int, spec: SchemeSpec, interval: Interval) -> SubstepBlock:
     """Substep block for subdomain i of an assembled operator set."""
-    return build_substep_block(ops.M[i], ops.L[i], spec, interval, quadrature=quadrature)
+    return build_substep_block(ops.M[i], ops.L[i], spec, interval)
 
 
 def _subtract_history(block: SubstepBlock, history: Sequence[np.ndarray], rhs: np.ndarray) -> None:
@@ -230,9 +223,10 @@ def solve_substep(
 ):
     """Solve one substep given its trailing side values (newest first).
 
-    Returns the state's (q + 1, d) Legendre coefficients and the new side value.
+    The data term is integrated exactly, as load_moments does.  Returns the
+    state's (q + 1, d) Legendre coefficients and the new side value.
     """
-    rhs = load_moments(block.spec, block.interval, load_fn, block.d, quadrature=block.quadrature)
+    rhs = load_moments(block.spec, block.interval, load_fn, block.d)
     _subtract_history(block, history, rhs)
     slots = block.lu().solve(rhs).reshape(1, -1, block.d)
     U = np.vstack([*history[: block.spec.reach][::-1], slots[0, -1]])
@@ -304,7 +298,6 @@ def integrate(
     spec: SchemeSpec,
     boundaries: np.ndarray,
     *,
-    quadrature: str = "exact",
     history0: Optional[Sequence[np.ndarray]] = None,
     load_npts: int = LOAD_QUAD_PTS,
 ):
@@ -312,11 +305,12 @@ def integrate(
 
     boundaries are the step edges, at least two; every step has the first
     step's length to within 1e-12 relative, so one block and one
-    factorization serve them all.  The data terms are computed for a chunk
-    of steps at a time, with one load call per chunk.  Returns (coeffs,
-    side_values): coeffs[n], shape (q+1, d), the Legendre coefficients of
-    the state on (boundaries[n], boundaries[n+1]), and side_values[n] the
-    state at boundaries[n] (side_values[0] = u0).
+    factorization serve them all.  The data terms are integrated exactly,
+    with load_npts Gauss points per step, for a chunk of steps at a time,
+    with one load call per chunk.  Returns (coeffs, side_values):
+    coeffs[n], shape (q+1, d), the Legendre coefficients of the state on
+    (boundaries[n], boundaries[n+1]), and side_values[n] the state at
+    boundaries[n] (side_values[0] = u0).
 
     A step solves A s_n = m_n - sum_j P_j U_{n-j}, in one of two forms:
     - sparse: subtract the history with the block's sparse prev matrices
@@ -346,9 +340,7 @@ def integrate(
     n_steps = len(boundaries) - 1
     if n_steps < 1:
         raise ValueError("integrate needs at least one step")
-    block = build_substep_block(
-        M, L, spec, Interval(boundaries[0], boundaries[1]), quadrature=quadrature
-    )
+    block = build_substep_block(M, L, spec, Interval(boundaries[0], boundaries[1]))
     lengths = np.diff(boundaries)
     dt = block.interval.length
     if not np.all(np.abs(lengths - dt) <= 1e-12 * np.maximum(1.0, lengths)):
@@ -362,12 +354,12 @@ def integrate(
     sides[: reach - 1], sides[reach - 1] = np.reshape(lead, (-1, d)), u0
     dense = block.matrix.shape[0] * reach * d <= DENSE_PROPAGATOR_ENTRIES
     advance = (_dense_steps if dense else _sparse_steps)(block, sides)
-    chunk = chunk_size(load_times(quadrature, load_npts) * d)
+    chunk = chunk_size(load_npts * d)
     coeffs = np.empty((n_steps, spec.q + 1, d))
     slots = np.empty((min(chunk, n_steps), spec.test_order + 1, d))
     for n0 in range(0, n_steps, chunk):
         n1 = min(n0 + chunk, n_steps)
-        moments = _chunk_moments(spec, boundaries[n0 : n1 + 1], load_fn, d, quadrature, load_npts)
+        moments = _chunk_moments(spec, boundaries[n0 : n1 + 1], load_fn, d, "exact", load_npts)
         # a march that blows up runs on through inf and nan without
         # warnings; the callers check its result and name the phase
         with np.errstate(over="ignore", invalid="ignore"):

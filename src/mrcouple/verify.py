@@ -17,18 +17,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import coupling, dgit
-from .coupling import (
-    Trajectory,
-    WindowConfig,
-    coupled_system,
-    run_simulation,
-)
+from .coupling import WindowConfig, coupled_system, run_simulation
 from .fespace import AdvectionSpec, FeOperators, ProblemSpec, Separable
 from .timepoly import SchemeSpec, crank_nicolson, dg, gauss_rule, legendre_table
 
@@ -187,9 +183,10 @@ class ReferenceTrajectory:
         return out
 
 
-def prepare_initial_state(
-    ops: FeOperators, t_burn: float = 0.25, n_steps: int = 1024
-) -> tuple:
+_SPIN_UP_STEPS = 1024
+
+
+def prepare_initial_state(ops: FeOperators, t_burn: float = 0.25) -> tuple:
     """Evolve the raw initial data through a fine burn-in ending at t = 0.
 
     Nodal interpolants generally sit off the slow manifold of the spatially
@@ -197,17 +194,19 @@ def prepare_initial_state(
     nu/h^2) swamps coarse-step temporal error measurements.  Running the
     overkill integrator over (-t_burn, 0) hands back initial data through
     which the semi-discrete solution is smooth in time, so measured rates
-    reflect the scheme rather than the preparation of the data.
+    reflect the scheme rather than the preparation of the data.  The
+    burn-in takes _SPIN_UP_STEPS Crank-Nicolson steps.  The states are
+    copies, so they do not keep the burn-in's side values alive.
     """
     if t_burn <= 0:
         return tuple(np.asarray(v, dtype=float) for v in ops.u0)
-    Mc, Lc, load, (s1, s2) = coupled_system(ops)
-    edges = np.linspace(-t_burn, 0.0, n_steps + 1)
+    Mc, Lc, load, slices = coupled_system(ops)
+    edges = np.linspace(-t_burn, 0.0, _SPIN_UP_STEPS + 1)
     _, side = dgit.integrate(
         Mc, Lc, load, np.concatenate(ops.u0), crank_nicolson(), edges, load_npts=4
     )
     coupling.require_finite("spin-up", side)
-    return side[-1][s1], side[-1][s2]
+    return tuple(side[-1][s].copy() for s in slices)
 
 
 _ORACLE_STEPS_PER_UNIT_TIME = {"cn": 2**12, "dg2": 2**9}
@@ -230,9 +229,8 @@ def reference_solve(
     n_steps: Optional[int] = None,
     *,
     scheme: str = "cn",
-    u0=None,
 ) -> ReferenceTrajectory:
-    """Single-rate overkill solve of the coupled system on (0, t_f).
+    """Single-rate overkill solve of the coupled system on (0, t_f), from ops.u0.
 
     scheme "cn" uses the pinned-endpoint q=1 method, "dg2" the purely
     variational q=2 method; oracle_step_count gives the step count.
@@ -240,7 +238,7 @@ def reference_solve(
     n_steps = oracle_step_count(t_f, n_steps, scheme)
     sp_scheme = crank_nicolson() if scheme == "cn" else dg(2)
     Mc, Lc, load, slices = coupled_system(ops)
-    start = np.concatenate([np.asarray(v, dtype=float) for v in (u0 if u0 is not None else ops.u0)])
+    start = np.concatenate(ops.u0)
     boundaries = np.linspace(0.0, t_f, n_steps + 1)
     coeffs, _ = dgit.integrate(Mc, Lc, load, start, sp_scheme, boundaries, load_npts=4)
     coupling.require_finite("oracle solve", coeffs)
@@ -328,31 +326,34 @@ def _chunk_errors(ops: FeOperators, oracle: ReferenceTrajectory, part: list, npt
     return l2_sq, nodal, np.sqrt(last[0] ** 2 + last[1] ** 2), flux_sq
 
 
-def error_norms(ops: FeOperators, traj: Trajectory, oracle: ReferenceTrajectory) -> ErrorReport:
-    """All error norms of a trajectory, skipping reference-filled windows.
+def error_norms(ops: FeOperators, windows, oracle: ReferenceTrajectory) -> ErrorReport:
+    """All error norms of a run's windows, skipping reference-filled ones.
 
-    The solved windows are taken a chunk at a time, sized by
-    dgit.chunk_size over the oracle values a chunk queries.  Per chunk the
-    oracle is queried once, per side at every window's substep Gauss
-    times, substep ends and flux Gauss times, and each norm makes one mass
-    product per side.
+    windows is any iterable of the run's windows, e.g. march's.  The
+    substep counts M_i, the state order q and the flux orders r_i are read
+    off the first solved window.  The solved windows are taken a chunk at
+    a time, sized by dgit.chunk_size over the oracle values a chunk
+    queries, and only that chunk is held.  Per chunk the oracle is queried
+    once, per side at every window's substep Gauss times, substep ends and
+    flux Gauss times, and each norm makes one mass product per side.
     """
-    windows = [sol for sol in traj.windows if not sol.initialized_from_reference]
-    cfg, npts = traj.cfg, traj.spec.q + 4
-    # oracle times of a window: per side and substep npts Gauss points and
-    # its end, and per flux the order + 4 Gauss points of the window
-    per_window = sum(cfg.M[i] * (npts + 1) + cfg.r[i] + 4 for i in range(2))
-    chunk = dgit.chunk_size(per_window * sum(ops.d_omega))
+    solved = (sol for sol in windows if not sol.initialized_from_reference)
+    first = next(solved, None)
     l2_sq, flux_sq, nodal, sync = np.zeros(2), np.zeros(2), ([], []), []
-    for c0 in range(0, len(windows), chunk):
-        part_l2, part_nodal, part_sync, part_flux = _chunk_errors(
-            ops, oracle, windows[c0 : c0 + chunk], npts
-        )
-        l2_sq += part_l2
-        flux_sq += part_flux
-        for i in range(2):
-            nodal[i].append(part_nodal[i])
-        sync.append(part_sync)
+    if first is not None:
+        npts = first.u[0].shape[1] + 3  # q + 4
+        # oracle times of a window: per side and substep npts Gauss points and
+        # its end, and per flux the order + 4 Gauss points of the window
+        per_window = sum(len(first.u[i]) * (npts + 1) + len(first.F[i]) + 3 for i in range(2))
+        chunk = dgit.chunk_size(per_window * sum(ops.d_omega))
+        solved = itertools.chain([first], solved)
+        while part := list(itertools.islice(solved, chunk)):
+            part_l2, part_nodal, part_sync, part_flux = _chunk_errors(ops, oracle, part, npts)
+            l2_sq += part_l2
+            flux_sq += part_flux
+            for i in range(2):
+                nodal[i].append(part_nodal[i])
+            sync.append(part_sync)
     return ErrorReport(
         l2=tuple(math.sqrt(v) for v in l2_sq),
         nodal=tuple(np.concatenate([np.empty(0), *v]) for v in nodal),
@@ -399,10 +400,8 @@ def convergence_study(
     target: str = "l2",
     quadrature: str = "exact",
     solver: str = "direct",
-    oracle: Optional[ReferenceTrajectory] = None,
     oracle_scheme: str = "cn",
     oracle_steps: Optional[int] = None,
-    u0=None,
     spin_up: float = 0.0,
     fp_tol: float = 1e-10,
     fp_max_iter: int = 200,
@@ -411,8 +410,9 @@ def convergence_study(
     """Halve the window size `levels - 1` times and fit the error decay rate.
 
     Substep counts and flux orders stay fixed, so the substep sizes halve
-    with the window.  A positive spin_up replaces the initial data with the
-    burn-in state of prepare_initial_state.  fp_tol and fp_max_iter go to
+    with the window.  The study starts from ops.u0; a positive spin_up
+    replaces it with the burn-in state of prepare_initial_state, in a copy
+    of ops (dataclasses.replace).  fp_tol and fp_max_iter go to
     run_simulation's fixed-point solver.  Levels whose error sits at the
     roundoff floor are excluded from the fit and noted.
 
@@ -426,13 +426,8 @@ def convergence_study(
     if target not in ("l2", "nodal", "sync", "flux"):
         raise ValueError(f"unknown study target {target!r}")
     if spin_up > 0.0:
-        if u0 is not None:
-            raise ValueError("pass either explicit initial data or spin_up, not both")
-        u0 = prepare_initial_state(ops, spin_up)
-    if oracle is None:
-        oracle = reference_solve(
-            ops, base_cfg.t_f, oracle_steps, scheme=oracle_scheme, u0=u0
-        )
+        ops = dataclasses.replace(ops, u0=prepare_initial_state(ops, spin_up))
+    oracle = reference_solve(ops, base_cfg.t_f, oracle_steps, scheme=oracle_scheme)
     level = functools.partial(
         _level_errors,
         ops,
@@ -440,7 +435,6 @@ def convergence_study(
         oracle,
         quadrature=quadrature,
         solver=solver,
-        u0=u0,
         fp_tol=fp_tol,
         fp_max_iter=fp_max_iter,
     )
@@ -451,7 +445,7 @@ def convergence_study(
 def _level_errors(ops, spec, oracle, cfg: WindowConfig, **run_kwargs) -> tuple:
     """One study level: (cfg, error_norms of run_simulation on cfg)."""
     traj = run_simulation(ops, spec, cfg, **run_kwargs)
-    return cfg, error_norms(ops, traj, oracle)
+    return cfg, error_norms(ops, traj.windows, oracle)
 
 
 def rate_table(target: str, results: Sequence[tuple]) -> RateTable:

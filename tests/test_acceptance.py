@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 import mrcouple as mc
-from mrcouple import coupling, dgit, verify
+from mrcouple import coupling, dgit
 from mrcouple.timepoly import Interval, SchemeSpec, legendre_table
 
 from test_timepoly import dense_ls_projection, poly_values
@@ -42,14 +42,11 @@ def mesh8_ops():
 
 
 @pytest.fixture(scope="module")
-def mms_study_setup():
+def mms_study_ops():
     case = mc.mms_case("smooth", nu=(1.0, 0.5), B=CONSERVATIVE_B)
     m1, m2 = mc.build_mesh(1, 4, 4), mc.build_mesh(2, 4, 4)
     imap = mc.match_interfaces(m1, m2)
-    ops = mc.assemble(m1, m2, imap, case.problem)
-    u0 = verify.prepare_initial_state(ops, 0.25)
-    oracle = mc.reference_solve(ops, 1.0, u0=u0)
-    return ops, u0, oracle
+    return mc.assemble(m1, m2, imap, case.problem)
 
 
 def test_01_strong_flux_conservation(mesh8_ops):
@@ -122,17 +119,16 @@ def test_03_interfacial_energy_sign(B):
     )
 
 
-def test_04_temporal_convergence_unconstrained(mms_study_setup):
-    ops, u0, oracle = mms_study_setup
+def test_04_temporal_convergence_unconstrained(mms_study_ops):
     start = time.perf_counter()
     base = mc.WindowConfig(t_f=1.0, N=4, M=(1, 2), r=(1, 1))
     l2 = mc.convergence_study(
-        ops, mc.crank_nicolson(), base, 5,
-        target="l2", quadrature="trapezoid", oracle=oracle, u0=u0,
+        mms_study_ops, mc.crank_nicolson(), base, 5,
+        target="l2", quadrature="trapezoid", spin_up=0.25,
     )
     sync = mc.convergence_study(
-        ops, mc.crank_nicolson(), base, 5,
-        target="sync", quadrature="trapezoid", oracle=oracle, u0=u0,
+        mms_study_ops, mc.crank_nicolson(), base, 5,
+        target="sync", quadrature="trapezoid", spin_up=0.25,
     )
     elapsed = time.perf_counter() - start
     ok = 1.8 <= l2.observed_rate <= 2.2 and 1.8 <= sync.observed_rate <= 2.2 and elapsed < 120
@@ -144,16 +140,15 @@ def test_04_temporal_convergence_unconstrained(mms_study_setup):
     )
 
 
-def test_05_coupling_limited_convergence(mms_study_setup):
+def test_05_coupling_limited_convergence(mms_study_ops):
     # With constant-in-time test functions every substep update sees only
     # substep averages of the flux, and the projection deficit has zero
     # window mean, so state errors superconverge past the dt^(r+1) bound;
     # the window-order barrier is carried by the flux variable itself.
-    ops, u0, oracle = mms_study_setup
     base = mc.WindowConfig(t_f=1.0, N=4, M=(1, 2), r=(0, 0))
     table = mc.convergence_study(
-        ops, mc.crank_nicolson(), base, 5,
-        target="flux", quadrature="trapezoid", oracle=oracle, u0=u0,
+        mms_study_ops, mc.crank_nicolson(), base, 5,
+        target="flux", quadrature="trapezoid", spin_up=0.25,
     )
     ok = 0.8 <= table.observed_rate <= 1.2
     report(5, "coupling-limited-convergence", ok, f"flux rate {table.observed_rate:.3f}")

@@ -193,7 +193,7 @@ class TestWindowAssembly:
         cfg = mc.WindowConfig(t_f=0.1, N=1, M=(2, 3), r=(1, 1))
         op = mc.WindowOperator(decay_ops, mc.crank_nicolson(), cfg, quadrature="trapezoid")
         op._lu = dgit.factorize(op.matrix + 1e-6 * sp.identity(op.dim, format="csr"))
-        with pytest.raises(mc.SolverError, match="residual"):
+        with pytest.raises(mc.SolverError, match=r"^window 1: window solve residual"):
             op.solve(before_first(decay_ops))
 
     def test_keep_traces(self, toy_ops):
@@ -513,6 +513,7 @@ class TestFixedPoint:
         with pytest.raises(mc.ContractionError) as err:
             mc.solve_window_fixed_point(stiff, mc.crank_nicolson(), bad_cfg, before_first(stiff))
         assert err.value.factor >= 1.0
+        assert str(err.value).startswith("window 1: window iteration diverging")
 
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
     def test_unmoved_first_sweep_is_not_convergence(self, quadrature):
@@ -974,8 +975,10 @@ class TestRunSimulation:
             assert np.all(np.isnan(diag.conservation)) and np.all(np.isnan(diag.work))
             assert np.all(np.diff(diag.energies) < 0)
             oracle = mc.reference_solve(ops, cfg.t_f, n_steps=256)
-            rep = mc.error_norms(ops, traj, oracle)
-            l2, _, nodal, sync = pointwise_error_norms(ops, traj, oracle)
+            rep = mc.error_norms(ops, traj.windows, oracle)
+            l2, _, nodal, sync = pointwise_error_norms(
+                ops, mc.crank_nicolson(), cfg, traj.windows, oracle
+            )
             assert rep.flux_l2 == (0.0, 0.0)
             assert np.allclose(rep.l2, l2, rtol=1e-12, atol=0)
             assert np.allclose(rep.sync, sync, rtol=1e-12, atol=0)

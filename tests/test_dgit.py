@@ -19,10 +19,8 @@ def random_spd(d, seed):
     return sp.csr_matrix(R @ R.T + d * np.eye(d))
 
 
-def scalar_block(spec, interval, L=0.0, **kw):
-    return dgit.build_substep_block(
-        sp.csr_matrix(np.eye(1)), sp.csr_matrix([[L]]), spec, interval, **kw
-    )
+def scalar_block(spec, interval, L=0.0):
+    return dgit.build_substep_block(sp.csr_matrix(np.eye(1)), sp.csr_matrix([[L]]), spec, interval)
 
 
 class TestBlockStructure:
@@ -221,9 +219,8 @@ class TestIntegrate:
         D=[[0.5, 0.0, 0.5], [1.0, 0.0, 0.0]], name="mean-two-back",
     )
 
-    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
     @pytest.mark.parametrize("scheme", ["crank-nicolson", "dg2", "mean-two-back"])
-    def test_equals_step_by_step_march(self, scheme, quadrature, step_form):
+    def test_equals_step_by_step_march(self, scheme, step_form):
         spec = self.MEAN_TWO_BACK if scheme == "mean-two-back" else mc.shipped_schemes()[scheme]
         d = 3
         M, L = random_spd(d, 11), random_spd(d, 12)
@@ -232,13 +229,9 @@ class TestIntegrate:
         u0 = rng.standard_normal(d)
         history0 = [rng.standard_normal(d) for _ in range(spec.k_s - 1)]
         edges = np.linspace(0.0, 0.6, 13)
-        coeffs, side = dgit.integrate(
-            M, L, load, u0, spec, edges, quadrature=quadrature, history0=history0
-        )
+        coeffs, side = dgit.integrate(M, L, load, u0, spec, edges, history0=history0)
         # the march reuses the first step's block, as integrate does
-        first = dgit.build_substep_block(
-            M, L, spec, Interval(edges[0], edges[1]), quadrature=quadrature
-        )
+        first = dgit.build_substep_block(M, L, spec, Interval(edges[0], edges[1]))
         history, steps, sides = [u0, *history0], [], [u0]
         for n in range(len(edges) - 1):
             blk = dataclasses.replace(first, interval=Interval(edges[n], edges[n + 1]))
@@ -296,32 +289,24 @@ class TestIntegrate:
 class TestBatchedIntegrate:
     # a load is evaluated at all quadrature times of a chunk of steps in one
     # call; fespace._per_time adapts a per-time callable t -> (d,) to that form
-    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
     @pytest.mark.parametrize("scheme", ["crank-nicolson", "cg2"])
-    def test_batched_load_matches_per_time(self, smooth_ops, scheme, quadrature):
+    def test_batched_load_matches_per_time(self, smooth_ops, scheme):
         Mc, Lc, load, _ = mc.coupled_system(smooth_ops)
         u0 = np.concatenate(smooth_ops.u0)
         # more than two chunks, the last one partial
-        times = 1 if quadrature == "trapezoid" else dgit.LOAD_QUAD_PTS
-        chunk = max(1, dgit.LOAD_BATCH_VALUES // (times * Mc.shape[0]))
+        chunk = max(1, dgit.LOAD_BATCH_VALUES // (dgit.LOAD_QUAD_PTS * Mc.shape[0]))
         edges = np.linspace(0.0, 0.5, 2 * chunk + 4)
         spec = mc.shipped_schemes()[scheme]
-        batched = dgit.integrate(Mc, Lc, load, u0, spec, edges, quadrature=quadrature)
-        per_time = dgit.integrate(
-            Mc, Lc, _per_time(lambda t: load(t)), u0, spec, edges, quadrature=quadrature
-        )
+        batched = dgit.integrate(Mc, Lc, load, u0, spec, edges)
+        per_time = dgit.integrate(Mc, Lc, _per_time(lambda t: load(t)), u0, spec, edges)
         scale = float(np.max(np.abs(per_time[1])))
         assert np.max(np.abs(batched[1] - per_time[1])) <= 1e-12 * scale
         assert np.max(np.abs(batched[0] - per_time[0])) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
-    def test_chunk_counts_the_load_values_the_quadrature_evaluates(
-        self, quadrature, monkeypatch, step_form
-    ):
-        # d = 2 values a time; a step adds one time, its end edge (trapezoid,
-        # neighbours share their edges), or its npts Gauss points (exact)
+    def test_chunk_counts_the_load_values_the_quadrature_evaluates(self, monkeypatch, step_form):
+        # d = 2 values a time; a step adds its npts Gauss points
         d, npts = 2, 3
-        per_step = d * (1 if quadrature == "trapezoid" else npts)
+        per_step = d * npts
         sizes = []
 
         def load(t):
@@ -330,13 +315,12 @@ class TestBatchedIntegrate:
 
         M = sp.identity(d, format="csr")
         args = (M, 2.0 * M, load, np.ones(d), mc.crank_nicolson(), np.linspace(0.0, 1.0, 14))
-        default = dgit.integrate(*args, quadrature=quadrature, load_npts=npts)
-        assert sizes == [14 if quadrature == "trapezoid" else 13 * npts]  # one chunk of 13 steps
+        default = dgit.integrate(*args, load_npts=npts)
+        assert sizes == [13 * npts]  # one chunk of 13 steps
         monkeypatch.setattr(dgit, "LOAD_BATCH_VALUES", 6 * per_step)
         sizes.clear()
-        chunked = dgit.integrate(*args, quadrature=quadrature, load_npts=npts)
-        steps = [6, 6, 1]
-        assert sizes == [n + 1 if quadrature == "trapezoid" else n * npts for n in steps]
+        chunked = dgit.integrate(*args, load_npts=npts)
+        assert sizes == [n * npts for n in (6, 6, 1)]
         for a, b in zip(default, chunked):
             assert np.array_equal(a, b)
 

@@ -306,9 +306,9 @@ class TestReferenceQueries:
                 assert np.allclose(single, got[k], rtol=0, atol=1e-15 * np.max(np.abs(want)))
 
 
-def pointwise_error_norms(ops, traj, oracle):
+def pointwise_error_norms(ops, spec, cfg, windows, oracle):
     """error_norms written with one scalar oracle query per quadrature point."""
-    q = traj.spec.q
+    q = spec.q
     l2_sq, flux_sq, nodal, sync = [0.0, 0.0], [0.0, 0.0], [[], []], []
 
     def state(i, t):
@@ -317,11 +317,11 @@ def pointwise_error_norms(ops, traj, oracle):
     def mass_norm(i, v):
         return math.sqrt(max(0.0, float(v @ (ops.M[i] @ v))))
 
-    for sol in traj.windows:
+    for sol in windows:
         if sol.initialized_from_reference:
             continue
         for i in range(2):
-            edges = traj.cfg.substep_edges(i, sol.index)
+            edges = cfg.substep_edges(i, sol.index)
             for n, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
                 for tk, wk in zip(*gauss_on(Interval(a, b), q + 4)):
                     diff = poly_values(Interval(a, b), sol.u[i][n], tk) - state(i, tk)
@@ -341,8 +341,10 @@ class TestErrorNorms:
         cfg = mc.WindowConfig(t_f=0.2, N=4, M=(2, 3), r=r)
         traj = mc.run_simulation(smooth_ops, mc.crank_nicolson(), cfg)
         oracle = mc.reference_solve(smooth_ops, 0.2, n_steps=128)
-        rep = mc.error_norms(smooth_ops, traj, oracle)
-        l2, flux, nodal, sync = pointwise_error_norms(smooth_ops, traj, oracle)
+        rep = mc.error_norms(smooth_ops, traj.windows, oracle)
+        l2, flux, nodal, sync = pointwise_error_norms(
+            smooth_ops, mc.crank_nicolson(), cfg, traj.windows, oracle
+        )
         assert np.allclose(rep.l2, l2, rtol=1e-12, atol=0)
         assert np.allclose(rep.flux_l2, flux, rtol=1e-12, atol=0)
         assert min(rep.flux_l2) > 0
@@ -364,9 +366,9 @@ class TestErrorNorms:
             return states(ts)
 
         monkeypatch.setattr(oracle, "states", counted)
-        whole = mc.error_norms(smooth_ops, traj, oracle)
+        whole = mc.error_norms(smooth_ops, traj.windows, oracle)
         monkeypatch.setattr(dgit, "LOAD_BATCH_VALUES", 1)
-        single = mc.error_norms(smooth_ops, traj, oracle)
+        single = mc.error_norms(smooth_ops, traj.windows, oracle)
         assert len(calls) == 6 and calls[0] == sum(calls[1:])
         assert len(whole.sync) == 5 and [len(a) for a in whole.nodal] == [10, 15]
         for field in dataclasses.fields(verify.ErrorReport):
@@ -376,9 +378,33 @@ class TestErrorNorms:
                 assert np.allclose(a, b, rtol=1e-13, atol=0), field.name
         assert min(whole.flux_l2) > 0
 
+    def test_any_iterable_of_windows(self, smooth_ops, monkeypatch):
+        # march's generator gives bitwise the norms of the collected list,
+        # its reference-filled window 1 skipped, in one chunk and in chunks
+        # of one window; no solved window gives zero norms
+        cfg = mc.WindowConfig(t_f=0.2, N=6, M=(2, 3), r=(0, 2), N0=2)
+        spec = mc.crank_nicolson()
+        windows = mc.run_simulation(smooth_ops, spec, cfg).windows
+        oracle = mc.reference_solve(smooth_ops, 0.2, n_steps=128)
+
+        def assert_bitwise(got, want):
+            for field in dataclasses.fields(verify.ErrorReport):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                for x, y in zip(a, b) if isinstance(a, tuple) else [(a, b)]:
+                    assert np.shape(x) == np.shape(y) and np.array_equal(x, y), field.name
+
+        for budget in (dgit.LOAD_BATCH_VALUES, 1):
+            monkeypatch.setattr(dgit, "LOAD_BATCH_VALUES", budget)
+            listed = mc.error_norms(smooth_ops, windows, oracle)
+            assert len(listed.sync) == 5
+            assert_bitwise(mc.error_norms(smooth_ops, mc.march(smooth_ops, spec, cfg), oracle), listed)
+        empty = verify.ErrorReport((0.0, 0.0), (np.empty(0), np.empty(0)), np.empty(0), (0.0, 0.0))
+        for nothing_solved in ([], iter(()), windows[:1]):
+            assert_bitwise(mc.error_norms(smooth_ops, nothing_solved, oracle), empty)
+
     def test_linear_solution_errors_at_floor(self, toy_linear_ops, run_and_oracle):
         traj, oracle = run_and_oracle
-        rep = mc.error_norms(toy_linear_ops, traj, oracle)
+        rep = mc.error_norms(toy_linear_ops, traj.windows, oracle)
         assert rep.l2_total < 1e-11
         assert rep.sync_max < 1e-11
         assert rep.nodal_max < 1e-11
@@ -390,22 +416,17 @@ class TestErrorNorms:
         eps = 1e-3
         U = tuple(np.array(u, copy=True) for u in sol.U)
         U[0][1] = U[0][1] + eps
-        traj2 = dataclasses.replace(traj)
-        traj2.windows = list(traj.windows)
-        traj2.windows[2] = dataclasses.replace(sol, U=U)
-        rep = mc.error_norms(toy_linear_ops, traj2, oracle)
+        windows = list(traj.windows)
+        windows[2] = dataclasses.replace(sol, U=U)
+        rep = mc.error_norms(toy_linear_ops, windows, oracle)
         assert rep.nodal_max == pytest.approx(eps, rel=1e-6)
 
     def test_l2_additivity_over_windows(self, toy_linear_ops):
         cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1))
         traj = mc.run_simulation(toy_linear_ops, mc.crank_nicolson(), cfg)
         oracle = mc.reference_solve(toy_linear_ops, 0.4, n_steps=256)
-        total = mc.error_norms(toy_linear_ops, traj, oracle)
-        pieces = []
-        for k in range(cfg.N):
-            window_traj = dataclasses.replace(traj)
-            window_traj.windows = [traj.windows[k]]
-            pieces.append(mc.error_norms(toy_linear_ops, window_traj, oracle))
+        total = mc.error_norms(toy_linear_ops, traj.windows, oracle)
+        pieces = [mc.error_norms(toy_linear_ops, [sol], oracle) for sol in traj.windows]
         for i in range(2):
             total_sq = sum(p.l2[i] ** 2 for p in pieces)
             assert total_sq == pytest.approx(total.l2[i] ** 2, rel=1e-10, abs=1e-28)
@@ -453,13 +474,27 @@ class TestConvergenceStudy:
         assert lines[0] == "level,dt,dt1,dt2,err_l2_u1,err_l2_u2,err_sync,rate_running"
         assert len(lines) == 4
 
-    def test_spin_up_conflicts_with_explicit_u0(self, toy_linear_ops):
-        base = mc.WindowConfig(t_f=0.5, N=2)
-        with pytest.raises(ValueError, match="spin_up"):
-            verify.convergence_study(
-                toy_linear_ops, mc.crank_nicolson(), base, 3,
-                u0=(np.array([1.0]), np.array([1.0])), spin_up=0.1,
+    def test_spin_up_is_initial_data_in_the_operators(self):
+        # a study with spin_up writes the rates of a study without it on
+        # operators that hold the spun-up state
+        B = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        ops = mc.from_matrices(
+            [[1.0]], [[2.0]], [[1.0]], [[1.0]], [[0.5]], [[1.0]], [[1.0]], B,
+            u0=(np.array([1.0]), np.array([-0.3])),
+        )
+        base = mc.WindowConfig(t_f=0.5, N=2, M=(1, 2), r=(1, 1))
+
+        def rates_csv(ops, spin_up):
+            table = verify.convergence_study(
+                ops, mc.crank_nicolson(), base, 3, quadrature="trapezoid", oracle_steps=256,
+                spin_up=spin_up,
             )
+            buf = io.StringIO()
+            table.write_csv(buf)
+            return buf.getvalue()
+
+        spun = dataclasses.replace(ops, u0=verify.prepare_initial_state(ops, 0.1))
+        assert rates_csv(ops, 0.1) == rates_csv(spun, 0.0) != rates_csv(ops, 0.0)
 
     def test_spin_up_and_oracle_run_once_whatever_the_map(self, toy_linear_ops, monkeypatch):
         calls = collections.Counter()
@@ -526,6 +561,8 @@ class TestPreparedInitialState:
         raw = tuple(np.asarray(v) for v in smooth_ops.u0)
         prep = verify.prepare_initial_state(smooth_ops, 0.25)
         assert not np.allclose(prep[0], raw[0])
+        # copies: a view would keep the burn-in's (steps + 1, d) side values alive
+        assert all(v.base is None for v in prep)
         # the prepared state is finite and of comparable magnitude
         assert np.max(np.abs(prep[0])) < 10 * max(1.0, np.max(np.abs(raw[0])))
 
@@ -537,7 +574,7 @@ class TestPreparedInitialState:
             u0=(np.ones(1), np.ones(1)),
         )
         with pytest.raises(coupling.SolverError, match="spin-up produced non-finite values"):
-            verify.prepare_initial_state(ops, 1.0, 4096)
+            verify.prepare_initial_state(ops, 1.0)
         for scheme in ("cn", "dg2"):
             with pytest.raises(coupling.SolverError, match="oracle solve produced non-finite"):
                 verify.reference_solve(ops, 1.0, 4096, scheme=scheme)
