@@ -358,3 +358,27 @@ class TestBatchedIntegrate:
             b = dgit.load_moments(mc.dg(2), iv, per_time, d, quadrature=quadrature)
             assert a.shape == ((2 + 2) * d,)
             assert np.max(np.abs(a - b)) <= 1e-13 * float(np.max(np.abs(b)))
+
+
+class TestChunkMoments:
+    # the window's data rows take a run of substeps in one load call, in
+    # either quadrature; integrate takes its chunks in exact quadrature only
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    @pytest.mark.parametrize("scheme", sorted(mc.shipped_schemes()))
+    def test_rows_are_the_steps_alone_from_one_load_call(self, scheme, quadrature):
+        spec = mc.shipped_schemes()[scheme]
+        d, npts = 2, dgit.LOAD_QUAD_PTS
+        edges = np.linspace(0.1, 0.7, 7)
+        sizes = []
+
+        def load(t):
+            sizes.append(len(t))
+            return np.stack([np.sin(3.0 * t), np.exp(-t)], axis=-1)
+
+        rows = dgit._chunk_moments(spec, edges, load, d, quadrature, npts)
+        # the edges, shared by neighbouring steps (trapezoid), or every step's Gauss points
+        assert sizes == [len(edges) if quadrature == "trapezoid" else (len(edges) - 1) * npts]
+        assert rows.shape == (len(edges) - 1, (spec.test_order + 1) * d)
+        for n, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            alone = dgit.load_moments(spec, Interval(a, b), load, d, quadrature=quadrature)
+            assert np.array_equal(rows[n], alone), n
