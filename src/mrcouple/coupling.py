@@ -21,11 +21,14 @@ once and reuses the factor for every window.  The fixed-point solver
 splits it as A = P + N, with N the block of A at the substep rows and the
 flux columns, read off the assembled matrix: each sweep solves every
 substep implicitly for the flux of the previous sweep, then the flux from
-the new states, x <- P^{-1}(b - N x).  Its fixed point is the direct
-solution, and both solvers check the same relative residual.  The sweeps
-contract while the coupling is weak against each subdomain's implicit
-response over a substep; strong coupling on long substeps makes them
-diverge, which raises ContractionError.
+the new states, x <- P^{-1}(b - N x).  Since N reads only the flux, the
+sweep is the affine map f <- y_F - K f on the n_F flux unknowns, with
+y = P^{-1} b and K the flux rows of P^{-1} N, formed once per operator;
+a window costs two P-solves, whatever its sweep count.  Its fixed point
+is the direct solution, and both solvers check the same relative
+residual.  The sweeps contract while the coupling is weak against each
+subdomain's implicit response over a substep; strong coupling on long
+substeps makes them diverge, which raises ContractionError.
 """
 
 from __future__ import annotations
@@ -208,10 +211,10 @@ def require_finite(phase: str, *arrays) -> None:
         raise SolverError(f"{phase} produced non-finite values")
 
 
-def _residual(rhs: np.ndarray, Ax: np.ndarray) -> tuple:
-    """(|rhs - Ax|, |rhs - Ax| / max(|rhs|, |Ax|)); both window solvers check the latter."""
+def _residual(rhs: np.ndarray, Ax: np.ndarray) -> float:
+    """The relative residual |rhs - Ax| / max(|rhs|, |Ax|) that both window solvers check."""
     norm = float(np.linalg.norm(Ax - rhs))
-    return norm, norm / max(float(np.linalg.norm(rhs)), float(np.linalg.norm(Ax)), 1e-300)
+    return norm / max(float(np.linalg.norm(rhs)), float(np.linalg.norm(Ax)), 1e-300)
 
 
 def step_restriction_ratio(cfg: WindowConfig, h: float) -> float:
@@ -307,8 +310,10 @@ class WindowOperator:
 
     solver="direct" factorizes the matrix.  solver="fixed-point" factorizes
     P = matrix - N, with N the block of the matrix at the substep rows and
-    the flux columns, and sweeps each window until the relative residual
-    drops to fp_tol, in at most fp_max_iter sweeps.
+    the flux columns, and sweeps each window on its flux unknowns until the
+    relative residual drops to fp_tol, in at most fp_max_iter sweeps.  Its
+    build adds one solve with P for the n_F columns of N, which gives the
+    sweep map K (n_F, n_F), and the Gram matrix N^T N of the stop test.
     """
 
     def __init__(
@@ -391,6 +396,14 @@ class WindowOperator:
             self._lu = dgit.factorize(factored)
         except RuntimeError as err:
             raise SolverError(f"window factorization failed: {err}") from err
+        if solver == "fixed-point":
+            # the sweep on the flux, f <- y_F - K f with y = P^{-1} rhs, and
+            # the Gram matrix G = N^T N of its residual N (f_prev - f)
+            lagged = np.zeros((self.dim, self.dim - n))
+            lagged[:n] = self._lagged.toarray()
+            self._sweep = self._lu.solve(lagged)[n:]
+            self._lagged_t = self._lagged.T.tocsr()
+            self._gram = (self._lagged_t @ self._lagged).toarray()
 
     def _assemble_matrix(self) -> tuple:
         """(matrix, past): the window's rows over its unknowns and over the past values.
@@ -555,7 +568,7 @@ class WindowOperator:
             raise SolverError(
                 f"window {window_index}: window factorization produced non-finite values"
             )
-        rel = _residual(rhs, self.matrix @ x)[1]
+        rel = _residual(rhs, self.matrix @ x)
         if rel > RESIDUAL_TOL:
             raise SolverError(
                 f"window {window_index}: window solve residual {rel:.3e} exceeds {RESIDUAL_TOL:.1e}"
@@ -563,30 +576,43 @@ class WindowOperator:
         return self._extract(x, before, window_index, rel)
 
     def _fixed_point(self, rhs, flux_guess, window_index):
-        """Sweeps x <- P^{-1}(rhs - N x); returns (x, relative residual, sweeps).
+        """Sweeps x <- P^{-1}(rhs - N x) on the flux; returns (x, relative residual, sweeps).
 
-        Starts from the guessed flux (zero without one): N reads nothing
-        else.  After a sweep from x_prev the residual rhs - matrix @ x is
-        N (x_prev - x), so the stop test costs no product with the matrix.
-        Stops when the residual, relative as in the direct solve, drops to
-        fp_tol; sustained growth of its norm, or fp_max_iter sweeps without
-        convergence, raise ContractionError.
+        N reads only the flux f, so a sweep is f <- y_F - K f, with
+        y = P^{-1} rhs and K the flux rows of P^{-1} N, formed at build.  It
+        starts from the guessed flux (zero without one).  After a sweep from
+        f_prev the residual rhs - matrix @ x is N (f_prev - f), whose norm
+        and that of matrix @ x follow from the Gram matrix N^T N, so a sweep
+        costs O(n_F^2) and no P-solve.  Stops when the residual, relative as
+        in the direct solve, drops to fp_tol, and returns the last sweep's
+        x = P^{-1}(rhs - N f_prev): two P-solves a window, whatever the
+        sweep count.  Sustained growth of the residual norm, or fp_max_iter
+        sweeps without convergence, raise ContractionError.
         """
         n = self._flux_off[0]
-        lagged = np.zeros(n)
+        y_flux = self._lu.solve(rhs)[n:]
+        flux = np.zeros(self.dim - n)
         if flux_guess is not None:
-            lagged = self._lagged @ np.concatenate([np.ravel(F) for F in flux_guess])
-        b = rhs.copy()
+            flux = np.concatenate([np.ravel(F) for F in flux_guess])
+        # matrix @ x = rhs + N delta, delta = f - f_prev: the norms of both
+        # sides of the stop test from rhs . rhs, N^T rhs and G
+        rhs_sq = float(rhs @ rhs)
+        rhs_norm = math.sqrt(rhs_sq)
+        rhs_lagged = self._lagged_t @ rhs[:n]
         residuals = []
         for it in range(1, self.fp_max_iter + 1):
-            b[:n] = rhs[:n] - lagged
-            x = self._lu.solve(b)
-            lagged = self._lagged @ x[n:]
-            b[:n] += lagged  # now matrix @ x
-            norm, rel = _residual(rhs, b)
+            swept = y_flux - self._sweep @ flux
+            delta = swept - flux
+            norm_sq = float(delta @ (self._gram @ delta))
+            norm = math.sqrt(max(norm_sq, 0.0))
+            ax = math.sqrt(max(rhs_sq + 2.0 * float(rhs_lagged @ delta) + norm_sq, 0.0))
+            rel = norm / max(rhs_norm, ax, 1e-300)
             residuals.append(norm)
             if rel <= self.fp_tol:
-                return x, rel, it
+                b = rhs.copy()
+                b[:n] -= self._lagged @ flux
+                return self._lu.solve(b), rel, it
+            flux = swept
             growing = len(residuals) >= 4 and residuals[-1] > residuals[-2] > residuals[-3]
             if growing and residuals[-1] > 10 * residuals[0]:
                 factor = residuals[-1] / residuals[-2]

@@ -455,6 +455,36 @@ class TestSingleRateDegeneration:
             assert np.max(np.abs(sol.U[1][-1] - ref[s2])) < 1e-10 * scale
 
 
+def plain_sweeps(op, rhs, flux_guess):
+    """The lagged sweep over the whole window, x <- P^{-1}(rhs - N x), one P-solve a sweep.
+
+    P and N are slices of op.matrix, P factored here with splu; the stop and
+    growth tests are the fixed-point solver's, on the residual rhs - matrix
+    @ x formed outright.  Returns (x, sweeps, growth factor), x None when the
+    sweeps diverge or run out.
+    """
+    A = op.matrix
+    n = op.dim - sum((r + 1) * op.ops.d_gamma for r in op.cfg.r)
+    lu = spla.splu(sp.bmat([[A[:n, :n], None], [A[n:, :n], A[n:, n:]]]).tocsc())
+    flux = np.zeros(op.dim - n)
+    if flux_guess is not None:
+        flux = np.concatenate([np.ravel(F) for F in flux_guess])
+    residuals = []
+    for sweep in range(1, op.fp_max_iter + 1):
+        b = rhs.copy()
+        b[:n] -= A[:n, n:] @ flux
+        x = lu.solve(b)
+        Ax = A @ x
+        residuals.append(np.linalg.norm(rhs - Ax))
+        if residuals[-1] <= op.fp_tol * max(np.linalg.norm(rhs), np.linalg.norm(Ax)):
+            return x, sweep, float("nan")
+        flux = x[n:]
+        growing = len(residuals) >= 4 and residuals[-1] > residuals[-2] > residuals[-3]
+        if growing and residuals[-1] > 10 * residuals[0]:
+            return None, sweep, residuals[-1] / residuals[-2]
+    return None, op.fp_max_iter, residuals[-1] / residuals[-2]
+
+
 class TestFixedPoint:
     def test_trivial_converges_in_two_sweeps(self):
         Z = np.zeros((2, 2))
@@ -514,6 +544,12 @@ class TestFixedPoint:
             mc.solve_window_fixed_point(stiff, mc.crank_nicolson(), bad_cfg, before_first(stiff))
         assert err.value.factor >= 1.0
         assert str(err.value).startswith("window 1: window iteration diverging")
+        # the plain sweep diverges at the same sweep, by the same factor
+        op = mc.WindowOperator(stiff, mc.crank_nicolson(), bad_cfg, solver="fixed-point")
+        x, sweeps, factor = plain_sweeps(op, op._rhs(before_first(stiff), 1), None)
+        assert x is None
+        assert err.value.iterations == sweeps
+        assert err.value.factor == pytest.approx(factor, rel=1e-9)
 
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
     def test_unmoved_first_sweep_is_not_convergence(self, quadrature):
@@ -567,20 +603,54 @@ class TestFixedPoint:
             assert np.max(np.abs(fp.U[i][-1] - direct.U[i][-1])) <= 10 * tol
             assert np.max(np.abs(fp.F[i] - direct.F[i])) <= 10 * tol
 
-    def test_run_assembles_and_factorizes_once(self, toy_ops, monkeypatch):
-        calls = {"assemble_substep": 0, "factorize": 0}
-        for name in calls:
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    @pytest.mark.parametrize("scheme_name", sorted(mc.shipped_schemes()))
+    def test_flux_sweep_matches_plain_sweep(self, toy_ops, scheme_name, quadrature):
+        # the sweep on the flux unknowns takes the plain sweep's steps: in
+        # every window the same sweep count and, up to roundoff, the same window
+        scheme = mc.shipped_schemes()[scheme_name]
+        cfg = mc.WindowConfig(t_f=0.2, N=4, M=(2, 3), r=(1, 1))
+        op = mc.WindowOperator(toy_ops, scheme, cfg, quadrature=quadrature, solver="fixed-point")
+        before, guess = before_first(toy_ops), None
+        for n in range(1, cfg.N + 1):
+            sol = op.solve(before, n, guess)
+            x, sweeps, _ = plain_sweeps(op, op._rhs(before, n), guess)
+            ref = op._extract(x, before, n, 0.0)
+            assert sol.iterations == sweeps
+            for i in range(2):
+                for got, want in ((sol.U[i], ref.U[i]), (sol.F[i], ref.F[i])):
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            before, guess = sol.U, sol.F
 
-            def counted(*args, _name=name, _orig=getattr(dgit, name), **kwargs):
-                calls[_name] += 1
-                return _orig(*args, **kwargs)
+    def test_run_assembles_and_factorizes_once(self, toy_ops, monkeypatch):
+        calls = {"assemble_substep": 0, "factorize": 0, "solve": 0}
+
+        class CountedLU:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                calls["solve"] += 1
+                return self.lu.solve(b)
+
+        def count(name, wrap=lambda out: out):
+            orig = getattr(dgit, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return wrap(orig(*args, **kwargs))
 
             monkeypatch.setattr(dgit, name, counted)
+
+        count("assemble_substep")
+        count("factorize", CountedLU)
         cfg = mc.WindowConfig(t_f=0.2, N=4, M=(2, 3), r=(1, 1))
-        mc.run_simulation(
+        traj = mc.run_simulation(
             toy_ops, mc.crank_nicolson(), cfg, quadrature="trapezoid", solver="fixed-point"
         )
-        assert calls == {"assemble_substep": 2, "factorize": 1}  # one block per side
+        assert sum(sol.iterations for sol in traj.windows) > 2 * cfg.N
+        # one block per side; one solve for the sweep map, then two a window
+        assert calls == {"assemble_substep": 2, "factorize": 1, "solve": 1 + 2 * cfg.N}
 
 
 @pytest.fixture(scope="module")
