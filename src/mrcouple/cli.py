@@ -81,7 +81,6 @@ WINDOW_KEYS = {
     "t_f": Key(float, 1.0),
     "N": Key(int, 8),
     **{key: Key(int, 1) for key in ("M1", "M2", "r1", "r2")},
-    "N0": Key(int, None),
 }
 SOLVER_KEYS = {
     "name": Key(str, "direct", ("direct", "fixed-point")),
@@ -283,8 +282,7 @@ def parse_config(text: str) -> RunConfig:
     if len(problems) == before:
         try:
             window_cfg = coupling.WindowConfig(
-                t_f=win["t_f"], N=win["N"], M=(win["M1"], win["M2"]), r=(win["r1"], win["r2"]),
-                N0=win["N0"],
+                t_f=win["t_f"], N=win["N"], M=(win["M1"], win["M2"]), r=(win["r1"], win["r2"])
             )
         except ValueError as err:
             problems.append(f"window: {err}")
@@ -522,15 +520,15 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(cfg, Path(args.out))
         levels = args.levels if args.levels is not None else cfg.experiment["levels"]
+        where = "--levels" if args.levels is not None else "experiment.levels"
         if levels < 3:
-            print("config error: convergence needs at least 3 levels", file=sys.stderr)
+            print(f"config error: {where}: convergence needs at least 3 levels", file=sys.stderr)
             return EXIT_CONFIG
         steps = verify.oracle_step_count(
             cfg.window.t_f, cfg.experiment["oracle_steps"], cfg.experiment["oracle_scheme"]
         )
         # bit_length first, so a huge level count never builds a huge power of two
         if levels - 1 > steps.bit_length() or cfg.window.N * 2 ** (levels - 1) > steps:
-            where = "--levels" if args.levels is not None else "experiment.levels"
             print(
                 f"config error: {where}: {levels} levels give the finest level "
                 f"{cfg.window.N}*2^{levels - 1} windows, more than the {steps} steps of "

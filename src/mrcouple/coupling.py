@@ -36,7 +36,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,7 +80,6 @@ class WindowConfig:
     N: int
     M: tuple = (1, 1)
     r: tuple = (1, 1)
-    N0: Optional[int] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.t_f) and self.t_f > 0):
@@ -90,8 +88,6 @@ class WindowConfig:
             raise ValueError("window and substep counts must be at least 1")
         if self.r[0] < 0 or self.r[1] < 0:
             raise ValueError("flux orders must be nonnegative")
-        if self.N0 is not None and self.N0 < 1:
-            raise ValueError(f"N0 = {self.N0}: the initialization window count must be at least 1")
         for i in range(2):
             # the last substep, furthest from 0, is the first to be degenerate
             try:
@@ -117,43 +113,29 @@ class WindowConfig:
         w = self.window(n)
         return np.linspace(w.a, w.b, self.M[i] + 1)
 
-    def n_init(self, spec: SchemeSpec) -> int:
-        """Windows filled from reference data before the scheme takes over."""
-        if self.N0 is not None:
-            return self.N0
-        return 1 if spec.reach == 1 else 2
-
     def history_problems(self, spec: SchemeSpec) -> list:
         """Why the scheme's side conditions cannot read their history, by config key.
 
-        Windows 1..N0-1 are filled from a reference solve; a scheme window
-        reads back at most one window, and window 1, if N0 = 1, only the
-        initial state.  How far the side conditions read is spec.reach, the
-        last nonzero column of D; it also sets the default N0.
+        How far the side conditions read is spec.reach, the last nonzero
+        column of D.  A scheme with reach > 1 finds no history before
+        window 1, so that window is filled from a reference solve, and the
+        scheme windows after it may reach back at most one window.
         """
-        n_init = self.n_init(spec)
-        problems = []
-        if n_init > self.N:
-            problems.append(
-                f"window.N0: {n_init} exceeds N={self.N}; windows 1..N0-1 are filled from "
-                "a reference solve, which leaves no scheme window"
-            )
-        if n_init > 1:
-            problems += [
-                f"scheme.D: the side conditions reach back {spec.reach} side values, more "
-                f"than M{i + 1}+1={self.M[i] + 1}; they may reach back at most one window "
-                "of history"
-                for i in range(2)
-                if spec.reach > self.M[i] + 1
-            ]
-        elif spec.reach > 1:
-            # column l of D weighs the side value l steps back
-            problems.append(
-                f"window.N0: 1 leaves window 1 only the initial state, but the side "
-                f"conditions reach back {spec.reach} side values (scheme.D column "
-                f"{spec.reach}); use N0 >= 2 to fill the history from a reference solve"
-            )
-        return problems
+        if spec.reach == 1:
+            return []
+        # column l of D weighs the side value l steps back
+        problems = [
+            f"window.N: {self.N} leaves no scheme window; the side conditions reach back "
+            f"{spec.reach} side values (scheme.D column {spec.reach}), so window 1 is "
+            "filled from a reference solve"
+        ] if self.N < 2 else []
+        return problems + [
+            f"scheme.D: the side conditions reach back {spec.reach} side values, more "
+            f"than M{i + 1}+1={self.M[i] + 1}; they may reach back at most one window "
+            "of history"
+            for i in range(2)
+            if spec.reach > self.M[i] + 1
+        ]
 
 
 class FluxModes(np.ndarray):
@@ -530,24 +512,25 @@ class WindowOperator:
                 rows[:, lo : lo + len(W) * ops.d_gamma] = -(W @ g).reshape(count, -1)
         return rows
 
-    def _rhs(self, before, window_index: int) -> np.ndarray:
-        """Data terms of the window minus past @ (the side values before it, newest first).
+    def _rhs(self, past, window_index: int) -> np.ndarray:
+        """Data terms of the window minus self._past @ (past, newest first).
 
-        The data terms are a row of the chunk of windows held, which starts
-        at the first window that misses it (_data_rows); without loads there
-        is none.
+        past holds per side the spec.reach side values the window reads, in
+        time order (_past_values).  The data terms are a row of the chunk of
+        windows held, which starts at the first window that misses it
+        (_data_rows); without loads there is none.
         """
         if not 1 <= window_index <= self.cfg.N:
             raise ValueError(f"window index {window_index} is outside 1..{self.cfg.N}")
-        past = self._past @ np.concatenate([v[::-1].ravel() for v in self._past_values(before)])
+        history = self._past @ np.concatenate([v[::-1].ravel() for v in past])
         if not self._has_data:
-            # 0 - past, not -past: a zero of past stays +0.0, as zero data minus it
-            return np.subtract(0.0, past, out=past)
+            # 0 - history, not -history: a zero of it stays +0.0, as zero data minus it
+            return np.subtract(0.0, history, out=history)
         k = window_index - self._rows_first
         if not 0 <= k < len(self._rows):
             count = min(self._chunk, self.cfg.N + 1 - window_index)
             self._rows, self._rows_first, k = self._data_rows(window_index, count), window_index, 0
-        return self._rows[k] - past
+        return self._rows[k] - history
 
     def solve(self, before, window_index: int = 1, flux_guess=None) -> WindowSolution:
         """Solve one window with the operator's solver.
@@ -559,10 +542,11 @@ class WindowOperator:
         iteration; the direct solve ignores it.  A SolverError or
         ContractionError names the window, "window n: ...".
         """
-        rhs = self._rhs(before, window_index)
+        past = self._past_values(before)
+        rhs = self._rhs(past, window_index)
         if self.solver == "fixed-point":
             x, rel, sweeps = self._fixed_point(rhs, flux_guess, window_index)
-            return self._extract(x, before, window_index, rel, sweeps)
+            return self._extract(x, past, window_index, rel, sweeps)
         x = self._lu.solve(rhs)
         if not np.all(np.isfinite(x)):
             raise SolverError(
@@ -573,7 +557,7 @@ class WindowOperator:
             raise SolverError(
                 f"window {window_index}: window solve residual {rel:.3e} exceeds {RESIDUAL_TOL:.1e}"
             )
-        return self._extract(x, before, window_index, rel)
+        return self._extract(x, past, window_index, rel)
 
     def _fixed_point(self, rhs, flux_guess, window_index):
         """Sweeps x <- P^{-1}(rhs - N x) on the flux; returns (x, relative residual, sweeps).
@@ -634,8 +618,8 @@ class WindowOperator:
             factor=factor,
         )
 
-    def _extract(self, x, before, window_index, residual, iterations=0):
-        """The window's states, from the solve vector x.
+    def _extract(self, x, past, window_index, residual, iterations=0):
+        """The window's states, from the solve vector x and the side values past it read.
 
         The substeps of a side are one (M_i, q + 2 - n_s, d_i) block of x:
         the free modes first, the side value last.  u, a new array, applies
@@ -643,11 +627,11 @@ class WindowOperator:
         """
         spec, d, dG, cfg = self.spec, self.ops.d_omega, self.ops.d_gamma, self.cfg
         u, U, F = [], [], []
-        for i, past in enumerate(self._past_values(before)):
+        for i, read in enumerate(past):
             lo = self._dom_off[i]
             slots = x[lo : lo + cfg.M[i] * self._sub_size[i]].reshape(cfg.M[i], -1, d[i])
             # side values in time order: the reach before the window, then the substeps'
-            sides = np.vstack([past, slots[:, -1]])
+            sides = np.vstack([read, slots[:, -1]])
             u.append(dgit.substep_coeffs(spec, slots, sides))
             U.append(sides[spec.reach - 1 :])
             lo = self._flux_off[i]
@@ -727,8 +711,11 @@ def check_flux_conservation(sol: WindowSolution, ops: FeOperators, mode: str = "
 def interfacial_energy_term(sol: WindowSolution, ops: FeOperators, mode: str = "exact") -> float:
     """Interface work term of one window; nonpositive for semidefinite coupling.
 
-    exact mode integrates -(F_i, u_i) over every substep; cn mode uses the
-    endpoint-average sums of the classical q=1 quadrature.
+    exact mode integrates -(F_i, T_i u_i) over every substep with the full
+    state u_i (sol.at_gauss), not the state truncated to the test order
+    q + 1 - n_s that the energy identity pairs with F_i (they agree when
+    r_i <= q + 1 - n_s); cn mode uses the endpoint-average sums of the
+    classical q=1 quadrature.
     """
     if ops.has_g:
         raise ValueError("interfacial energy sign requires zero interface data")
@@ -799,51 +786,43 @@ class Trajectory:
     windows: list
 
 
-def _fill_init_windows(ops, spec, cfg, n_init: int):
-    """Yield the leading windows, solved with a fine single-rate reference integrator.
+def _fill_first_window(ops, spec, cfg) -> WindowSolution:
+    """Window 1, solved with a fine single-rate reference integrator.
 
     Supplies starting data for schemes whose side conditions reach further
-    back than the available history.  The substep states and the
-    interface traces are exact L2 projections (project_pieces) of the fine
-    piecewise solution, and the fluxes are flux_solve of the traces, with
-    the interface data passed as the order-r_i projection of ops.g_trace,
+    back than the initial state.  The substep states and the interface
+    traces are exact L2 projections (project_pieces) of the fine piecewise
+    solution, and the fluxes are flux_solve of the traces, with the
+    interface data passed as the order-r_i projection of ops.g_trace,
     M_gamma^-1 g.
     """
     Mc, Lc, load, slices = coupled_system(ops)
-    fine_per_window = 32 * cfg.M[0] * cfg.M[1]
-    edges = np.linspace(0.0, cfg.window(n_init - 1).b, (n_init - 1) * fine_per_window + 1)
+    fine = 32 * cfg.M[0] * cfg.M[1]
+    window = cfg.window(1)
+    edges = np.linspace(0.0, window.b, fine + 1)
     u0 = np.concatenate(ops.u0)
     coeffs, side = dgit.integrate(Mc, Lc, load, u0, continuous_galerkin(2), edges)
-    require_finite(f"reference fill of windows 1..{n_init - 1}", coeffs, side)
-    for w in range(1, n_init):
-        window = cfg.window(w)
-        lo, hi = (w - 1) * fine_per_window, w * fine_per_window
-        u, U, traces = [], [], []
-        for i in range(2):
-            fine = coeffs[lo:hi, :, slices[i]]
-            per_sub = fine_per_window // cfg.M[i]
-            u.append(np.stack([
-                project_pieces(edges[lo + k : lo + k + per_sub + 1], fine[k : k + per_sub], spec.q)
-                for k in range(0, fine_per_window, per_sub)
-            ]))
-            U.append(side[lo : hi + 1 : per_sub, slices[i]].copy())
-            trace = (ops.T[i] @ fine.reshape(-1, ops.d_omega[i]).T).T
-            trace = trace.reshape(fine.shape[:2] + (ops.d_gamma,))
-            traces.append(project_pieces(edges[lo : hi + 1], trace, max(cfg.r)))
-        g = tuple(
-            project_l2(lambda t, i=i: ops.g_trace(i, np.atleast_1d(t))[0], window, cfg.r[i])
-            if ops.load_g[i] is not None
-            else None
-            for i in range(2)
-        )
-        yield WindowSolution(
-            index=w,
-            window=window,
-            u=tuple(u),
-            U=tuple(U),
-            F=flux_solve(traces, ops.B, cfg.r, g),
-            initialized_from_reference=True,
-        )
+    require_finite("reference fill of window 1", coeffs, side)
+    u, U, traces = [], [], []
+    for i in range(2):
+        mine = coeffs[:, :, slices[i]]
+        per_sub = fine // cfg.M[i]
+        u.append(np.stack([
+            project_pieces(edges[k : k + per_sub + 1], mine[k : k + per_sub], spec.q)
+            for k in range(0, fine, per_sub)
+        ]))
+        U.append(side[::per_sub, slices[i]].copy())
+        trace = (ops.T[i] @ mine.reshape(-1, ops.d_omega[i]).T).T
+        trace = trace.reshape(mine.shape[:2] + (ops.d_gamma,))
+        traces.append(project_pieces(edges, trace, max(cfg.r)))
+    g = tuple(
+        project_l2(lambda t, i=i: ops.g_trace(i, np.atleast_1d(t))[0], window, cfg.r[i])
+        if ops.load_g[i] is not None
+        else None
+        for i in range(2)
+    )
+    F = flux_solve(traces, ops.B, cfg.r, g)
+    return WindowSolution(1, window, tuple(u), tuple(U), F, initialized_from_reference=True)
 
 
 def march(
@@ -858,12 +837,13 @@ def march(
 ):
     """Yield the windows 1..N in order, each as soon as it is solved.
 
-    The run starts from ops.u0.  Windows 1..N0-1 come from the reference
-    fill, the rest from one WindowOperator.  Between two windows the
-    generator keeps only what the next one reads, the last window's side
-    values U and its flux F (the fixed-point start), so a consumer that
-    drops each window holds one at a time.  A window reads back no further than the one before it
-    (WindowConfig.history_problems).
+    The run starts from ops.u0.  A scheme whose side conditions reach back
+    more than one side value (spec.reach > 1) gets window 1 from the
+    reference fill, every other window from one WindowOperator.  Between
+    two windows the generator keeps only what the next one reads, the last
+    window's side values U and its flux F (the fixed-point start), so a
+    consumer that drops each window holds one at a time.  A window reads
+    back no further than the one before it (WindowConfig.history_problems).
     """
     problems = cfg.history_problems(spec)
     if problems:
@@ -871,15 +851,10 @@ def march(
     op = WindowOperator(
         ops, spec, cfg, quadrature=quadrature, solver=solver, fp_tol=fp_tol, fp_max_iter=fp_max_iter
     )
-    n_init = cfg.n_init(spec)
-    # windows 1..N0-1; the fill's fine solution is freed once they are read
-    filled = _fill_init_windows(ops, spec, cfg, n_init) if n_init > 1 else iter(())
-
     before, flux_guess = tuple(np.asarray(v, dtype=float)[None] for v in ops.u0), None
     for n in range(1, cfg.N + 1):
-        sol = next(filled, None)
-        if sol is None:
-            sol = op.solve(before, n, flux_guess)
+        filled = n == 1 and spec.reach > 1
+        sol = _fill_first_window(ops, spec, cfg) if filled else op.solve(before, n, flux_guess)
         if log.isEnabledFor(logging.DEBUG):
             log.debug(
                 "window %d: residual %.3e, sweeps %d, reference-filled %s",

@@ -7,10 +7,10 @@ against a symbolic derivation).
 Temporal convergence is measured against the semi-discrete solution of
 the same spatial system, so spatial discretization error cancels by
 construction: the reference is a single-rate, exactly-coupled solve with
-a tiny step.  Initialization windows, when a scheme needs them, come
-from the coupling module's own fine single-rate solve (cg2 at 32*M1*M2
-steps per window), so starting errors sit far below the measured ones;
-error norms skip them.
+a tiny step.  A scheme whose side conditions reach back more than one
+side value gets window 1 from the coupling module's own fine single-rate
+solve (cg2 at 32*M1*M2 steps), so its starting error sits far below the
+measured ones; error norms skip that window.
 """
 
 from __future__ import annotations
@@ -327,7 +327,7 @@ def _chunk_errors(ops: FeOperators, oracle: ReferenceTrajectory, part: list, npt
 
 
 def error_norms(ops: FeOperators, windows, oracle: ReferenceTrajectory) -> ErrorReport:
-    """All error norms of a run's windows, skipping reference-filled ones.
+    """All error norms of a run's windows, skipping a reference-filled one.
 
     windows is any iterable of the run's windows, e.g. march's.  The
     substep counts M_i, the state order q and the flux orders r_i are read

@@ -25,6 +25,12 @@ MINIMAL = {
     "scheme": {"name": "crank-nicolson"},
     "window": {"t_f": 0.2, "N": 2, "M1": 2, "M2": 3, "r1": 1, "r2": 1},
 }
+# the left node is the mean of the new side value and the one two steps back:
+# the side conditions reach back two, so window 1 is reference-filled
+REACH_TWO = {
+    "name": "dg", "q": 1, "n_s": 2, "k_s": 2, "thetas": [0.0, 1.0],
+    "D": [[0.5, 0, 0.5], [1, 0, 0]],
+}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -153,17 +159,10 @@ class TestMainRun:
             outputs.append((out / "trajectory.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_run_with_two_reference_windows(self, tmp_path):
-        payload = json.loads(json.dumps(MINIMAL))
-        payload["window"].update({"t_f": 0.4, "N": 4, "M1": 1, "M2": 2, "N0": 3})
-        config = write_config(tmp_path, payload)
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
-        rows = (out / "trajectory.csv").read_text().splitlines()[1:]
-        assert len(rows) == payload["window"]["N"] + 1
-
-    @pytest.mark.parametrize("N0", [1, 3])
-    def test_run_holds_at_most_two_windows(self, tmp_path, monkeypatch, N0):
+    @pytest.mark.parametrize(
+        "scheme", [MINIMAL["scheme"], REACH_TWO], ids=["one-step", "reach-two"]
+    )
+    def test_run_holds_at_most_two_windows(self, tmp_path, monkeypatch, scheme):
         # run streams the windows: each one is dropped once the next is solved
         refs, alive = [], []
         init = coupling.WindowSolution.__init__
@@ -175,7 +174,8 @@ class TestMainRun:
 
         monkeypatch.setattr(coupling.WindowSolution, "__init__", counted)
         payload = json.loads(json.dumps(MINIMAL))
-        payload["window"].update({"t_f": 1.0, "N": 24, "N0": N0})
+        payload["scheme"] = scheme
+        payload["window"].update({"t_f": 1.0, "N": 24})
         config = write_config(tmp_path, payload)
         assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         assert len(refs) == 24
@@ -184,7 +184,8 @@ class TestMainRun:
     def test_debug_log_has_one_line_per_window(self, tmp_path, monkeypatch, caplog):
         monkeypatch.delenv("MRCOUPLE_LOG", raising=False)
         payload = json.loads(json.dumps(MINIMAL))
-        payload["window"].update({"t_f": 0.4, "N": 4, "N0": 2})
+        payload["scheme"] = REACH_TWO
+        payload["window"].update({"t_f": 0.4, "N": 4})
         payload["solver"] = {"name": "fixed-point"}
         argv = ["run", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path)]
         assert cli.main(argv) == 0
@@ -197,12 +198,15 @@ class TestMainRun:
         for n, line in enumerate(lines[1:], start=2):
             assert re.fullmatch(rf"window {n}: residual \S+, sweeps [1-9]\d*, reference-filled False", line)
 
-    def test_init_windows_exceeding_N_is_config_error(self, tmp_path, capsys):
+    def test_initialization_window_count_is_unknown_key(self, tmp_path, capsys):
+        # the scheme decides its start-up: window 1 is filled when D reaches back
         payload = json.loads(json.dumps(MINIMAL))
-        payload["window"]["N0"] = payload["window"]["N"] + 1
+        payload["window"]["N0"] = 2
         config = write_config(tmp_path, payload)
         assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
-        assert "config error: window.N0" in capsys.readouterr().err
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "config error: window.N0: unknown key"
+        ]
 
     def test_unreachable_history_is_config_error(self, tmp_path, capsys):
         payload = json.loads(json.dumps(MINIMAL))
@@ -222,27 +226,27 @@ class TestMainRun:
             "name": "dg", "q": 1, "n_s": 2, "k_s": 2, "thetas": [0.0, 1.0],
             "D": [[0, 2, -1], [1, 0, 0]],
         },
-        "window": {"t_f": 0.1, "N": 4, "M1": 1, "M2": 1, "N0": 1},
+        "window": {"t_f": 0.1, "N": 1, "M1": 1, "M2": 1},
     }
 
     @pytest.mark.parametrize(
         "command", [["run"], ["check", "--suite", "conservation"], ["convergence"]]
     )
-    def test_history_without_reference_window_is_config_error(self, tmp_path, capsys, command):
-        # N0 = 1 leaves window 1 only the initial state, but column 2 of D
-        # reads the side value two steps back
+    def test_no_window_after_the_reference_window_is_config_error(self, tmp_path, capsys, command):
+        # column 2 of D reads the side value two steps back, so window 1 is
+        # reference-filled, and N = 1 leaves the scheme no window
         config = write_config(tmp_path, self.REACH_BACK)
         argv = [command[0], "--config", str(config), *command[1:]]
         if command[0] != "check":
             argv += ["--out", str(tmp_path / "out")]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert "config error: window.N0" in err and "reach back 2 side values" in err
-        # the default N0 fills window 1 from the reference solve
+        assert "config error: window.N: 1 leaves no scheme window" in err
+        assert "reach back 2 side values" in err
         payload = json.loads(json.dumps(self.REACH_BACK))
-        del payload["window"]["N0"]
+        payload["window"]["N"] = 2
         cfg = cli.parse_config(json.dumps(payload))
-        assert cfg.window.n_init(cfg.scheme) == 2
+        assert cfg.window.history_problems(cfg.scheme) == []
 
     # each config up to vanishing-t_f once crashed every command with a
     # bare ValueError
@@ -359,10 +363,6 @@ class TestMainRun:
             {"scheme": {"name": "dg"}},
             "config error: scheme.q: missing",
         ),
-        "N0-below-1": (
-            {"window": {"t_f": 0.1, "N": 2, "N0": 0}},
-            "config error: window: N0 = 0: the initialization window count must be at least 1",
-        ),
     }
 
     @pytest.mark.parametrize(
@@ -401,9 +401,19 @@ class TestMainConvergence:
         assert lines[0] == "level,dt,dt1,dt2,err_l2_u1,err_l2_u2,err_sync,rate_running"
         assert len(lines) == 4
 
-    def test_too_few_levels(self, tmp_path):
-        config = write_config(tmp_path, MINIMAL)
-        assert cli.main(["convergence", "--config", str(config), "--levels", "2"]) == 2
+    @pytest.mark.parametrize(
+        "experiment, flag, where",
+        [({}, ["--levels", "1"], "--levels"), ({"levels": 2}, [], "experiment.levels")],
+    )
+    def test_too_few_levels(self, tmp_path, capsys, experiment, flag, where):
+        payload = {**MINIMAL, "experiment": {"kind": "convergence", **experiment}}
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "conv"
+        assert cli.main(["convergence", "--config", str(config), "--out", str(out), *flag]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"config error: {where}: convergence needs at least 3 levels"
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "experiment, flag, where",
@@ -431,7 +441,8 @@ class TestMainConvergence:
         # error norms leave it out
         payload = json.loads(json.dumps(MINIMAL))
         payload["problem"]["forcing"] = "mms:smooth"
-        payload["window"] = {"t_f": 0.5, "N": 2, "M1": 1, "M2": 2, "r1": 1, "r2": 1, "N0": 2}
+        payload["scheme"] = REACH_TWO
+        payload["window"] = {"t_f": 0.5, "N": 2, "M1": 1, "M2": 2, "r1": 1, "r2": 1}
         payload["experiment"] = {"kind": "convergence", "levels": 3, "oracle_steps": 512}
         config = write_config(tmp_path, payload)
         out = tmp_path / "conv"
@@ -612,15 +623,15 @@ class TestSolverFailure:
         assert capsys.readouterr().err.strip().splitlines() == [self.EXHAUSTED_MESSAGE]
 
     # anti-dissipative coupling over a long span: the reference fill of
-    # windows 1..N0-1 overflows
+    # window 1 overflows
     BLOWN_UP_FILL = {
         "geometry": {"nx": 3, "ny": 3},
         "problem": {
             "nu": [1e-06, 1e-06], "advection": {"preset": "vortex", "amplitude": -1.0},
             "B": [[0.5, 3.0], [1.0, 1e-12]], "forcing": "mms:smooth", "initial": "zero",
         },
-        "window": {"t_f": 100.0, "N": 3, "M1": 3, "M2": 2, "r1": 1, "r2": 0, "N0": 3},
-        "scheme": {"name": "downwind1", "quadrature": "exact"},
+        "window": {"t_f": 200.0, "N": 3, "M1": 3, "M2": 4, "r1": 1, "r2": 0},
+        "scheme": {**REACH_TWO, "quadrature": "exact"},
     }
 
     def test_run_names_a_blown_up_reference_fill(self, tmp_path, capsys):
@@ -628,7 +639,7 @@ class TestSolverFailure:
         rc = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err.strip().splitlines() == [
-            "solver failure: reference fill of windows 1..2 produced non-finite values"
+            "solver failure: reference fill of window 1 produced non-finite values"
         ]
 
     @pytest.mark.parametrize("suite", ["energy", "conservation"])
@@ -770,9 +781,6 @@ def small_configs(draw):
         "r1": draw(st.integers(0, 2)),
         "r2": draw(st.integers(0, 2)),
     }
-    n0 = draw(st.none() | st.integers(1, 3))
-    if n0 is not None:
-        window["N0"] = n0
     return {
         "geometry": {"nx": draw(st.integers(2, 4)), "ny": draw(st.integers(1, 4))},
         "problem": problem,

@@ -614,8 +614,9 @@ class TestFixedPoint:
         before, guess = before_first(toy_ops), None
         for n in range(1, cfg.N + 1):
             sol = op.solve(before, n, guess)
-            x, sweeps, _ = plain_sweeps(op, op._rhs(before, n), guess)
-            ref = op._extract(x, before, n, 0.0)
+            past = op._past_values(before)
+            x, sweeps, _ = plain_sweeps(op, op._rhs(past, n), guess)
+            ref = op._extract(x, past, n, 0.0)
             assert sol.iterations == sweeps
             for i in range(2):
                 for got, want in ((sol.U[i], ref.U[i]), (sol.F[i], ref.F[i])):
@@ -831,24 +832,6 @@ class TestRunSimulation:
         assert traj.windows[-1].U[0][-1][0] == pytest.approx(1.4, abs=1e-9)
         assert traj.windows[-1].U[1][-1][0] == pytest.approx(0.5, abs=1e-9)
 
-    @pytest.mark.parametrize("solver", ["direct", "fixed-point"])
-    def test_two_step_scheme_with_two_init_windows(self, toy_linear_ops, solver):
-        # two reference-filled windows hand a history over to a k_s = 2 scheme
-        spec = SchemeSpec(
-            q=1, n_s=2, k_s=2, thetas=(0.0, 1.0),
-            D=[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], name="cn-clone",
-        )
-        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1), N0=3)
-        fp_tol = 1e-10
-        traj = mc.run_simulation(
-            toy_linear_ops, spec, cfg, quadrature="exact", solver=solver, fp_tol=fp_tol
-        )
-        flags = [sol.initialized_from_reference for sol in traj.windows]
-        assert flags == [True, True, False, False]
-        tol = 1e-9 if solver == "direct" else fp_tol
-        assert traj.windows[-1].U[0][-1][0] == pytest.approx(1.4, abs=tol)
-        assert traj.windows[-1].U[1][-1][0] == pytest.approx(0.5, abs=tol)
-
     # The left node takes the mean of the new side value and the one two
     # steps back: exact for the linear toy, and it reads the history.
     MEAN_TWO_BACK = SchemeSpec(
@@ -857,17 +840,15 @@ class TestRunSimulation:
     )
 
     @pytest.mark.parametrize("solver", ["direct", "fixed-point"])
-    @pytest.mark.parametrize("N0", [None, 3])
-    def test_two_step_scheme_reads_handed_over_history(self, toy_linear_ops, solver, N0):
-        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1), N0=N0)
+    def test_two_step_scheme_reads_handed_over_history(self, toy_linear_ops, solver):
+        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1))
         fp_tol = 1e-10
         traj = mc.run_simulation(
             toy_linear_ops, self.MEAN_TWO_BACK, cfg, quadrature="exact", solver=solver,
             fp_tol=fp_tol,
         )
-        n_init = cfg.n_init(self.MEAN_TWO_BACK)
         flags = [sol.initialized_from_reference for sol in traj.windows]
-        assert flags == [w < n_init for w in range(1, cfg.N + 1)]
+        assert flags == [True, False, False, False]
         tol = 1e-9 if solver == "direct" else fp_tol
         assert traj.windows[-1].U[0][-1][0] == pytest.approx(1.4, abs=tol)
         assert traj.windows[-1].U[1][-1][0] == pytest.approx(0.5, abs=tol)
@@ -892,8 +873,7 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match=f"window index {n} is outside 1..4"):
             op.solve(before_first(smooth_ops), n)
 
-    @pytest.mark.parametrize("N0", [2, None])
-    def test_interface_data_of_per_time_loads(self, N0):
+    def test_interface_data_of_per_time_loads(self):
         # B = 0 leaves each flux the negated projection of M_gamma^-1 g_i, in
         # the reference-filled window as in the solved ones
         g = (lambda t: np.array([1.0 + t * t]), lambda t: np.array([-3.0 * t]))
@@ -901,7 +881,7 @@ class TestRunSimulation:
             [[1.0]], [[2.0]], [[1.0]], [[1.0]], [[0.5]], [[1.0]], [[2.0]], np.zeros((2, 2)),
             load_g=g, u0=(np.array([1.0]), np.array([-0.3])),
         )
-        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(2, 1), N0=N0)
+        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(2, 1))
         traj = mc.run_simulation(ops, self.MEAN_TWO_BACK, cfg, quadrature="exact")
         assert [sol.initialized_from_reference for sol in traj.windows] == [True] + [False] * 3
         for sol in traj.windows:
@@ -944,23 +924,15 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             mc.run_simulation(toy_ops, mc.crank_nicolson(), cfg, solver="newton")
 
-    def test_explicit_initialization_count(self, toy_linear_ops):
-        # forcing extra reference-filled windows onto a one-step scheme
-        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1), N0=3)
-        traj = mc.run_simulation(toy_linear_ops, mc.crank_nicolson(), cfg, quadrature="exact")
-        flags = [sol.initialized_from_reference for sol in traj.windows]
-        assert flags == [True, True, False, False]
-        assert traj.windows[-1].U[0][-1][0] == pytest.approx(1.4, abs=1e-9)
-
     @pytest.mark.parametrize("M,r", [((1, 2), (1, 1)), ((2, 3), (2, 0))])
-    def test_reference_windows_project_the_fine_solution(self, smooth_ops, M, r):
+    def test_reference_window_projects_the_fine_solution(self, smooth_ops, M, r):
         ops = smooth_ops
-        cfg = mc.WindowConfig(t_f=0.4, N=4, M=M, r=r, N0=3)
-        traj = mc.run_simulation(ops, mc.dg(1), cfg, quadrature="exact")
-        # the fine solve behind the filled windows: 32 steps per substep of each side
+        cfg = mc.WindowConfig(t_f=0.4, N=4, M=M, r=r)
+        traj = mc.run_simulation(ops, self.MEAN_TWO_BACK, cfg, quadrature="exact")
+        # the fine solve behind the filled window: 32 steps per substep of each side
         Mc, Lc, load, slices = coupling.coupled_system(ops)
         per_window = 32 * M[0] * M[1]
-        edges = np.linspace(0.0, cfg.window(2).b, 2 * per_window + 1)
+        edges = np.linspace(0.0, cfg.window(1).b, per_window + 1)
         coeffs, side = dgit.integrate(
             Mc, Lc, load, np.concatenate(ops.u0), mc.continuous_galerkin(2), edges
         )
@@ -971,34 +943,29 @@ class TestRunSimulation:
         def close(got, want):
             return np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
-        for sol in traj.windows[:2]:
-            assert sol.initialized_from_reference
-            lo = (sol.index - 1) * per_window
-            for i in range(2):
-                per_sub = per_window // M[i]
-                for n, got in enumerate(sol.u[i]):
-                    k = lo + n * per_sub
-                    pieces = coeffs[k : k + per_sub, :, slices[i]]
-                    assert close(got, mc.project_pieces(edges[k : k + per_sub + 1], pieces, 1))
-                assert np.array_equal(sol.U[i], side[lo : lo + per_window + 1 : per_sub, slices[i]])
-                hi = lo + per_window
-                combo = ops.B[i, 0] * traces[0][lo:hi] + ops.B[i, 1] * traces[1][lo:hi]
-                g = mc.project_l2(lambda t: spla.spsolve(Mg, ops.g_vec(i, t)), sol.window, r[i])
-                want = mc.project_pieces(edges[lo : hi + 1], combo, r[i]) - g
-                assert close(sol.F[i], want)
+        sol = traj.windows[0]
+        assert sol.initialized_from_reference
+        assert not any(later.initialized_from_reference for later in traj.windows[1:])
+        for i in range(2):
+            per_sub = per_window // M[i]
+            for n, got in enumerate(sol.u[i]):
+                k = n * per_sub
+                pieces = coeffs[k : k + per_sub, :, slices[i]]
+                assert close(got, mc.project_pieces(edges[k : k + per_sub + 1], pieces, 1))
+            assert np.array_equal(sol.U[i], side[::per_sub, slices[i]])
+            combo = ops.B[i, 0] * traces[0] + ops.B[i, 1] * traces[1]
+            g = mc.project_l2(lambda t: spla.spsolve(Mg, ops.g_vec(i, t)), sol.window, r[i])
+            assert close(sol.F[i], mc.project_pieces(edges, combo, r[i]) - g)
 
     def test_initialization_cannot_swallow_all_windows(self, toy_ops):
-        cfg = mc.WindowConfig(t_f=0.2, N=2, N0=3)
-        with pytest.raises(ValueError, match="no scheme window"):
-            mc.run_simulation(toy_ops, mc.crank_nicolson(), cfg)
+        cfg = mc.WindowConfig(t_f=0.2, N=1)
+        with pytest.raises(ValueError, match="window.N: 1 leaves no scheme window"):
+            mc.run_simulation(toy_ops, self.MEAN_TWO_BACK, cfg)
 
     def test_window_states_are_read_only_arrays(self, toy_linear_ops):
         # a reference-filled and a solved window carry their states alike
-        spec = SchemeSpec(
-            q=1, n_s=2, k_s=2, thetas=(0.0, 1.0),
-            D=[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], name="cn-clone",
-        )
-        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1), N0=2)
+        spec = self.MEAN_TWO_BACK
+        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1))
         traj = mc.run_simulation(toy_linear_ops, spec, cfg, quadrature="exact")
         filled, solved = traj.windows[:2]
         assert filled.initialized_from_reference and not solved.initialized_from_reference
@@ -1030,9 +997,9 @@ class TestRunSimulation:
         assert traj.windows[-1].U[0][-1][0] == pytest.approx(rho1**2, rel=1e-12)
         # the same path end to end: a reference-filled window, the fixed point,
         # the diagnostics and the error norms
-        cfg = mc.WindowConfig(t_f=0.2, N=3, M=(1, 2), r=(2, 0), N0=2)
+        cfg = mc.WindowConfig(t_f=0.2, N=3, M=(1, 2), r=(2, 0))
         for solver in ("direct", "fixed-point"):
-            traj = mc.run_simulation(ops, mc.crank_nicolson(), cfg, solver=solver)
+            traj = mc.run_simulation(ops, self.MEAN_TWO_BACK, cfg, solver=solver)
             assert [sol.initialized_from_reference for sol in traj.windows] == [True, False, False]
             for sol in traj.windows:
                 for i in range(2):
@@ -1047,7 +1014,7 @@ class TestRunSimulation:
             oracle = mc.reference_solve(ops, cfg.t_f, n_steps=256)
             rep = mc.error_norms(ops, traj.windows, oracle)
             l2, _, nodal, sync = pointwise_error_norms(
-                ops, mc.crank_nicolson(), cfg, traj.windows, oracle
+                ops, self.MEAN_TWO_BACK, cfg, traj.windows, oracle
             )
             assert rep.flux_l2 == (0.0, 0.0)
             assert np.allclose(rep.l2, l2, rtol=1e-12, atol=0)
@@ -1117,21 +1084,30 @@ class TestWindowDiagnostics:
             assert len(diag.conservation) == len(diag.work) == cfg.N
 
 
-    @pytest.mark.parametrize("N0", [1, 2])
+    # reach-two schemes of state orders 1 and 2: their window 1 is reference-filled
+    SCHEMES = {
+        **mc.shipped_schemes(),
+        **{
+            f"mean-two-back{q}": SchemeSpec(
+                q=q, n_s=2, k_s=2, thetas=(0.0, 1.0), D=[[0.5, 0.0, 0.5], [1.0, 0.0, 0.0]]
+            )
+            for q in (1, 2)
+        },
+    }
+
     @pytest.mark.parametrize("solver", ["direct", "fixed-point"])
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
-    @pytest.mark.parametrize("scheme_name", sorted(mc.shipped_schemes()))
-    def test_streamed_equal_collected(self, decay_ops, scheme_name, quadrature, solver, N0):
-        # N0 = 2 streams a reference-filled first window
-        scheme = mc.shipped_schemes()[scheme_name]
-        cfg = mc.WindowConfig(t_f=0.15, N=3, M=(2, 3), r=(1, 1), N0=N0)
+    @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+    def test_streamed_equal_collected(self, decay_ops, scheme_name, quadrature, solver):
+        scheme = self.SCHEMES[scheme_name]
+        cfg = mc.WindowConfig(t_f=0.15, N=3, M=(2, 3), r=(1, 1))
         run = dict(quadrature=quadrature, solver=solver)
         streamed = mc.window_diagnostics(
             mc.march(decay_ops, scheme, cfg, **run), decay_ops, cfg, quadrature
         )
         traj = mc.run_simulation(decay_ops, scheme, cfg, **run)
         collected = mc.window_diagnostics(traj.windows, decay_ops, cfg, quadrature)
-        assert traj.windows[0].initialized_from_reference == (N0 == 2)
+        assert traj.windows[0].initialized_from_reference == (scheme.reach == 2)
         assert np.all(np.isfinite(streamed.conservation)) and np.all(np.isfinite(streamed.work))
         for field in dataclasses.fields(coupling.WindowDiagnostics):
             np.testing.assert_array_equal(
@@ -1148,20 +1124,21 @@ class TestHistoryProblems:
             q=1, n_s=1, k_s=3, thetas=(1.0,), D=[[0.5, 0, 0, 0.5]], name="reach-three"
         )
         cases = [
-            (mc.WindowConfig(t_f=0.4, N=2, N0=3), mc.crank_nicolson(), "window.N0: 3 exceeds N=2"),
             (
                 mc.WindowConfig(t_f=0.4, N=4, M=(1, 2)),
                 reach_three,
                 "scheme.D: the side conditions reach back 3 side values, more than M1+1=2",
             ),
-            (mc.WindowConfig(t_f=0.4, N=4, N0=1), reach_two, "reach back 2 side values"),
+            (mc.WindowConfig(t_f=0.4, N=1), reach_two, "window.N: 1 leaves no scheme window"),
         ]
         for cfg, spec, message in cases:
             problems = cfg.history_problems(spec)
             assert len(problems) == 1 and message in problems[0]
             with pytest.raises(ValueError, match=re.escape(message)):
                 mc.run_simulation(toy_linear_ops, spec, cfg)
-        assert mc.WindowConfig(t_f=0.4, N=4).history_problems(reach_two) == []
+        assert mc.WindowConfig(t_f=0.4, N=2).history_problems(reach_two) == []
+        # one window is no problem for a scheme that reads no history
+        assert mc.WindowConfig(t_f=0.4, N=1).history_problems(mc.crank_nicolson()) == []
 
     def test_history_rule_reads_reach_not_k_s(self, toy_linear_ops):
         # zero columns of D past the last nonzero one read no history: such
@@ -1172,7 +1149,7 @@ class TestHistoryProblems:
         )
         cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1))
         for spec in (k_s_three, cn_clone):
-            assert spec.reach == 1 and cfg.n_init(spec) == 1
+            assert spec.reach == 1
             assert cfg.history_problems(spec) == []
             traj = mc.run_simulation(toy_linear_ops, spec, cfg, quadrature="exact")
             assert not any(sol.initialized_from_reference for sol in traj.windows)

@@ -352,11 +352,17 @@ class TestErrorNorms:
             assert np.allclose(rep.nodal[i], nodal[i], rtol=1e-12, atol=0)
         assert np.allclose(rep.sync, sync, rtol=1e-12, atol=0)
 
+    # the left node is the mean of the new side value and the one two steps
+    # back, so window 1 is reference-filled
+    MEAN_TWO_BACK = mc.SchemeSpec(
+        q=1, n_s=2, k_s=2, thetas=(0.0, 1.0), D=[[0.5, 0.0, 0.5], [1.0, 0.0, 0.0]]
+    )
+
     def test_chunk_size_changes_no_norm(self, smooth_ops, monkeypatch):
         # window 1 of 6 is reference-filled and skipped; the other five are
         # one chunk at the default budget and five chunks of one at budget 1
-        cfg = mc.WindowConfig(t_f=0.2, N=6, M=(2, 3), r=(0, 2), N0=2)
-        traj = mc.run_simulation(smooth_ops, mc.crank_nicolson(), cfg)
+        cfg = mc.WindowConfig(t_f=0.2, N=6, M=(2, 3), r=(0, 2))
+        traj = mc.run_simulation(smooth_ops, self.MEAN_TWO_BACK, cfg)
         assert [sol.initialized_from_reference for sol in traj.windows] == [True] + [False] * 5
         oracle = mc.reference_solve(smooth_ops, 0.2, n_steps=128)
         states, calls = oracle.states, []
@@ -382,8 +388,8 @@ class TestErrorNorms:
         # march's generator gives bitwise the norms of the collected list,
         # its reference-filled window 1 skipped, in one chunk and in chunks
         # of one window; no solved window gives zero norms
-        cfg = mc.WindowConfig(t_f=0.2, N=6, M=(2, 3), r=(0, 2), N0=2)
-        spec = mc.crank_nicolson()
+        cfg = mc.WindowConfig(t_f=0.2, N=6, M=(2, 3), r=(0, 2))
+        spec = self.MEAN_TWO_BACK
         windows = mc.run_simulation(smooth_ops, spec, cfg).windows
         oracle = mc.reference_solve(smooth_ops, 0.2, n_steps=128)
 
