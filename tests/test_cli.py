@@ -198,12 +198,42 @@ class TestMainRun:
         for n, line in enumerate(lines[1:], start=2):
             assert re.fullmatch(rf"window {n}: residual \S+, sweeps [1-9]\d*, reference-filled False", line)
 
-    def test_initialization_window_count_is_unknown_key(self, tmp_path, capsys):
+    # window 1 extrapolates U^n from U^{n+1} and U^{n-2}: the side
+    # conditions reach back three, so window 1 is reference-filled
+    REACH_THREE = {
+        "name": "dg", "q": 1, "n_s": 2, "k_s": 3, "thetas": [0.0, 1.0],
+        "D": [[2 / 3, 0, 0, 1 / 3], [1, 0, 0, 0]],
+    }
+
+    @pytest.mark.parametrize(
+        "scheme", [REACH_TWO, REACH_THREE], ids=["reach-two", "reach-three"]
+    )
+    def test_run_with_a_reference_window(self, tmp_path, scheme):
+        # window 1 comes from the reference fill, the scheme solves the others
+        payload = json.loads(json.dumps(MINIMAL))
+        payload["scheme"] = scheme
+        payload["window"].update({"t_f": 0.4, "N": 4, "M1": 2, "M2": 3})
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+        rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+        assert len(rows) == payload["window"]["N"] + 1
+        for row in rows[1:]:
+            assert np.all(np.isfinite([float(v) for v in row.split(",")]))
+
+    @pytest.mark.parametrize(
+        "command", [["run"], ["check", "--suite", "conservation"], ["convergence"]]
+    )
+    def test_initialization_window_count_is_unknown_key(self, tmp_path, capsys, command):
         # the scheme decides its start-up: window 1 is filled when D reaches back
         payload = json.loads(json.dumps(MINIMAL))
         payload["window"]["N0"] = 2
         config = write_config(tmp_path, payload)
-        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        argv = [command[0], "--config", str(config), *command[1:]]
+        if command[0] != "check":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert not (tmp_path / "out").exists()
         assert capsys.readouterr().err.strip().splitlines() == [
             "config error: window.N0: unknown key"
         ]

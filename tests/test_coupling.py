@@ -839,17 +839,29 @@ class TestRunSimulation:
         D=[[0.5, 0.0, 0.5], [1.0, 0.0, 0.0]], name="mean-two-back",
     )
 
+    # The left node is U^n extrapolated from U^{n+1} and U^{n-2}: exact for
+    # the linear toy, and window 2 reads three side values of window 1.
+    THIRDS_THREE_BACK = SchemeSpec(
+        q=1, n_s=2, k_s=3, thetas=(0.0, 1.0),
+        D=[[2 / 3, 0.0, 0.0, 1 / 3], [1.0, 0.0, 0.0, 0.0]], name="thirds-three-back",
+    )
+
     @pytest.mark.parametrize("solver", ["direct", "fixed-point"])
-    def test_two_step_scheme_reads_handed_over_history(self, toy_linear_ops, solver):
-        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(1, 1))
-        fp_tol = 1e-10
+    @pytest.mark.parametrize("reach", [2, 3])
+    def test_two_step_scheme_reads_handed_over_history(self, toy_linear_ops, reach, solver):
+        spec = {2: self.MEAN_TWO_BACK, 3: self.THIRDS_THREE_BACK}[reach]
+        assert spec.reach == reach
+        # the fewest substeps on side 1 that let window 2 reach back into window 1
+        cfg = mc.WindowConfig(t_f=0.4, N=4, M=(reach - 1, reach), r=(1, 1))
+        # the fixed point stops on its residual, and its error may exceed that
+        # by a factor near 1 / (1 - contraction)
+        fp_tol = 1e-12
         traj = mc.run_simulation(
-            toy_linear_ops, self.MEAN_TWO_BACK, cfg, quadrature="exact", solver=solver,
-            fp_tol=fp_tol,
+            toy_linear_ops, spec, cfg, quadrature="exact", solver=solver, fp_tol=fp_tol,
         )
         flags = [sol.initialized_from_reference for sol in traj.windows]
         assert flags == [True, False, False, False]
-        tol = 1e-9 if solver == "direct" else fp_tol
+        tol = 1e-9 if solver == "direct" else 100 * fp_tol
         assert traj.windows[-1].U[0][-1][0] == pytest.approx(1.4, abs=tol)
         assert traj.windows[-1].U[1][-1][0] == pytest.approx(0.5, abs=tol)
 
@@ -873,7 +885,8 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match=f"window index {n} is outside 1..4"):
             op.solve(before_first(smooth_ops), n)
 
-    def test_interface_data_of_per_time_loads(self):
+    @pytest.mark.parametrize("solver", ["direct", "fixed-point"])
+    def test_interface_data_of_per_time_loads(self, solver):
         # B = 0 leaves each flux the negated projection of M_gamma^-1 g_i, in
         # the reference-filled window as in the solved ones
         g = (lambda t: np.array([1.0 + t * t]), lambda t: np.array([-3.0 * t]))
@@ -882,7 +895,7 @@ class TestRunSimulation:
             load_g=g, u0=(np.array([1.0]), np.array([-0.3])),
         )
         cfg = mc.WindowConfig(t_f=0.4, N=4, M=(1, 2), r=(2, 1))
-        traj = mc.run_simulation(ops, self.MEAN_TWO_BACK, cfg, quadrature="exact")
+        traj = mc.run_simulation(ops, self.MEAN_TWO_BACK, cfg, quadrature="exact", solver=solver)
         assert [sol.initialized_from_reference for sol in traj.windows] == [True] + [False] * 3
         for sol in traj.windows:
             for i in range(2):
@@ -1042,6 +1055,15 @@ class TestExportCsv:
         assert float(last[4]) <= 1e-12  # conservation residual column
 
 
+def reach_two_twin(spec):
+    """spec with its first side condition averaged with the side value two
+    steps back: the same nodes and state order, with window 1 reference-filled."""
+    D = np.pad(spec.D, ((0, 0), (0, 2 - spec.k_s)))
+    D[0] *= 0.5
+    D[0, 2] += 0.5
+    return SchemeSpec(q=spec.q, n_s=spec.n_s, k_s=2, thetas=spec.thetas, D=D)
+
+
 class TestWindowDiagnostics:
     def test_csv_columns_are_the_diagnostics(self, decay_ops):
         # mixed flux orders: weak conservation; exact quadrature: exact work term
@@ -1084,9 +1106,15 @@ class TestWindowDiagnostics:
             assert len(diag.conservation) == len(diag.work) == cfg.N
 
 
-    # reach-two schemes of state orders 1 and 2: their window 1 is reference-filled
+    # every shipped scheme, the reach-two twin of each one with side
+    # conditions, and reach-two schemes of state orders 1 and 2
     SCHEMES = {
         **mc.shipped_schemes(),
+        **{
+            f"{name}-reach-two": reach_two_twin(spec)
+            for name, spec in mc.shipped_schemes().items()
+            if spec.n_s > 0
+        },
         **{
             f"mean-two-back{q}": SchemeSpec(
                 q=q, n_s=2, k_s=2, thetas=(0.0, 1.0), D=[[0.5, 0.0, 0.5], [1.0, 0.0, 0.0]]
@@ -1139,6 +1167,19 @@ class TestHistoryProblems:
         assert mc.WindowConfig(t_f=0.4, N=2).history_problems(reach_two) == []
         # one window is no problem for a scheme that reads no history
         assert mc.WindowConfig(t_f=0.4, N=1).history_problems(mc.crank_nicolson()) == []
+
+    @pytest.mark.parametrize("scheme_name", sorted(mc.shipped_schemes()))
+    def test_one_window_is_solved_by_a_one_step_scheme(self, toy_linear_ops, scheme_name):
+        # no shipped scheme reads history: N = 1 leaves its one window to the scheme
+        spec = mc.shipped_schemes()[scheme_name]
+        cfg = mc.WindowConfig(t_f=0.1, N=1, M=(1, 2), r=(1, 1))
+        assert spec.reach == 1 and cfg.history_problems(spec) == []
+        traj = mc.run_simulation(toy_linear_ops, spec, cfg, quadrature="exact")
+        assert [sol.initialized_from_reference for sol in traj.windows] == [False]
+        if spec.q >= 1:
+            # linear in time, so exact for every scheme of state order 1 or more
+            assert traj.windows[0].U[0][-1][0] == pytest.approx(1.1, abs=1e-9)
+            assert traj.windows[0].U[1][-1][0] == pytest.approx(-0.1, abs=1e-9)
 
     def test_history_rule_reads_reach_not_k_s(self, toy_linear_ops):
         # zero columns of D past the last nonzero one read no history: such
