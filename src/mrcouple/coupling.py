@@ -282,13 +282,15 @@ class WindowOperator:
 
     The data terms (body-force and interface-data moments) of a window do
     not depend on the windows before it.  The operator holds them for a
-    chunk of consecutive windows, computed with one call of each load
-    when a window misses the chunk held.  The chunk is sized like
-    integrate's chunks of steps, by the body-load values over both
-    subdomains' substeps: one per substep edge under trapezoid quadrature
-    and LOAD_QUAD_PTS per substep under exact, so a chunk holds
-    dgit.chunk_size(dgit.load_times(quadrature, LOAD_QUAD_PTS) * (M_1 d_1 + M_2 d_2))
-    windows.
+    chunk of consecutive windows, computed with one call of each load's
+    factors when a window misses the chunk held.  The chunk is sized by
+    dgit.LOAD_BATCH_VALUES over the values a window adds: its row of dim
+    data terms, and per load its K factor values and its factor moments.
+    A body load of side i adds M_i (p + test_order + 1) K values, with p
+    its factor times per substep (1 under trapezoid quadrature, where
+    neighbouring substeps share an edge, LOAD_QUAD_PTS under exact); an
+    interface load adds (n_t + r_i + 1) K, with n_t its factor times per
+    window (M_i + 1 substep edges, or LOAD_QUAD_PTS Gauss points).
 
     solver="direct" factorizes the matrix.  solver="fixed-point" factorizes
     P = matrix - N, with N the block of the matrix at the substep rows and
@@ -360,11 +362,17 @@ class WindowOperator:
             else:
                 t, w = gauss_on(self._template, dgit.LOAD_QUAD_PTS)
                 self._g_weights.append(w * legendre_table(cfg.r[i], self._template.to_reference(t)))
-        # Data terms of a chunk of consecutive windows, sized by integrate's
-        # rule over a window's substeps; _rhs reads its rows.
+        # Data terms of a chunk of consecutive windows; _rhs reads its rows.
+        # A window adds its row and, per load, its factor values and moments.
         self._has_data = ops.has_f or ops.has_g
         times = dgit.load_times(quadrature, dgit.LOAD_QUAD_PTS)
-        self._chunk = dgit.chunk_size(times * sum(cfg.M[i] * d[i] for i in range(2)))
+        values = self.dim
+        for i in range(2):
+            if ops.load_f[i] is not None:
+                values += cfg.M[i] * (times + spec.test_order + 1) * ops.load_f[i].count(d[i])
+            if ops.load_g[i] is not None:
+                values += sum(self._g_weights[i].shape) * ops.load_g[i].count(dG)
+        self._chunk = dgit.chunk_size(values)
         self._rows, self._rows_first = np.empty((0, self.dim)), 1
         self.matrix, self._past = self._assemble_matrix()
         # solve applies one factor: of the matrix, or of P for the fixed point
@@ -482,7 +490,8 @@ class WindowOperator:
     def _data_rows(self, first: int, count: int) -> np.ndarray:
         """Data terms of the windows first..first + count - 1, one row each.
 
-        Every load is called once for all of them.  The times repeat the
+        Every load's factors are called once for all of them, and their
+        moments combined with its vectors row by row.  The times repeat the
         arithmetic of cfg.window, of np.linspace in cfg.substep_edges and of
         gauss_on, so a row is bitwise the one of its window computed alone.
         """
@@ -500,16 +509,16 @@ class WindowOperator:
                 rows[:, lo : lo + M_i * self._sub_size[i]] = dgit._chunk_moments(
                     spec, edges, ops.load_f[i], ops.d_omega[i], self.quadrature, dgit.LOAD_QUAD_PTS
                 ).reshape(count, -1)
-            W = self._g_weights[i]
+            W, load = self._g_weights[i], ops.load_g[i]
             if W is not None:
                 if self.quadrature == "trapezoid":
-                    g = ops.g_vec(i, edges)
-                    g = np.concatenate((g[:-1].reshape(count, M_i, -1), g[M_i::M_i, None]), axis=1)
+                    z = load.factors(edges)
+                    z = np.concatenate((z[:-1].reshape(count, M_i, -1), z[M_i::M_i, None]), axis=1)
                 else:
                     t = a + 0.5 * (gauss_rule(dgit.LOAD_QUAD_PTS)[0] + 1.0) * length
-                    g = ops.g_vec(i, t.ravel()).reshape(count, t.shape[1], -1)
+                    z = load.factors(t.ravel()).reshape(count, t.shape[1], -1)
                 lo = self._flux_off[i]
-                rows[:, lo : lo + len(W) * ops.d_gamma] = -(W @ g).reshape(count, -1)
+                rows[:, lo : lo + len(W) * ops.d_gamma] = -load.combine(W @ z).reshape(count, -1)
         return rows
 
     def _rhs(self, past, window_index: int) -> np.ndarray:
@@ -749,8 +758,12 @@ def interfacial_energy_term(sol: WindowSolution, ops: FeOperators, mode: str = "
 def coupled_system(ops: FeOperators):
     """Fold the interface condition into one block system M u' = -L u + b(t).
 
-    Returns (M, L, load, slices); load is None when the problem has no data
-    and, like the operators' own loads, takes a 1-D array of times.
+    Returns (M, L, load, slices); load is None when the problem has no data.
+    It is a dgit.Load like the operators' own: its factors are the parts'
+    factors side by side (body force, then interface data, of subdomain 1,
+    then of 2), and its sparse vectors place each part's vectors at its
+    subdomain's unknowns, an interface part's multiplied by T_i, so that
+    b(t) = f_1(t) + T_1^T g_1(t) on the unknowns of 1, and alike for 2.
     Useful for reference solves and for single-rate comparisons.
     """
     d1, d2 = ops.d_omega
@@ -765,16 +778,20 @@ def coupled_system(ops: FeOperators):
     Lc = sp.bmat(grid, format="csr")
     load = None
     if ops.has_f or ops.has_g:
-        Tt = tuple(ops.T[i].T.tocsr() for i in range(2))
+        parts = []  # (load, the map from its vector space onto the coupled unknowns)
+        for i, offset in enumerate((0, d1)):
+            lift = sp.eye(ops.d_omega[i], d1 + d2, k=offset, format="csr")
+            parts += [(ops.load_f[i], lift), (ops.load_g[i], ops.T[i] @ lift)]
+        parts = [(part, onto) for part, onto in parts if part is not None]
+        vectors = sp.vstack([
+            (onto if part.vectors is None else sp.csr_matrix(part.vectors) @ onto)
+            for part, onto in parts
+        ], format="csr")
 
-        def load(t) -> np.ndarray:
-            parts = []
-            for i in range(2):
-                v = ops.f_vec(i, t)
-                if ops.load_g[i] is not None:
-                    v = v + (Tt[i] @ ops.g_vec(i, t).T).T
-                parts.append(v)
-            return np.concatenate(parts, axis=-1)
+        def factors(t) -> np.ndarray:
+            return np.concatenate([part.factors(t) for part, _ in parts], axis=-1)
+
+        load = dgit.Load(factors, vectors)
 
     return M, Lc, load, (slice(0, d1), slice(d1, d1 + d2))
 

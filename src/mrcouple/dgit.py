@@ -20,13 +20,19 @@ a larger one as solve_substep does (a sparse history product and a
 sparse triangular solve per step); DENSE_PROPAGATOR_ENTRIES sets where.
 
 A block's matrix does not depend on the quadrature of the data terms.
-load_moments, and the window's data rows built from _chunk_moments, take
-exact Gauss rules or endpoint-trapezoid evaluation; the latter turns the
-pinned-endpoint q=1 scheme into classical Crank-Nicolson.  solve_substep
-and integrate use exact Gauss rules, integrate with load_npts points per
-step.  A load takes a 1-D array of times and returns their (nt, d)
-values, so the quadrature times of many substeps are evaluated in one
-call.
+Every load is a Load, factors(t) @ vectors: K time factors times K
+spatial vectors.  load_moments, and the window's data rows built from
+_chunk_moments, integrate the K factors under exact Gauss rules or
+endpoint-trapezoid evaluation, then make one product with the vectors;
+trapezoid turns the pinned-endpoint q=1 scheme into classical
+Crank-Nicolson.  A load given pointwise, a callable of a 1-D array of
+times that returns their (nt, d) values, is the K = d case with identity
+vectors, whose moments are those of its values.
+solve_substep and integrate use exact Gauss rules, integrate with
+load_npts points per step; the quadrature times of many substeps are
+evaluated in one call of the factors.  integrate's dense form multiplies
+a step's factor moments with A^-1 of each unit moment, solved once, so
+its steps form no d-vector moments.
 """
 
 from __future__ import annotations
@@ -48,17 +54,62 @@ from .timepoly import (
 )
 
 LOAD_QUAD_PTS = 8
-#: Values per load call, counted as the quadrature evaluates them:
-#: one load value per step edge under trapezoid (neighbouring steps share
-#: theirs), npts per step under exact quadrature.  integrate evaluates the
-#: data terms of chunk_size(load_npts * d) steps in one load call,
-#: coupling.WindowOperator those of a chunk of windows, counting every
-#: substep of both subdomains, and verify.error_norms queries its oracle
-#: for a chunk of windows at a time.
+#: Values a chunk holds, summed over the arrays it holds per item.
+#: integrate takes a chunk of steps at a time: per step, the K factor
+#: values at its load_npts Gauss points, its (test_order + 1) K factor
+#: moments, its n_own data terms and its n_own slots.
+#: coupling.WindowOperator takes a chunk of windows: per window, its row of
+#: data terms and, per load, the factor values and factor moments of its
+#: substeps (one factor value per substep edge under trapezoid, where
+#: neighbouring substeps share theirs, LOAD_QUAD_PTS per substep under
+#: exact).  Each load's factors are called once per chunk.
+#: verify.error_norms queries its oracle for a chunk of windows at a time,
+#: counting the oracle values a chunk queries.
 LOAD_BATCH_VALUES = 2**14
 #: integrate steps with a dense propagator when it has at most this many
 #: entries, and with the sparse block and its factor above.
 DENSE_PROPAGATOR_ENTRIES = 2**16
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class Load:
+    """A load factors(t) @ vectors: K time factors times K spatial vectors.
+
+    factors maps a 1-D array of nt times to their (nt, K) values (the
+    loads that fespace.assemble builds also map a scalar time to (K,)).
+    vectors is the (K, d) array, dense or sparse, or None for the identity,
+    K = d: a load given by its values.  Called, a load gives its (nt, d)
+    values.
+    """
+
+    factors: Callable
+    vectors: object = None
+
+    def __call__(self, t) -> np.ndarray:
+        return self.combine(np.asarray(self.factors(t), dtype=float))
+
+    def count(self, d: int) -> int:
+        """K, the number of factors of a load with d-vector values."""
+        return d if self.vectors is None else self.vectors.shape[0]
+
+    def combine(self, moments: np.ndarray) -> np.ndarray:
+        """(..., K) values or moments of the factors times the vectors: (..., d).
+
+        Each row is its own product, a batched row product or a sparse one,
+        so its bits do not depend on the rows computed with it.
+        """
+        V = self.vectors
+        if V is None:
+            return moments
+        if sp.issparse(V):
+            rows = moments.reshape(-1, V.shape[0]) @ V
+            return rows.reshape(moments.shape[:-1] + (V.shape[1],))
+        return np.matmul(moments[..., None, :], V)[..., 0, :]
+
+
+def as_load(fn) -> Optional[Load]:
+    """fn as a Load: a Load or None as it is, any other callable with identity vectors."""
+    return fn if fn is None or isinstance(fn, Load) else Load(fn)
 
 
 def load_times(quadrature: str, npts: int) -> int:
@@ -84,6 +135,29 @@ def factorize(A: sp.spmatrix):
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
+def _factor_moments(
+    spec: SchemeSpec, edges: np.ndarray, factors: Callable, quadrature: str, npts: int
+) -> np.ndarray:
+    """(steps, test_order + 1, K) moments of the factors over the steps between edges.
+
+    The factors are evaluated once for the whole run of steps: at every
+    step's Gauss points (exact), or at the edges, so that neighbouring
+    steps share their endpoint value (trapezoid).
+    """
+    a, b = edges[:-1], edges[1:]
+    half = 0.5 * (b - a)[:, None, None]
+    t_o = spec.test_order
+    if quadrature == "trapezoid":
+        vals = factors(edges)
+        sign = (-1.0) ** np.arange(t_o + 1)
+        return half * (sign[None, :, None] * vals[:-1, None, :] + vals[1:, None, :])
+    x, w = gauss_rule(npts)
+    ts = a[:, None] + (x + 1.0) * half[:, :, 0]  # (steps, npts)
+    vals = factors(ts.ravel())
+    vals = vals.reshape(len(a), npts, vals.shape[-1])
+    return half * np.einsum("mj,kjd->kmd", legendre_table(t_o, x) * w, vals)
+
+
 def _chunk_moments(
     spec: SchemeSpec,
     edges: np.ndarray,
@@ -94,25 +168,14 @@ def _chunk_moments(
 ) -> np.ndarray:
     """Data terms of the contiguous steps between edges, one row per step.
 
-    Each row is laid out like load_moments.  The load is evaluated once for
-    the whole run of steps: at every step's Gauss points (exact), or at the
-    edges, so that neighbouring steps share their endpoint value (trapezoid).
+    Each row is laid out like load_moments: the step's factor moments
+    (_factor_moments, one call of the factors) times the load's vectors.
     """
-    a, b = edges[:-1], edges[1:]
-    half = 0.5 * (b - a)[:, None, None]
-    t_o = spec.test_order
-    if load_fn is None:
-        return np.zeros((len(a), (t_o + 1) * d))
-    if quadrature == "trapezoid":
-        vals = load_fn(edges)
-        sign = (-1.0) ** np.arange(t_o + 1)
-        out = half * (sign[None, :, None] * vals[:-1, None, :] + vals[1:, None, :])
-    else:
-        x, w = gauss_rule(npts)
-        ts = a[:, None] + (x + 1.0) * half[:, :, 0]  # (steps, npts)
-        vals = load_fn(ts.ravel()).reshape(len(a), npts, d)
-        out = half * np.einsum("mj,kjd->kmd", legendre_table(t_o, x) * w, vals)
-    return out.reshape(len(a), -1)
+    load = as_load(load_fn)
+    if load is None:
+        return np.zeros((len(edges) - 1, (spec.test_order + 1) * d))
+    moments = _factor_moments(spec, edges, load.factors, quadrature, npts)
+    return load.combine(moments).reshape(len(edges) - 1, -1)
 
 
 def load_moments(
@@ -125,9 +188,10 @@ def load_moments(
 ) -> np.ndarray:
     """Data term of one substep: integral of load(t) against each test mode.
 
-    Laid out like the substep rows, one d-slab per test mode.  load_fn
-    maps a 1-D array of times to their (nt, d) load values and is called
-    once, with all quadrature times (LOAD_QUAD_PTS Gauss points).
+    Laid out like the substep rows, one d-slab per test mode.  load_fn is
+    a Load, or a callable of a 1-D array of times giving their (nt, d)
+    values; its factors are called once, with all quadrature times
+    (LOAD_QUAD_PTS Gauss points).
     Trapezoid quadrature uses endpoint values only, which is the
     classical treatment of forcing data for the pinned-endpoint q=1 scheme.
     """
@@ -252,12 +316,17 @@ def side_condition_residual(
     return worst
 
 
-def _sparse_steps(block: SubstepBlock, sides: np.ndarray) -> Callable:
+def _sparse_steps(block: SubstepBlock, sides: np.ndarray, load: Optional[Load]) -> Callable:
     """Step as solve_substep does: subtract the history, then solve with the factor."""
-    reach, d, lu = block.spec.reach, block.d, block.lu()
+    spec, d, lu = block.spec, block.d, block.lu()
+    reach, n_own = spec.reach, block.matrix.shape[0]
 
     def advance(moments, n0, slots):
-        for i, rhs in enumerate(moments):
+        if load is None:
+            rhs_rows = np.zeros((len(slots), n_own))
+        else:
+            rhs_rows = load.combine(moments).reshape(len(slots), n_own)
+        for i, rhs in enumerate(rhs_rows):
             n = n0 + i  # the step reads sides[n : n + reach] and writes sides[n + reach]
             _subtract_history(block, sides[n : n + reach][::-1], rhs)
             slots[i] = lu.solve(rhs).reshape(-1, d)
@@ -266,26 +335,48 @@ def _sparse_steps(block: SubstepBlock, sides: np.ndarray) -> Callable:
     return advance
 
 
-def _dense_steps(block: SubstepBlock, sides: np.ndarray) -> Callable:
-    """Step with the dense propagator G = A^-1 [P_reach .. P_1] and A^-1.
+def _dense_steps(block: SubstepBlock, sides: np.ndarray, load: Optional[Load]) -> Callable:
+    """Step with the dense propagator G = A^-1 [P_reach .. P_1] and A^-1 of the unit moments.
 
     A step is s_n = A^-1 m_n - G [U_{n-reach}; ..; U_{n-1}]: G's columns
-    run oldest first, so the history is a contiguous slice of sides.  The
-    data terms A^-1 m_n of a chunk are one batched product of row
-    mat-vecs, so a step's are the same however the steps are chunked.
+    run oldest first, so the history is a contiguous slice of sides.  With
+    m_n the step's factor moments c_{a,k} times the unit moments e_a (x)
+    V_k (V_k row k of the load's vectors, e_a test mode a), A^-1 m_n is
+    c_n times the rows A^-1 (e_a (x) V_k), solved once: (test_order + 1) K
+    of them, or A^-1 itself for identity vectors.  The step loop computes
+    only the side value, from G's last d rows; a chunk's data terms and
+    its other slots are batched products of row mat-vecs, so a step's are
+    the same however the steps are chunked.
     """
-    reach, d, lu = block.spec.reach, block.d, block.lu()
+    spec, d, lu = block.spec, block.d, block.lu()
+    reach, n_own = spec.reach, block.matrix.shape[0]
     G = lu.solve(np.hstack([p.toarray() for p in block.prev[::-1]]))
-    inv_t = lu.solve(np.eye(block.matrix.shape[0])).T
-    flat = sides.reshape(-1)
+    G_side, G_rest = G[-d:], G[:-d]
+    unit = None
+    if load is not None:
+        V = load.vectors
+        if V is None:
+            units = np.eye(n_own)
+        else:
+            V = V.toarray() if sp.issparse(V) else np.asarray(V)
+            units = np.kron(np.eye(spec.test_order + 1), V.T)
+        unit = lu.solve(units).T
+    # row n: the side values step n reads, U_{n-reach} .. U_{n-1}
+    history = np.lib.stride_tricks.sliding_window_view(sides.reshape(-1), reach * d)[::d]
 
     def advance(moments, n0, slots):
-        data = np.matmul(moments[:, None, :], inv_t)[:, 0]
-        own = slots.reshape(len(slots), -1)
-        for i in range(len(moments)):
-            n = n0 + i
-            np.subtract(data[i], G @ flat[n * d : (n + reach) * d], out=own[i])
-            sides[n + reach] = slots[i, -1]
+        count = len(slots)
+        if unit is None:
+            data = np.zeros((count, n_own))
+        else:
+            data = np.matmul(moments.reshape(count, 1, -1), unit)[:, 0]
+        data_side, new = data[:, -d:], sides[n0 + reach : n0 + reach + count]
+        for i, past in enumerate(history[n0 : n0 + count]):
+            np.subtract(data_side[i], G_side @ past, out=new[i])
+        slots[:, -1] = new
+        if len(G_rest):
+            rest = data[:, :-d] - np.matmul(G_rest, history[n0 : n0 + count, :, None])[:, :, 0]
+            slots[:, :-1] = rest.reshape(count, -1, d)
 
     return advance
 
@@ -306,8 +397,9 @@ def integrate(
     boundaries are the step edges, at least two; every step has the first
     step's length to within 1e-12 relative, so one block and one
     factorization serve them all.  The data terms are integrated exactly,
-    with load_npts Gauss points per step, for a chunk of steps at a time,
-    with one load call per chunk.  Returns (coeffs, side_values):
+    with load_npts Gauss points per step, for a chunk of steps at a time
+    (sized by LOAD_BATCH_VALUES), with one call of the load's factors per
+    chunk.  Returns (coeffs, side_values):
     coeffs[n], shape (q+1, d), the Legendre coefficients of the state on
     (boundaries[n], boundaries[n+1]), and side_values[n] the state at
     boundaries[n] (side_values[0] = u0).
@@ -317,8 +409,10 @@ def integrate(
       and solve with its factor, as solve_substep does, bit for bit;
     - dense, when the propagator G = A^-1 [P_reach .. P_1] has at most
       DENSE_PROPAGATOR_ENTRIES entries (n_own * reach * d, n_own =
-      (test_order + 1) * d): G and A^-1 are built once from the factor,
-      and a step is one dense mat-vec of G on the side values, ending
+      (test_order + 1) * d): G and A^-1 of the load's unit moments are
+      built once from the factor, a chunk's data terms are one batched
+      product of its factor moments with the latter, and a step is one
+      dense mat-vec of G's side-value rows on the side values, ending
       within roundoff of the sparse form (1e-14 to 5e-14 relative after
       1,024 steps in the runs below).
     Measured in one session on a 2-core Intel Xeon guest with one BLAS
@@ -353,13 +447,19 @@ def integrate(
     sides = np.empty((reach + n_steps, d))
     sides[: reach - 1], sides[reach - 1] = np.reshape(lead, (-1, d)), u0
     dense = block.matrix.shape[0] * reach * d <= DENSE_PROPAGATOR_ENTRIES
-    advance = (_dense_steps if dense else _sparse_steps)(block, sides)
-    chunk = chunk_size(load_npts * d)
+    load = as_load(load_fn)
+    advance = (_dense_steps if dense else _sparse_steps)(block, sides, load)
+    own = spec.test_order + 1
+    K = 0 if load is None else load.count(d)
+    chunk = chunk_size(load_npts * K + own * (K + 2 * d))
     coeffs = np.empty((n_steps, spec.q + 1, d))
-    slots = np.empty((min(chunk, n_steps), spec.test_order + 1, d))
+    slots = np.empty((min(chunk, n_steps), own, d))
+    moments = None
     for n0 in range(0, n_steps, chunk):
         n1 = min(n0 + chunk, n_steps)
-        moments = _chunk_moments(spec, boundaries[n0 : n1 + 1], load_fn, d, "exact", load_npts)
+        if load is not None:
+            edges = boundaries[n0 : n1 + 1]
+            moments = _factor_moments(spec, edges, load.factors, "exact", load_npts)
         # a march that blows up runs on through inf and nan without
         # warnings; the callers check its result and name the phase
         with np.errstate(over="ignore", invalid="ignore"):

@@ -12,11 +12,13 @@ Matrix terms use a 2x2 Gauss rule per element, which is exact for
 bilinear elements and for the shipped advection presets (they are
 polynomial by construction); load vectors use a 4x4 rule, applied to
 the pointwise data by one precomputed sparse quadrature-to-dof matrix Q
-so that a load evaluates many times in one call.  Data given as a
-Separable sum of space-time products sum_k a_k(x) b_k(t) is integrated
-in space once, at assembly: its load at times t is the (nt, K) matrix of
-the time factors times the K assembled vectors Q a_k.  Any other
-callable is evaluated at every quadrature point and time of a call.  A
+so that a load evaluates many times in one call.  Every load is a
+dgit.Load, factors(t) @ vectors.  Data given as a Separable sum of
+space-time products sum_k a_k(x) b_k(t) is integrated in space once, at
+assembly: its factors are the K time factors b_k and its vectors the K
+assembled vectors Q a_k.  Any other callable is evaluated at every
+quadrature point and time of a call, and its load is the K = d case:
+factors that give the assembled values, and identity vectors.  A
 backdoor constructor accepts raw matrices so that small ODE systems can
 drive the time integrators directly.
 """
@@ -31,7 +33,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .dgit import factorize
+from .dgit import Load, as_load, factorize
 from .mesh import InterfaceMap, Mesh
 from .timepoly import gauss_rule
 
@@ -82,8 +84,10 @@ class Separable:
 
     def time_factors(self, t) -> np.ndarray:
         """b_1(t), ..., b_K(t) along a last axis: (K,) for a scalar t, (nt, K) for times."""
-        shape = np.shape(t)
-        return np.stack([np.broadcast_to(b(t), shape) for _, b in self.terms], axis=-1)
+        out = np.empty(np.shape(t) + (len(self.terms),))
+        for k, (_, b) in enumerate(self.terms):
+            out[..., k] = b(t)
+        return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,10 +148,12 @@ class FeOperators:
 
     load_f[i] maps t to the body-force vector (f_i, phi_j); load_g[i] maps
     t to the interface data vector (g_i, mu_j); None means identically zero.
-    Every load takes a 1-D array of nt times and gives their (nt, d)
-    values; from_matrices adapts per-time callables to that form.  The
-    loads that assemble builds also take a scalar time, giving a (d,)
-    vector.  f_vec, g_vec and g_trace follow the loads' convention.
+    Every load is a dgit.Load, factors(t) @ vectors, that takes a 1-D
+    array of nt times and gives their (nt, d) values; a plain callable
+    passed in is held as a Load with identity vectors, and from_matrices
+    adapts per-time callables to that form.  The loads that assemble
+    builds also take a scalar time, giving a (d,) vector.  f_vec, g_vec and
+    g_trace follow the loads' convention.
 
     The operators are frozen and B is kept as a read-only copy.  The check
     flags conservation_compatible and b_psd are derived from B and the
@@ -182,6 +188,8 @@ class FeOperators:
         B = np.array(self.B, dtype=float).reshape(2, 2)
         B.flags.writeable = False
         object.__setattr__(self, "B", B)
+        object.__setattr__(self, "load_f", tuple(map(as_load, self.load_f)))
+        object.__setattr__(self, "load_g", tuple(map(as_load, self.load_g)))
 
     @functools.cached_property
     def conservation_compatible(self) -> bool:
@@ -200,9 +208,13 @@ class FeOperators:
 
     @functools.cached_property
     def b_psd(self) -> bool:
-        """Whether the symmetric part of B is positive semidefinite."""
-        scale = max(1.0, float(np.max(np.abs(self.B))))
-        return bool(np.min(np.linalg.eigvalsh(0.5 * (self.B + self.B.T))) >= -1e-12 * scale)
+        """Whether the symmetric part of B is positive semidefinite.
+
+        B is scaled to entries of at most 1 first, so that the symmetric
+        part of a B near the float maximum does not overflow.
+        """
+        scaled = self.B / max(1.0, float(np.max(np.abs(self.B))))
+        return bool(np.min(np.linalg.eigvalsh(0.5 * (scaled + scaled.T))) >= -1e-12)
 
     @property
     def d_omega(self) -> tuple:
@@ -231,13 +243,24 @@ class FeOperators:
     def g_trace(self, i: int, t) -> np.ndarray:
         """M_gamma^-1 g_vec(i, t): the interface data as a trace, shaped as g_vec.
 
-        The interface mass is factorized once, on the first call.
+        The interface load's factors times its vectors solved with M_gamma;
+        the vectors are solved once, on the first call.
         """
-        return self._mg_lu.solve(self.g_vec(i, t).T).T
+        return _load_or_zero(self._g_traces[i], t, self.d_gamma)
 
     @functools.cached_property
-    def _mg_lu(self):
-        return factorize(self.M_gamma)
+    def _g_traces(self) -> tuple:
+        """Per side, the interface load with M_gamma^-1 applied to its vectors."""
+        if not self.has_g:
+            return (None, None)
+        lu = factorize(self.M_gamma)
+        out = []
+        for load in self.load_g:
+            if load is not None:
+                V = np.eye(self.d_gamma) if load.vectors is None else load.vectors
+                load = Load(load.factors, lu.solve(np.asarray(V).T).T)
+            out.append(load)
+        return tuple(out)
 
 
 def _load_or_zero(fn, t, d: int) -> np.ndarray:
@@ -323,16 +346,19 @@ def _interface_mass(mesh: Mesh, imap: InterfaceMap) -> sp.csr_matrix:
     ).tocsr()
 
 
-def _quadrature_load(fn: Callable, points: tuple, dofs: np.ndarray, local: np.ndarray, n_rows: int):
+def _quadrature_load(
+    fn: Callable, points: tuple, dofs: np.ndarray, local: np.ndarray, n_rows: int
+) -> Load:
     """Load t -> Q @ fn(*points, t) of pointwise data fn, for a time or an array of times.
 
     points are the (ncell, ngp) coordinate arrays of the quadrature points;
     dofs (ncell, nloc) holds the row of each local shape function (negative
     for none) and local (nloc, ngp) its values times the quadrature weights,
     so Q[dofs[c, a], c * ngp + g] = local[a, g].  A Separable fn is
-    integrated in space here, once: the load is then b(t) @ F with
-    F[k] = Q @ a_k(*points).  Any other fn must broadcast an array t of
-    shape (nt, 1, 1) against the points.
+    integrated in space here, once: the load's factors are then its time
+    factors b(t) and its vectors F[k] = Q @ a_k(*points).  Any other fn
+    must broadcast an array t of shape (nt, 1, 1) against the points; its
+    load gives these values as its factors, with identity vectors.
     """
     shape = points[0].shape
     vals = np.broadcast_to(local[None], dofs.shape + shape[1:])
@@ -344,22 +370,18 @@ def _quadrature_load(fn: Callable, points: tuple, dofs: np.ndarray, local: np.nd
     if isinstance(fn, Separable):
         spatial = [np.broadcast_to(np.asarray(a(*points), dtype=float), shape) for a, _ in fn.terms]
         F = np.stack([Q @ values.ravel() for values in spatial])  # (K, n_rows)
+        return Load(lambda t: fn.time_factors(np.asarray(t, dtype=float)), F)
 
-        def separable_load(t) -> np.ndarray:
-            return fn.time_factors(np.asarray(t, dtype=float)) @ F
-
-        return separable_load
-
-    def load(t) -> np.ndarray:
+    def values(t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         pointwise = np.broadcast_to(fn(*points, t[..., None, None]), t.shape + shape)
         flat = np.asarray(pointwise, dtype=float).reshape(-1, Q.shape[1])
         return (Q @ flat.T).T.reshape(t.shape + (n_rows,))
 
-    return load
+    return Load(values)
 
 
-def _volume_load(mesh: Mesh, f: Callable) -> Callable:
+def _volume_load(mesh: Mesh, f: Callable) -> Load:
     """t -> vector of (f(., t), phi_j) over the free dofs, also for an array of times."""
     xi, eta, W, N, _, _ = _shape_table(N_GP_LOAD)
     hx, hy = mesh.hx, mesh.hy
@@ -370,7 +392,7 @@ def _volume_load(mesh: Mesh, f: Callable) -> Callable:
     return _quadrature_load(f, (XG, YG), mesh.free_dof[mesh.quads], local, mesh.n_free)
 
 
-def _interface_load(mesh: Mesh, imap: InterfaceMap, g: Callable) -> Callable:
+def _interface_load(mesh: Mesh, imap: InterfaceMap, g: Callable) -> Load:
     """t -> vector of (g(., t), mu_j) over the interface unknowns, also for an array of times."""
     x1, w1 = gauss_rule(N_GP_LOAD)
     hx = mesh.hx
@@ -466,7 +488,8 @@ def from_matrices(
     Mass matrices (volume and interface) must be symmetric positive
     definite.  load_f / load_g supply already-assembled load vectors as
     per-time functions t -> (d,); the operators wrap each one into a load
-    that takes a 1-D array of times and calls it once per time.  The
+    with identity vectors, whose factors take a 1-D array of times and
+    call it once per time.  The
     operators derive their check flags from B and these loads on first
     read.
     """

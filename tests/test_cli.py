@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 import weakref
 from pathlib import Path
 
@@ -671,6 +672,18 @@ class TestSolverFailure:
         assert capsys.readouterr().err.strip().splitlines() == [
             "solver failure: reference fill of window 1 produced non-finite values"
         ]
+
+    def test_coupling_near_the_float_maximum_fails_without_warnings(self, tmp_path, capsys):
+        # the symmetric part of this B overflows when formed as (B + B^T) / 2
+        config = write_config(tmp_path, {"problem": {"B": [[1e308, -1e308], [-1e308, 1e308]]}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "solver failure: window 1: window factorization produced non-finite values"
+        ]
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("suite", ["energy", "conservation"])
     def test_check_reports_solver_failure(self, tmp_path, capsys, suite):

@@ -287,26 +287,39 @@ class TestBatchedWindowLoads:
             if quadrature == "exact":
                 t = gauss_on(cfg.window(n), dgit.LOAD_QUAD_PTS)[0]
             lo = op._flux_off[i]
-            g = op._g_weights[i] @ ops.g_vec(i, t)
+            load = ops.load_g[i]
+            g = load.combine(op._g_weights[i] @ load.factors(t))
             rhs[lo : lo + (cfg.r[i] + 1) * ops.d_gamma] = -g.ravel()
         rhs -= op._past @ np.concatenate([side[-1] for side in before])
         return rhs
 
+    @staticmethod
+    def window_values(ops, cfg, quadrature):
+        # the values a crank-nicolson window adds to a chunk of the smooth
+        # preset: its row, and per load its factor values and moments, with
+        # K = 2 body-force and K = 1 interface-data factors a side
+        trapezoid = quadrature == "trapezoid"
+        d1, d2 = ops.d_omega
+        dim = cfg.M[0] * d1 + cfg.M[1] * d2 + (cfg.r[0] + cfg.r[1] + 2) * ops.d_gamma
+        times = 1 if trapezoid else dgit.LOAD_QUAD_PTS  # body factor times a substep
+        body = sum(cfg.M[i] * (times + 1) * 2 for i in range(2))
+        g_times = [cfg.M[i] + 1 if trapezoid else dgit.LOAD_QUAD_PTS for i in range(2)]
+        interface = sum((g_times[i] + cfg.r[i] + 1) * 1 for i in range(2))
+        return dim + body + interface
+
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
     def test_one_load_call_per_subdomain_per_chunk(self, smooth_ops, quadrature, monkeypatch):
         cfg = mc.WindowConfig(t_f=0.2, N=5, M=(2, 3), r=(1, 1))
-        # body-load values per substep: one edge (trapezoid), LOAD_QUAD_PTS Gauss points (exact)
-        times = 1 if quadrature == "trapezoid" else dgit.LOAD_QUAD_PTS
-        per_window = sum(cfg.M[i] * times * smooth_ops.d_omega[i] for i in range(2))
+        per_window = self.window_values(smooth_ops, cfg, quadrature)
         monkeypatch.setattr(dgit, "LOAD_BATCH_VALUES", 2 * per_window)  # chunks 1-2, 3-4, 5
         calls = {"f": [0, 0], "g": [0, 0]}
 
-        def wrap(kind, i, fn):
-            def load(t):
+        def wrap(kind, i, load):
+            def factors(t):
                 calls[kind][i] += 1
-                return fn(t)
+                return load.factors(t)
 
-            return load
+            return dgit.Load(factors, load.vectors)
 
         ops = dataclasses.replace(
             smooth_ops,
@@ -334,14 +347,12 @@ class TestBatchedWindowLoads:
             assert np.array_equal(rhs, self.reference_rhs(op, smooth_ops, u, n))
 
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
-    def test_chunk_counts_the_load_values_the_quadrature_evaluates(
-        self, smooth_ops, quadrature, monkeypatch
-    ):
-        # a window evaluates each body load at its substeps' edges, one value
-        # per substep (trapezoid), or at LOAD_QUAD_PTS Gauss points per substep
+    def test_chunk_counts_the_values_a_window_adds(self, smooth_ops, quadrature, monkeypatch):
+        # a window adds its row, and the factor values and moments of its
+        # loads: each body load's at its substeps' edges, one per substep
+        # (trapezoid), or at LOAD_QUAD_PTS Gauss points per substep
         cfg = mc.WindowConfig(t_f=0.2, N=5, M=(2, 3), r=(1, 1))
-        d1, d2 = smooth_ops.d_omega
-        per_window = (2 * d1 + 3 * d2) * (1 if quadrature == "trapezoid" else dgit.LOAD_QUAD_PTS)
+        per_window = self.window_values(smooth_ops, cfg, quadrature)
         for budget, chunk in [(3 * per_window, 3), (3 * per_window - 1, 2), (per_window - 1, 1)]:
             monkeypatch.setattr(dgit, "LOAD_BATCH_VALUES", budget)
             op = coupling.WindowOperator(smooth_ops, mc.crank_nicolson(), cfg, quadrature=quadrature)
@@ -399,6 +410,58 @@ class TestBatchedWindowLoads:
         monkeypatch.setattr(op, "_data_rows", rows)
         assert np.array_equal(op._rhs(before, 3), self.reference_rhs(op, smooth_ops, before, 3))
         assert len(op._rows) == 1 and op._rows_first == 3
+
+
+def pointwise(load):
+    """The same load given by its values: identity vectors, no factors."""
+    return None if load is None else dgit.Load(lambda t: load(t))
+
+
+class TestFactoredMoments:
+    @staticmethod
+    def coupled_values(ops, t):
+        # the coupled data f_i + T_i^T g_i of each side, from the parts' values
+        return np.concatenate(
+            [ops.f_vec(i, t) + (ops.T[i].T @ ops.g_vec(i, t).T).T for i in range(2)], axis=-1
+        )
+
+    def test_coupled_load_places_the_parts(self, smooth_ops):
+        _, _, load, slices = coupling.coupled_system(smooth_ops)
+        t = np.linspace(0.0, 1.0, 7)
+        assert load.count(sum(smooth_ops.d_omega)) == 6  # 2 + 1 factors a side
+        want = self.coupled_values(smooth_ops, t)
+        assert np.max(np.abs(load(t) - want)) <= 1e-14 * np.max(np.abs(want))
+        assert load(0.3).shape == (sum(smooth_ops.d_omega),)
+        V = load.vectors.toarray()
+        F1, G1 = smooth_ops.load_f[0].vectors, smooth_ops.load_g[0].vectors
+        assert np.array_equal(V[:2, slices[0]], F1) and not V[:2, slices[1]].any()
+        assert np.array_equal(V[2:3, slices[0]], G1 @ smooth_ops.T[0].toarray())
+
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    @pytest.mark.parametrize("scheme", sorted(mc.shipped_schemes()))
+    def test_coupled_moments_equal_pointwise(self, smooth_ops, scheme, quadrature):
+        spec = mc.shipped_schemes()[scheme]
+        _, _, load, _ = coupling.coupled_system(smooth_ops)
+        d, edges = sum(smooth_ops.d_omega), np.linspace(0.1, 0.7, 7)
+        got = dgit._chunk_moments(spec, edges, load, d, quadrature, dgit.LOAD_QUAD_PTS)
+        values = dgit.Load(lambda t: self.coupled_values(smooth_ops, t))
+        want = dgit._chunk_moments(spec, edges, values, d, quadrature, dgit.LOAD_QUAD_PTS)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    @pytest.mark.parametrize("scheme", sorted(mc.shipped_schemes()))
+    def test_window_rows_equal_pointwise(self, smooth_ops, scheme, quadrature):
+        # the body-force and interface-data rows of a chunk of windows
+        spec = mc.shipped_schemes()[scheme]
+        cfg = mc.WindowConfig(t_f=0.2, N=5, M=(2, 3), r=(1, 2))
+        plain = dataclasses.replace(
+            smooth_ops,
+            load_f=tuple(map(pointwise, smooth_ops.load_f)),
+            load_g=tuple(map(pointwise, smooth_ops.load_g)),
+        )
+        got = mc.WindowOperator(smooth_ops, spec, cfg, quadrature=quadrature)._data_rows(1, 5)
+        want = mc.WindowOperator(plain, spec, cfg, quadrature=quadrature)._data_rows(1, 5)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestFactorize:

@@ -293,20 +293,25 @@ class TestBatchedIntegrate:
     def test_batched_load_matches_per_time(self, smooth_ops, scheme):
         Mc, Lc, load, _ = mc.coupled_system(smooth_ops)
         u0 = np.concatenate(smooth_ops.u0)
-        # more than two chunks, the last one partial
-        chunk = max(1, dgit.LOAD_BATCH_VALUES // (dgit.LOAD_QUAD_PTS * Mc.shape[0]))
-        edges = np.linspace(0.0, 0.5, 2 * chunk + 4)
+        # more than two chunks, the last one partial; a step adds its K
+        # factor values and (test_order + 1) K factor moments, its data
+        # terms and its slots
         spec = mc.shipped_schemes()[scheme]
+        d, K, own = Mc.shape[0], load.count(Mc.shape[0]), spec.test_order + 1
+        chunk = max(1, dgit.LOAD_BATCH_VALUES // (dgit.LOAD_QUAD_PTS * K + own * (K + 2 * d)))
+        edges = np.linspace(0.0, 0.5, 2 * chunk + 4)
         batched = dgit.integrate(Mc, Lc, load, u0, spec, edges)
         per_time = dgit.integrate(Mc, Lc, _per_time(lambda t: load(t)), u0, spec, edges)
         scale = float(np.max(np.abs(per_time[1])))
         assert np.max(np.abs(batched[1] - per_time[1])) <= 1e-12 * scale
         assert np.max(np.abs(batched[0] - per_time[0])) <= 1e-12 * scale
 
-    def test_chunk_counts_the_load_values_the_quadrature_evaluates(self, monkeypatch, step_form):
-        # d = 2 values a time; a step adds its npts Gauss points
+    def test_chunk_counts_the_values_a_step_adds(self, monkeypatch, step_form):
+        # a plain load of d = 2 values a time has K = d factors; a
+        # crank-nicolson step adds their values at its npts Gauss points,
+        # their one moment, and its d data terms and d slots
         d, npts = 2, 3
-        per_step = d * npts
+        per_step = d * npts + d + 2 * d
         sizes = []
 
         def load(t):
@@ -358,6 +363,24 @@ class TestBatchedIntegrate:
             b = dgit.load_moments(mc.dg(2), iv, per_time, d, quadrature=quadrature)
             assert a.shape == ((2 + 2) * d,)
             assert np.max(np.abs(a - b)) <= 1e-13 * float(np.max(np.abs(b)))
+
+
+    @pytest.mark.parametrize("scheme", ["crank-nicolson", "dg1", "cg2", "dg2"])
+    def test_coupled_load_chunking_changes_no_bit(self, smooth_ops, scheme, monkeypatch, step_form):
+        # the coupled MMS load in chunks of every size from one step to all
+        # of them: the batched row products give every step the same bits
+        Mc, Lc, load, _ = mc.coupled_system(smooth_ops)
+        spec = mc.shipped_schemes()[scheme]
+        args = (Mc, Lc, load, np.concatenate(smooth_ops.u0), spec)
+        edges = np.linspace(0.0, 0.3, 12)
+        whole = dgit.integrate(*args, edges)
+        d, K, own = Mc.shape[0], load.count(Mc.shape[0]), spec.test_order + 1
+        per_step = dgit.LOAD_QUAD_PTS * K + own * (K + 2 * d)
+        for budget in (1, 2 * per_step, 5 * per_step):  # chunks of 1, 2 and 5 steps
+            monkeypatch.setattr(dgit, "LOAD_BATCH_VALUES", budget)
+            chunked = dgit.integrate(*args, edges)
+            for a, b in zip(whole, chunked):
+                assert np.array_equal(a, b), budget
 
 
 class TestChunkMoments:

@@ -5,7 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 import mrcouple as mc
+from mrcouple import dgit, fespace
 from mrcouple.cli import _pulse_forcing
+from mrcouple.timepoly import legendre_table
 from mrcouple.fespace import (
     N_GP_MATRIX,
     AdvectionSpec,
@@ -357,6 +359,108 @@ class TestBatchedLoads:
         assert vals.shape == (len(self.TIMES), 1)
         assert np.allclose(vals[:, 0], 4.3 + self.TIMES, rtol=0, atol=1e-15)
         assert np.allclose(toy_linear_ops.f_vec(1, self.TIMES)[:, 0], 0.55 + 2 * self.TIMES)
+
+
+def moments_of_values(spec, edges, values, quadrature, npts):
+    """The data terms of the steps between edges from the (nt, d) values of a load.
+
+    An independent evaluation: one step at a time, with no factors.
+    """
+    x, w = mc.gauss_rule(npts)
+    rows = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        m = np.arange(spec.test_order + 1)
+        if quadrature == "trapezoid":
+            va, vb = values(np.array([a, b]))
+            row = 0.5 * (b - a) * (((-1.0) ** m)[:, None] * va + vb)
+        else:
+            tab = np.polynomial.legendre.legvander(x, spec.test_order).T  # (t_o + 1, npts)
+            row = 0.5 * (b - a) * (tab * w) @ values(a + 0.5 * (x + 1.0) * (b - a))
+        rows.append(row.ravel())
+    return np.array(rows)
+
+
+class TestFactoredMoments:
+    EDGES = np.linspace(0.1, 0.7, 7)
+
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    @pytest.mark.parametrize("scheme", sorted(mc.shipped_schemes()))
+    @pytest.mark.parametrize("name", ["smooth_ops", "pulse_ops"])
+    def test_equal_pointwise_moments(self, name, scheme, quadrature, request):
+        # every body and interface load: K factor moments times the vectors
+        # against the moments of the load's values
+        ops = request.getfixturevalue(name)
+        spec = mc.shipped_schemes()[scheme]
+        checked = 0
+        for load, d in [(f, d) for f, d in zip(ops.load_f, ops.d_omega)] + [
+            (g, ops.d_gamma) for g in ops.load_g
+        ]:
+            if load is None:
+                continue
+            assert load.vectors is not None and load.count(d) < d
+            got = dgit._chunk_moments(spec, self.EDGES, load, d, quadrature, dgit.LOAD_QUAD_PTS)
+            want = moments_of_values(spec, self.EDGES, load, quadrature, dgit.LOAD_QUAD_PTS)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            checked += 1
+        assert checked == (4 if name == "smooth_ops" else 2)
+
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    @pytest.mark.parametrize("scheme", sorted(mc.shipped_schemes()))
+    def test_plain_and_per_time_loads_are_their_values(self, meshes, scheme, quadrature):
+        # a plain pointwise load and a per-time load have identity vectors:
+        # their values are their factors, and their moments are integrated
+        # from those values with no product
+        m1, m2, imap = meshes
+        plain_ops = mc.assemble(
+            m1, m2, imap, mc.ProblemSpec(f=(lambda x, y, t: np.cos(3.0 * t) * x * (1 - y), None))
+        )
+        per_time = mc.from_matrices(
+            np.eye(2), np.eye(2), [[1.0, 0.0]], [[1.0]], [[0.5]], [[1.0]], [[1.0]], np.eye(2),
+            load_f=(lambda t: np.array([np.sin(t), np.exp(-t)]), None),
+        )
+        spec = mc.shipped_schemes()[scheme]
+        for load, d in ((plain_ops.load_f[0], m1.n_free), (per_time.load_f[0], 2)):
+            assert load.vectors is None and load.count(d) == d
+            t = np.linspace(0.0, 1.0, 5)
+            assert np.array_equal(load(t), load.factors(t))
+            got = dgit._chunk_moments(spec, self.EDGES, load, d, quadrature, dgit.LOAD_QUAD_PTS)
+            # the moments of the values, in one batch as the chunk evaluates them
+            a, b = self.EDGES[:-1], self.EDGES[1:]
+            half = 0.5 * (b - a)[:, None, None]
+            if quadrature == "trapezoid":
+                vals = load.factors(self.EDGES)
+                sign = (-1.0) ** np.arange(spec.test_order + 1)
+                want = half * (sign[None, :, None] * vals[:-1, None, :] + vals[1:, None, :])
+            else:
+                x, w = mc.gauss_rule(dgit.LOAD_QUAD_PTS)
+                ts = a[:, None] + (x + 1.0) * half[:, :, 0]
+                vals = load.factors(ts.ravel()).reshape(len(a), len(x), d)
+                tab = legendre_table(spec.test_order, x)
+                want = half * np.einsum("mj,kjd->kmd", tab * w, vals)
+            assert np.array_equal(got, want.reshape(len(a), -1))
+
+    def test_g_trace_solves_the_interface_vectors_once(self, smooth_ops, monkeypatch):
+        calls = []
+
+        def counted(A):
+            calls.append(A.shape)
+            return factorize(A)
+
+        factorize = fespace.factorize
+        monkeypatch.setattr(fespace, "factorize", counted)
+        ops = dataclasses.replace(smooth_ops)  # nothing cached yet
+        Mg = ops.M_gamma.toarray()
+        for t in (np.array([0.1, 0.4]), np.array([0.0, 0.5, 0.9]), 0.3):
+            for i in range(2):
+                want = np.linalg.solve(Mg, np.atleast_2d(ops.g_vec(i, t)).T).T.reshape(
+                    np.shape(t) + (ops.d_gamma,)
+                )
+                got = ops.g_trace(i, t)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert calls == [(ops.d_gamma, ops.d_gamma)]
+        assert ops._g_traces[0].count(ops.d_gamma) == 1  # one vector solved a side
 
 
 class TestFromMatrices:

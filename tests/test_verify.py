@@ -193,15 +193,15 @@ def run_and_oracle(toy_linear_ops):
 
 
 def counting_loads(ops):
-    """ops with load_f replaced by wrappers that count their calls, and the counts."""
+    """ops with load_f replaced by loads that count the calls of their factors, and the counts."""
     calls = [0, 0]
 
-    def wrap(i, fn):
-        def load(t):
+    def wrap(i, load):
+        def factors(t):
             calls[i] += 1
-            return fn(t)
+            return load.factors(t)
 
-        return load
+        return dgit.Load(factors, load.vectors)
 
     load_f = tuple(wrap(i, fn) for i, fn in enumerate(ops.load_f))
     return dataclasses.replace(ops, load_f=load_f), calls
@@ -211,7 +211,11 @@ class TestBatchedLoadCalls:
     def test_reference_solve_calls_load_once_per_chunk(self, smooth_ops):
         ops, calls = counting_loads(smooth_ops)
         n_steps = 256
-        chunk = max(1, dgit.LOAD_BATCH_VALUES // (4 * sum(ops.d_omega)))
+        # the coupled load's K = 6 factors (two body-force terms and one
+        # interface-data term a side): a crank-nicolson step adds their values
+        # at 4 Gauss points, their one moment, and d data terms and d slots
+        d, K = sum(ops.d_omega), 6
+        chunk = max(1, dgit.LOAD_BATCH_VALUES // (4 * K + K + 2 * d))
         verify.reference_solve(ops, 0.25, n_steps)
         assert chunk < n_steps
         assert 1 <= max(calls) <= math.ceil(n_steps / chunk) + 1
