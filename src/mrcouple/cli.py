@@ -4,8 +4,9 @@ Subcommands: `run` (single simulation, trajectory CSV + JSON summary),
 `convergence` (rate table CSV), `check` (property suites with exit codes
 usable from CI: 0 pass, 1 fail, 2 configuration error).  A window
 solver failure (SolverError, ContractionError) exits with 1 in every
-subcommand.  Configs are strict JSON: unknown keys are rejected and all
-validation errors are reported together.
+subcommand; an --out that cannot be made a directory exits with 2, before
+any operator is built.  Configs are strict JSON: unknown keys are rejected
+and all validation errors are reported together.
 """
 
 from __future__ import annotations
@@ -353,10 +354,21 @@ def _diagnostics(cfg: RunConfig, ops) -> coupling.WindowDiagnostics:
     return coupling.window_diagnostics(windows, ops, cfg.window, cfg.quadrature)
 
 
+def _make_outdir(outdir: Path) -> bool:
+    """Create the output directory; False, with one line on stderr, if it cannot be."""
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_run(cfg: RunConfig, outdir: Path) -> int:
+    if not _make_outdir(outdir):
+        return EXIT_CONFIG
     ops, _ = build_operators(cfg)
     diag = _diagnostics(cfg, ops)
-    outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "trajectory.csv", "w") as fh:
         coupling.export_trajectory_csv(diag, fh)
     summary = {
@@ -415,7 +427,8 @@ def _forked_map(jobs: int):
 
 
 def _cmd_convergence(cfg: RunConfig, outdir: Path, levels: int, jobs: int) -> int:
-    outdir.mkdir(parents=True, exist_ok=True)
+    if not _make_outdir(outdir):
+        return EXIT_CONFIG
     ops, _ = build_operators(cfg)
     table = verify.convergence_study(
         ops,

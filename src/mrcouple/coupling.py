@@ -273,12 +273,16 @@ class WindowOperator:
     one assembled map, past, whose columns hold them newest first, and
     solves matrix @ x = data terms - past @ (those side values).
 
-    Each subdomain's substeps form a chain of one substep block, since all
-    substeps of a side have one length: the block's matrix repeats on the
-    diagonal, its prev[j] couples each substep to the side value j+1
-    substeps back (for the first j+1 substeps a column of past), and the
-    flux columns of all substeps are stacked from one table of
-    substep-versus-window Legendre moments (dgit.cross_moments).
+    Each subdomain's substeps form a chain with one pair of time tables,
+    since all substeps of a side have one length: dgit.substep_tables
+    gives W_M and W_L of a substep, whose own columns repeat on the
+    diagonal and whose column of U^{n-l} couples each substep to the side
+    value l substeps back (for the first l substeps a column of past).
+    The flux columns of all substeps are stacked from one table of
+    substep-versus-window Legendre moments (dgit.cross_moments).  Every
+    part is put as kron(table, spatial matrix) triplets on the spatial
+    matrices' entries, which FeOperators converts once and every operator
+    built on it reuses (_assemble_matrix).
 
     The data terms (body-force and interface-data moments) of a window do
     not depend on the windows before it.  The operator holds them for a
@@ -340,14 +344,10 @@ class WindowOperator:
         self.dim = self._flux_off[1] + (cfg.r[1] + 1) * dG
         self._past_off = (0, spec.reach * d[0])
 
-        # Template window: geometry is shared by every window, and one block,
-        # of the first substep, stands for every substep of a side.
+        # Template window: geometry is shared by every window, and the first
+        # substep of a side stands for all of them.
         self._template = cfg.window(1)
         self._edges = tuple(cfg.substep_edges(i, 1) for i in range(2))
-        self.blocks = tuple(
-            dgit.assemble_substep(ops, i, spec, Interval(self._edges[i][0], self._edges[i][1]))
-            for i in range(2)
-        )
         # Interface data moments per flux mode: weights @ g at the substep
         # edges (trapezoid) or at the window's Gauss points (exact).
         self._g_weights = []
@@ -398,26 +398,44 @@ class WindowOperator:
     def _assemble_matrix(self) -> tuple:
         """(matrix, past): the window's rows over its unknowns and over the past values.
 
-        Every block is kron(W, B) of a small table W of time coefficients
-        and a spatial matrix B.  Within a side, W addresses the substep
-        rows and columns in slots of d_i: q + 2 - n_s per substep, its side
-        value last.
+        Every part is kron(W, B) of a small dense table W of time
+        coefficients and a spatial matrix B, put as triplets: B's entries,
+        which ops converts once for every operator built on it
+        (FeOperators.spatial_triplets and interface_triplets), placed at
+        W's nonzeros.  Each output matrix is one COO->CSR conversion of
+        them.  Within a side, W addresses the substep rows and columns in
+        slots of d_i: q + 2 - n_s per substep, its side value last.
+
+        A side's substep rows are the tables W_M and W_L of
+        dgit.substep_tables, laid along the chain: each substep's own
+        columns on the diagonal, and its column of U^{n-l} on the side
+        value l substeps back, a past value for the first l substeps.  They
+        are put once, on the shared pattern of M_i and L_i, with the values
+        W_M m + W_L l and their exact zeros dropped, as the sum
+        kron(W_M, M_i) + kron(W_L, L_i) of one substep block stores them.
         """
         ops, cfg, spec = self.ops, self.cfg, self.spec
         reach = spec.reach
         own = spec.test_order + 1  # slots per substep
+        n_past = self._past_off[1] + reach * ops.d_omega[1]
         unknowns, past = ([], [], []), ([], [], [])
+        # the index arithmetic stays in the index type the CSR results take
+        index = np.int32 if 2 * (self.dim + n_past) < 2**31 else np.int64
+
+        def nonzero(W):
+            return (k.astype(index) for k in np.nonzero(W))
 
         def put(W, B, r0, c0):
-            # kron(W, B) at (r0, c0); it lies wholly among the unknowns, or
-            # wholly among the past values in the columns from dim on
+            # kron(W, B) at (r0, c0), B as (rows, cols, data, shape) triplets;
+            # it lies wholly among the unknowns, or wholly among the past
+            # values in the columns from dim on
             rows, cols, data = unknowns if c0 < self.dim else past
-            a, c = np.nonzero(W)
-            b = B.tocoo()
-            rows.append((r0 + a[:, None] * B.shape[0] + b.row).ravel())
+            b_row, b_col, b_data, (n_rows, n_cols) = B
+            a, c = nonzero(W)
+            rows.append((r0 + a[:, None] * n_rows + b_row).ravel())
             c0 = c0 if c0 < self.dim else c0 - self.dim
-            cols.append((c0 + c[:, None] * B.shape[1] + b.col).ravel())
-            data.append((W[a, c][:, None] * b.data).ravel())
+            cols.append((c0 + c[:, None] * n_cols + b_col).ravel())
+            data.append((W[a, c][:, None] * b_data).ravel())
 
         def put_back(W, B, r0, i, l):
             # kron(W, B) with column n of W on the side value l substeps before
@@ -431,16 +449,47 @@ class WindowOperator:
             put(slots.reshape(len(W), -1), B, r0, self._dom_off[i])
             put(sides[:, reach - 1 :: -1], B, r0, self.dim + self._past_off[i])
 
-        TtMg = [(ops.T[i].T @ ops.M_gamma).tocsr() for i in range(2)]
-        for i, blk in enumerate(self.blocks):
-            M_i, r0 = cfg.M[i], self._dom_off[i]
-            put(np.eye(M_i), blk.matrix, r0, r0)
-            for j, prevj in enumerate(blk.prev):
-                put_back(np.eye(M_i), prevj, r0, i, j + 1)
+        def chain(W, M_i):
+            # one substep's table over [own slots, U^{n-1}, ..] as the side's
+            # table over [all substep slots, past values newest first]
+            out = np.zeros((M_i * own, M_i * own + reach))
+            for n in range(M_i):
+                band = out[n * own : (n + 1) * own]
+                band[:, n * own : (n + 1) * own] = W[:, :own]
+                for l in range(1, reach + 1):
+                    band[:, (n - l + 1) * own - 1 if n >= l else M_i * own + l - n - 1] = (
+                        W[:, own + l - 1]
+                    )
+            return out
+
+        mass_gamma, trace_mass = ops.interface_triplets
+        for i in range(2):
+            M_i, d, r0 = cfg.M[i], ops.d_omega[i], self._dom_off[i]
+            W_M, W_L = (
+                chain(W, M_i)
+                for W in dgit.substep_tables(spec, Interval(self._edges[i][0], self._edges[i][1]))
+            )
+            b_row, b_col, m, l = ops.spatial_triplets[i]
+            slots = M_i * own
+            for (rows, cols, data), c0, cut in (
+                (unknowns, r0, slice(None, slots)),
+                (past, self._past_off[i], slice(slots, None)),
+            ):
+                Wm, Wl = W_M[:, cut], W_L[:, cut]
+                a, c = nonzero((Wm != 0) | (Wl != 0))
+                values = Wm[a, c][:, None] * m + Wl[a, c][:, None] * l
+                rr = r0 + a[:, None] * d + b_row
+                cc = c0 + c[:, None] * d + b_col
+                kept = values != 0
+                if not kept.all():
+                    rr, cc, values = rr[kept], cc[kept], values[kept]
+                rows.append(rr.ravel())
+                cols.append(cc.ravel())
+                data.append(values.ravel())
             X = dgit.cross_moments(
                 self._edges[i], self._template, spec.test_order, cfg.r[i], self.quadrature
             )
-            put(X.reshape(-1, cfg.r[i] + 1), TtMg[i], r0, self._flux_off[i])
+            put(X.reshape(-1, cfg.r[i] + 1), trace_mass[i], r0, self._flux_off[i])
 
         # Flux definition rows: window mass times flux modes minus the
         # projected trace combination of both subdomains.  Both quadratures
@@ -454,7 +503,7 @@ class WindowOperator:
         for i in range(2):
             r_i = cfg.r[i]
             base = self._flux_off[i]
-            put(np.diag(window.length / (2 * np.arange(r_i + 1) + 1)), ops.M_gamma, base, base)
+            put(np.diag(window.length / (2 * np.arange(r_i + 1) + 1)), mass_gamma, base, base)
             for j in range(2):
                 bij = ops.B[i, j]
                 if bij == 0.0:
@@ -462,16 +511,23 @@ class WindowOperator:
                 r_cut = min(r_i, cfg.r[j])  # trace of subdomain j has order r_j
                 X = dgit.cross_moments(self._edges[j], window, len(R) - 1, r_cut, self.quadrature)
                 C = -bij * np.einsum("nab,ac->bnc", X, R)  # (r_cut + 1, M_j, own + reach)
-                MgT = TtMg[j].T
+                # T_j^T M_gamma transposed: its CSC entries, in the same order
+                rows, cols, data, shape = trace_mass[j]
+                MgT = (cols, rows, data, shape[::-1])
                 put(C[:, :, :own].reshape(r_cut + 1, -1), MgT, base, self._dom_off[j])
                 for l in range(1, reach + 1):
                     put_back(C[:, :, own + l - 1], MgT, base, j, l)
 
+        def joined(pieces):
+            # the pieces are dropped once joined, so they and the join are not both held
+            out = np.concatenate(pieces)
+            pieces.clear()
+            return out
+
         def assembled(parts, ncols):
-            rows, cols, data = (np.concatenate(p) for p in parts)
+            rows, cols, data = (joined(p) for p in parts)
             return sp.coo_matrix((data, (rows, cols)), shape=(self.dim, ncols)).tocsr()
 
-        n_past = self._past_off[1] + reach * ops.d_omega[1]
         return assembled(unknowns, self.dim), assembled(past, n_past)
 
     def _past_values(self, before) -> list:

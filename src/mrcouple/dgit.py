@@ -4,16 +4,20 @@ A substep holds its free modes (Legendre modes 0..q-n_s) and its
 end-of-step side value, (q + 2 - n_s) * d unknowns, with one row per test
 mode of order q + 1 - n_s.  The n_s side conditions are substituted, not
 solved: the scheme's state_map gives the full coefficients from the free
-modes and the side values.  Blocks are plain sparse matrices over a
-substep's own unknowns and its earlier side values; they carry no flux
-columns.  A coupling window chains one block per subdomain: the
-block's matrix on the diagonal of every substep, each prev[j] shifted onto
-the side value j+1 substeps back, and flux columns that the window stacks
-from the cross_moments table over the substep edges, the only part that
-depends on a substep's place in the window (the table is timepoly's, and
-the window reads it as dgit.cross_moments).  Blocks can also be solved
-standalone: solve_substep solves one, and integrate marches one block of
-a uniform grid through every step; both return plain coefficient and
+modes and the side values.  substep_tables owns a substep's time
+coefficients: the small dense tables W_M and W_L over its own unknowns
+and its earlier side values, whose rows are kron(W_M, M) + kron(W_L, L);
+they carry no flux columns.  build_substep_block makes those rows a
+SubstepBlock, plain sparse matrices for the standalone solvers below.  A
+coupling window lays the same tables along each subdomain's chain of
+substeps and puts them on the spatial matrices' triplets itself, with
+flux columns that it stacks from the cross_moments table over the
+substep edges, the only part that depends on a substep's place in the
+window (the table is timepoly's, and the window reads it as
+dgit.cross_moments).  assemble_substep, one subdomain's block of an
+operator set, stays public; the benchmark's probes wrap it.  Blocks are
+solved standalone: solve_substep solves one, and integrate marches one
+block of a uniform grid through every step; both return plain coefficient and
 side-value arrays.  integrate steps a small system with a dense
 propagator built once from the block's factor (one mat-vec per step), and
 a larger one as solve_substep does (a sparse history product and a
@@ -221,6 +225,29 @@ class SubstepBlock:
         return self._lu
 
 
+def substep_tables(spec: SchemeSpec, interval: Interval) -> tuple:
+    """(W_M, W_L): the time tables of one substep's rows, of its mass and of its operator.
+
+    Both are (test_order + 1, test_order + 1 + reach) over the substep's
+    own slots (free modes, then its side value) and the side values
+    U^{n-1}, ..., U^{n-reach}: W_M = -G^T S + jumps and W_L = K S, with S
+    the scheme's state_map, G the derivative overlap and K the mass of the
+    Legendre modes over the step.  The substep's rows are
+    kron(W_M, M) + kron(W_L, L).
+    """
+    q, t_o, reach = spec.q, spec.test_order, spec.reach
+    own = t_o + 1  # free modes, then the side value
+    S = np.pad(spec.state_map, ((0, 0), (0, 1)))[:, : own + reach]  # the columns read
+    W_M = -derivative_overlap(q, t_o).T @ S
+    W_M[:, own - 1] += 1.0  # P_m(1) U^n
+    W_M[:, own] -= (-1.0) ** np.arange(t_o + 1)  # P_m(-1) U^{n-1}
+    # integral over the step of P_a P_m: dt / (2m + 1) on the diagonal
+    K = np.zeros((t_o + 1, q + 1))
+    m = np.arange(min(q, t_o) + 1)
+    K[m, m] = interval.length / (2 * m + 1)
+    return W_M, K @ S
+
+
 def build_substep_block(
     M: sp.spmatrix,
     L: Optional[sp.spmatrix],
@@ -230,21 +257,13 @@ def build_substep_block(
     """Assemble the rows of one substep for a system with mass M and operator L.
 
     Over [own unknowns, U^{n-1}, ..., U^{n-reach}] they are
-    kron(-G^T S + jumps, M) + kron(K S, L), S the scheme's state_map.
+    kron(W_M, M) + kron(W_L, L), the tables of substep_tables.
     """
-    q, t_o, reach = spec.q, spec.test_order, spec.reach
-    own = t_o + 1  # free modes, then the side value
-    S = np.pad(spec.state_map, ((0, 0), (0, 1)))[:, : own + reach]  # the columns read
-    W_M = -derivative_overlap(q, t_o).T @ S
-    W_M[:, own - 1] += 1.0  # P_m(1) U^n
-    W_M[:, own] -= (-1.0) ** np.arange(t_o + 1)  # P_m(-1) U^{n-1}
+    own, reach = spec.test_order + 1, spec.reach
+    W_M, W_L = substep_tables(spec, interval)
     rows = sp.kron(W_M, M)
     if L is not None:
-        # integral over the step of P_a P_m: dt / (2m + 1) on the diagonal
-        K = np.zeros((t_o + 1, q + 1))
-        m = np.arange(min(q, t_o) + 1)
-        K[m, m] = interval.length / (2 * m + 1)
-        rows = rows + sp.kron(K @ S, L)
+        rows = rows + sp.kron(W_L, L)
     rows = rows.tocsc()
     d = M.shape[0]
     matrix = rows[:, : own * d].tocsr()
@@ -253,7 +272,11 @@ def build_substep_block(
 
 
 def assemble_substep(ops, i: int, spec: SchemeSpec, interval: Interval) -> SubstepBlock:
-    """Substep block for subdomain i of an assembled operator set."""
+    """Substep block for subdomain i of an assembled operator set.
+
+    The window operator does not build blocks: it puts the tables of
+    substep_tables on the operator set's triplets.
+    """
     return build_substep_block(ops.M[i], ops.L[i], spec, interval)
 
 

@@ -216,6 +216,29 @@ class FeOperators:
         scaled = self.B / max(1.0, float(np.max(np.abs(self.B))))
         return bool(np.min(np.linalg.eigvalsh(0.5 * (scaled + scaled.T))) >= -1e-12)
 
+    @functools.cached_property
+    def spatial_triplets(self) -> tuple:
+        """Per side, (rows, cols, m, l): the entries of M_i and of L_i on one pattern.
+
+        The window reads a side's substep rows off them, converted once
+        for every window operator built on these operators.  When M_i and
+        L_i share their CSR pattern, cols, m and l are views of their
+        arrays and rows is the expanded row array; otherwise the union of
+        the two patterns is formed here, each matrix zero off its own.
+        """
+        return tuple(_shared_pattern(M, L) for M, L in zip(self.M, self.L))
+
+    @functools.cached_property
+    def interface_triplets(self) -> tuple:
+        """(mass, trace_mass): csr_triplets of M_gamma, and per side of T_i^T M_gamma.
+
+        The window's flux columns of side i are kron(table, T_i^T M_gamma),
+        and its flux rows read side i through the transpose; the product
+        is formed once for every window operator built on these operators.
+        """
+        mass = csr_triplets(sp.csr_matrix(self.M_gamma))
+        return mass, tuple(csr_triplets((T.T @ self.M_gamma).tocsr()) for T in self.T)
+
     @property
     def d_omega(self) -> tuple:
         return tuple(m.shape[0] for m in self.M)
@@ -267,6 +290,35 @@ def _load_or_zero(fn, t, d: int) -> np.ndarray:
     if fn is None:
         return np.zeros(np.shape(t) + (d,))
     return np.asarray(fn(t), dtype=float)
+
+
+def csr_triplets(A) -> tuple:
+    """(rows, cols, data, shape) of a CSR matrix in its stored order.
+
+    rows is the expanded row array; cols and data are the matrix's own
+    arrays, not copies.
+    """
+    rows = np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype), np.diff(A.indptr))
+    return rows, A.indices, A.data, A.shape
+
+
+def _shared_pattern(M, L) -> tuple:
+    """(rows, cols, m, l): M's and L's entries on the union of their CSR patterns."""
+    M, L = (sp.csr_matrix(A) for A in (M, L))
+    if not (M.has_canonical_format and L.has_canonical_format):
+        M, L = M.copy(), L.copy()
+        M.sum_duplicates()
+        L.sum_duplicates()
+    rows, cols, m, _ = csr_triplets(M)
+    if np.array_equal(M.indptr, L.indptr) and np.array_equal(M.indices, L.indices):
+        return rows, cols, m, L.data
+    keys = [r.astype(np.int64) * M.shape[1] + c for r, c, _, _ in map(csr_triplets, (M, L))]
+    union = np.union1d(*keys)  # row-major and sorted, as a canonical CSR stores it
+    values = np.zeros((2, len(union)))
+    for k, A in enumerate((M, L)):
+        values[k, np.searchsorted(union, keys[k])] = A.data
+    rows, cols = np.divmod(union, M.shape[1])
+    return rows, cols, values[0], values[1]
 
 
 def _per_time(fn):

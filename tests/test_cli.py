@@ -160,6 +160,20 @@ class TestMainRun:
             outputs.append((out / "trajectory.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_out_on_a_file_is_rejected_before_building(self, tmp_path, capsys, monkeypatch):
+        def simulate(*args, **kwargs):
+            raise AssertionError("run built or simulated with an unusable --out")
+
+        monkeypatch.setattr(coupling, "march", simulate)
+        monkeypatch.setattr(cli, "build_operators", simulate)
+        config = write_config(tmp_path, MINIMAL)
+        out = tmp_path / "taken"
+        out.write_text("a file\n")
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("cannot write output: ")
+        assert out.read_text() == "a file\n"
+
     @pytest.mark.parametrize(
         "scheme", [MINIMAL["scheme"], REACH_TWO], ids=["one-step", "reach-two"]
     )
@@ -431,6 +445,20 @@ class TestMainConvergence:
         lines = (out / "rates.csv").read_text().strip().splitlines()
         assert lines[0] == "level,dt,dt1,dt2,err_l2_u1,err_l2_u2,err_sync,rate_running"
         assert len(lines) == 4
+
+    def test_out_under_a_file_is_rejected_before_building(self, tmp_path, capsys, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("convergence built operators with an unusable --out")
+
+        monkeypatch.setattr(cli, "build_operators", build)
+        monkeypatch.setattr(coupling, "march", build)
+        payload = {**MINIMAL, "experiment": {"kind": "convergence", "levels": 3}}
+        config = write_config(tmp_path, payload)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+        assert cli.main(["convergence", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("cannot write output: ")
 
     @pytest.mark.parametrize(
         "experiment, flag, where",

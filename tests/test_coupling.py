@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import mrcouple as mc
-from mrcouple import coupling, dgit
+from mrcouple import coupling, dgit, fespace
 from mrcouple.timepoly import (
     Interval,
     SchemeSpec,
@@ -141,7 +141,10 @@ class TestWindowAssembly:
                 op.matrix[o : o + size, o : o + size].toarray()
                 for o in op._dom_off[i] + size * np.arange(cfg.M[i])
             ]
-            assert np.array_equal(diagonal[0], op.blocks[i].matrix.toarray())
+            block = dgit.build_substep_block(
+                smooth_ops.M[i], smooth_ops.L[i], scheme, Interval(*cfg.substep_edges(i, 1)[:2])
+            )
+            assert np.array_equal(diagonal[0], block.matrix.toarray())
             assert all(np.array_equal(block, diagonal[0]) for block in diagonal[1:])
 
     def test_decoupled_equals_independent_runs(self):
@@ -687,7 +690,7 @@ class TestFixedPoint:
             before, guess = sol.U, sol.F
 
     def test_run_assembles_and_factorizes_once(self, toy_ops, monkeypatch):
-        calls = {"assemble_substep": 0, "factorize": 0, "solve": 0}
+        calls = {"csr_triplets": 0, "transpose": 0, "factorize": 0, "solve": 0}
 
         class CountedLU:
             def __init__(self, lu):
@@ -697,24 +700,38 @@ class TestFixedPoint:
                 calls["solve"] += 1
                 return self.lu.solve(b)
 
-        def count(name, wrap=lambda out: out):
-            orig = getattr(dgit, name)
+        class CountedTranspose(sp.csr_matrix):
+            def transpose(self, *args, **kwargs):
+                calls["transpose"] += 1
+                return super().transpose(*args, **kwargs)
+
+        def count(module, name, wrap=lambda out: out):
+            orig = getattr(module, name)
 
             def counted(*args, **kwargs):
                 calls[name] += 1
                 return wrap(orig(*args, **kwargs))
 
-            monkeypatch.setattr(dgit, name, counted)
+            monkeypatch.setattr(module, name, counted)
 
-        count("assemble_substep")
-        count("factorize", CountedLU)
+        count(fespace, "csr_triplets")
+        count(dgit, "factorize", CountedLU)
+        # operators with nothing converted yet, whose T_i count their transposes
+        ops = dataclasses.replace(toy_ops, T=tuple(CountedTranspose(T) for T in toy_ops.T))
         cfg = mc.WindowConfig(t_f=0.2, N=4, M=(2, 3), r=(1, 1))
         traj = mc.run_simulation(
-            toy_ops, mc.crank_nicolson(), cfg, quadrature="trapezoid", solver="fixed-point"
+            ops, mc.crank_nicolson(), cfg, quadrature="trapezoid", solver="fixed-point"
         )
         assert sum(sol.iterations for sol in traj.windows) > 2 * cfg.N
-        # one block per side; one solve for the sweep map, then two a window
-        assert calls == {"assemble_substep": 2, "factorize": 1, "solve": 1 + 2 * cfg.N}
+        # one solve for the sweep map, then two a window
+        assert calls["factorize"] == 1 and calls["solve"] == 1 + 2 * cfg.N
+        converted = dict(calls)
+        assert converted["csr_triplets"] > 0 and converted["transpose"] == 2
+        # a second operator, as a study's next level builds it, reuses them:
+        # it converts no spatial matrix and forms no T_i^T M_gamma again
+        mc.WindowOperator(ops, mc.crank_nicolson(), dataclasses.replace(cfg, N=8))
+        assert calls["csr_triplets"] == converted["csr_triplets"]
+        assert calls["transpose"] == converted["transpose"]
 
 
 @pytest.fixture(scope="module")
@@ -1260,3 +1277,176 @@ class TestHistoryProblems:
         # cn-clone is Crank-Nicolson in disguise, exact for the linear toy
         assert traj.windows[-1].U[0][-1][0] == pytest.approx(1.4, abs=1e-9)
         assert traj.windows[-1].U[1][-1][0] == pytest.approx(0.5, abs=1e-9)
+
+
+def blockwise_assembly(op):
+    """(matrix, past) of op, assembled block by block as the substep blocks place them.
+
+    The reference for the window's table assembly: one dgit.build_substep_block
+    per side, its matrix on the diagonal of every substep and its prev[j]
+    shifted along the chain, then the flux columns and rows; every part is
+    kron(W, B) at W's nonzeros, with B's entries read by tocoo, and each
+    matrix one COO->CSR conversion.
+    """
+    ops, cfg, spec = op.ops, op.cfg, op.spec
+    reach, own, dim = spec.reach, spec.test_order + 1, op.dim
+    unknowns, past = ([], [], []), ([], [], [])
+
+    def put(W, B, r0, c0):
+        rows, cols, data = unknowns if c0 < dim else past
+        a, c = np.nonzero(W)
+        b = B.tocoo()
+        rows.append((r0 + a[:, None] * B.shape[0] + b.row).ravel())
+        c0 = c0 if c0 < dim else c0 - dim
+        cols.append((c0 + c[:, None] * B.shape[1] + b.col).ravel())
+        data.append((W[a, c][:, None] * b.data).ravel())
+
+    def put_back(W, B, r0, i, l):
+        M_i = W.shape[1]
+        sides = np.zeros((len(W), reach + M_i))
+        sides[:, reach - l : reach - l + M_i] = W
+        slots = np.zeros((len(W), M_i, own))
+        slots[:, :, -1] = sides[:, reach:]
+        put(slots.reshape(len(W), -1), B, r0, op._dom_off[i])
+        put(sides[:, reach - 1 :: -1], B, r0, dim + op._past_off[i])
+
+    TtMg = [(ops.T[i].T @ ops.M_gamma).tocsr() for i in range(2)]
+    for i in range(2):
+        edges = op._edges[i]
+        blk = dgit.build_substep_block(ops.M[i], ops.L[i], spec, Interval(edges[0], edges[1]))
+        M_i, r0 = cfg.M[i], op._dom_off[i]
+        put(np.eye(M_i), blk.matrix, r0, r0)
+        for j, prevj in enumerate(blk.prev):
+            put_back(np.eye(M_i), prevj, r0, i, j + 1)
+        X = dgit.cross_moments(edges, op._template, spec.test_order, cfg.r[i], op.quadrature)
+        put(X.reshape(-1, cfg.r[i] + 1), TtMg[i], r0, op._flux_off[i])
+    R = np.pad(spec.state_map, ((0, 0), (0, 1)))[:, : own + reach]
+    if op.quadrature == "trapezoid":
+        R = 0.5 * (np.eye(1, own + reach, own - 1) + np.eye(1, own + reach, own))
+    window = op._template
+    for i in range(2):
+        r_i, base = cfg.r[i], op._flux_off[i]
+        put(np.diag(window.length / (2 * np.arange(r_i + 1) + 1)), ops.M_gamma, base, base)
+        for j in range(2):
+            bij = ops.B[i, j]
+            if bij == 0.0:
+                continue
+            r_cut = min(r_i, cfg.r[j])
+            X = dgit.cross_moments(op._edges[j], window, len(R) - 1, r_cut, op.quadrature)
+            C = -bij * np.einsum("nab,ac->bnc", X, R)
+            MgT = TtMg[j].T
+            put(C[:, :, :own].reshape(r_cut + 1, -1), MgT, base, op._dom_off[j])
+            for l in range(1, reach + 1):
+                put_back(C[:, :, own + l - 1], MgT, base, j, l)
+
+    def assembled(parts, ncols):
+        rows, cols, data = (np.concatenate(p) for p in parts)
+        return sp.coo_matrix((data, (rows, cols)), shape=(dim, ncols)).tocsr()
+
+    return assembled(unknowns, dim), assembled(past, op._past.shape[1])
+
+
+def assert_same_bits(got, want):
+    """The same compressed matrix: shape, index arrays and the bits of every value."""
+    assert got.format == want.format and got.shape == want.shape
+    for name in ("indptr", "indices"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.data.tobytes() == want.data.tobytes(), "data"
+
+
+class TestTableAssembly:
+    """The window's table assembly stores the blockwise assembly's matrices bit for bit."""
+
+    SCHEMES = {
+        **mc.shipped_schemes(),
+        "mean-two-back": TestRunSimulation.MEAN_TWO_BACK,
+        "thirds-three-back": TestRunSimulation.THIRDS_THREE_BACK,
+    }
+
+    @staticmethod
+    def build(ops, scheme, cfg, quadrature, solver, monkeypatch):
+        """The operator and the matrix it factorized: the matrix, or P for the fixed point."""
+        factored = []
+        factorize = dgit.factorize
+
+        def capture(A):
+            factored.append(A.tocsc())
+            return factorize(A)
+
+        monkeypatch.setattr(dgit, "factorize", capture)
+        op = mc.WindowOperator(ops, scheme, cfg, quadrature=quadrature, solver=solver)
+        monkeypatch.setattr(dgit, "factorize", factorize)
+        return op, factored[0]
+
+    def check(self, op, factored):
+        matrix, past = blockwise_assembly(op)
+        assert_same_bits(op.matrix, matrix)
+        assert_same_bits(op._past, past)
+        if op.solver == "fixed-point":
+            n = op._flux_off[0]
+            P = sp.bmat([[matrix[:n, :n], None], [matrix[n:, :n], matrix[n:, n:]]])
+            assert_same_bits(factored, P.tocsc())
+        else:
+            assert_same_bits(factored, matrix.tocsc())
+
+    @pytest.mark.parametrize("solver", ["direct", "fixed-point"])
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+    def test_equals_blockwise(self, smooth_ops, scheme_name, quadrature, solver, monkeypatch):
+        scheme = self.SCHEMES[scheme_name]
+        Ms = [(1, 1), (1, 2), (2, 3), (3, 2), (4, 5)]
+        rs = [(0, 0), (1, 2), (2, 1)]
+        for M, r in zip(Ms, rs * 2):
+            cfg = mc.WindowConfig(t_f=0.3, N=3, M=M, r=r)
+            self.check(*self.build(smooth_ops, scheme, cfg, quadrature, solver, monkeypatch))
+
+    @staticmethod
+    def differing_patterns():
+        """A from_matrices pair whose M_i and L_i store different entries.
+
+        Each matrix is less than half full, as scipy's kron needs to keep
+        the sparse add of the blockwise assembly (at half full and above it
+        stores dense blocks, explicit zeros included).
+        """
+        d = 8
+        M = 4.0 * np.eye(d) + np.eye(d, k=1) + np.eye(d, k=-1)
+        L1 = 2.0 * np.eye(d) - 0.5 * (np.eye(d, k=3) + np.eye(d, k=-3))
+        L2 = np.eye(d) + 0.25 * np.eye(d, k=2)
+        T1, T2 = np.eye(2, d, k=d - 2), np.eye(2, d)
+        Mg = np.array([[2.0, 0.5], [0.5, 2.0]])
+        B = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        return mc.from_matrices(M, L1, T1, 0.5 * M, L2, T2, Mg, B)
+
+    @pytest.mark.parametrize("solver", ["direct", "fixed-point"])
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    @pytest.mark.parametrize("scheme_name", ["crank-nicolson", "dg1", "thirds-three-back"])
+    def test_differing_patterns(self, scheme_name, quadrature, solver, monkeypatch):
+        ops = self.differing_patterns()
+        for i in range(2):
+            assert 2 * max(ops.M[i].nnz, ops.L[i].nnz) < ops.d_omega[i] ** 2
+            assert not np.array_equal(ops.M[i].indices, ops.L[i].indices)
+
+        def stored_zero(A, r, c):
+            A = A.tolil()
+            A[r, c] = 1.0
+            A = A.tocsr()
+            A[r, c] = 0.0  # an entry already stored stays stored
+            return A
+
+        def stores(A, r, c):
+            return c in A.indices[A.indptr[r] : A.indptr[r + 1]]
+
+        # explicit zeros: M_1 stores one where L_1 stores nothing, and L_1
+        # one where M_1 stores nothing; the window's rows drop both
+        zeros = dataclasses.replace(
+            ops, M=(stored_zero(ops.M[0], 0, 5), ops.M[1]), L=(stored_zero(ops.L[0], 7, 2), ops.L[1])
+        )
+        M1, L1 = zeros.M[0], zeros.L[0]
+        assert stores(M1, 0, 5) and not stores(L1, 0, 5) and M1[0, 5] == 0.0
+        assert stores(L1, 7, 2) and not stores(M1, 7, 2) and L1[7, 2] == 0.0
+        scheme = self.SCHEMES[scheme_name]
+        for ops in (ops, zeros):
+            for M in [(1, 2), (4, 5)]:
+                cfg = mc.WindowConfig(t_f=0.3, N=3, M=M, r=(1, 2))
+                self.check(*self.build(ops, scheme, cfg, quadrature, solver, monkeypatch))

@@ -27,6 +27,7 @@ UNUSED_BY_DESIGN = {
     # perfbench/probes.py wraps these as owner.__dict__[name]; they go with those probes.
     "solve_window_fixed_point": "wrapped by the benchmark probes",
     "solve_substep": "wrapped by the benchmark probes",
+    "assemble_substep": "wrapped by the benchmark probes",
 }
 
 # Defaulted parameters of exported functions that no library call passes, one reason each.
