@@ -2,7 +2,6 @@
 advection-diffusion subdomains."""
 
 from .coupling import (
-    ContractionError,
     SolverError,
     Trajectory,
     WindowConfig,

@@ -3,7 +3,7 @@
 Subcommands: `run` (single simulation, trajectory CSV + JSON summary),
 `convergence` (rate table CSV), `check` (property suites with exit codes
 usable from CI: 0 pass, 1 fail, 2 configuration error).  A window
-solver failure (SolverError, ContractionError) exits with 1 in every
+solver failure (SolverError, from either solver) exits with 1 in every
 subcommand; an --out that cannot be made a directory exits with 2, before
 any operator is built.  Configs are strict JSON: unknown keys are rejected
 and all validation errors are reported together.
@@ -83,11 +83,7 @@ WINDOW_KEYS = {
     "N": Key(int, 8),
     **{key: Key(int, 1) for key in ("M1", "M2", "r1", "r2")},
 }
-SOLVER_KEYS = {
-    "name": Key(str, "direct", ("direct", "fixed-point")),
-    "tol": Key(float, 1e-10),
-    "max_iter": Key(int, 200, least=1),
-}
+SOLVER_KEYS = {"name": Key(str, "direct", ("direct", "fixed-point"))}
 EXPERIMENT_KEYS = {
     # the subcommand picks the experiment; kind is accepted and not read
     "kind": Key(str, "run", ("run", "convergence", "conservation", "energy")),
@@ -291,8 +287,6 @@ def parse_config(text: str) -> RunConfig:
         problems += window_cfg.history_problems(scheme_spec)
 
     solver = section("solver", SOLVER_KEYS)
-    if solver["tol"] <= 0:
-        problems.append(f"solver.tol: must be positive, got {solver['tol']}")
     experiment = section("experiment", EXPERIMENT_KEYS)
 
     if problems:
@@ -341,11 +335,7 @@ def build_operators(cfg: RunConfig):
 
 def _solver_args(cfg: RunConfig) -> dict:
     """The configured window solve, as march, run_simulation and convergence_study take it."""
-    solver = cfg.solver
-    return dict(
-        quadrature=cfg.quadrature, solver=solver["name"], fp_tol=solver["tol"],
-        fp_max_iter=solver["max_iter"],
-    )
+    return dict(quadrature=cfg.quadrature, solver=cfg.solver["name"])
 
 
 def _diagnostics(cfg: RunConfig, ops) -> coupling.WindowDiagnostics:
@@ -469,7 +459,7 @@ def _cmd_check(cfg: RunConfig, suite: str) -> int:
         return EXIT_CONFIG
     try:
         diag = _diagnostics(cfg, ops)
-    except (coupling.SolverError, coupling.ContractionError) as err:
+    except coupling.SolverError as err:
         print(f"check {suite}: solver failure: {err}", file=sys.stderr)
         return EXIT_FAIL
     if suite == "conservation":
@@ -553,7 +543,7 @@ def main(argv=None) -> int:
             print(f"config error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
             return EXIT_CONFIG
         return _cmd_convergence(cfg, Path(args.out), levels, args.jobs)
-    except (coupling.SolverError, coupling.ContractionError) as err:
+    except coupling.SolverError as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_FAIL
 

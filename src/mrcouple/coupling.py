@@ -10,7 +10,7 @@ window through timepoly.project_pieces, under the window's quadrature,
 so flux_solve on them gives the window's fluxes.  The trace variables
 are eliminated algebraically at assembly, so the monolithic unknowns are
 the substeps' free modes and side values, and the flux modes (ordered
-last, so an interface-reduced solver could be added without relayout).
+last, the block the fixed-point solver reduces the window to).
 A solved window, WindowSolution, holds read-only arrays: per subdomain
 the Legendre coefficients of its substep states, its side values, and
 the (r_i + 1, d_gamma) Legendre coefficients of its flux on the window,
@@ -19,16 +19,16 @@ with d_gamma = 0 for a problem without an interface.
 Two solvers work on that one matrix A.  The direct solver factorizes it
 once and reuses the factor for every window.  The fixed-point solver
 splits it as A = P + N, with N the block of A at the substep rows and the
-flux columns, read off the assembled matrix: each sweep solves every
-substep implicitly for the flux of the previous sweep, then the flux from
-the new states, x <- P^{-1}(b - N x).  Since N reads only the flux, the
-sweep is the affine map f <- y_F - K f on the n_F flux unknowns, with
-y = P^{-1} b and K the flux rows of P^{-1} N, formed once per operator;
-a window costs two P-solves, whatever its sweep count.  Its fixed point
-is the direct solution, and both solvers check the same relative
-residual.  The sweeps contract while the coupling is weak against each
-subdomain's implicit response over a substep; strong coupling on long
-substeps makes them diverge, which raises ContractionError.
+flux columns, read off the assembled matrix: the lagged sweep
+x <- P^{-1}(b - N x) solves every substep implicitly for the flux of the
+previous sweep, then the flux from the new states.  Since N reads only
+the flux, the sweep is the affine map f <- y_F - K f on the n_F flux
+unknowns, with y = P^{-1} b and K the flux rows of P^{-1} N.  Its fixed
+point, the direct solution, is f = (I + K)^{-1} y_F: I + K is A_FF^{-1} S,
+with S the Schur complement of the substep block, so one small LU of it,
+formed once per operator, takes the place of the sweeps, whether or not
+they would contract.  A window costs two P-solves, and both solvers
+check the same relative residual.
 """
 
 from __future__ import annotations
@@ -60,16 +60,7 @@ log = logging.getLogger(__name__)
 
 
 class SolverError(RuntimeError):
-    """Direct window solve failed (singular factorization or bad residual)."""
-
-
-class ContractionError(RuntimeError):
-    """The lagged window iteration failed to contract."""
-
-    def __init__(self, message, *, iterations=0, factor=float("nan")):
-        super().__init__(message)
-        self.iterations = iterations
-        self.factor = factor
+    """Window solve failed (singular factorization or bad residual)."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,7 +154,6 @@ class WindowSolution:
     U: tuple  # per subdomain: (M_i + 1, d_i) side values, row 0 incoming
     F: tuple  # per subdomain: (r_i + 1, d_gamma) Legendre coefficients of its flux
     residual: float = float("nan")
-    iterations: int = 0
     initialized_from_reference: bool = False
 
     def __post_init__(self):
@@ -202,8 +192,8 @@ def _residual(rhs: np.ndarray, Ax: np.ndarray) -> float:
 def step_restriction_ratio(cfg: WindowConfig, h: float) -> float:
     """The mesh-and-step ratio dt * (h^-2 + h^-1) that summary.json reports.
 
-    It does not decide whether the fixed-point sweeps contract: that
-    depends on the coupling against each subdomain's implicit response.
+    It bounds no solver: both window solvers solve the window system
+    exactly, whatever the step and the coupling strength.
     """
     if h <= 0:
         raise ValueError("mesh parameter must be positive")
@@ -298,10 +288,9 @@ class WindowOperator:
 
     solver="direct" factorizes the matrix.  solver="fixed-point" factorizes
     P = matrix - N, with N the block of the matrix at the substep rows and
-    the flux columns, and sweeps each window on its flux unknowns until the
-    relative residual drops to fp_tol, in at most fp_max_iter sweeps.  Its
-    build adds one solve with P for the n_F columns of N, which gives the
-    sweep map K (n_F, n_F), and the Gram matrix N^T N of the stop test.
+    the flux columns.  Its build adds one solve with P for the n_F columns
+    of N, which gives the lagged sweep's map K (n_F, n_F), and the LU of
+    I + K, whose solve gives the sweep's fixed point on the flux.
     """
 
     def __init__(
@@ -312,18 +301,11 @@ class WindowOperator:
         *,
         quadrature: str = "exact",
         solver: str = "direct",
-        fp_tol: float = 1e-10,
-        fp_max_iter: int = 200,
     ):
         if quadrature not in ("exact", "trapezoid"):
             raise ValueError(f"unknown quadrature {quadrature!r}")
         if solver not in ("direct", "fixed-point"):
             raise ValueError(f"unknown solver {solver!r}")
-        if fp_max_iter < 1 or not (math.isfinite(fp_tol) and fp_tol > 0):
-            raise ValueError(
-                f"fixed-point settings need fp_max_iter >= 1 and a finite fp_tol > 0, "
-                f"got {fp_max_iter} and {fp_tol}"
-            )
         if 0 in ops.d_omega:
             raise ValueError(
                 f"subdomain {ops.d_omega.index(0) + 1} has no unknowns (d_omega = {ops.d_omega}); "
@@ -332,7 +314,6 @@ class WindowOperator:
         self.ops, self.spec, self.cfg = ops, spec, cfg
         self.quadrature = quadrature
         self.solver = solver
-        self.fp_tol, self.fp_max_iter = fp_tol, fp_max_iter
         d = ops.d_omega
         dG = ops.d_gamma
         self._sub_size = tuple((spec.test_order + 1) * d[i] for i in range(2))
@@ -384,16 +365,15 @@ class WindowOperator:
             factored = sp.bmat([[A[:n, :n], None], [A[n:, :n], A[n:, n:]]])
         try:
             self._lu = dgit.factorize(factored)
+            if solver == "fixed-point":
+                # K, the flux rows of P^{-1} N: the sweep f <- y_F - K f with
+                # y = P^{-1} rhs has the fixed point f = (I + K)^{-1} y_F
+                lagged = np.zeros((self.dim, self.dim - n))
+                lagged[:n] = self._lagged.toarray()
+                K = self._lu.solve(lagged)[n:]
+                self._flux_lu = dgit.factorize(sp.csc_matrix(np.eye(self.dim - n) + K))
         except RuntimeError as err:
             raise SolverError(f"window factorization failed: {err}") from err
-        if solver == "fixed-point":
-            # the sweep on the flux, f <- y_F - K f with y = P^{-1} rhs, and
-            # the Gram matrix G = N^T N of its residual N (f_prev - f)
-            lagged = np.zeros((self.dim, self.dim - n))
-            lagged[:n] = self._lagged.toarray()
-            self._sweep = self._lu.solve(lagged)[n:]
-            self._lagged_t = self._lagged.T.tocsr()
-            self._gram = (self._lagged_t @ self._lagged).toarray()
 
     def _assemble_matrix(self) -> tuple:
         """(matrix, past): the window's rows over its unknowns and over the past values.
@@ -597,22 +577,23 @@ class WindowOperator:
             self._rows, self._rows_first, k = self._data_rows(window_index, count), window_index, 0
         return self._rows[k] - history
 
-    def solve(self, before, window_index: int = 1, flux_guess=None) -> WindowSolution:
+    def solve(self, before, window_index: int = 1) -> WindowSolution:
         """Solve one window with the operator's solver.
 
         before holds per subdomain the side values before the window in time
         order, (k, d_i) with k >= spec.reach: the previous window's U, or
-        u0[None] for the first window.  flux_guess (per subdomain the flux
-        coefficients, e.g. the previous window's F) starts the fixed-point
-        iteration; the direct solve ignores it.  A SolverError or
-        ContractionError names the window, "window n: ...".
+        u0[None] for the first window.  The fixed point solves for the flux
+        f = (I + K)^{-1} y_F, y = P^{-1} rhs, then x = P^{-1}(rhs - N f).  A
+        SolverError names the window, "window n: ...".
         """
         past = self._past_values(before)
         rhs = self._rhs(past, window_index)
-        if self.solver == "fixed-point":
-            x, rel, sweeps = self._fixed_point(rhs, flux_guess, window_index)
-            return self._extract(x, past, window_index, rel, sweeps)
         x = self._lu.solve(rhs)
+        if self.solver == "fixed-point":
+            n = self._flux_off[0]
+            b = rhs.copy()
+            b[:n] -= self._lagged @ self._flux_lu.solve(x[n:])
+            x = self._lu.solve(b)
         if not np.all(np.isfinite(x)):
             raise SolverError(
                 f"window {window_index}: window factorization produced non-finite values"
@@ -624,66 +605,7 @@ class WindowOperator:
             )
         return self._extract(x, past, window_index, rel)
 
-    def _fixed_point(self, rhs, flux_guess, window_index):
-        """Sweeps x <- P^{-1}(rhs - N x) on the flux; returns (x, relative residual, sweeps).
-
-        N reads only the flux f, so a sweep is f <- y_F - K f, with
-        y = P^{-1} rhs and K the flux rows of P^{-1} N, formed at build.  It
-        starts from the guessed flux (zero without one).  After a sweep from
-        f_prev the residual rhs - matrix @ x is N (f_prev - f), whose norm
-        and that of matrix @ x follow from the Gram matrix N^T N, so a sweep
-        costs O(n_F^2) and no P-solve.  Stops when the residual, relative as
-        in the direct solve, drops to fp_tol, and returns the last sweep's
-        x = P^{-1}(rhs - N f_prev): two P-solves a window, whatever the
-        sweep count.  Sustained growth of the residual norm, or fp_max_iter
-        sweeps without convergence, raise ContractionError.
-        """
-        n = self._flux_off[0]
-        y_flux = self._lu.solve(rhs)[n:]
-        flux = np.zeros(self.dim - n)
-        if flux_guess is not None:
-            flux = np.concatenate([np.ravel(F) for F in flux_guess])
-        # matrix @ x = rhs + N delta, delta = f - f_prev: the norms of both
-        # sides of the stop test from rhs . rhs, N^T rhs and G
-        rhs_sq = float(rhs @ rhs)
-        rhs_norm = math.sqrt(rhs_sq)
-        rhs_lagged = self._lagged_t @ rhs[:n]
-        residuals = []
-        for it in range(1, self.fp_max_iter + 1):
-            swept = y_flux - self._sweep @ flux
-            delta = swept - flux
-            norm_sq = float(delta @ (self._gram @ delta))
-            norm = math.sqrt(max(norm_sq, 0.0))
-            ax = math.sqrt(max(rhs_sq + 2.0 * float(rhs_lagged @ delta) + norm_sq, 0.0))
-            rel = norm / max(rhs_norm, ax, 1e-300)
-            residuals.append(norm)
-            if rel <= self.fp_tol:
-                b = rhs.copy()
-                b[:n] -= self._lagged @ flux
-                return self._lu.solve(b), rel, it
-            flux = swept
-            growing = len(residuals) >= 4 and residuals[-1] > residuals[-2] > residuals[-3]
-            if growing and residuals[-1] > 10 * residuals[0]:
-                factor = residuals[-1] / residuals[-2]
-                raise ContractionError(
-                    f"window {window_index}: window iteration diverging "
-                    f"(residual growth factor {factor:.3f} after {it} sweeps)",
-                    iterations=it,
-                    factor=factor,
-                )
-        factor = (
-            residuals[-1] / residuals[-2]
-            if len(residuals) >= 2 and residuals[-2] > 0
-            else float("nan")
-        )
-        raise ContractionError(
-            f"window {window_index}: window iteration did not reach tol={self.fp_tol:g} "
-            f"in {self.fp_max_iter} sweeps (last relative residual {rel:.3e})",
-            iterations=self.fp_max_iter,
-            factor=factor,
-        )
-
-    def _extract(self, x, past, window_index, residual, iterations=0):
+    def _extract(self, x, past, window_index, residual):
         """The window's states, from the solve vector x and the side values past it read.
 
         The substeps of a side are one (M_i, q + 2 - n_s, d_i) block of x:
@@ -702,8 +624,7 @@ class WindowOperator:
             lo = self._flux_off[i]
             F.append(x[lo : lo + (cfg.r[i] + 1) * dG].reshape(cfg.r[i] + 1, dG))
         return WindowSolution(
-            window_index, cfg.window(window_index), tuple(u), tuple(U), tuple(F), residual,
-            iterations,
+            window_index, cfg.window(window_index), tuple(u), tuple(U), tuple(F), residual
         )
 
 
@@ -714,26 +635,15 @@ def solve_window_fixed_point(
     before,
     *,
     quadrature: str = "exact",
-    tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> WindowSolution:
-    """Lagged window iteration on window 1: the flux of the previous sweep on the right side.
+    """Window 1 solved by WindowOperator's fixed-point solver.
 
-    before is as for WindowOperator.solve.  Each sweep solves the substeps
-    of both subdomains implicitly with the flux at the previous iterate,
-    starting from zero, then the flux rows from the new states
-    (WindowOperator's splitting).  Terminates when the relative window
-    residual drops to tol; sustained growth raises ContractionError.
+    before is as for WindowOperator.solve.  The result is the fixed point
+    of the lagged sweeps, which solve the substeps of both subdomains
+    implicitly with the flux of the previous sweep, then the flux rows
+    from the new states.
     """
-    op = WindowOperator(
-        ops,
-        spec,
-        cfg,
-        quadrature=quadrature,
-        solver="fixed-point",
-        fp_tol=tol,
-        fp_max_iter=max_iter,
-    )
+    op = WindowOperator(ops, spec, cfg, quadrature=quadrature, solver="fixed-point")
     return op.solve(before)
 
 
@@ -905,8 +815,6 @@ def march(
     *,
     quadrature: str = "exact",
     solver: str = "direct",
-    fp_tol: float = 1e-10,
-    fp_max_iter: int = 200,
 ):
     """Yield the windows 1..N in order, each as soon as it is solved.
 
@@ -914,27 +822,25 @@ def march(
     more than one side value (spec.reach > 1) gets window 1 from the
     reference fill, every other window from one WindowOperator.  Between
     two windows the generator keeps only what the next one reads, the last
-    window's side values U and its flux F (the fixed-point start), so a
-    consumer that drops each window holds one at a time.  A window reads
-    back no further than the one before it (WindowConfig.history_problems).
+    window's side values U, so a consumer that drops each window holds one
+    at a time.  A window reads back no further than the one before it
+    (WindowConfig.history_problems).
     """
     problems = cfg.history_problems(spec)
     if problems:
         raise ValueError("; ".join(problems))
-    op = WindowOperator(
-        ops, spec, cfg, quadrature=quadrature, solver=solver, fp_tol=fp_tol, fp_max_iter=fp_max_iter
-    )
-    before, flux_guess = tuple(np.asarray(v, dtype=float)[None] for v in ops.u0), None
+    op = WindowOperator(ops, spec, cfg, quadrature=quadrature, solver=solver)
+    before = tuple(np.asarray(v, dtype=float)[None] for v in ops.u0)
     for n in range(1, cfg.N + 1):
         filled = n == 1 and spec.reach > 1
-        sol = _fill_first_window(ops, spec, cfg) if filled else op.solve(before, n, flux_guess)
+        sol = _fill_first_window(ops, spec, cfg) if filled else op.solve(before, n)
         if log.isEnabledFor(logging.DEBUG):
             log.debug(
-                "window %d: residual %.3e, sweeps %d, reference-filled %s",
-                n, sol.residual, sol.iterations, sol.initialized_from_reference,
+                "window %d: residual %.3e, reference-filled %s",
+                n, sol.residual, sol.initialized_from_reference,
             )
         yield sol
-        before, flux_guess = sol.U, sol.F
+        before = sol.U
 
 
 def run_simulation(
@@ -944,17 +850,9 @@ def run_simulation(
     *,
     quadrature: str = "exact",
     solver: str = "direct",
-    fp_tol: float = 1e-10,
-    fp_max_iter: int = 200,
 ) -> Trajectory:
     """Every window of march, collected; for callers that revisit windows."""
-    windows = list(
-        march(
-            ops, spec, cfg, quadrature=quadrature, solver=solver, fp_tol=fp_tol,
-            fp_max_iter=fp_max_iter,
-        )
-    )
-    return Trajectory(windows)
+    return Trajectory(list(march(ops, spec, cfg, quadrature=quadrature, solver=solver)))
 
 
 @dataclasses.dataclass(frozen=True)

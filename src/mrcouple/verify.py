@@ -403,8 +403,6 @@ def convergence_study(
     oracle_scheme: str = "cn",
     oracle_steps: Optional[int] = None,
     spin_up: float = 0.0,
-    fp_tol: float = 1e-10,
-    fp_max_iter: int = 200,
     map: Callable = map,
 ) -> RateTable:
     """Halve the window size `levels - 1` times and fit the error decay rate.
@@ -412,8 +410,7 @@ def convergence_study(
     Substep counts and flux orders stay fixed, so the substep sizes halve
     with the window.  The study starts from ops.u0; a positive spin_up
     replaces it with the burn-in state of prepare_initial_state, in a copy
-    of ops (dataclasses.replace).  fp_tol and fp_max_iter go to
-    run_simulation's fixed-point solver.  Levels whose error sits at the
+    of ops (dataclasses.replace).  Levels whose error sits at the
     roundoff floor are excluded from the fit and noted.
 
     Spin-up and the oracle are computed once, here; `map(fn, configs)`
@@ -429,14 +426,7 @@ def convergence_study(
         ops = dataclasses.replace(ops, u0=prepare_initial_state(ops, spin_up))
     oracle = reference_solve(ops, base_cfg.t_f, oracle_steps, scheme=oracle_scheme)
     level = functools.partial(
-        _level_errors,
-        ops,
-        spec,
-        oracle,
-        quadrature=quadrature,
-        solver=solver,
-        fp_tol=fp_tol,
-        fp_max_iter=fp_max_iter,
+        _level_errors, ops, spec, oracle, quadrature=quadrature, solver=solver
     )
     configs = [dataclasses.replace(base_cfg, N=base_cfg.N * 2**lvl) for lvl in range(levels)]
     return rate_table(target, list(map(level, configs)))

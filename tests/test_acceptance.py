@@ -15,6 +15,7 @@ import mrcouple as mc
 from mrcouple import coupling, dgit
 from mrcouple.timepoly import Interval, SchemeSpec, legendre_table
 
+from test_coupling import agreement_bound, sweep_map, window_difference
 from test_timepoly import dense_ls_projection, poly_values
 
 
@@ -185,39 +186,87 @@ def test_06_single_rate_degeneration(scheme_name):
 
 
 def test_07_fixed_point_direct_equivalence():
-    # coupling strong against each subdomain's response: the lagged flux
-    # contracts on a short window only
+    # coupling strong against each subdomain's response: the lagged sweeps
+    # would contract on the short window only; the fixed point solves both
     stiff = mc.from_matrices(
         [[1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], 5.0 * CONSERVATIVE_B,
         u0=(np.array([1.0]), np.array([-1.0])),
     )
     tol = 1e-10
-    ok_cfg = mc.WindowConfig(t_f=0.01, N=1, M=(1, 2), r=(1, 1))
-    op = mc.WindowOperator(stiff, mc.crank_nicolson(), ok_cfg, quadrature="trapezoid")
     before = tuple(v[None] for v in stiff.u0)
-    direct = op.solve(before)
-    fp = mc.solve_window_fixed_point(
-        stiff, mc.crank_nicolson(), ok_cfg, before, quadrature="trapezoid", tol=tol
-    )
-    diff = max(
-        float(np.max(np.abs(fp.U[i][-1] - direct.U[i][-1]))) for i in range(2)
-    )
-    agrees = diff <= 10 * tol and fp.iterations <= 50
-
-    bad_cfg = mc.WindowConfig(t_f=1.0, N=1, M=(1, 2), r=(1, 1))
-    raised, factor = False, float("nan")
-    try:
-        mc.solve_window_fixed_point(
-            stiff, mc.crank_nicolson(), bad_cfg, before, quadrature="trapezoid", tol=tol
+    diffs = []
+    for t_f in (0.01, 1.0):
+        cfg = mc.WindowConfig(t_f=t_f, N=1, M=(1, 2), r=(1, 1))
+        op = mc.WindowOperator(stiff, mc.crank_nicolson(), cfg, quadrature="trapezoid")
+        direct = op.solve(before)
+        fp = mc.solve_window_fixed_point(
+            stiff, mc.crank_nicolson(), cfg, before, quadrature="trapezoid"
         )
-    except mc.ContractionError as err:
-        raised, factor = True, err.factor
-    ok = agrees and raised and factor >= 1.0
+        diffs.append(max(
+            float(np.max(np.abs(got[i] - want[i])))
+            for got, want in ((fp.U, direct.U), (fp.F, direct.F))
+            for i in range(2)
+        ))
+    ok = max(diffs) <= 10 * tol
     report(
         7,
         "fixed-point-direct-equivalence",
         ok,
-        f"diff {diff:.3e} in {fp.iterations} sweeps; violation factor {factor:.2f}",
+        f"max diff {diffs[0]:.3e} at t_f = 0.01, {diffs[1]:.3e} at t_f = 1 (bound {10 * tol:g})",
+    )
+
+
+@pytest.fixture(scope="module")
+def vortex8_meshes():
+    m1, m2 = mc.build_mesh(1, 8, 8), mc.build_mesh(2, 8, 8)
+    return m1, m2, mc.match_interfaces(m1, m2)
+
+
+@pytest.mark.parametrize("k", [10.0, 100.0, 1000.0])
+def test_11_strong_coupling(vortex8_meshes, k):
+    # B = k [[1, -1], [-1, 1]] beyond where the lagged sweeps contract (the
+    # spectral radius of their map K exceeds 1): the fixed point still
+    # solves every window, within the bound derived from cond(I + K), and
+    # keeps the conservation and interface-sign gates
+    spec = mc.ProblemSpec(
+        nu=(1.0, 0.5),
+        advection=(mc.AdvectionSpec(kind="vortex"),) * 2,
+        B=k * CONSERVATIVE_B,
+        u0=(
+            lambda x, y: np.sin(np.pi * x) * (1.0 - y),
+            lambda x, y: 0.5 * np.sin(np.pi * x) * (1.0 + y),
+        ),
+    )
+    ops = mc.assemble(*vortex8_meshes, spec)
+    cfg = mc.WindowConfig(t_f=0.2, N=10, M=(2, 3), r=(1, 1))
+    worst_ratio, worst_cons, worst_term, monotone = 0.0, 0.0, -np.inf, True
+    least_radius = np.inf
+    for scheme in mc.shipped_schemes().values():
+        for quadrature in ("exact", "trapezoid"):
+            op = mc.WindowOperator(ops, scheme, cfg, quadrature=quadrature, solver="fixed-point")
+            bound = agreement_bound(op)
+            radius = float(np.max(np.abs(np.linalg.eigvals(sweep_map(op)))))
+            least_radius = min(least_radius, radius)
+            fp = list(mc.march(ops, scheme, cfg, quadrature=quadrature, solver="fixed-point"))
+            direct = mc.march(ops, scheme, cfg, quadrature=quadrature)
+            for got, want in zip(fp, direct):
+                worst_ratio = max(worst_ratio, window_difference(got, want) / bound)
+            diag = mc.window_diagnostics(fp, ops, cfg, quadrature)
+            e0 = diag.energies[0]
+            worst_cons = max(worst_cons, float(np.max(diag.conservation)))
+            worst_term = max(worst_term, float(np.max(diag.work)) / e0)
+            monotone = monotone and bool(np.all(np.diff(diag.energies) <= 1e-12 * e0))
+    ok = (
+        least_radius > 1.0 and worst_ratio <= 1.0 and worst_cons <= 1e-11
+        and worst_term <= 1e-12 and monotone
+    )
+    report(
+        11,
+        f"strong-coupling[k={k:g}]",
+        ok,
+        f"sweep radius at least {least_radius:.2f}, "
+        f"max difference {worst_ratio:.3f} of its bound, conservation {worst_cons:.3e}, "
+        f"max interfacial term {worst_term:.3e} E0, monotone={monotone}",
     )
 
 
