@@ -619,7 +619,9 @@ class WindowOperator:
             slots = x[lo : lo + cfg.M[i] * self._sub_size[i]].reshape(cfg.M[i], -1, d[i])
             # side values in time order: the reach before the window, then the substeps'
             sides = np.vstack([read, slots[:, -1]])
-            u.append(dgit.substep_coeffs(spec, slots, sides))
+            # row j of back[l - 1]: the side value l steps before substep j's own
+            back = [sides[j : j + cfg.M[i]] for j in range(spec.reach - 1, -1, -1)]
+            u.append(dgit.substep_coeffs(spec, slots, back))
             U.append(sides[spec.reach - 1 :])
             lo = self._flux_off[i]
             F.append(x[lo : lo + (cfg.r[i] + 1) * dG].reshape(cfg.r[i] + 1, dG))
@@ -783,8 +785,9 @@ def _fill_first_window(ops, spec, cfg) -> WindowSolution:
     fine = 32 * cfg.M[0] * cfg.M[1]
     window = cfg.window(1)
     edges = np.linspace(0.0, window.b, fine + 1)
-    u0 = np.concatenate(ops.u0)
-    coeffs, side = dgit.integrate(Mc, Lc, load, u0, continuous_galerkin(2), edges)
+    u0, scheme = np.concatenate(ops.u0), continuous_galerkin(2)
+    free, side = dgit.integrate(Mc, Lc, load, u0, scheme, edges)
+    coeffs = dgit.march_coeffs(scheme, free, side, (), np.arange(fine))
     require_finite("reference fill of window 1", coeffs, side)
     u, U, traces = [], [], []
     for i in range(2):

@@ -17,11 +17,15 @@ window (the table is timepoly's, and the window reads it as
 dgit.cross_moments).  assemble_substep, one subdomain's block of an
 operator set, stays public; the benchmark's probes wrap it.  Blocks are
 solved standalone: solve_substep solves one, and integrate marches one
-block of a uniform grid through every step; both return plain coefficient and
-side-value arrays.  integrate steps a small system with a dense
-propagator built once from the block's factor (one mat-vec per step), and
-a larger one as solve_substep does (a sparse history product and a
-sparse triangular solve per step); DENSE_PROPAGATOR_ENTRIES sets where.
+block of a uniform grid through every step.  solve_substep returns a
+substep's coefficients and side value; integrate returns only what it
+solves, the free modes and the side values of every step, and
+march_coeffs forms the coefficients of the steps a caller reads, as
+substep_coeffs does for a window's substeps.  integrate steps a small
+system with a dense propagator built once from the block's factor (one
+mat-vec per step), and a larger one as solve_substep does (a sparse
+history product and a sparse triangular solve per step);
+DENSE_PROPAGATOR_ENTRIES sets where.
 
 A block's matrix does not depend on the quadrature of the data terms.
 Every load is a Load, factors(t) @ vectors: K time factors times K
@@ -61,7 +65,7 @@ LOAD_QUAD_PTS = 8
 #: Values a chunk holds, summed over the arrays it holds per item.
 #: integrate takes a chunk of steps at a time: per step, the K factor
 #: values at its load_npts Gauss points, its (test_order + 1) K factor
-#: moments, its n_own data terms and its n_own slots.
+#: moments, its n_own data terms and its n_own solved values.
 #: coupling.WindowOperator takes a chunk of windows: per window, its row of
 #: data terms and, per load, the factor values and factor moments of its
 #: substeps (one factor value per substep edge under trapezoid, where
@@ -289,18 +293,49 @@ def _subtract_history(block: SubstepBlock, history: Sequence[np.ndarray], rhs: n
         rhs -= prevj @ value
 
 
-def substep_coeffs(spec: SchemeSpec, slots: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Legendre coefficients (n, q + 1, d) of n consecutive substeps.
+def substep_coeffs(spec: SchemeSpec, slots: np.ndarray, past: Sequence[np.ndarray]) -> np.ndarray:
+    """Legendre coefficients (n, q + 1, d) of n substeps.
 
-    slots (n, q + 2 - n_s, d) holds their free modes and side values; U
-    (n + reach, d) the side values in time order, the substeps' own last.
-    Each substep is its own matrix product, so batching changes no bit.
+    slots (n, q + 2 - n_s, d) holds their free modes and side values;
+    past[l - 1], (n, d), the side value l steps before each substep's own,
+    for l = 1..reach.  Each substep is its own matrix product, so batching
+    changes no bit.
     """
-    S, own, reach = spec.state_map, spec.test_order + 1, spec.reach
+    S, own = spec.state_map, spec.test_order + 1
     out = S[:, :own] @ slots
-    for l in range(1, min(reach, S.shape[1] - own) + 1):
-        out += S[:, own + l - 1, None] * U[reach - l : reach - l + len(slots), None, :]
+    for l, U in enumerate(past[: S.shape[1] - own], start=1):
+        out += S[:, own + l - 1, None] * U[:, None, :]
     return out
+
+
+def march_coeffs(
+    spec: SchemeSpec, free: np.ndarray, side_values: np.ndarray, history0: Sequence, steps
+) -> np.ndarray:
+    """Legendre coefficients (len(steps), q + 1, d) of the steps `steps` of a march.
+
+    free and side_values are what integrate returns, history0 what it was
+    given: the side values before the start, newest first, of which a
+    scheme reads reach - 1 (none for reach 1).  Step n's own side value is
+    side_values[n + 1]; the one l steps before it is side_values[n + 1 - l],
+    or history0[l - n - 2] before the start.  The gathered steps go through
+    substep_coeffs together, so each step's coefficients are the ones of
+    any other batch, bit for bit.  A blown-up march gives inf and nan
+    without warnings; the callers check the result and name the phase.
+    """
+    reach = spec.reach
+    if len(history0) < reach - 1:
+        raise ValueError(f"substep reaches back {reach} side values, history has {len(history0) + 1}")
+    steps = np.asarray(steps)
+    slots = np.concatenate((free[steps], side_values[steps + 1][:, None]), axis=1)
+    past = []
+    for l in range(1, reach + 1):
+        k = steps + 1 - l  # the side value's index, negative before the start
+        U = side_values[np.maximum(k, 0)]
+        for j in np.flatnonzero(k < 0):
+            U[j] = history0[-k[j] - 1]
+        past.append(U)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return substep_coeffs(spec, slots, past)
 
 
 def solve_substep(
@@ -316,8 +351,8 @@ def solve_substep(
     rhs = load_moments(block.spec, block.interval, load_fn, block.d)
     _subtract_history(block, history, rhs)
     slots = block.lu().solve(rhs).reshape(1, -1, block.d)
-    U = np.vstack([*history[: block.spec.reach][::-1], slots[0, -1]])
-    return substep_coeffs(block.spec, slots, U)[0], slots[0, -1]
+    past = [value[None] for value in history[: block.spec.reach]]
+    return substep_coeffs(block.spec, slots, past)[0], slots[0, -1]
 
 
 def side_condition_residual(
@@ -339,26 +374,30 @@ def side_condition_residual(
     return worst
 
 
-def _sparse_steps(block: SubstepBlock, sides: np.ndarray, load: Optional[Load]) -> Callable:
+def _sparse_steps(
+    block: SubstepBlock, free: np.ndarray, sides: np.ndarray, load: Optional[Load]
+) -> Callable:
     """Step as solve_substep does: subtract the history, then solve with the factor."""
     spec, d, lu = block.spec, block.d, block.lu()
     reach, n_own = spec.reach, block.matrix.shape[0]
 
-    def advance(moments, n0, slots):
+    def advance(moments, n0, count):
         if load is None:
-            rhs_rows = np.zeros((len(slots), n_own))
+            rhs_rows = np.zeros((count, n_own))
         else:
-            rhs_rows = load.combine(moments).reshape(len(slots), n_own)
+            rhs_rows = load.combine(moments).reshape(count, n_own)
         for i, rhs in enumerate(rhs_rows):
             n = n0 + i  # the step reads sides[n : n + reach] and writes sides[n + reach]
             _subtract_history(block, sides[n : n + reach][::-1], rhs)
-            slots[i] = lu.solve(rhs).reshape(-1, d)
-            sides[n + reach] = slots[i, -1]
+            slots = lu.solve(rhs).reshape(-1, d)
+            free[n], sides[n + reach] = slots[:-1], slots[-1]
 
     return advance
 
 
-def _dense_steps(block: SubstepBlock, sides: np.ndarray, load: Optional[Load]) -> Callable:
+def _dense_steps(
+    block: SubstepBlock, free: np.ndarray, sides: np.ndarray, load: Optional[Load]
+) -> Callable:
     """Step with the dense propagator G = A^-1 [P_reach .. P_1] and A^-1 of the unit moments.
 
     A step is s_n = A^-1 m_n - G [U_{n-reach}; ..; U_{n-1}]: G's columns
@@ -368,7 +407,7 @@ def _dense_steps(block: SubstepBlock, sides: np.ndarray, load: Optional[Load]) -
     c_n times the rows A^-1 (e_a (x) V_k), solved once: (test_order + 1) K
     of them, or A^-1 itself for identity vectors.  The step loop computes
     only the side value, from G's last d rows; a chunk's data terms and
-    its other slots are batched products of row mat-vecs, so a step's are
+    its free modes are batched products of row mat-vecs, so a step's are
     the same however the steps are chunked.
     """
     spec, d, lu = block.spec, block.d, block.lu()
@@ -387,8 +426,7 @@ def _dense_steps(block: SubstepBlock, sides: np.ndarray, load: Optional[Load]) -
     # row n: the side values step n reads, U_{n-reach} .. U_{n-1}
     history = np.lib.stride_tricks.sliding_window_view(sides.reshape(-1), reach * d)[::d]
 
-    def advance(moments, n0, slots):
-        count = len(slots)
+    def advance(moments, n0, count):
         if unit is None:
             data = np.zeros((count, n_own))
         else:
@@ -396,10 +434,9 @@ def _dense_steps(block: SubstepBlock, sides: np.ndarray, load: Optional[Load]) -
         data_side, new = data[:, -d:], sides[n0 + reach : n0 + reach + count]
         for i, past in enumerate(history[n0 : n0 + count]):
             np.subtract(data_side[i], G_side @ past, out=new[i])
-        slots[:, -1] = new
         if len(G_rest):
             rest = data[:, :-d] - np.matmul(G_rest, history[n0 : n0 + count, :, None])[:, :, 0]
-            slots[:, :-1] = rest.reshape(count, -1, d)
+            free[n0 : n0 + count] = rest.reshape(count, -1, d)
 
     return advance
 
@@ -422,10 +459,12 @@ def integrate(
     factorization serve them all.  The data terms are integrated exactly,
     with load_npts Gauss points per step, for a chunk of steps at a time
     (sized by LOAD_BATCH_VALUES), with one call of the load's factors per
-    chunk.  Returns (coeffs, side_values):
-    coeffs[n], shape (q+1, d), the Legendre coefficients of the state on
-    (boundaries[n], boundaries[n+1]), and side_values[n] the state at
-    boundaries[n] (side_values[0] = u0).
+    chunk.  Returns what the steps solve, (free, side_values): free[n],
+    shape (test_order, d), the free modes of the state on (boundaries[n],
+    boundaries[n+1]), empty for Crank-Nicolson, whose side conditions pin
+    both ends, and side_values[n] the state at boundaries[n]
+    (side_values[0] = u0).  march_coeffs forms the Legendre coefficients
+    of the steps a caller reads from them and history0.
 
     A step solves A s_n = m_n - sum_j P_j U_{n-j}, in one of two forms:
     - sparse: subtract the history with the block's sparse prev matrices
@@ -471,12 +510,11 @@ def integrate(
     sides[: reach - 1], sides[reach - 1] = np.reshape(lead, (-1, d)), u0
     dense = block.matrix.shape[0] * reach * d <= DENSE_PROPAGATOR_ENTRIES
     load = as_load(load_fn)
-    advance = (_dense_steps if dense else _sparse_steps)(block, sides, load)
+    free = np.empty((n_steps, spec.test_order, d))
+    advance = (_dense_steps if dense else _sparse_steps)(block, free, sides, load)
     own = spec.test_order + 1
     K = 0 if load is None else load.count(d)
     chunk = chunk_size(load_npts * K + own * (K + 2 * d))
-    coeffs = np.empty((n_steps, spec.q + 1, d))
-    slots = np.empty((min(chunk, n_steps), own, d))
     moments = None
     for n0 in range(0, n_steps, chunk):
         n1 = min(n0 + chunk, n_steps)
@@ -486,6 +524,5 @@ def integrate(
         # a march that blows up runs on through inf and nan without
         # warnings; the callers check its result and name the phase
         with np.errstate(over="ignore", invalid="ignore"):
-            advance(moments, n0, slots[: n1 - n0])
-            coeffs[n0:n1] = substep_coeffs(spec, slots[: n1 - n0], sides[n0 : n1 + reach])
-    return coeffs, sides[reach - 1 :]
+            advance(moments, n0, n1 - n0)
+    return free, sides[reach - 1 :]

@@ -148,25 +148,35 @@ def mms_case(
 class ReferenceTrajectory:
     """Dense single-rate solve of the exactly-coupled system, queryable in time.
 
-    coeffs[n], shape (order + 1, d1 + d2), holds the Legendre coefficients of
-    the coupled state on the step (boundaries[n], boundaries[n + 1]), as
-    dgit.integrate returns them; a query outside (boundaries[0],
+    It holds what dgit.integrate solves with scheme: free[n], shape
+    (test_order, d1 + d2), the free modes on the step (boundaries[n],
+    boundaries[n + 1]), and sides[n], the state at boundaries[n].  For
+    "cn" free is empty, so the oracle holds (n_steps + 1) (d1 + d2)
+    floats; for "dg2" free holds the step's three Legendre coefficients
+    and sides one value more per step.  coeffs forms the coefficients of
+    the steps a query reads; a query outside (boundaries[0],
     boundaries[-1]) reads the first or last step's polynomial.
     """
 
     boundaries: np.ndarray
-    coeffs: np.ndarray
+    free: np.ndarray
+    sides: np.ndarray
+    scheme: SchemeSpec
     slices: tuple
     ops: FeOperators
+
+    def coeffs(self, steps) -> np.ndarray:
+        """Legendre coefficients (len(steps), q + 1, d1 + d2) of the given steps."""
+        return dgit.march_coeffs(self.scheme, self.free, self.sides, (), steps)
 
     def states(self, ts) -> np.ndarray:
         """Coupled state at each of the 1-D array of times ts, (nt, d1 + d2)."""
         ts = np.asarray(ts, dtype=float)
         idx = np.searchsorted(self.boundaries, ts, side="right") - 1
-        idx = np.clip(idx, 0, len(self.coeffs) - 1)
+        idx = np.clip(idx, 0, len(self.free) - 1)
         a, b = self.boundaries[idx], self.boundaries[idx + 1]
-        tab = legendre_table(self.coeffs.shape[1] - 1, 2.0 * (ts - a) / (b - a) - 1.0)
-        return np.einsum("ak,kad->kd", tab, self.coeffs[idx])
+        tab = legendre_table(self.scheme.q, 2.0 * (ts - a) / (b - a) - 1.0)
+        return np.einsum("ak,kad->kd", tab, self.coeffs(idx))
 
     def fluxes(self, i: int, ts, states: Optional[np.ndarray] = None) -> np.ndarray:
         """Pointwise interface flux at each of the times ts, (nt, d_gamma).
@@ -240,9 +250,9 @@ def reference_solve(
     Mc, Lc, load, slices = coupled_system(ops)
     start = np.concatenate(ops.u0)
     boundaries = np.linspace(0.0, t_f, n_steps + 1)
-    coeffs, _ = dgit.integrate(Mc, Lc, load, start, sp_scheme, boundaries, load_npts=4)
-    coupling.require_finite("oracle solve", coeffs)
-    return ReferenceTrajectory(boundaries, coeffs, slices, ops)
+    free, sides = dgit.integrate(Mc, Lc, load, start, sp_scheme, boundaries, load_npts=4)
+    coupling.require_finite("oracle solve", free, sides)
+    return ReferenceTrajectory(boundaries, free, sides, sp_scheme, slices, ops)
 
 
 # ---------------------------------------------------------------------------

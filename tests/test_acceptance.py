@@ -16,6 +16,7 @@ from mrcouple import coupling, dgit
 from mrcouple.timepoly import Interval, SchemeSpec, legendre_table
 
 from test_coupling import agreement_bound, sweep_map, window_difference
+from test_dgit import march_states
 from test_timepoly import dense_ls_projection, poly_values
 
 
@@ -285,9 +286,10 @@ def test_08_exactness_and_side_conditions():
         du = np.polynomial.legendre.legder(coeffs, scl=2.0 / whole.length)
         load = lambda t: (M @ poly_values(whole, du, t).T).T
         history0 = [exact(boundaries[0] - k * (boundaries[1] - boundaries[0])) for k in range(1, spec.k_s + 1)]
-        states, side = dgit.integrate(
+        march = dgit.integrate(
             M, None, load, exact(boundaries[0]), spec, boundaries, history0=history0
         )
+        states, side = march_states(spec, march, history0), march[1]
         scale = max(1.0, float(np.max(np.abs(coeffs))))
         for n, state in enumerate(states, start=1):
             step = Interval(boundaries[n - 1], boundaries[n])

@@ -1101,9 +1101,9 @@ class TestRunSimulation:
         Mc, Lc, load, slices = coupling.coupled_system(ops)
         per_window = 32 * M[0] * M[1]
         edges = np.linspace(0.0, cfg.window(1).b, per_window + 1)
-        coeffs, side = dgit.integrate(
-            Mc, Lc, load, np.concatenate(ops.u0), mc.continuous_galerkin(2), edges
-        )
+        fill = mc.continuous_galerkin(2)
+        free, side = dgit.integrate(Mc, Lc, load, np.concatenate(ops.u0), fill, edges)
+        coeffs = dgit.march_coeffs(fill, free, side, (), np.arange(per_window))
         traces = [np.einsum("gd,nad->nag", ops.T[j].toarray(), coeffs[:, :, slices[j]])
                   for j in range(2)]
         Mg = ops.M_gamma.tocsc()

@@ -23,6 +23,12 @@ def scalar_block(spec, interval, L=0.0):
     return dgit.build_substep_block(sp.csr_matrix(np.eye(1)), sp.csr_matrix([[L]]), spec, interval)
 
 
+def march_states(spec, march, history0=()):
+    """Legendre coefficients of every step of integrate's (free, side_values) from history0."""
+    free, side = march
+    return dgit.march_coeffs(spec, free, side, history0, np.arange(len(free)))
+
+
 class TestBlockStructure:
     @pytest.mark.parametrize("q,n_s", [(0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (3, 2), (2, 3)])
     def test_square_counts(self, q, n_s):
@@ -176,10 +182,11 @@ class TestIntegrate:
     def test_exponential_decay(self):
         M = sp.csr_matrix(np.eye(1))
         L = sp.csr_matrix([[1.0]])
-        coeffs, side = dgit.integrate(
-            M, L, None, np.array([1.0]), mc.crank_nicolson(), np.linspace(0, 1, 257)
-        )
-        assert coeffs.shape == (256, 2, 1) and side.shape == (257, 1)
+        spec = mc.crank_nicolson()
+        march = dgit.integrate(M, L, None, np.array([1.0]), spec, np.linspace(0, 1, 257))
+        free, side = march
+        assert free.shape == (256, 0, 1) and side.shape == (257, 1)
+        assert march_states(spec, march).shape == (256, 2, 1)
         assert side[-1][0] == pytest.approx(np.exp(-1.0), abs=1e-5)
 
     def test_history_requirement_enforced(self):
@@ -229,7 +236,8 @@ class TestIntegrate:
         u0 = rng.standard_normal(d)
         history0 = [rng.standard_normal(d) for _ in range(spec.k_s - 1)]
         edges = np.linspace(0.0, 0.6, 13)
-        coeffs, side = dgit.integrate(M, L, load, u0, spec, edges, history0=history0)
+        march = dgit.integrate(M, L, load, u0, spec, edges, history0=history0)
+        coeffs, side = march_states(spec, march, history0), march[1]
         # the march reuses the first step's block, as integrate does
         first = dgit.build_substep_block(M, L, spec, Interval(edges[0], edges[1]))
         history, steps, sides = [u0, *history0], [], [u0]
@@ -256,6 +264,10 @@ class TestIntegrate:
             dgit.integrate(
                 M, M, None, np.ones(2), self.MEAN_TWO_BACK, np.linspace(0.0, 1.0, 5)
             )
+        # nor may the coefficients of a march read a side value before it
+        free, side = np.zeros((4, 0, 2)), np.ones((5, 2))
+        with pytest.raises(ValueError, match="reaches back 2 side values, history has 1"):
+            dgit.march_coeffs(self.MEAN_TWO_BACK, free, side, (), np.arange(4))
 
     def test_size_rule_picks_the_step_form(self, monkeypatch):
         d = 4
@@ -304,7 +316,8 @@ class TestBatchedIntegrate:
         per_time = dgit.integrate(Mc, Lc, _per_time(lambda t: load(t)), u0, spec, edges)
         scale = float(np.max(np.abs(per_time[1])))
         assert np.max(np.abs(batched[1] - per_time[1])) <= 1e-12 * scale
-        assert np.max(np.abs(batched[0] - per_time[0])) <= 1e-12 * scale
+        coeffs = march_states(spec, batched), march_states(spec, per_time)
+        assert np.max(np.abs(coeffs[0] - coeffs[1])) <= 1e-12 * scale
 
     def test_chunk_counts_the_values_a_step_adds(self, monkeypatch, step_form):
         # a plain load of d = 2 values a time has K = d factors; a

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 
 import mrcouple as mc
 from mrcouple import cli, coupling, dgit, verify
-from mrcouple.timepoly import Interval, gauss_on
+from mrcouple.timepoly import Interval, gauss_on, legendre_table
 
 from test_timepoly import poly_values
 
@@ -169,8 +169,12 @@ class TestReferenceSolve:
         assert verify.oracle_step_count(0.25, 10, "dg2") == 10
         with pytest.raises(ValueError, match="unknown reference scheme"):
             verify.oracle_step_count(1.0, scheme="rk4")
-        assert mc.reference_solve(toy_linear_ops, 0.25).coeffs.shape == (1024, 2, 2)
-        assert mc.reference_solve(toy_linear_ops, 0.25, scheme="dg2").coeffs.shape == (128, 3, 2)
+        cn = mc.reference_solve(toy_linear_ops, 0.25)
+        assert cn.free.shape == (1024, 0, 2) and cn.sides.shape == (1025, 2)
+        assert cn.coeffs(np.arange(1024)).shape == (1024, 2, 2)
+        dg2 = mc.reference_solve(toy_linear_ops, 0.25, scheme="dg2")
+        assert dg2.free.shape == (128, 3, 2) and dg2.sides.shape == (129, 2)
+        assert dg2.coeffs(np.arange(128)).shape == (128, 3, 2)
 
     def test_unknown_scheme(self, smooth_ops):
         with pytest.raises(ValueError):
@@ -291,9 +295,50 @@ class TestReferenceQueries:
         got = oracle.states(self.TIMES)
         for k, t in enumerate(self.TIMES):
             n = min(max(int(np.searchsorted(b, t, side="right")) - 1, 0), len(b) - 2)
-            want = poly_values(Interval(b[n], b[n + 1]), oracle.coeffs[n], t)
+            want = poly_values(Interval(b[n], b[n + 1]), oracle.coeffs([n])[0], t)
             assert np.array_equal(got[k], oracle.states([t])[0])
             assert np.allclose(got[k], want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+    @staticmethod
+    def eager_states(oracle, ts):
+        """The states as an oracle holding every step's coefficients gives them.
+
+        The coefficients of all steps, from the march's free modes and side
+        values through the scheme's state map (reach 1), then the
+        evaluation of the queried steps' polynomials.
+        """
+        S, own = oracle.scheme.state_map, oracle.scheme.test_order + 1
+        slots = np.concatenate((oracle.free, oracle.sides[1:, None]), axis=1)
+        coeffs = S[:, :own] @ slots
+        if S.shape[1] > own:
+            coeffs += S[:, own, None] * oracle.sides[:-1, None, :]
+        b = oracle.boundaries
+        idx = np.clip(np.searchsorted(b, ts, side="right") - 1, 0, len(coeffs) - 1)
+        a, b = b[idx], b[idx + 1]
+        tab = legendre_table(coeffs.shape[1] - 1, 2.0 * (ts - a) / (b - a) - 1.0)
+        return np.einsum("ak,kad->kd", tab, coeffs[idx])
+
+    @pytest.mark.parametrize("scheme", ["cn", "dg2"])
+    def test_states_equal_the_eager_coefficients(self, smooth_ops, scheme):
+        # the gathered steps' coefficients, bit for bit the ones of every
+        # step formed at once; on step edges, inside steps and outside the march
+        oracle = mc.reference_solve(smooth_ops, 0.25, n_steps=64, scheme=scheme)
+        b = oracle.boundaries
+        ts = np.concatenate([self.TIMES, b, 0.5 * (b[:-1] + b[1:]), [-1.0, 2.0]])
+        assert np.array_equal(oracle.states(ts), self.eager_states(oracle, ts))
+        assert oracle.scheme.reach == 1
+
+    @pytest.mark.parametrize("scheme, own_values", [("cn", 0), ("dg2", 3)])
+    def test_oracle_holds_what_the_march_solves(self, smooth_ops, scheme, own_values):
+        # per step the free modes (none for Crank-Nicolson, the three
+        # coefficients for dg2) and one side value, plus u0
+        n, d = 64, sum(smooth_ops.d_omega)
+        oracle = mc.reference_solve(smooth_ops, 0.25, n_steps=n, scheme=scheme)
+        # a view keeps its base alive: count the arrays the oracle keeps
+        floats = sum((a if a.base is None else a.base).size for a in (oracle.free, oracle.sides))
+        assert floats == n * own_values * d + (n + 1) * d
+        if scheme == "cn":
+            assert floats <= (n + 1) * d
 
     def test_fluxes_match_pointwise_formula(self, oracle, smooth_ops):
         ops = smooth_ops
