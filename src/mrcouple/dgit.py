@@ -73,7 +73,11 @@ LOAD_QUAD_PTS = 8
 #: exact).  Each load's factors are called once per chunk.
 #: verify.error_norms queries its oracle for a chunk of windows at a time,
 #: counting the oracle values a chunk queries.
-LOAD_BATCH_VALUES = 2**14
+#: No output bit depends on it, only the time and memory a chunk costs:
+#: 2^16 float64 values are 512 KiB, enough that a chunk's fixed call
+#: overhead is small against its work (258 oracle steps and 20 error-norm
+#: windows a chunk on the nx = 8 convergence study).
+LOAD_BATCH_VALUES = 2**16
 #: integrate steps with a dense propagator when it has at most this many
 #: entries, and with the sparse block and its factor above.
 DENSE_PROPAGATOR_ENTRIES = 2**16
@@ -413,7 +417,9 @@ def _dense_steps(
     spec, d, lu = block.spec, block.d, block.lu()
     reach, n_own = spec.reach, block.matrix.shape[0]
     G = lu.solve(np.hstack([p.toarray() for p in block.prev[::-1]]))
-    G_side, G_rest = G[-d:], G[:-d]
+    # G_side is Fortran-ordered like the factor's solutions: np.dot then
+    # makes the BLAS mat-vec that matmul makes on the strided rows of G
+    G_side, G_rest = np.asfortranarray(G[-d:]), G[:-d]
     unit = None
     if load is not None:
         V = load.vectors
@@ -425,15 +431,16 @@ def _dense_steps(
         unit = lu.solve(units).T
     # row n: the side values step n reads, U_{n-reach} .. U_{n-1}
     history = np.lib.stride_tricks.sliding_window_view(sides.reshape(-1), reach * d)[::d]
+    step = np.empty(d)  # G_side @ past, written in place at every step
 
     def advance(moments, n0, count):
         if unit is None:
             data = np.zeros((count, n_own))
         else:
             data = np.matmul(moments.reshape(count, 1, -1), unit)[:, 0]
-        data_side, new = data[:, -d:], sides[n0 + reach : n0 + reach + count]
-        for i, past in enumerate(history[n0 : n0 + count]):
-            np.subtract(data_side[i], G_side @ past, out=new[i])
+        new = sides[n0 + reach : n0 + reach + count]
+        for past, data_row, new_row in zip(history[n0 : n0 + count], data[:, -d:], new):
+            np.subtract(data_row, np.dot(G_side, past, out=step), out=new_row)
         if len(G_rest):
             rest = data[:, :-d] - np.matmul(G_rest, history[n0 : n0 + count, :, None])[:, :, 0]
             free[n0 : n0 + count] = rest.reshape(count, -1, d)

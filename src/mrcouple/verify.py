@@ -196,7 +196,9 @@ class ReferenceTrajectory:
 _SPIN_UP_STEPS = 1024
 
 
-def prepare_initial_state(ops: FeOperators, t_burn: float = 0.25) -> tuple:
+def prepare_initial_state(
+    ops: FeOperators, t_burn: float = 0.25, *, system: Optional[tuple] = None
+) -> tuple:
     """Evolve the raw initial data through a fine burn-in ending at t = 0.
 
     Nodal interpolants generally sit off the slow manifold of the spatially
@@ -205,12 +207,15 @@ def prepare_initial_state(ops: FeOperators, t_burn: float = 0.25) -> tuple:
     overkill integrator over (-t_burn, 0) hands back initial data through
     which the semi-discrete solution is smooth in time, so measured rates
     reflect the scheme rather than the preparation of the data.  The
-    burn-in takes _SPIN_UP_STEPS Crank-Nicolson steps.  The states are
-    copies, so they do not keep the burn-in's side values alive.
+    burn-in takes _SPIN_UP_STEPS Crank-Nicolson steps on system, the
+    coupled_system(ops) it marches on, built here if not given (it does
+    not read ops.u0, so one serves the spin-up and the oracle).  The
+    states are copies, so they do not keep the burn-in's side values
+    alive.
     """
     if t_burn <= 0:
         return tuple(np.asarray(v, dtype=float) for v in ops.u0)
-    Mc, Lc, load, slices = coupled_system(ops)
+    Mc, Lc, load, slices = system or coupled_system(ops)
     edges = np.linspace(-t_burn, 0.0, _SPIN_UP_STEPS + 1)
     _, side = dgit.integrate(
         Mc, Lc, load, np.concatenate(ops.u0), crank_nicolson(), edges, load_npts=4
@@ -239,15 +244,18 @@ def reference_solve(
     n_steps: Optional[int] = None,
     *,
     scheme: str = "cn",
+    system: Optional[tuple] = None,
 ) -> ReferenceTrajectory:
     """Single-rate overkill solve of the coupled system on (0, t_f), from ops.u0.
 
     scheme "cn" uses the pinned-endpoint q=1 method, "dg2" the purely
-    variational q=2 method; oracle_step_count gives the step count.
+    variational q=2 method; oracle_step_count gives the step count.  The
+    march runs on system, coupled_system(ops), built here if not given;
+    a study passes the one its spin-up marched on.
     """
     n_steps = oracle_step_count(t_f, n_steps, scheme)
     sp_scheme = crank_nicolson() if scheme == "cn" else dg(2)
-    Mc, Lc, load, slices = coupled_system(ops)
+    Mc, Lc, load, slices = system or coupled_system(ops)
     start = np.concatenate(ops.u0)
     boundaries = np.linspace(0.0, t_f, n_steps + 1)
     free, sides = dgit.integrate(Mc, Lc, load, start, sp_scheme, boundaries, load_npts=4)
@@ -288,16 +296,28 @@ class ErrorReport:
 
 
 def _mass_sq(M, diffs: np.ndarray) -> np.ndarray:
-    """diffs[k]^T M diffs[k] for every row k, from one product with M."""
-    return np.einsum("kd,kd->k", diffs, (M @ diffs.T).T)
+    """diffs[k]^T M diffs[k] for every row k, from one product with M.
+
+    Both factors are C-ordered, so each row's sum runs the same way
+    however many rows there are.
+    """
+    diffs = np.ascontiguousarray(diffs)
+    return np.einsum("kd,kd->k", diffs, np.ascontiguousarray((M @ diffs.T).T))
+
+
+def _window_sums(terms: np.ndarray) -> np.ndarray:
+    """Per window (leading axis), the sum of its weighted squared errors."""
+    return terms.reshape(len(terms), -1).sum(axis=1)
 
 
 def _chunk_errors(ops: FeOperators, oracle: ReferenceTrajectory, part: list, npts: int):
     """(l2_sq, nodal, sync, flux_sq) of the solved windows in part, from one oracle query.
 
-    l2_sq and flux_sq hold per side the squared errors summed over part;
-    nodal per side the side-value errors at every substep end, window by
-    window; sync the combined error at each window's end.
+    l2_sq and flux_sq hold per side each window's squared error; nodal per
+    side the side-value errors at every substep end, window by window; sync
+    the combined error at each window's end.  Every value is computed row
+    by row, a window's from its own rows, so it has the same bits whichever
+    windows share its chunk.
     """
     a = np.array([sol.window.a for sol in part])
     b = np.array([sol.window.b for sol in part])
@@ -325,12 +345,12 @@ def _chunk_errors(ops: FeOperators, oracle: ReferenceTrajectory, part: list, npt
         at_gauss, at_ends, at_flux = ref[3 * i : 3 * i + 3]
         d = vals.shape[-1]
         diff = vals.reshape(-1, d) - at_gauss[:, side]
-        l2_sq.append(float(w_sub.ravel() @ _mass_sq(ops.M[i], diff)))
+        l2_sq.append(_window_sums(w_sub * _mass_sq(ops.M[i], diff).reshape(w_sub.shape)))
         ends = np.stack([sol.U[i][1:] for sol in part]).reshape(-1, d)
         nodal.append(np.sqrt(np.maximum(0.0, _mass_sq(ops.M[i], ends - at_ends[:, side]))))
         tf, wf, F = flux[i]
         diff = F.reshape(len(tf), ops.d_gamma) - oracle.fluxes(i, tf, at_flux)
-        flux_sq.append(float(wf.ravel() @ _mass_sq(ops.M_gamma, diff)))
+        flux_sq.append(_window_sums(wf * _mass_sq(ops.M_gamma, diff).reshape(wf.shape)))
     # the last substep end of a side is the window end
     last = [nodal[i].reshape(len(part), -1)[:, -1] for i in range(2)]
     return l2_sq, nodal, np.sqrt(last[0] ** 2 + last[1] ** 2), flux_sq
@@ -345,11 +365,13 @@ def error_norms(ops: FeOperators, windows, oracle: ReferenceTrajectory) -> Error
     a time, sized by dgit.chunk_size over the oracle values a chunk
     queries, and only that chunk is held.  Per chunk the oracle is queried
     once, per side at every window's substep Gauss times, substep ends and
-    flux Gauss times, and each norm makes one mass product per side.
+    flux Gauss times, and each norm makes one mass product per side.  The
+    l2 and flux norms keep one squared error per window and sum them once,
+    with math.fsum, so no bit of the report depends on the chunking.
     """
     solved = (sol for sol in windows if not sol.initialized_from_reference)
     first = next(solved, None)
-    l2_sq, flux_sq, nodal, sync = np.zeros(2), np.zeros(2), ([], []), []
+    l2_sq, flux_sq, nodal, sync = ([], []), ([], []), ([], []), []
     if first is not None:
         npts = first.u[0].shape[1] + 3  # q + 4
         # oracle times of a window: per side and substep npts Gauss points and
@@ -359,16 +381,20 @@ def error_norms(ops: FeOperators, windows, oracle: ReferenceTrajectory) -> Error
         solved = itertools.chain([first], solved)
         while part := list(itertools.islice(solved, chunk)):
             part_l2, part_nodal, part_sync, part_flux = _chunk_errors(ops, oracle, part, npts)
-            l2_sq += part_l2
-            flux_sq += part_flux
             for i in range(2):
+                l2_sq[i].append(part_l2[i])
+                flux_sq[i].append(part_flux[i])
                 nodal[i].append(part_nodal[i])
             sync.append(part_sync)
+
+    def joined(parts: list) -> np.ndarray:
+        return np.concatenate([np.empty(0), *parts])
+
     return ErrorReport(
-        l2=tuple(math.sqrt(v) for v in l2_sq),
-        nodal=tuple(np.concatenate([np.empty(0), *v]) for v in nodal),
-        sync=np.concatenate([np.empty(0), *sync]),
-        flux_l2=tuple(math.sqrt(v) for v in flux_sq),
+        l2=tuple(math.sqrt(math.fsum(joined(v))) for v in l2_sq),
+        nodal=tuple(joined(v) for v in nodal),
+        sync=joined(sync),
+        flux_l2=tuple(math.sqrt(math.fsum(joined(v))) for v in flux_sq),
     )
 
 
@@ -423,18 +449,21 @@ def convergence_study(
     of ops (dataclasses.replace).  Levels whose error sits at the
     roundoff floor are excluded from the fit and noted.
 
-    Spin-up and the oracle are computed once, here; `map(fn, configs)`
-    then applies the level function (one run_simulation and its
-    error_norms) to each level's WindowConfig, coarsest first, and must
-    yield fn's (config, ErrorReport) results in that order.
+    Spin-up and the oracle are computed once, here, both marching on
+    one coupled_system(ops), which does not depend on the initial data;
+    `map(fn, configs)` then applies the level function (one
+    run_simulation and its error_norms) to each level's WindowConfig,
+    coarsest first, and must yield fn's (config, ErrorReport) results in
+    that order.
     """
     if levels < 3:
         raise ValueError("a rate needs at least 3 refinement levels")
     if target not in ("l2", "nodal", "sync", "flux"):
         raise ValueError(f"unknown study target {target!r}")
+    system = coupled_system(ops)
     if spin_up > 0.0:
-        ops = dataclasses.replace(ops, u0=prepare_initial_state(ops, spin_up))
-    oracle = reference_solve(ops, base_cfg.t_f, oracle_steps, scheme=oracle_scheme)
+        ops = dataclasses.replace(ops, u0=prepare_initial_state(ops, spin_up, system=system))
+    oracle = reference_solve(ops, base_cfg.t_f, oracle_steps, scheme=oracle_scheme, system=system)
     level = functools.partial(
         _level_errors, ops, spec, oracle, quadrature=quadrature, solver=solver
     )

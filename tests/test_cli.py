@@ -728,6 +728,26 @@ class TestSolverFailure:
         ]
         assert [str(w.message) for w in caught] == []
 
+    # coupling so strong that the squares in the direct solve's residual
+    # norms pass the float maximum: the window fails, it is not accepted
+    # on a NaN residual
+    @pytest.mark.parametrize("scale", [1e100, 1e160])
+    def test_overflowing_residual_norms_fail_the_window(self, tmp_path, capsys, scale):
+        payload = {
+            "geometry": {"nx": 4},
+            "problem": {"B": [[scale, -scale], [-scale, scale]]},
+            "window": {"t_f": 0.2, "N": 3, "M1": 1, "M2": 2},
+        }
+        config = write_config(tmp_path, payload)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("solver failure: window 1: window solve residual ")
+        assert [str(w.message) for w in caught] == []
+
     @pytest.mark.parametrize(
         "solver, failure",
         [

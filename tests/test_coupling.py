@@ -76,6 +76,24 @@ class TestStepRestriction:
             mc.step_restriction_ratio(mc.WindowConfig(t_f=1.0, N=1), 0.0)
 
 
+class TestWindowResidual:
+    def test_ratio_survives_norms_that_overflow(self):
+        # the plain norms' squares overflow at 2^600 and 2^1000; a
+        # power-of-two scaling leaves the ratio's bits as they are
+        rng = np.random.default_rng(7)
+        rhs = rng.standard_normal(50)
+        Ax = rhs + 1e-6 * rng.standard_normal(50)
+        plain = np.linalg.norm(Ax - rhs) / max(np.linalg.norm(rhs), np.linalg.norm(Ax))
+        assert coupling._residual(rhs, Ax) == plain
+        for scale in (2.0**600, 2.0**1000):
+            assert coupling._residual(scale * rhs, scale * Ax) == plain
+        assert coupling._residual(np.zeros(3), np.zeros(3)) == 0.0
+
+    def test_non_finite_entry_gives_an_infinite_residual(self):
+        assert coupling._residual(np.array([1.0, np.inf]), np.ones(2)) == np.inf
+        assert coupling._residual(np.ones(2), np.array([np.nan, 1.0])) == np.inf
+
+
 class TestFluxSolve:
     def test_equal_traces_conservative_pair(self):
         c = np.array([[2.0], [0.3]])
