@@ -23,12 +23,15 @@ flux columns, read off the assembled matrix: the lagged sweep
 x <- P^{-1}(b - N x) solves every substep implicitly for the flux of the
 previous sweep, then the flux from the new states.  Since N reads only
 the flux, the sweep is the affine map f <- y_F - K f on the n_F flux
-unknowns, with y = P^{-1} b and K the flux rows of P^{-1} N.  Its fixed
-point, the direct solution, is f = (I + K)^{-1} y_F: I + K is A_FF^{-1} S,
-with S the Schur complement of the substep block, so one small LU of it,
-formed once per operator, takes the place of the sweeps, whether or not
-they would contract.  A window costs two P-solves, and both solvers
-check the same relative residual.
+unknowns, with y = P^{-1} b and K the flux rows of P^{-1} [N; 0].  Its
+fixed point, the direct solution, is f = (I + K)^{-1} y_F: I + K is
+A_FF^{-1} S, with S the Schur complement of the substep block, so one
+small LU of it, formed once per operator, takes the place of the sweeps,
+whether or not they would contract.  The substep rows of P^{-1} [N; 0]
+are one block Z_i per side, kept from the build, so x = y - Z f there: a
+window costs one solve of P and one of I + K.  The build refuses an I + K
+whose condition number times eps exceeds the residual tolerance, and
+both solvers check the same relative residual.
 """
 
 from __future__ import annotations
@@ -55,6 +58,14 @@ from .timepoly import (
 )
 
 RESIDUAL_TOL = 1e-10
+# Flux columns per solve of P when the fixed-point build forms P^{-1} [N; 0].
+# SuperLU solves a block of columns in one pass over its factor, so the
+# cost per column falls with the width until the blocks leave the cache:
+# forming it took 74, 45, 44 and 68 ms at 1, 8, 32 and 62 columns a solve
+# on a CN nx = 32 window (dim 5,084), and 786, 464, 488 and 484 ms at 1, 8,
+# 32 and 64 at nx = 64 (dim 20,412; one core, one BLAS thread).  A block's
+# dense right-hand side and solution then hold 64 dim floats, 10 MB at nx = 64.
+SOLVE_COLUMNS = 32
 
 log = logging.getLogger(__name__)
 
@@ -302,9 +313,14 @@ class WindowOperator:
 
     solver="direct" factorizes the matrix.  solver="fixed-point" factorizes
     P = matrix - N, with N the block of the matrix at the substep rows and
-    the flux columns.  Its build adds one solve with P for the n_F columns
-    of N, which gives the lagged sweep's map K (n_F, n_F), and the LU of
-    I + K, whose solve gives the sweep's fixed point on the flux.
+    the flux columns.  Its build solves P on N's n_F columns, SOLVE_COLUMNS
+    of one side's at a time, for the lagged sweep's map K (n_F, n_F) and
+    the substep blocks Z_i of P^{-1} [N; 0], side i's rows of side i's flux
+    columns: (M_i (q + 2 - n_s) d_i, (r_i + 1) d_gamma) each, about half of
+    a dim x n_F array together.  It then factorizes I + K, whose solve
+    gives the sweep's fixed point on the flux, and raises SolverError when
+    cond(I + K) eps exceeds RESIDUAL_TOL: the flux would then err by more
+    than the window residual, ruled by the largest rows, can show.
     """
 
     def __init__(
@@ -371,23 +387,68 @@ class WindowOperator:
         self._rows, self._rows_first = np.empty((0, self.dim)), 1
         self.matrix, self._past = self._assemble_matrix()
         # solve applies one factor: of the matrix, or of P for the fixed point
-        factored = self.matrix
-        if solver == "fixed-point":
-            n = self._flux_off[0]
-            A = self.matrix
-            self._lagged = A[:n, n:]
-            factored = sp.bmat([[A[:n, :n], None], [A[n:, :n], A[n:, n:]]])
+        factored, lagged = (self.matrix, None) if solver == "direct" else self._split()
         try:
             self._lu = dgit.factorize(factored)
             if solver == "fixed-point":
-                # K, the flux rows of P^{-1} N: the sweep f <- y_F - K f with
-                # y = P^{-1} rhs has the fixed point f = (I + K)^{-1} y_F
-                lagged = np.zeros((self.dim, self.dim - n))
-                lagged[:n] = self._lagged.toarray()
-                K = self._lu.solve(lagged)[n:]
-                self._flux_lu = dgit.factorize(sp.csc_matrix(np.eye(self.dim - n) + K))
+                flux, self._blocks = self._solve_lagged(lagged)
+                self._flux_lu = dgit.factorize(sp.csc_matrix(flux))
         except RuntimeError as err:
             raise SolverError(f"window factorization failed: {err}") from err
+        if solver == "fixed-point" and len(flux):  # without an interface there is no flux
+            # the flux solve errs by up to about cond(I + K) eps relative, and
+            # the window residual, ruled by the largest rows, need not see it
+            cond = np.linalg.cond(flux) if np.all(np.isfinite(flux)) else math.inf
+            limit = RESIDUAL_TOL / np.finfo(float).eps
+            if not cond <= limit:
+                raise SolverError(
+                    f"fixed-point flux system I + K has condition number {cond:.3e}, above "
+                    f"{limit:.3e} (the window residual tolerance over machine epsilon), so "
+                    "the window residual cannot bound its error; the direct solver does "
+                    "not form it"
+                )
+
+    def _split(self) -> tuple:
+        """(P, N): the matrix without its block N at the substep rows and the flux columns.
+
+        P is the matrix's CSR entries outside that block, in their order; N
+        is its (rows, cols, values) triplets, sorted by column.
+        """
+        A, n = self.matrix, self._flux_off[0]
+        rows = np.repeat(np.arange(self.dim, dtype=A.indices.dtype), np.diff(A.indptr))
+        lagged = (rows < n) & (A.indices >= n)
+        indptr = np.concatenate(([0], np.cumsum(~lagged)))[A.indptr].astype(A.indptr.dtype)
+        P = sp.csr_matrix((A.data[~lagged], A.indices[~lagged], indptr), shape=A.shape)
+        order = np.argsort(A.indices[lagged], kind="stable")
+        return P, tuple(a[lagged][order] for a in (rows, A.indices, A.data))
+
+    def _solve_lagged(self, lagged) -> tuple:
+        """(I + K, [Z_1, Z_2]): the parts of P^{-1} [N; 0] that the fixed point reads.
+
+        K is its flux rows.  Side i's substep rows of N read only side i's
+        flux, and the substep block of P is block diagonal by side, so at
+        the substep rows P^{-1} [N; 0] is nonzero only in side i's rows of
+        side i's flux columns: the block Z_i.  Both come from solves of P on
+        SOLVE_COLUMNS of one side's flux columns at a time.
+        """
+        rows, cols, values = lagged
+        n, dim = self._flux_off[0], self.dim
+        flux, blocks = np.eye(dim - n), []
+        for i, lo in enumerate(self._dom_off):
+            hi = lo + self.cfg.M[i] * self._sub_size[i]
+            first = self._flux_off[i]
+            end = first + (self.cfg.r[i] + 1) * self.ops.d_gamma
+            Z = np.empty((hi - lo, end - first), order="F")
+            for c0 in range(first, end, SOLVE_COLUMNS):
+                c1 = min(c0 + SOLVE_COLUMNS, end)
+                a, b = np.searchsorted(cols, (c0, c1))
+                rhs = np.zeros((dim, c1 - c0), order="F")
+                rhs[rows[a:b], cols[a:b] - c0] = values[a:b]
+                z = self._lu.solve(rhs)
+                Z[:, c0 - first : c1 - first] = z[lo:hi]
+                flux[:, c0 - n : c1 - n] += z[n:]
+            blocks.append(Z)
+        return flux, blocks
 
     def _assemble_matrix(self) -> tuple:
         """(matrix, past): the window's rows over its unknowns and over the past values.
@@ -596,18 +657,19 @@ class WindowOperator:
 
         before holds per subdomain the side values before the window in time
         order, (k, d_i) with k >= spec.reach: the previous window's U, or
-        u0[None] for the first window.  The fixed point solves for the flux
-        f = (I + K)^{-1} y_F, y = P^{-1} rhs, then x = P^{-1}(rhs - N f).  A
-        SolverError names the window, "window n: ...".
+        u0[None] for the first window.  The fixed point solves y = P^{-1} rhs,
+        then the flux f = (I + K)^{-1} y_F, and takes x_i = y_i - Z_i f_i on
+        side i's substep rows.  A SolverError names the window, "window n: ...".
         """
         past = self._past_values(before)
         rhs = self._rhs(past, window_index)
         x = self._lu.solve(rhs)
         if self.solver == "fixed-point":
             n = self._flux_off[0]
-            b = rhs.copy()
-            b[:n] -= self._lagged @ self._flux_lu.solve(x[n:])
-            x = self._lu.solve(b)
+            f = x[n:] = self._flux_lu.solve(x[n:])
+            for i, Z in enumerate(self._blocks):
+                lo, first = self._dom_off[i], self._flux_off[i] - n
+                x[lo : lo + len(Z)] -= Z @ f[first : first + Z.shape[1]]
         if not np.all(np.isfinite(x)):
             raise SolverError(
                 f"window {window_index}: window factorization produced non-finite values"

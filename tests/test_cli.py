@@ -748,6 +748,30 @@ class TestSolverFailure:
         assert err[0].startswith("solver failure: window 1: window solve residual ")
         assert [str(w.message) for w in caught] == []
 
+    # the same coupling under the fixed point: its flux system I + K is so
+    # ill-conditioned that a window residual of roundoff size says nothing of
+    # its error (at 1e100 the energy rose from 0.094 to 47 in three windows
+    # whose residuals were below 4e-15)
+    @pytest.mark.parametrize("scale", [1e7, 1e100])
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_ill_conditioned_flux_system_fails_the_fixed_point(
+        self, tmp_path, capsys, scale, command
+    ):
+        payload = {
+            "geometry": {"nx": 4},
+            "problem": {"B": [[scale, -scale], [-scale, scale]]},
+            "window": {"t_f": 0.2, "N": 3, "M1": 1, "M2": 2},
+            "solver": {"name": "fixed-point"},
+        }
+        config = str(write_config(tmp_path, payload))
+        argv = ["--out", str(tmp_path / "out")] if command == "run" else ["--suite", "energy"]
+        assert cli.main([command, "--config", config, *argv]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "Traceback" not in captured.err
+        prefix = "solver failure: " if command == "run" else "check energy: solver failure: "
+        assert err[0].startswith(prefix + "fixed-point flux system I + K has condition number ")
+
     @pytest.mark.parametrize(
         "solver, failure",
         [

@@ -572,7 +572,7 @@ def sweep_map(op) -> np.ndarray:
     """K of a fixed-point operator, the flux rows of P^{-1} N: a sweep is f <- y_F - K f."""
     n = op._flux_off[0]
     lagged = np.zeros((op.dim, op.dim - n))
-    lagged[:n] = op._lagged.toarray()
+    lagged[:n] = op.matrix[:n, n:].toarray()
     return op._lu.solve(lagged)[n:]
 
 
@@ -783,17 +783,58 @@ class TestFixedPoint:
         for got, want in zip(fp, mc.march(ops, scheme, cfg, quadrature=quadrature)):
             assert window_difference(got, want) <= bound
 
+    @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
+    def test_blocks_are_the_full_lagged_solve(self, smooth_ops, quadrature):
+        # P^{-1} [N; 0] solved on all flux columns at once: at the substep
+        # rows it is Z_i at side i's rows of side i's flux columns, 0 elsewhere
+        cfg = mc.WindowConfig(t_f=0.3, N=1, M=(2, 3), r=(1, 2))
+        scheme = mc.shipped_schemes()["dg1"]
+        op = mc.WindowOperator(smooth_ops, scheme, cfg, quadrature=quadrature, solver="fixed-point")
+        n = op._flux_off[0]
+        lagged = np.zeros((op.dim, op.dim - n))
+        lagged[:n] = op.matrix[:n, n:].toarray()
+        full = op._lu.solve(lagged)
+        sides = [slice(lo, lo + cfg.M[i] * op._sub_size[i]) for i, lo in enumerate(op._dom_off)]
+        fluxes = [slice(op._flux_off[0] - n, op._flux_off[1] - n), slice(op._flux_off[1] - n, None)]
+        assert [len(Z) for Z in op._blocks] == [s.stop - s.start for s in sides]
+        for i, Z in enumerate(op._blocks):
+            want = full[sides[i], fluxes[i]]
+            assert np.any(want != 0) and Z.shape == want.shape
+            assert np.max(np.abs(Z - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.all(full[sides[1 - i], fluxes[i]] == 0.0)
+
+    @pytest.mark.parametrize("scheme_name", ["crank-nicolson", "dg1"])
+    def test_agrees_with_direct_over_several_column_chunks(self, scheme_name):
+        # nx = 16 and r = (2, 2): 45 flux columns a side, two solves of P each
+        m1, m2 = mc.build_mesh(1, 16, 16), mc.build_mesh(2, 16, 16)
+        spec = mc.ProblemSpec(
+            nu=(1.0, 0.5),
+            B=np.array([[1.0, -1.0], [-1.0, 1.0]]),
+            u0=(
+                lambda x, y: np.sin(np.pi * x) * (1.0 - y),
+                lambda x, y: 0.5 * np.sin(np.pi * x) * (1.0 + y),
+            ),
+        )
+        ops = mc.assemble(m1, m2, mc.match_interfaces(m1, m2), spec)
+        scheme = mc.shipped_schemes()[scheme_name]
+        cfg = mc.WindowConfig(t_f=0.1, N=2, M=(2, 3), r=(2, 2))
+        assert (cfg.r[0] + 1) * ops.d_gamma == 45 > coupling.SOLVE_COLUMNS
+        bound = agreement_bound(mc.WindowOperator(ops, scheme, cfg, solver="fixed-point"))
+        fp = mc.march(ops, scheme, cfg, solver="fixed-point")
+        for got, want in zip(fp, mc.march(ops, scheme, cfg)):
+            assert window_difference(got, want) <= bound
+
     def test_run_assembles_and_factorizes_once(self, toy_ops, monkeypatch):
         calls = {"csr_triplets": 0, "transpose": 0, "factorize": 0}
         factors = []
 
         class CountedLU:
             def __init__(self, lu):
-                self.lu, self.solves = lu, 0
+                self.lu, self.solves = lu, []
                 factors.append(self)
 
             def solve(self, b):
-                self.solves += 1
+                self.solves.append(np.shape(b))
                 return self.lu.solve(b)
 
         class CountedTranspose(sp.csr_matrix):
@@ -812,17 +853,24 @@ class TestFixedPoint:
 
         count(fespace, "csr_triplets")
         count(dgit, "factorize", CountedLU)
+        # one flux column a build solve, so each side's two take two solves,
+        # none wider than SOLVE_COLUMNS
+        monkeypatch.setattr(coupling, "SOLVE_COLUMNS", 1)
         # operators with nothing converted yet, whose T_i count their transposes
         ops = dataclasses.replace(toy_ops, T=tuple(CountedTranspose(T) for T in toy_ops.T))
         cfg = mc.WindowConfig(t_f=0.2, N=4, M=(2, 3), r=(1, 1))
         mc.run_simulation(
             ops, mc.crank_nicolson(), cfg, quadrature="trapezoid", solver="fixed-point"
         )
-        # P, then I + K; one P-solve for K, then two a window, and one I + K solve
+        # P, then I + K; P-solves on the flux columns in chunks, then one a
+        # window, and one I + K solve a window
         assert calls["factorize"] == 2
         P, flux = factors
-        assert P.solves == 1 + 2 * cfg.N and flux.solves == cfg.N
-        assert flux.lu.shape == (2 * (cfg.r[0] + 1), 2 * (cfg.r[0] + 1))
+        n_F = 2 * (cfg.r[0] + 1)
+        dim = P.lu.shape[0]
+        assert P.solves == [(dim, 1)] * n_F + [(dim,)] * cfg.N
+        assert flux.solves == [(n_F,)] * cfg.N
+        assert flux.lu.shape == (n_F, n_F)
         converted = dict(calls)
         assert converted["csr_triplets"] > 0 and converted["transpose"] == 2
         # a second operator, as a study's next level builds it, reuses them:
