@@ -18,20 +18,14 @@ with d_gamma = 0 for a problem without an interface.
 
 Two solvers work on that one matrix A.  The direct solver factorizes it
 once and reuses the factor for every window.  The fixed-point solver
-splits it as A = P + N, with N the block of A at the substep rows and the
-flux columns, read off the assembled matrix: the lagged sweep
-x <- P^{-1}(b - N x) solves every substep implicitly for the flux of the
-previous sweep, then the flux from the new states.  Since N reads only
-the flux, the sweep is the affine map f <- y_F - K f on the n_F flux
-unknowns, with y = P^{-1} b and K the flux rows of P^{-1} [N; 0].  Its
-fixed point, the direct solution, is f = (I + K)^{-1} y_F: I + K is
-A_FF^{-1} S, with S the Schur complement of the substep block, so one
-small LU of it, formed once per operator, takes the place of the sweeps,
-whether or not they would contract.  The substep rows of P^{-1} [N; 0]
-are one block Z_i per side, kept from the build, so x = y - Z f there: a
-window costs one solve of P and one of I + K.  The build refuses an I + K
-whose condition number times eps exceeds the residual tolerance, and
-both solvers check the same relative residual.
+reads A by its blocks, A = [[A_ss, N], [A_Fs, A_FF]], substep rows and
+columns first, and solves it by the Schur complement of the substep
+block A_ss: S = A_FF - A_Fs A_ss^{-1} N, dense and n_F x n_F, formed and
+factored once per operator.  A_ss is block diagonal by side and holds no
+coupling strength, so neither does its factor.  The build refuses an S
+for which cond(A_FF^{-1} S) eps, with A_FF^{-1} S named I + K, exceeds
+the residual tolerance, and both solvers check the same relative
+residual.
 """
 
 from __future__ import annotations
@@ -58,13 +52,14 @@ from .timepoly import (
 )
 
 RESIDUAL_TOL = 1e-10
-# Flux columns per solve of P when the fixed-point build forms P^{-1} [N; 0].
+# Flux columns per solve of A_ss when the fixed-point build forms A_ss^{-1} N.
 # SuperLU solves a block of columns in one pass over its factor, so the
 # cost per column falls with the width until the blocks leave the cache:
-# forming it took 74, 45, 44 and 68 ms at 1, 8, 32 and 62 columns a solve
-# on a CN nx = 32 window (dim 5,084), and 786, 464, 488 and 484 ms at 1, 8,
-# 32 and 64 at nx = 64 (dim 20,412; one core, one BLAS thread).  A block's
-# dense right-hand side and solution then hold 64 dim floats, 10 MB at nx = 64.
+# forming it took 91, 58, 51 and 50 ms at 1, 8, 32 and 62 columns a solve
+# on a CN nx = 32 window (vortex, M = (2, 3); A_ss of dim 4,960), and 1,135,
+# 760, 667 and 753 ms at 1, 8, 32 and 64 at nx = 64 (dim 20,160; medians of
+# 7, one core, one BLAS thread).  A block's dense right-hand side and
+# solution then hold 64 n floats, 10 MB at nx = 64.
 SOLVE_COLUMNS = 32
 
 log = logging.getLogger(__name__)
@@ -72,6 +67,14 @@ log = logging.getLogger(__name__)
 
 class SolverError(RuntimeError):
     """Window solve failed (singular factorization or bad residual)."""
+
+
+def _factorize(A):
+    """dgit.factorize(A), its failure raised as SolverError."""
+    try:
+        return dgit.factorize(A)
+    except RuntimeError as err:
+        raise SolverError(f"window factorization failed: {err}") from err
 
 
 @dataclasses.dataclass(frozen=True)
@@ -312,15 +315,14 @@ class WindowOperator:
     window (M_i + 1 substep edges, or LOAD_QUAD_PTS Gauss points).
 
     solver="direct" factorizes the matrix.  solver="fixed-point" factorizes
-    P = matrix - N, with N the block of the matrix at the substep rows and
-    the flux columns.  Its build solves P on N's n_F columns, SOLVE_COLUMNS
-    of one side's at a time, for the lagged sweep's map K (n_F, n_F) and
-    the substep blocks Z_i of P^{-1} [N; 0], side i's rows of side i's flux
-    columns: (M_i (q + 2 - n_s) d_i, (r_i + 1) d_gamma) each, about half of
-    a dim x n_F array together.  It then factorizes I + K, whose solve
-    gives the sweep's fixed point on the flux, and raises SolverError when
-    cond(I + K) eps exceeds RESIDUAL_TOL: the flux would then err by more
-    than the window residual, ruled by the largest rows, can show.
+    its substep block A_ss and the Schur complement S of it.  Its build
+    solves A_ss on N's columns, SOLVE_COLUMNS of one side's at a time, and
+    keeps the blocks Z_i of A_ss^{-1} N at side i's rows of side i's flux
+    columns, the only nonzero ones: (M_i (q + 2 - n_s) d_i, (r_i + 1)
+    d_gamma) each.  Before factoring S it raises SolverError when
+    cond(I + K) eps, with I + K = A_FF^{-1} S, exceeds RESIDUAL_TOL: the
+    flux would then err by more than the window residual, ruled by the
+    largest rows, can show.
     """
 
     def __init__(
@@ -386,19 +388,41 @@ class WindowOperator:
         self._chunk = dgit.chunk_size(values)
         self._rows, self._rows_first = np.empty((0, self.dim)), 1
         self.matrix, self._past = self._assemble_matrix()
-        # solve applies one factor: of the matrix, or of P for the fixed point
-        factored, lagged = (self.matrix, None) if solver == "direct" else self._split()
-        try:
-            self._lu = dgit.factorize(factored)
-            if solver == "fixed-point":
-                flux, self._blocks = self._solve_lagged(lagged)
-                self._flux_lu = dgit.factorize(sp.csc_matrix(flux))
-        except RuntimeError as err:
-            raise SolverError(f"window factorization failed: {err}") from err
-        if solver == "fixed-point" and len(flux):  # without an interface there is no flux
+        if solver == "direct":
+            self._lu = _factorize(self.matrix)
+        else:
+            self._factor_schur_complement()
+
+    def _factor_schur_complement(self) -> None:
+        """Factor A_ss, keep its blocks Z_i of A_ss^{-1} N, and factor S.
+
+        Side i's substep rows of N read only side i's flux, and A_ss is
+        block diagonal by side, so A_ss^{-1} N is Z_i at side i's rows of
+        side i's flux columns and 0 elsewhere; those columns of S are A_FF's
+        minus A_Fs at side i's columns times Z_i.
+        """
+        A, n = self.matrix, self._flux_off[0]
+        self._lu = _factorize(A[:n, :n])
+        N = A[:n, n:].tocsc()
+        self._flux_rows = A[n:, :n]
+        flux_mass = A[n:, n:].toarray()
+        S, self._blocks = flux_mass.copy(), []
+        for i, lo in enumerate(self._dom_off):
+            hi = lo + self.cfg.M[i] * self._sub_size[i]
+            first = self._flux_off[i] - n
+            end = first + (self.cfg.r[i] + 1) * self.ops.d_gamma
+            Z = np.empty((hi - lo, end - first), order="F")
+            for c0 in range(first, end, SOLVE_COLUMNS):
+                c1 = min(c0 + SOLVE_COLUMNS, end)
+                z = self._lu.solve(N[:, c0:c1].toarray(order="F"))
+                Z[:, c0 - first : c1 - first] = z[lo:hi]
+            S[:, first:end] -= self._flux_rows[:, lo:hi] @ Z
+            self._blocks.append(Z)
+        if len(S):  # without an interface there is no flux
             # the flux solve errs by up to about cond(I + K) eps relative, and
             # the window residual, ruled by the largest rows, need not see it
-            cond = np.linalg.cond(flux) if np.all(np.isfinite(flux)) else math.inf
+            sweep = np.linalg.solve(flux_mass, S)  # I + K
+            cond = np.linalg.cond(sweep) if np.all(np.isfinite(sweep)) else math.inf
             limit = RESIDUAL_TOL / np.finfo(float).eps
             if not cond <= limit:
                 raise SolverError(
@@ -407,48 +431,7 @@ class WindowOperator:
                     "the window residual cannot bound its error; the direct solver does "
                     "not form it"
                 )
-
-    def _split(self) -> tuple:
-        """(P, N): the matrix without its block N at the substep rows and the flux columns.
-
-        P is the matrix's CSR entries outside that block, in their order; N
-        is its (rows, cols, values) triplets, sorted by column.
-        """
-        A, n = self.matrix, self._flux_off[0]
-        rows = np.repeat(np.arange(self.dim, dtype=A.indices.dtype), np.diff(A.indptr))
-        lagged = (rows < n) & (A.indices >= n)
-        indptr = np.concatenate(([0], np.cumsum(~lagged)))[A.indptr].astype(A.indptr.dtype)
-        P = sp.csr_matrix((A.data[~lagged], A.indices[~lagged], indptr), shape=A.shape)
-        order = np.argsort(A.indices[lagged], kind="stable")
-        return P, tuple(a[lagged][order] for a in (rows, A.indices, A.data))
-
-    def _solve_lagged(self, lagged) -> tuple:
-        """(I + K, [Z_1, Z_2]): the parts of P^{-1} [N; 0] that the fixed point reads.
-
-        K is its flux rows.  Side i's substep rows of N read only side i's
-        flux, and the substep block of P is block diagonal by side, so at
-        the substep rows P^{-1} [N; 0] is nonzero only in side i's rows of
-        side i's flux columns: the block Z_i.  Both come from solves of P on
-        SOLVE_COLUMNS of one side's flux columns at a time.
-        """
-        rows, cols, values = lagged
-        n, dim = self._flux_off[0], self.dim
-        flux, blocks = np.eye(dim - n), []
-        for i, lo in enumerate(self._dom_off):
-            hi = lo + self.cfg.M[i] * self._sub_size[i]
-            first = self._flux_off[i]
-            end = first + (self.cfg.r[i] + 1) * self.ops.d_gamma
-            Z = np.empty((hi - lo, end - first), order="F")
-            for c0 in range(first, end, SOLVE_COLUMNS):
-                c1 = min(c0 + SOLVE_COLUMNS, end)
-                a, b = np.searchsorted(cols, (c0, c1))
-                rhs = np.zeros((dim, c1 - c0), order="F")
-                rhs[rows[a:b], cols[a:b] - c0] = values[a:b]
-                z = self._lu.solve(rhs)
-                Z[:, c0 - first : c1 - first] = z[lo:hi]
-                flux[:, c0 - n : c1 - n] += z[n:]
-            blocks.append(Z)
-        return flux, blocks
+        self._flux_lu = _factorize(sp.csc_matrix(S))
 
     def _assemble_matrix(self) -> tuple:
         """(matrix, past): the window's rows over its unknowns and over the past values.
@@ -657,19 +640,23 @@ class WindowOperator:
 
         before holds per subdomain the side values before the window in time
         order, (k, d_i) with k >= spec.reach: the previous window's U, or
-        u0[None] for the first window.  The fixed point solves y = P^{-1} rhs,
-        then the flux f = (I + K)^{-1} y_F, and takes x_i = y_i - Z_i f_i on
-        side i's substep rows.  A SolverError names the window, "window n: ...".
+        u0[None] for the first window.  The fixed point solves y = A_ss^{-1}
+        rhs_s, then the flux f = S^{-1} (rhs_F - A_Fs y), and takes x_i = y_i
+        - Z_i f_i on side i's substep rows.  A SolverError names the window,
+        "window n: ...".
         """
         past = self._past_values(before)
         rhs = self._rhs(past, window_index)
-        x = self._lu.solve(rhs)
-        if self.solver == "fixed-point":
+        if self.solver == "direct":
+            x = self._lu.solve(rhs)
+        else:
             n = self._flux_off[0]
-            f = x[n:] = self._flux_lu.solve(x[n:])
+            y = self._lu.solve(rhs[:n])
+            f = self._flux_lu.solve(rhs[n:] - self._flux_rows @ y)
             for i, Z in enumerate(self._blocks):
                 lo, first = self._dom_off[i], self._flux_off[i] - n
-                x[lo : lo + len(Z)] -= Z @ f[first : first + Z.shape[1]]
+                y[lo : lo + len(Z)] -= Z @ f[first : first + Z.shape[1]]
+            x = np.concatenate((y, f))
         if not np.all(np.isfinite(x)):
             raise SolverError(
                 f"window {window_index}: window factorization produced non-finite values"
@@ -716,10 +703,8 @@ def solve_window_fixed_point(
 ) -> WindowSolution:
     """Window 1 solved by WindowOperator's fixed-point solver.
 
-    before is as for WindowOperator.solve.  The result is the fixed point
-    of the lagged sweeps, which solve the substeps of both subdomains
-    implicitly with the flux of the previous sweep, then the flux rows
-    from the new states.
+    before is as for WindowOperator.solve; the window matrix is solved by
+    the Schur complement of its substep block.
     """
     op = WindowOperator(ops, spec, cfg, quadrature=quadrature, solver="fixed-point")
     return op.solve(before)

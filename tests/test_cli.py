@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import fnmatch
 import io
 import json
 import logging
@@ -776,7 +777,15 @@ class TestSolverFailure:
         "solver, failure",
         [
             ("direct", "window 1: window factorization produced non-finite values"),
-            ("fixed-point", "window factorization failed: Factor is exactly singular"),
+            # the fixed point factors A_ss, which holds no B; its guard refuses
+            # the Schur complement (fnmatch pattern: * stands for the number)
+            pytest.param(
+                "fixed-point",
+                "fixed-point flux system I + K has condition number *, above 4.504e+05 (the "
+                "window residual tolerance over machine epsilon), so the window residual "
+                "cannot bound its error; the direct solver does not form it",
+                id="fixed-point-guard",
+            ),
         ],
     )
     @pytest.mark.parametrize("suite", ["energy", "conservation"])
@@ -785,7 +794,9 @@ class TestSolverFailure:
         assert cli.main(["check", "--config", str(config), "--suite", suite]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.strip().splitlines() == [f"check {suite}: solver failure: {failure}"]
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert fnmatch.fnmatchcase(err[0], f"check {suite}: solver failure: {failure}")
 
 
 class TestMainCheck:

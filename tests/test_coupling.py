@@ -539,18 +539,28 @@ class TestSingleRateDegeneration:
             assert np.max(np.abs(sol.U[1][-1] - ref[s2])) < 1e-10 * scale
 
 
-def plain_sweeps(op, rhs, tol=1e-10, max_iter=200):
-    """The lagged sweep over the whole window, x <- P^{-1}(rhs - N x), one P-solve a sweep.
+def lagged_factor(op):
+    """(n, LU of P): P is op.matrix without its block N at the substep rows and flux columns.
 
-    P and N are slices of op.matrix, P factored here with splu.  The sweeps
-    start from a zero flux and stop when the relative residual rhs - matrix
-    @ x, formed outright, drops to tol; three growing residuals in a row,
-    the last over ten times the first, count as divergence.  Returns (x,
-    sweeps, growth factor), x None when the sweeps diverge or run out.
+    n is the number of substep unknowns; P is factored here with splu,
+    apart from the factors under test.
     """
     A = op.matrix
     n = op.dim - sum((r + 1) * op.ops.d_gamma for r in op.cfg.r)
-    lu = spla.splu(sp.bmat([[A[:n, :n], None], [A[n:, :n], A[n:, n:]]]).tocsc())
+    return n, spla.splu(sp.bmat([[A[:n, :n], None], [A[n:, :n], A[n:, n:]]]).tocsc())
+
+
+def plain_sweeps(op, rhs, tol=1e-10, max_iter=200):
+    """The lagged sweep over the whole window, x <- P^{-1}(rhs - N x), one P-solve a sweep.
+
+    P and N are slices of op.matrix (lagged_factor).  The sweeps start
+    from a zero flux and stop when the relative residual rhs - matrix @ x,
+    formed outright, drops to tol; three growing residuals in a row, the
+    last over ten times the first, count as divergence.  Returns (x,
+    sweeps, growth factor), x None when the sweeps diverge or run out.
+    """
+    A = op.matrix
+    n, lu = lagged_factor(op)
     flux = np.zeros(op.dim - n)
     residuals = []
     for sweep in range(1, max_iter + 1):
@@ -568,12 +578,17 @@ def plain_sweeps(op, rhs, tol=1e-10, max_iter=200):
     return None, max_iter, residuals[-1] / residuals[-2] if max_iter > 1 else float("nan")
 
 
-def sweep_map(op) -> np.ndarray:
-    """K of a fixed-point operator, the flux rows of P^{-1} N: a sweep is f <- y_F - K f."""
-    n = op._flux_off[0]
+def lagged_solve(op) -> np.ndarray:
+    """P^{-1} [N; 0] of op.matrix, on all flux columns at once."""
+    n, lu = lagged_factor(op)
     lagged = np.zeros((op.dim, op.dim - n))
     lagged[:n] = op.matrix[:n, n:].toarray()
-    return op._lu.solve(lagged)[n:]
+    return lu.solve(lagged)
+
+
+def sweep_map(op) -> np.ndarray:
+    """K, the flux rows of P^{-1} [N; 0] of op.matrix: a sweep is f <- y_F - K f."""
+    return lagged_solve(op)[op._flux_off[0] :]
 
 
 def flux_condition(op) -> float:
@@ -582,16 +597,16 @@ def flux_condition(op) -> float:
     return float(np.linalg.cond(np.eye(len(K)) + K))
 
 
-# The fixed point solves (I + K) f = y_F with an LU, which is backward
-# stable: relative to the window's scale, its flux errs by about
-# cond(I + K) times the error of its data y_F and K, which the P-solves
-# give to a small multiple of eps; the direct solve errs by a multiple of
-# eps too.  AGREEMENT_FACTOR covers those multiples.  The largest ratio of
-# window_difference to cond(I + K) * eps seen on the configurations of
-# acceptance test 11 (nx = 8, every shipped scheme and quadrature, k = 10
-# to 1000) and on the same with k = 1, cond(I + K) 1.2 to 380, was 30;
-# over 300 random draws of test_agrees_with_direct_for_random_psd_coupling's
-# space it was 53.
+# The fixed point solves S f = rhs_F - A_Fs y with an LU, which is
+# backward stable: relative to the window's scale, its flux errs by about
+# cond(I + K) times the error of its data, which the A_ss-solves give to
+# a small multiple of eps (I + K = A_FF^{-1} S, A_FF the flux rows' window
+# mass); the direct solve errs by a multiple of eps too.  AGREEMENT_FACTOR
+# covers those multiples.  The largest ratio of window_difference to
+# cond(I + K) * eps seen on the configurations of acceptance test 11
+# (nx = 8, every shipped scheme and quadrature, k = 10 to 1000) and on the
+# same with k = 1, cond(I + K) 1.2 to 380, was 17.5; over 300 random draws
+# of test_agrees_with_direct_for_random_psd_coupling's space it was 70.5.
 AGREEMENT_FACTOR = 1000
 
 
@@ -783,17 +798,44 @@ class TestFixedPoint:
         for got, want in zip(fp, mc.march(ops, scheme, cfg, quadrature=quadrature)):
             assert window_difference(got, want) <= bound
 
+    def test_factor_does_not_see_the_coupling_strength(self):
+        # the fixed point factors the substep block A_ss, which holds no B:
+        # its fill is the same at k = 1 and k = 100, where a factor that
+        # took in the flux rows grew with k
+        m1, m2 = mc.build_mesh(1, 8, 8), mc.build_mesh(2, 8, 8)
+        imap = mc.match_interfaces(m1, m2)
+        scheme = mc.crank_nicolson()
+        cfg = mc.WindowConfig(t_f=0.2, N=3, M=(4, 16), r=(1, 1))
+        fills = []
+        for k in (1.0, 100.0):
+            spec = mc.ProblemSpec(
+                nu=(1.0, 0.5),
+                advection=(mc.AdvectionSpec(kind="vortex"),) * 2,
+                B=k * np.array([[1.0, -1.0], [-1.0, 1.0]]),
+                u0=(
+                    lambda x, y: np.sin(np.pi * x) * (1.0 - y),
+                    lambda x, y: 0.5 * np.sin(np.pi * x) * (1.0 + y),
+                ),
+            )
+            ops = mc.assemble(m1, m2, imap, spec)
+            op = mc.WindowOperator(ops, scheme, cfg, solver="fixed-point")
+            fills.append(op._lu.L.nnz + op._lu.U.nnz)
+        assert fills[0] == fills[1]
+        bound = agreement_bound(op)
+        fp = mc.march(ops, scheme, cfg, solver="fixed-point")
+        for got, want in zip(fp, mc.march(ops, scheme, cfg)):
+            assert window_difference(got, want) <= bound
+
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
     def test_blocks_are_the_full_lagged_solve(self, smooth_ops, quadrature):
-        # P^{-1} [N; 0] solved on all flux columns at once: at the substep
-        # rows it is Z_i at side i's rows of side i's flux columns, 0 elsewhere
+        # P^{-1} [N; 0] of the window matrix solved on all flux columns at
+        # once: at the substep rows it is Z_i at side i's rows of side i's
+        # flux columns, 0 elsewhere
         cfg = mc.WindowConfig(t_f=0.3, N=1, M=(2, 3), r=(1, 2))
         scheme = mc.shipped_schemes()["dg1"]
         op = mc.WindowOperator(smooth_ops, scheme, cfg, quadrature=quadrature, solver="fixed-point")
         n = op._flux_off[0]
-        lagged = np.zeros((op.dim, op.dim - n))
-        lagged[:n] = op.matrix[:n, n:].toarray()
-        full = op._lu.solve(lagged)
+        full = lagged_solve(op)
         sides = [slice(lo, lo + cfg.M[i] * op._sub_size[i]) for i, lo in enumerate(op._dom_off)]
         fluxes = [slice(op._flux_off[0] - n, op._flux_off[1] - n), slice(op._flux_off[1] - n, None)]
         assert [len(Z) for Z in op._blocks] == [s.stop - s.start for s in sides]
@@ -805,7 +847,7 @@ class TestFixedPoint:
 
     @pytest.mark.parametrize("scheme_name", ["crank-nicolson", "dg1"])
     def test_agrees_with_direct_over_several_column_chunks(self, scheme_name):
-        # nx = 16 and r = (2, 2): 45 flux columns a side, two solves of P each
+        # nx = 16 and r = (2, 2): 45 flux columns a side, two solves of A_ss each
         m1, m2 = mc.build_mesh(1, 16, 16), mc.build_mesh(2, 16, 16)
         spec = mc.ProblemSpec(
             nu=(1.0, 0.5),
@@ -862,13 +904,13 @@ class TestFixedPoint:
         mc.run_simulation(
             ops, mc.crank_nicolson(), cfg, quadrature="trapezoid", solver="fixed-point"
         )
-        # P, then I + K; P-solves on the flux columns in chunks, then one a
-        # window, and one I + K solve a window
+        # A_ss, then S; A_ss-solves on the flux columns in chunks, then one a
+        # window, and one S solve a window
         assert calls["factorize"] == 2
-        P, flux = factors
+        substeps, flux = factors
         n_F = 2 * (cfg.r[0] + 1)
-        dim = P.lu.shape[0]
-        assert P.solves == [(dim, 1)] * n_F + [(dim,)] * cfg.N
+        n = substeps.lu.shape[0]
+        assert substeps.solves == [(n, 1)] * n_F + [(n,)] * cfg.N
         assert flux.solves == [(n_F,)] * cfg.N
         assert flux.lu.shape == (n_F, n_F)
         converted = dict(calls)
@@ -1507,7 +1549,7 @@ class TestTableAssembly:
 
     @staticmethod
     def build(ops, scheme, cfg, quadrature, solver, monkeypatch):
-        """The operator and the matrix it factorized: the matrix, or P for the fixed point."""
+        """The operator and the matrices it factorized: the matrix, or A_ss and S (fixed point)."""
         factored = []
         factorize = dgit.factorize
 
@@ -1518,7 +1560,7 @@ class TestTableAssembly:
         monkeypatch.setattr(dgit, "factorize", capture)
         op = mc.WindowOperator(ops, scheme, cfg, quadrature=quadrature, solver=solver)
         monkeypatch.setattr(dgit, "factorize", factorize)
-        return op, factored[0]
+        return op, factored
 
     def check(self, op, factored):
         matrix, past = blockwise_assembly(op)
@@ -1526,9 +1568,14 @@ class TestTableAssembly:
         assert_same_bits(op._past, past)
         if op.solver == "fixed-point":
             n = op._flux_off[0]
-            P = sp.bmat([[matrix[:n, :n], None], [matrix[n:, :n], matrix[n:, n:]]])
-            assert_same_bits(factored, P.tocsc())
+            substeps, S = factored
+            assert_same_bits(substeps, matrix[:n, :n].tocsc())
+            # S, the Schur complement of the substep block, from a dense solve
+            A = matrix.toarray()
+            want = A[n:, n:] - A[n:, :n] @ np.linalg.solve(A[:n, :n], A[:n, n:])
+            assert np.max(np.abs(S.toarray() - want)) <= 1e-12 * np.max(np.abs(want))
         else:
+            (factored,) = factored
             assert_same_bits(factored, matrix.tocsc())
 
     @pytest.mark.parametrize("solver", ["direct", "fixed-point"])
