@@ -2,11 +2,12 @@
 
 Subcommands: `run` (single simulation, trajectory CSV + JSON summary),
 `convergence` (rate table CSV), `check` (property suites with exit codes
-usable from CI: 0 pass, 1 fail, 2 configuration error).  A window
-solver failure (SolverError, from either solver) exits with 1 in every
-subcommand; an --out that cannot be made a directory exits with 2, before
-any operator is built.  Configs are strict JSON: unknown keys are rejected
-and all validation errors are reported together.
+usable from CI: 0 pass, 1 fail, 2 configuration error).  A solver
+failure (SolverError, from either window solver or a reference march)
+exits with 1 in every subcommand; an --out that cannot be made a
+directory exits with 2, before any operator is built.  Configs are
+strict JSON: unknown keys are rejected and all validation errors are
+reported together.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dgit
+from .dgit import SolverError
 from .fespace import FeOperators
 from .timepoly import (
     Interval,
@@ -63,18 +64,6 @@ RESIDUAL_TOL = 1e-10
 SOLVE_COLUMNS = 32
 
 log = logging.getLogger(__name__)
-
-
-class SolverError(RuntimeError):
-    """Window solve failed (singular factorization or bad residual)."""
-
-
-def _factorize(A):
-    """dgit.factorize(A), its failure raised as SolverError."""
-    try:
-        return dgit.factorize(A)
-    except RuntimeError as err:
-        raise SolverError(f"window factorization failed: {err}") from err
 
 
 @dataclasses.dataclass(frozen=True)
@@ -291,16 +280,16 @@ class WindowOperator:
     one assembled map, past, whose columns hold them newest first, and
     solves matrix @ x = data terms - past @ (those side values).
 
-    Each subdomain's substeps form a chain with one pair of time tables,
-    since all substeps of a side have one length: dgit.substep_tables
-    gives W_M and W_L of a substep, whose own columns repeat on the
-    diagonal and whose column of U^{n-l} couples each substep to the side
-    value l substeps back (for the first l substeps a column of past).
-    The flux columns of all substeps are stacked from one table of
-    substep-versus-window Legendre moments (dgit.cross_moments).  Every
-    part is put as kron(table, spatial matrix) triplets on the spatial
-    matrices' entries, which FeOperators converts once and every operator
-    built on it reuses (_assemble_matrix).
+    All substeps of a side have one length, so one pair of time tables,
+    W_M and W_L of dgit.substep_tables, stands for each of them.  The
+    side's column map (_columns) is the one place that says where a
+    substep's tables land: its own slots, on the diagonal, then its
+    column of U^{n-l}, the side value l substeps back (for the first l
+    substeps a column of past).  The flux columns of all substeps are
+    stacked from one table of substep-versus-window Legendre moments
+    (dgit.cross_moments).  Every part is put as kron(table, spatial
+    matrix) triplets on the spatial matrices' entries, which FeOperators
+    converts once and every operator built on it reuses (_assemble_matrix).
 
     The data terms (body-force and interface-data moments) of a window do
     not depend on the windows before it.  The operator holds them for a
@@ -389,7 +378,7 @@ class WindowOperator:
         self._rows, self._rows_first = np.empty((0, self.dim)), 1
         self.matrix, self._past = self._assemble_matrix()
         if solver == "direct":
-            self._lu = _factorize(self.matrix)
+            self._lu = dgit.factorize(self.matrix)
         else:
             self._factor_schur_complement()
 
@@ -402,7 +391,7 @@ class WindowOperator:
         minus A_Fs at side i's columns times Z_i.
         """
         A, n = self.matrix, self._flux_off[0]
-        self._lu = _factorize(A[:n, :n])
+        self._lu = dgit.factorize(A[:n, :n])
         N = A[:n, n:].tocsc()
         self._flux_rows = A[n:, :n]
         flux_mass = A[n:, n:].toarray()
@@ -431,7 +420,25 @@ class WindowOperator:
                     "the window residual cannot bound its error; the direct solver does "
                     "not form it"
                 )
-        self._flux_lu = _factorize(sp.csc_matrix(S))
+        self._flux_lu = dgit.factorize(sp.csc_matrix(S))
+
+    def _columns(self, i: int) -> np.ndarray:
+        """Where each column of side i's substep tables starts: (M_i, own + reach).
+
+        Row n is substep n's column map.  First its own slots (own = q + 2
+        - n_s of them, its side value last), which are also where its rows
+        start; then U^{n-l} for l = 1..reach: the side value of substep n -
+        l, or for n < l the past value l - n - 1, in the columns from dim on.
+        """
+        own, reach, d = self.spec.test_order + 1, self.spec.reach, self.ops.d_omega[i]
+        n, l = np.arange(self.cfg.M[i])[:, None], np.arange(1, reach + 1)
+        slots = self._dom_off[i] + (own * n + np.arange(own)) * d
+        back = np.where(
+            n >= l,
+            self._dom_off[i] + (own * (n - l) + own - 1) * d,
+            self.dim + self._past_off[i] + (l - n - 1) * d,
+        )
+        return np.hstack((slots, back))
 
     def _assemble_matrix(self) -> tuple:
         """(matrix, past): the window's rows over its unknowns and over the past values.
@@ -440,94 +447,61 @@ class WindowOperator:
         coefficients and a spatial matrix B, put as triplets: B's entries,
         which ops converts once for every operator built on it
         (FeOperators.spatial_triplets and interface_triplets), placed at
-        W's nonzeros.  Each output matrix is one COO->CSR conversion of
-        them.  Within a side, W addresses the substep rows and columns in
-        slots of d_i: q + 2 - n_s per substep, its side value last.
+        W's nonzeros, W's row a at a row start and its column c at a column
+        start.  A substep's rows and columns start where the column map of
+        its side says (_columns), a flux mode's at its d_gamma slot.  All
+        triplets form one COO matrix over [unknowns | past values],
+        converted to CSR once and split by column.
 
         A side's substep rows are the tables W_M and W_L of
-        dgit.substep_tables, laid along the chain: each substep's own
-        columns on the diagonal, and its column of U^{n-l} on the side
-        value l substeps back, a past value for the first l substeps.  They
-        are put once, on the shared pattern of M_i and L_i, with the values
-        W_M m + W_L l and their exact zeros dropped, as the sum
-        kron(W_M, M_i) + kron(W_L, L_i) of one substep block stores them.
+        dgit.substep_tables, put once for all its substeps, each on its own
+        row of the column map.  They are put on the shared pattern of M_i
+        and L_i, with the values W_M m + W_L l and their exact zeros
+        dropped, as the sum kron(W_M, M_i) + kron(W_L, L_i) of one substep
+        block stores them.
         """
         ops, cfg, spec = self.ops, self.cfg, self.spec
-        reach = spec.reach
-        own = spec.test_order + 1  # slots per substep
+        own, reach, dim, dG = spec.test_order + 1, spec.reach, self.dim, ops.d_gamma
         n_past = self._past_off[1] + reach * ops.d_omega[1]
-        unknowns, past = ([], [], []), ([], [], [])
+        triplets = ([], [], [])
         # the index arithmetic stays in the index type the CSR results take
-        index = np.int32 if 2 * (self.dim + n_past) < 2**31 else np.int64
+        index = np.int32 if 2 * (dim + n_past) < 2**31 else np.int64
 
-        def nonzero(W):
-            return (k.astype(index) for k in np.nonzero(W))
+        def put(W, B, row_starts, col_starts, values=None):
+            # kron(W, B) with W's row a at row_starts[..., a] and its column c
+            # at col_starts[..., c], once for each leading index of the starts;
+            # values, one row per nonzero of W, replace W[a, c] * B's data,
+            # their exact zeros dropped
+            b_row, b_col, b_data = B[:3]
+            a, c = np.nonzero(W)
+            rows = row_starts.astype(index)[..., a, None] + b_row
+            cols = col_starts.astype(index)[..., c, None] + b_col
+            if values is None:
+                values = W[a, c][:, None] * b_data
+            elif not (kept := values != 0).all():
+                rows, cols, values = rows[..., kept], cols[..., kept], values[kept]
+            triplets[0].append(rows.ravel())
+            triplets[1].append(cols.ravel())
+            triplets[2].append(np.broadcast_to(values, rows.shape).ravel())
 
-        def put(W, B, r0, c0):
-            # kron(W, B) at (r0, c0), B as (rows, cols, data, shape) triplets;
-            # it lies wholly among the unknowns, or wholly among the past
-            # values in the columns from dim on
-            rows, cols, data = unknowns if c0 < self.dim else past
-            b_row, b_col, b_data, (n_rows, n_cols) = B
-            a, c = nonzero(W)
-            rows.append((r0 + a[:, None] * n_rows + b_row).ravel())
-            c0 = c0 if c0 < self.dim else c0 - self.dim
-            cols.append((c0 + c[:, None] * n_cols + b_col).ravel())
-            data.append((W[a, c][:, None] * b_data).ravel())
+        def modes(i, count):
+            # where the first count flux modes of side i start
+            return self._flux_off[i] + dG * np.arange(count)
 
-        def put_back(W, B, r0, i, l):
-            # kron(W, B) with column n of W on the side value l substeps before
-            # substep n's own, in a table over all side values in time order:
-            # the reach past values (newest first in past), then the substeps'
-            M_i = W.shape[1]
-            sides = np.zeros((len(W), reach + M_i))
-            sides[:, reach - l : reach - l + M_i] = W
-            slots = np.zeros((len(W), M_i, own))
-            slots[:, :, -1] = sides[:, reach:]
-            put(slots.reshape(len(W), -1), B, r0, self._dom_off[i])
-            put(sides[:, reach - 1 :: -1], B, r0, self.dim + self._past_off[i])
-
-        def chain(W, M_i):
-            # one substep's table over [own slots, U^{n-1}, ..] as the side's
-            # table over [all substep slots, past values newest first]
-            out = np.zeros((M_i * own, M_i * own + reach))
-            for n in range(M_i):
-                band = out[n * own : (n + 1) * own]
-                band[:, n * own : (n + 1) * own] = W[:, :own]
-                for l in range(1, reach + 1):
-                    band[:, (n - l + 1) * own - 1 if n >= l else M_i * own + l - n - 1] = (
-                        W[:, own + l - 1]
-                    )
-            return out
-
+        columns = [self._columns(i) for i in range(2)]
         mass_gamma, trace_mass = ops.interface_triplets
         for i in range(2):
-            M_i, d, r0 = cfg.M[i], ops.d_omega[i], self._dom_off[i]
-            W_M, W_L = (
-                chain(W, M_i)
-                for W in dgit.substep_tables(spec, Interval(self._edges[i][0], self._edges[i][1]))
-            )
-            b_row, b_col, m, l = ops.spatial_triplets[i]
-            slots = M_i * own
-            for (rows, cols, data), c0, cut in (
-                (unknowns, r0, slice(None, slots)),
-                (past, self._past_off[i], slice(slots, None)),
-            ):
-                Wm, Wl = W_M[:, cut], W_L[:, cut]
-                a, c = nonzero((Wm != 0) | (Wl != 0))
-                values = Wm[a, c][:, None] * m + Wl[a, c][:, None] * l
-                rr = r0 + a[:, None] * d + b_row
-                cc = c0 + c[:, None] * d + b_col
-                kept = values != 0
-                if not kept.all():
-                    rr, cc, values = rr[kept], cc[kept], values[kept]
-                rows.append(rr.ravel())
-                cols.append(cc.ravel())
-                data.append(values.ravel())
+            W_M, W_L = dgit.substep_tables(spec, Interval(*self._edges[i][:2]))
+            _, _, m, l = ops.spatial_triplets[i]
+            shared = (W_M != 0) | (W_L != 0)
+            a, c = np.nonzero(shared)
+            values = W_M[a, c][:, None] * m + W_L[a, c][:, None] * l
+            put(shared, ops.spatial_triplets[i], columns[i][:, :own], columns[i], values)
             X = dgit.cross_moments(
                 self._edges[i], self._template, spec.test_order, cfg.r[i], self.quadrature
             )
-            put(X.reshape(-1, cfg.r[i] + 1), trace_mass[i], r0, self._flux_off[i])
+            starts = columns[i][:, :own].ravel()
+            put(X.reshape(-1, cfg.r[i] + 1), trace_mass[i], starts, modes(i, cfg.r[i] + 1))
 
         # Flux definition rows: window mass times flux modes minus the
         # projected trace combination of both subdomains.  Both quadratures
@@ -540,8 +514,8 @@ class WindowOperator:
         window = self._template
         for i in range(2):
             r_i = cfg.r[i]
-            base = self._flux_off[i]
-            put(np.diag(window.length / (2 * np.arange(r_i + 1) + 1)), mass_gamma, base, base)
+            flux = modes(i, r_i + 1)
+            put(np.diag(window.length / (2 * np.arange(r_i + 1) + 1)), mass_gamma, flux, flux)
             for j in range(2):
                 bij = ops.B[i, j]
                 if bij == 0.0:
@@ -550,11 +524,11 @@ class WindowOperator:
                 X = dgit.cross_moments(self._edges[j], window, len(R) - 1, r_cut, self.quadrature)
                 C = -bij * np.einsum("nab,ac->bnc", X, R)  # (r_cut + 1, M_j, own + reach)
                 # T_j^T M_gamma transposed: its CSC entries, in the same order
-                rows, cols, data, shape = trace_mass[j]
-                MgT = (cols, rows, data, shape[::-1])
-                put(C[:, :, :own].reshape(r_cut + 1, -1), MgT, base, self._dom_off[j])
-                for l in range(1, reach + 1):
-                    put_back(C[:, :, own + l - 1], MgT, base, j, l)
+                t_row, t_col, t_data, _ = trace_mass[j]
+                put(
+                    C.reshape(r_cut + 1, -1), (t_col, t_row, t_data), flux[: r_cut + 1],
+                    columns[j].ravel(),
+                )
 
         def joined(pieces):
             # the pieces are dropped once joined, so they and the join are not both held
@@ -562,11 +536,10 @@ class WindowOperator:
             pieces.clear()
             return out
 
-        def assembled(parts, ncols):
-            rows, cols, data = (joined(p) for p in parts)
-            return sp.coo_matrix((data, (rows, cols)), shape=(self.dim, ncols)).tocsr()
-
-        return assembled(unknowns, self.dim), assembled(past, n_past)
+        rows, cols, data = triplets
+        A = sp.coo_matrix((joined(data), (joined(rows), joined(cols))), shape=(dim, dim + n_past))
+        A = A.tocsr()
+        return A[:, :dim], A[:, dim:]
 
     def _past_values(self, before) -> list:
         """Per side, the last spec.reach rows of before: the side values the window reads."""

@@ -9,9 +9,9 @@ coefficients: the small dense tables W_M and W_L over its own unknowns
 and its earlier side values, whose rows are kron(W_M, M) + kron(W_L, L);
 they carry no flux columns.  build_substep_block makes those rows a
 SubstepBlock, plain sparse matrices for the standalone solvers below.  A
-coupling window lays the same tables along each subdomain's chain of
-substeps and puts them on the spatial matrices' triplets itself, with
-flux columns that it stacks from the cross_moments table over the
+coupling window places the same tables at every substep of a side by
+its column map and puts them on the spatial matrices' triplets itself,
+with flux columns that it stacks from the cross_moments table over the
 substep edges, the only part that depends on a substep's place in the
 window (the table is timepoly's, and the window reads it as
 dgit.cross_moments).  assemble_substep, one subdomain's block of an
@@ -41,6 +41,10 @@ load_npts points per step; the quadrature times of many substeps are
 evaluated in one call of the factors.  integrate's dense form multiplies
 a step's factor moments with A^-1 of each unit moment, solved once, so
 its steps form no d-vector moments.
+
+Every sparse LU of the package, the window's included, is factorize's,
+and a matrix SuperLU cannot factor raises SolverError ("factorization
+failed: ..."), the error every solve of the package fails with.
 """
 
 from __future__ import annotations
@@ -134,6 +138,10 @@ def chunk_size(values: int) -> int:
     return max(1, LOAD_BATCH_VALUES // max(1, values))
 
 
+class SolverError(RuntimeError):
+    """A solve failed: a singular factorization, non-finite values or a bad residual."""
+
+
 def factorize(A: sp.spmatrix):
     """Sparse LU of A; the one place that chooses how mrcouple factorizes.
 
@@ -144,7 +152,10 @@ def factorize(A: sp.spmatrix):
     against 745,658 entries; 0.54x on the nx=64 forcing-free window,
     2,244,497 against 4,188,995) and ties on small matrices.
     """
-    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    try:
+        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as err:  # SuperLU's "Factor is exactly singular"
+        raise SolverError(f"factorization failed: {err}") from err
 
 
 def _factor_moments(

@@ -729,6 +729,28 @@ class TestSolverFailure:
         ]
         assert [str(w.message) for w in caught] == []
 
+    # the same coupling in a convergence study: SuperLU finds the coupled
+    # system's Crank-Nicolson step matrix exactly singular, in a reference
+    # march, before any window is solved
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_convergence_names_a_singular_reference_factor(self, tmp_path, capsys, jobs):
+        payload = {
+            "window": {"t_f": 0.3, "N": 3, "M1": 1, "M2": 2},
+            "problem": {"forcing": "mms:smooth", **self.NEAR_FLOAT_MAX["problem"]},
+            "experiment": {"levels": 3},
+        }
+        config = write_config(tmp_path, payload)
+        argv = ["--config", str(config), "--out", str(tmp_path / "out"), "--jobs", str(jobs)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["convergence", *argv])
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("solver failure: ")
+        assert "Traceback" not in captured.err
+        assert [str(w.message) for w in caught] == []
+
     # coupling so strong that the squares in the direct solve's residual
     # norms pass the float maximum: the window fails, it is not accepted
     # on a NaN residual

@@ -149,14 +149,18 @@ class TestWindowAssembly:
         assert op.dim == 1 * 1 + 1 * 2 + 2 + 2 == 7
 
     @pytest.mark.parametrize("quadrature", ["exact", "trapezoid"])
-    @pytest.mark.parametrize("scheme_name", ["cg2", "dg1"])
+    @pytest.mark.parametrize(
+        "scheme_name", ["cg2", "dg1", "mean-two-back", "thirds-three-back"]
+    )
     def test_substeps_of_a_side_share_one_block(self, smooth_ops, scheme_name, quadrature):
-        # all substeps of a side have one length: the window repeats one block
+        # all substeps of a side have one length: the window repeats one block,
+        # and the column map places its links to the side values back
         cfg = mc.WindowConfig(t_f=0.3, N=3, M=(3, 5), r=(1, 2))
-        scheme = mc.shipped_schemes()[scheme_name]
+        scheme = TestTableAssembly.SCHEMES[scheme_name]
         op = mc.WindowOperator(smooth_ops, scheme, cfg, quadrature=quadrature)
+        own = scheme.test_order + 1
         for i in range(2):
-            size = op._sub_size[i]
+            size, d = op._sub_size[i], smooth_ops.d_omega[i]
             diagonal = [
                 op.matrix[o : o + size, o : o + size].toarray()
                 for o in op._dom_off[i] + size * np.arange(cfg.M[i])
@@ -166,6 +170,20 @@ class TestWindowAssembly:
             )
             assert np.array_equal(diagonal[0], block.matrix.toarray())
             assert all(np.array_equal(block, diagonal[0]) for block in diagonal[1:])
+            # U^{n-l} of substep n: a side value of the window (n >= l) or a past value
+            columns = op._columns(i)
+            assert columns.shape == (cfg.M[i], own + scheme.reach)
+            for n in range(cfg.M[i]):
+                rows = slice(op._dom_off[i] + n * size, op._dom_off[i] + (n + 1) * size)
+                assert columns[n, 0] == rows.start
+                for l in range(1, scheme.reach + 1):
+                    c = columns[n, own + l - 1]
+                    # the side value of substep n - l, else past value l - n - 1
+                    assert c == (columns[n - l, own - 1] if n >= l else
+                                 op.dim + op._past_off[i] + (l - n - 1) * d)
+                    A, c = (op.matrix, c) if n >= l else (op._past, c - op.dim)
+                    link = A[rows, c : c + d].toarray()
+                    assert link.tobytes() == block.prev[l - 1].toarray().tobytes()
 
     def test_decoupled_equals_independent_runs(self):
         Z = np.zeros((2, 2))

@@ -624,18 +624,35 @@ class TestPreparedInitialState:
         # the prepared state is finite and of comparable magnitude
         assert np.max(np.abs(prep[0])) < 10 * max(1.0, np.max(np.abs(raw[0])))
 
-    def test_blow_up_is_named(self, step_form):
+    # (L per side, B, t_burn, oracle steps and schemes, spin-up failure, oracle failure)
+    BLOW_UPS = {
         # u' = 1000 u overflows within a unit span of fine steps
-        grow = [[-1000.0]]
+        "overflow": (
+            -1000.0, [[1.0, -1.0], [-1.0, 1.0]], 1.0, (4096, ("cn", "dg2")),
+            "spin-up produced non-finite values", "oracle solve produced non-finite",
+        ),
+        # L = -2/dt makes the Crank-Nicolson step matrix M + dt/2 L exactly 0
+        # at dt = 1/4: the oracle's 4 steps on (0, 1), and the spin-up's 1024
+        # on (-256, 0)
+        "singular": (
+            -8.0, [[0.0, 0.0], [0.0, 0.0]], 256.0, (4, ("cn",)),
+            "^factorization failed: Factor is exactly singular$",
+            "^factorization failed: Factor is exactly singular$",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BLOW_UPS))
+    def test_blow_up_is_named(self, step_form, case):
+        L, B, t_burn, (steps, schemes), spin_up, oracle = self.BLOW_UPS[case]
         ops = mc.from_matrices(
-            [[1.0]], grow, [[1.0]], [[1.0]], grow, [[1.0]], [[1.0]], [[1.0, -1.0], [-1.0, 1.0]],
+            [[1.0]], [[L]], [[1.0]], [[1.0]], [[L]], [[1.0]], [[1.0]], B,
             u0=(np.ones(1), np.ones(1)),
         )
-        with pytest.raises(coupling.SolverError, match="spin-up produced non-finite values"):
-            verify.prepare_initial_state(ops, 1.0)
-        for scheme in ("cn", "dg2"):
-            with pytest.raises(coupling.SolverError, match="oracle solve produced non-finite"):
-                verify.reference_solve(ops, 1.0, 4096, scheme=scheme)
+        with pytest.raises(coupling.SolverError, match=spin_up):
+            verify.prepare_initial_state(ops, t_burn)
+        for scheme in schemes:
+            with pytest.raises(coupling.SolverError, match=oracle):
+                verify.reference_solve(ops, 1.0, steps, scheme=scheme)
 
     def test_zero_burn_in_is_identity(self, smooth_ops):
         prep = verify.prepare_initial_state(smooth_ops, 0.0)
